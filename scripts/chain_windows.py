@@ -8,7 +8,7 @@ chains for a quadratic irrational coefficient.
 import argparse
 import sys
 
-from bicolor.construct import chain_pair, chain_window, minimal_pair_chain
+from bicolor.construct import chain_pairs, chain_window, minimal_pair_chain
 from bicolor.exactnum import Alpha, PreDimValue
 
 
@@ -21,9 +21,8 @@ def main(argv=None) -> int:
 
     alpha = Alpha.parse(args.alpha)
     print(f"alpha = {alpha.render()} ~ {float(alpha.value()):.6f}")
-    for lvl in range(1, args.depth + 1):
+    for lvl, pair in enumerate(chain_pairs(alpha, args.depth), start=1):
         w = chain_window(alpha, lvl)
-        pair = chain_pair(alpha, lvl)
         drop = PreDimValue(pair.s, pair.k).value(alpha)
         print(
             f"level {lvl}: window {float(w):.6f}  pair (s,k)=({pair.s},{pair.k})  "

@@ -727,11 +727,22 @@ def chain_window(alpha: Alpha, level: int) -> QuadRat:
     return (QuadRat.of(1) - alpha.value()) / (2**level)
 
 
-def chain_pair(alpha: Alpha, level: int) -> ApproximationPair:
-    """Minimal-k pair with 0 < k*alpha - s < (1 - alpha)/2^level."""
+def chain_pairs(alpha: Alpha, depth: int) -> list[ApproximationPair]:
+    """Pairs of levels 1..depth: level l takes the least-k pair with
+    0 < k*alpha - s < min((1 - alpha)/2^l, level l-1's k*alpha - s), so the
+    drops s - k*alpha strictly increase even where two windows share their
+    least-k pair."""
     if alpha.is_rational:
         raise RationalAlpha("chains need an irrational coefficient")
-    return dirichlet_window(alpha, chain_window(alpha, level))
+    pairs: list[ApproximationPair] = []
+    for lvl in range(1, depth + 1):
+        eps = chain_window(alpha, lvl)
+        if pairs:
+            prev_gap = -PreDimValue(pairs[-1].s, pairs[-1].k).value(alpha)
+            if prev_gap < eps:
+                eps = prev_gap
+        pairs.append(dirichlet_window(alpha, eps))
+    return pairs
 
 
 def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> ChainResult:
@@ -741,7 +752,7 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> ChainRe
         raise RationalAlpha("chains need an irrational coefficient")
     if depth < 0:
         raise InputError("depth must be a natural number")
-    pairs = [chain_pair(alpha, lvl) for lvl in range(1, depth + 1)]
+    pairs = chain_pairs(alpha, depth)
     needed = 1 + sum(p.s for p in pairs)
     if needed > ambient_budget:
         raise BudgetExceeded(f"chain needs ambient {needed} > budget {ambient_budget}")

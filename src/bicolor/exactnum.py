@@ -4,9 +4,18 @@ The coefficient alpha lives in (0, 1] and is either an exact rational p/q or
 an exact quadratic irrational (a + b*sqrt(d))/c with d > 1 squarefree.  Every
 downstream quantity we ever compare is an element of the field Q(alpha), so a
 single value type `QuadRat` (p + q*sqrt(d) with rational p, q) carries all of
-it: pre-dimension values, window widths, gap thresholds.  Sign determination
-is exact: for u + v*sqrt(d) with mixed signs it reduces to the sign of
-u^2 - v^2*d.
+it: window widths, gap thresholds, epsilon bounds and floors.
+
+Sign determination.  Every pre-dimension question (closedness, K+, minimal
+pairs, chains) reduces to the sign of an integer pair dim - alpha*col, which
+`PreDimValue.sign` and `compare` decide in integers alone, without building a
+`QuadRat`.  For rational alpha = num/den the sign is that of
+den*dim - num*col.  For quadratic alpha = (a + b*sqrt(d))/c, multiplying by
+c > 0 gives u + w*sqrt(d) with u = c*dim - a*col and w = -b*col.  When u and
+w agree in sign, or one of them is zero, that is the answer; otherwise the
+term of larger magnitude decides, found by comparing u^2 with w^2*d (equality
+still yields 0).  `QuadRat.sign` applies the same rule to rational p, q and
+remains the reference the integer routine is tested against.
 
 No floating point participates in any comparison; floats appear only as
 display approximations.
@@ -322,18 +331,30 @@ class PreDimValue:
         return QuadRat.of(self.dim_part) - alpha.value() * self.color_part
 
     def sign(self, alpha: Alpha) -> int:
-        if alpha.is_rational:
-            lhs = alpha.den * self.dim_part - alpha.num * self.color_part
-            return (lhs > 0) - (lhs < 0)
-        return self.value(alpha).sign()
+        return _sign(self.dim_part, self.color_part, alpha)
 
 
 ZERO = PreDimValue(0, 0)
 
 
+def _sign(dim: int, col: int, alpha: Alpha) -> int:
+    """Exact sign of dim - alpha*col, in integers only (see the module docstring)."""
+    if alpha.is_rational:
+        lhs = alpha.den * dim - alpha.num * col
+        return (lhs > 0) - (lhs < 0)
+    u = alpha.c * dim - alpha.a * col
+    w = -alpha.b * col
+    su = (u > 0) - (u < 0)
+    sw = (w > 0) - (w < 0)
+    if su * sw >= 0:
+        return su or sw
+    diff = u * u - w * w * alpha.d
+    return su * ((diff > 0) - (diff < 0))
+
+
 def compare(x: PreDimValue, y: PreDimValue, alpha: Alpha) -> int:
     """Exact order of the two real values: -1 (less), 0 (equal), +1 (greater)."""
-    return (x - y).sign(alpha)
+    return _sign(x.dim_part - y.dim_part, x.color_part - y.color_part, alpha)
 
 
 def compare_word(x: PreDimValue, y: PreDimValue, alpha: Alpha) -> str:

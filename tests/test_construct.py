@@ -6,7 +6,7 @@ import pytest
 from bicolor.closure import is_minimal_pair
 from bicolor.colored import ColoredStructure, delta, in_k_plus
 from bicolor.construct import (
-    chain_pair,
+    chain_pairs,
     chain_window,
     delta_system_closed_root,
     free_power_patch,
@@ -26,7 +26,7 @@ from bicolor.errors import (
     NotIndependent,
     RationalAlpha,
 )
-from bicolor.exactnum import ApproximationPair, PreDimValue, QuadRat
+from bicolor.exactnum import Alpha, ApproximationPair, PreDimValue, QuadRat
 from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR
 
 from conftest import ALPHA_HALF, ALPHA_INV_SQRT2, ALPHA_ONE, ALPHA_TWO_THIRDS
@@ -277,9 +277,27 @@ class TestMinimalPairChain:
         assert drop.sign() < 0 and (drop + w).sign() > 0
 
     def test_pairs_frozen_from_scan(self):
-        assert chain_pair(ALPHA_INV_SQRT2, 1) == ApproximationPair(2, 3)
-        assert chain_pair(ALPHA_INV_SQRT2, 2) == ApproximationPair(7, 10)
-        assert chain_pair(ALPHA_INV_SQRT2, 3) == ApproximationPair(12, 17)
+        assert chain_pairs(ALPHA_INV_SQRT2, 3) == [
+            ApproximationPair(2, 3),
+            ApproximationPair(7, 10),
+            ApproximationPair(12, 17),
+        ]
+
+    def test_pairs_shrink_when_windows_share_a_pair(self):
+        # at 1/sqrt(3) the least-k pair of windows 2 and 3 is (4, 7) for both;
+        # level 3 must take the next pair with a strictly smaller k*alpha - s
+        assert chain_pairs(Alpha.quadratic(0, 1, 3, 3), 3) == [
+            ApproximationPair(1, 2),
+            ApproximationPair(4, 7),
+            ApproximationPair(15, 26),
+        ]
+
+    def test_golden_chain_builds_exactly(self):
+        # windows 1 and 2 both hold (3, 5) at (sqrt(5) - 1)/2
+        res = minimal_pair_chain(Alpha.quadratic(-1, 1, 2, 5), 2, 32)
+        assert [lv.pair for lv in res.levels[1:]] == [ApproximationPair(3, 5), ApproximationPair(8, 13)]
+        assert [c.name for c in res.checks if c.name.startswith("drops")] == ["drops_increase_2"]
+        assert all(c.passed and c.method == "exhaustive" for c in res.checks)
 
     def test_depth_two_minimal_pairs(self):
         res = minimal_pair_chain(ALPHA_INV_SQRT2, 2, 16)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from bicolor.errors import (
     RationalAlpha,
     SchemaError,
 )
+from bicolor import exactnum
 from bicolor.exactnum import (
     Alpha,
     ApproximationPair,
@@ -103,6 +105,84 @@ class TestCompare:
         # huge parts stay exact
         assert pdv(10**50 + 1, 10**50).sign(Alpha.rational(1, 1)) == 1
         assert pdv(10**50, 10**50).sign(Alpha.rational(1, 1)) == 0
+
+
+# Quadratic alphas (a + b*sqrt(d))/c with a < 0, with b < 0, and both positive.
+QUADRATIC_ALPHAS = [
+    Alpha.quadratic(-1, 1, 2, 5),  # (sqrt(5) - 1)/2
+    Alpha.quadratic(2, -1, 2, 2),  # 1 - 1/sqrt(2)
+    ALPHA_INV_SQRT2,
+    Alpha.quadratic(1, 1, 6, 3),  # (1 + sqrt(3))/6
+]
+
+
+def _floor_times(alpha: Alpha, col: int) -> int:
+    """floor(alpha*col) by isqrt, so that dim - alpha*col lands next to zero."""
+    m = alpha.b * col
+    r = isqrt(m * m * alpha.d)
+    root_floor = r if m >= 0 else -r - 1  # sqrt(d) is irrational
+    return (alpha.a * col + root_floor) // alpha.c
+
+
+_magnitudes = st.one_of(
+    st.integers(-60, 60),
+    st.integers(-(10**50), 10**50),
+    st.integers(10**50 - 10**6, 10**50 + 10**6),
+    st.integers(-(10**50) - 10**6, -(10**50) + 10**6),
+)
+
+
+@st.composite
+def _pairs(draw, alpha):
+    """(dim, col) pairs, a third of them within 2 of the line dim = alpha*col."""
+    col = draw(_magnitudes)
+    if draw(st.integers(0, 2)) == 0:
+        return pdv(_floor_times(alpha, col) + draw(st.integers(-1, 2)), col)
+    return pdv(draw(_magnitudes), col)
+
+
+class TestIntegerSign:
+    """The integer sign kernel against the QuadRat reference."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_sign_matches_quadrat(self, data):
+        for a in QUADRATIC_ALPHAS:
+            x = data.draw(_pairs(a))
+            assert x.sign(a) == x.value(a).sign()
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_compare_matches_quadrat(self, data):
+        for a in QUADRATIC_ALPHAS:
+            x = data.draw(_pairs(a))
+            y = data.draw(_pairs(a))
+            assert compare(x, y, a) == (x.value(a) - y.value(a)).sign()
+
+    def test_near_zero_uses_squares(self):
+        # mixed signs of u and w with |u| close to |w|*sqrt(d): convergents of alpha
+        gold = QUADRATIC_ALPHAS[0]
+        assert pdv(8, 13).sign(gold) == -1 and pdv(13, 21).sign(gold) == 1
+        assert compare(pdv(8, 13), pdv(13, 21), gold) == -1
+
+    def test_no_quadrat_on_the_hot_path(self, monkeypatch):
+        created = [0]
+        original = QuadRat.__post_init__
+
+        def counting(obj):
+            created[0] += 1
+            original(obj)
+
+        monkeypatch.setattr(exactnum.QuadRat, "__post_init__", counting)
+        pdv(1, 1).value(ALPHA_INV_SQRT2)
+        assert created[0] > 0  # the counter sees QuadRat values
+        created[0] = 0
+        for a in QUADRATIC_ALPHAS:
+            for dim in range(-6, 7):
+                for col in range(-6, 7):
+                    pdv(dim, col).sign(a)
+                    compare(pdv(dim, col), pdv(col, dim), a)
+        assert created[0] == 0
 
 
 class TestQuadRat:
