@@ -24,6 +24,7 @@ from fractions import Fraction
 from .closure import is_closed, is_minimal_pair
 from .colored import (
     ColoredStructure,
+    _rref,
     delta,
     empty_structure,
     ensure_k_plus,
@@ -56,7 +57,7 @@ from .exactnum import (
     epsilon_bound,
     rational_pair,
 )
-from .pregeom import FREE, GroundElement
+from .pregeom import FREE, GroundElement, SpanReducer, int_row
 from .report import Check
 
 EXHAUSTIVE_PATCH_LIMIT = 12
@@ -238,8 +239,6 @@ def _k_plus_check(S2) -> Check:
 
 
 def _rref_rows(rows):
-    from .colored import _rref
-
     if not rows:
         return ()
     frac_rows = [[Fraction(x) for x in r] for r in rows]
@@ -247,97 +246,95 @@ def _rref_rows(rows):
     return tuple(tuple(r) for r in red)
 
 
-def _free_union_min(S2, prime_ids, old_width: int, blocks) -> PreDimValue:
+def _keep_min(profile: dict, key, val: PreDimValue, alpha):
+    prev = profile.get(key)
+    if prev is None or compare(val, prev, alpha) < 0:
+        profile[key] = val
+
+
+def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
+    """Least PreDimValue(fresh rank, size) per residue span of a block's subsets.
+
+    A point's row is its fresh columns [start, start + length) followed by its
+    old columns [0, old_width).  Subsets are walked depth-first in sorted-id
+    order, each child a clone of its parent's reducer plus one add, so every
+    subset's rows go in in sorted order, as in a from-scratch elimination, and
+    a k-point block costs 2^k - 1 adds.  Echelon rows with a fresh pivot give
+    the fresh rank; the others span the subset's raw residue over the old
+    coordinates, keyed by its RREF.  A zero-width block (start = old_width,
+    length = 0) profiles points on the old coordinates alone.  Raises
+    SearchBudgetExceeded past 14 points or for a point outside its columns.
+    """
+    ids = sorted(ids)
+    if len(ids) > 14:
+        raise SearchBudgetExceeded("free-union block too large")
+    rows = []
+    for eid in ids:
+        row = S2.introw(eid)
+        for j, x in enumerate(row):
+            if x and not (j < old_width or start <= j < start + length):
+                raise SearchBudgetExceeded("block escapes its fresh coordinates")
+        rows.append(row[start:start + length] + row[:old_width])
+    profile: dict[tuple, PreDimValue] = {(): ZERO}
+
+    def visit(red, first, size, rank_f, key):
+        for j in range(first, len(rows)):
+            child = red.clone()
+            child_rank_f, child_key = rank_f, key
+            if child.add(rows[j]):
+                child_rank_f = sum(1 for lead, _ in child.rows if lead < length)
+                if child_rank_f == rank_f:
+                    child_key = _rref_rows([r[length:] for _, r in child.rows[rank_f:]])
+            _keep_min(profile, child_key, PreDimValue(child_rank_f, size + 1), S2.alpha)
+            visit(child, j + 1, size + 1, child_rank_f, child_key)
+
+    visit(SpanReducer(length + old_width), 0, 0, 0, ())
+    return profile
+
+
+def _free_union_min(S2, prime_ids, old_width: int, blocks, profiles) -> PreDimValue:
     """Exact min of delta(A/prime) for a free union of patch copies over a base.
 
-    `blocks` lists (ids, fresh_start, fresh_len) per copy; a copy's payloads
-    must be supported on the old coordinates plus its own fresh column block,
-    everything else (prime set included) on the old coordinates alone.  Fresh
-    columns are private to their block, so eliminating them is independent
-    across blocks: delta decomposes into per-block profiles (fresh-pivot
-    count, size, residue span over the old coordinates) combined by an exact
-    DP over the joint residue span.  Raises SearchBudgetExceeded when the
-    structure does not fit the shape.
+    `blocks` lists (ids, fresh_start, fresh_len) per copy and `profiles` the
+    copies' `_block_profile`s; a copy's payloads must be supported on the old
+    coordinates plus its own fresh column block, everything else (prime set
+    included) on the old coordinates alone.  Fresh columns are private to
+    their block, so eliminating them is independent across blocks: delta
+    decomposes into per-block profiles (fresh rank, size, residue span over
+    the old coordinates) combined by an exact DP over the joint residue span.
+    The colored points outside the blocks and the prime form one more,
+    zero-width block.
+
+    The profiles do not depend on the prime, so one set serves every prime.
+    Each raw residue span is mapped here to its span modulo span(prime): the
+    RREF rows are reduced against the prime and put back in RREF.  Reducing
+    a row is a linear projection times a nonzero scalar, so the reduced span
+    is a function of the raw span alone, and the least value per reduced key
+    is the least over the raw keys that map to it.  Raises
+    SearchBudgetExceeded when the structure does not fit the shape.
     """
-    from .pregeom import SpanReducer
-
     prime = set(prime_ids)
-    in_blocks = {i for ids, _, _ in blocks for i in ids}
-
-    def old_slice(eid):
+    prime_red = SpanReducer(old_width)
+    for eid in sorted(prime):
         row = S2.introw(eid)
         if any(row[old_width:]):
             raise SearchBudgetExceeded("element escapes the old coordinates")
-        return row[:old_width]
-
-    old_cands = sorted(i for i in S2.colored if i not in prime and i not in in_blocks)
-    if len(old_cands) > 14:
-        raise SearchBudgetExceeded("free-union old part too large")
-    prime_red = SpanReducer(old_width)
-    for eid in sorted(prime):
-        prime_red.add(old_slice(eid))
-
-    def prime_reduced(row_old):
-        res = prime_red.residual(list(row_old))
-        return res if any(res) else None
-
-    def block_profiles(ids, start, length):
-        ids = sorted(ids)
-        if len(ids) > 14:
-            raise SearchBudgetExceeded("free-union block too large")
-        for eid in ids:
-            row = S2.introw(eid)
-            for j, x in enumerate(row):
-                if x and not (j < old_width or start <= j < start + length):
-                    raise SearchBudgetExceeded("block escapes its fresh coordinates")
-        profiles = {}
-        for size in range(len(ids) + 1):
-            for combo in itertools.combinations(ids, size):
-                red = SpanReducer(length + old_width)
-                for eid in combo:
-                    row = S2.introw(eid)
-                    red.add(row[start:start + length] + row[:old_width])
-                rank_f = sum(1 for lead, _ in red.rows if lead < length)
-                residues = []
-                for lead, r in red.rows:
-                    if lead >= length:
-                        pr = prime_reduced(r[length:])
-                        if pr is not None:
-                            residues.append(pr)
-                key = _rref_rows(residues)
-                val = PreDimValue(rank_f, size)
-                prev = profiles.get(key)
-                if prev is None or compare(val, prev, S2.alpha) < 0:
-                    profiles[key] = val
-        return profiles
-
-    all_profiles = [block_profiles(ids, start, length) for ids, start, length in blocks]
+        prime_red.add(row[:old_width])
+    in_blocks = {i for ids, _, _ in blocks for i in ids}
+    old_cands = S2.colored - prime - in_blocks
     if old_cands:
-        profiles = {}
-        for size in range(len(old_cands) + 1):
-            for combo in itertools.combinations(old_cands, size):
-                residues = []
-                for eid in combo:
-                    pr = prime_reduced(old_slice(eid))
-                    if pr is not None:
-                        residues.append(pr)
-                key = _rref_rows(residues)
-                val = PreDimValue(0, size)
-                prev = profiles.get(key)
-                if prev is None or compare(val, prev, S2.alpha) < 0:
-                    profiles[key] = val
-        all_profiles.append(profiles)
+        profiles = [*profiles, _block_profile(S2, old_width, old_cands, old_width, 0)]
 
     states: dict[tuple, PreDimValue] = {(): ZERO}
-    for profiles in all_profiles:
+    for raw in profiles:
+        profile: dict[tuple, PreDimValue] = {}
+        for raw_key, val in raw.items():
+            residues = [prime_red.residual(int_row(r)) for r in raw_key]
+            _keep_min(profile, _rref_rows([r for r in residues if any(r)]), val, S2.alpha)
         nxt: dict[tuple, PreDimValue] = {}
         for srows, sval in states.items():
-            for prows, pval in profiles.items():
-                key = _rref_rows([list(r) for r in srows + prows])
-                val = sval + pval
-                prev = nxt.get(key)
-                if prev is None or compare(val, prev, S2.alpha) < 0:
-                    nxt[key] = val
+            for prows, pval in profile.items():
+                _keep_min(nxt, _rref_rows(srows + prows), sval + pval, S2.alpha)
         if len(nxt) > 4000:
             raise SearchBudgetExceeded("free-union residue states exploded")
         states = nxt
@@ -352,26 +349,38 @@ def _free_union_min(S2, prime_ids, old_width: int, blocks) -> PreDimValue:
 def _union_checks(S2, a_ids, star_ids, old_width, blocks):
     """(ambient K+ check, anchor-closed check) for free unions of patches.
 
-    The exact residue-span DP is tried first; when the structure does not fit
-    its shape the budgeted general search runs, then seeded sampling.
+    The exact residue-span DP is tried first, for both checks on the same
+    block profiles; when the structure does not fit its shape the budgeted
+    general search runs, then seeded sampling.
     """
     try:
-        v = _free_union_min(S2, (), old_width, blocks)
-        kp = Check("ambient_k_plus", v.sign(S2.alpha) >= 0)
-        if kp.passed:
-            S2._k_plus = True
+        profiles = [_block_profile(S2, old_width, *blk) for blk in blocks]
     except SearchBudgetExceeded:
+        profiles = None
+
+    def exact_ok(S, prime):
+        """The DP's verdict, or None when the structure does not fit its shape."""
+        if profiles is None:
+            return None
+        try:
+            return _free_union_min(S, prime, old_width, blocks, profiles).sign(S2.alpha) >= 0
+        except SearchBudgetExceeded:
+            return None
+
+    ok = exact_ok(S2, ())
+    if ok is None:
         kp = _k_plus_check(S2)
-    sub = S2.restrict(star_ids)
-    if S2._k_plus:
-        sub._k_plus = True
-    try:
-        v = _free_union_min(sub, a_ids, old_width, blocks)
-        anchor = Check("anchor_closed", v.sign(S2.alpha) >= 0)
-    except SearchBudgetExceeded:
+    else:
+        kp = Check("ambient_k_plus", ok)
+        if ok:
+            S2._k_plus = True
+    ok = exact_ok(S2.restrict(star_ids), a_ids)
+    if ok is None:
         anchor = _anchor_closed_check(
             S2, a_ids, star_ids, kp.passed and kp.method == "exhaustive"
         )
+    else:
+        anchor = Check("anchor_closed", ok)
     return kp, anchor
 
 

@@ -169,12 +169,16 @@ class QuadRat:
         return float(self.p) + float(self.q) * math.sqrt(self.d) if self.q != 0 else float(self.p)
 
     def floor(self) -> int:
-        if self.q == 0:
-            return self.p.numerator // self.p.denominator
-        n = math.floor(float(self)) - 2
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        return n
+        """Exact floor: the value is (a + b*sqrt(d))/c over integers with c > 0,
+        so the floor is (a + floor(b*sqrt(d))) // c, the inner floor by isqrt."""
+        c = math.lcm(self.p.denominator, self.q.denominator)
+        a = self.p.numerator * (c // self.p.denominator)
+        b = self.q.numerator * (c // self.q.denominator)
+        n = b * b * self.d
+        r = math.isqrt(n)
+        if b < 0:
+            r = -r if r * r == n else -r - 1
+        return (a + r) // c
 
     def render(self) -> str:
         """Canonical exact string: 'a/c' or '(a+b*sqrt(d))/c'."""

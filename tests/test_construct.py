@@ -1,11 +1,16 @@
+import hashlib
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
+from bicolor import construct, workbench
 from bicolor.closure import is_minimal_pair
-from bicolor.colored import ColoredStructure, delta, in_k_plus
+from bicolor.colored import ColoredStructure, delta, empty_structure, in_k_plus, min_relative_delta
 from bicolor.construct import (
+    _block_profile,
+    _free_union_min,
+    _grow_patch,
     chain_pairs,
     chain_window,
     delta_system_closed_root,
@@ -26,10 +31,11 @@ from bicolor.errors import (
     NotIndependent,
     RationalAlpha,
 )
-from bicolor.exactnum import Alpha, ApproximationPair, PreDimValue, QuadRat
-from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR
+from bicolor.exactnum import Alpha, ApproximationPair, PreDimValue, QuadRat, compare
+from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR, SpanReducer
+from bicolor.report import canonical_dumps
 
-from conftest import ALPHA_HALF, ALPHA_INV_SQRT2, ALPHA_ONE, ALPHA_TWO_THIRDS
+from conftest import ALL_ALPHAS, ALPHA_HALF, ALPHA_INV_SQRT2, ALPHA_ONE, ALPHA_TWO_THIRDS
 from test_colored import ge
 
 
@@ -320,13 +326,32 @@ class TestMinimalPairChain:
         assert set(res.levels[1].e_ids) | set(res.levels[1].f_ids) <= S.colored
 
 
+def _union_min(S, prime, old_w, blocks):
+    """_free_union_min on profiles built through the per-block helper."""
+    profiles = [_block_profile(S, old_w, *blk) for blk in blocks]
+    return _free_union_min(S, prime, old_w, blocks, profiles)
+
+
+def _brute_min(S, prime):
+    cands = sorted(S.colored - set(prime))
+    best = None
+    for r in range(len(cands) + 1):
+        for combo in itertools.combinations(cands, r):
+            v = delta(S, combo, prime)
+            if best is None or compare(v, best, S.alpha) < 0:
+                best = v
+    return best
+
+
+def _one_point(alpha, payload=1, colored=False):
+    return empty_structure(alpha, ambient=1).extended(
+        [GroundElement("b", (F(payload),))], new_colored=["b"] if colored else ()
+    )
+
+
 class TestFreeUnionVerifier:
     def _blocks_structure(self, rng, alpha, n_old, blocks_spec):
         """Old independent part plus moment blocks over a base subset."""
-        from bicolor.construct import _grow_patch
-        from bicolor.colored import empty_structure
-        from bicolor.pregeom import GroundElement
-
         S = empty_structure(alpha, ambient=n_old)
         elems = []
         colored = []
@@ -338,6 +363,10 @@ class TestFreeUnionVerifier:
                 colored.append(f"o{i}")
         S = S.extended(elems, new_colored=colored)
         base = [f"o{i}" for i in range(rng.randint(1, n_old))]
+        return self._add_blocks(S, base, blocks_spec)
+
+    def _add_blocks(self, S, base, blocks_spec):
+        old_w = S.backend.ambient_dim
         blocks = []
         lam = 1
         for s, k in blocks_spec:
@@ -345,64 +374,118 @@ class TestFreeUnionVerifier:
             S, ids = _grow_patch(S, base, s, k, colored=True, lam_start=lam)
             lam += k
             blocks.append((ids, start, s))
-        return S, blocks, n_old
+        return S, blocks, old_w
+
+    def _rational_old_structure(self, rng, alpha, old_w, blocks_spec):
+        """Non-unit rational old payloads: a rank-2 prime o0, o1, a colored
+        old candidate o2, and one more old point of random color."""
+        def vec():
+            while True:
+                v = tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(old_w))
+                if any(v):
+                    return v
+
+        while True:
+            elems = [GroundElement(f"o{i}", vec()) for i in range(4)]
+            colored = {"o2"} | ({"o3"} if rng.random() < 0.5 else set())
+            colored |= {e.id for e in elems[:2] if rng.random() < 0.5}
+            S = empty_structure(alpha, ambient=old_w).extended(elems, new_colored=colored)
+            if delta(S, ["o0", "o1"]).dim_part == 2:
+                break
+        base = sorted(rng.sample(["o0", "o1", "o2", "o3"], rng.randint(1, 3)))
+        return self._add_blocks(S, base, blocks_spec)
 
     def test_dp_matches_brute_force(self, rng):
-        import itertools as it
-        from bicolor.construct import _free_union_min
-        from bicolor.exactnum import compare
-
-        from conftest import ALL_ALPHAS
-
         for trial in range(25):
             alpha = ALL_ALPHAS[trial % 4]
             spec = [(rng.randint(1, 2), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
             S, blocks, old_w = self._blocks_structure(rng, alpha, rng.randint(1, 3), spec)
-            got = _free_union_min(S, (), old_w, blocks)
-            cands = sorted(S.colored)
-            best = None
-            for r in range(len(cands) + 1):
-                for combo in it.combinations(cands, r):
-                    v = delta(S, combo)
-                    if best is None or compare(v, best, alpha) < 0:
-                        best = v
-            assert compare(got, best, alpha) == 0
+            assert compare(_union_min(S, (), old_w, blocks), _brute_min(S, ()), alpha) == 0
 
     def test_dp_matches_brute_force_primed(self, rng):
-        import itertools as it
-        from bicolor.construct import _free_union_min
-        from bicolor.exactnum import compare
-
-        from conftest import ALL_ALPHAS
-
         for trial in range(15):
             alpha = ALL_ALPHAS[trial % 4]
             S, blocks, old_w = self._blocks_structure(
                 rng, alpha, 3, [(1, rng.randint(1, 3)), (2, rng.randint(1, 3))]
             )
             prime = ["o0"]
-            got = _free_union_min(S, prime, old_w, blocks)
-            cands = sorted(S.colored - set(prime))
-            best = None
-            for r in range(len(cands) + 1):
-                for combo in it.combinations(cands, r):
-                    v = delta(S, combo, prime)
-                    if best is None or compare(v, best, alpha) < 0:
-                        best = v
-            assert compare(got, best, alpha) == 0
+            assert compare(_union_min(S, prime, old_w, blocks), _brute_min(S, prime), alpha) == 0
+
+    def test_dp_matches_brute_force_rational_payloads_rank_two_prime(self, rng):
+        # fractional RREF entries in the raw residue keys, a rank-2 prime in
+        # old width 3-4, and colored old points outside blocks and prime
+        fractional_keys = 0
+        for trial in range(16):
+            alpha = ALL_ALPHAS[trial % 4]
+            spec = [(rng.randint(1, 2), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+            S, blocks, old_w = self._rational_old_structure(rng, alpha, 3 + trial % 2, spec)
+            prime = ["o0", "o1"]
+            old_cands = S.colored - set(prime) - {i for ids, _, _ in blocks for i in ids}
+            assert "o2" in old_cands
+            raw = _block_profile(S, old_w, old_cands, old_w, 0)
+            fractional_keys += any(
+                x.denominator != 1 for key in raw for row in key for x in row
+            )
+            for p in ([], prime, prime + ["o3"]):
+                assert compare(_union_min(S, p, old_w, blocks), _brute_min(S, p), alpha) == 0
+        assert fractional_keys > 0
 
     def test_dp_matches_branch_and_bound_medium(self, rng):
         # two independent exact engines must agree at medium scale
-        from bicolor.colored import min_relative_delta
-        from bicolor.construct import _free_union_min
-        from bicolor.exactnum import compare
-
-        from conftest import ALL_ALPHAS
-
         for trial in range(8):
             alpha = ALL_ALPHAS[trial % 4]
             spec = [(rng.randint(1, 3), rng.randint(2, 5)) for _ in range(rng.randint(2, 4))]
             S, blocks, old_w = self._blocks_structure(rng, alpha, rng.randint(2, 4), spec)
-            got = _free_union_min(S, (), old_w, blocks)
             want, _ = min_relative_delta(S, ())
-            assert compare(got, want, alpha) == 0
+            assert compare(_union_min(S, (), old_w, blocks), want, alpha) == 0
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_block_profile_adds_once_per_subset(self, monkeypatch, k):
+        S, blocks, old_w = self._add_blocks(_one_point(ALPHA_TWO_THIRDS), ["b"], [(2, k)])
+        adds = [0]
+        original = SpanReducer.add
+
+        def counting(red, row):
+            adds[0] += 1
+            return original(red, row)
+
+        monkeypatch.setattr(SpanReducer, "add", counting)
+        _block_profile(S, old_w, *blocks[0])
+        assert adds[0] == 2**k - 1
+
+    @pytest.mark.parametrize("colored_base", [False, True])
+    def test_one_profile_per_copy(self, monkeypatch, colored_base):
+        calls = []
+        original = construct._block_profile
+
+        def recording(S2, old_width, ids, start, length):
+            calls.append((tuple(sorted(ids)), start, length))
+            return original(S2, old_width, ids, start, length)
+
+        monkeypatch.setattr(construct, "_block_profile", recording)
+        res = rational_zero_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS, colored=colored_base))
+        assert all(c.passed and c.method == "exhaustive" for c in res.checks)
+        fresh = [ids for ids, _, length in calls if length]
+        assert sorted(fresh) == sorted(tuple(sorted(c)) for c in res.copies)
+        old_part = [(ids, start) for ids, start, length in calls if not length]
+        # the colored base point is the old part of both minimisations
+        assert old_part == ([(("b",), 1)] * 2 if colored_base else [])
+
+
+class TestRationalGoldenBytes:
+    """Canonical structure and checks of the rational engines at alpha = 2/3,
+    t = 1, over one plain base point b, pinned by sha256 prefix."""
+
+    @pytest.mark.parametrize(
+        "payload, engine, digest",
+        [
+            (1, rational_zero_extension, "01461d890edc09a3"),
+            (1, rational_minimal_extension, "c599576fe6b093cb"),
+            (2, rational_zero_extension, "6352e59c25b5db0c"),
+            (2, rational_minimal_extension, "c249f57c301a5185"),
+        ],
+    )
+    def test_bytes(self, payload, engine, digest):
+        res = engine([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS, payload))
+        blob = workbench.dumps(res.structure) + canonical_dumps([c.to_json() for c in res.checks])
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest

@@ -207,6 +207,25 @@ class TestQuadRat:
         assert (x - n).sign() >= 0
         assert (x - (n + 1)).sign() < 0
 
+    def test_floor_exact_where_float_rounds_up(self):
+        x = QuadRat(Fraction(10**20 - 8000), Fraction(1), 2)
+        n = x.floor()
+        assert n == 10**20 - 7999
+        assert (x - n).sign() >= 0 and (x - (n + 1)).sign() < 0
+
+    @given(
+        st.integers(-(10**40), 10**40),
+        st.integers(-(10**40), 10**40),
+        st.integers(1, 10**6),
+        st.sampled_from([2, 3, 5, 7, 4]),
+    )
+    @settings(max_examples=300)
+    def test_floor_brackets_large_values(self, p, q, den, d):
+        x = QuadRat(Fraction(p, den), Fraction(q, den + 1), d) if q else QuadRat.of(Fraction(p, den))
+        n = x.floor()
+        assert (x - n).sign() >= 0
+        assert (x - (n + 1)).sign() < 0
+
 
 class TestEpsilonBound:
     def test_examples(self):
