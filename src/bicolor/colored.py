@@ -41,8 +41,8 @@ class ColoredStructure:
 
     Treated as immutable after construction; element order is canonical
     (sorted by id) so equality is structural.  The hereditary-positivity
-    certificate is cached per instance and never trusted across file
-    round-trips.
+    verdict is cached per instance, a positive one is inherited by
+    restrictions, and neither is trusted across file round-trips.
     """
 
     backend: Backend
@@ -126,12 +126,15 @@ class ColoredStructure:
     # -- derived structures -------------------------------------------------
 
     def restrict(self, ids) -> "ColoredStructure":
+        """Induced substructure; it inherits a K+ certificate (every subset of
+        it is a subset of self), never a negative verdict."""
         keep = self.check_ids(ids)
         return ColoredStructure(
             backend=self.backend,
             elements=tuple(e for e in self.elements if e.id in keep),
             colored=self.colored & keep,
             alpha=self.alpha,
+            _k_plus=True if self._k_plus is True else None,
         )
 
     def extended(self, new_elements, new_colored=(), widen_by: int = 0) -> "ColoredStructure":
@@ -422,6 +425,14 @@ def in_k_plus(S: ColoredStructure, node_budget: int = DEFAULT_NODE_BUDGET) -> bo
         if not ok:
             S._k_plus_witness = min_violating_witness(S, (), node_budget)
     return S._k_plus
+
+
+def certify_k_plus(S: ColoredStructure):
+    """Record a proof of S's hereditary positivity made by an exact verifier;
+    in_k_plus then answers for S and its restrictions without a search."""
+    if S._k_plus is False:
+        raise InvariantError("certifying a structure known to be outside K+")
+    S._k_plus = True
 
 
 def k_plus_violation(S: ColoredStructure) -> frozenset | None:

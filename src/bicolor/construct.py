@@ -7,10 +7,12 @@ over span(base) plus fresh coordinates, so every s-element subset of a patch
 is a base over its anchor while small subsets of the patch stay independent
 absolutely; genericity is verified, never assumed.
 
-Exhaustive sweeps that would not fit desk scale (intermediate conditions past
-2^12 subsets, minimal pairs past 2^17) downgrade to the structural argument
-(every s-subset a base) plus seeded sampling, and the report records which
-mode ran.
+Subset conditions go through one verifier, `_verify_subsets`, which tries
+every subset up to a per-check count (2^12 - 2 for the interior condition,
+20 000 for genericity, 200 000 for small extensions) and past it makes seeded
+draws; the report records which mode ran.  Budget-exhausted K+ and anchor
+searches fall back to the same draws, and minimal pairs past 17 new points
+to the structural argument (new points colored, s-subsets bases) plus them.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .closure import is_closed, is_minimal_pair
 from .colored import (
     ColoredStructure,
     _rref,
+    certify_k_plus,
     delta,
     empty_structure,
     ensure_k_plus,
@@ -184,58 +187,55 @@ def _grow_patch(
     return S2, tuple(new_ids)
 
 
-def _subset_sampler(ids, count, seed):
-    rng = random.Random(seed)
-    ids = sorted(ids)
-    for _ in range(count):
-        size = rng.randrange(0, len(ids) + 1)
-        yield rng.sample(ids, size)
+def _verify_subsets(name, pool, sizes, violates, limit) -> Check:
+    """Check that no non-empty subset of `pool` with size in `sizes` violates.
+
+    When at most `limit` subsets have those sizes, all of them are tried,
+    smallest first and in lex order within a size, so a failure names the
+    first violator; otherwise SAMPLE_COUNT seeded draws of a size in `sizes`
+    and a subset of that size are tried, and the check says "sampled".
+    """
+    pool = sorted(pool)
+    if sum(math.comb(len(pool), j) for j in sizes) <= limit:
+        method = "exhaustive"
+        subsets = (c for j in sizes for c in itertools.combinations(pool, j))
+    else:
+        method = "sampled"
+        rng = random.Random(SAMPLE_SEED)
+        subsets = (
+            rng.sample(pool, rng.randrange(sizes.start, sizes.stop)) for _ in range(SAMPLE_COUNT)
+        )
+    for combo in subsets:
+        if combo and violates(combo):
+            return Check(name, False, witness=sorted(combo), method=method)
+    return Check(name, True, method=method)
 
 
 def _patch_interior_check(S2, b_ids, new_ids, alpha) -> Check:
     """delta(D') >= delta(B) for all B within D' strictly inside D, i.e.
     delta(C/B) >= 0 for every proper subset C of the patch."""
-    k = len(new_ids)
-    if k <= EXHAUSTIVE_PATCH_LIMIT:
-        for size in range(1, k):
-            for combo in itertools.combinations(sorted(new_ids), size):
-                if delta(S2, combo, b_ids).sign(alpha) < 0:
-                    return Check("interior_condition", False, witness=sorted(combo))
-        return Check("interior_condition", True)
-    for combo in _subset_sampler(new_ids, SAMPLE_COUNT, SAMPLE_SEED):
-        if 0 < len(combo) < k and delta(S2, combo, b_ids).sign(alpha) < 0:
-            return Check("interior_condition", False, witness=sorted(combo), method="sampled")
-    return Check("interior_condition", True, method="sampled")
+    return _verify_subsets(
+        "interior_condition", new_ids, range(1, len(new_ids)),
+        lambda c: delta(S2, c, b_ids).sign(alpha) < 0, 2**EXHAUSTIVE_PATCH_LIMIT - 2,
+    )
 
 
 def _genericity_check(S2, new_ids, base_ids, s: int, name="generic_position") -> Check:
     """Every s-element subset of the patch is a base over the anchor."""
-    k = len(new_ids)
-    if s == 0 or k == 0:
-        return Check(name, True)
-    total = math.comb(k, s)
-    if total <= 20_000:
-        for combo in itertools.combinations(sorted(new_ids), s):
-            if delta(S2, combo, base_ids).dim_part != s:
-                return Check(name, False, witness=sorted(combo))
-        return Check(name, True)
-    rng = random.Random(SAMPLE_SEED)
-    pool = sorted(new_ids)
-    for _ in range(5000):
-        combo = rng.sample(pool, s)
-        if delta(S2, combo, base_ids).dim_part != s:
-            return Check(name, False, witness=sorted(combo), method="sampled")
-    return Check(name, True, method="sampled")
+    return _verify_subsets(
+        name, new_ids, range(s, s + 1),
+        lambda c: delta(S2, c, base_ids).dim_part != s, 20_000,
+    )
 
 
 def _k_plus_check(S2) -> Check:
     try:
         return Check("ambient_k_plus", in_k_plus(S2, node_budget=VERIFY_NODE_BUDGET))
     except SearchBudgetExceeded:
-        for combo in _subset_sampler(S2.id_set, SAMPLE_COUNT, SAMPLE_SEED):
-            if combo and delta(S2, combo).sign(S2.alpha) < 0:
-                return Check("ambient_k_plus", False, witness=sorted(combo), method="sampled")
-        return Check("ambient_k_plus", True, method="sampled")
+        return _verify_subsets(
+            "ambient_k_plus", S2.id_set, range(len(S2) + 1),
+            lambda c: delta(S2, c).sign(S2.alpha) < 0, 0,
+        )
 
 
 def _rref_rows(rows):
@@ -373,31 +373,26 @@ def _union_checks(S2, a_ids, star_ids, old_width, blocks):
     else:
         kp = Check("ambient_k_plus", ok)
         if ok:
-            S2._k_plus = True
+            certify_k_plus(S2)
     ok = exact_ok(S2.restrict(star_ids), a_ids)
     if ok is None:
-        anchor = _anchor_closed_check(
-            S2, a_ids, star_ids, kp.passed and kp.method == "exhaustive"
-        )
+        anchor = _anchor_closed_check(S2, a_ids, star_ids)
     else:
         anchor = Check("anchor_closed", ok)
     return kp, anchor
 
 
-def _anchor_closed_check(S2, a_ids, within_ids, k_plus_exact: bool) -> Check:
+def _anchor_closed_check(S2, a_ids, within_ids) -> Check:
     """A closed inside the induced substructure, budgeted with sampled fallback."""
     sub = S2.restrict(within_ids)
-    if k_plus_exact:
-        sub._k_plus = True  # hereditary: subsets of a certified structure
     try:
-        ok = is_closed(a_ids, sub, node_budget=VERIFY_NODE_BUDGET)
-        return Check("anchor_closed", ok)
+        return Check("anchor_closed", is_closed(a_ids, sub, node_budget=VERIFY_NODE_BUDGET))
     except SearchBudgetExceeded:
         pool = set(within_ids) - set(a_ids)
-        for combo in _subset_sampler(pool, SAMPLE_COUNT, SAMPLE_SEED):
-            if combo and delta(S2, combo, a_ids).sign(S2.alpha) < 0:
-                return Check("anchor_closed", False, witness=sorted(combo), method="sampled")
-        return Check("anchor_closed", True, method="sampled")
+        return _verify_subsets(
+            "anchor_closed", pool, range(len(pool) + 1),
+            lambda c: delta(S2, c, a_ids).sign(S2.alpha) < 0, 0,
+        )
 
 
 def _patch_preconditions(S, a_ids, b_ids, need_positive_gap=True):
@@ -440,14 +435,12 @@ def generic_basis_extension(a_ids, b_ids, n: int, S: ColoredStructure) -> BasisE
     rows = _moment_rows(basis_vecs, n)
     new_ids = S.fresh_ids("g", n)
     S2 = S.extended([GroundElement(i, v) for i, v in zip(new_ids, rows)])
-    pool = sorted(set(bs) | set(new_ids))
-    ok = True
-    witness = None
-    for combo in itertools.combinations(pool, m):
-        if delta(S2, combo, a).dim_part != m:
-            ok, witness = False, sorted(combo)
-            break
-    checks = [Check("all_bases", ok, witness=witness)]
+    checks = [
+        _verify_subsets(
+            "all_bases", set(bs) | set(new_ids), range(m, m + 1),
+            lambda c: delta(S2, c, a).dim_part != m, math.inf,
+        )
+    ]
     _require(checks)
     return BasisExtensionResult(structure=S2, new_ids=new_ids, checks=checks)
 
@@ -617,21 +610,10 @@ def free_power_patch(a_ids, b_ids, mu, n: int, S: ColoredStructure) -> PowerPatc
 
 def _small_extensions_closed_check(S2, b_ids, new_ids, n, name="small_sets_closed") -> Check:
     """delta(C/B) >= 0 for every C between B and B u new with |C - B| < n."""
-    pool = sorted(new_ids)
-    total = sum(math.comb(len(pool), j) for j in range(min(n, len(pool) + 1)))
-    if total <= 200_000:
-        for j in range(min(n, len(pool) + 1)):
-            for combo in itertools.combinations(pool, j):
-                if delta(S2, combo, b_ids).sign(S2.alpha) < 0:
-                    return Check(name, False, witness=sorted(combo))
-        return Check(name, True)
-    rng = random.Random(SAMPLE_SEED)
-    for _ in range(SAMPLE_COUNT):
-        size = rng.randrange(0, n)
-        combo = rng.sample(pool, min(size, len(pool)))
-        if delta(S2, combo, b_ids).sign(S2.alpha) < 0:
-            return Check(name, False, witness=sorted(combo), method="sampled")
-    return Check(name, True, method="sampled")
+    return _verify_subsets(
+        name, new_ids, range(min(n, len(new_ids) + 1)),
+        lambda c: delta(S2, c, b_ids).sign(S2.alpha) < 0, 200_000,
+    )
 
 
 # -- rational patches ----------------------------------------------------------
@@ -668,11 +650,16 @@ def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Pat
 
 
 def _minimal_pair_check(S2, b_ids, d_ids, new_ids, s, limit=None, name="minimal_pair") -> Check:
+    """(B, D) a minimal pair: exhaustively up to `limit` new points, else by the
+    structural argument, whose min(l, s) - alpha*l needs every new point colored."""
     k = len(new_ids)
     limit = EXHAUSTIVE_MINPAIR_LIMIT if limit is None else limit
     if k <= limit:
         return Check(name, is_minimal_pair(b_ids, d_ids, S2))
     alpha = S2.alpha
+    plain = sorted(set(new_ids) - S2.colored)
+    if plain:
+        return Check(name, False, witness=plain, method="structural")
     if delta(S2, d_ids, b_ids).sign(alpha) >= 0:
         return Check(name, False, method="structural")
     # Verified genericity turns every intermediate into min(l, s) - alpha*l.
@@ -682,10 +669,10 @@ def _minimal_pair_check(S2, b_ids, d_ids, new_ids, s, limit=None, name="minimal_
     for l in range(1, k):
         if PreDimValue(min(l, s), l).sign(alpha) < 0:
             return Check(name, False, witness=f"size {l}", method="structural")
-    for combo in _subset_sampler(new_ids, 2000, SAMPLE_SEED):
-        if 0 < len(combo) < k and delta(S2, combo, b_ids).sign(alpha) < 0:
-            return Check(name, False, witness=sorted(combo), method="structural")
-    return Check(name, True, method="structural")
+    tail = _verify_subsets(
+        name, new_ids, range(1, k), lambda c: delta(S2, c, b_ids).sign(alpha) < 0, 0
+    )
+    return replace(tail, method="structural")
 
 
 def rational_zero_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> ZeroExtensionResult:

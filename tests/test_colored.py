@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from bicolor import colored
 from bicolor.colored import (
     ColoredStructure,
     EmbeddingMap,
+    certify_k_plus,
     delta,
     dependency_kernel,
     in_k_plus,
@@ -14,7 +16,7 @@ from bicolor.colored import (
     min_relative_delta,
     min_violating_witness,
 )
-from bicolor.errors import BackendMismatch, InputError, SchemaError, UnknownElement
+from bicolor.errors import BackendMismatch, InputError, InvariantError, SchemaError, UnknownElement
 from bicolor.exactnum import PreDimValue
 from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR
 
@@ -159,6 +161,67 @@ class TestKPlus:
                     brute = t.ids_of(mask)
                     break
             assert w == brute
+
+
+class TestKPlusCertificate:
+    @staticmethod
+    def _count_searches(monkeypatch):
+        calls = []
+        original = colored.min_relative_delta
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(colored, "min_relative_delta", counting)
+        return calls
+
+    @pytest.mark.parametrize("how", ["certified", "searched"])
+    def test_restrictions_inherit_without_search(self, monkeypatch, how):
+        S = witness_structure()
+        if how == "certified":
+            certify_k_plus(S)
+        else:
+            assert in_k_plus(S)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("in_k_plus searched a certified restriction")
+
+        monkeypatch.setattr(colored, "min_relative_delta", no_search)
+        sub = S.restrict(["b1", "b2"])
+        assert in_k_plus(sub)
+        assert in_k_plus(sub.restrict(["b2"]))
+        assert k_plus_violation(sub) is None
+
+    def test_uncertified_restriction_searches(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        sub = witness_structure().restrict(["b1", "b2"])
+        assert in_k_plus(sub)
+        assert len(calls) == 1
+
+    def test_negative_verdict_not_inherited(self, monkeypatch):
+        S = ColoredStructure(
+            Backend(LINEAR, 2),
+            (ge("p", 1, 0), ge("x", 0, 1), ge("y", 0, 2)),
+            frozenset({"x", "y"}),
+            ALPHA_TWO_THIRDS,
+        )
+        assert not in_k_plus(S)
+        calls = self._count_searches(monkeypatch)
+        assert in_k_plus(S.restrict(["p", "x"]))
+        assert not in_k_plus(S.restrict(["x", "y"]))
+        assert len(calls) == 2
+
+    def test_certifying_a_negative_structure_fails(self):
+        S = ColoredStructure(
+            Backend(LINEAR, 2),
+            (ge("x", 0, 1), ge("y", 0, 2)),
+            frozenset({"x", "y"}),
+            ALPHA_TWO_THIRDS,
+        )
+        assert not in_k_plus(S)
+        with pytest.raises(InvariantError):
+            certify_k_plus(S)
 
 
 class TestAdditivitySubmodularity:

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +10,14 @@ from bicolor import construct, workbench
 from bicolor.closure import is_minimal_pair
 from bicolor.colored import ColoredStructure, delta, empty_structure, in_k_plus, min_relative_delta
 from bicolor.construct import (
+    SAMPLE_COUNT,
+    _anchor_closed_check,
     _block_profile,
     _free_union_min,
     _grow_patch,
+    _k_plus_check,
+    _minimal_pair_check,
+    _verify_subsets,
     chain_pairs,
     chain_window,
     delta_system_closed_root,
@@ -30,8 +37,9 @@ from bicolor.errors import (
     NotClosed,
     NotIndependent,
     RationalAlpha,
+    SearchBudgetExceeded,
 )
-from bicolor.exactnum import Alpha, ApproximationPair, PreDimValue, QuadRat, compare
+from bicolor.exactnum import ZERO, Alpha, ApproximationPair, PreDimValue, QuadRat, compare
 from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR, SpanReducer
 from bicolor.report import canonical_dumps
 
@@ -324,6 +332,139 @@ class TestMinimalPairChain:
         S = res.structure
         assert "d0" not in S.colored
         assert set(res.levels[1].e_ids) | set(res.levels[1].f_ids) <= S.colored
+
+
+class TestMinimalPairStructural:
+    """The structural branch of _minimal_pair_check, forced with limit=0."""
+
+    def test_chain_level_passes(self):
+        res = minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8)
+        lo, hi = res.levels
+        check = _minimal_pair_check(
+            res.structure, frozenset(lo.d_ids), frozenset(hi.d_ids),
+            hi.e_ids + hi.f_ids, hi.pair.s, limit=0,
+        )
+        assert check.passed and check.method == "structural"
+
+    def test_plain_new_point_fails(self):
+        S = plain_points(ALPHA_TWO_THIRDS, [(1,)])
+        res = rational_minimal_extension([], ["b1"], 0, S)
+        S2 = res.structure.extended([GroundElement("p1", (F(1), F(1)))])
+        new_ids = res.new_ids + ("p1",)
+        check = _minimal_pair_check(
+            S2, frozenset({"b1"}), frozenset({"b1", *new_ids}), new_ids, res.pair.s, limit=0
+        )
+        assert not check.passed
+        assert check.method == "structural"
+        assert check.witness == ["p1"]
+
+
+class TestVerifySubsets:
+    """The one subset verifier, on synthetic predicates."""
+
+    @staticmethod
+    def _recording(violates):
+        calls = []
+
+        def pred(c):
+            calls.append(tuple(c))
+            return violates(c)
+
+        return calls, pred
+
+    def test_exhaustive_pass(self):
+        calls, pred = self._recording(lambda c: False)
+        check = _verify_subsets("x", "dcba", range(0, 5), pred, 16)
+        assert check.passed and check.method == "exhaustive" and check.witness is None
+        assert len(calls) == 15  # every non-empty subset, once
+
+    def test_exhaustive_failure_names_first_violator(self):
+        # ("a", "b", "c") is lex-smaller but larger than ("a", "d")
+        calls, pred = self._recording(lambda c: "d" in c or len(c) == 3)
+        check = _verify_subsets("x", ["d", "b", "a", "c"], range(1, 4), pred, math.inf)
+        assert not check.passed and check.method == "exhaustive"
+        assert check.witness == ["d"]
+        calls, pred = self._recording(lambda c: len(c) > 1 and "d" in c or len(c) == 3)
+        check = _verify_subsets("x", ["d", "b", "a", "c"], range(1, 4), pred, math.inf)
+        assert check.witness == ["a", "d"]
+        want = [c for j in range(1, 3) for c in itertools.combinations("abcd", j)]
+        assert calls == want[: want.index(("a", "d")) + 1]
+
+    def test_switches_to_sampled_past_limit(self):
+        pool = [f"p{i}" for i in range(6)]
+        total = sum(math.comb(6, j) for j in range(2, 4))
+        check = _verify_subsets("x", pool, range(2, 4), lambda c: False, total)
+        assert check.method == "exhaustive"
+        check = _verify_subsets("x", pool, range(2, 4), lambda c: False, total - 1)
+        assert check.passed and check.method == "sampled"
+
+    @pytest.mark.parametrize("sizes", [range(0, 3), range(2, 5), range(0, 9)])
+    def test_sampled_sizes_lie_in_range(self, sizes):
+        calls, pred = self._recording(lambda c: False)
+        _verify_subsets("x", [f"p{i}" for i in range(8)], sizes, pred, 0)
+        assert {len(c) for c in calls} <= set(sizes) - {0}
+        assert len(calls) > SAMPLE_COUNT // 2
+
+    def test_empty_subset_never_passed(self):
+        for limit in (0, math.inf):
+            calls, pred = self._recording(lambda c: True)
+            check = _verify_subsets("x", "ab", range(0, 3), pred, limit)
+            assert () not in calls and not check.passed
+            calls, pred = self._recording(lambda c: True)
+            assert _verify_subsets("x", "ab", range(0, 1), pred, limit).passed
+            assert calls == []
+
+    def test_sampled_witness_repeats(self):
+        pool = [f"p{i:02d}" for i in range(20)]
+        runs = [
+            _verify_subsets("x", pool, range(21), lambda c: len(c) > 14 and "p03" in c, 0)
+            for _ in range(2)
+        ]
+        assert runs[0].witness is not None and not runs[0].passed
+        assert runs[0] == runs[1]
+
+    @staticmethod
+    def _seed_stream(pool):
+        """The K+/anchor fallback stream: one seeded Random, a size in
+        0..n, then a sample of that size from the sorted pool."""
+        rng = random.Random(0x5EED)
+        pool = sorted(pool)
+        draws = [rng.sample(pool, rng.randrange(0, len(pool) + 1)) for _ in range(SAMPLE_COUNT)]
+        return [tuple(c) for c in draws if c]
+
+    def _record_delta(self, monkeypatch):
+        calls = []
+
+        def recording(S, a_ids, x_ids=()):
+            calls.append(tuple(a_ids))
+            return ZERO
+
+        monkeypatch.setattr(construct, "delta", recording)
+        return calls
+
+    def test_k_plus_fallback_stream(self, monkeypatch):
+        S = minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8).structure
+
+        def exhausted(S, node_budget):
+            raise SearchBudgetExceeded("forced")
+
+        monkeypatch.setattr(construct, "in_k_plus", exhausted)
+        calls = self._record_delta(monkeypatch)
+        check = _k_plus_check(S)
+        assert check.passed and check.method == "sampled"
+        assert calls == self._seed_stream(S.id_set)
+
+    def test_anchor_fallback_stream(self, monkeypatch):
+        S = minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8).structure
+
+        def exhausted(a_ids, S, node_budget):
+            raise SearchBudgetExceeded("forced")
+
+        monkeypatch.setattr(construct, "is_closed", exhausted)
+        calls = self._record_delta(monkeypatch)
+        check = _anchor_closed_check(S, {"d0"}, S.id_set)
+        assert check.passed and check.method == "sampled"
+        assert calls == self._seed_stream(S.id_set - {"d0"})
 
 
 def _union_min(S, prime, old_w, blocks):

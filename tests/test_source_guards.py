@@ -1,0 +1,70 @@
+"""Source-level guards over src/bicolor.
+
+Only `colored` writes the K+ cache fields of a ColoredStructure (others go
+through `certify_k_plus`), and `construct` seeds random subset draws in one
+place, `_verify_subsets`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bicolor"
+K_PLUS_FIELDS = {"_k_plus", "_k_plus_witness"}
+
+
+def k_plus_writes(source: str) -> list[int]:
+    """Lines that store a K+ cache field: attribute targets, setattr-style
+    calls naming the field, and constructor keywords."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if node.attr in K_PLUS_FIELDS:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("setattr", "__setattr__") and any(
+                isinstance(a, ast.Constant) and a.value in K_PLUS_FIELDS for a in node.args
+            ):
+                lines.append(node.lineno)
+            if any(kw.arg in K_PLUS_FIELDS for kw in node.keywords):
+                lines.append(node.lineno)
+    return lines
+
+
+def rng_constructions(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing top-level function or None, line) of each Random(...) call."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "Random":
+                    found.append((owner, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.name for p in SRC.glob("*.py") if p.name != "colored.py")
+)
+def test_k_plus_fields_written_only_by_colored(path):
+    assert k_plus_writes((SRC / path).read_text()) == []
+
+
+def test_construct_seeds_randomness_in_one_place():
+    found = rng_constructions((SRC / "construct.py").read_text())
+    assert [owner for owner, _ in found] == ["_verify_subsets"]
+
+
+def test_guards_catch_violations():
+    assert k_plus_writes("S._k_plus = True\n") == [1]
+    assert k_plus_writes("x = 1\nsub._k_plus_witness, y = w, 2\n") == [2]
+    assert k_plus_writes("object.__setattr__(S, '_k_plus', True)\n") == [1]
+    assert k_plus_writes("ColoredStructure(b, e, c, a, _k_plus=True)\n") == [1]
+    assert k_plus_writes("ok = S._k_plus\n") == []
+    src = "import random\nR = random.Random(1)\ndef f():\n    return Random(2)\n"
+    assert rng_constructions(src) == [(None, 2), ("f", 4)]
