@@ -7,6 +7,7 @@ chains for a quadratic irrational coefficient.
 
 import argparse
 import sys
+from collections import Counter
 
 from bicolor.construct import chain_pairs, chain_window, minimal_pair_chain
 from bicolor.exactnum import Alpha, PreDimValue
@@ -33,6 +34,8 @@ def main(argv=None) -> int:
         print(f"built chain of depth {args.build}: {len(res.structure)} elements")
         for c in res.checks:
             print(f"  {c.name}: {'pass' if c.passed else 'FAIL'} [{c.method}]")
+        tally = Counter(c.method for c in res.checks)
+        print("checks: " + ", ".join(f"{m} x{n}" for m, n in sorted(tally.items())))
     return 0
 
 

@@ -365,10 +365,11 @@ def _component_min(S, base_red, comp, alpha, counter):
 def min_relative_delta(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NODE_BUDGET):
     """Exact minimum of delta(A/X) over all A within S, with an attaining set.
 
-    The minimum is at most zero (A may be empty).
+    The minimum is at most zero (A may be empty).  An empty X over a structure
+    with a recorded K+ verdict needs no search: every delta(A) is >= 0 there.
     """
     x = S.check_ids(x_ids)
-    if S.backend.kind == FREE:
+    if S.backend.kind == FREE or (not x and S._k_plus is True):
         return ZERO, frozenset()
     drops, comps = colored_components(S, x)
     counter = _BudgetCounter(node_budget)
@@ -383,9 +384,13 @@ def min_relative_delta(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NO
 
 
 def min_violating_witness(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NODE_BUDGET):
-    """Smallest violating set (size, then lex by sorted ids), or None if closed."""
+    """Smallest violating set (size, then lex by sorted ids), or None if closed.
+
+    The empty set is closed in a structure with a recorded K+ verdict, so that
+    case is answered without a search.
+    """
     x = S.check_ids(x_ids)
-    if S.backend.kind == FREE:
+    if S.backend.kind == FREE or (not x and S._k_plus is True):
         return None
     drops, comps = colored_components(S, x)
     if drops:

@@ -7,12 +7,17 @@ over span(base) plus fresh coordinates, so every s-element subset of a patch
 is a base over its anchor while small subsets of the patch stay independent
 absolutely; genericity is verified, never assumed.
 
-Subset conditions go through one verifier, `_verify_subsets`, which tries
-every subset up to a per-check count (2^12 - 2 for the interior condition,
-20 000 for genericity, 200 000 for small extensions) and past it makes seeded
-draws; the report records which mode ran.  Budget-exhausted K+ and anchor
-searches fall back to the same draws, and minimal pairs past 17 new points
-to the structural argument (new points colored, s-subsets bases) plus them.
+Each check records its method.  "exhaustive": every case was tried.
+"certified": a proof read off the result's verified shape; a chain's ambient
+K+ (`_tower_k_plus_check`) is proved level by level from its genericity
+checks and one exact search per level.  "structural": minimal pairs past 17
+new points, from new points colored and s-subsets bases, plus draws.
+"sampled": seeded draws only.  Subset conditions go through one verifier,
+`_verify_subsets`, which tries every subset up to a per-check count (2^12 - 2
+for the interior condition, 20 000 for genericity, 200 000 for small
+extensions) and past it makes the draws.  A chain the certificate does not
+accept gets the budgeted K+ search, and K+ and anchor searches that run out
+of their budget fall back to the same draws.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .colored import (
     empty_structure,
     ensure_k_plus,
     in_k_plus,
+    min_relative_delta,
 )
 from .errors import (
     AlphaOne,
@@ -60,7 +66,7 @@ from .exactnum import (
     epsilon_bound,
     rational_pair,
 )
-from .pregeom import FREE, GroundElement, SpanReducer, int_row
+from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, int_row
 from .report import Check
 
 EXHAUSTIVE_PATCH_LIMIT = 12
@@ -236,6 +242,88 @@ def _k_plus_check(S2) -> Check:
             "ambient_k_plus", S2.id_set, range(len(S2) + 1),
             lambda c: delta(S2, c).sign(S2.alpha) < 0, 0,
         )
+
+
+def _tower_k_plus_check(S, levels, generic_checks) -> Check:
+    """Ambient K+ of a chain, proved level by level ("certified").
+
+    D_0 is levels[0].d_ids and D_l is D_{l-1} plus the points N_l = E_l u F_l
+    of levels[l].e_ids and .f_ids; s = |E_l| and k = |N_l|.  The columns are
+    [0, w_1) for D_0, then one fresh block [w_l, w_l + s) per level, w_1
+    being the width minus every level's s.  The shape is checked first: no
+    point is listed twice and the last D_l is all of S; D_0 has no colored
+    point and is zero from column w_1 on; the i-th point of E_l is nonzero at
+    column w_l + i alone; F_l is zero from column w_l + s on; all of N_l is
+    colored.  So D_{l-1} is zero outside the old columns [0, w_l).  Write F'_l
+    for the nonzero old-column parts of F_l and S'_l for D_{l-1} on the old
+    columns plus F'_l as plain points.
+
+    Lemma.  Let D_{l-1} be in K+, and
+      (a) every s-subset of N_l a base over D_{l-1}: generic_checks[l-1]
+          passed, by an exact method;
+      (b) s - alpha*(k - 1) >= 0;
+      (c) delta(F'_l) + min_relative_delta(S'_l, F'_l) >= alpha*k - s.
+    Then D_l is in K+.  D_0 is, having no colored point, so S is by induction.
+
+    Proof.  Let A be within D_l, A' = A n D_{l-1} and C = A n N_l, so that
+    delta(A) = delta(A') + delta(C/A') with delta(A') >= 0.  If C is a proper
+    subset of N_l, (a) makes C independent over D_{l-1} up to size s and of
+    rank s past it, so delta(C/A') >= min(|C|, s) - alpha*|C|; that is >= 0,
+    by alpha <= 1 up to size s and by (b) from there to size k - 1.  If
+    C = N_l, the fresh parts of F_l lie in span(E_l), the unit vectors of a
+    block where A' is zero, so dim(A' u N_l) = s + dim(A' u F'_l) and
+    delta(A) = delta_{S'_l}(A' u F'_l) - (alpha*k - s), which is at least
+    delta(F'_l) + min_relative_delta(S'_l, F'_l) - (alpha*k - s) >= 0 by (c).
+
+    When the shape or one of (a)-(c) fails, or (c)'s search runs out of its
+    budget, the answer is `_k_plus_check`'s.
+    """
+    try:
+        if _tower_in_k_plus(S, levels, generic_checks):
+            certify_k_plus(S)
+            return Check("ambient_k_plus", True, method="certified")
+    except SearchBudgetExceeded:
+        pass
+    return _k_plus_check(S)
+
+
+def _zero_from(S, ids, col: int) -> bool:
+    return not any(any(S.introw(i)[col:]) for i in ids)
+
+
+def _tower_in_k_plus(S, levels, generic_checks) -> bool:
+    """True when `_tower_k_plus_check`'s shape and conditions (a)-(c) hold."""
+    d_prev = set(levels[0].d_ids)
+    width = S.backend.ambient_dim - sum(len(lv.e_ids) for lv in levels[1:])
+    if d_prev & S.colored or not _zero_from(S, d_prev, width):
+        return False
+    for lv, gen in zip(levels[1:], generic_checks):
+        new = lv.e_ids + lv.f_ids
+        s, k = len(lv.e_ids), len(new)
+        if len(set(new)) != k or d_prev.intersection(new):
+            return False
+        if not S.colored.issuperset(new):
+            return False
+        for i, eid in enumerate(lv.e_ids):
+            if [j for j, x in enumerate(S.introw(eid)) if x] != [width + i]:
+                return False
+        if not _zero_from(S, lv.f_ids, width + s):
+            return False
+        if not (gen.passed and gen.method in ("exhaustive", "certified")):  # (a)
+            return False
+        if PreDimValue(s, k - 1).sign(S.alpha) < 0:  # (b)
+            return False
+        old = [GroundElement(i, S.element(i).vec[:width]) for i in sorted(d_prev)]
+        fbar = [GroundElement(f, S.element(f).vec[:width]) for f in lv.f_ids]
+        fbar = [g for g in fbar if any(g.vec)]
+        Sp = ColoredStructure(Backend(LINEAR, width), (*old, *fbar), S.colored & d_prev, S.alpha)
+        fbar_ids = [g.id for g in fbar]
+        low, _ = min_relative_delta(Sp, fbar_ids, VERIFY_NODE_BUDGET)
+        if (delta(Sp, fbar_ids) + low + PreDimValue(s, k)).sign(S.alpha) < 0:  # (c)
+            return False
+        d_prev.update(new)
+        width += s
+    return d_prev == S.id_set
 
 
 def _rref_rows(rows):
@@ -756,6 +844,7 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> ChainRe
     S = S.extended([GroundElement("d0", (Fraction(1),))])
     levels = [ChainLevel(d_ids=("d0",), e_ids=("d0",), f_ids=(), pair=None)]
     checks: list[Check] = []
+    generic: list[Check] = []
     d_cur = {"d0"}
     e_counter = 1
     f_counter = 1
@@ -793,9 +882,10 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> ChainRe
                 new_colored=f_ids,
             )
         d_next = d_cur | set(e_ids) | set(f_ids)
-        checks.append(
+        generic.append(
             _genericity_check(S, tuple(e_ids) + tuple(f_ids), d_cur, s, name=f"generic_{lvl}")
         )
+        checks.append(generic[-1])
         checks.append(
             _minimal_pair_check(
                 S, frozenset(d_cur), frozenset(d_next), tuple(e_ids) + tuple(f_ids), s,
@@ -811,6 +901,6 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> ChainRe
             )
         )
         d_cur = d_next
-    checks.append(_k_plus_check(S))
+    checks.append(_tower_k_plus_check(S, levels, generic))
     _require(checks)
     return ChainResult(structure=S, levels=levels, checks=checks)

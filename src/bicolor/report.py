@@ -8,7 +8,13 @@ from dataclasses import dataclass
 
 @dataclass
 class Check:
-    """One named verification outcome; `method` records exhaustive vs sampled."""
+    """One named verification outcome and how it was reached.
+
+    `method` is "exhaustive" (every case tried), "certified" (a proof read off
+    the verified shape of the result, such as a chain's level-by-level K+
+    certificate), "structural" (an argument from verified properties, with
+    seeded draws for the rest) or "sampled" (seeded draws only).
+    """
 
     name: str
     passed: bool

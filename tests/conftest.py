@@ -6,6 +6,7 @@ never call the code paths they check.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -70,6 +71,32 @@ def _rank_of(vectors) -> int:
     return rank
 
 
+def alpha_sign(a):
+    """sign(d - alpha*c) for integers d, c, in integer arithmetic."""
+    if a.is_rational:
+        return lambda d, c: (a.den * d - a.num * c > 0) - (a.den * d - a.num * c < 0)
+    # alpha = (aa + bb*sqrt(dd))/cc
+    aa, bb, cc, dd = a.a, a.b, a.c, a.d
+
+    def sign(d, c):
+        u = cc * d - aa * c
+        v = -bb * c
+        if v == 0:
+            return (u > 0) - (u < 0)
+        if u == 0:
+            return 1 if v > 0 else -1
+        su = 1 if u > 0 else -1
+        sv = 1 if v > 0 else -1
+        if su == sv:
+            return su
+        lhs, rhs = u * u, v * v * dd
+        if lhs == rhs:
+            return 0
+        return su if lhs > rhs else sv
+
+    return sign
+
+
 class SubsetTable:
     """Per-subset (dim, colored-count) table plus exact sign comparisons."""
 
@@ -86,30 +113,7 @@ class SubsetTable:
             self.col[mask] = sum(
                 1 for i in range(self.n) if mask >> i & 1 and self.ids[i] in S.colored
             )
-        a = S.alpha
-        if a.is_rational:
-            self._sign = lambda d, c: (a.den * d - a.num * c > 0) - (a.den * d - a.num * c < 0)
-        else:
-            # alpha = (aa + bb*sqrt(dd))/cc
-            aa, bb, cc, dd = a.a, a.b, a.c, a.d
-
-            def sign(d, c):
-                u = cc * d - aa * c
-                v = -bb * c
-                if v == 0:
-                    return (u > 0) - (u < 0)
-                if u == 0:
-                    return 1 if v > 0 else -1
-                su = 1 if u > 0 else -1
-                sv = 1 if v > 0 else -1
-                if su == sv:
-                    return su
-                lhs, rhs = u * u, v * v * dd
-                if lhs == rhs:
-                    return 0
-                return su if lhs > rhs else sv
-
-            self._sign = sign
+        self._sign = alpha_sign(S.alpha)
 
     def mask_of(self, ids) -> int:
         m = 0
@@ -150,6 +154,38 @@ class SubsetTable:
 def brute_in_k_plus(S: ColoredStructure) -> bool:
     t = SubsetTable(S)
     return all(t.delta_sign(m) >= 0 for m in range(1 << t.n))
+
+
+def incremental_in_k_plus(S: ColoredStructure) -> bool:
+    """brute_in_k_plus with one row reduction per subset instead of a rank.
+
+    Mask m's echelon rows are those of m without its top bit plus, when it
+    is independent of them, that point's reduced row (fraction-free on
+    denominator-cleared integer rows), so subsets of ~14 points take seconds.
+    """
+    ids = list(S.ids_sorted)
+    rows = []
+    for i in ids:
+        vec = S.element(i).vec
+        mult = math.lcm(*(x.denominator for x in vec))
+        rows.append([int(x * mult) for x in vec])
+    sign = alpha_sign(S.alpha)
+    colored = [i in S.colored for i in ids]
+    basis = [()]
+    col = [0]
+    for mask in range(1, 1 << len(ids)):
+        top = mask.bit_length() - 1
+        prev = mask ^ (1 << top)
+        r = rows[top]
+        for p, b in basis[prev]:
+            if r[p]:
+                r = [b[p] * x - r[p] * y for x, y in zip(r, b)]
+        col.append(col[prev] + colored[top])
+        p = next((j for j, x in enumerate(r) if x), None)
+        basis.append(basis[prev] if p is None else basis[prev] + ((p, r),))
+        if sign(len(basis[mask]), col[mask]) < 0:
+            return False
+    return True
 
 
 def brute_closure(S: ColoredStructure, a_ids) -> frozenset:

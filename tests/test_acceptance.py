@@ -160,6 +160,8 @@ def test_criterion_05_chain():
         ok &= drop.sign() < 0 and (drop + w).sign() > 0
     for lo, hi in zip(res.levels, res.levels[1:]):
         ok &= is_minimal_pair(lo.d_ids, hi.d_ids, res.structure)
+    methods = {c.name: c.method for c in res.checks}
+    ok &= "sampled" not in methods.values() and methods["ambient_k_plus"] == "certified"
     _report("criterion 5: minimal-pair chain", ok, time.time() - t0, 120)
 
 

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from bicolor import colored
+from bicolor.closure import closure
 from bicolor.colored import (
     ColoredStructure,
     EmbeddingMap,
@@ -16,12 +18,14 @@ from bicolor.colored import (
     min_relative_delta,
     min_violating_witness,
 )
+from bicolor.construct import free_power_patch
 from bicolor.errors import BackendMismatch, InputError, InvariantError, SchemaError, UnknownElement
 from bicolor.exactnum import PreDimValue
 from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR
 
 from conftest import (
     ALL_ALPHAS,
+    ALPHA_INV_SQRT2,
     ALPHA_ONE,
     ALPHA_TWO_THIRDS,
     SubsetTable,
@@ -222,6 +226,45 @@ class TestKPlusCertificate:
         assert not in_k_plus(S)
         with pytest.raises(InvariantError):
             certify_k_plus(S)
+
+
+class TestEmptySetFromKPlusVerdict:
+    """With a recorded K+ verdict, X = {} is closed and min delta(A/{}) is 0."""
+
+    @staticmethod
+    def _forbid_search(monkeypatch):
+        def searched(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(colored, "colored_components", searched)
+        monkeypatch.setattr(colored, "_component_min", searched)
+
+    def test_power_patch_closure_answers_without_search(self, monkeypatch):
+        base = ColoredStructure(Backend(LINEAR, 1), (ge("b", 1),), frozenset(), ALPHA_INV_SQRT2)
+        S = free_power_patch([], ["b"], F(1, 2), 2, base).structure
+        assert len(S) == 25
+        self._forbid_search(monkeypatch)
+        assert closure([], S) == frozenset()
+        assert min_violating_witness(S, []) is None
+        assert min_relative_delta(S, []) == (PreDimValue(0, 0), frozenset())
+        with pytest.raises(AssertionError, match="searched"):
+            min_violating_witness(S, ["b"])
+
+    @pytest.mark.parametrize("query", [min_violating_witness, min_relative_delta])
+    def test_uncertified_structure_searches(self, monkeypatch, query):
+        S = witness_structure()
+        self._forbid_search(monkeypatch)
+        with pytest.raises(AssertionError, match="searched"):
+            query(S, [])
+
+    def test_answers_match_the_search(self):
+        rng = random.Random(0xE5)
+        for i in range(120):
+            S = random_structure(rng, ALL_ALPHAS[i % 4], max_n=7, max_dim=4)
+            searched = (min_violating_witness(S, []), min_relative_delta(S, []))
+            if in_k_plus(S):
+                assert (min_violating_witness(S, []), min_relative_delta(S, [])) == searched
+
 
 
 class TestAdditivitySubmodularity:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -11,12 +12,15 @@ from bicolor.closure import is_minimal_pair
 from bicolor.colored import ColoredStructure, delta, empty_structure, in_k_plus, min_relative_delta
 from bicolor.construct import (
     SAMPLE_COUNT,
+    ChainLevel,
     _anchor_closed_check,
     _block_profile,
     _free_union_min,
+    _genericity_check,
     _grow_patch,
     _k_plus_check,
     _minimal_pair_check,
+    _tower_k_plus_check,
     _verify_subsets,
     chain_pairs,
     chain_window,
@@ -41,9 +45,18 @@ from bicolor.errors import (
 )
 from bicolor.exactnum import ZERO, Alpha, ApproximationPair, PreDimValue, QuadRat, compare
 from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR, SpanReducer
-from bicolor.report import canonical_dumps
+from bicolor.report import Check, canonical_dumps
 
-from conftest import ALL_ALPHAS, ALPHA_HALF, ALPHA_INV_SQRT2, ALPHA_ONE, ALPHA_TWO_THIRDS
+from conftest import (
+    ALL_ALPHAS,
+    ALPHA_HALF,
+    ALPHA_INV_SQRT2,
+    ALPHA_ONE,
+    ALPHA_TWO_THIRDS,
+    brute_in_k_plus,
+    incremental_in_k_plus,
+    random_structure,
+)
 from test_colored import ge
 
 
@@ -311,7 +324,9 @@ class TestMinimalPairChain:
         res = minimal_pair_chain(Alpha.quadratic(-1, 1, 2, 5), 2, 32)
         assert [lv.pair for lv in res.levels[1:]] == [ApproximationPair(3, 5), ApproximationPair(8, 13)]
         assert [c.name for c in res.checks if c.name.startswith("drops")] == ["drops_increase_2"]
-        assert all(c.passed and c.method == "exhaustive" for c in res.checks)
+        assert all(c.passed for c in res.checks)
+        assert [c.name for c in res.checks if c.method != "exhaustive"] == ["ambient_k_plus"]
+        assert res.checks[-1].method == "certified"
 
     def test_depth_two_minimal_pairs(self):
         res = minimal_pair_chain(ALPHA_INV_SQRT2, 2, 16)
@@ -357,6 +372,184 @@ class TestMinimalPairStructural:
         assert not check.passed
         assert check.method == "structural"
         assert check.witness == ["p1"]
+
+
+QUADRATIC_ALPHAS = [
+    Alpha.quadratic(0, 1, 2, 2),  # 1/sqrt(2)
+    Alpha.quadratic(-1, 1, 1, 2),  # sqrt(2) - 1
+    Alpha.quadratic(0, 1, 3, 3),  # 1/sqrt(3)
+    Alpha.quadratic(-1, 1, 2, 5),  # (sqrt(5) - 1)/2
+    Alpha.quadratic(1, 1, 6, 3),  # (1 + sqrt(3))/6
+    Alpha.quadratic(0, 1, 5, 5),  # 1/sqrt(5)
+    Alpha.quadratic(0, 1, 4, 3),  # sqrt(3)/4
+]
+
+
+def _tower(alpha, d0, levels, extra=(), plain=()):
+    """A hand-made chain: plain D_0 rows, then per level its (E rows, F rows),
+    every row of one width; `extra` rows are colored points on no level and
+    `plain` lists level points left uncolored.  Returns the structure, its
+    ChainLevels and each level's genericity check, as the chain engine makes
+    them."""
+    elems = [ge(f"d{i}", *r) for i, r in enumerate(d0)]
+    d_ids = tuple(e.id for e in elems)
+    levels_out = [ChainLevel(d_ids, d_ids, (), None)]
+    colored = [f"x{i}" for i in range(len(extra))]
+    elems += [ge(i, *r) for i, r in zip(colored, extra)]
+    for lvl, (e_rows, f_rows) in enumerate(levels, start=1):
+        e_ids = tuple(f"e{lvl}_{i}" for i in range(len(e_rows)))
+        f_ids = tuple(f"f{lvl}_{i}" for i in range(len(f_rows)))
+        elems += [ge(i, *r) for i, r in zip(e_ids + f_ids, [*e_rows, *f_rows])]
+        colored += [i for i in e_ids + f_ids if i not in plain]
+        d_ids = tuple(sorted(d_ids + e_ids + f_ids))
+        levels_out.append(ChainLevel(d_ids, e_ids, f_ids, None))
+    S = ColoredStructure(Backend(LINEAR, len(d0[0])), tuple(elems), frozenset(colored), alpha)
+    generic = [
+        _genericity_check(S, hi.e_ids + hi.f_ids, lo.d_ids, len(hi.e_ids), name=f"generic_{lvl}")
+        for lvl, (lo, hi) in enumerate(zip(levels_out, levels_out[1:]), start=1)
+    ]
+    return S, levels_out, generic
+
+
+# Depth-1 chain level at 1/sqrt(2): pair (2, 3) over d0.
+_LEVEL_ONE = ([(0, 1, 0), (0, 0, 1)], [(1, 1, 1)])
+
+
+class TestTowerKPlus:
+    """The chain's level-by-level K+ certificate, against brute-force subset
+    tables.  Each hand-made tower below breaks one shape rule or one of the
+    conditions (a)-(c), and nothing else."""
+
+    def test_incremental_oracle_matches_subset_table(self):
+        rng = random.Random(0x0AC1E)
+        for i in range(120):
+            S = random_structure(rng, ALL_ALPHAS[i % 4], max_n=7, max_dim=4, color_p=0.5)
+            assert incremental_in_k_plus(S) == brute_in_k_plus(S)
+
+    @pytest.mark.parametrize("alpha", QUADRATIC_ALPHAS, ids=lambda a: a.render())
+    def test_chains_agree_with_subset_tables(self, alpha):
+        for depth in (1, 2):
+            if sum(p.k for p in chain_pairs(alpha, depth)) > 13:
+                continue
+            res = minimal_pair_chain(alpha, depth, 32)
+            assert res.checks[-1] == Check("ambient_k_plus", True, method="certified")
+            assert incremental_in_k_plus(res.structure)
+
+    def test_random_towers_agree_with_subset_tables(self):
+        rng = random.Random(0x70E5)
+        seen = set()
+        for trial in range(160):
+            alpha = QUADRATIC_ALPHAS[trial % len(QUADRATIC_ALPHAS)]
+            width = rng.randint(1, 2)
+            d0 = [
+                tuple(rng.choice([-1, 1, 2]) if j == i % width else 0 for j in range(width))
+                for i in range(rng.randint(1, 2))
+            ]
+            levels = []
+            for _ in range(rng.randint(1, 2)):
+                s, f_count = rng.randint(1, 2), rng.randint(0, 2)
+                e_rows = [tuple(int(j == width + i) for j in range(width + s)) for i in range(s)]
+                f_rows = [
+                    tuple(rng.randint(-2, 2) for _ in range(width))
+                    + tuple(rng.randint(1, 3) for _ in range(s))
+                    for _ in range(f_count)
+                ]
+                levels.append((e_rows, f_rows))
+                width += s
+            pad = lambda r: tuple(r) + (0,) * (width - len(r))
+            d0 = [pad(r) for r in d0]
+            levels = [([pad(r) for r in e], [pad(r) for r in f]) for e, f in levels]
+            S, lvls, generic = _tower(alpha, d0, levels)
+            check = _tower_k_plus_check(S, lvls, generic)
+            assert check.passed == incremental_in_k_plus(S)
+            seen.add((check.method, check.passed))
+        assert seen == {("certified", True), ("exhaustive", True), ("exhaustive", False)}
+
+    NEGATIVE = {
+        # {e1, e2, f2}: rank 2, three colored
+        "a_dependent_s_subset": (
+            [(1, 0, 0, 0)],
+            [([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [(1, 1, 1, 1), (0, 1, 1, 0)])],
+            (),
+        ),
+        # s = 1, k = 4: {e, f1, f2} has rank 2 and three colored points
+        "b_level_too_long": (
+            [(1, 0, 0), (0, 1, 0)], [([(0, 0, 1)], [(1, 0, 1), (2, 0, 1), (0, 1, 1)])], ()
+        ),
+        # F'_2 spans the colored e1_0: {e1_0, e2_0, f2_0} has rank 2
+        "c_colored_point_in_span_of_old_parts": (
+            [(1, 0, 0, 0)],
+            [([(0, 1, 0, 0), (0, 0, 1, 0)], [(1, 1, 1, 0)]), ([(0, 0, 0, 1)], [(0, 1, 0, 1)])],
+            (),
+        ),
+        # the E point has an old part: f = 2e
+        "e_not_a_unit_vector": ([(1, 0)], [([(1, 1)], [(2, 2)])], ()),
+        # a colored point outside every level doubles e1_0
+        "point_on_no_level": ([(1, 0, 0)], [_LEVEL_ONE], [(0, 1, 0)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NEGATIVE))
+    def test_negative_towers_fall_back_and_fail(self, name):
+        d0, levels, extra = self.NEGATIVE[name]
+        S, lvls, generic = _tower(ALPHA_INV_SQRT2, d0, levels, extra)
+        assert not incremental_in_k_plus(S)
+        assert _tower_k_plus_check(S, lvls, generic) == Check("ambient_k_plus", False)
+
+    def test_colored_d0_falls_back_and_fails(self):
+        S = ColoredStructure(
+            Backend(LINEAR, 1), (ge("x", 1), ge("y", 2)), frozenset({"x", "y"}), ALPHA_INV_SQRT2
+        )
+        levels = [ChainLevel(("x", "y"), ("x", "y"), (), None)]
+        assert _tower_k_plus_check(S, levels, []) == Check("ambient_k_plus", False)
+
+    MISSHAPEN = {
+        "d0_reaches_a_fresh_block": ([(1, 0, 0), (0, 1, 1)], [([(0, 0, 1)], [(1, 0, 1)])], ()),
+        "f_reaches_a_later_block": (
+            [(1, 0, 0, 0)], [([(0, 0, 1, 0)], [(0, 1, 1, 1)]), ([(0, 0, 0, 1)], [])], ()
+        ),
+        "plain_f_point": ([(1, 0, 0)], [_LEVEL_ONE], ("f1_0",)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MISSHAPEN))
+    def test_misshapen_towers_fall_back(self, name):
+        d0, levels, plain = self.MISSHAPEN[name]
+        S, lvls, generic = _tower(ALPHA_INV_SQRT2, d0, levels, plain=plain)
+        assert incremental_in_k_plus(S)
+        assert _tower_k_plus_check(S, lvls, generic) == Check("ambient_k_plus", True)
+
+    @pytest.mark.parametrize("how", ["relisted", "listed_twice", "failed", "sampled", "budget"])
+    def test_unusable_levels_fall_back(self, monkeypatch, how):
+        # at sqrt(2) - 1, (b) would still hold with a point listed twice
+        alpha = Alpha.quadratic(-1, 1, 1, 2)
+        S, lvls, generic = _tower(alpha, [(1, 0, 0)], [_LEVEL_ONE])
+        assert _tower_k_plus_check(S, lvls, generic).method == "certified"
+        # a fresh copy, since the certificate recorded the first one's verdict
+        S, lvls, generic = _tower(alpha, [(1, 0, 0)], [_LEVEL_ONE])
+        if how == "relisted":
+            # a level with no fresh block that lists a point of the level below
+            lvls.append(ChainLevel(lvls[-1].d_ids, (), ("f1_0",), None))
+            generic.append(Check("generic_2", True))
+        elif how == "listed_twice":
+            lvls[1] = replace(lvls[1], f_ids=("f1_0", "f1_0"))
+        elif how == "failed":
+            generic[0] = replace(generic[0], passed=False)
+        elif how == "sampled":
+            generic[0] = replace(generic[0], method="sampled")
+        else:
+            def exhausted(*args, **kwargs):
+                raise SearchBudgetExceeded("exact search node budget exhausted")
+
+            monkeypatch.setattr(construct, "min_relative_delta", exhausted)
+        assert _tower_k_plus_check(S, lvls, generic) == Check("ambient_k_plus", True)
+
+    def test_chain_certified_without_a_k_plus_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the chain searched its ambient K+")
+
+        monkeypatch.setattr(construct, "in_k_plus", no_search)
+        res = minimal_pair_chain(Alpha.quadratic(1, 1, 6, 3), 3, 32)
+        assert res.checks[-1] == Check("ambient_k_plus", True, method="certified")
+        assert res.structure._k_plus is True
 
 
 class TestVerifySubsets:
@@ -630,3 +823,31 @@ class TestRationalGoldenBytes:
         res = engine([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS, payload))
         blob = workbench.dumps(res.structure) + canonical_dumps([c.to_json() for c in res.checks])
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+
+
+class TestChainGoldenBytes:
+    """Canonical structure and checks of the `chain` benchmark's two chains,
+    pinned by sha256 prefix.  Before the tower certificate they hashed to
+    `old_digest`, which differs in ambient_k_plus's method alone."""
+
+    @pytest.mark.parametrize(
+        "alpha, depth, pairs, digest, old_method, old_digest",
+        [
+            (Alpha.quadratic(1, 1, 6, 3), 3, [(3, 7), (4, 9), (5, 11)],
+             "5bb43094ff87ba75", "sampled", "937c76f050e6f2f6"),
+            (ALPHA_INV_SQRT2, 2, [(2, 3), (7, 10)],
+             "e0e884c7bfb6f2e5", "exhaustive", "1a2abcb4dc5ae755"),
+        ],
+        ids=["(1+sqrt3)/6-depth3", "1/sqrt2-depth2"],
+    )
+    def test_bytes(self, alpha, depth, pairs, digest, old_method, old_digest):
+        res = minimal_pair_chain(alpha, depth, 32)
+        assert [(lv.pair.s, lv.pair.k) for lv in res.levels[1:]] == pairs
+        structure = workbench.dumps(res.structure)
+        checks = [c.to_json() for c in res.checks]
+        blob = structure + canonical_dumps(checks)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+        assert checks[-1] == {"name": "ambient_k_plus", "pass": True, "method": "certified"}
+        checks[-1]["method"] = old_method
+        blob = structure + canonical_dumps(checks)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == old_digest
