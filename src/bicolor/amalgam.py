@@ -20,7 +20,6 @@ from .colored import (
     ensure_k_plus,
     in_k_plus,
     is_lp_embedding,
-    _solve_fraction_coeffs,
 )
 from .errors import (
     AlphaMismatch,
@@ -29,7 +28,7 @@ from .errors import (
     MatchInvalid,
     NotClosed,
 )
-from .pregeom import FREE, LINEAR, Backend, GroundElement, dim_independent as _dim_indep
+from .pregeom import FREE, LINEAR, Backend, GroundElement, dim_independent as _dim_indep, solve
 from .report import Check
 
 
@@ -69,7 +68,7 @@ def _greedy_basis(S: ColoredStructure, ids, start=None):
 
 def _coords(S: ColoredStructure, basis_ids, eid):
     vecs = [S.element(b).vec for b in basis_ids]
-    coeffs = _solve_fraction_coeffs(vecs, S.element(eid).vec)
+    coeffs = solve(vecs, S.element(eid).vec)
     if coeffs is None:
         raise InvariantError(f"element {eid!r} escaped the span of its basis")
     return coeffs

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .exactnum import Alpha, PreDimValue, ZERO, compare
 from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, int_row
+from .pregeom import dependency_kernel, solve
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -220,40 +221,6 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _solve_coeffs(basis_rows: list[list[int]], target: list[int]) -> list[Fraction] | None:
-    """One exact solution c with sum c_i * basis_i = target, or None."""
-    n = len(basis_rows)
-    d = len(target)
-    # Gaussian elimination on the transposed system (d equations, n unknowns).
-    aug = [[Fraction(basis_rows[j][r]) for j in range(n)] + [Fraction(target[r])] for r in range(d)]
-    piv_of_col = {}
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, d):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(d):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        piv_of_col[col] = row
-        row += 1
-    for r in range(row, d):
-        if aug[r][n] != 0:
-            return None
-    coeffs = [Fraction(0)] * n
-    for col, r in piv_of_col.items():
-        coeffs[col] = aug[r][n]
-    return coeffs
-
-
 def colored_components(S: ColoredStructure, x_ids):
     """Split colored candidates over span(X) into (zero-residual, components).
 
@@ -282,7 +249,7 @@ def colored_components(S: ColoredStructure, x_ids):
         if basis_red.add(S.introw(eid)):
             basis_ids.append(eid)
         else:
-            coeffs = _solve_coeffs([residuals[b] for b in basis_ids], res)
+            coeffs = solve([residuals[b] for b in basis_ids], res)
             if coeffs is None:
                 raise InvariantError("dependent residual not solvable in basis")
             support = [b for b, c in zip(basis_ids, coeffs) if c != 0]
@@ -488,63 +455,8 @@ class EmbeddingMap:
     def image(self) -> frozenset[str]:
         return frozenset(b for _, b in self.pairs)
 
-    def apply(self, eid: str) -> str:
-        for a, b in self.pairs:
-            if a == eid:
-                return b
-        raise UnknownElement(f"{eid!r} not in embedding domain")
-
     def to_json(self):
         return {a: b for a, b in self.pairs}
-
-
-def _rref(rows: list[list[Fraction]]):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
-
-
-def dependency_kernel(vectors: list[tuple[Fraction, ...]]):
-    """Canonical basis of {c : sum_i c_i v_i = 0}; equality of kernels is
-    equality of quantifier-free linear structure."""
-    n = len(vectors)
-    if n == 0:
-        return ()
-    d = len(vectors[0])
-    mat = [[vectors[j][r] for j in range(n)] for r in range(d)]
-    rref, pivots = _rref(mat) if d else ([], [])
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * n
-        vec[fcol] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -rref[prow][fcol]
-        basis.append(tuple(vec))
-    return tuple(basis)
 
 
 def is_lp_embedding(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -> bool:
@@ -572,7 +484,7 @@ def is_lp_embedding(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -
 
 
 def _span_image(vectors, images, target):
-    coeffs = _solve_fraction_coeffs(vectors, target)
+    coeffs = solve(vectors, target)
     if coeffs is None:
         return None
     d = len(images[0])
@@ -581,26 +493,6 @@ def _span_image(vectors, images, target):
         if c:
             out = [x + c * y for x, y in zip(out, img)]
     return tuple(out)
-
-
-def _solve_fraction_coeffs(vectors, target):
-    n = len(vectors)
-    d = len(target)
-    aug = [[vectors[j][r] for j in range(n)] + [target[r]] for r in range(d)]
-    rref, pivots = _rref(aug)
-    coeffs = [Fraction(0)] * n
-    for prow, pcol in enumerate(pivots):
-        if pcol == n:
-            return None
-        coeffs[pcol] = rref[prow][n]
-    # pivots in the last column mean inconsistency; otherwise verify.
-    for j in range(d):
-        acc = Fraction(0)
-        for i in range(n):
-            acc += coeffs[i] * vectors[i][j]
-        if acc != target[j]:
-            return None
-    return coeffs
 
 
 def is_weak_iso(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -> bool:

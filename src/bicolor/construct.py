@@ -31,7 +31,6 @@ from fractions import Fraction
 from .closure import is_closed, is_minimal_pair
 from .colored import (
     ColoredStructure,
-    _rref,
     certify_k_plus,
     delta,
     empty_structure,
@@ -66,7 +65,7 @@ from .exactnum import (
     epsilon_bound,
     rational_pair,
 )
-from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, int_row
+from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, canonical_rows, span_key
 from .report import Check
 
 EXHAUSTIVE_PATCH_LIMIT = 12
@@ -326,14 +325,6 @@ def _tower_in_k_plus(S, levels, generic_checks) -> bool:
     return d_prev == S.id_set
 
 
-def _rref_rows(rows):
-    if not rows:
-        return ()
-    frac_rows = [[Fraction(x) for x in r] for r in rows]
-    red, _ = _rref(frac_rows)
-    return tuple(tuple(r) for r in red)
-
-
 def _keep_min(profile: dict, key, val: PreDimValue, alpha):
     prev = profile.get(key)
     if prev is None or compare(val, prev, alpha) < 0:
@@ -349,7 +340,8 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
     subset's rows go in in sorted order, as in a from-scratch elimination, and
     a k-point block costs 2^k - 1 adds.  Echelon rows with a fresh pivot give
     the fresh rank; the others span the subset's raw residue over the old
-    coordinates, keyed by its RREF.  A zero-width block (start = old_width,
+    coordinates, and their old parts, already in echelon form, are keyed by
+    their canonical integer rows.  A zero-width block (start = old_width,
     length = 0) profiles points on the old coordinates alone.  Raises
     SearchBudgetExceeded past 14 points or for a point outside its columns.
     """
@@ -372,7 +364,7 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
             if child.add(rows[j]):
                 child_rank_f = sum(1 for lead, _ in child.rows if lead < length)
                 if child_rank_f == rank_f:
-                    child_key = _rref_rows([r[length:] for _, r in child.rows[rank_f:]])
+                    child_key = canonical_rows([r[length:] for _, r in child.rows[rank_f:]])
             _keep_min(profile, child_key, PreDimValue(child_rank_f, size + 1), S2.alpha)
             visit(child, j + 1, size + 1, child_rank_f, child_key)
 
@@ -395,11 +387,12 @@ def _free_union_min(S2, prime_ids, old_width: int, blocks, profiles) -> PreDimVa
 
     The profiles do not depend on the prime, so one set serves every prime.
     Each raw residue span is mapped here to its span modulo span(prime): the
-    RREF rows are reduced against the prime and put back in RREF.  Reducing
-    a row is a linear projection times a nonzero scalar, so the reduced span
-    is a function of the raw span alone, and the least value per reduced key
-    is the least over the raw keys that map to it.  Raises
-    SearchBudgetExceeded when the structure does not fit the shape.
+    canonical integer rows are reduced against the prime and keyed again by
+    the canonical integer rows of what is left.  Reducing a row is a linear
+    projection times a nonzero scalar, so the reduced span is a function of
+    the raw span alone, and the least value per reduced key is the least over
+    the raw keys that map to it.  Raises SearchBudgetExceeded when the
+    structure does not fit the shape.
     """
     prime = set(prime_ids)
     prime_red = SpanReducer(old_width)
@@ -417,12 +410,12 @@ def _free_union_min(S2, prime_ids, old_width: int, blocks, profiles) -> PreDimVa
     for raw in profiles:
         profile: dict[tuple, PreDimValue] = {}
         for raw_key, val in raw.items():
-            residues = [prime_red.residual(int_row(r)) for r in raw_key]
-            _keep_min(profile, _rref_rows([r for r in residues if any(r)]), val, S2.alpha)
+            residues = [prime_red.residual(r) for r in raw_key]
+            _keep_min(profile, span_key(residues, old_width), val, S2.alpha)
         nxt: dict[tuple, PreDimValue] = {}
         for srows, sval in states.items():
             for prows, pval in profile.items():
-                _keep_min(nxt, _rref_rows(srows + prows), sval + pval, S2.alpha)
+                _keep_min(nxt, span_key(srows + prows, old_width), sval + pval, S2.alpha)
         if len(nxt) > 4000:
             raise SearchBudgetExceeded("free-union residue states exploded")
         states = nxt

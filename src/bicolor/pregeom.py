@@ -1,8 +1,12 @@
 """Finite pregeometry backends: exact rational-linear rank and the free closure.
 
-The linear backend realizes dimension as matrix rank over the rationals,
-computed by fraction-free (Bareiss) elimination on integer rows obtained by
-clearing denominators.  Pivoting is first-nonzero by row then column, so every
+The linear backend realizes dimension as matrix rank over the rationals.  All
+of the library's linear algebra runs through one kernel here: `SpanReducer`,
+fraction-free row echelon form on integer rows obtained by clearing
+denominators.  Rank counts its adds; `canonical_rows` turns its echelon rows
+into canonical integer rows (reduced echelon form, each row primitive), a key
+equal for equal spans; `solve` and `dependency_kernel` read that key of a
+column matrix.  Pivoting is first-nonzero by row then column, so every
 computation is deterministic.  The free backend is the degenerate control:
 acl(A) = A and dim(A) = |A|.
 """
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, InputError, SchemaError
 
@@ -44,11 +48,9 @@ class GroundElement:
 
 
 def int_row(vec: tuple[Fraction, ...]) -> list[int]:
-    """Clear denominators of one vector; row scaling preserves rank."""
-    mult = 1
-    for x in vec:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    return [int(x * mult) for x in vec]
+    """Clear denominators of one vector in integers; row scaling keeps spans."""
+    mult = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (mult // x.denominator) for x in vec]
 
 
 def _row_gcd_normalize(row: list[int]) -> list[int]:
@@ -112,37 +114,77 @@ class SpanReducer:
         return True
 
 
-def rank_int_matrix(rows: list[list[int]], ncols: int) -> int:
-    """Bareiss fraction-free rank; first-nonzero pivot by row then column."""
-    if not rows:
-        return 0
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    rank = 0
-    prev = 1
-    pr = 0
-    for pc in range(ncols):
-        piv_row = None
-        for r in range(pr, nrows):
-            if m[r][pc] != 0:
-                piv_row = r
-                break
-        if piv_row is None:
-            continue
-        if piv_row != pr:
-            m[pr], m[piv_row] = m[piv_row], m[pr]
-        p = m[pr][pc]
-        for r in range(pr + 1, nrows):
-            factor = m[r][pc]
-            for c in range(pc + 1, ncols):
-                m[r][c] = (m[r][c] * p - factor * m[pr][c]) // prev
-            m[r][pc] = 0
-        prev = p
-        pr += 1
-        rank += 1
-        if pr == nrows:
-            break
-    return rank
+def _lead(row) -> int:
+    return next(i for i, x in enumerate(row) if x)
+
+
+def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer rows of the span of echelon integer rows.
+
+    The rows must have increasing leading columns and positive leads, as
+    `SpanReducer.rows` keeps them.  Back-substitution clears every lead's
+    column in the other rows, and each row is divided by its content: the
+    result is the reduced echelon form up to a positive scale per row, so
+    equal spans give equal tuples.
+    """
+    done: list[tuple[int, list[int]]] = []
+    for row in reversed(rows):
+        cur = list(row)
+        for lead, base in done:
+            piv = cur[lead]
+            if piv:
+                scale = base[lead]
+                cur = [x * scale - y * piv for x, y in zip(cur, base)]
+        done.append((_lead(cur), _row_gcd_normalize(cur)))
+    return tuple(tuple(r) for _, r in reversed(done))
+
+
+def span_key(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer rows of the span of any integer rows."""
+    red = SpanReducer(ncols)
+    for row in rows:
+        red.add(row)
+    return canonical_rows([r for _, r in red.rows])
+
+
+def _column_key(cols) -> tuple[tuple[int, ...], ...]:
+    """Key of the row space of the matrix with these columns.  Each row is
+    cleared of denominators on its own, which keeps the row space and so the
+    kernel."""
+    d = len(cols[0]) if cols else 0
+    return span_key([int_row([c[r] for c in cols]) for r in range(d)], len(cols))
+
+
+def solve(vectors, target) -> list[Fraction] | None:
+    """One exact c with sum c_i * vectors_i = target, free unknowns zero, or
+    None when there is none."""
+    n = len(vectors)
+    coeffs = [Fraction(0)] * n
+    for row in _column_key([*vectors, target]):
+        lead = _lead(row)
+        if lead == n:
+            return None
+        coeffs[lead] = Fraction(row[n], row[lead])
+    for j, t in enumerate(target):
+        if sum(c * v[j] for c, v in zip(coeffs, vectors) if c) != t:
+            return None
+    return coeffs
+
+
+def dependency_kernel(vectors) -> tuple[tuple[Fraction, ...], ...]:
+    """Canonical basis of {c : sum_i c_i v_i = 0}, one vector per free column;
+    equality of kernels is equality of quantifier-free linear structure."""
+    n = len(vectors)
+    key = _column_key(vectors)
+    leads = [_lead(row) for row in key]
+    basis = []
+    for free in (c for c in range(n) if c not in leads):
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for lead, row in zip(leads, key):
+            vec[lead] = Fraction(-row[free], row[lead])
+        basis.append(tuple(vec))
+    return tuple(basis)
 
 
 def _payload_rows(elements, backend: Backend) -> list[list[int]]:
@@ -163,7 +205,8 @@ def rank(elements, backend: Backend) -> int:
     elements = list(elements)
     if backend.kind == FREE:
         return len({e.id for e in elements})
-    return rank_int_matrix(_payload_rows(elements, backend), backend.ambient_dim)
+    red = SpanReducer(backend.ambient_dim)
+    return sum(red.add(row) for row in _payload_rows(elements, backend))
 
 
 def rel_rank(a_elements, x_elements, backend: Backend) -> int:

@@ -71,6 +71,68 @@ def _rank_of(vectors) -> int:
     return rank
 
 
+def rank_int_matrix(rows: list[list[int]], ncols: int) -> int:
+    """Bareiss fraction-free rank; first-nonzero pivot by row then column."""
+    if not rows:
+        return 0
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    rank = 0
+    prev = 1
+    pr = 0
+    for pc in range(ncols):
+        piv_row = None
+        for r in range(pr, nrows):
+            if m[r][pc] != 0:
+                piv_row = r
+                break
+        if piv_row is None:
+            continue
+        if piv_row != pr:
+            m[pr], m[piv_row] = m[piv_row], m[pr]
+        p = m[pr][pc]
+        for r in range(pr + 1, nrows):
+            factor = m[r][pc]
+            for c in range(pc + 1, ncols):
+                m[r][c] = (m[r][c] * p - factor * m[pr][c]) // prev
+            m[r][pc] = 0
+        prev = p
+        pr += 1
+        rank += 1
+        if pr == nrows:
+            break
+    return rank
+
+
+def fraction_rref(rows: list[list[Fraction]]):
+    """Fraction Gauss-Jordan reduced row echelon form: (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
 def alpha_sign(a):
     """sign(d - alpha*c) for integers d, c, in integer arithmetic."""
     if a.is_rational:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -14,8 +15,10 @@ from bicolor.colored import (
 from bicolor.errors import AlphaMismatch, MatchInvalid, NotClosed
 from bicolor.exactnum import PreDimValue
 from bicolor.pregeom import Backend, GroundElement, LINEAR, rank
+from bicolor.report import canonical_dumps
+from bicolor.workbench import dumps
 
-from conftest import ALL_ALPHAS, ALPHA_HALF, ALPHA_ONE, random_k_plus_structure
+from conftest import ALL_ALPHAS, ALPHA_HALF, ALPHA_INV_SQRT2, ALPHA_ONE, random_k_plus_structure
 from test_colored import ge, witness_structure
 
 
@@ -126,6 +129,32 @@ class TestFreeAmalgam:
         )
         res = free_amalgam(M1, M2, ["p"], ["p"], EmbeddingMap.of({"p": "p"}))
         assert res.structure.id_set == {"p", "q", "R.q"}
+
+
+def test_golden_bytes_over_a_base_with_non_integer_payloads():
+    """One amalgam over a one-point base, its structure and checks pinned by
+    sha256 prefix; both sides' coordinates are solved over non-unit bases."""
+    M1 = ColoredStructure(
+        Backend(LINEAR, 2),
+        (ge("a", F(1, 2), F(1, 3)), ge("b1", 0, F(3, 4)), ge("b2", F(2, 5), F(-1, 7))),
+        frozenset({"b1"}),
+        ALPHA_INV_SQRT2,
+    )
+    M2 = ColoredStructure(
+        Backend(LINEAR, 3),
+        (
+            ge("x", 3, F(1, 2), 0),
+            ge("c", F(1, 3), 0, F(2, 9)),
+            ge("d", 0, F(5, 2), -1),
+            ge("e", F(1, 2), F(1, 3), F(1, 5)),
+        ),
+        frozenset({"c"}),
+        ALPHA_INV_SQRT2,
+    )
+    res = free_amalgam(M1, M2, ["a"], ["x"], EmbeddingMap.of({"a": "x"}))
+    assert res.structure.element("b2").vec == (F(4, 5), F(-172, 315), 0, 0)
+    blob = dumps(res.structure) + canonical_dumps([c.to_json() for c in res.checks])
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "5ecbb9fab44b5529"
 
 
 def _grow_with_safe_extras(rng, base: ColoredStructure, extras: int) -> ColoredStructure:

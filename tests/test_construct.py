@@ -44,7 +44,7 @@ from bicolor.errors import (
     SearchBudgetExceeded,
 )
 from bicolor.exactnum import ZERO, Alpha, ApproximationPair, PreDimValue, QuadRat, compare
-from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR, SpanReducer
+from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR, SpanReducer, span_key
 from bicolor.report import Check, canonical_dumps
 
 from conftest import (
@@ -746,9 +746,10 @@ class TestFreeUnionVerifier:
             assert compare(_union_min(S, prime, old_w, blocks), _brute_min(S, prime), alpha) == 0
 
     def test_dp_matches_brute_force_rational_payloads_rank_two_prime(self, rng):
-        # fractional RREF entries in the raw residue keys, a rank-2 prime in
+        # raw residue keys whose rows have an entry their lead does not divide
+        # (a Fraction RREF would hold a non-integer there), a rank-2 prime in
         # old width 3-4, and colored old points outside blocks and prime
-        fractional_keys = 0
+        indivisible_keys = 0
         for trial in range(16):
             alpha = ALL_ALPHAS[trial % 4]
             spec = [(rng.randint(1, 2), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
@@ -757,12 +758,13 @@ class TestFreeUnionVerifier:
             old_cands = S.colored - set(prime) - {i for ids, _, _ in blocks for i in ids}
             assert "o2" in old_cands
             raw = _block_profile(S, old_w, old_cands, old_w, 0)
-            fractional_keys += any(
-                x.denominator != 1 for key in raw for row in key for x in row
+            assert all(key == span_key(key, old_w) for key in raw)  # one key per span
+            indivisible_keys += any(
+                x % next(y for y in row if y) for key in raw for row in key for x in row
             )
             for p in ([], prime, prime + ["o3"]):
                 assert compare(_union_min(S, p, old_w, blocks), _brute_min(S, p), alpha) == 0
-        assert fractional_keys > 0
+        assert indivisible_keys > 0
 
     def test_dp_matches_branch_and_bound_medium(self, rng):
         # two independent exact engines must agree at medium scale

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -11,12 +12,17 @@ from bicolor.pregeom import (
     LINEAR,
     SpanReducer,
     acl_in,
+    canonical_rows,
+    dependency_kernel,
     dim_independent,
     int_row,
     rank,
-    rank_int_matrix,
     rel_rank,
+    solve,
+    span_key,
 )
+
+from conftest import fraction_rref, rank_int_matrix
 
 LIN2 = Backend(LINEAR, 2)
 LIN3 = Backend(LINEAR, 3)
@@ -85,6 +91,141 @@ def test_bareiss_matches_reducer(rows):
     reducer = SpanReducer(3)
     grow = sum(1 for r in rows if reducer.add(list(r)))
     assert rank_int_matrix([list(r) for r in rows], 3) == grow == reducer.rank
+
+
+# -- the elimination kernel against Fraction Gauss-Jordan and Bareiss oracles --
+
+SMALL_FRACTIONS = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+
+
+def oracle_solve(vectors, target):
+    n = len(vectors)
+    aug = [[v[r] for v in vectors] + [target[r]] for r in range(len(target))]
+    rref, pivots = fraction_rref(aug)
+    if n in pivots:
+        return None
+    coeffs = [F(0)] * n
+    for row, p in zip(rref, pivots):
+        coeffs[p] = row[n]
+    return coeffs
+
+
+def oracle_kernel(vectors):
+    n = len(vectors)
+    if n == 0:
+        return ()
+    mat = [[v[r] for v in vectors] for r in range(len(vectors[0]))]
+    rref, pivots = fraction_rref(mat)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [F(0)] * n
+        vec[free] = F(1)
+        for row, p in zip(rref, pivots):
+            vec[p] = -row[free]
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+@st.composite
+def column_systems(draw):
+    """(vectors, target): columns drawn with repeats from a small pool, some
+    coordinate rows zeroed in every column, the target in their span or not."""
+    d = draw(st.integers(0, 4))
+    vec = st.lists(SMALL_FRACTIONS, min_size=d, max_size=d).map(tuple)
+    pool = draw(st.lists(vec, min_size=1, max_size=4))
+    zero_rows = draw(st.sets(st.integers(0, d - 1), max_size=2)) if d else set()
+    vectors = [
+        tuple(F(0) if r in zero_rows else x for r, x in enumerate(v))
+        for v in draw(st.lists(st.sampled_from(pool), max_size=5))
+    ]
+    if vectors and draw(st.booleans()):
+        coeffs = draw(st.lists(SMALL_FRACTIONS, min_size=len(vectors), max_size=len(vectors)))
+        target = tuple(sum((c * v[r] for c, v in zip(coeffs, vectors)), F(0)) for r in range(d))
+    else:
+        target = draw(vec)
+    return vectors, target
+
+
+@given(column_systems())
+@settings(max_examples=200)
+def test_solve_matches_fraction_gauss_jordan(system):
+    vectors, target = system
+    got = solve(vectors, target)
+    assert got == oracle_solve(vectors, target)
+    if got is not None:
+        for r, t in enumerate(target):
+            assert sum((c * v[r] for c, v in zip(got, vectors)), F(0)) == t
+
+
+def test_solve_edge_cases():
+    e1, e2 = (F(1), F(0)), (F(0), F(1))
+    assert solve([], (F(0), F(0))) == []
+    assert solve([], (F(1), F(0))) is None
+    assert solve([e1, e1], (F(3), F(0))) == [F(3), F(0)]  # repeated column
+    assert solve([e1, (F(2), F(0))], (F(0), F(1))) is None  # outside the span
+    assert solve([e1, e2], (F(1, 2), F(-3, 4))) == [F(1, 2), F(-3, 4)]
+
+
+@given(column_systems())
+@settings(max_examples=200)
+def test_dependency_kernel_matches_fraction_gauss_jordan(system):
+    vectors, _ = system
+    assert dependency_kernel(vectors) == oracle_kernel(vectors)
+
+
+INT_ROWS = st.integers(0, 4).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=4),
+        st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=5),
+        st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=4),
+        st.booleans(),
+    )
+)
+
+
+@given(INT_ROWS)
+@settings(max_examples=300)
+def test_span_key_equal_iff_spans_equal(case):
+    ncols, a, combos, other, combine = case
+    # B is either integer combinations of A's rows (often the same span) or
+    # unrelated rows
+    if combine:
+        b = [[sum(c * r[j] for c, r in zip(co, a)) for j in range(ncols)] for co in combos]
+    else:
+        b = other
+    same = rank_int_matrix(a, ncols) == rank_int_matrix(b, ncols) == rank_int_matrix(a + b, ncols)
+    assert (span_key(a, ncols) == span_key(b, ncols)) == same
+
+
+@given(INT_ROWS)
+@settings(max_examples=150)
+def test_canonical_rows_are_scaled_rref(case):
+    ncols, a, _, _, _ = case
+    reducer = SpanReducer(ncols)
+    for r in a:
+        reducer.add(r)
+    key = canonical_rows([r for _, r in reducer.rows])
+    rref, pivots = fraction_rref([[F(x) for x in r] for r in a])
+    assert len(key) == len(rref) == rank_int_matrix(a, ncols)
+    for row, ref, p in zip(key, rref, pivots):
+        assert next(j for j, x in enumerate(row) if x) == p and row[p] > 0
+        assert math.gcd(*row) == 1
+        assert [F(x, row[p]) for x in row] == ref
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=-10**30, max_value=10**30, max_denominator=10**15),
+        max_size=6,
+    )
+)
+@settings(max_examples=150)
+def test_int_row_matches_fraction_scaling(vec):
+    mult = math.lcm(*(x.denominator for x in vec))
+    assert int_row(tuple(vec)) == [int(x * mult) for x in vec]
 
 
 def _random_elements(rng, n, dim):

@@ -1,17 +1,19 @@
 """Source-level guards over src/bicolor.
 
 Only `colored` writes the K+ cache fields of a ColoredStructure (others go
-through `certify_k_plus`), and `construct` seeds random subset draws in one
-place, `_verify_subsets`.
+through `certify_k_plus`), `construct` seeds random subset draws in one
+place, `_verify_subsets`, and `pregeom` holds the only elimination code.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bicolor"
 K_PLUS_FIELDS = {"_k_plus", "_k_plus_witness"}
+ELIMINATION_NAMES = re.compile(r"rref|solve|kernel|bareiss|gauss|elimin|echelon|rank_int", re.I)
 
 
 def k_plus_writes(source: str) -> list[int]:
@@ -48,6 +50,17 @@ def rng_constructions(source: str) -> list[tuple[str | None, int]]:
     return found
 
 
+def elimination_routines(source: str) -> list[str]:
+    """Names of functions and classes, at any depth, named like an
+    elimination routine (RREF, solvers, kernels, Bareiss, Gauss, echelon)."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and ELIMINATION_NAMES.search(node.name)
+    ]
+
+
 @pytest.mark.parametrize(
     "path", sorted(p.name for p in SRC.glob("*.py") if p.name != "colored.py")
 )
@@ -60,6 +73,13 @@ def test_construct_seeds_randomness_in_one_place():
     assert [owner for owner, _ in found] == ["_verify_subsets"]
 
 
+@pytest.mark.parametrize(
+    "path", sorted(p.name for p in SRC.glob("*.py") if p.name != "pregeom.py")
+)
+def test_elimination_only_in_pregeom(path):
+    assert elimination_routines((SRC / path).read_text()) == []
+
+
 def test_guards_catch_violations():
     assert k_plus_writes("S._k_plus = True\n") == [1]
     assert k_plus_writes("x = 1\nsub._k_plus_witness, y = w, 2\n") == [2]
@@ -68,3 +88,7 @@ def test_guards_catch_violations():
     assert k_plus_writes("ok = S._k_plus\n") == []
     src = "import random\nR = random.Random(1)\ndef f():\n    return Random(2)\n"
     assert rng_constructions(src) == [(None, 2), ("f", 4)]
+    for name in ("_rref", "_rref_rows", "_solve_coeffs", "_solve_fraction_coeffs", "rank_int_matrix"):
+        assert elimination_routines(f"def {name}(rows):\n    pass\n") == [name]
+    assert elimination_routines("class K:\n    def kernel(self):\n        pass\n") == ["kernel"]
+    assert elimination_routines("from .pregeom import solve\ndef delta(S):\n    pass\n") == []

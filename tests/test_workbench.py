@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from bicolor.closure import is_closed
 from bicolor.colored import ColoredStructure, EmbeddingMap, empty_structure, in_k_plus
 from bicolor.errors import BudgetExceeded, SchemaError
 from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR
+from bicolor.report import canonical_dumps
 from bicolor.workbench import (
     audit_richness,
     audit_semi_generic,
@@ -21,6 +23,32 @@ from bicolor.workbench import (
 
 from conftest import ALPHA_HALF, ALPHA_INV_SQRT2, ALPHA_ONE, ALPHA_TWO_THIRDS
 from test_colored import ge, witness_structure
+
+
+class TestGenericGoldenBytes:
+    """build_generic from three dependent points with non-integer payloads,
+    then audit_richness, pinned by sha256 prefix of the structure and report."""
+
+    @pytest.mark.parametrize(
+        "alpha, digest",
+        [
+            (ALPHA_HALF, "22c904a50745e1ee"),
+            (ALPHA_TWO_THIRDS, "da16f9cf1f0ee381"),
+            (ALPHA_INV_SQRT2, "b8d41a9b4672af5f"),
+        ],
+        ids=["1/2", "2/3", "1/sqrt2"],
+    )
+    def test_bytes(self, alpha, digest):
+        seed = ColoredStructure(
+            Backend(LINEAR, 2),
+            (ge("p", F(1, 2), F(1, 3)), ge("q", F(2, 3), -1), ge("r", F(1, 4), F(5, 6))),
+            frozenset({"q"}),
+            alpha,
+        )
+        built = build_generic(seed, 30, 3, 7)
+        assert any(x.denominator != 1 for e in built.elements for x in e.vec)
+        blob = dumps(built) + canonical_dumps(audit_richness(built, 3).to_json())
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
 
 
 class TestRoundTrip:
