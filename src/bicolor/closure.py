@@ -116,31 +116,24 @@ def is_minimal_pair(a_ids, b_ids, S: ColoredStructure) -> bool:
     if delta(S, b, a).sign(S.alpha) >= 0:
         return False
     # Exhaustive sweep of proper subsets of B minus A with an incremental
-    # reducer stack; early exit on any negative intermediate.  The free
-    # backend never reaches this point: its delta is never negative.
-    base = S.reducer_for(a)
+    # reducer stack, depth first with the include branch first; early exit on
+    # any negative intermediate.  The free backend never reaches this point:
+    # its delta is never negative.
     alpha = S.alpha
     n = len(extra)
-
-    def visit(i, red, dimc, ncol, taken):
+    stack = [(0, S.reducer_for(a), 0, 0, 0)]
+    while stack:
+        i, red, dimc, ncol, taken = stack.pop()
         if taken and taken < n:
             if PreDimValue(dimc, ncol).sign(alpha) < 0:
                 return False
         if i == n:
-            return True
+            continue
+        stack.append((i + 1, red, dimc, ncol, taken))
         branch = red.clone()
         grew = branch.add(S.introw(extra[i]))
-        if not visit(
-            i + 1,
-            branch,
-            dimc + (1 if grew else 0),
-            ncol + (1 if S.is_colored(extra[i]) else 0),
-            taken + 1,
-        ):
-            return False
-        return visit(i + 1, red, dimc, ncol, taken)
-
-    return visit(0, base, 0, 0, 0)
+        stack.append((i + 1, branch, dimc + grew, ncol + S.is_colored(extra[i]), taken + 1))
+    return True
 
 
 def closure_n(a_ids, S: ColoredStructure, n: int):

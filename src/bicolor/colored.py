@@ -90,7 +90,7 @@ class ColoredStructure:
 
     @property
     def ids_sorted(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.elements)
+        return tuple(self._by_id)
 
     @property
     def id_set(self) -> frozenset[str]:
@@ -304,28 +304,25 @@ def _component_min(S, base_red, comp, alpha, counter):
 
     best = ZERO
     best_set: tuple[str, ...] = ()
-
-    def visit(i, red, dimc, chosen):
-        nonlocal best, best_set
+    # Depth first, the branch taking comp[i] before the one skipping it.
+    stack = [(0, base_red.clone(), 0, ())]
+    while stack:
+        i, red, dimc, chosen = stack.pop()
         counter.spend()
         cur = PreDimValue(dimc, len(chosen))
         if compare(cur, best, alpha) < 0:
             best = cur
-            best_set = tuple(chosen)
+            best_set = chosen
         if i == n:
-            return
+            continue
         bound = PreDimValue(cur.dim_part, cur.color_part + red_static[i])
         if compare(bound, best, alpha) >= 0:
-            return
+            continue
         eid = comp[i]
+        stack.append((i + 1, red, dimc, chosen))
         branch = red.clone()
         grew = branch.add(S.introw(eid))
-        chosen.append(eid)
-        visit(i + 1, branch, dimc + (1 if grew else 0), chosen)
-        chosen.pop()
-        visit(i + 1, red, dimc, chosen)
-
-    visit(0, base_red.clone(), 0, [])
+        stack.append((i + 1, branch, dimc + (1 if grew else 0), chosen + (eid,)))
     return best, frozenset(best_set)
 
 

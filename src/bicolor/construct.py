@@ -192,13 +192,25 @@ def _grow_patch(
     return S2, tuple(new_ids)
 
 
+def _first_draws(draws):
+    """Each subset among `draws` once, at its first draw."""
+    seen = set()
+    for combo in draws:
+        key = frozenset(combo)
+        if key not in seen:
+            seen.add(key)
+            yield combo
+
+
 def _verify_subsets(name, pool, sizes, violates, limit) -> Check:
     """Check that no non-empty subset of `pool` with size in `sizes` violates.
 
     When at most `limit` subsets have those sizes, all of them are tried,
     smallest first and in lex order within a size, so a failure names the
     first violator; otherwise SAMPLE_COUNT seeded draws of a size in `sizes`
-    and a subset of that size are tried, and the check says "sampled".
+    and a subset of that size are made, each distinct subset is tried at its
+    first draw (a repeat of a passed draw cannot fail), and the check says
+    "sampled".
     """
     pool = sorted(pool)
     if sum(math.comb(len(pool), j) for j in sizes) <= limit:
@@ -207,7 +219,7 @@ def _verify_subsets(name, pool, sizes, violates, limit) -> Check:
     else:
         method = "sampled"
         rng = random.Random(SAMPLE_SEED)
-        subsets = (
+        subsets = _first_draws(
             rng.sample(pool, rng.randrange(sizes.start, sizes.stop)) for _ in range(SAMPLE_COUNT)
         )
     for combo in subsets:
@@ -356,19 +368,21 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
                 raise SearchBudgetExceeded("block escapes its fresh coordinates")
         rows.append(row[start:start + length] + row[:old_width])
     profile: dict[tuple, PreDimValue] = {(): ZERO}
-
-    def visit(red, first, size, rank_f, key):
-        for j in range(first, len(rows)):
-            child = red.clone()
-            child_rank_f, child_key = rank_f, key
-            if child.add(rows[j]):
-                child_rank_f = sum(1 for lead, _ in child.rows if lead < length)
-                if child_rank_f == rank_f:
-                    child_key = canonical_rows([r[length:] for _, r in child.rows[rank_f:]])
-            _keep_min(profile, child_key, PreDimValue(child_rank_f, size + 1), S2.alpha)
-            visit(child, j + 1, size + 1, child_rank_f, child_key)
-
-    visit(SpanReducer(length + old_width), 0, 0, 0, ())
+    # A frame (reducer, next index, size, fresh rank, key) resumes after its child's subtree.
+    stack = [(SpanReducer(length + old_width), 0, 0, 0, ())]
+    while stack:
+        red, j, size, rank_f, key = stack.pop()
+        if j == len(rows):
+            continue
+        stack.append((red, j + 1, size, rank_f, key))
+        child = red.clone()
+        child_rank_f, child_key = rank_f, key
+        if child.add(rows[j]):
+            child_rank_f = sum(1 for lead, _ in child.rows if lead < length)
+            if child_rank_f == rank_f:
+                child_key = canonical_rows([r[length:] for _, r in child.rows[rank_f:]])
+        _keep_min(profile, child_key, PreDimValue(child_rank_f, size + 1), S2.alpha)
+        stack.append((child, j + 1, size + 1, child_rank_f, child_key))
     return profile
 
 

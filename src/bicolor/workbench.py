@@ -7,11 +7,16 @@ embedding of A into the structure (capped, deterministically enumerated) they
 search for a strong extension of B and report per-task outcomes.  The builder
 round-robins over audit failures and repairs each one by a free amalgamation
 over the (closed) embedded image.
+
+Every embedding search (the strong embeddings of A, the extensions to B, the
+semi-generic audit's witnesses) consumes one generator, `_extensions`, which
+enumerates extensions in lex order and tests each new point against its
+already embedded prefix exactly, without rebuilding a substructure or a
+dependency kernel per candidate.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import re
@@ -38,7 +43,7 @@ from .errors import (
     SchemaError,
 )
 from .exactnum import Alpha, dirichlet_window, rational_pair
-from .pregeom import FREE, LINEAR, Backend, GroundElement
+from .pregeom import FREE, LINEAR, Backend, GroundElement, solve
 from .report import canonical_dumps
 
 CATALOG_VERSION = "catalog-v1"
@@ -316,51 +321,112 @@ class AuditReport:
         }
 
 
+def _next_candidate(S: ColoredStructure, cands, used, colored: bool, z, red):
+    """The next id from `cands` that extends an embedded prefix by one point
+    (see `_extensions`): unused, of the wanted color, and equal to z when z
+    is given, else outside the span tracked by `red` (None: free backend)."""
+    for cand in cands:
+        if cand in used or S.is_colored(cand) != colored:
+            continue
+        if z is not None:
+            if S.element(cand).vec == z:
+                return cand
+        elif red is None or any(red.residual(S.introw(cand))):
+            return cand
+    return None
+
+
+def _extensions(small: ColoredStructure, big: ColoredStructure, base_pairs, S: ColoredStructure):
+    """Every extension of the embedding `base_pairs` of `small` into S to an
+    embedding of `big`, in lex order of the images of big's other points
+    (sorted by id) over S.ids_sorted.  A base that is not an embedding
+    yields nothing; the base is tested once with `is_lp_embedding`, and each
+    further point against its prefix by the lemma below.
+
+    Lemma.  Let P be the source vectors of a prefix and Q their images, with
+    ker[P] = ker[Q] (the prefix is an embedding).  Then ker[P, x] = ker[Q, y]
+    iff either x is not in span P and y is not in span Q, or x = P.c and
+    y = Q.c for some c.
+
+    Proof.  If x is not in span P, every (d, t) in ker[P, x] has t = 0, so
+    ker[P, x] = ker[P] x {0}; likewise for y, Q, and the kernels are equal.
+    If x = P.c and y = Q.c, then (d, t) is in ker[P, x] iff d + t.c is in
+    ker[P], and in ker[Q, y] iff d + t.c is in ker[Q] = ker[P].  Conversely,
+    let the kernels be equal.  If x = P.c, then (c, -1) is in ker[P, x], so
+    in ker[Q, y], and y = Q.c; symmetrically y in span Q puts x in span P.
+    So either both are outside their spans or x = P.c and y = Q.c, where
+    Q.c does not depend on the choice of c: two choices differ by an element
+    of ker[P] = ker[Q].
+
+    The source prefix at each depth is the same whatever the images, so each
+    next source point x is solved over P once per call.  Where x = P.c, z =
+    Q.c is formed once per search step and a candidate must equal it;
+    otherwise a candidate's residual against a reducer of the image prefix
+    must be nonzero, and the reducer is cloned only when a point is
+    accepted.  Colors must match point by point.
+    """
+    if not is_lp_embedding(EmbeddingMap(base_pairs), small, S):
+        return
+    fresh = [i for i in big.ids_sorted if i not in small.id_set]
+    coeffs = [None] * len(fresh)  # per depth: c with x = P.c, or None
+    red = None
+    if S.backend.kind == LINEAR:
+        src = [big.element(a).vec for a in [a for a, _ in base_pairs] + fresh]
+        coeffs = [solve(src[:i], src[i]) for i in range(len(base_pairs), len(src))]
+        red = S.reducer_for(b for _, b in base_pairs)
+    img = [S.element(b).vec for _, b in base_pairs]
+    used = {b for _, b in base_pairs}
+    assigned: list[str] = []
+    levels = []  # per open depth: (candidate iterator, color, z, image reducer)
+    while True:
+        k = len(assigned)
+        if k == len(fresh):
+            yield EmbeddingMap(base_pairs + tuple(zip(fresh, assigned)))
+        else:
+            c = coeffs[k]
+            z = None if c is None else tuple(
+                sum((ci * q[j] for ci, q in zip(c, img) if ci and q[j]), Fraction(0))
+                for j in range(S.backend.ambient_dim)
+            )
+            levels.append((iter(S.ids_sorted), big.is_colored(fresh[k]), z, red))
+        while levels:
+            cands, colored, z, red = levels[-1]
+            if len(assigned) == len(levels):
+                used.discard(assigned.pop())
+                img.pop()
+            cand = _next_candidate(S, cands, used, colored, z, red)
+            if cand is None:
+                levels.pop()
+                continue
+            assigned.append(cand)
+            used.add(cand)
+            img.append(S.element(cand).vec)
+            if red is not None and z is None:
+                red = red.clone()
+                red.add(S.introw(cand))
+            break
+        else:
+            return
+
+
 def _strong_embeddings(small: ColoredStructure, S: ColoredStructure, cap: int):
     """Strong embeddings of `small` into S, by sorted image-id tuples."""
-    domain = small.ids_sorted
     found = []
-    for image in itertools.permutations(S.ids_sorted, len(domain)):
-        f = EmbeddingMap(tuple(zip(domain, image)))
-        if not is_lp_embedding(f, small, S):
-            continue
-        if not is_closed(f.image, S):
-            continue
-        found.append(f)
-        if len(found) >= cap:
-            break
+    for f in _extensions(small.restrict(()), small, (), S):
+        if is_closed(f.image, S):
+            found.append(f)
+            if len(found) >= cap:
+                break
     return found
 
 
 def _extend_embedding(task: ExtensionTask, f: EmbeddingMap, S: ColoredStructure, strong=True):
     """Least (lex over assignment tuples) extension of f to the big side,
     strong when `strong`; None when none exists."""
-    fresh = [i for i in task.big.ids_sorted if i not in task.small.id_set]
-    base_pairs = f.pairs
-
-    def compatible(assigned):
-        pairs = base_pairs + tuple(zip(fresh[: len(assigned)], assigned))
-        dom = [a for a, _ in pairs]
-        sub = task.big.restrict(dom)
-        return is_lp_embedding(EmbeddingMap(pairs), sub, S)
-
-    def dfs(assigned, used):
-        if len(assigned) == len(fresh):
-            g = EmbeddingMap(base_pairs + tuple(zip(fresh, assigned)))
-            if strong and not is_closed(g.image, S):
-                return None
+    for g in _extensions(task.small, task.big, f.pairs, S):
+        if not strong or is_closed(g.image, S):
             return g
-        for cand in S.ids_sorted:
-            if cand in used:
-                continue
-            trial = assigned + [cand]
-            if compatible(trial):
-                got = dfs(trial, used | {cand})
-                if got is not None:
-                    return got
-        return None
-
-    return dfs([], set(f.image))
+    return None
 
 
 def audit_richness(S: ColoredStructure, size_budget: int, cap: int = EMBEDDING_CAP) -> AuditReport:
@@ -413,51 +479,17 @@ def audit_semi_generic(
     small = B.restrict(a_ids)
     if not (is_lp_embedding(f, small, S) and is_closed(f.image, S)):
         raise NotClosed("the given embedding is not strong into the structure")
-    task = ExtensionTask(
-        task_id="semi-generic",
-        small=small,
-        big=B,
-        kind="transcendental",
-        algebraic_split=frozenset(a_ids),
-    )
     cl_a = closure_n(f.image, S, n)
     tried = 0
-    fresh = [i for i in B.ids_sorted if i not in a_ids]
-    base_pairs = f.pairs
-
-    def candidates(assigned, used):
-        for cand in S.ids_sorted:
-            if cand in used:
-                continue
-            pairs = base_pairs + tuple(zip(fresh[: len(assigned) + 1], assigned + [cand]))
-            dom = [x for x, _ in pairs]
-            if is_lp_embedding(EmbeddingMap(pairs), B.restrict(dom), S):
-                yield cand
-
-    def dfs(assigned, used):
-        nonlocal tried
-        if len(assigned) == len(fresh):
-            tried += 1
-            if tried > cap:
-                return "cap"
-            g = EmbeddingMap(base_pairs + tuple(zip(fresh, assigned)))
-            image = set(g.image)
-            cl_b = closure_n(image, S, n)
-            if cl_b == image | cl_a and verify_free(S, image, cl_a, f.image):
-                return g
-            return None
-        for cand in candidates(assigned, used):
-            got = dfs(assigned + [cand], used | {cand})
-            if got == "cap":
-                return "cap"
-            if got is not None:
-                return got
-        return None
-
-    got = dfs([], set(f.image))
-    if got in (None, "cap"):
-        return SemiGenericReport(passed=False, tried=min(tried, cap), witness=None)
-    return SemiGenericReport(passed=True, tried=tried, witness=got.to_json())
+    for g in _extensions(small, B, f.pairs, S):
+        tried += 1
+        if tried > cap:
+            break
+        image = set(g.image)
+        cl_b = closure_n(image, S, n)
+        if cl_b == image | cl_a and verify_free(S, image, cl_a, f.image):
+            return SemiGenericReport(passed=True, tried=tried, witness=g.to_json())
+    return SemiGenericReport(passed=False, tried=min(tried, cap), witness=None)
 
 
 # -- the bounded generic builder ---------------------------------------------------

@@ -6,6 +6,7 @@ never call the code paths they check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -283,6 +284,35 @@ def brute_d_value(S: ColoredStructure, a_ids):
             if t._sign(d, c) < 0:
                 best = pair
     return best
+
+
+def _columns(T: ColoredStructure, ids) -> list[list[Fraction]]:
+    """The matrix whose columns are the payloads of `ids`, row by row."""
+    return [[T.element(i).vec[r] for i in ids] for r in range(T.backend.ambient_dim)]
+
+
+def brute_extensions(big: ColoredStructure, small_ids, base: dict, S: ColoredStructure) -> list:
+    """Every extension of the map `base` (small id -> S id) to an embedding
+    of `big` into S, as sorted pair tuples, in lex order of the images of
+    big's other points (sorted by id) over S's ids.  Brute force over
+    itertools.permutations: a map embeds when it is injective, keeps colors
+    and, on the linear backend, its source and image columns have the same
+    row-reduced form (the same dependency kernel)."""
+    fresh = [e.id for e in big.elements if e.id not in small_ids]
+    out = []
+    for image in itertools.permutations([e.id for e in S.elements], len(fresh)):
+        m = {**base, **dict(zip(fresh, image))}
+        if len(set(m.values())) != len(m):
+            continue
+        if any(big.is_colored(a) != S.is_colored(b) for a, b in m.items()):
+            continue
+        if big.backend.kind == LINEAR:
+            order = sorted(m)
+            src = fraction_rref(_columns(big, order))[0]
+            if src != fraction_rref(_columns(S, [m[a] for a in order]))[0]:
+                continue
+        out.append(tuple(sorted(m.items())))
+    return out
 
 
 @pytest.fixture

@@ -596,7 +596,23 @@ class TestVerifySubsets:
         calls, pred = self._recording(lambda c: False)
         _verify_subsets("x", [f"p{i}" for i in range(8)], sizes, pred, 0)
         assert {len(c) for c in calls} <= set(sizes) - {0}
-        assert len(calls) > SAMPLE_COUNT // 2
+        # SAMPLE_COUNT draws reach every one of these few subsets, each tried once
+        assert len(set(map(frozenset, calls))) == len(calls)
+        assert len(calls) == sum(math.comb(8, j) for j in sizes if j)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["passes", "fails-at-last-new-draw"])
+    def test_sampled_skips_repeated_draws(self, fails):
+        pool = [f"p{i:02d}" for i in range(20)]
+        stream = self._seed_stream(pool)
+        distinct = self._first_occurrences(stream)
+        target = frozenset(distinct[-1]) if fails else None
+        replayed = stream[: stream.index(distinct[-1]) + 1] if fails else stream
+        calls, pred = self._recording(lambda c: frozenset(c) == target)
+        check = _verify_subsets("x", pool, range(21), pred, 0)
+        assert check.method == "sampled" and check.passed == (not fails)
+        assert check.witness == (sorted(target) if fails else None)
+        assert calls == self._first_occurrences(replayed)
+        assert len(calls) < len(replayed)
 
     def test_empty_subset_never_passed(self):
         for limit in (0, math.inf):
@@ -619,11 +635,17 @@ class TestVerifySubsets:
     @staticmethod
     def _seed_stream(pool):
         """The K+/anchor fallback stream: one seeded Random, a size in
-        0..n, then a sample of that size from the sorted pool."""
+        0..n, then a sample of that size from the sorted pool; non-empty
+        draws, repeats included."""
         rng = random.Random(0x5EED)
         pool = sorted(pool)
         draws = [rng.sample(pool, rng.randrange(0, len(pool) + 1)) for _ in range(SAMPLE_COUNT)]
         return [tuple(c) for c in draws if c]
+
+    @staticmethod
+    def _first_occurrences(stream):
+        seen = set()
+        return [c for c in stream if not (frozenset(c) in seen or seen.add(frozenset(c)))]
 
     def _record_delta(self, monkeypatch):
         calls = []
@@ -645,7 +667,7 @@ class TestVerifySubsets:
         calls = self._record_delta(monkeypatch)
         check = _k_plus_check(S)
         assert check.passed and check.method == "sampled"
-        assert calls == self._seed_stream(S.id_set)
+        assert calls == self._first_occurrences(self._seed_stream(S.id_set))
 
     def test_anchor_fallback_stream(self, monkeypatch):
         S = minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8).structure
@@ -657,7 +679,7 @@ class TestVerifySubsets:
         calls = self._record_delta(monkeypatch)
         check = _anchor_closed_check(S, {"d0"}, S.id_set)
         assert check.passed and check.method == "sampled"
-        assert calls == self._seed_stream(S.id_set - {"d0"})
+        assert calls == self._first_occurrences(self._seed_stream(S.id_set - {"d0"}))
 
 
 def _union_min(S, prime, old_w, blocks):

@@ -1,6 +1,8 @@
 """Smoke test: every script under scripts/ runs to completion on its defaults."""
 
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +35,30 @@ def test_chain_windows_tallies_check_methods():
     tally = out.splitlines()[-1]
     assert tally.startswith("checks: ")
     assert "certified x1" in tally
+
+
+def test_build_and_audit_output_is_pinned(tmp_path):
+    out = tmp_path / "built.json"
+    text = _run("build_and_audit.py", "--alpha", "2/3", "--steps", "40", "--budget", "3",
+                "--seed", "11", "--out", str(out))
+    text = re.sub(r", [0-9.]+s\n", ", <t>s\n", text, count=1)
+    assert text == (
+        "built: 10 elements, ambient 5, 4 colored, <t>s\n"
+        "audit budget 1: pass (plain-point:1tried, colored-point:1tried)\n"
+        "audit budget 2: pass (plain-point:1tried, colored-point:1tried, "
+        "parallel-plain-plain:1tried, parallel-plain-colored:1tried, parallel-ext-plain:4tried)\n"
+        "audit budget 3: pass (plain-point:1tried, colored-point:1tried, "
+        "parallel-plain-plain:1tried, parallel-plain-colored:1tried, parallel-ext-plain:4tried, "
+        "patch-ratmin-t0:1tried)\n"
+        f"wrote {out}\n"
+    )
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()[:16]
+    assert digest == "4a48060662b1c592"
+    default = re.sub(r", [0-9.]+s\n", ", <t>s\n", _run("build_and_audit.py"), count=1)
+    assert default == (
+        "built: 10 elements, ambient 4, 3 colored, <t>s\n"
+        "audit budget 1: pass (plain-point:1tried, colored-point:1tried)\n"
+        "audit budget 2: pass (plain-point:1tried, colored-point:1tried, "
+        "parallel-plain-plain:1tried, parallel-plain-colored:1tried, "
+        "parallel-colored-colored:1tried, parallel-ext-plain:6tried)\n"
+    )

@@ -2,14 +2,26 @@
 
 Only `colored` writes the K+ cache fields of a ColoredStructure (others go
 through `certify_k_plus`), `construct` seeds random subset draws in one
-place, `_verify_subsets`, and `pregeom` holds the only elimination code.
+place, `_verify_subsets`, and `pregeom` holds the only elimination code.  No
+nested function calls itself: such a closure holds a cell that refers back
+to it, a reference cycle that keeps the searched structure alive until the
+cyclic collector runs, so the searches leave no garbage for it.
 """
 
 import ast
+import gc
 import re
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+
+from bicolor.closure import is_minimal_pair
+from bicolor.colored import ColoredStructure, _BudgetCounter, _component_min, empty_structure
+from bicolor.construct import _block_profile
+from bicolor.exactnum import Alpha
+from bicolor.pregeom import Backend, GroundElement, LINEAR
+from bicolor.workbench import _extend_embedding, _strong_embeddings, build_generic, task_catalog
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bicolor"
 K_PLUS_FIELDS = {"_k_plus", "_k_plus_witness"}
@@ -61,6 +73,24 @@ def elimination_routines(source: str) -> list[str]:
     ]
 
 
+def self_calling_closures(source: str) -> list[str]:
+    """`outer.inner` for each function nested in another that calls itself by
+    name."""
+    found = set()
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == inner.name
+                for n in ast.walk(inner)
+            ):
+                found.add(f"{outer.name}.{inner.name}")
+    return sorted(found)
+
+
 @pytest.mark.parametrize(
     "path", sorted(p.name for p in SRC.glob("*.py") if p.name != "colored.py")
 )
@@ -80,6 +110,47 @@ def test_elimination_only_in_pregeom(path):
     assert elimination_routines((SRC / path).read_text()) == []
 
 
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_nested_function_calls_itself(path):
+    assert self_calling_closures((SRC / path).read_text()) == []
+
+
+def _garbage_after(call) -> int:
+    """Objects the cyclic collector finds after one call, made with the
+    collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_searches_leave_no_reference_cycles():
+    alpha = Alpha.rational(2, 3)
+    rows = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (1, F(1, 2), 2), (2, 0, 1)]
+    S = ColoredStructure(
+        Backend(LINEAR, 3),
+        tuple(GroundElement(f"p{i}", tuple(map(F, v))) for i, v in enumerate(rows)),
+        frozenset({"p1", "p2", "p3", "p4"}),
+        alpha,
+    )
+    ids = list(S.ids_sorted)
+    task = task_catalog(alpha, 2)[-1]
+    T = build_generic(empty_structure(alpha, 0), 6, 2, 3)
+    f = _strong_embeddings(task.small, T, 1)[0]
+    calls = {
+        "is_minimal_pair": lambda: is_minimal_pair(["p0"], ["p0", "p1", "p2"], S),
+        "_component_min": lambda: _component_min(
+            S, S.reducer_for(["p0"]), ids[1:5], alpha, _BudgetCounter(10_000)
+        ),
+        "_block_profile": lambda: _block_profile(S, 3, ids, 3, 0),
+        "_extend_embedding": lambda: _extend_embedding(task, f, T),
+    }
+    assert {name: _garbage_after(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
+
+
 def test_guards_catch_violations():
     assert k_plus_writes("S._k_plus = True\n") == [1]
     assert k_plus_writes("x = 1\nsub._k_plus_witness, y = w, 2\n") == [2]
@@ -92,3 +163,6 @@ def test_guards_catch_violations():
         assert elimination_routines(f"def {name}(rows):\n    pass\n") == [name]
     assert elimination_routines("class K:\n    def kernel(self):\n        pass\n") == ["kernel"]
     assert elimination_routines("from .pregeom import solve\ndef delta(S):\n    pass\n") == []
+    src = "def f():\n    def visit(i):\n        return visit(i - 1)\n    return visit(3)\n"
+    assert self_calling_closures(src) == ["f.visit"]
+    assert self_calling_closures("def visit(i):\n    return visit(i - 1)\n") == []

@@ -8,6 +8,7 @@ from bicolor.closure import is_closed
 from bicolor.colored import ColoredStructure, EmbeddingMap, empty_structure, in_k_plus
 from bicolor.errors import BudgetExceeded, SchemaError
 from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR
+from bicolor import workbench
 from bicolor.report import canonical_dumps
 from bicolor.workbench import (
     audit_richness,
@@ -49,6 +50,88 @@ class TestGenericGoldenBytes:
         assert any(x.denominator != 1 for e in built.elements for x in e.vec)
         blob = dumps(built) + canonical_dumps(audit_richness(built, 3).to_json())
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+
+
+SEMI_GENERIC_B = {
+    "two-colored": (((1, 0), (0, 1)), ("x1", "x2")),
+    "two-plain": (((1, 0), (0, 1)), ()),
+    "three-fresh": (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ("x2",)),
+    "base-plus-two": (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ("x3",)),
+    "base-plus-dependent": (((1, 0), (0, 1), (1, 1)), ("x2", "x3")),
+}
+SEMI_GENERIC_S = {
+    "1/2": (ALPHA_HALF, 16, 2, 3),
+    "2/3": (ALPHA_TWO_THIRDS, 20, 3, 13),
+    "1/sqrt2": (ALPHA_INV_SQRT2, 12, 2, 5),
+}
+
+
+class TestSemiGenericGoldenBytes:
+    """audit_semi_generic over B with two or three fresh transcendental
+    points, pinned by sha256 prefix of the report, with its verdict and tried
+    count; two cases stop at the cap."""
+
+    @pytest.mark.parametrize(
+        "s_name, b_name, f, n, cap, passed, tried, digest",
+        [
+            ("1/2", "two-colored", {}, 2, 200, False, 4, "d280fa02c1c0386a"),
+            ("2/3", "three-fresh", {}, 3, 200, True, 3, "0ce9e4f86acd76a4"),
+            ("1/sqrt2", "two-plain", {}, 2, 200, True, 2, "bda43b2b8f1217d2"),
+            ("2/3", "base-plus-two", {"x1": "s1_x1"}, 3, 200, True, 8, "8501f1a3cd873fe5"),
+            ("2/3", "base-plus-two", {"x1": "s1_x1"}, 3, 2, False, 2, "7c49daf586821031"),
+            ("2/3", "two-plain", {}, 3, 2, False, 2, "7c49daf586821031"),
+            ("1/2", "base-plus-dependent", {"x1": "s0_x1"}, 2, 200, False, 0, "b86eff2551e60137"),
+        ],
+    )
+    def test_bytes(self, s_name, b_name, f, n, cap, passed, tried, digest):
+        alpha, steps, budget, rng_seed = SEMI_GENERIC_S[s_name]
+        S = build_generic(empty_structure(alpha, 0), steps, budget, rng_seed)
+        vecs, colored = SEMI_GENERIC_B[b_name]
+        B = ColoredStructure(
+            Backend(LINEAR, len(vecs[0])),
+            tuple(ge(f"x{i + 1}", *v) for i, v in enumerate(vecs)),
+            frozenset(colored),
+            alpha,
+        )
+        assert len(B) - len(f) >= 2
+        rep = audit_semi_generic(S, EmbeddingMap.of(f), B, n, cap)
+        assert (rep.passed, rep.tried) == (passed, tried)
+        blob = canonical_dumps(rep.to_json())
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+
+
+class TestExtensionSearchCost:
+    """One extension search restricts no structure and tests embeddings with
+    is_lp_embedding at most once (its base); every fresh point is tested
+    against its prefix incrementally."""
+
+    def test_one_search_counts(self, monkeypatch):
+        S = build_generic(empty_structure(ALPHA_TWO_THIRDS, 0), 20, 3, 13)
+        calls = {"restrict": 0, "embedding": 0}
+        restrict, is_lp = ColoredStructure.restrict, workbench.is_lp_embedding
+
+        def counted_restrict(self, ids):
+            calls["restrict"] += 1
+            return restrict(self, ids)
+
+        def counted_is_lp(*args):
+            calls["embedding"] += 1
+            return is_lp(*args)
+
+        searched = 0
+        for task in task_catalog(ALPHA_TWO_THIRDS, 3):
+            for f in workbench._strong_embeddings(task.small, S, 3):
+                expected = workbench._extend_embedding(task, f, S)
+                with monkeypatch.context() as m:
+                    m.setattr(ColoredStructure, "restrict", counted_restrict)
+                    m.setattr(workbench, "is_lp_embedding", counted_is_lp)
+                    calls.update(restrict=0, embedding=0)
+                    got = workbench._extend_embedding(task, f, S)
+                assert got == expected
+                assert calls["restrict"] == 0, task.task_id
+                assert calls["embedding"] <= 1, task.task_id
+                searched += 1
+        assert searched >= 6
 
 
 class TestRoundTrip:
