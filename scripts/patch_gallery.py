@@ -25,9 +25,7 @@ def one_point(alpha: Alpha) -> ColoredStructure:
 
 
 def show(title, res, S):
-    gap = None
-    if hasattr(res, "delta_gap"):
-        gap = res.delta_gap.value(S.alpha).render()
+    gap = res.delta_gap.value(S.alpha).render()
     names = ", ".join(f"{c.name}[{c.method[0]}]" for c in res.checks if c.passed)
     print(f"{title}: gap {gap}  checks: {names}")
 

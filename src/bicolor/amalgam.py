@@ -28,7 +28,7 @@ from .errors import (
     MatchInvalid,
     NotClosed,
 )
-from .pregeom import FREE, LINEAR, Backend, GroundElement, dim_independent as _dim_indep, solve
+from .pregeom import FREE, LINEAR, Backend, GroundElement, dim_independent as _dim_indep, rank, solve
 from .report import Check
 
 
@@ -192,9 +192,7 @@ def free_amalgam(
         Check("parts_free_over_base", verify_free(M, part1, part2, base)),
     ]
     if M.backend.kind == LINEAR:
-        from .pregeom import rank as _rank
-
-        rk = lambda T, ids: _rank([T.element(i) for i in ids], T.backend)
+        rk = lambda T, ids: rank([T.element(i) for i in ids], T.backend)
         identity = rk(M, M.id_set) == rk(M1, M1.id_set) + rk(M2, M2.id_set) - rk(M1, b1)
         checks.append(Check("rank_identity", identity))
     bad = [c.name for c in checks if not c.passed]

@@ -186,99 +186,75 @@ def _cmd_epsilon(args):
     _emit(_value_json(epsilon_bound(args.n, alpha), alpha), args)
 
 
+# Report fields of each structure-building op, besides its checks.
+_CONSTRUCTION_KEYS = {
+    "patch": ("new", "pair", "deltaGap"),
+    "ratmin": ("new", "pair", "deltaGap"),
+    "power": ("copies", "pair"),
+    "ratzero": ("copies",),
+    "basis": ("new",),
+    "chain": ("levels",),
+}
+
+
+def _level_json(lv) -> dict:
+    return {
+        "d": sorted(lv.d_ids),
+        "e": sorted(lv.e_ids),
+        "f": sorted(lv.f_ids),
+        "pair": _pair_json(lv.pair) if lv.pair else None,
+    }
+
+
+def _construction_json(op, result, alpha) -> dict:
+    fields = {
+        "new": lambda: sorted(result.new_ids),
+        "pair": lambda: _pair_json(result.pair),
+        "deltaGap": lambda: _value_json(result.delta_gap, alpha),
+        "copies": lambda: [sorted(c) for c in result.copies],
+        "levels": lambda: [_level_json(lv) for lv in result.levels],
+    }
+    obj = {"checks": checks_json(result.checks)}
+    obj.update((key, fields[key]()) for key in _CONSTRUCTION_KEYS[op])
+    return obj
+
+
 def _cmd_construct(args):
     if args.op == "chain":
         alpha = Alpha.parse(args.alpha)
         result = construct.minimal_pair_chain(alpha, args.depth, args.ambient_budget)
-        _emit_structure(result.structure, args)
-        _emit(
-            {
-                "checks": checks_json(result.checks),
-                "levels": [
-                    {
-                        "d": sorted(lv.d_ids),
-                        "e": sorted(lv.e_ids),
-                        "f": sorted(lv.f_ids),
-                        "pair": _pair_json(lv.pair) if lv.pair else None,
-                    }
-                    for lv in result.levels
-                ],
-            },
-            args,
-        )
-        return
-    S = _load(args)
-    if args.op == "patch":
-        result = construct.transcendental_patch(
-            _ids(args.anchor or ""), _ids(args.base), _epsilon(args.epsilon), S
-        )
-        _emit_structure(result.structure, args)
-        _emit(
-            {
-                "checks": checks_json(result.checks),
-                "new": sorted(result.new_ids),
-                "pair": _pair_json(result.pair),
-                "deltaGap": _value_json(result.delta_gap, S.alpha),
-            },
-            args,
-        )
-    elif args.op == "power":
-        result = construct.free_power_patch(
-            _ids(args.anchor or ""), _ids(args.base), _epsilon(args.mu), args.n, S
-        )
-        _emit_structure(result.structure, args)
-        _emit(
-            {
-                "checks": checks_json(result.checks),
-                "copies": [sorted(c) for c in result.copies],
-                "pair": _pair_json(result.pair),
-            },
-            args,
-        )
-    elif args.op == "ratmin":
-        result = construct.rational_minimal_extension(
-            _ids(args.anchor or ""), _ids(args.base), args.t, S
-        )
-        _emit_structure(result.structure, args)
-        _emit(
-            {
-                "checks": checks_json(result.checks),
-                "new": sorted(result.new_ids),
-                "pair": _pair_json(result.pair),
-                "deltaGap": _value_json(result.delta_gap, S.alpha),
-            },
-            args,
-        )
-    elif args.op == "ratzero":
-        result = construct.rational_zero_extension(
-            _ids(args.anchor or ""), _ids(args.base), args.t, S
-        )
-        _emit_structure(result.structure, args)
-        _emit(
-            {"checks": checks_json(result.checks), "copies": [sorted(c) for c in result.copies]},
-            args,
-        )
-    elif args.op == "basis":
-        result = construct.generic_basis_extension(
-            _ids(args.anchor or ""), _ids(args.base), args.n, S
-        )
-        _emit_structure(result.structure, args)
-        _emit({"checks": checks_json(result.checks), "new": sorted(result.new_ids)}, args)
-    elif args.op == "dsystem":
-        family = [frozenset(_ids(group)) for group in args.family.split(";") if group]
-        result = construct.delta_system_closed_root(family, args.n, S)
-        _emit(
-            {
-                "checks": checks_json(result.checks),
-                "root": sorted(result.root),
-                "indices": list(result.indices),
-                "discarded": result.discarded,
-                "discardBound": result.discard_bound,
-            },
-            args,
-        )
     else:
-        raise InputError(f"unknown construct op {args.op!r}")
+        S = _load(args)
+        alpha = S.alpha
+        a, b = _ids(args.anchor or ""), _ids(args.base)
+        if args.op == "patch":
+            result = construct.transcendental_patch(a, b, _epsilon(args.epsilon), S)
+        elif args.op == "power":
+            result = construct.free_power_patch(a, b, _epsilon(args.mu), args.n, S)
+        elif args.op == "ratmin":
+            result = construct.rational_minimal_extension(a, b, args.t, S)
+        elif args.op == "ratzero":
+            result = construct.rational_zero_extension(a, b, args.t, S)
+        elif args.op == "basis":
+            result = construct.generic_basis_extension(a, b, args.n, S)
+        elif args.op == "dsystem":
+            family = [frozenset(_ids(group)) for group in args.family.split(";") if group]
+            result = construct.delta_system_closed_root(family, args.n, S)
+            _emit(
+                {
+                    "checks": checks_json(result.checks),
+                    "root": sorted(result.root),
+                    "indices": list(result.indices),
+                    "discarded": result.discarded,
+                    "discardBound": result.discard_bound,
+                },
+                args,
+            )
+            return
+        else:
+            raise InputError(f"unknown construct op {args.op!r}")
+    _emit_structure(result.structure, args)
+    _emit(_construction_json(args.op, result, alpha), args)
 
 
 def _cmd_generic(args):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .colored import (
+    DEFAULT_NODE_BUDGET,
     ColoredStructure,
     delta,
     ensure_k_plus,
@@ -34,19 +35,18 @@ def _require_subset(small, big, what: str):
         raise InputError(f"{what}: {sorted(small - big)} outside the larger set")
 
 
-def closed_with_witness(x_ids, S: ColoredStructure, node_budget=None):
+def closed_with_witness(x_ids, S: ColoredStructure, node_budget=DEFAULT_NODE_BUDGET):
     """(closed?, minimal violating witness or None)."""
     x = S.check_ids(x_ids)
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    if not in_k_plus(S, **kwargs):
+    if not in_k_plus(S, node_budget=node_budget):
         raise NotInKPlus(
             f"structure has a negative subset {sorted(k_plus_violation(S))}"
         )
-    w = min_violating_witness(S, x, **kwargs)
+    w = min_violating_witness(S, x, node_budget=node_budget)
     return (w is None), w
 
 
-def is_closed(x_ids, S: ColoredStructure, node_budget=None) -> bool:
+def is_closed(x_ids, S: ColoredStructure, node_budget=DEFAULT_NODE_BUDGET) -> bool:
     return closed_with_witness(x_ids, S, node_budget)[0]
 
 

@@ -1,8 +1,9 @@
 """Constructive engines: witnesses whose existence the theory promises get built.
 
-Each builder returns the extended structure together with a verification
-report recomputed from scratch on the result (construction and verification
-are separate code paths).  New points are placed on a rational moment curve
+Each structure builder returns one `Construction`: the extended structure,
+its new points grouped by copy, and a verification report recomputed from
+scratch on the result (construction and verification are separate code
+paths).  New points are placed on a rational moment curve
 over span(base) plus fresh coordinates, so every s-element subset of a patch
 is a base over its anchor while small subsets of the patch stay independent
 absolutely; genericity is verified, never assumed.
@@ -78,45 +79,6 @@ VERIFY_NODE_BUDGET = 150_000
 
 
 @dataclass
-class BasisExtensionResult:
-    structure: ColoredStructure
-    new_ids: tuple[str, ...]
-    checks: list = field(default_factory=list)
-
-
-@dataclass
-class PatchResult:
-    structure: ColoredStructure
-    new_ids: tuple[str, ...]
-    pair: ApproximationPair
-    delta_gap: PreDimValue
-    checks: list = field(default_factory=list)
-
-
-@dataclass
-class PowerPatchResult:
-    structure: ColoredStructure
-    copies: list[tuple[str, ...]]
-    pair: ApproximationPair
-    checks: list = field(default_factory=list)
-
-    @property
-    def new_ids(self) -> tuple[str, ...]:
-        return tuple(i for copy in self.copies for i in copy)
-
-
-@dataclass
-class ZeroExtensionResult:
-    structure: ColoredStructure
-    copies: list[tuple[str, ...]]
-    checks: list = field(default_factory=list)
-
-    @property
-    def new_ids(self) -> tuple[str, ...]:
-        return tuple(i for copy in self.copies for i in copy)
-
-
-@dataclass
 class ChainLevel:
     d_ids: tuple[str, ...]
     e_ids: tuple[str, ...]
@@ -125,10 +87,29 @@ class ChainLevel:
 
 
 @dataclass
-class ChainResult:
+class Construction:
+    """A built structure and the checks recomputed on it.
+
+    `copies` holds the new points in the order they were grown: one copy for
+    a patch or a basis extension, one per patch copy of a free union, and one
+    per level (its E and F points) of a chain, which also keeps its `levels`.
+    `pair` is the (s, k) shared by a patch's copies.
+    """
+
     structure: ColoredStructure
-    levels: list[ChainLevel]
     checks: list = field(default_factory=list)
+    copies: list[tuple[str, ...]] = field(default_factory=list)
+    pair: ApproximationPair | None = None
+    levels: list[ChainLevel] = field(default_factory=list)
+
+    @property
+    def new_ids(self) -> tuple[str, ...]:
+        return tuple(i for copy in self.copies for i in copy)
+
+    @property
+    def delta_gap(self) -> PreDimValue:
+        """delta(copy/B) = s - alpha*k of each patch copy."""
+        return PreDimValue(self.pair.s, self.pair.k)
 
 
 @dataclass
@@ -166,15 +147,17 @@ def _moment_rows(basis_vecs, count: int, lam_start: int = 1):
     return rows
 
 
-def _grow_patch(
+def grow_patch(
     S: ColoredStructure, b_ids, s: int, k: int, colored: bool, prefix: str = "d",
     lam_start: int = 1,
 ):
     """Widen by s dims and drop k moment-curve points over span(B) + fresh axes.
 
-    Distinct copies over the same base must continue the lambda sequence:
-    repeating parameters would stack identical residue lines inside span(B)
-    and break hereditary positivity once rank(B) > 1.
+    Returns the grown structure and the new ids, named from `prefix` and
+    colored when `colored` is set; nothing is verified.  Distinct copies over
+    the same base must continue the lambda sequence: repeating parameters
+    would stack identical residue lines inside span(B) and break hereditary
+    positivity once rank(B) > 1.
     """
     old_dim = S.backend.ambient_dim
     basis_red = S.reducer_for(())
@@ -509,7 +492,7 @@ def _patch_preconditions(S, a_ids, b_ids, need_positive_gap=True):
 # -- generic basis extension --------------------------------------------------
 
 
-def generic_basis_extension(a_ids, b_ids, n: int, S: ColoredStructure) -> BasisExtensionResult:
+def generic_basis_extension(a_ids, b_ids, n: int, S: ColoredStructure) -> Construction:
     """n fresh plain points in span(A u B) making every |B|-subset of B u D a
     base over A; realized on the rational moment curve over B."""
     if S.backend.kind == FREE:
@@ -519,7 +502,7 @@ def generic_basis_extension(a_ids, b_ids, n: int, S: ColoredStructure) -> BasisE
     if n < 0:
         raise InputError("n must be a natural number")
     if n == 0:
-        return BasisExtensionResult(structure=S, new_ids=(), checks=[Check("all_bases", True)])
+        return Construction(S, [Check("all_bases", True)])
     bs = sorted(b - a)
     m = len(bs)
     if m == 0:
@@ -537,7 +520,7 @@ def generic_basis_extension(a_ids, b_ids, n: int, S: ColoredStructure) -> BasisE
         )
     ]
     _require(checks)
-    return BasisExtensionResult(structure=S2, new_ids=new_ids, checks=checks)
+    return Construction(S2, checks, copies=[tuple(new_ids)])
 
 
 # -- sunflowers with closed roots ---------------------------------------------
@@ -617,7 +600,7 @@ def delta_system_closed_root(family, n: int, S: ColoredStructure) -> DeltaSystem
 # -- irrational patches --------------------------------------------------------
 
 
-def transcendental_patch(a_ids, b_ids, epsilon, S: ColoredStructure) -> PatchResult:
+def transcendental_patch(a_ids, b_ids, epsilon, S: ColoredStructure) -> Construction:
     """k colored points over B with -epsilon < delta(D/B) = s - alpha*k < 0.
 
     (s, k) comes from the minimal-k Dirichlet window; the points sit on the
@@ -635,7 +618,7 @@ def transcendental_patch(a_ids, b_ids, epsilon, S: ColoredStructure) -> PatchRes
     pair = dirichlet_window(S.alpha, eps)
     s, k = pair.s, pair.k
     old_width = S.backend.ambient_dim
-    S2, new_ids = _grow_patch(S, b, s, k, colored=True)
+    S2, new_ids = grow_patch(S, b, s, k, colored=True)
     d_ids = b | set(new_ids)
     gap_post = delta(S2, new_ids, b)
     window_val = PreDimValue(s, k).value(S2.alpha)
@@ -650,12 +633,10 @@ def transcendental_patch(a_ids, b_ids, epsilon, S: ColoredStructure) -> PatchRes
         kp,
     ]
     _require(checks)
-    return PatchResult(
-        structure=S2, new_ids=new_ids, pair=pair, delta_gap=PreDimValue(s, k), checks=checks
-    )
+    return Construction(S2, checks, copies=[new_ids], pair=pair)
 
 
-def free_power_patch(a_ids, b_ids, mu, n: int, S: ColoredStructure) -> PowerPatchResult:
+def free_power_patch(a_ids, b_ids, mu, n: int, S: ColoredStructure) -> Construction:
     """Free union over B of enough patch copies to push delta(D*/A) below mu
     while every extension of B by fewer than n points stays closed."""
     if S.alpha.is_rational:
@@ -669,38 +650,42 @@ def free_power_patch(a_ids, b_ids, mu, n: int, S: ColoredStructure) -> PowerPatc
     terms = [gap.value(S.alpha), mu_q, S.alpha.value()]
     if n >= 2:
         terms.append(epsilon_bound(n, S.alpha).value(S.alpha) / n)
-    lam = min(terms) / 2
-    old_width = S.backend.ambient_dim
-    first = transcendental_patch(a, b, lam, S)
-    gamma = -PreDimValue(first.pair.s, first.pair.k).value(S.alpha)
-    copies_needed = (gap.value(S.alpha) / gamma).floor()
-    S2 = first.structure
-    copies = [first.new_ids]
-    blocks = [(first.new_ids, old_width, first.pair.s)]
-    for c in range(1, copies_needed):
-        start = S2.backend.ambient_dim
-        S2, ids = _grow_patch(
-            S2, b, first.pair.s, first.pair.k, colored=True,
-            lam_start=1 + c * first.pair.k,
-        )
+    first = transcendental_patch(a, b, min(terms) / 2, S)
+    count = (gap.value(S.alpha) / -first.delta_gap.value(S.alpha)).floor()
+    return _patch_union(
+        first, a, b, count, n, "power_gap",
+        lambda gap_star: (gap_star.value(S.alpha) - mu_q).sign() < 0,
+    )
+
+
+def _patch_union(res: Construction, a, b, count: int, n: int, gap_name, gap_ok) -> Construction:
+    """Grow `res`'s patch copies over B to `count` and verify the free union D*.
+
+    Copy c continues the lambda sequence from 1 + c*k in its own s fresh
+    columns, which follow the columns of the structure before its first copy.
+    `gap_ok` judges delta(D*/A) for the check `gap_name`; extensions of B by
+    fewer than n new points must stay closed.
+    """
+    s, k = res.pair.s, res.pair.k
+    S2, copies = res.structure, list(res.copies)
+    old_width = S2.backend.ambient_dim - s * len(copies)
+    while len(copies) < count:
+        S2, ids = grow_patch(S2, b, s, k, colored=True, lam_start=1 + len(copies) * k)
         copies.append(ids)
-        blocks.append((ids, start, first.pair.s))
-    star = b | {i for c in copies for i in c}
-    new_all = [i for c in copies for i in c]
+    res = Construction(S2, copies=copies, pair=res.pair)
+    star = b | set(res.new_ids)
+    blocks = [(ids, old_width + c * s, s) for c, ids in enumerate(copies)]
     kp, anchor = _union_checks(S2, a, star, old_width, blocks)
-    checks = [
-        Check(
-            "per_copy_gap",
-            all(delta(S2, c, b) == PreDimValue(first.pair.s, first.pair.k) for c in copies),
-        ),
-        Check("power_gap", (delta(S2, star, a).value(S2.alpha) - mu_q).sign() < 0),
-        _small_extensions_closed_check(S2, b, new_all, n),
+    res.checks = [
+        Check("per_copy_gap", all(delta(S2, c, b) == res.delta_gap for c in copies)),
+        Check(gap_name, gap_ok(delta(S2, star, a))),
+        _small_extensions_closed_check(S2, b, res.new_ids, n),
         anchor,
         Check("transcendental", _transcendental_over(S2, star, a)),
         kp,
     ]
-    _require(checks)
-    return PowerPatchResult(structure=S2, copies=copies, pair=first.pair, checks=checks)
+    _require(res.checks)
+    return res
 
 
 def _small_extensions_closed_check(S2, b_ids, new_ids, n, name="small_sets_closed") -> Check:
@@ -714,7 +699,7 @@ def _small_extensions_closed_check(S2, b_ids, new_ids, n, name="small_sets_close
 # -- rational patches ----------------------------------------------------------
 
 
-def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> PatchResult:
+def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Construction:
     """Minimal pair (B, D) with delta(D/B) = -1/n exactly and |D - B| > t."""
     if not S.alpha.is_rational:
         raise IrrationalAlpha("rational extension needs a rational coefficient")
@@ -724,7 +709,7 @@ def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Pat
     pair = rational_pair(S.alpha, t)
     s, k = pair.s, pair.k
     old_width = S.backend.ambient_dim
-    S2, new_ids = _grow_patch(S, b, s, k, colored=True)
+    S2, new_ids = grow_patch(S, b, s, k, colored=True)
     d_ids = b | set(new_ids)
     m, nden = S.alpha.num, S.alpha.den
     gap_post = delta(S2, new_ids, b)
@@ -739,9 +724,7 @@ def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Pat
         kp,
     ]
     _require(checks)
-    return PatchResult(
-        structure=S2, new_ids=new_ids, pair=pair, delta_gap=PreDimValue(s, k), checks=checks
-    )
+    return Construction(S2, checks, copies=[new_ids], pair=pair)
 
 
 def _minimal_pair_check(S2, b_ids, d_ids, new_ids, s, limit=None, name="minimal_pair") -> Check:
@@ -770,7 +753,7 @@ def _minimal_pair_check(S2, b_ids, d_ids, new_ids, s, limit=None, name="minimal_
     return replace(tail, method="structural")
 
 
-def rational_zero_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> ZeroExtensionResult:
+def rational_zero_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Construction:
     """Free union over B of p patch copies with delta(D*/A) = 0 exactly,
     where delta(B/A) = p/n."""
     if not S.alpha.is_rational:
@@ -783,31 +766,11 @@ def rational_zero_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> ZeroEx
     if p < 0:
         raise GapTooSmall("delta(B/A) must be nonnegative")
     if p == 0:
-        return ZeroExtensionResult(structure=S, copies=[], checks=[Check("zero_gap", True)])
-    pair = rational_pair(S.alpha, t)
-    s, k = pair.s, pair.k
-    old_width = S.backend.ambient_dim
-    S2 = S
-    copies = []
-    blocks = []
-    for c in range(p):
-        start = S2.backend.ambient_dim
-        S2, ids = _grow_patch(S2, b, s, k, colored=True, lam_start=1 + c * k)
-        copies.append(ids)
-        blocks.append((ids, start, s))
-    star = b | {i for c in copies for i in c}
-    new_all = [i for c in copies for i in c]
-    kp, anchor = _union_checks(S2, a, star, old_width, blocks)
-    checks = [
-        Check("per_copy_gap", all(delta(S2, c, b) == PreDimValue(s, k) for c in copies)),
-        Check("zero_gap", delta(S2, star, a).sign(S2.alpha) == 0),
-        _small_extensions_closed_check(S2, b, new_all, t),
-        anchor,
-        Check("transcendental", _transcendental_over(S2, star, a)),
-        kp,
-    ]
-    _require(checks)
-    return ZeroExtensionResult(structure=S2, copies=copies, checks=checks)
+        return Construction(S, [Check("zero_gap", True)])
+    return _patch_union(
+        Construction(S, pair=rational_pair(S.alpha, t)), a, b, p, t, "zero_gap",
+        lambda gap_star: gap_star.sign(S.alpha) == 0,
+    )
 
 
 # -- minimal pair chains --------------------------------------------------------
@@ -836,7 +799,7 @@ def chain_pairs(alpha: Alpha, depth: int) -> list[ApproximationPair]:
     return pairs
 
 
-def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> ChainResult:
+def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> Construction:
     """Tower D_0 c D_1 c ... with each step a minimal pair inside a shrinking
     Dirichlet window; every level's points are colored, D_0 stays plain."""
     if alpha.is_rational:
@@ -910,4 +873,5 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> ChainRe
         d_cur = d_next
     checks.append(_tower_k_plus_check(S, levels, generic))
     _require(checks)
-    return ChainResult(structure=S, levels=levels, checks=checks)
+    copies = [lv.e_ids + lv.f_ids for lv in levels[1:]]
+    return Construction(S, checks, copies=copies, levels=levels)

@@ -87,17 +87,11 @@ class QuadRat:
         q = self.q + o.q
         return QuadRat(self.p + o.p, q, d if q != 0 else 0)
 
-    def __radd__(self, other) -> "QuadRat":
-        return self.__add__(other)
-
     def __neg__(self) -> "QuadRat":
         return QuadRat(-self.p, -self.q, self.d if self.q != 0 else 0)
 
     def __sub__(self, other) -> "QuadRat":
         return self.__add__(self._coerce(other).__neg__())
-
-    def __rsub__(self, other) -> "QuadRat":
-        return self._coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "QuadRat":
         o = self._coerce(other)
@@ -112,9 +106,6 @@ class QuadRat:
         q = self.p * o.q + self.q * o.p
         return QuadRat(p, q, d if q != 0 else 0)
 
-    def __rmul__(self, other) -> "QuadRat":
-        return self.__mul__(other)
-
     def inverse(self) -> "QuadRat":
         if self.q == 0:
             if self.p == 0:
@@ -128,9 +119,6 @@ class QuadRat:
 
     def __truediv__(self, other) -> "QuadRat":
         return self.__mul__(self._coerce(other).inverse())
-
-    def __rtruediv__(self, other) -> "QuadRat":
-        return self._coerce(other).__mul__(self.inverse())
 
     def sign(self) -> int:
         if self.q == 0:
@@ -147,23 +135,8 @@ class QuadRat:
             return 0
         return sp if lhs > rhs else sq
 
-    def is_zero(self) -> bool:
-        return self.sign() == 0
-
     def __lt__(self, other) -> bool:
         return (self - other).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - other).sign() >= 0
-
-    def eq(self, other) -> bool:
-        return (self - other).sign() == 0
 
     def __float__(self) -> float:
         return float(self.p) + float(self.q) * math.sqrt(self.d) if self.q != 0 else float(self.p)
@@ -261,11 +234,6 @@ class Alpha:
             return QuadRat(Fraction(self.num, self.den), Fraction(0), 0)
         return QuadRat(Fraction(self.a, self.c), Fraction(self.b, self.c), self.d)
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise IrrationalAlpha("alpha is not rational")
-        return Fraction(self.num, self.den)
-
     def to_json(self) -> dict:
         if self.is_rational:
             return {"kind": "rational", "num": self.num, "den": self.den}
@@ -327,9 +295,6 @@ class PreDimValue:
 
     def __neg__(self) -> "PreDimValue":
         return PreDimValue(-self.dim_part, -self.color_part)
-
-    def scaled(self, k: int) -> "PreDimValue":
-        return PreDimValue(k * self.dim_part, k * self.color_part)
 
     def value(self, alpha: Alpha) -> QuadRat:
         return QuadRat.of(self.dim_part) - alpha.value() * self.color_part

@@ -33,7 +33,7 @@ from .colored import (
     in_k_plus,
     is_lp_embedding,
 )
-from .construct import _grow_patch
+from .construct import grow_patch
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -172,12 +172,10 @@ def _classify(big: ColoredStructure, small_ids) -> tuple[str, frozenset]:
         else:
             algebraic.add(eid)
     split = frozenset(set(small_ids) | algebraic)
-    if not algebraic and transcendental:
+    if not transcendental:
+        return "algebraic", split
+    if not algebraic:
         return "transcendental", split
-    if not transcendental and algebraic:
-        return "algebraic", split
-    if not transcendental and not algebraic:
-        return "algebraic", split
     return "mixed", split
 
 
@@ -262,7 +260,7 @@ def task_catalog(alpha: Alpha, size_budget: int) -> list[ExtensionTask]:
         anchor = empty_structure(alpha, ambient=1).extended(
             [GroundElement("a1", (Fraction(1),))]
         )
-        big, _ = _grow_patch(anchor, {"a1"}, pair.s, pair.k, colored=True)
+        big, _ = grow_patch(anchor, {"a1"}, pair.s, pair.k, colored=True)
         tasks.append(make_task(patch_name, big, ()))
     return tasks
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from bicolor.cli import main
 from bicolor.workbench import load, save
 
-from conftest import ALPHA_HALF
+from conftest import ALPHA_HALF, ALPHA_INV_SQRT2, ALPHA_TWO_THIRDS
 from test_colored import witness_structure
 
 
@@ -286,3 +287,67 @@ class TestCliEdgeCases:
         T = wload(p)
         assert T._k_plus is None  # never trusted across round-trips
         assert in_k_plus(T)
+
+
+def _digest(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _plain_points(alpha, rows):
+    from bicolor.colored import ColoredStructure
+    from bicolor.pregeom import Backend, GroundElement, LINEAR
+    from fractions import Fraction as F
+
+    elems = tuple(GroundElement(i, tuple(F(x) for x in vec)) for i, vec in rows)
+    return ColoredStructure(Backend(LINEAR, len(rows[0][1])), elems, frozenset(), alpha)
+
+
+class TestConstructGoldenBytes:
+    """stdout and `--out` bytes of every `bicolor construct` op, pinned by
+    sha256 prefix."""
+
+    QUAD = '{"kind":"quadratic","a":0,"b":1,"c":2,"d":2}'
+    INPUTS = {
+        "irr": lambda: _plain_points(ALPHA_INV_SQRT2, [("b", (1,))]),
+        "rat": lambda: _plain_points(ALPHA_TWO_THIRDS, [("b", (1,))]),
+        "basis": lambda: _plain_points(ALPHA_HALF, [("b1", (1, 0, 0)), ("b2", (0, 1, 0))]),
+        "pool": lambda: _plain_points(
+            ALPHA_HALF, [(f"y{i}", tuple(int(i == j) for j in range(5))) for i in range(5)]
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "structure, argv, stdout_digest, out_digest",
+        [
+            ("irr", ["patch", "--base", "b", "--epsilon", "1/3"],
+             "2a26e57eb2094543", "1aae00673358b542"),
+            ("irr", ["power", "--base", "b", "--mu", "1/2", "-n", "2"],
+             "610ffd03c9556a0e", "50cd8d331634820a"),
+            ("rat", ["ratmin", "--base", "b", "-t", "0"],
+             "8fc89e4434258d5e", "86c4bd84e76ae430"),
+            ("rat", ["ratmin", "--base", "b", "-t", "1"],
+             "667315bcd54b9278", "bce08e5479282e13"),
+            ("rat", ["ratzero", "--base", "b", "-t", "0"],
+             "1e19520c7b0237c5", "cea836df65cc255f"),
+            (None, ["chain", "--alpha", QUAD, "--depth", "2", "--ambient-budget", "32"],
+             "947d6dbb3d1dc971", "f05197bccdc4049a"),
+            ("basis", ["basis", "--base", "b1,b2", "-n", "2"],
+             "601ee901c94bbfbd", "5e3f3f19d55878c0"),
+            ("pool", ["dsystem", "--family", "y0;y1;y2;y3", "-n", "3"],
+             "fb4ee8ee5fb3b5e3", None),
+        ],
+        ids=["patch", "power", "ratmin-t0", "ratmin-t1", "ratzero", "chain", "basis", "dsystem"],
+    )
+    def test_bytes(self, capsys, tmp_path, structure, argv, stdout_digest, out_digest):
+        argv = ["construct", *argv]
+        if structure:
+            p = tmp_path / "in.json"
+            save(self.INPUTS[structure](), p)
+            argv += ["--structure", str(p)]
+        out = tmp_path / "out.json"
+        if out_digest:
+            argv += ["--out", str(out)]
+        assert main(argv) == 0
+        assert _digest(capsys.readouterr().out.encode()) == stdout_digest
+        if out_digest:
+            assert _digest(out.read_bytes()) == out_digest

@@ -17,7 +17,6 @@ from bicolor.construct import (
     _block_profile,
     _free_union_min,
     _genericity_check,
-    _grow_patch,
     _k_plus_check,
     _minimal_pair_check,
     _tower_k_plus_check,
@@ -27,6 +26,7 @@ from bicolor.construct import (
     delta_system_closed_root,
     free_power_patch,
     generic_basis_extension,
+    grow_patch,
     minimal_pair_chain,
     rational_minimal_extension,
     rational_zero_extension,
@@ -727,7 +727,7 @@ class TestFreeUnionVerifier:
         lam = 1
         for s, k in blocks_spec:
             start = S.backend.ambient_dim
-            S, ids = _grow_patch(S, base, s, k, colored=True, lam_start=lam)
+            S, ids = grow_patch(S, base, s, k, colored=True, lam_start=lam)
             lam += k
             blocks.append((ids, start, s))
         return S, blocks, old_w
@@ -828,6 +828,51 @@ class TestFreeUnionVerifier:
         old_part = [(ids, start) for ids, start, length in calls if not length]
         # the colored base point is the old part of both minimisations
         assert old_part == ([(("b",), 1)] * 2 if colored_base else [])
+
+
+class TestConstruction:
+    """Every structure-building engine returns one `Construction`: its new ids
+    are the grown structure's ids past the input's, and its copies, delta gap
+    and chain levels agree with the structure."""
+
+    ENGINES = {
+        "basis": lambda: generic_basis_extension(
+            [], ["b1", "b2"], 2, plain_points(ALPHA_HALF, [(1, 0, 0), (0, 1, 0)])
+        ),
+        "patch": lambda: transcendental_patch([], ["b"], F(1, 3), _one_point(ALPHA_INV_SQRT2)),
+        "power": lambda: free_power_patch([], ["b"], F(1, 2), 2, _one_point(ALPHA_INV_SQRT2)),
+        "ratmin": lambda: rational_minimal_extension([], ["b"], 0, _one_point(ALPHA_TWO_THIRDS)),
+        "ratzero": lambda: rational_zero_extension([], ["b"], 0, _one_point(ALPHA_TWO_THIRDS)),
+    }
+    INPUT_IDS = {"basis": {"b1", "b2"}}
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_new_ids_are_the_grown_ids(self, name):
+        res = self.ENGINES[name]()
+        assert type(res) is construct.Construction
+        assert len(set(res.new_ids)) == len(res.new_ids) > 0
+        assert set(res.new_ids) == res.structure.id_set - self.INPUT_IDS.get(name, {"b"})
+
+    @pytest.mark.parametrize("name", ["patch", "power", "ratmin", "ratzero"])
+    def test_delta_gap_is_each_copys_gap(self, name):
+        res = self.ENGINES[name]()
+        assert res.delta_gap == PreDimValue(res.pair.s, res.pair.k)
+        for copy in res.copies:
+            assert len(copy) == res.pair.k
+            assert delta(res.structure, copy, ["b"]) == res.delta_gap
+
+    def test_chain_copies_are_its_levels(self):
+        res = minimal_pair_chain(ALPHA_INV_SQRT2, 2, 32)
+        assert res.copies == [lv.e_ids + lv.f_ids for lv in res.levels[1:]]
+        assert set(res.new_ids) == res.structure.id_set - {"d0"}
+        assert len(res.new_ids) == len(res.structure) - 1
+
+    def test_one_result_type(self):
+        classes = {
+            name for name, obj in vars(construct).items()
+            if isinstance(obj, type) and obj.__module__ == construct.__name__
+        }
+        assert classes == {"ChainLevel", "Construction", "DeltaSystemResult"}
 
 
 class TestRationalGoldenBytes:

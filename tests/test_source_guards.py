@@ -3,6 +3,7 @@
 Only `colored` writes the K+ cache fields of a ColoredStructure (others go
 through `certify_k_plus`), `construct` seeds random subset draws in one
 place, `_verify_subsets`, and `pregeom` holds the only elimination code.  No
+module imports another module's private (underscore-prefixed) names.  No
 nested function calls itself: such a closure holds a cell that refers back
 to it, a reference cycle that keeps the searched structure alive until the
 cyclic collector runs, so the searches leave no garbage for it.
@@ -91,6 +92,19 @@ def self_calling_closures(source: str) -> list[str]:
     return sorted(found)
 
 
+def private_imports(source: str) -> list[str]:
+    """`module.name` for each underscore-prefixed name imported, at any depth,
+    from a `bicolor` module."""
+    return [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "bicolor")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 @pytest.mark.parametrize(
     "path", sorted(p.name for p in SRC.glob("*.py") if p.name != "colored.py")
 )
@@ -108,6 +122,11 @@ def test_construct_seeds_randomness_in_one_place():
 )
 def test_elimination_only_in_pregeom(path):
     assert elimination_routines((SRC / path).read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_private_name_imported_across_modules(path):
+    assert private_imports((SRC / path).read_text()) == []
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
@@ -166,3 +185,9 @@ def test_guards_catch_violations():
     src = "def f():\n    def visit(i):\n        return visit(i - 1)\n    return visit(3)\n"
     assert self_calling_closures(src) == ["f.visit"]
     assert self_calling_closures("def visit(i):\n    return visit(i - 1)\n") == []
+    src = "from .construct import _grow_patch, grow_patch\ndef f():\n    from .pregeom import _x\n"
+    assert private_imports(src) == ["construct._grow_patch", "pregeom._x"]
+    assert private_imports("from bicolor.colored import _component_min\n") == [
+        "bicolor.colored._component_min"
+    ]
+    assert private_imports("from .pregeom import rank as _rank\nfrom os import _exit\n") == []
