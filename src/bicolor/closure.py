@@ -27,7 +27,7 @@ from .colored import (
 )
 from .errors import InputError, InvariantError, NotInKPlus
 from .exactnum import PreDimValue, compare
-from .pregeom import dim_independent as _dim_indep_elements
+from .pregeom import dim_independent as _dim_indep_elements, eliminate
 
 
 def _require_subset(small, big, what: str):
@@ -115,24 +115,26 @@ def is_minimal_pair(a_ids, b_ids, S: ColoredStructure) -> bool:
         return False
     if delta(S, b, a).sign(S.alpha) >= 0:
         return False
-    # Exhaustive sweep of proper subsets of B minus A with an incremental
-    # reducer stack, depth first with the include branch first; early exit on
-    # any negative intermediate.  The free backend never reaches this point:
-    # its delta is never negative.
+    # Exhaustive sweep of proper subsets of B minus A, depth first, include
+    # branch first, carrying pending rows; early exit on any negative
+    # intermediate.  The free backend never gets here: its delta is >= 0.
     alpha = S.alpha
     n = len(extra)
-    stack = [(0, S.reducer_for(a), 0, 0, 0)]
+    red = S.reducer_for(a)
+    stack = [(0, [red.residual(S.introw(e)) for e in extra], None, 0, 0, 0)]
     while stack:
-        i, red, dimc, ncol, taken = stack.pop()
+        i, pending, grown, dimc, ncol, taken = stack.pop()
         if taken and taken < n:
             if PreDimValue(dimc, ncol).sign(alpha) < 0:
                 return False
         if i == n:
             continue
-        stack.append((i + 1, red, dimc, ncol, taken))
-        branch = red.clone()
-        grew = branch.add(S.introw(extra[i]))
-        stack.append((i + 1, branch, dimc + grew, ncol + S.is_colored(extra[i]), taken + 1))
+        if grown is not None:
+            pending = eliminate(pending, grown)
+        grew = any(pending[i])
+        stack.append((i + 1, pending, None, dimc, ncol, taken))
+        col = S.is_colored(extra[i])
+        stack.append((i + 1, pending, i if grew else None, dimc + grew, ncol + col, taken + 1))
     return True
 
 

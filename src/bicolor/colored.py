@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exactnum import Alpha, PreDimValue, ZERO, compare
 from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, int_row
-from .pregeom import dependency_kernel, solve
+from .pregeom import dependency_kernel, eliminate, solve
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -273,41 +273,38 @@ def colored_components(S: ColoredStructure, x_ids):
 
 
 class _BudgetCounter:
-    __slots__ = ("left",)
+    __slots__ = ("budget", "left")
 
     def __init__(self, budget):
-        self.left = budget
+        self.budget = self.left = budget
 
     def spend(self, amount=1):
         self.left -= amount
         if self.left < 0:
-            raise SearchBudgetExceeded("exact search node budget exhausted")
+            raise SearchBudgetExceeded(f"exact search node budget of {self.budget} exhausted")
 
 
 def _component_min(S, base_red, comp, alpha, counter):
     """Exact min of delta(C/X) over C within one component, with witness."""
     n = len(comp)
+    pending = [base_red.residual(S.introw(eid)) for eid in comp]
     # Static suffix redundancy table: elements of the suffix counted minus
-    # their rank over X and the *positional* prefix; a valid upper bound on
-    # future collapses along any branch.
-    red_static = [0] * (n + 1)
-    prefix_red = base_red.clone()
-    suffix_dim = []
+    # their rank over X and the *positional* prefix, (n - i) - (R_n - R_i) for
+    # R_i = rank(comp[:i] / X); a valid upper bound on future collapses.
+    ranks, prefix = [0], pending
     for i in range(n):
-        probe = prefix_red.clone()
-        grow = sum(1 for eid in comp[i:] if probe.add(S.introw(eid)))
-        suffix_dim.append(grow)
-        prefix_red.add(S.introw(comp[i]))
-    for i in range(n):
-        red_static[i] = (n - i) - suffix_dim[i]
-    red_static[n] = 0
+        grew = any(prefix[i])
+        prefix = eliminate(prefix, i) if grew else prefix
+        ranks.append(ranks[-1] + grew)
+    red_static = [(n - i) - (ranks[n] - ranks[i]) for i in range(n + 1)]
 
     best = ZERO
     best_set: tuple[str, ...] = ()
-    # Depth first, the branch taking comp[i] before the one skipping it.
-    stack = [(0, base_red.clone(), 0, ())]
+    # Depth first, the branch taking comp[i] before the one skipping it.  A
+    # frame whose last taken row grew the span eliminates it when expanded.
+    stack = [(0, pending, None, 0, ())]
     while stack:
-        i, red, dimc, chosen = stack.pop()
+        i, pending, grown, dimc, chosen = stack.pop()
         counter.spend()
         cur = PreDimValue(dimc, len(chosen))
         if compare(cur, best, alpha) < 0:
@@ -318,11 +315,11 @@ def _component_min(S, base_red, comp, alpha, counter):
         bound = PreDimValue(cur.dim_part, cur.color_part + red_static[i])
         if compare(bound, best, alpha) >= 0:
             continue
-        eid = comp[i]
-        stack.append((i + 1, red, dimc, chosen))
-        branch = red.clone()
-        grew = branch.add(S.introw(eid))
-        stack.append((i + 1, branch, dimc + (1 if grew else 0), chosen + (eid,)))
+        if grown is not None:
+            pending = eliminate(pending, grown)
+        grew = any(pending[i])
+        stack.append((i + 1, pending, None, dimc, chosen))
+        stack.append((i + 1, pending, i if grew else None, dimc + grew, chosen + (comp[i],)))
     return best, frozenset(best_set)
 
 

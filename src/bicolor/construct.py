@@ -66,7 +66,8 @@ from .exactnum import (
     epsilon_bound,
     rational_pair,
 )
-from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, canonical_rows, span_key
+from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, canonical_rows, eliminate
+from .pregeom import span_key
 from .report import Check
 
 EXHAUSTIVE_PATCH_LIMIT = 12
@@ -331,11 +332,11 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
 
     A point's row is its fresh columns [start, start + length) followed by its
     old columns [0, old_width).  Subsets are walked depth-first in sorted-id
-    order, each child a clone of its parent's reducer plus one add, so every
-    subset's rows go in in sorted order, as in a from-scratch elimination, and
-    a k-point block costs 2^k - 1 adds.  Echelon rows with a fresh pivot give
-    the fresh rank; the others span the subset's raw residue over the old
-    coordinates, and their old parts, already in echelon form, are keyed by
+    order carrying the pending rows (`pregeom.eliminate`), so every subset
+    has the echelon rows of a from-scratch elimination in sorted order, and a
+    k-point block takes at most 2^k - 1 steps.  Echelon rows with a fresh
+    pivot give the fresh rank; the others span the subset's raw residue over
+    the old coordinates, and their old parts, in echelon form, are keyed by
     their canonical integer rows.  A zero-width block (start = old_width,
     length = 0) profiles points on the old coordinates alone.  Raises
     SearchBudgetExceeded past 14 points or for a point outside its columns.
@@ -351,21 +352,25 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
                 raise SearchBudgetExceeded("block escapes its fresh coordinates")
         rows.append(row[start:start + length] + row[:old_width])
     profile: dict[tuple, PreDimValue] = {(): ZERO}
-    # A frame (reducer, next index, size, fresh rank, key) resumes after its child's subtree.
-    stack = [(SpanReducer(length + old_width), 0, 0, 0, ())]
+    # A frame (pending rows, next index, size, fresh rank, old-lead echelon
+    # rows as (lead, old part), key) resumes after its child's subtree.
+    stack = [(list(map(SpanReducer(length + old_width).residual, rows)), 0, 0, 0, (), ())]
     while stack:
-        red, j, size, rank_f, key = stack.pop()
+        pending, j, size, rank_f, olds, key = stack.pop()
         if j == len(rows):
             continue
-        stack.append((red, j + 1, size, rank_f, key))
-        child = red.clone()
-        child_rank_f, child_key = rank_f, key
-        if child.add(rows[j]):
-            child_rank_f = sum(1 for lead, _ in child.rows if lead < length)
-            if child_rank_f == rank_f:
-                child_key = canonical_rows([r[length:] for _, r in child.rows[rank_f:]])
-        _keep_min(profile, child_key, PreDimValue(child_rank_f, size + 1), S2.alpha)
-        stack.append((child, j + 1, size + 1, child_rank_f, child_key))
+        stack.append((pending, j + 1, size, rank_f, olds, key))
+        row = pending[j]
+        if any(row[:length]):
+            rank_f += 1
+        elif any(row):
+            lead = next(c for c, x in enumerate(row) if x)
+            olds = sorted([*olds, (lead, row[length:])])
+            key = canonical_rows([r for _, r in olds])
+        _keep_min(profile, key, PreDimValue(rank_f, size + 1), S2.alpha)
+        if j + 1 < len(rows) and any(row):
+            pending = eliminate(pending, j)
+        stack.append((pending, j + 1, size + 1, rank_f, olds, key))
     return profile
 
 

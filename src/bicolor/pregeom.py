@@ -2,17 +2,28 @@
 
 The linear backend realizes dimension as matrix rank over the rationals.  All
 of the library's linear algebra runs through one kernel here: `SpanReducer`,
-fraction-free row echelon form on integer rows obtained by clearing
-denominators.  Rank counts its adds; `canonical_rows` turns its echelon rows
-into canonical integer rows (reduced echelon form, each row primitive), a key
-equal for equal spans; `solve` and `dependency_kernel` read that key of a
-column matrix.  Pivoting is first-nonzero by row then column, so every
-computation is deterministic.  The free backend is the degenerate control:
-acl(A) = A and dim(A) = |A|.
+fraction-free row echelon form on integer rows with denominators cleared, and
+`eliminate`, its step along a depth-first subset walk whose frames carry the
+*pending rows*, the residuals of the rows still to come.  Rank counts its
+adds; `canonical_rows` turns its echelon rows into canonical integer rows
+(reduced echelon form, each row primitive), a key equal for equal spans;
+`solve` and `dependency_kernel` read that key of a column matrix.  Pivoting is
+first-nonzero by row then column, so every computation is deterministic.  The
+free backend is the degenerate control: acl(A) = A and dim(A) = |A|.
+
+Lemma.  Let W have echelon rows with pivot set L and let v lie outside W.
+The vectors of span(W, v) vanishing on L form a line.  Proof: W projects
+isomorphically onto the coordinates L (its rows are triangular there), so
+span(W, v) maps onto them with a one-dimensional kernel.  So one primitive
+integer vector with positive lead lies on the line.  v's residual against W
+and its pending row (each step of `eliminate` keeps it a nonzero multiple of
+v modulo W, clear of L) lie on it, primitive with positive lead: each is the
+row `SpanReducer.add` stores for v.  For v inside W both are zero.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -53,22 +64,23 @@ def int_row(vec: tuple[Fraction, ...]) -> list[int]:
     return [x.numerator * (mult // x.denominator) for x in vec]
 
 
-def _row_gcd_normalize(row: list[int]) -> list[int]:
-    g = 0
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by its content, its lead made positive."""
+    g = lead = 0
     for x in row:
-        g = gcd(g, abs(x))
-        if g == 1:
-            return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+        if x:
+            lead, g = lead or x, gcd(g, x)
+            if g == 1:
+                break
+    g = -g if lead < 0 else g
+    return row if g in (0, 1) else [x // g for x in row]
 
 
 class SpanReducer:
     """Incremental fraction-free row reduction tracking a rational span.
 
     Rows are integer vectors kept in echelon form (increasing leading column),
-    gcd-normalized to bound growth.  residual() reduces a vector against the
+    primitive with positive leads.  residual() reduces a vector against the
     basis without mutating it; add() grows the basis when the residual is
     nonzero.
     """
@@ -97,25 +109,34 @@ class SpanReducer:
             if piv:
                 scale = base[lead]
                 cur = [x * scale - y * piv for x, y in zip(cur, base)]
-        return _row_gcd_normalize(cur)
+        return _primitive(cur)
 
     def contains(self, row: list[int]) -> bool:
         return not any(self.residual(row))
 
     def add(self, row: list[int]) -> bool:
         res = self.residual(row)
-        lead = next((i for i, x in enumerate(res) if x), None)
-        if lead is None:
+        if not any(res):
             return False
-        if res[lead] < 0:
-            res = [-x for x in res]
-        self.rows.append((lead, res))
-        self.rows.sort(key=lambda t: t[0])
+        insort(self.rows, (_lead(res), res), key=lambda t: t[0])
         return True
 
 
 def _lead(row) -> int:
     return next(i for i, x in enumerate(row) if x)
+
+
+def eliminate(pending: list[list[int]], i: int) -> list[list[int]]:
+    """Pending rows once the nonzero pending[i] joins the span: each later row
+    reduced by it at its lead and made primitive, the earlier ones kept."""
+    row = pending[i]
+    lead = _lead(row)
+    scale = row[lead]
+    out = pending[: i + 1]
+    for cur in pending[i + 1:]:
+        piv = cur[lead]
+        out.append(_primitive([x * scale - y * piv for x, y in zip(cur, row)]) if piv else cur)
+    return out
 
 
 def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
@@ -135,7 +156,7 @@ def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
             if piv:
                 scale = base[lead]
                 cur = [x * scale - y * piv for x, y in zip(cur, base)]
-        done.append((_lead(cur), _row_gcd_normalize(cur)))
+        done.append((_lead(cur), _primitive(cur)))
     return tuple(tuple(r) for _, r in reversed(done))
 
 

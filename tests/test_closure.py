@@ -18,8 +18,9 @@ from bicolor.closure import (
     is_minimal_pair,
 )
 from bicolor.colored import ColoredStructure, delta, in_k_plus
+from bicolor.construct import minimal_pair_chain
 from bicolor.errors import NotInKPlus
-from bicolor.exactnum import PreDimValue, compare
+from bicolor.exactnum import Alpha, PreDimValue, compare
 from bicolor.pregeom import Backend, GroundElement, LINEAR
 
 from conftest import (
@@ -199,6 +200,24 @@ class TestMinimalPairsIntrinsic:
             if is_minimal_pair(a, b, S):
                 assert is_intrinsic(a, b, S)
 
+
+    def test_chain_levels_pinned(self):
+        """Verdicts on every level of the (1 + sqrt(3))/6 depth-3 chain and on
+        pairs next to it: one point fewer on top (delta >= 0), one point more
+        or the base point fewer below, and two levels at once (early exits)."""
+        res = minimal_pair_chain(Alpha.quadratic(1, 1, 6, 3), 3, 32)
+        S = res.structure
+        got = []
+        for lo, hi in zip(res.levels, res.levels[1:]):
+            new = sorted(set(hi.d_ids) - set(lo.d_ids))
+            got.append((
+                is_minimal_pair(lo.d_ids, hi.d_ids, S),
+                is_minimal_pair(lo.d_ids, set(hi.d_ids) - {new[-1]}, S),
+                is_minimal_pair(set(lo.d_ids) | {new[0]}, hi.d_ids, S),
+                is_minimal_pair(set(lo.d_ids) - {"d0"}, hi.d_ids, S),
+            ))
+        assert got == [(True, False, False, False)] * 3
+        assert not is_minimal_pair(res.levels[0].d_ids, res.levels[2].d_ids, S)
 
 class TestSmoothClassAxioms:
     def test_axioms_on_random_nests(self, rng):

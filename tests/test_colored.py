@@ -19,12 +19,20 @@ from bicolor.colored import (
     min_violating_witness,
 )
 from bicolor.construct import free_power_patch
-from bicolor.errors import BackendMismatch, InputError, InvariantError, SchemaError, UnknownElement
+from bicolor.errors import (
+    BackendMismatch,
+    InputError,
+    InvariantError,
+    SchemaError,
+    SearchBudgetExceeded,
+    UnknownElement,
+)
 from bicolor.exactnum import PreDimValue
 from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR
 
 from conftest import (
     ALL_ALPHAS,
+    ALPHA_HALF,
     ALPHA_INV_SQRT2,
     ALPHA_ONE,
     ALPHA_TWO_THIRDS,
@@ -432,3 +440,55 @@ def test_k_plus_oracle_up_to_ten(rng):
     for i in range(12):
         S = random_structure(rng, ALL_ALPHAS[i % 4], max_n=10, max_dim=5)
         assert in_k_plus(S) == brute_in_k_plus(S)
+
+
+def _component_case(seed, n, dim, nx, alpha):
+    """n points with entries in [-1, 2] drawn from Random(seed); the first nx
+    are plain and form X, the rest are colored."""
+    rng = random.Random(seed)
+    elements = []
+    for i in range(n):
+        vec = ()
+        while not any(vec):
+            vec = tuple(F(rng.randint(-1, 2)) for _ in range(dim))
+        elements.append(GroundElement(f"e{i}", vec))
+    colored_ids = frozenset(f"e{i}" for i in range(nx, n))
+    S = ColoredStructure(Backend(LINEAR, dim), tuple(elements), colored_ids, alpha)
+    return S, [f"e{i}" for i in range(nx)]
+
+
+# (seed, n, dim, nx, alpha) -> per component over X: (size, dim part, color
+# part, witness, budget left of 10 000).
+COMPONENT_PINS = [
+    ((1, 6, 4, 1, ALPHA_TWO_THIRDS), [(4, 2, 4, "e1,e2,e3,e5", 9983), (1, 0, 0, "", 9999)]),
+    ((15, 6, 4, 1, ALPHA_INV_SQRT2), [(2, 1, 2, "e2,e5", 9993), (1, 0, 0, "", 9999), (1, 0, 0, "", 9999)]),
+    ((61, 6, 4, 1, ALPHA_INV_SQRT2), [(2, 1, 2, "e1,e2", 9993), (3, 2, 3, "e3,e4,e5", 9985)]),
+    ((96, 6, 4, 1, ALPHA_TWO_THIRDS), [(5, 1, 2, "e1,e2", 9975)]),
+    ((14, 6, 4, 1, ALPHA_INV_SQRT2), [(4, 0, 0, "", 9971)]),
+    ((13, 9, 8, 1, ALPHA_INV_SQRT2), [(6, 0, 0, "", 9917), (1, 0, 0, "", 9999), (1, 0, 0, "", 9999)]),
+    ((48, 10, 7, 2, ALPHA_INV_SQRT2), [(7, 0, 0, "", 9831)]),
+    ((227, 10, 7, 2, ALPHA_HALF), [(7, 0, 0, "", 9935), (1, 0, 0, "", 9999)]),
+    ((199, 9, 6, 1, ALPHA_TWO_THIRDS), [(8, 5, 8, "e1,e2,e3,e4,e5,e6,e7,e8", 9823)]),
+    ((5, 9, 6, 1, ALPHA_INV_SQRT2), [(8, 5, 8, "e1,e2,e3,e4,e5,e6,e7,e8", 9801)]),
+    ((5, 9, 6, 1, ALPHA_TWO_THIRDS), [(8, 5, 8, "e1,e2,e3,e4,e5,e6,e7,e8", 9801)]),
+]
+
+
+@pytest.mark.parametrize("case,expected", COMPONENT_PINS)
+def test_component_min_pinned(case, expected):
+    """The component search's value, witness and nodes spent stay fixed."""
+    S, x = _component_case(*case)
+    _, comps = colored.colored_components(S, x)
+    got = []
+    for comp in comps:
+        counter = colored._BudgetCounter(10_000)
+        v, w = colored._component_min(S, S.reducer_for(x), comp, S.alpha, counter)
+        got.append((len(comp), v.dim_part, v.color_part, ",".join(sorted(w)), counter.left))
+    assert got == expected
+
+
+def test_exhausted_budget_is_named():
+    # the error code (exit code 2 in the CLI) stays; the message names the budget
+    with pytest.raises(SearchBudgetExceeded, match="node budget of 1 exhausted") as err:
+        min_relative_delta(witness_structure(), [], node_budget=1)
+    assert isinstance(err.value, InvariantError) and err.value.code == "SearchBudgetExceeded"

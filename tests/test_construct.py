@@ -56,6 +56,7 @@ from conftest import (
     brute_in_k_plus,
     incremental_in_k_plus,
     random_structure,
+    rank_int_matrix,
 )
 from test_colored import ge
 
@@ -798,18 +799,33 @@ class TestFreeUnionVerifier:
             assert compare(_union_min(S, (), old_w, blocks), want, alpha) == 0
 
     @pytest.mark.parametrize("k", [1, 4, 9])
-    def test_block_profile_adds_once_per_subset(self, monkeypatch, k):
+    def test_block_profile_steps_once_per_growing_subset(self, monkeypatch, k):
+        # the walk carries pending rows: no reducer clone or add, and one
+        # elimination step per subset with points still to come whose last
+        # row grew the span, so at most 2^k - 1
         S, blocks, old_w = self._add_blocks(_one_point(ALPHA_TWO_THIRDS), ["b"], [(2, k)])
-        adds = [0]
-        original = SpanReducer.add
+        calls = dict.fromkeys(["add", "clone", "eliminate"], 0)
 
-        def counting(red, row):
-            adds[0] += 1
-            return original(red, row)
+        def counting(name, original):
+            def wrapped(*args):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(SpanReducer, "add", counting)
+            return wrapped
+
+        monkeypatch.setattr(SpanReducer, "add", counting("add", SpanReducer.add))
+        monkeypatch.setattr(SpanReducer, "clone", counting("clone", SpanReducer.clone))
+        monkeypatch.setattr(construct, "eliminate", counting("eliminate", construct.eliminate))
         _block_profile(S, old_w, *blocks[0])
-        assert adds[0] == 2**k - 1
+        rows = [S.introw(i) for i in sorted(blocks[0][0])]
+        rank = lambda c: rank_int_matrix([rows[j] for j in c], len(rows[0]))
+        growing = sum(
+            rank(c) > rank(c[:-1])
+            for size in range(1, k)
+            for c in itertools.combinations(range(k - 1), size)
+        )
+        assert calls == {"add": 0, "clone": 0, "eliminate": growing}
+        assert growing <= 2**k - 1
 
     @pytest.mark.parametrize("colored_base", [False, True])
     def test_one_profile_per_copy(self, monkeypatch, colored_base):

@@ -15,6 +15,7 @@ from bicolor.pregeom import (
     canonical_rows,
     dependency_kernel,
     dim_independent,
+    eliminate,
     int_row,
     rank,
     rel_rank,
@@ -91,6 +92,58 @@ def test_bareiss_matches_reducer(rows):
     reducer = SpanReducer(3)
     grow = sum(1 for r in rows if reducer.add(list(r)))
     assert rank_int_matrix([list(r) for r in rows], 3) == grow == reducer.rank
+
+
+
+def _walk_rows(rng, ncols):
+    """Up to 7 integer rows: random ones (negative leads included), zero rows,
+    and repeats of earlier rows, some negated."""
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        pick = rng.random()
+        if pick < 0.15:
+            rows.append([0] * ncols)
+        elif pick < 0.35 and rows:
+            rows.append([x * rng.choice([1, -2]) for x in rng.choice(rows)])
+        else:
+            rows.append([rng.randint(-3, 3) for _ in range(ncols)])
+    return rows
+
+
+def test_eliminate_walk_matches_reducer_and_bareiss(rng):
+    """A depth-first walk carrying pending rows over a base span X: at every
+    frame the kept rows are SpanReducer's echelon rows for X plus the chosen
+    rows, their number is the Bareiss rank, and the pending rows are the
+    reducer's residuals of the rows still to come."""
+    leaves = 0
+    for trial in range(60):
+        ncols = rng.randint(1, 5)
+        xrows = _walk_rows(rng, ncols)[: trial % 3]
+        rows = _walk_rows(rng, ncols)
+        base = SpanReducer(ncols)
+        for r in xrows:
+            base.add(r)
+        stack = [(0, [base.residual(r) for r in rows], list(base.rows), ())]
+        while stack:
+            i, pending, kept, chosen = stack.pop()
+            subset = [*xrows, *(rows[j] for j in chosen)]
+            red = SpanReducer(ncols)
+            for r in subset:
+                red.add(r)
+            assert sorted(kept) == red.rows
+            assert len(kept) == rank_int_matrix(subset, ncols)
+            assert pending[i:] == [red.residual(r) for r in rows[i:]]
+            if i == len(rows):
+                leaves += 1
+                continue
+            stack.append((i + 1, pending, kept, chosen))
+            row = pending[i]
+            if any(row):
+                lead = next(c for c, x in enumerate(row) if x)
+                stack.append((i + 1, eliminate(pending, i), kept + [(lead, row)], chosen + (i,)))
+            else:
+                stack.append((i + 1, pending, kept, chosen + (i,)))
+    assert leaves > 1000
 
 
 # -- the elimination kernel against Fraction Gauss-Jordan and Bareiss oracles --
