@@ -28,7 +28,7 @@ from .errors import (
     MatchInvalid,
     NotClosed,
 )
-from .pregeom import FREE, LINEAR, Backend, GroundElement, dim_independent as _dim_indep, rank, solve
+from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, dim_independent as _dim_indep, rank
 from .report import Check
 
 
@@ -66,12 +66,19 @@ def _greedy_basis(S: ColoredStructure, ids, start=None):
     return red, chosen
 
 
-def _coords(S: ColoredStructure, basis_ids, eid):
-    vecs = [S.element(b).vec for b in basis_ids]
-    coeffs = solve(vecs, S.element(eid).vec)
-    if coeffs is None:
-        raise InvariantError(f"element {eid!r} escaped the span of its basis")
-    return coeffs
+def _coords(S: ColoredStructure, basis_ids, ids):
+    """Coordinates of each point of `ids` over the basis, in order."""
+    co = Coordinates(S.backend.ambient_dim, len(basis_ids))
+    for b in basis_ids:
+        if co.insert(S.element(b).vec) is not None:
+            raise InvariantError(f"basis element {b!r} depends on the earlier ones")
+    out = []
+    for eid in ids:
+        coeffs = co.coords(S.element(eid).vec)
+        if coeffs is None:
+            raise InvariantError(f"element {eid!r} escaped the span of its basis")
+        out.append(coeffs)
+    return out
 
 
 def _uncollide(base_ids, left_ids, right_ids):
@@ -164,15 +171,16 @@ def free_amalgam(
 
         off1 = list(range(r1))
         off2 = list(range(r0)) + list(range(r1, ambient))
-        elements = []
-        for e in M1.elements:
-            coeffs = _coords(M1, basis1, e.id)
-            elements.append(GroundElement(left_name[e.id], place(coeffs, off1)))
-        for e in M2.elements:
-            if e.id in b2:
-                continue
-            coeffs = _coords(M2, basis2, e.id)
-            elements.append(GroundElement(right_name[e.id], place(coeffs, off2)))
+        ids1 = M1.ids_sorted
+        ids2 = [i for i in M2.ids_sorted if i not in b2]
+        elements = [
+            GroundElement(left_name[i], place(c, off1))
+            for i, c in zip(ids1, _coords(M1, basis1, ids1))
+        ]
+        elements += [
+            GroundElement(right_name[i], place(c, off2))
+            for i, c in zip(ids2, _coords(M2, basis2, ids2))
+        ]
         colored = {left_name[i] for i in M1.colored}
         colored |= {right_name[i] for i in M2.colored}
         M = ColoredStructure(Backend(LINEAR, ambient), tuple(elements), frozenset(colored), M1.alpha)

@@ -30,7 +30,7 @@ from .errors import (
     UnknownElement,
 )
 from .exactnum import Alpha, PreDimValue, ZERO, compare
-from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, int_row
+from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer, int_row
 from .pregeom import dependency_kernel, eliminate, solve
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -243,31 +243,29 @@ def colored_components(S: ColoredStructure, x_ids):
         else:
             drops.append(eid)
     uf = _UnionFind(residuals)
-    basis_ids: list[str] = []
-    basis_red = base_red.clone()
-    for eid, res in residuals.items():
-        if basis_red.add(S.introw(eid)):
-            basis_ids.append(eid)
-        else:
-            coeffs = solve([residuals[b] for b in basis_ids], res)
-            if coeffs is None:
-                raise InvariantError("dependent residual not solvable in basis")
-            support = [b for b, c in zip(basis_ids, coeffs) if c != 0]
-            for b in support:
+    order = list(residuals)
+    co = Coordinates(S.backend.ambient_dim, len(order))
+    rank = 0
+    for eid in order:
+        coeffs = co.insert(residuals[eid])
+        if coeffs is None:
+            rank += 1
+            continue
+        for b, c in zip(order, coeffs):
+            if c:
                 uf.union(eid, b)
     comps: dict[str, list[str]] = {}
     for eid in residuals:
         comps.setdefault(uf.find(eid), []).append(eid)
     out = [sorted(v) for v in comps.values()]
     out.sort(key=lambda c: c[0])
-    # Direct-sum sanity: component ranks must add up to the total.
-    total = base_red.clone()
-    got = sum(1 for eid in residuals if total.add(S.introw(eid)))
+    # Direct-sum sanity: component ranks must add up to the total.  The
+    # residuals are clear of span(X), so each component's rank is theirs.
     per = 0
     for comp in out:
-        red = base_red.clone()
-        per += sum(1 for eid in comp if red.add(S.introw(eid)))
-    if per != got:
+        red = SpanReducer(S.backend.ambient_dim)
+        per += sum(1 for eid in comp if red.add(residuals[eid]))
+    if per != rank:
         raise InvariantError("component decomposition lost rank")
     return drops, out
 

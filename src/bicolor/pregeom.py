@@ -6,10 +6,14 @@ fraction-free row echelon form on integer rows with denominators cleared, and
 `eliminate`, its step along a depth-first subset walk whose frames carry the
 *pending rows*, the residuals of the rows still to come.  Rank counts its
 adds; `canonical_rows` turns its echelon rows into canonical integer rows
-(reduced echelon form, each row primitive), a key equal for equal spans;
-`solve` and `dependency_kernel` read that key of a column matrix.  Pivoting is
-first-nonzero by row then column, so every computation is deterministic.  The
-free backend is the degenerate control: acl(A) = A and dim(A) = |A|.
+(reduced echelon form, each row primitive), a key equal for equal spans.
+`Coordinates` runs a `SpanReducer` on rows augmented by an identity block, so
+one reduction of a vector also names the combination of the inserted vectors
+it equals: exact coordinates, fundamental circuits and kernel vectors come
+from one pass over a fixed vector list, and `solve` and `dependency_kernel`
+read them.  Pivoting is first-nonzero by row then column, so every
+computation is deterministic.  The free backend is the degenerate control:
+acl(A) = A and dim(A) = |A|.
 
 Lemma.  Let W have echelon rows with pivot set L and let v lie outside W.
 The vectors of span(W, v) vanishing on L form a line.  Proof: W projects
@@ -28,10 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, InputError, SchemaError
+from .errors import DimensionMismatch, InputError, InvariantError, SchemaError
 
 LINEAR = "linear"
 FREE = "free"
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,13 @@ class GroundElement:
 
 def int_row(vec: tuple[Fraction, ...]) -> list[int]:
     """Clear denominators of one vector in integers; row scaling keeps spans."""
+    return _cleared(vec)[1]
+
+
+def _cleared(vec) -> tuple[int, list[int]]:
+    """(m, m * vec) for m the least common multiple of vec's denominators."""
     mult = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (mult // x.denominator) for x in vec]
+    return mult, [x.numerator * (mult // x.denominator) for x in vec]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -168,43 +178,120 @@ def span_key(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     return canonical_rows([r for _, r in red.rows])
 
 
-def _column_key(cols) -> tuple[tuple[int, ...], ...]:
-    """Key of the row space of the matrix with these columns.  Each row is
-    cleared of denominators on its own, which keeps the row space and so the
-    kernel."""
-    d = len(cols[0]) if cols else 0
-    return span_key([int_row([c[r] for c in cols]) for r in range(d)], len(cols))
+class Coordinates:
+    """Exact coordinates over a growing list of vectors, from one reduction.
+
+    Vector j enters as the integer row (int_row(v_j) | e_j | 0) of width
+    ncols + size + 1, a target t as (int_row(t) | 0 | 1), and each is reduced
+    by the echelon rows of the vectors that grew the span.  `insert(v)` keeps
+    v's row when its head (the first ncols entries) stays nonzero, and
+    otherwise returns v's coordinates over the vectors inserted before it;
+    `coords(t)` returns t's coordinates over every inserted vector, or None.
+
+    Lemma.  Every row's head equals the integer combination its tail names:
+    sum_j tail_j * r_j + mark * r_t, where r = int_row(v) = m * v for the
+    multiplier m clearing v's denominators.  Proof: it holds for each row as
+    it enters (its tail is a unit vector), and reduction and `_primitive`
+    form integer linear combinations and quotients of rows, which keep it.
+    The stored heads are echelon rows spanning the inserted vectors, so a
+    head reduces to zero iff its vector lies in that span.  The stored rows
+    are thus those of the vectors outside the span of the earlier ones, the
+    pivot columns of the column matrix [v_0, ...], and their tails name only
+    those vectors.  No stored row has an entry in a new row's own column
+    (tail_k of v_k, or the mark of t), so that entry s stays nonzero.  A row
+    whose head reduces to zero then gives sum_j tail_j * m_j * v_j + s * m *
+    v = 0 with tail_j nonzero only on pivot vectors: v's coordinates over
+    them are c_j = -tail_j * m_j / (s * m), unique since the pivot vectors
+    are independent, and zero elsewhere.  That is the solution of the column
+    system with free unknowns zero.
+
+    The answer is checked exactly in integers, sum_j tail_j * r_j + s * r =
+    0 over the vectors as inserted; a target failing it has no coordinates.
+    """
+
+    __slots__ = ("ncols", "size", "red", "rows", "mults")
+
+    def __init__(self, ncols: int, size: int):
+        self.ncols = ncols
+        self.size = size
+        self.red = SpanReducer(ncols + size + 1)
+        self.rows: list[list[int]] = []
+        self.mults: list[int] = []
+
+    def _reduce(self, vec, own: int):
+        """int_row(vec), its multiplier, and its reduced augmented row with
+        a 1 in column ncols + own."""
+        mult, row = _cleared(vec)
+        if len(row) != self.ncols:
+            raise DimensionMismatch(f"vector length {len(row)} != ambient {self.ncols}")
+        aug = row + [0] * (self.size + 1)
+        aug[self.ncols + own] = 1
+        return row, mult, self.red.residual(aug)
+
+    def _read(self, row, mult, res, own: int) -> list[Fraction] | None:
+        """Coordinates named by the reduced row `res` of `row`, or None when
+        the integer check fails."""
+        n = self.ncols
+        scale = res[n + own]
+        acc = [scale * x for x in row]
+        for t, r in zip(res[n:], self.rows):
+            if t:
+                acc = [a + t * y for a, y in zip(acc, r)]
+        if any(acc):
+            return None
+        den = -scale * mult
+        return [Fraction(t * m, den) if t else _ZERO for t, m in zip(res[n:], self.mults)]
+
+    def insert(self, vec) -> list[Fraction] | None:
+        """Add vec; None when it grows the span, else its coordinates over
+        the vectors inserted before it."""
+        k = len(self.rows)
+        if k == self.size:
+            raise DimensionMismatch(f"more than {self.size} vectors inserted")
+        row, mult, res = self._reduce(vec, k)
+        coeffs = None
+        if any(res[: self.ncols]):
+            insort(self.red.rows, (_lead(res), res), key=lambda t: t[0])
+        else:
+            coeffs = self._read(row, mult, res, k)
+            if coeffs is None:
+                raise InvariantError("a dependent vector failed its integer check")
+        self.rows.append(row)
+        self.mults.append(mult)
+        return coeffs
+
+    def coords(self, target) -> list[Fraction] | None:
+        """c with sum_j c_j * v_j = target over the inserted vectors, zero
+        off the pivot vectors, or None when the target is outside their span."""
+        row, mult, res = self._reduce(target, self.size)
+        return self._read(row, mult, res, self.size)
 
 
 def solve(vectors, target) -> list[Fraction] | None:
     """One exact c with sum c_i * vectors_i = target, free unknowns zero, or
     None when there is none."""
-    n = len(vectors)
-    coeffs = [Fraction(0)] * n
-    for row in _column_key([*vectors, target]):
-        lead = _lead(row)
-        if lead == n:
-            return None
-        coeffs[lead] = Fraction(row[n], row[lead])
-    for j, t in enumerate(target):
-        if sum(c * v[j] for c, v in zip(coeffs, vectors) if c) != t:
-            return None
-    return coeffs
+    co = Coordinates(len(target), len(vectors))
+    for v in vectors:
+        co.insert(v)
+    return co.coords(target)
 
 
 def dependency_kernel(vectors) -> tuple[tuple[Fraction, ...], ...]:
-    """Canonical basis of {c : sum_i c_i v_i = 0}, one vector per free column;
-    equality of kernels is equality of quantifier-free linear structure."""
+    """Canonical basis of {c : sum_i c_i v_i = 0}, one vector e_i - c per
+    vector v_i = sum_j c_j v_j in the span of the earlier ones (c zero off
+    the pivot vectors); equality of kernels is equality of quantifier-free
+    linear structure."""
     n = len(vectors)
-    key = _column_key(vectors)
-    leads = [_lead(row) for row in key]
+    if not n:
+        return ()
+    co = Coordinates(len(vectors[0]), n)
     basis = []
-    for free in (c for c in range(n) if c not in leads):
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for lead, row in zip(leads, key):
-            vec[lead] = Fraction(-row[free], row[lead])
-        basis.append(tuple(vec))
+    for i, v in enumerate(vectors):
+        coeffs = co.insert(v)
+        if coeffs is not None:
+            vec = [-c for c in coeffs] + [_ZERO] * (n - i)
+            vec[i] = Fraction(1)
+            basis.append(tuple(vec))
     return tuple(basis)
 
 

@@ -28,10 +28,6 @@ class Check:
         return obj
 
 
-def all_pass(checks) -> bool:
-    return all(c.passed for c in checks)
-
-
 def checks_json(checks) -> list:
     return [c.to_json() for c in checks]
 

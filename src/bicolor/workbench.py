@@ -12,7 +12,9 @@ Every embedding search (the strong embeddings of A, the extensions to B, the
 semi-generic audit's witnesses) consumes one generator, `_extensions`, which
 enumerates extensions in lex order and tests each new point against its
 already embedded prefix exactly, without rebuilding a substructure or a
-dependency kernel per candidate.
+dependency kernel per candidate.  One audit, and the builder between two
+amalgams, ask `is_closed` once per image set: the answers for the structure
+searched are kept in a dict that the search's caller makes and drops.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     SchemaError,
 )
 from .exactnum import Alpha, dirichlet_window, rational_pair
-from .pregeom import FREE, LINEAR, Backend, GroundElement, solve
+from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement
 from .report import canonical_dumps
 
 CATALOG_VERSION = "catalog-v1"
@@ -356,12 +358,12 @@ def _extensions(small: ColoredStructure, big: ColoredStructure, base_pairs, S: C
     Q.c does not depend on the choice of c: two choices differ by an element
     of ker[P] = ker[Q].
 
-    The source prefix at each depth is the same whatever the images, so each
-    next source point x is solved over P once per call.  Where x = P.c, z =
-    Q.c is formed once per search step and a candidate must equal it;
-    otherwise a candidate's residual against a reducer of the image prefix
-    must be nonzero, and the reducer is cloned only when a point is
-    accepted.  Colors must match point by point.
+    The source prefix at each depth is the same whatever the images, so one
+    `Coordinates` pass over the source points gives each next x over P.
+    Where x = P.c, z = Q.c is formed once per search step and a candidate
+    must equal it; otherwise a candidate's residual against a reducer of the
+    image prefix must be nonzero, and the reducer is cloned only when a point
+    is accepted.  Colors must match point by point.
     """
     if not is_lp_embedding(EmbeddingMap(base_pairs), small, S):
         return
@@ -370,7 +372,8 @@ def _extensions(small: ColoredStructure, big: ColoredStructure, base_pairs, S: C
     red = None
     if S.backend.kind == LINEAR:
         src = [big.element(a).vec for a in [a for a, _ in base_pairs] + fresh]
-        coeffs = [solve(src[:i], src[i]) for i in range(len(base_pairs), len(src))]
+        co = Coordinates(big.backend.ambient_dim, len(src))
+        coeffs = [co.insert(v) for v in src][len(base_pairs):]
         red = S.reducer_for(b for _, b in base_pairs)
     img = [S.element(b).vec for _, b in base_pairs]
     used = {b for _, b in base_pairs}
@@ -407,22 +410,32 @@ def _extensions(small: ColoredStructure, big: ColoredStructure, base_pairs, S: C
             return
 
 
-def _strong_embeddings(small: ColoredStructure, S: ColoredStructure, cap: int):
-    """Strong embeddings of `small` into S, by sorted image-id tuples."""
+def _closed(image: frozenset, S: ColoredStructure, closed: dict) -> bool:
+    """is_closed(image, S), asked once per set: `closed` holds the answers
+    for S made so far, keyed by the set."""
+    answer = closed.get(image)
+    if answer is None:
+        answer = closed[image] = is_closed(image, S)
+    return answer
+
+
+def _strong_embeddings(small: ColoredStructure, S: ColoredStructure, cap: int, closed: dict):
+    """Strong embeddings of `small` into S, by sorted image-id tuples;
+    `closed` holds S's closedness answers (see `_closed`)."""
     found = []
     for f in _extensions(small.restrict(()), small, (), S):
-        if is_closed(f.image, S):
+        if _closed(f.image, S, closed):
             found.append(f)
             if len(found) >= cap:
                 break
     return found
 
 
-def _extend_embedding(task: ExtensionTask, f: EmbeddingMap, S: ColoredStructure, strong=True):
-    """Least (lex over assignment tuples) extension of f to the big side,
-    strong when `strong`; None when none exists."""
+def _extend_embedding(task: ExtensionTask, f: EmbeddingMap, S: ColoredStructure, closed: dict):
+    """Least (lex over assignment tuples) strong extension of f to the big
+    side, or None; `closed` holds S's closedness answers (see `_closed`)."""
     for g in _extensions(task.small, task.big, f.pairs, S):
-        if not strong or is_closed(g.image, S):
+        if _closed(g.image, S, closed):
             return g
     return None
 
@@ -431,12 +444,18 @@ def audit_richness(S: ColoredStructure, size_budget: int, cap: int = EMBEDDING_C
     """For every catalog task and strong embedding of its small side, search
     for a strong extension of the big side; pass iff every one extends."""
     ensure_k_plus(S)
+    return _audit(S, task_catalog(S.alpha, size_budget), cap, {})
+
+
+def _audit(S: ColoredStructure, catalog, cap: int, closed: dict) -> AuditReport:
+    """audit_richness of the K+ structure S over a built catalog; `closed`
+    holds S's closedness answers (see `_closed`)."""
     audits = []
-    for task in task_catalog(S.alpha, size_budget):
+    for task in catalog:
         outcomes = []
-        embeddings = _strong_embeddings(task.small, S, cap)
+        embeddings = _strong_embeddings(task.small, S, cap, closed)
         for f in embeddings:
-            g = _extend_embedding(task, f, S)
+            g = _extend_embedding(task, f, S, closed)
             outcomes.append(
                 EmbeddingOutcome(
                     image=tuple(b for _, b in f.pairs),
@@ -516,12 +535,14 @@ def build_generic(
     ensure_k_plus(seed)
     S = seed
     rng = random.Random(rng_seed)
-    tasks = {t.task_id: t for t in task_catalog(seed.alpha, size_budget)}
+    catalog = task_catalog(seed.alpha, size_budget)
+    tasks = {t.task_id: t for t in catalog}
+    closed: dict = {}  # closedness answers for the current S
     queue: list[tuple[str, tuple[str, ...]]] = []
     performed = 0
     while performed < steps:
         if not queue:
-            report = audit_richness(S, size_budget)
+            report = _audit(S, catalog, EMBEDDING_CAP, closed)
             queue = [
                 (t.task_id, o.image)
                 for t in report.tasks
@@ -534,7 +555,7 @@ def build_generic(
         task_id, image = queue.pop(0)
         task = tasks[task_id]
         f = EmbeddingMap(tuple(zip(task.small.ids_sorted, image)))
-        if _extend_embedding(task, f, S) is not None:
+        if _extend_embedding(task, f, S, closed) is not None:
             continue  # repaired incidentally by an earlier amalgam
         complement = [i for i in task.big.ids_sorted if i not in task.small.id_set]
         renamed = _rename_structure(
@@ -543,6 +564,7 @@ def build_generic(
         match = EmbeddingMap(tuple(zip(image, task.small.ids_sorted)))
         result = free_amalgam(S, renamed, frozenset(image), task.small.id_set, match)
         S = result.structure
+        closed = {}
         performed += 1
         if S.backend.kind == LINEAR and S.backend.ambient_dim > max_ambient:
             raise BudgetExceeded(

@@ -160,23 +160,59 @@ def alpha_sign(a):
     return sign
 
 
+def _int_rows(S: ColoredStructure) -> list[list[int]]:
+    """Each payload (sorted by id) with its denominators cleared."""
+    rows = []
+    for i in S.ids_sorted:
+        vec = S.element(i).vec
+        mult = math.lcm(*(x.denominator for x in vec))
+        rows.append([int(x * mult) for x in vec])
+    return rows
+
+
+def _with_row(basis: tuple, r: list[int]) -> tuple:
+    """Echelon rows `basis`, pairs (pivot, row), plus r reduced against them
+    (fraction-free) when it is independent of them."""
+    for p, b in basis:
+        if r[p]:
+            r = [b[p] * x - r[p] * y for x, y in zip(r, b)]
+    p = next((j for j, x in enumerate(r) if x), None)
+    return basis if p is None else basis + ((p, r),)
+
+
 class SubsetTable:
-    """Per-subset (dim, colored-count) table plus exact sign comparisons."""
+    """Per-subset (dim, colored-count) table plus exact sign comparisons.
+
+    Mask m's echelon rows are those of m without its top bit plus, when it
+    is independent of them, that point's reduced row, so each mask costs one
+    row reduction; `fraction_ranks` recomputes the dims with Fraction ranks.
+    """
 
     def __init__(self, S: ColoredStructure):
         self.S = S
         self.ids = list(S.ids_sorted)
         self.n = len(self.ids)
-        vecs = [S.element(i).vec for i in self.ids]
-        self.dim = [0] * (1 << self.n)
-        self.col = [0] * (1 << self.n)
-        for mask in range(1 << self.n):
-            chosen = [vecs[i] for i in range(self.n) if mask >> i & 1]
-            self.dim[mask] = _rank_of(chosen)
-            self.col[mask] = sum(
-                1 for i in range(self.n) if mask >> i & 1 and self.ids[i] in S.colored
-            )
+        rows = _int_rows(S)
+        colored = [i in S.colored for i in self.ids]
+        bases = [()]
+        self.dim = [0]
+        self.col = [0]
+        for mask in range(1, 1 << self.n):
+            top = mask.bit_length() - 1
+            prev = mask ^ (1 << top)
+            bases.append(_with_row(bases[prev], rows[top]))
+            self.dim.append(len(bases[mask]))
+            self.col.append(self.col[prev] + colored[top])
         self._sign = alpha_sign(S.alpha)
+        self._closed = None
+
+    def fraction_ranks(self) -> list[int]:
+        """dim of every mask by Fraction Gauss-Jordan rank, mask by mask."""
+        vecs = [self.S.element(i).vec for i in self.ids]
+        return [
+            _rank_of([vecs[i] for i in range(self.n) if mask >> i & 1])
+            for mask in range(1 << self.n)
+        ]
 
     def mask_of(self, ids) -> int:
         m = 0
@@ -198,7 +234,13 @@ class SubsetTable:
         return (self.dim[full] - self.dim[over], self.col[full] - self.col[over])
 
     def closed_masks(self):
-        """Bit list: closed[mask] iff every superset extension stays nonnegative."""
+        """Bit list: closed[mask] iff every superset extension stays
+        nonnegative; computed once per table."""
+        if self._closed is None:
+            self._closed = self._closed_masks()
+        return self._closed
+
+    def _closed_masks(self):
         n = self.n
         closed = [True] * (1 << n)
         for mask in range(1 << n):
@@ -220,40 +262,28 @@ def brute_in_k_plus(S: ColoredStructure) -> bool:
 
 
 def incremental_in_k_plus(S: ColoredStructure) -> bool:
-    """brute_in_k_plus with one row reduction per subset instead of a rank.
-
-    Mask m's echelon rows are those of m without its top bit plus, when it
-    is independent of them, that point's reduced row (fraction-free on
-    denominator-cleared integer rows), so subsets of ~14 points take seconds.
-    """
-    ids = list(S.ids_sorted)
-    rows = []
-    for i in ids:
-        vec = S.element(i).vec
-        mult = math.lcm(*(x.denominator for x in vec))
-        rows.append([int(x * mult) for x in vec])
+    """brute_in_k_plus with one row reduction per subset instead of a rank,
+    stopping at the first negative subset, so subsets of ~14 points take
+    seconds (see SubsetTable)."""
+    rows = _int_rows(S)
     sign = alpha_sign(S.alpha)
-    colored = [i in S.colored for i in ids]
+    colored = [i in S.colored for i in S.ids_sorted]
     basis = [()]
     col = [0]
-    for mask in range(1, 1 << len(ids)):
+    for mask in range(1, 1 << len(rows)):
         top = mask.bit_length() - 1
         prev = mask ^ (1 << top)
-        r = rows[top]
-        for p, b in basis[prev]:
-            if r[p]:
-                r = [b[p] * x - r[p] * y for x, y in zip(r, b)]
         col.append(col[prev] + colored[top])
-        p = next((j for j, x in enumerate(r) if x), None)
-        basis.append(basis[prev] if p is None else basis[prev] + ((p, r),))
+        basis.append(_with_row(basis[prev], rows[top]))
         if sign(len(basis[mask]), col[mask]) < 0:
             return False
     return True
 
 
-def brute_closure(S: ColoredStructure, a_ids) -> frozenset:
-    """Intersection of all closed supersets (least closed superset)."""
-    t = SubsetTable(S)
+def brute_closure(S: ColoredStructure, a_ids, table: SubsetTable | None = None) -> frozenset:
+    """Intersection of all closed supersets (least closed superset); pass
+    S's table to reuse it across calls."""
+    t = table or SubsetTable(S)
     closed = t.closed_masks()
     amask = t.mask_of(a_ids)
     out = (1 << t.n) - 1

@@ -82,7 +82,7 @@ def test_criterion_02_oracle_equivalence():
             ids = list(S.ids_sorted)
             for _ in range(2):
                 a = rng.sample(ids, rng.randint(0, len(ids)))
-                if closure(a, S) != brute_closure(S, a):
+                if closure(a, S) != brute_closure(S, a, table):
                     mismatches += 1
     _report("criterion 2: closure / K+ oracle equivalence", mismatches == 0, time.time() - t0, 60)
 

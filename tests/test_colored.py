@@ -435,6 +435,17 @@ class TestAmbientWidening:
         assert not is_weak_iso(EmbeddingMap.of({"y": "u"}), S, T)
 
 
+def test_subset_table_matches_fraction_ranks():
+    """The oracle table's incremental fraction-free dims equal Fraction
+    Gauss-Jordan ranks, on structures drawn as criterion 2 draws them."""
+    rng = random.Random(102)
+    for i in range(120):
+        S = random_structure(rng, ALL_ALPHAS[i % 4], max_n=8, max_dim=5, color_p=0.4)
+        t = SubsetTable(S)
+        assert t.dim == t.fraction_ranks()
+        assert t.col == [len(t.ids_of(m) & S.colored) for m in range(1 << t.n)]
+
+
 def test_k_plus_oracle_up_to_ten(rng):
     # larger-scale oracle equivalence: structures with up to 10 elements
     for i in range(12):
@@ -485,6 +496,62 @@ def test_component_min_pinned(case, expected):
         v, w = colored._component_min(S, S.reducer_for(x), comp, S.alpha, counter)
         got.append((len(comp), v.dim_part, v.color_part, ",".join(sorted(w)), counter.left))
     assert got == expected
+
+
+def _circuit_case(seed, n, dim, nx, alpha):
+    """n sparse points with fractional entries drawn from Random(seed), some
+    of them scaled repeats or combinations of earlier points; about 70 % are
+    colored, and X is nx of them drawn at random."""
+    rng = random.Random(seed)
+    vecs = []
+    for _ in range(n):
+        pick = rng.random()
+        if vecs and pick < 0.2:
+            vec = tuple(x * rng.choice([1, -1, F(1, 2), 3]) for x in rng.choice(vecs))
+        elif len(vecs) > 1 and pick < 0.4:
+            a, b = rng.sample(vecs, 2)
+            c = F(rng.randint(-2, 2), rng.randint(1, 3)) or F(1)
+            vec = tuple(x + c * y for x, y in zip(a, b))
+        else:
+            vec = ()
+        while not any(vec):
+            vec = tuple(
+                F(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.4 else F(0)
+                for _ in range(dim)
+            )
+        vecs.append(vec)
+    elements = tuple(GroundElement(f"e{i}", v) for i, v in enumerate(vecs))
+    colored_ids = frozenset(f"e{i}" for i in range(n) if rng.random() < 0.7)
+    S = ColoredStructure(Backend(LINEAR, dim), elements, colored_ids, alpha)
+    return S, [f"e{i}" for i in rng.sample(range(n), nx)]
+
+
+# (seed, n, dim, nx, alpha) -> (zero-residual drops, components joined by ",").
+CIRCUIT_PINS = [
+    ((1, 8, 5, 0, ALPHA_HALF), ([], ["e0", "e1", "e3"])),
+    ((1, 9, 5, 2, ALPHA_TWO_THIRDS), (["e7"], ["e0,e1,e3,e8", "e2"])),
+    ((1, 10, 6, 1, ALPHA_INV_SQRT2), ([], ["e0,e5,e6,e7,e9", "e1", "e2,e4"])),
+    ((2, 9, 5, 2, ALPHA_HALF), (["e0", "e2", "e5"], ["e6"])),
+    ((2, 10, 6, 1, ALPHA_TWO_THIRDS), (["e9"], ["e1,e2", "e5,e8"])),
+    ((3, 8, 5, 0, ALPHA_INV_SQRT2), ([], ["e1,e2,e3,e4,e5,e6,e7"])),
+    ((4, 10, 6, 1, ALPHA_ONE), ([], ["e0,e1,e7", "e2,e5", "e6", "e9"])),
+    ((8, 8, 5, 0, ALPHA_TWO_THIRDS), ([], ["e0,e2,e3,e4", "e1", "e6,e7"])),
+    ((11, 10, 6, 1, ALPHA_HALF), (["e5"], ["e3", "e6", "e8", "e9"])),
+    ((12, 8, 5, 0, ALPHA_TWO_THIRDS), ([], ["e0,e2,e3,e6", "e1,e7", "e4", "e5"])),
+    ((15, 9, 5, 2, ALPHA_ONE), (["e4", "e5"], ["e1", "e6,e8"])),
+    ((19, 8, 5, 0, ALPHA_INV_SQRT2), ([], ["e0,e2", "e1,e6", "e3", "e4", "e7"])),
+    ((19, 9, 5, 2, ALPHA_ONE), (["e5"], ["e0,e2", "e3", "e4", "e7,e8"])),
+    ((22, 10, 6, 1, ALPHA_TWO_THIRDS), (["e2"], ["e0,e3,e4,e5,e6,e8,e9"])),
+]
+
+
+@pytest.mark.parametrize("case,expected", CIRCUIT_PINS)
+def test_colored_components_pinned(case, expected):
+    """Drops and components over X stay fixed on structures with fractional
+    payloads, repeated and dependent points, and X empty or not."""
+    S, x = _circuit_case(*case)
+    drops, comps = colored.colored_components(S, x)
+    assert (drops, [",".join(c) for c in comps]) == expected
 
 
 def test_exhausted_budget_is_named():

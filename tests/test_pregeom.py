@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bicolor.errors import DimensionMismatch, InputError
 from bicolor.pregeom import (
     Backend,
+    Coordinates,
     FREE,
     GroundElement,
     LINEAR,
@@ -226,6 +227,74 @@ def test_solve_edge_cases():
 def test_dependency_kernel_matches_fraction_gauss_jordan(system):
     vectors, _ = system
     assert dependency_kernel(vectors) == oracle_kernel(vectors)
+
+
+@st.composite
+def vector_lists(draw):
+    """(d, vectors, targets): up to 6 vectors of length d with non-integer
+    entries, zero vectors, repeats and negated or halved repeats of earlier
+    ones, and combinations of two earlier ones; targets are combinations of
+    the vectors (consistent) or free draws (usually not)."""
+    d = draw(st.integers(0, 4))
+    vec = st.lists(SMALL_FRACTIONS, min_size=d, max_size=d).map(tuple)
+    vectors = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combine"]))
+        if kind == "zero":
+            vectors.append((F(0),) * d)
+        elif kind == "repeat" and vectors:
+            scale = draw(st.sampled_from([F(1), F(-1), F(1, 2)]))
+            vectors.append(tuple(scale * x for x in draw(st.sampled_from(vectors))))
+        elif kind == "combine" and len(vectors) > 1:
+            a, b = draw(st.lists(st.sampled_from(vectors), min_size=2, max_size=2))
+            c = draw(SMALL_FRACTIONS)
+            vectors.append(tuple(x + c * y for x, y in zip(a, b)))
+        else:
+            vectors.append(draw(vec))
+    targets = draw(st.lists(vec, max_size=2))
+    for _ in range(2):
+        coeffs = draw(st.lists(SMALL_FRACTIONS, min_size=len(vectors), max_size=len(vectors)))
+        targets.append(
+            tuple(sum((c * v[r] for c, v in zip(coeffs, vectors)), F(0)) for r in range(d))
+        )
+    return d, vectors, targets
+
+
+@given(vector_lists())
+@settings(max_examples=300)
+def test_coordinates_match_fraction_gauss_jordan(case):
+    """insert answers each vector over its prefix and coords each target over
+    all the vectors, as the Fraction Gauss-Jordan solve does."""
+    d, vectors, targets = case
+    co = Coordinates(d, len(vectors))
+    for i, v in enumerate(vectors):
+        assert co.insert(v) == oracle_solve(vectors[:i], v)
+    for t in targets:
+        assert co.coords(t) == oracle_solve(vectors, t)
+    for t in targets[-2:]:  # combinations of the vectors
+        assert co.coords(t) is not None
+
+
+@given(vector_lists())
+@settings(max_examples=200)
+def test_dependency_kernel_of_vector_lists(case):
+    _, vectors, _ = case
+    assert dependency_kernel(vectors) == oracle_kernel(vectors)
+
+
+def test_coordinates_edge_cases():
+    co = Coordinates(2, 0)
+    assert co.coords((F(0), F(0))) == []
+    assert co.coords((F(1), F(0))) is None
+    with pytest.raises(DimensionMismatch):
+        co.insert((F(1), F(0)))
+    co = Coordinates(2, 3)
+    with pytest.raises(DimensionMismatch):
+        co.coords((F(1),))
+    assert co.insert((F(1, 2), F(0))) is None
+    assert co.insert((F(-3), F(0))) == [F(-6)]
+    assert co.insert((F(0), F(2, 3))) is None
+    assert co.coords((F(1), F(1))) == [F(2), F(0), F(3, 2)]
 
 
 INT_ROWS = st.integers(0, 4).flatmap(

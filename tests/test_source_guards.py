@@ -3,10 +3,11 @@
 Only `colored` writes the K+ cache fields of a ColoredStructure (others go
 through `certify_k_plus`), `construct` seeds random subset draws in one
 place, `_verify_subsets`, and `pregeom` holds the only elimination code.  No
-module imports another module's private (underscore-prefixed) names.  No
-nested function calls itself: such a closure holds a cell that refers back
-to it, a reference cycle that keeps the searched structure alive until the
-cyclic collector runs, so the searches leave no garbage for it.
+module imports another module's private (underscore-prefixed) names, and
+deleted names stay deleted.  No nested function calls itself: such a closure
+holds a cell that refers back to it, a reference cycle that keeps the
+searched structure alive until the cyclic collector runs, so the searches
+leave no garbage for it.
 """
 
 import ast
@@ -22,10 +23,18 @@ from bicolor.colored import ColoredStructure, _BudgetCounter, _component_min, em
 from bicolor.construct import _block_profile
 from bicolor.exactnum import Alpha
 from bicolor.pregeom import Backend, GroundElement, LINEAR
-from bicolor.workbench import _extend_embedding, _strong_embeddings, build_generic, task_catalog
+from bicolor.workbench import (
+    _extend_embedding,
+    _strong_embeddings,
+    audit_richness,
+    build_generic,
+    task_catalog,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bicolor"
 K_PLUS_FIELDS = {"_k_plus", "_k_plus_witness"}
+# Code removed for having no caller, or as a knob no caller set.
+DELETED_NAMES = {"all_pass", "_column_key", "_extend_embedding.strong"}
 ELIMINATION_NAMES = re.compile(r"rref|solve|kernel|bareiss|gauss|elimin|echelon|rank_int", re.I)
 
 
@@ -72,6 +81,20 @@ def elimination_routines(source: str) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and ELIMINATION_NAMES.search(node.name)
     ]
+
+
+def defined_names(source: str) -> set[str]:
+    """Names of functions and classes, at any depth, and `function.parameter`
+    for each parameter of each function."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                names.add(f"{node.name}.{arg.arg}")
+    return names
 
 
 def self_calling_closures(source: str) -> list[str]:
@@ -130,6 +153,11 @@ def test_no_private_name_imported_across_modules(path):
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_deleted_names_stay_deleted(path):
+    assert defined_names((SRC / path).read_text()) & DELETED_NAMES == set()
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_nested_function_calls_itself(path):
     assert self_calling_closures((SRC / path).read_text()) == []
 
@@ -158,14 +186,15 @@ def test_searches_leave_no_reference_cycles():
     ids = list(S.ids_sorted)
     task = task_catalog(alpha, 2)[-1]
     T = build_generic(empty_structure(alpha, 0), 6, 2, 3)
-    f = _strong_embeddings(task.small, T, 1)[0]
+    f = _strong_embeddings(task.small, T, 1, {})[0]
     calls = {
         "is_minimal_pair": lambda: is_minimal_pair(["p0"], ["p0", "p1", "p2"], S),
         "_component_min": lambda: _component_min(
             S, S.reducer_for(["p0"]), ids[1:5], alpha, _BudgetCounter(10_000)
         ),
         "_block_profile": lambda: _block_profile(S, 3, ids, 3, 0),
-        "_extend_embedding": lambda: _extend_embedding(task, f, T),
+        "_extend_embedding": lambda: _extend_embedding(task, f, T, {}),
+        "audit_richness": lambda: audit_richness(T, 2),
     }
     assert {name: _garbage_after(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
 
@@ -182,6 +211,9 @@ def test_guards_catch_violations():
         assert elimination_routines(f"def {name}(rows):\n    pass\n") == [name]
     assert elimination_routines("class K:\n    def kernel(self):\n        pass\n") == ["kernel"]
     assert elimination_routines("from .pregeom import solve\ndef delta(S):\n    pass\n") == []
+    assert defined_names("class C:\n    def f(self, x, *, strong=True):\n        pass\n") == {
+        "C", "f", "f.self", "f.x", "f.strong"
+    }
     src = "def f():\n    def visit(i):\n        return visit(i - 1)\n    return visit(3)\n"
     assert self_calling_closures(src) == ["f.visit"]
     assert self_calling_closures("def visit(i):\n    return visit(i - 1)\n") == []

@@ -120,18 +120,54 @@ class TestExtensionSearchCost:
 
         searched = 0
         for task in task_catalog(ALPHA_TWO_THIRDS, 3):
-            for f in workbench._strong_embeddings(task.small, S, 3):
-                expected = workbench._extend_embedding(task, f, S)
+            for f in workbench._strong_embeddings(task.small, S, 3, {}):
+                expected = workbench._extend_embedding(task, f, S, {})
                 with monkeypatch.context() as m:
                     m.setattr(ColoredStructure, "restrict", counted_restrict)
                     m.setattr(workbench, "is_lp_embedding", counted_is_lp)
                     calls.update(restrict=0, embedding=0)
-                    got = workbench._extend_embedding(task, f, S)
+                    got = workbench._extend_embedding(task, f, S, {})
                 assert got == expected
                 assert calls["restrict"] == 0, task.task_id
                 assert calls["embedding"] <= 1, task.task_id
                 searched += 1
         assert searched >= 6
+
+
+class TestClosednessAskedOnce:
+    """One audit or build asks is_closed once per (structure, set): the
+    searches share one answer per set for the structure they search."""
+
+    @staticmethod
+    def _asked(monkeypatch):
+        asked = []  # holds each structure, so ids stay distinct
+        real = workbench.is_closed
+
+        def counted(x_ids, S, *args):
+            asked.append((S, frozenset(x_ids)))
+            return real(x_ids, S, *args)
+
+        monkeypatch.setattr(workbench, "is_closed", counted)
+        return asked
+
+    @staticmethod
+    def _repeats(asked):
+        keys = [(id(S), x) for S, x in asked]
+        return len(keys) - len(set(keys))
+
+    def test_audit_richness(self, monkeypatch):
+        S = build_generic(empty_structure(ALPHA_TWO_THIRDS, 0), 20, 3, 13)
+        asked = self._asked(monkeypatch)
+        audit_richness(S, 3)
+        assert sum(T is S for T, _ in asked) > 10
+        assert self._repeats(asked) == 0
+
+    @pytest.mark.parametrize("alpha", [ALPHA_TWO_THIRDS, ALPHA_INV_SQRT2], ids=["2/3", "1/sqrt2"])
+    def test_build_generic(self, monkeypatch, alpha):
+        asked = self._asked(monkeypatch)
+        build_generic(empty_structure(alpha, 0), 20, 3, 13)
+        assert len({id(S) for S, _ in asked}) > 5
+        assert self._repeats(asked) == 0
 
 
 class TestRoundTrip:
