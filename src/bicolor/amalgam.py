@@ -28,7 +28,7 @@ from .errors import (
     MatchInvalid,
     NotClosed,
 )
-from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, dim_independent as _dim_indep, rank
+from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement
 from .report import Check
 
 
@@ -52,8 +52,8 @@ def verify_free(M: ColoredStructure, part1, part2, base) -> bool:
     b = M.check_ids(base)
     if (p1 & p2) != b:
         return False
-    elems = lambda ids: [M.element(i) for i in sorted(ids)]
-    return _dim_indep(elems(p1), elems(p2), elems(b), M.backend)
+    rk = lambda ids: len(ids) if M.backend.kind == FREE else M.reducer_for(ids).rank
+    return rk(p1) - rk(b) == rk(p1 | p2) - rk(p2)
 
 
 def _greedy_basis(S: ColoredStructure, ids, start=None):
@@ -200,7 +200,7 @@ def free_amalgam(
         Check("parts_free_over_base", verify_free(M, part1, part2, base)),
     ]
     if M.backend.kind == LINEAR:
-        rk = lambda T, ids: rank([T.element(i) for i in ids], T.backend)
+        rk = lambda T, ids: T.reducer_for(ids).rank
         identity = rk(M, M.id_set) == rk(M1, M1.id_set) + rk(M2, M2.id_set) - rk(M1, b1)
         checks.append(Check("rank_identity", identity))
     bad = [c.name for c in checks if not c.passed]

@@ -27,7 +27,7 @@ from .colored import (
 )
 from .errors import InputError, InvariantError, NotInKPlus
 from .exactnum import PreDimValue, compare
-from .pregeom import dim_independent as _dim_indep_elements, eliminate
+from .pregeom import dim_independent as _dim_indep_elements, walk
 
 
 def _require_subset(small, big, what: str):
@@ -68,18 +68,32 @@ def closure(a_ids, S: ColoredStructure) -> frozenset:
 
 
 def is_intrinsic(a_ids, b_ids, S: ColoredStructure) -> bool:
-    """True iff delta(B) < delta(A') for every A <= A' strictly inside B."""
+    """True iff delta(B) < delta(A') for every A <= A' strictly inside B: with
+    C = A' minus A, delta(B/A) < 0 (C empty) and delta(B/A) < delta(C/A)."""
     a = S.check_ids(a_ids)
     b = S.check_ids(b_ids)
     _require_subset(a, b, "is_intrinsic")
     extra = sorted(b - a)
     if not extra:
         return True
-    db = delta(S, b)
-    for size in range(len(extra)):
-        for combo in itertools.combinations(extra, size):
-            if compare(db, delta(S, a | set(combo)), S.alpha) >= 0:
-                return False
+    rel = delta(S, b, a)
+    return rel.sign(S.alpha) < 0 and _proper_subsets_hold(
+        S, a, extra, lambda d: compare(rel, d, S.alpha) < 0
+    )
+
+
+def _proper_subsets_hold(S: ColoredStructure, a, extra, holds) -> bool:
+    """True iff holds(delta(C/A)) for each nonempty proper subset C of
+    `extra`, off one `walk` over its rows reduced against span(A) that stops
+    at a failure.  Callers first ask delta(extra/A) < 0, never so in the free
+    backend."""
+    n = len(extra)
+    red = S.reducer_for(a)
+    take = lambda st, i, row: (st[0] + any(row), st[1] + S.is_colored(extra[i]), st[2] + 1)
+    rows = [red.residual(S.introw(e)) for e in extra]
+    for _, (dimc, ncol, size), new in walk(rows, (0, 0, 0), take):
+        if new and 0 < size < n and not holds(PreDimValue(dimc, ncol)):
+            return False
     return True
 
 
@@ -113,29 +127,9 @@ def is_minimal_pair(a_ids, b_ids, S: ColoredStructure) -> bool:
     extra = sorted(b - a)
     if not extra:
         return False
-    if delta(S, b, a).sign(S.alpha) >= 0:
-        return False
-    # Exhaustive sweep of proper subsets of B minus A, depth first, include
-    # branch first, carrying pending rows; early exit on any negative
-    # intermediate.  The free backend never gets here: its delta is >= 0.
-    alpha = S.alpha
-    n = len(extra)
-    red = S.reducer_for(a)
-    stack = [(0, [red.residual(S.introw(e)) for e in extra], None, 0, 0, 0)]
-    while stack:
-        i, pending, grown, dimc, ncol, taken = stack.pop()
-        if taken and taken < n:
-            if PreDimValue(dimc, ncol).sign(alpha) < 0:
-                return False
-        if i == n:
-            continue
-        if grown is not None:
-            pending = eliminate(pending, grown)
-        grew = any(pending[i])
-        stack.append((i + 1, pending, None, dimc, ncol, taken))
-        col = S.is_colored(extra[i])
-        stack.append((i + 1, pending, i if grew else None, dimc + grew, ncol + col, taken + 1))
-    return True
+    return delta(S, b, a).sign(S.alpha) < 0 and _proper_subsets_hold(
+        S, a, extra, lambda d: d.sign(S.alpha) >= 0
+    )
 
 
 def closure_n(a_ids, S: ColoredStructure, n: int):

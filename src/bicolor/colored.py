@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exactnum import Alpha, PreDimValue, ZERO, compare
 from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer, int_row
-from .pregeom import dependency_kernel, eliminate, solve
+from .pregeom import dependency_kernel, solve, walk
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -288,36 +288,24 @@ def _component_min(S, base_red, comp, alpha, counter):
     pending = [base_red.residual(S.introw(eid)) for eid in comp]
     # Static suffix redundancy table: elements of the suffix counted minus
     # their rank over X and the *positional* prefix, (n - i) - (R_n - R_i) for
-    # R_i = rank(comp[:i] / X); a valid upper bound on future collapses.
-    ranks, prefix = [0], pending
-    for i in range(n):
-        grew = any(prefix[i])
-        prefix = eliminate(prefix, i) if grew else prefix
-        ranks.append(ranks[-1] + grew)
+    # R_i = rank(comp[:i] / X); a valid upper bound on future collapses.  The
+    # walk's first n + 1 nodes are those prefixes, each taking every row.
+    spine = walk(pending, 0, lambda dim, i, row: dim + any(row))
+    ranks = [dim for _, dim, _ in itertools.islice(spine, n + 1)]
     red_static = [(n - i) - (ranks[n] - ranks[i]) for i in range(n + 1)]
 
     best = ZERO
     best_set: tuple[str, ...] = ()
-    # Depth first, the branch taking comp[i] before the one skipping it.  A
-    # frame whose last taken row grew the span eliminates it when expanded.
-    stack = [(0, pending, None, 0, ())]
-    while stack:
-        i, pending, grown, dimc, chosen = stack.pop()
+    take = lambda st, i, row: (st[0] + any(row), st[1] + (comp[i],))
+    prune = lambda i, st: compare(
+        PreDimValue(st[0], len(st[1]) + red_static[i]), best, alpha
+    ) >= 0
+    for _, (dimc, chosen), new in walk(pending, (0, ()), take, prune):
         counter.spend()
         cur = PreDimValue(dimc, len(chosen))
-        if compare(cur, best, alpha) < 0:
+        if new and compare(cur, best, alpha) < 0:
             best = cur
             best_set = chosen
-        if i == n:
-            continue
-        bound = PreDimValue(cur.dim_part, cur.color_part + red_static[i])
-        if compare(bound, best, alpha) >= 0:
-            continue
-        if grown is not None:
-            pending = eliminate(pending, grown)
-        grew = any(pending[i])
-        stack.append((i + 1, pending, None, dimc, chosen))
-        stack.append((i + 1, pending, i if grew else None, dimc + grew, chosen + (comp[i],)))
     return best, frozenset(best_set)
 
 

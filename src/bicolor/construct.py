@@ -14,11 +14,12 @@ K+ (`_tower_k_plus_check`) is proved level by level from its genericity
 checks and one exact search per level.  "structural": minimal pairs past 17
 new points, from new points colored and s-subsets bases, plus draws.
 "sampled": seeded draws only.  Subset conditions go through one verifier,
-`_verify_subsets`, which tries every subset up to a per-check count (2^12 - 2
-for the interior condition, 20 000 for genericity, 200 000 for small
-extensions) and past it makes the draws.  A chain the certificate does not
-accept gets the budgeted K+ search, and K+ and anchor searches that run out
-of their budget fall back to the same draws.
+`_verify_subsets`, which reduces each pool once against span(base), walks
+every subset up to a per-check count (2^12 - 2 for the interior condition,
+20 000 for genericity, 200 000 for small extensions) with `pregeom.walk` and
+past it makes the draws.  A chain the certificate does not accept gets the
+budgeted K+ search, and K+ and anchor searches that run out of their budget
+fall back to the same draws.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from .exactnum import (
     epsilon_bound,
     rational_pair,
 )
-from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, canonical_rows, eliminate
-from .pregeom import span_key
+from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, canonical_rows
+from .pregeom import span_key, walk
 from .report import Check
 
 EXHAUSTIVE_PATCH_LIMIT = 12
@@ -186,46 +187,57 @@ def _first_draws(draws):
             yield combo
 
 
-def _verify_subsets(name, pool, sizes, violates, limit) -> Check:
-    """Check that no non-empty subset of `pool` with size in `sizes` violates.
+def _verify_subsets(name, S, base, pool, sizes, violates, limit) -> Check:
+    """Check that no non-empty subset C of `pool` (disjoint from `base`) with
+    size in `sizes` has a delta(C/base) that `violates`.
 
-    When at most `limit` subsets have those sizes, all of them are tried,
-    smallest first and in lex order within a size, so a failure names the
-    first violator; otherwise SAMPLE_COUNT seeded draws of a size in `sizes`
-    and a subset of that size are made, each distinct subset is tried at its
-    first draw (a repeat of a passed draw cannot fail), and the check says
-    "sampled".
+    The pool is reduced once against span(base); the residuals vanish on its
+    pivot columns, where only zero in span(base) does, so the rank of C's
+    residuals is dim(C/base).  When at most `limit` subsets have those sizes,
+    `pregeom.walk` meets them in lex order and, once it meets a violator,
+    grows no subset to its size: the last violator met is the least by size,
+    then lex.  Otherwise SAMPLE_COUNT seeded draws of a size in `sizes` and
+    a subset of that size are made, each distinct subset is ranked at its
+    first draw (a repeat of a passed draw cannot fail): "sampled".
     """
-    pool = sorted(pool)
-    if sum(math.comb(len(pool), j) for j in sizes) <= limit:
-        method = "exhaustive"
-        subsets = (c for j in sizes for c in itertools.combinations(pool, j))
+    pool, n = sorted(pool), len(pool)
+    red = S.reducer_for(base)
+    rows = [red.residual(S.introw(i)) for i in pool]
+    colored = [S.is_colored(i) for i in pool]
+    witness = None
+    if sum(math.comb(n, j) for j in sizes) <= limit:
+        method, top = "exhaustive", sizes.stop - 1
+        take = lambda st, i, row: (st[0] + any(row), st[1] + colored[i], st[2] + (pool[i],))
+        prune = lambda i, st: not sizes.start - (n - i) <= len(st[2]) < top
+        for _, (dim, ncol, combo), new in walk(rows, (0, 0, ()), take, prune):
+            if new and combo and len(combo) in sizes and violates(PreDimValue(dim, ncol)):
+                top, witness = len(combo) - 1, combo
     else:
-        method = "sampled"
-        rng = random.Random(SAMPLE_SEED)
-        subsets = _first_draws(
-            rng.sample(pool, rng.randrange(sizes.start, sizes.stop)) for _ in range(SAMPLE_COUNT)
-        )
-    for combo in subsets:
-        if combo and violates(combo):
-            return Check(name, False, witness=sorted(combo), method=method)
-    return Check(name, True, method=method)
+        method, rng = "sampled", random.Random(SAMPLE_SEED)
+        at = {eid: i for i, eid in enumerate(pool)}
+        draws = (rng.sample(pool, rng.randrange(sizes.start, sizes.stop)) for _ in range(SAMPLE_COUNT))
+        for combo in _first_draws(draws):
+            sub = SpanReducer(red.ncols)
+            dim = sum(sub.add(rows[at[i]]) for i in combo)
+            if combo and violates(PreDimValue(dim, sum(colored[at[i]] for i in combo))):
+                witness = combo
+                break
+    return Check(name, witness is None, witness=witness and sorted(witness), method=method)
 
 
 def _patch_interior_check(S2, b_ids, new_ids, alpha) -> Check:
     """delta(D') >= delta(B) for all B within D' strictly inside D, i.e.
     delta(C/B) >= 0 for every proper subset C of the patch."""
     return _verify_subsets(
-        "interior_condition", new_ids, range(1, len(new_ids)),
-        lambda c: delta(S2, c, b_ids).sign(alpha) < 0, 2**EXHAUSTIVE_PATCH_LIMIT - 2,
+        "interior_condition", S2, b_ids, new_ids, range(1, len(new_ids)),
+        lambda d: d.sign(alpha) < 0, 2**EXHAUSTIVE_PATCH_LIMIT - 2,
     )
 
 
 def _genericity_check(S2, new_ids, base_ids, s: int, name="generic_position") -> Check:
     """Every s-element subset of the patch is a base over the anchor."""
     return _verify_subsets(
-        name, new_ids, range(s, s + 1),
-        lambda c: delta(S2, c, base_ids).dim_part != s, 20_000,
+        name, S2, base_ids, new_ids, range(s, s + 1), lambda d: d.dim_part != s, 20_000
     )
 
 
@@ -234,8 +246,8 @@ def _k_plus_check(S2) -> Check:
         return Check("ambient_k_plus", in_k_plus(S2, node_budget=VERIFY_NODE_BUDGET))
     except SearchBudgetExceeded:
         return _verify_subsets(
-            "ambient_k_plus", S2.id_set, range(len(S2) + 1),
-            lambda c: delta(S2, c).sign(S2.alpha) < 0, 0,
+            "ambient_k_plus", S2, (), S2.id_set, range(len(S2) + 1),
+            lambda d: d.sign(S2.alpha) < 0, 0,
         )
 
 
@@ -332,7 +344,7 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
 
     A point's row is its fresh columns [start, start + length) followed by its
     old columns [0, old_width).  Subsets are walked depth-first in sorted-id
-    order carrying the pending rows (`pregeom.eliminate`), so every subset
+    order by `pregeom.walk`, which carries the pending rows, so every subset
     has the echelon rows of a from-scratch elimination in sorted order, and a
     k-point block takes at most 2^k - 1 steps.  Echelon rows with a fresh
     pivot give the fresh rank; the others span the subset's raw residue over
@@ -344,33 +356,25 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
     ids = sorted(ids)
     if len(ids) > 14:
         raise SearchBudgetExceeded("free-union block too large")
-    rows = []
-    for eid in ids:
-        row = S2.introw(eid)
-        for j, x in enumerate(row):
-            if x and not (j < old_width or start <= j < start + length):
-                raise SearchBudgetExceeded("block escapes its fresh coordinates")
-        rows.append(row[start:start + length] + row[:old_width])
-    profile: dict[tuple, PreDimValue] = {(): ZERO}
-    # A frame (pending rows, next index, size, fresh rank, old-lead echelon
-    # rows as (lead, old part), key) resumes after its child's subtree.
-    stack = [(list(map(SpanReducer(length + old_width).residual, rows)), 0, 0, 0, (), ())]
-    while stack:
-        pending, j, size, rank_f, olds, key = stack.pop()
-        if j == len(rows):
-            continue
-        stack.append((pending, j + 1, size, rank_f, olds, key))
-        row = pending[j]
+    rows = [S2.introw(eid) for eid in ids]
+    if any(any(row[old_width:start]) or any(row[start + length:]) for row in rows):
+        raise SearchBudgetExceeded("block escapes its fresh coordinates")
+    rows = [row[start:start + length] + row[:old_width] for row in rows]
+
+    def take(state, j, row):  # state: size, fresh rank, (lead, old part)s, key
+        size, rank_f, olds, key = state
         if any(row[:length]):
             rank_f += 1
         elif any(row):
             lead = next(c for c, x in enumerate(row) if x)
             olds = sorted([*olds, (lead, row[length:])])
             key = canonical_rows([r for _, r in olds])
-        _keep_min(profile, key, PreDimValue(rank_f, size + 1), S2.alpha)
-        if j + 1 < len(rows) and any(row):
-            pending = eliminate(pending, j)
-        stack.append((pending, j + 1, size + 1, rank_f, olds, key))
+        return size + 1, rank_f, olds, key
+
+    profile: dict[tuple, PreDimValue] = {(): ZERO}
+    for _, (size, rank_f, _, key), new in walk(rows, (0, 0, (), ()), take):
+        if new and size:
+            _keep_min(profile, key, PreDimValue(rank_f, size), S2.alpha)
     return profile
 
 
@@ -473,8 +477,8 @@ def _anchor_closed_check(S2, a_ids, within_ids) -> Check:
     except SearchBudgetExceeded:
         pool = set(within_ids) - set(a_ids)
         return _verify_subsets(
-            "anchor_closed", pool, range(len(pool) + 1),
-            lambda c: delta(S2, c, a_ids).sign(S2.alpha) < 0, 0,
+            "anchor_closed", S2, a_ids, pool, range(len(pool) + 1),
+            lambda d: d.sign(S2.alpha) < 0, 0,
         )
 
 
@@ -520,8 +524,8 @@ def generic_basis_extension(a_ids, b_ids, n: int, S: ColoredStructure) -> Constr
     S2 = S.extended([GroundElement(i, v) for i, v in zip(new_ids, rows)])
     checks = [
         _verify_subsets(
-            "all_bases", set(bs) | set(new_ids), range(m, m + 1),
-            lambda c: delta(S2, c, a).dim_part != m, math.inf,
+            "all_bases", S2, a, set(bs) | set(new_ids), range(m, m + 1),
+            lambda d: d.dim_part != m, math.inf,
         )
     ]
     _require(checks)
@@ -696,8 +700,8 @@ def _patch_union(res: Construction, a, b, count: int, n: int, gap_name, gap_ok) 
 def _small_extensions_closed_check(S2, b_ids, new_ids, n, name="small_sets_closed") -> Check:
     """delta(C/B) >= 0 for every C between B and B u new with |C - B| < n."""
     return _verify_subsets(
-        name, new_ids, range(min(n, len(new_ids) + 1)),
-        lambda c: delta(S2, c, b_ids).sign(S2.alpha) < 0, 200_000,
+        name, S2, b_ids, new_ids, range(min(n, len(new_ids) + 1)),
+        lambda d: d.sign(S2.alpha) < 0, 200_000,
     )
 
 
@@ -752,9 +756,7 @@ def _minimal_pair_check(S2, b_ids, d_ids, new_ids, s, limit=None, name="minimal_
     for l in range(1, k):
         if PreDimValue(min(l, s), l).sign(alpha) < 0:
             return Check(name, False, witness=f"size {l}", method="structural")
-    tail = _verify_subsets(
-        name, new_ids, range(1, k), lambda c: delta(S2, c, b_ids).sign(alpha) < 0, 0
-    )
+    tail = _verify_subsets(name, S2, b_ids, new_ids, range(1, k), lambda d: d.sign(alpha) < 0, 0)
     return replace(tail, method="structural")
 
 

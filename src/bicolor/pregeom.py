@@ -3,10 +3,11 @@
 The linear backend realizes dimension as matrix rank over the rationals.  All
 of the library's linear algebra runs through one kernel here: `SpanReducer`,
 fraction-free row echelon form on integer rows with denominators cleared, and
-`eliminate`, its step along a depth-first subset walk whose frames carry the
-*pending rows*, the residuals of the rows still to come.  Rank counts its
-adds; `canonical_rows` turns its echelon rows into canonical integer rows
-(reduced echelon form, each row primitive), a key equal for equal spans.
+`walk`, the one depth-first subset walk, whose step `eliminate` keeps the
+*pending rows*, the residuals of the rows still to come; every exhaustive
+subset question reads its ranks off it.  Rank counts its adds;
+`canonical_rows` turns its echelon rows into canonical integer rows (reduced
+echelon form, each row primitive), a key equal for equal spans.
 `Coordinates` runs a `SpanReducer` on rows augmented by an identity block, so
 one reduction of a vector also names the combination of the inserted vectors
 it equals: exact coordinates, fundamental circuits and kernel vectors come
@@ -147,6 +148,33 @@ def eliminate(pending: list[list[int]], i: int) -> list[list[int]]:
         piv = cur[lead]
         out.append(_primitive([x * scale - y * piv for x, y in zip(cur, row)]) if piv else cur)
     return out
+
+
+def walk(rows, root, take, prune=None):
+    """Depth-first fold over the subsets of `rows`, each row taken before it
+    is skipped, so new subsets come in lex order of their sorted indices.
+
+    Yields (i, state, new) per node: its subset is decided on rows[:i],
+    `state` folds take(state, j, row) from `root` over its rows j, `row`
+    being j's pending row (zero iff j adds nothing to the rows taken before
+    it), and `new` is False for a node skipping rows[i - 1], its parent's
+    subset again.  A node is expanded after it is yielded unless i =
+    len(rows) or prune(i, state).  The rows are made primitive with positive
+    leads, and a taken row that grew the span is eliminated only when its
+    node is expanded: each pending row is a `SpanReducer` residual (lemma).
+    """
+    n = len(rows)
+    stack = [(0, [_primitive(list(r)) for r in rows], None, root, True)]
+    while stack:
+        i, pending, grown, state, new = stack.pop()
+        yield i, state, new
+        if i == n or (prune is not None and prune(i, state)):
+            continue
+        if grown is not None:
+            pending = eliminate(pending, grown)
+        row = pending[i]
+        stack.append((i + 1, pending, None, state, False))
+        stack.append((i + 1, pending, i if any(row) else None, take(state, i, row), True))
 
 
 def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
@@ -319,19 +347,8 @@ def rank(elements, backend: Backend) -> int:
 
 def rel_rank(a_elements, x_elements, backend: Backend) -> int:
     """dim(A/X) = rank(A u X) - rank(X)."""
-    a_elements = list(a_elements)
     x_elements = list(x_elements)
-    if backend.kind == FREE:
-        xids = {e.id for e in x_elements}
-        return len({e.id for e in a_elements} - xids)
-    red = SpanReducer(backend.ambient_dim)
-    for row in _payload_rows(x_elements, backend):
-        red.add(row)
-    grow = 0
-    for row in _payload_rows(a_elements, backend):
-        if red.add(row):
-            grow += 1
-    return grow
+    return rank([*a_elements, *x_elements], backend) - rank(x_elements, backend)
 
 
 def acl_in(a_elements, m_elements, backend: Backend):
@@ -352,9 +369,7 @@ def acl_in(a_elements, m_elements, backend: Backend):
 
 def dim_independent(y_elements, z_elements, x_elements, backend: Backend) -> bool:
     """True iff dim(Y/X) = dim(Y/XZ)."""
-    y_elements = list(y_elements)
-    z_elements = list(z_elements)
-    x_elements = list(x_elements)
+    y_elements, x_elements = list(y_elements), list(x_elements)
     return rel_rank(y_elements, x_elements, backend) == rel_rank(
-        y_elements, x_elements + z_elements, backend
+        y_elements, [*x_elements, *z_elements], backend
     )

@@ -28,10 +28,13 @@ from conftest import (
     ALPHA_HALF,
     ALPHA_ONE,
     ALPHA_TWO_THIRDS,
+    SubsetTable,
+    alpha_sign,
     brute_closure,
     brute_d_value,
     brute_is_closed,
     random_k_plus_structure,
+    random_structure,
 )
 from test_colored import ge, witness_structure
 
@@ -200,6 +203,33 @@ class TestMinimalPairsIntrinsic:
             if is_minimal_pair(a, b, S):
                 assert is_intrinsic(a, b, S)
 
+    def test_intrinsic_and_minimal_match_subset_table(self, rng):
+        # B is intrinsic over A iff delta(B) < delta(A') for every A <= A'
+        # strictly inside B, and a minimal pair iff delta(B/A) < 0 with every
+        # nonempty proper C over A nonnegative; both read off the mask table
+        seen = {"intrinsic": 0, "minimal": 0, "neither": 0}
+        for i in range(300):
+            alpha = ALL_ALPHAS[i % 4]
+            S = random_structure(rng, alpha, max_n=7, max_dim=4, color_p=0.7)
+            table = SubsetTable(S)
+            sign = alpha_sign(alpha)
+            ids = list(S.ids_sorted)
+            b = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+            a = frozenset(rng.sample(sorted(b), rng.randint(0, len(b))))
+            ma, mb = table.mask_of(a), table.mask_of(b)
+            inner = [m for m in range(mb) if m & mb == m and m & ma == ma and m != mb]
+            intrinsic = all(
+                sign(table.dim[mb] - table.dim[m], table.col[mb] - table.col[m]) < 0
+                for m in inner
+            )
+            minimal = mb != ma and table.delta_sign(mb ^ ma, ma) < 0 and all(
+                table.delta_sign(m ^ ma, ma) >= 0 for m in inner if m != ma
+            )
+            assert is_intrinsic(a, b, S) == intrinsic
+            assert is_minimal_pair(a, b, S) == minimal
+            seen["intrinsic" if intrinsic else "neither"] += 1
+            seen["minimal"] += minimal
+        assert min(seen.values()) > 10, seen
 
     def test_chain_levels_pinned(self):
         """Verdicts on every level of the (1 + sqrt(3))/6 depth-3 chain and on

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bicolor import construct, workbench
+from bicolor import construct, pregeom, workbench
 from bicolor.closure import is_minimal_pair
 from bicolor.colored import ColoredStructure, delta, empty_structure, in_k_plus, min_relative_delta
 from bicolor.construct import (
@@ -53,6 +53,7 @@ from conftest import (
     ALPHA_INV_SQRT2,
     ALPHA_ONE,
     ALPHA_TWO_THIRDS,
+    _int_rows,
     brute_in_k_plus,
     incremental_in_k_plus,
     random_structure,
@@ -553,83 +554,157 @@ class TestTowerKPlus:
         assert res.structure._k_plus is True
 
 
+def _points(n, dim, seed, colored_every=2):
+    """n nonzero points p00, p01, ... with small random integer entries in
+    dimension dim, every `colored_every`-th one colored."""
+    rng = random.Random(seed)
+    elements = []
+    for i in range(n):
+        vec = ()
+        while not any(vec):
+            vec = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+        elements.append(GroundElement(f"p{i:02d}", vec))
+    colored = frozenset(e.id for e in elements[::colored_every])
+    return ColoredStructure(Backend(LINEAR, dim), tuple(elements), colored, ALPHA_INV_SQRT2)
+
+
+def _brute_pairs(S, base, pool, sizes):
+    """(subset, (dim(C/base), colored count)) for every non-empty subset C of
+    the sorted pool with size in `sizes`, size by size and lex within a size;
+    dims are Bareiss ranks of the cleared payloads."""
+    rows = dict(zip(S.ids_sorted, _int_rows(S)))
+    ncols = S.backend.ambient_dim
+    rank = lambda ids: rank_int_matrix([rows[i] for i in ids], ncols)
+    base = sorted(base)
+    out = []
+    for j in sizes:
+        for c in itertools.combinations(sorted(pool), j):
+            if c:
+                out.append((c, (rank(base + list(c)) - rank(base), len(S.colored.intersection(c)))))
+    return out
+
+
 class TestVerifySubsets:
-    """The one subset verifier, on synthetic predicates."""
+    """The one subset verifier, on real structures: it judges delta(C/base)
+    read off the pool's rows reduced once against span(base)."""
 
     @staticmethod
     def _recording(violates):
         calls = []
 
-        def pred(c):
-            calls.append(tuple(c))
-            return violates(c)
+        def pred(d):
+            calls.append((d.dim_part, d.color_part))
+            return violates(d)
 
         return calls, pred
 
-    def test_exhaustive_pass(self):
-        calls, pred = self._recording(lambda c: False)
-        check = _verify_subsets("x", "dcba", range(0, 5), pred, 16)
-        assert check.passed and check.method == "exhaustive" and check.witness is None
-        assert len(calls) == 15  # every non-empty subset, once
+    @staticmethod
+    def _record_draws(monkeypatch):
+        """Non-empty subsets as `_first_draws` hands them to the verifier."""
+        drawn = []
+        original = construct._first_draws
 
-    def test_exhaustive_failure_names_first_violator(self):
-        # ("a", "b", "c") is lex-smaller but larger than ("a", "d")
-        calls, pred = self._recording(lambda c: "d" in c or len(c) == 3)
-        check = _verify_subsets("x", ["d", "b", "a", "c"], range(1, 4), pred, math.inf)
-        assert not check.passed and check.method == "exhaustive"
-        assert check.witness == ["d"]
-        calls, pred = self._recording(lambda c: len(c) > 1 and "d" in c or len(c) == 3)
-        check = _verify_subsets("x", ["d", "b", "a", "c"], range(1, 4), pred, math.inf)
-        assert check.witness == ["a", "d"]
-        want = [c for j in range(1, 3) for c in itertools.combinations("abcd", j)]
-        assert calls == want[: want.index(("a", "d")) + 1]
+        def recording(draws):
+            for combo in original(draws):
+                if combo:
+                    drawn.append(tuple(combo))
+                yield combo
+
+        monkeypatch.setattr(construct, "_first_draws", recording)
+        return drawn
+
+    def test_exhaustive_pass(self, rng):
+        # every subset of the allowed sizes is judged once, the empty one never
+        for _ in range(40):
+            S = random_structure(rng, ALPHA_INV_SQRT2, max_n=8)
+            ids = list(S.ids_sorted)
+            base = [i for i in ids if rng.random() < 0.3]
+            pool = [i for i in ids if i not in base]
+            lo = rng.randint(0, len(pool))
+            sizes = range(lo, rng.randint(lo, len(pool) + 1))
+            calls, pred = self._recording(lambda d: False)
+            check = _verify_subsets("x", S, base, pool, sizes, pred, math.inf)
+            assert check == Check("x", True, method="exhaustive")
+            want = _brute_pairs(S, base, pool, sizes)
+            assert sorted(calls) == sorted(v for _, v in want)
+            assert len(calls) == sum(math.comb(len(pool), j) for j in sizes if j)
+
+    def test_exhaustive_failure_names_first_violator(self, rng):
+        # the witness is the violator least by size, then lex, even when the
+        # walk meets a larger one first
+        larger_first = 0
+        for trial in range(200):
+            S = random_structure(rng, ALPHA_INV_SQRT2, max_n=8)
+            ids = list(S.ids_sorted)
+            base = [i for i in ids if rng.random() < 0.3]
+            pool = [i for i in ids if i not in base]
+            sizes = range(0, len(pool) + 1) if trial % 2 else range(1, max(1, len(pool)))
+            target = (rng.randint(0, 3), rng.randint(0, 3))
+            violates = [
+                lambda d: d.sign(S.alpha) < 0,
+                lambda d: d.dim_part < d.color_part,
+                lambda d: (d.dim_part, d.color_part) == target,
+            ][trial % 3]
+            want = _brute_pairs(S, base, pool, sizes)
+            bad = [c for c, v in want if violates(PreDimValue(*v))]
+            check = _verify_subsets("x", S, base, pool, sizes, violates, math.inf)
+            assert check.method == "exhaustive" and check.passed == (not bad)
+            assert check.witness == (list(bad[0]) if bad else None)
+            larger_first += bool(bad) and min(bad) != bad[0]
+            if trial < 30:
+                # the draws reach each of these few subsets and rank it over the base
+                check = _verify_subsets("x", S, base, pool, sizes, violates, 0)
+                assert check.passed == (not bad) and check.witness in [None, *map(list, bad)]
+        assert larger_first > 0
 
     def test_switches_to_sampled_past_limit(self):
-        pool = [f"p{i}" for i in range(6)]
+        S = _points(6, 4, 1)
+        pool = list(S.ids_sorted)
         total = sum(math.comb(6, j) for j in range(2, 4))
-        check = _verify_subsets("x", pool, range(2, 4), lambda c: False, total)
+        check = _verify_subsets("x", S, (), pool, range(2, 4), lambda d: False, total)
         assert check.method == "exhaustive"
-        check = _verify_subsets("x", pool, range(2, 4), lambda c: False, total - 1)
+        check = _verify_subsets("x", S, (), pool, range(2, 4), lambda d: False, total - 1)
         assert check.passed and check.method == "sampled"
 
     @pytest.mark.parametrize("sizes", [range(0, 3), range(2, 5), range(0, 9)])
-    def test_sampled_sizes_lie_in_range(self, sizes):
-        calls, pred = self._recording(lambda c: False)
-        _verify_subsets("x", [f"p{i}" for i in range(8)], sizes, pred, 0)
-        assert {len(c) for c in calls} <= set(sizes) - {0}
+    def test_sampled_sizes_lie_in_range(self, monkeypatch, sizes):
+        S = _points(8, 4, 2)
+        drawn = self._record_draws(monkeypatch)
+        calls, pred = self._recording(lambda d: False)
+        _verify_subsets("x", S, (), S.ids_sorted, sizes, pred, 0)
+        assert {len(c) for c in drawn} <= set(sizes) - {0}
         # SAMPLE_COUNT draws reach every one of these few subsets, each tried once
-        assert len(set(map(frozenset, calls))) == len(calls)
+        assert len(set(map(frozenset, drawn))) == len(drawn) == len(calls)
         assert len(calls) == sum(math.comb(8, j) for j in sizes if j)
 
     @pytest.mark.parametrize("fails", [False, True], ids=["passes", "fails-at-last-new-draw"])
-    def test_sampled_skips_repeated_draws(self, fails):
-        pool = [f"p{i:02d}" for i in range(20)]
+    def test_sampled_skips_repeated_draws(self, monkeypatch, fails):
+        S = _points(20, 5, 3)
+        pool = list(S.ids_sorted)
         stream = self._seed_stream(pool)
         distinct = self._first_occurrences(stream)
-        target = frozenset(distinct[-1]) if fails else None
-        replayed = stream[: stream.index(distinct[-1]) + 1] if fails else stream
-        calls, pred = self._recording(lambda c: frozenset(c) == target)
-        check = _verify_subsets("x", pool, range(21), pred, 0)
+        drawn = self._record_draws(monkeypatch)
+        calls, pred = self._recording(lambda d: fails and len(calls) == len(distinct))
+        check = _verify_subsets("x", S, (), pool, range(21), pred, 0)
         assert check.method == "sampled" and check.passed == (not fails)
-        assert check.witness == (sorted(target) if fails else None)
-        assert calls == self._first_occurrences(replayed)
-        assert len(calls) < len(replayed)
+        assert check.witness == (sorted(distinct[-1]) if fails else None)
+        assert drawn == distinct and len(calls) == len(distinct) < len(stream)
 
     def test_empty_subset_never_passed(self):
+        S = _points(2, 2, 4)
         for limit in (0, math.inf):
-            calls, pred = self._recording(lambda c: True)
-            check = _verify_subsets("x", "ab", range(0, 3), pred, limit)
-            assert () not in calls and not check.passed
-            calls, pred = self._recording(lambda c: True)
-            assert _verify_subsets("x", "ab", range(0, 1), pred, limit).passed
+            calls, pred = self._recording(lambda d: True)
+            check = _verify_subsets("x", S, (), S.ids_sorted, range(0, 3), pred, limit)
+            assert not check.passed and check.witness
+            assert all(dim > 0 for dim, _ in calls)  # no point lies in span(())
+            calls, pred = self._recording(lambda d: True)
+            assert _verify_subsets("x", S, (), S.ids_sorted, range(0, 1), pred, limit).passed
             assert calls == []
 
     def test_sampled_witness_repeats(self):
-        pool = [f"p{i:02d}" for i in range(20)]
-        runs = [
-            _verify_subsets("x", pool, range(21), lambda c: len(c) > 14 and "p03" in c, 0)
-            for _ in range(2)
-        ]
+        S = _points(20, 6, 5)
+        violates = lambda d: d.dim_part >= 5 and d.color_part >= 6
+        runs = [_verify_subsets("x", S, (), S.ids_sorted, range(21), violates, 0) for _ in range(2)]
         assert runs[0].witness is not None and not runs[0].passed
         assert runs[0] == runs[1]
 
@@ -648,16 +723,6 @@ class TestVerifySubsets:
         seen = set()
         return [c for c in stream if not (frozenset(c) in seen or seen.add(frozenset(c)))]
 
-    def _record_delta(self, monkeypatch):
-        calls = []
-
-        def recording(S, a_ids, x_ids=()):
-            calls.append(tuple(a_ids))
-            return ZERO
-
-        monkeypatch.setattr(construct, "delta", recording)
-        return calls
-
     def test_k_plus_fallback_stream(self, monkeypatch):
         S = minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8).structure
 
@@ -665,10 +730,10 @@ class TestVerifySubsets:
             raise SearchBudgetExceeded("forced")
 
         monkeypatch.setattr(construct, "in_k_plus", exhausted)
-        calls = self._record_delta(monkeypatch)
+        drawn = self._record_draws(monkeypatch)
         check = _k_plus_check(S)
         assert check.passed and check.method == "sampled"
-        assert calls == self._first_occurrences(self._seed_stream(S.id_set))
+        assert drawn == self._first_occurrences(self._seed_stream(S.id_set))
 
     def test_anchor_fallback_stream(self, monkeypatch):
         S = minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8).structure
@@ -677,10 +742,11 @@ class TestVerifySubsets:
             raise SearchBudgetExceeded("forced")
 
         monkeypatch.setattr(construct, "is_closed", exhausted)
-        calls = self._record_delta(monkeypatch)
-        check = _anchor_closed_check(S, {"d0"}, S.id_set)
+        drawn = self._record_draws(monkeypatch)
+        # {e1} is closed in the chain, so every draw is judged
+        check = _anchor_closed_check(S, {"e1"}, S.id_set)
         assert check.passed and check.method == "sampled"
-        assert calls == self._first_occurrences(self._seed_stream(S.id_set - {"d0"}))
+        assert drawn == self._first_occurrences(self._seed_stream(S.id_set - {"e1"}))
 
 
 def _union_min(S, prime, old_w, blocks):
@@ -815,7 +881,7 @@ class TestFreeUnionVerifier:
 
         monkeypatch.setattr(SpanReducer, "add", counting("add", SpanReducer.add))
         monkeypatch.setattr(SpanReducer, "clone", counting("clone", SpanReducer.clone))
-        monkeypatch.setattr(construct, "eliminate", counting("eliminate", construct.eliminate))
+        monkeypatch.setattr(pregeom, "eliminate", counting("eliminate", pregeom.eliminate))
         _block_profile(S, old_w, *blocks[0])
         rows = [S.introw(i) for i in sorted(blocks[0][0])]
         rank = lambda c: rank_int_matrix([rows[j] for j in c], len(rows[0]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -22,6 +23,7 @@ from bicolor.pregeom import (
     rel_rank,
     solve,
     span_key,
+    walk,
 )
 
 from conftest import fraction_rref, rank_int_matrix
@@ -145,6 +147,33 @@ def test_eliminate_walk_matches_reducer_and_bareiss(rng):
             else:
                 stack.append((i + 1, pending, kept, chosen + (i,)))
     assert leaves > 1000
+
+
+def test_walk_yields_each_subset_once_with_its_bareiss_rank(rng):
+    """`walk` on integer rows (zero, repeated, negated and negative-lead rows
+    included): every subset is new exactly once, in include-first
+    depth-first order (lex order of the sorted indices), a repeated node
+    names its parent's subset, and each subset's folded rank is its Bareiss
+    rank; a pruned node is yielded but not expanded."""
+    take = lambda st, i, row: (st[0] + (i,), st[1] + any(row))
+    for trial in range(80):
+        ncols = rng.randint(1, 5)
+        rows = _walk_rows(rng, ncols)
+        n = len(rows)
+        new_subsets = []
+        for i, (chosen, dim), new in walk(rows, ((), 0), take):
+            assert dim == rank_int_matrix([rows[j] for j in chosen], ncols)
+            if new:
+                assert i == (chosen[-1] + 1 if chosen else 0)
+                new_subsets.append(chosen)
+            else:  # skips rows[i - 1]: its parent's subset, yielded before
+                assert i > 0 and (i - 1 not in chosen) and chosen in new_subsets
+        all_subsets = [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+        assert new_subsets == sorted(all_subsets)
+        cap = trial % 3
+        capped = walk(rows, ((), 0), take, lambda i, st: len(st[0]) >= cap)
+        pruned = [c for _, (c, _), new in capped if new]
+        assert pruned == sorted(c for c in all_subsets if len(c) <= cap)
 
 
 # -- the elimination kernel against Fraction Gauss-Jordan and Bareiss oracles --

@@ -3,8 +3,9 @@
 Only `colored` writes the K+ cache fields of a ColoredStructure (others go
 through `certify_k_plus`), `construct` seeds random subset draws in one
 place, `_verify_subsets`, and `pregeom` holds the only elimination code.  No
-module imports another module's private (underscore-prefixed) names, and
-deleted names stay deleted.  No nested function calls itself: such a closure
+module but `pregeom` uses `eliminate`, so `pregeom.walk` stays the one
+depth-first subset walk.  No module imports another module's private
+(underscore-prefixed) names, and deleted names stay deleted.  No nested function calls itself: such a closure
 holds a cell that refers back to it, a reference cycle that keeps the
 searched structure alive until the cyclic collector runs, so the searches
 leave no garbage for it.
@@ -83,6 +84,18 @@ def elimination_routines(source: str) -> list[str]:
     ]
 
 
+def imported_names(source: str) -> set[str]:
+    """Names imported, at any depth, by `from ... import` and `import`, and
+    attributes read off any object."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ImportFrom, ast.Import)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 def defined_names(source: str) -> set[str]:
     """Names of functions and classes, at any depth, and `function.parameter`
     for each parameter of each function."""
@@ -145,6 +158,13 @@ def test_construct_seeds_randomness_in_one_place():
 )
 def test_elimination_only_in_pregeom(path):
     assert elimination_routines((SRC / path).read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.name for p in SRC.glob("*.py") if p.name != "pregeom.py")
+)
+def test_eliminate_used_only_by_pregeom(path):
+    assert "eliminate" not in imported_names((SRC / path).read_text())
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
@@ -223,3 +243,6 @@ def test_guards_catch_violations():
         "bicolor.colored._component_min"
     ]
     assert private_imports("from .pregeom import rank as _rank\nfrom os import _exit\n") == []
+    assert "eliminate" in imported_names("from .pregeom import SpanReducer, eliminate\n")
+    assert "eliminate" in imported_names("def f():\n    return pregeom.eliminate(p, 0)\n")
+    assert "eliminate" not in imported_names("from .pregeom import walk\n")
