@@ -9,9 +9,30 @@ Minimization strategy: plain points never lower delta, so minimizers live
 among colored points.  Those split into connected components of the linear
 matroid contracted by the conditioning set (computed from fundamental
 circuits of a greedy basis), delta is additive across components, and each
-component is searched exhaustively by branch-and-bound whose pruning bound is
-the alpha-weighted rank deficiency of the untouched suffix.  Everything is
-exact; searches that outgrow their node budget raise instead of degrading.
+component is searched exhaustively by `_component_walk`, one `pregeom.walk`
+over its rows reduced once against span(X).  `_component_min` reads the
+least delta off it and `min_violating_witness` the (size, lex)-least
+violator; both prune by the alpha-weighted rank deficiency of the untouched
+suffix.
+
+Lemma.  Let a component's points be c_0 < ... < c_{n-1}, R_i = rank(c_0 ..
+c_{i-1} / X) and red_i = (n - i) - (R_n - R_i).  For C within comp[:i], T
+within comp[i:] and alpha <= 1, delta(C u T / X) >= delta(C / X) - alpha *
+red_i.  Proof: comp[i:] raises the rank of comp[:i] by R_n - R_i, and
+dropping its points outside T loses at most one each, so T raises it by at
+least |T| - red_i; by submodularity T raises the rank of C by at least as
+much, and by at least 0.  With alpha <= 1 that gain minus alpha * |T| is >=
+-alpha * red_i in both cases.  So a node holding C on comp[:i] whose bound
+delta(C / X) - alpha * red_i is no less than the best value so far (0 for
+the witness search) has no better subset below it.
+
+The witness search also prunes by size.  The walk meets subsets of equal
+size in lex order, so the first violator of each size is that size's
+lex-least; once a violator of size w is met, no subset grows to size w
+again, so the last violator met in a component is its (size, lex)-least.
+
+Everything is exact; searches that outgrow their node budget raise, naming
+the search and the size of the component, instead of degrading.
 """
 
 from __future__ import annotations
@@ -271,41 +292,55 @@ def colored_components(S: ColoredStructure, x_ids):
 
 
 class _BudgetCounter:
-    __slots__ = ("budget", "left")
+    """Nodes left to one search; running out names the search and the size
+    of the component it was in."""
 
-    def __init__(self, budget):
+    __slots__ = ("budget", "left", "where", "size")
+
+    def __init__(self, budget, where="_component_min"):
         self.budget = self.left = budget
+        self.where, self.size = where, 0
 
-    def spend(self, amount=1):
-        self.left -= amount
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
-            raise SearchBudgetExceeded(f"exact search node budget of {self.budget} exhausted")
+            raise SearchBudgetExceeded(
+                f"exact search node budget of {self.budget} exhausted in {self.where} "
+                f"over a {self.size}-point component"
+            )
+
+
+def _component_walk(S, base_red, comp, counter, stop):
+    """One `walk` over the subsets C of comp, yielding (delta(C/X), C) for
+    each new one, C a sorted tuple; every node spends one from `counter`.
+
+    comp's rows are reduced once against span(X).  A node on comp[:i]
+    holding C is not expanded when stop(delta(C/X) - alpha * red_i, |C|),
+    red_i being the static suffix redundancy of the module's lemma; the
+    walk's first n + 1 nodes are the prefixes comp[:i], each taking every
+    row, and give the ranks R_i.
+    """
+    n = counter.size = len(comp)
+    pending = [base_red.residual(S.introw(eid)) for eid in comp]
+    spine = walk(pending, 0, lambda dim, i, row: dim + any(row))
+    ranks = [dim for _, dim, _ in itertools.islice(spine, n + 1)]
+    red = [(n - i) - (ranks[n] - ranks[i]) for i in range(n + 1)]
+    take = lambda st, i, row: (st[0] + any(row), st[1] + (comp[i],))
+    prune = lambda i, st: stop(PreDimValue(st[0], len(st[1]) + red[i]), len(st[1]))
+    for _, (dimc, chosen), new in walk(pending, (0, ()), take, prune):
+        counter.spend()
+        if new:
+            yield PreDimValue(dimc, len(chosen)), chosen
 
 
 def _component_min(S, base_red, comp, alpha, counter):
-    """Exact min of delta(C/X) over C within one component, with witness."""
-    n = len(comp)
-    pending = [base_red.residual(S.introw(eid)) for eid in comp]
-    # Static suffix redundancy table: elements of the suffix counted minus
-    # their rank over X and the *positional* prefix, (n - i) - (R_n - R_i) for
-    # R_i = rank(comp[:i] / X); a valid upper bound on future collapses.  The
-    # walk's first n + 1 nodes are those prefixes, each taking every row.
-    spine = walk(pending, 0, lambda dim, i, row: dim + any(row))
-    ranks = [dim for _, dim, _ in itertools.islice(spine, n + 1)]
-    red_static = [(n - i) - (ranks[n] - ranks[i]) for i in range(n + 1)]
-
-    best = ZERO
-    best_set: tuple[str, ...] = ()
-    take = lambda st, i, row: (st[0] + any(row), st[1] + (comp[i],))
-    prune = lambda i, st: compare(
-        PreDimValue(st[0], len(st[1]) + red_static[i]), best, alpha
-    ) >= 0
-    for _, (dimc, chosen), new in walk(pending, (0, ()), take, prune):
-        counter.spend()
-        cur = PreDimValue(dimc, len(chosen))
-        if new and compare(cur, best, alpha) < 0:
-            best = cur
-            best_set = chosen
+    """Exact min of delta(C/X) over C within one component, with witness:
+    no node is expanded whose bound is no less than the best so far."""
+    best, best_set = ZERO, ()
+    stop = lambda bound, size: compare(bound, best, alpha) >= 0
+    for cur, chosen in _component_walk(S, base_red, comp, counter, stop):
+        if compare(cur, best, alpha) < 0:
+            best, best_set = cur, chosen
     return best, frozenset(best_set)
 
 
@@ -319,7 +354,7 @@ def min_relative_delta(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NO
     if S.backend.kind == FREE or (not x and S._k_plus is True):
         return ZERO, frozenset()
     drops, comps = colored_components(S, x)
-    counter = _BudgetCounter(node_budget)
+    counter = _BudgetCounter(node_budget, "min_relative_delta")
     total = PreDimValue(0, len(drops))
     witness = set(drops)
     base_red = S.reducer_for(x)
@@ -333,7 +368,18 @@ def min_relative_delta(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NO
 def min_violating_witness(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NODE_BUDGET):
     """Smallest violating set (size, then lex by sorted ids), or None if closed.
 
-    The empty set is closed in a structure with a recorded K+ verdict, so that
+    A zero-residual colored point over span(X) is a violator of size one,
+    and no other point is (alpha <= 1).  Otherwise a least violator lies in
+    one component, delta being additive across them, and each component is
+    searched by one `_component_walk` pruned two ways.  By bound: no node is
+    expanded whose bound delta(C/X) - alpha * red_i is >= 0, for then no
+    subset below it violates (the module's lemma).  By size: once a
+    violator of size w is met, no subset grows to size w.  The walk meets
+    equal-size subsets in lex order, so the first violator of each size is
+    that size's lex-least.  A later component may reach the best size so
+    far, so every violator met is compared by (size, sorted ids).  A closed
+    component is walked node for node as `_component_min` walks it.  The
+    empty set is closed in a structure with a recorded K+ verdict, so that
     case is answered without a search.
     """
     x = S.check_ids(x_ids)
@@ -342,27 +388,17 @@ def min_violating_witness(S: ColoredStructure, x_ids, node_budget: int = DEFAULT
     drops, comps = colored_components(S, x)
     if drops:
         return frozenset({min(drops)})
-    counter = _BudgetCounter(node_budget)
+    counter = _BudgetCounter(node_budget, "min_violating_witness")
     base_red = S.reducer_for(x)
-    live = []
+    best = (len(S) + 1, ())
     for comp in comps:
-        v, _ = _component_min(S, base_red, comp, S.alpha, counter)
-        if v.sign(S.alpha) < 0:
-            live.append(comp)
-    if not live:
-        return None
-    maxlen = max(len(c) for c in live)
-    for size in range(2, maxlen + 1):
-        found = []
-        for comp in live:
-            for combo in itertools.combinations(comp, size):
-                counter.spend()
-                if delta(S, combo, x).sign(S.alpha) < 0:
-                    found.append(tuple(sorted(combo)))
-                    break
-        if found:
-            return frozenset(min(found))
-    raise InvariantError("negative component minimum without a witness")
+        cap = best[0]
+        stop = lambda bound, size: size >= cap or bound.sign(S.alpha) >= 0
+        for cur, chosen in _component_walk(S, base_red, comp, counter, stop):
+            if cur.sign(S.alpha) < 0:
+                cap = len(chosen) - 1
+                best = min(best, (len(chosen), chosen))
+    return frozenset(best[1]) or None
 
 
 # -- hereditary positivity --------------------------------------------------

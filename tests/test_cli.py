@@ -91,6 +91,18 @@ class TestErrorCodes:
         code, obj = run(capsys, "delta", "--structure", "/nope.json", "--set", "a")
         assert code == 1
 
+    def test_exhausted_witness_budget_is_two(self, capsys, monkeypatch, witness_file):
+        from bicolor import colored
+
+        monkeypatch.setattr(colored.min_violating_witness, "__defaults__", (1,))
+        code, obj = run(capsys, "closure", "--structure", witness_file, "--set", "a")
+        assert code == 2
+        assert obj == {
+            "error": "SearchBudgetExceeded",
+            "message": "exact search node budget of 1 exhausted in min_violating_witness "
+            "over a 2-point component",
+        }
+
     def test_rational_alpha_patch_is_one(self, capsys, witness_file):
         code, obj = run(
             capsys, "construct", "patch", "--structure", witness_file,
@@ -111,6 +123,20 @@ class TestConstructAndFiles:
         assert all(c["pass"] for c in obj["checks"])
         grown = load(out)
         assert len(grown) == 5
+
+    def test_power_patch_closure_from_file(self, capsys, tmp_path):
+        # the closure of d1 in the 25-point power patch (see test_closure's
+        # hand count), with K+ searched again after the round-trip
+        from fractions import Fraction as F
+
+        from bicolor.construct import free_power_patch
+
+        base = _plain_points(ALPHA_INV_SQRT2, [("b", (1,))])
+        p = tmp_path / "patch.json"
+        save(free_power_patch([], ["b"], F(1, 2), 2, base).structure, p)
+        code, obj = run(capsys, "closure", "--structure", str(p), "--set", "d1")
+        assert code == 0
+        assert obj == {"closure": sorted(f"d{i}" for i in range(1, 25)), "steps": 3}
 
     def test_chain(self, capsys, tmp_path):
         code, obj = run(

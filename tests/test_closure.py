@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction as F
 
@@ -18,7 +19,7 @@ from bicolor.closure import (
     is_minimal_pair,
 )
 from bicolor.colored import ColoredStructure, delta, in_k_plus
-from bicolor.construct import minimal_pair_chain
+from bicolor.construct import free_power_patch, minimal_pair_chain
 from bicolor.errors import NotInKPlus
 from bicolor.exactnum import Alpha, PreDimValue, compare
 from bicolor.pregeom import Backend, GroundElement, LINEAR
@@ -26,6 +27,7 @@ from bicolor.pregeom import Backend, GroundElement, LINEAR
 from conftest import (
     ALL_ALPHAS,
     ALPHA_HALF,
+    ALPHA_INV_SQRT2,
     ALPHA_ONE,
     ALPHA_TWO_THIRDS,
     SubsetTable,
@@ -37,6 +39,9 @@ from conftest import (
     random_structure,
 )
 from test_colored import ge, witness_structure
+
+# the package exports a function named `closure`, which hides the module
+closure_module = importlib.import_module("bicolor.closure")
 
 
 class TestIsClosed:
@@ -80,6 +85,36 @@ class TestClosure:
         got, steps = closure_with_steps(["a"], witness_structure())
         assert got == {"a", "b1", "b2"}
         assert steps == 1
+
+    def test_power_patch_closure_matches_hand_count(self, monkeypatch):
+        """free_power_patch([], ["b"], 1/2, 2, b) at alpha = 1/sqrt(2) is
+        eight copies d1-d3, d4-d6, ..., d22-d24 of three points, s = 2 fresh
+        columns each, all also 1 on b's column.  Over {d1}, the b direction
+        adds +1 once, {d2, d3} adds 1 - 2 alpha < 0, a whole other copy
+        2 - 3 alpha < 0 and any part of one at least 1 - alpha > 0.  So a
+        violator holds d2, d3 and at least five copies (four give 10 - 14
+        alpha >= 0, and seven copies without d2, d3 give 15 - 21 alpha >= 0):
+        17 points, the lex-least copies being d10-d24.  Two single copies
+        follow."""
+        base = ColoredStructure(Backend(LINEAR, 1), (ge("b", 1),), frozenset(), ALPHA_INV_SQRT2)
+        P = free_power_patch([], ["b"], F(1, 2), 2, base).structure
+        copies = [{f"d{i}" for i in range(c, c + 3)} for c in range(1, 25, 3)]
+        pair = {"d2", "d3"}
+        assert P.id_set == {"b"}.union(*copies)
+        assert delta(P, pair.union(*copies[3:7]), ["d1"]) == PreDimValue(10, 14)
+        assert delta(P, pair.union(*copies[3:]), ["d1"]) == PreDimValue(12, 17)
+        assert delta(P, set().union(*copies[1:]), ["d1"]) == PreDimValue(15, 21)
+        witnesses = []
+        search = closure_module.min_violating_witness
+
+        def recording(*args, **kwargs):
+            witnesses.append(search(*args, **kwargs))
+            return witnesses[-1]
+
+        monkeypatch.setattr(closure_module, "min_violating_witness", recording)
+        got, steps = closure_with_steps(["d1"], P)
+        assert (got, steps) == (set().union(*copies), 3)
+        assert witnesses == [pair.union(*copies[3:]), copies[1], copies[2], None]
 
     def test_idempotent(self):
         S = witness_structure()

@@ -175,6 +175,62 @@ class TestKPlus:
             assert w == brute
 
 
+def _least_violator(t, x_mask):
+    """The (size, lex)-least mask A outside x_mask with delta(A/X) < 0 in
+    the table, or None."""
+    violators = [m for m in range(1, 1 << t.n) if not m & x_mask and t.delta_sign(m, x_mask) < 0]
+    return min(
+        violators, key=lambda m: (bin(m).count("1"), tuple(sorted(t.ids_of(m)))), default=None
+    )
+
+
+def test_min_witness_over_nonempty_base_matches_table(rng):
+    """min_violating_witness(S, X) with X nonempty is the brute-force table's
+    (size, lex)-least violator over X, on structures of up to ten points."""
+    sizes = []
+    for i in range(200):
+        S = random_structure(rng, ALL_ALPHAS[i % 4], max_n=10, max_dim=6, color_p=0.7)
+        t = SubsetTable(S)
+        if not t.n:
+            continue
+        x_mask = t.mask_of(rng.sample(t.ids, rng.randint(1, 1 + t.n // 4)))
+        brute = _least_violator(t, x_mask)
+        got = min_violating_witness(S, t.ids_of(x_mask))
+        assert got == (None if brute is None else t.ids_of(brute))
+        sizes.append(0 if got is None else len(got))
+    # closed bases, zero-residual singletons and walked components all occur
+    assert sizes.count(0) >= 40 and sizes.count(1) >= 20 and sum(w >= 2 for w in sizes) >= 30
+
+
+def test_min_witness_tie_goes_to_the_later_component():
+    """Two components each hold a violator of the least size, two; the
+    lex-least one is in the component searched second."""
+    S = ColoredStructure(
+        Backend(LINEAR, 4),
+        (
+            ge("a", 1, 0, 0, 0), ge("w", 1, 1, 0, 0), ge("y", 0, 1, 0, 0), ge("z", 0, 2, 0, 0),
+            ge("b", 0, 0, 1, 0), ge("c", 0, 0, 2, 0), ge("x", 0, 0, 0, 1),
+        ),
+        frozenset({"a", "w", "y", "z", "b", "c"}),
+        ALPHA_TWO_THIRDS,
+    )
+    assert colored.colored_components(S, ["x"]) == ([], [["a", "w", "y", "z"], ["b", "c"]])
+    assert min_violating_witness(S, ["x"]) == {"b", "c"}
+    t = SubsetTable(S)
+    assert t.ids_of(_least_violator(t, t.mask_of(["x"]))) == {"b", "c"}
+
+
+def test_exhausted_witness_budget_names_the_search():
+    S = witness_structure()
+    with pytest.raises(SearchBudgetExceeded) as err:
+        min_violating_witness(S, ["a"], node_budget=1)
+    assert str(err.value) == (
+        "exact search node budget of 1 exhausted in min_violating_witness over a 2-point component"
+    )
+    with pytest.raises(SearchBudgetExceeded, match="in min_relative_delta over a 1-point component"):
+        min_relative_delta(S, [], node_budget=1)
+
+
 class TestKPlusCertificate:
     @staticmethod
     def _count_searches(monkeypatch):

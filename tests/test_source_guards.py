@@ -4,8 +4,10 @@ Only `colored` writes the K+ cache fields of a ColoredStructure (others go
 through `certify_k_plus`), `construct` seeds random subset draws in one
 place, `_verify_subsets`, and `pregeom` holds the only elimination code.  No
 module but `pregeom` uses `eliminate`, so `pregeom.walk` stays the one
-depth-first subset walk.  No module imports another module's private
-(underscore-prefixed) names, and deleted names stay deleted.  No nested function calls itself: such a closure
+depth-first subset walk, and `colored` enumerates no
+`itertools.combinations`, so every subset search there runs on the walk.
+No module imports another module's private (underscore-prefixed) names, and
+deleted names stay deleted.  No nested function calls itself: such a closure
 holds a cell that refers back to it, a reference cycle that keeps the
 searched structure alive until the cyclic collector runs, so the searches
 leave no garbage for it.
@@ -20,7 +22,13 @@ from pathlib import Path
 import pytest
 
 from bicolor.closure import is_minimal_pair
-from bicolor.colored import ColoredStructure, _BudgetCounter, _component_min, empty_structure
+from bicolor.colored import (
+    ColoredStructure,
+    _BudgetCounter,
+    _component_min,
+    empty_structure,
+    min_violating_witness,
+)
 from bicolor.construct import _block_profile
 from bicolor.exactnum import Alpha
 from bicolor.pregeom import Backend, GroundElement, LINEAR
@@ -82,6 +90,16 @@ def elimination_routines(source: str) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and ELIMINATION_NAMES.search(node.name)
     ]
+
+
+def combination_uses(source: str) -> list[int]:
+    """Lines that import `combinations` by name or read it off any object."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and any(a.name == "combinations" for a in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "combinations"
+    )
 
 
 def imported_names(source: str) -> set[str]:
@@ -167,6 +185,10 @@ def test_eliminate_used_only_by_pregeom(path):
     assert "eliminate" not in imported_names((SRC / path).read_text())
 
 
+def test_colored_enumerates_no_combinations():
+    assert combination_uses((SRC / "colored.py").read_text()) == []
+
+
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_private_name_imported_across_modules(path):
     assert private_imports((SRC / path).read_text()) == []
@@ -212,10 +234,12 @@ def test_searches_leave_no_reference_cycles():
         "_component_min": lambda: _component_min(
             S, S.reducer_for(["p0"]), ids[1:5], alpha, _BudgetCounter(10_000)
         ),
+        "min_violating_witness": lambda: min_violating_witness(S, ["p5"]),
         "_block_profile": lambda: _block_profile(S, 3, ids, 3, 0),
         "_extend_embedding": lambda: _extend_embedding(task, f, T, {}),
         "audit_richness": lambda: audit_richness(T, 2),
     }
+    assert min_violating_witness(S, ["p5"]) == {"p1", "p2", "p3", "p4"}
     assert {name: _garbage_after(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
 
 
@@ -246,3 +270,6 @@ def test_guards_catch_violations():
     assert "eliminate" in imported_names("from .pregeom import SpanReducer, eliminate\n")
     assert "eliminate" in imported_names("def f():\n    return pregeom.eliminate(p, 0)\n")
     assert "eliminate" not in imported_names("from .pregeom import walk\n")
+    assert combination_uses("import itertools\nfor c in itertools.combinations(s, 2):\n    pass\n") == [2]
+    assert combination_uses("from itertools import combinations, islice\n") == [1]
+    assert combination_uses("from itertools import islice\nx = islice(s, 3)\n") == []
