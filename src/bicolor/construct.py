@@ -13,13 +13,18 @@ Each check records its method.  "exhaustive": every case was tried.
 K+ (`_tower_k_plus_check`) is proved level by level from its genericity
 checks and one exact search per level.  "structural": minimal pairs past 17
 new points, from new points colored and s-subsets bases, plus draws.
-"sampled": seeded draws only.  Subset conditions go through one verifier,
-`_verify_subsets`, which reduces each pool once against span(base), walks
-every subset up to a per-check count (2^12 - 2 for the interior condition,
-20 000 for genericity, 200 000 for small extensions) with `pregeom.walk` and
-past it makes the draws.  A chain the certificate does not accept gets the
-budgeted K+ search, and K+ and anchor searches that run out of their budget
-fall back to the same draws.
+"sampled": seeded draws only.  A patch of at most 14 points is walked once:
+`_block_profile` tabulates its subsets, the free-union DP `_free_union_min`
+decides ambient K+ and the anchor's closedness from the tables, and
+`_patch_checks` reads genericity and the interior or minimal-pair condition
+off the same table.  Every other subset condition, and a read-off that fails
+(for its witness) or whose assumptions do not hold, goes through one
+verifier, `_verify_subsets`, which reduces each pool once against
+span(base), walks every subset up to a per-check count (2^12 - 2 for the
+interior condition, 20 000 for genericity, 200 000 for small extensions)
+with `pregeom.walk` and past it makes the draws.  A chain the certificate
+does not accept gets the budgeted K+ search, and K+ and anchor searches that
+run out of their budget fall back to the same draws.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ from .pregeom import span_key, walk
 from .report import Check
 
 EXHAUSTIVE_PATCH_LIMIT = 12
+# Largest block whose subsets `_block_profile` tabulates (2^14 - 1 of them).
+BLOCK_PROFILE_LIMIT = 14
 EXHAUSTIVE_MINPAIR_LIMIT = 17
 SAMPLE_COUNT = 10_000
 SAMPLE_SEED = 0x5EED
@@ -225,12 +232,12 @@ def _verify_subsets(name, S, base, pool, sizes, violates, limit) -> Check:
     return Check(name, witness is None, witness=witness and sorted(witness), method=method)
 
 
-def _patch_interior_check(S2, b_ids, new_ids, alpha) -> Check:
+def _patch_interior_check(S2, b_ids, new_ids, alpha, limit=2**EXHAUSTIVE_PATCH_LIMIT - 2) -> Check:
     """delta(D') >= delta(B) for all B within D' strictly inside D, i.e.
     delta(C/B) >= 0 for every proper subset C of the patch."""
     return _verify_subsets(
         "interior_condition", S2, b_ids, new_ids, range(1, len(new_ids)),
-        lambda d: d.sign(alpha) < 0, 2**EXHAUSTIVE_PATCH_LIMIT - 2,
+        lambda d: d.sign(alpha) < 0, limit,
     )
 
 
@@ -340,7 +347,7 @@ def _keep_min(profile: dict, key, val: PreDimValue, alpha):
 
 
 def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
-    """Least PreDimValue(fresh rank, size) per residue span of a block's subsets.
+    """Table {(raw residue key, fresh rank): largest size} of a block's subsets.
 
     A point's row is its fresh columns [start, start + length) followed by its
     old columns [0, old_width).  Subsets are walked depth-first in sorted-id
@@ -349,13 +356,18 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
     k-point block takes at most 2^k - 1 steps.  Echelon rows with a fresh
     pivot give the fresh rank; the others span the subset's raw residue over
     the old coordinates, and their old parts, in echelon form, are keyed by
-    their canonical integer rows.  A zero-width block (start = old_width,
-    length = 0) profiles points on the old coordinates alone.  Raises
-    SearchBudgetExceeded past 14 points or for a point outside its columns.
+    their canonical integer rows.  Each (key, fresh rank) keeps the size of
+    its largest subset, the empty set giving ((), 0): 0; subsets sharing both
+    have one rank, so the largest has the least delta.  A zero-width block
+    (start = old_width, length = 0) profiles points on the old coordinates
+    alone.  Raises SearchBudgetExceeded past BLOCK_PROFILE_LIMIT points or for
+    a point outside its columns.
     """
     ids = sorted(ids)
-    if len(ids) > 14:
-        raise SearchBudgetExceeded("free-union block too large")
+    if len(ids) > BLOCK_PROFILE_LIMIT:
+        raise SearchBudgetExceeded(
+            f"free-union block of {len(ids)} points exceeds {BLOCK_PROFILE_LIMIT}"
+        )
     rows = [S2.introw(eid) for eid in ids]
     if any(any(row[old_width:start]) or any(row[start + length:]) for row in rows):
         raise SearchBudgetExceeded("block escapes its fresh coordinates")
@@ -371,53 +383,68 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
             key = canonical_rows([r for _, r in olds])
         return size + 1, rank_f, olds, key
 
-    profile: dict[tuple, PreDimValue] = {(): ZERO}
-    for _, (size, rank_f, _, key), new in walk(rows, (0, 0, (), ()), take):
-        if new and size:
-            _keep_min(profile, key, PreDimValue(rank_f, size), S2.alpha)
-    return profile
+    table = {((), 0): 0}
+    for _, (size, rank_f, _, key), _ in walk(rows, (0, 0, (), ()), take):
+        if size > table.get((key, rank_f), -1):
+            table[key, rank_f] = size
+    return table
+
+
+def _old_reducer(S2, ids, old_width: int):
+    """A reducer of the rows of `ids` on the old columns [0, old_width), or
+    None when one of them is nonzero past them."""
+    red = SpanReducer(old_width)
+    for eid in sorted(ids):
+        row = S2.introw(eid)
+        if any(row[old_width:]):
+            return None
+        red.add(row[:old_width])
+    return red
+
+
+def _modulo(red: SpanReducer, key) -> tuple:
+    """The key of span(key) modulo span(red): its rows' residuals, keyed again."""
+    return span_key([red.residual(r) for r in key], red.ncols)
 
 
 def _free_union_min(S2, prime_ids, old_width: int, blocks, profiles) -> PreDimValue:
     """Exact min of delta(A/prime) for a free union of patch copies over a base.
 
     `blocks` lists (ids, fresh_start, fresh_len) per copy and `profiles` the
-    copies' `_block_profile`s; a copy's payloads must be supported on the old
-    coordinates plus its own fresh column block, everything else (prime set
-    included) on the old coordinates alone.  Fresh columns are private to
-    their block, so eliminating them is independent across blocks: delta
-    decomposes into per-block profiles (fresh rank, size, residue span over
-    the old coordinates) combined by an exact DP over the joint residue span.
-    The colored points outside the blocks and the prime form one more,
+    copies' `_block_profile` tables; a copy's payloads must be supported on
+    the old coordinates plus its own fresh column block, everything else
+    (prime set included) on the old coordinates alone.  Fresh columns are
+    private to their block, so eliminating them is independent across blocks:
+    delta decomposes into per-block profiles (fresh rank, size, residue span
+    over the old coordinates) combined by an exact DP over the joint residue
+    span.  The colored points outside the blocks and the prime form one more,
     zero-width block.
 
     The profiles do not depend on the prime, so one set serves every prime.
-    Each raw residue span is mapped here to its span modulo span(prime): the
-    canonical integer rows are reduced against the prime and keyed again by
-    the canonical integer rows of what is left.  Reducing a row is a linear
-    projection times a nonzero scalar, so the reduced span is a function of
-    the raw span alone, and the least value per reduced key is the least over
-    the raw keys that map to it.  Raises SearchBudgetExceeded when the
-    structure does not fit the shape.
+    Each table entry becomes PreDimValue(fresh rank, size) under its raw
+    residue span mapped to its span modulo span(prime): the canonical integer
+    rows are reduced against the prime and keyed again by the canonical
+    integer rows of what is left.  Reducing a row is a linear projection
+    times a nonzero scalar, so the reduced span is a function of the raw span
+    alone, and the least value per reduced key is the least over the entries
+    that map to it.  Which subset stands for a tied value may differ from a
+    per-subset minimum, but no value does.  Raises SearchBudgetExceeded when
+    the structure does not fit the shape.
     """
     prime = set(prime_ids)
-    prime_red = SpanReducer(old_width)
-    for eid in sorted(prime):
-        row = S2.introw(eid)
-        if any(row[old_width:]):
-            raise SearchBudgetExceeded("element escapes the old coordinates")
-        prime_red.add(row[:old_width])
+    prime_red = _old_reducer(S2, prime, old_width)
+    if prime_red is None:
+        raise SearchBudgetExceeded("element escapes the old coordinates")
     in_blocks = {i for ids, _, _ in blocks for i in ids}
     old_cands = S2.colored - prime - in_blocks
     if old_cands:
         profiles = [*profiles, _block_profile(S2, old_width, old_cands, old_width, 0)]
 
     states: dict[tuple, PreDimValue] = {(): ZERO}
-    for raw in profiles:
+    for table in profiles:
         profile: dict[tuple, PreDimValue] = {}
-        for raw_key, val in raw.items():
-            residues = [prime_red.residual(r) for r in raw_key]
-            _keep_min(profile, span_key(residues, old_width), val, S2.alpha)
+        for (raw_key, rank_f), size in table.items():
+            _keep_min(profile, _modulo(prime_red, raw_key), PreDimValue(rank_f, size), S2.alpha)
         nxt: dict[tuple, PreDimValue] = {}
         for srows, sval in states.items():
             for prows, pval in profile.items():
@@ -434,11 +461,13 @@ def _free_union_min(S2, prime_ids, old_width: int, blocks, profiles) -> PreDimVa
 
 
 def _union_checks(S2, a_ids, star_ids, old_width, blocks):
-    """(ambient K+ check, anchor-closed check) for free unions of patches.
+    """(ambient K+ check, anchor-closed check, block tables) for free unions
+    of patches.
 
-    The exact residue-span DP is tried first, for both checks on the same
-    block profiles; when the structure does not fit its shape the budgeted
-    general search runs, then seeded sampling.
+    Each block is tabulated by `_block_profile` (the tables are None when a
+    block does not fit) and the exact residue-span DP decides both checks on
+    them; when the structure does not fit its shape the budgeted general
+    search runs, then seeded sampling.
     """
     try:
         profiles = [_block_profile(S2, old_width, *blk) for blk in blocks]
@@ -466,7 +495,67 @@ def _union_checks(S2, a_ids, star_ids, old_width, blocks):
         anchor = _anchor_closed_check(S2, a_ids, star_ids)
     else:
         anchor = Check("anchor_closed", ok)
-    return kp, anchor
+    return kp, anchor, profiles
+
+
+def _patch_checks(S2, b_ids, new_ids, s: int, old_width: int, table, minimal: bool) -> list:
+    """[generic_position, then minimal_pair if `minimal` else
+    interior_condition] for a patch N = `new_ids` over B = `b_ids`, read off
+    N's block table: `_block_profile` with fresh block [old_width,
+    old_width + s).
+
+    Let k = |N|.  The read-off assumes every point of N colored, B zero past
+    the old columns (so on the fresh block), and the table present (k at
+    most BLOCK_PROFILE_LIMIT); otherwise the checks run as
+    `_genericity_check`, `_patch_interior_check` and `_minimal_pair_check`.
+    For C within N with table key (K, f), span(C u B) maps onto the fresh
+    block with rank f and kernel K + span(B), so dim(C/B) = f + d(K) with
+    d(K) = dim((K + span B)/span B), one reduction per key.  So each entry
+    gives j = dim(C/B), shared by the Cs of its key, and the size of the
+    largest; C is colored, so delta(C/B) = j - alpha*|C|, least at that
+    size.  R = dim(N/B) is the largest j.
+
+    Lemma.  (i) Every s-subset of N is a base over B iff k < s or no entry
+    has j < s and size > j.  (ii) delta(C/B) >= 0 for every nonempty proper
+    C iff j - alpha*size >= 0 for every entry with j < R, and
+    R - alpha*(k - 1) >= 0.  (iii) (B, B u N) is a minimal pair iff (ii)
+    holds and R - alpha*k < 0.
+
+    Proof.  (i) An s-subset of rank below s has j < s = |C|, so its entry
+    has size > j.  Conversely, a C with j < s and |C| > j is dependent over
+    B, so holds a circuit over B of at most j + 1 <= s points; when k >= s,
+    an s-subset containing it has rank at most s - 1.  (ii) Every C with
+    j < R is proper or empty (delta 0), and an entry's size gives the least
+    delta of its key, so the entries with j < R decide them.  A proper C with
+    j = R has delta(C/B) >= R - alpha*(k - 1).  That bound is reached when
+    R < k: N has a circuit over B, and dropping one of its points leaves
+    k - 1 points of rank R; for k = 1 or R = k it holds anyway, alpha lying
+    in (0, 1].  (iii) is (ii) plus delta(N/B) < 0.
+
+    A failed read-off takes its witness from the exhaustive sweep, at most
+    2^BLOCK_PROFILE_LIMIT subsets; `is_minimal_pair` reports none.
+    """
+    alpha, k = S2.alpha, len(new_ids)
+    red = _old_reducer(S2, b_ids, old_width)
+    if table is None or red is None or not S2.colored.issuperset(new_ids):
+        if minimal:
+            last = _minimal_pair_check(S2, b_ids, set(b_ids) | set(new_ids), new_ids, s)
+        else:
+            last = _patch_interior_check(S2, b_ids, new_ids, alpha)
+        return [_genericity_check(S2, new_ids, b_ids, s), last]
+    entries = {(f + len(_modulo(red, key)), size) for (key, f), size in table.items()}
+    rank = max(j for j, _ in entries)
+    generic = k < s or all(size <= j for j, size in entries if j < s)
+    interior = PreDimValue(rank, k - 1).sign(alpha) >= 0 and all(
+        PreDimValue(j, size).sign(alpha) >= 0 for j, size in entries if j < rank
+    )
+    if minimal:
+        last = Check("minimal_pair", interior and PreDimValue(rank, k).sign(alpha) < 0)
+    elif interior:
+        last = Check("interior_condition", True)
+    else:
+        last = _patch_interior_check(S2, b_ids, new_ids, alpha, math.inf)
+    return [Check("generic_position", True) if generic else _genericity_check(S2, new_ids, b_ids, s), last]
 
 
 def _anchor_closed_check(S2, a_ids, within_ids) -> Check:
@@ -631,12 +720,11 @@ def transcendental_patch(a_ids, b_ids, epsilon, S: ColoredStructure) -> Construc
     d_ids = b | set(new_ids)
     gap_post = delta(S2, new_ids, b)
     window_val = PreDimValue(s, k).value(S2.alpha)
-    kp, anchor = _union_checks(S2, a, d_ids, old_width, [(new_ids, old_width, s)])
+    kp, anchor, tables = _union_checks(S2, a, d_ids, old_width, [(new_ids, old_width, s)])
     checks = [
         Check("window", window_val.sign() < 0 and (window_val + eps).sign() > 0),
         Check("delta_gap", gap_post == PreDimValue(s, k)),
-        _genericity_check(S2, new_ids, b, s),
-        _patch_interior_check(S2, b, new_ids, S2.alpha),
+        *_patch_checks(S2, b, new_ids, s, old_width, tables and tables[0], minimal=False),
         anchor,
         Check("transcendental", _transcendental_over(S2, d_ids, a)),
         kp,
@@ -684,7 +772,7 @@ def _patch_union(res: Construction, a, b, count: int, n: int, gap_name, gap_ok) 
     res = Construction(S2, copies=copies, pair=res.pair)
     star = b | set(res.new_ids)
     blocks = [(ids, old_width + c * s, s) for c, ids in enumerate(copies)]
-    kp, anchor = _union_checks(S2, a, star, old_width, blocks)
+    kp, anchor, _ = _union_checks(S2, a, star, old_width, blocks)
     res.checks = [
         Check("per_copy_gap", all(delta(S2, c, b) == res.delta_gap for c in copies)),
         Check(gap_name, gap_ok(delta(S2, star, a))),
@@ -722,12 +810,11 @@ def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Con
     d_ids = b | set(new_ids)
     m, nden = S.alpha.num, S.alpha.den
     gap_post = delta(S2, new_ids, b)
-    kp, anchor = _union_checks(S2, a, d_ids, old_width, [(new_ids, old_width, s)])
+    kp, anchor, tables = _union_checks(S2, a, d_ids, old_width, [(new_ids, old_width, s)])
     checks = [
         Check("delta_exact", nden * s - m * k == -1 and gap_post == PreDimValue(s, k)),
         Check("size_exceeds_t", k > t),
-        _genericity_check(S2, new_ids, b, s),
-        _minimal_pair_check(S2, b, d_ids, new_ids, s),
+        *_patch_checks(S2, b, new_ids, s, old_width, tables and tables[0], minimal=True),
         anchor,
         Check("transcendental", _transcendental_over(S2, d_ids, a)),
         kp,

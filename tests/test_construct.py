@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from bicolor import construct, pregeom, workbench
 from bicolor.closure import is_minimal_pair
 from bicolor.colored import ColoredStructure, delta, empty_structure, in_k_plus, min_relative_delta
 from bicolor.construct import (
+    BLOCK_PROFILE_LIMIT,
     SAMPLE_COUNT,
     ChainLevel,
     _anchor_closed_check,
@@ -19,6 +21,8 @@ from bicolor.construct import (
     _genericity_check,
     _k_plus_check,
     _minimal_pair_check,
+    _patch_checks,
+    _patch_interior_check,
     _tower_k_plus_check,
     _verify_subsets,
     chain_pairs,
@@ -847,9 +851,9 @@ class TestFreeUnionVerifier:
             old_cands = S.colored - set(prime) - {i for ids, _, _ in blocks for i in ids}
             assert "o2" in old_cands
             raw = _block_profile(S, old_w, old_cands, old_w, 0)
-            assert all(key == span_key(key, old_w) for key in raw)  # one key per span
+            assert all(key == span_key(key, old_w) for key, _ in raw)  # one key per span
             indivisible_keys += any(
-                x % next(y for y in row if y) for key in raw for row in key for x in row
+                x % next(y for y in row if y) for key, _ in raw for row in key for x in row
             )
             for p in ([], prime, prime + ["o3"]):
                 assert compare(_union_min(S, p, old_w, blocks), _brute_min(S, p), alpha) == 0
@@ -910,6 +914,146 @@ class TestFreeUnionVerifier:
         old_part = [(ids, start) for ids, start, length in calls if not length]
         # the colored base point is the old part of both minimisations
         assert old_part == ([(("b",), 1)] * 2 if colored_base else [])
+
+
+class TestPatchReadOff:
+    """`_patch_checks` reads a patch's genericity and interior or minimal-pair
+    checks off its block table, and runs the sweeps where it may not."""
+
+    @staticmethod
+    def _random_patch(rng, alpha):
+        """k colored points on old columns [0, old_w) and fresh columns
+        [old_w, old_w + s) over a base of rank below old_w, zero on the fresh
+        block.  Entries come from a small set, and some points are twice an
+        earlier one or a base point, so dependencies are common."""
+        old_w, s, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 7)
+        rank = rng.randint(0, old_w - 1)
+        while True:
+            base = [tuple(rng.randint(-2, 2) for _ in range(old_w)) for _ in range(rank)]
+            if rank_int_matrix(base, old_w) == rank:
+                break
+        if base and rng.random() < 0.5:
+            base.append(tuple(2 * x for x in base[0]))
+        new = []
+        while len(new) < k:
+            row = tuple(rng.choice((0, 0, 1, 1, 2, -1)) for _ in range(old_w + s))
+            if new and rng.random() < 0.2:
+                row = tuple(2 * x for x in rng.choice(new))
+            elif base and rng.random() < 0.1:
+                row = rng.choice(base) + (0,) * s
+            new += [row] if any(row) else []
+        b_elems = [GroundElement(f"b{i}", tuple(map(F, v + (0,) * s))) for i, v in enumerate(base)]
+        d_elems = [GroundElement(f"d{i}", tuple(map(F, v))) for i, v in enumerate(new)]
+        b_ids = [e.id for e in b_elems]
+        new_ids = tuple(e.id for e in d_elems)
+        colored_ids = [*new_ids, *(i for i in b_ids if rng.random() < 0.5)]
+        S = empty_structure(alpha, ambient=old_w + s).extended(b_elems + d_elems, new_colored=colored_ids)
+        return S, b_ids, new_ids, s, old_w
+
+    @staticmethod
+    def _sweeps(S, b_ids, new_ids, s, minimal):
+        """The checks `_patch_checks` stands for, run as subset sweeps."""
+        if minimal:
+            last = _minimal_pair_check(S, b_ids, set(b_ids) | set(new_ids), new_ids, s)
+        else:
+            last = _patch_interior_check(S, b_ids, new_ids, S.alpha)
+        return [_genericity_check(S, new_ids, b_ids, s), last]
+
+    def test_read_off_matches_the_sweeps(self, monkeypatch, rng):
+        # a read-off sweeps only to name a failure's witness
+        original, sweeps = construct.walk, []
+
+        def counting(*args):
+            sweeps.append(1)
+            return original(*args)
+
+        def read_off(*args, minimal):
+            before = len(sweeps)
+            checks = _patch_checks(*args, minimal=minimal)
+            swept = checks[:1] if minimal else checks  # is_minimal_pair reports no witness
+            assert len(sweeps) - before == sum(not c.passed for c in swept)
+            return checks
+
+        monkeypatch.setattr(construct, "walk", counting)
+
+        seen = set()
+        for trial in range(320):
+            alpha = ALL_ALPHAS[trial % 4]
+            S, b_ids, new_ids, s, old_w = self._random_patch(rng, alpha)
+            table = _block_profile(S, old_w, new_ids, old_w, s)
+            generic, interior = read_off(S, b_ids, new_ids, s, old_w, table, minimal=False)
+            generic_too, minimal = read_off(S, b_ids, new_ids, s, old_w, table, minimal=True)
+            assert [generic, interior] == self._sweeps(S, b_ids, new_ids, s, minimal=False)
+            assert generic_too == generic
+            pair = is_minimal_pair(b_ids, set(b_ids) | set(new_ids), S)
+            assert minimal == Check("minimal_pair", pair)
+            seen |= {("generic", generic.passed), ("interior", interior.passed)}
+            seen |= {("minimal", minimal.passed), ("k < s", len(new_ids) < s)}
+        checks = ("generic", "interior", "minimal")
+        assert seen >= {(name, ok) for name in checks for ok in (True, False)} | {("k < s", True)}
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            lambda: rational_minimal_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS)),
+            lambda: transcendental_patch([], ["b"], F(1, 10), _one_point(ALPHA_INV_SQRT2)),
+        ],
+        ids=["rational_minimal_extension", "transcendental_patch"],
+    )
+    def test_one_walk_over_the_new_points(self, monkeypatch, engine):
+        original, walked = pregeom.walk, []
+
+        def counting(rows, *args):
+            walked.append(len(rows))
+            return original(rows, *args)
+
+        for module in ("closure", "colored", "construct"):
+            monkeypatch.setattr(sys.modules[f"bicolor.{module}"], "walk", counting)
+        res = engine()
+        assert all(c.passed and c.method == "exhaustive" for c in res.checks)
+        assert len(res.new_ids) > 1
+        assert walked.count(len(res.new_ids)) == 1
+
+    def test_thirteen_point_patch_interior_is_exhaustive(self):
+        # past 2^12 - 2 subsets the sweep alone would sample
+        S = _one_point(Alpha.quadratic(0, 1, 6, 2))  # sqrt(2)/6
+        res = transcendental_patch([], ["b"], F(1, 10), S)
+        assert (res.pair.s, res.pair.k) == (3, 13)
+        interior = next(c for c in res.checks if c.name == "interior_condition")
+        assert interior == Check("interior_condition", True)
+        sweep = _patch_interior_check(res.structure, ["b"], res.new_ids, S.alpha, math.inf)
+        assert sweep == interior
+
+    def test_plain_new_point_runs_the_sweeps(self):
+        S, new_ids = grow_patch(_one_point(ALPHA_TWO_THIRDS), ["b"], 1, 2, colored=True)
+        S = ColoredStructure(S.backend, S.elements, S.colored - {new_ids[0]}, S.alpha)
+        table = _block_profile(S, 1, new_ids, 1, 1)
+        for minimal in (False, True):
+            want = self._sweeps(S, ["b"], new_ids, 1, minimal)
+            assert _patch_checks(S, ["b"], new_ids, 1, 1, table, minimal) == want
+        # with both points colored it would be a minimal pair: 1 - 2*(2/3) < 0
+        assert want[1] == Check("minimal_pair", False)
+
+    def test_base_on_the_fresh_block_runs_the_sweeps(self):
+        # b = x, so dim(x/b) = 0, while x's fresh rank alone would say 1
+        row = (F(1), F(1))
+        S = empty_structure(ALPHA_TWO_THIRDS, ambient=2).extended(
+            [GroundElement("b", row), GroundElement("x", row)], new_colored=["x"]
+        )
+        table = _block_profile(S, 1, ["x"], 1, 1)
+        for minimal in (False, True):
+            want = self._sweeps(S, ["b"], ("x",), 1, minimal)
+            assert _patch_checks(S, ["b"], ("x",), 1, 1, table, minimal) == want
+        assert want == [Check("generic_position", False, witness=["x"]), Check("minimal_pair", True)]
+
+    def test_no_table_past_the_limit(self):
+        k = BLOCK_PROFILE_LIMIT + 1
+        S, new_ids = grow_patch(_one_point(ALPHA_TWO_THIRDS), ["b"], 1, k, colored=True)
+        with pytest.raises(SearchBudgetExceeded, match=f"block of {k} points"):
+            _block_profile(S, 1, new_ids, 1, 1)
+        for minimal in (False, True):
+            want = self._sweeps(S, ["b"], new_ids, 1, minimal)
+            assert _patch_checks(S, ["b"], new_ids, 1, 1, None, minimal) == want
 
 
 class TestConstruction:
