@@ -20,7 +20,7 @@ decides ambient K+ and the anchor's closedness from the tables, and
 off the same table.  Every other subset condition, and a read-off that fails
 (for its witness) or whose assumptions do not hold, goes through one
 verifier, `_verify_subsets`, which reduces each pool once against
-span(base), walks every subset up to a per-check count (2^12 - 2 for the
+span(base), walks every subset up to a per-check count (2^14 - 2 for the
 interior condition, 20 000 for genericity, 200 000 for small extensions)
 with `pregeom.walk` and past it makes the draws.  A chain the certificate
 does not accept gets the budgeted K+ search, and K+ and anchor searches that
@@ -76,7 +76,6 @@ from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, canonica
 from .pregeom import span_key, walk
 from .report import Check
 
-EXHAUSTIVE_PATCH_LIMIT = 12
 # Largest block whose subsets `_block_profile` tabulates (2^14 - 1 of them).
 BLOCK_PROFILE_LIMIT = 14
 EXHAUSTIVE_MINPAIR_LIMIT = 17
@@ -232,12 +231,12 @@ def _verify_subsets(name, S, base, pool, sizes, violates, limit) -> Check:
     return Check(name, witness is None, witness=witness and sorted(witness), method=method)
 
 
-def _patch_interior_check(S2, b_ids, new_ids, alpha, limit=2**EXHAUSTIVE_PATCH_LIMIT - 2) -> Check:
+def _patch_interior_check(S2, b_ids, new_ids, alpha) -> Check:
     """delta(D') >= delta(B) for all B within D' strictly inside D, i.e.
     delta(C/B) >= 0 for every proper subset C of the patch."""
     return _verify_subsets(
         "interior_condition", S2, b_ids, new_ids, range(1, len(new_ids)),
-        lambda d: d.sign(alpha) < 0, limit,
+        lambda d: d.sign(alpha) < 0, 2**BLOCK_PROFILE_LIMIT - 2,
     )
 
 
@@ -464,19 +463,21 @@ def _union_checks(S2, a_ids, star_ids, old_width, blocks):
     """(ambient K+ check, anchor-closed check, block tables) for free unions
     of patches.
 
-    Each block is tabulated by `_block_profile` (the tables are None when a
-    block does not fit) and the exact residue-span DP decides both checks on
-    them; when the structure does not fit its shape the budgeted general
-    search runs, then seeded sampling.
+    Each block is tabulated by `_block_profile`, its table None when the
+    block does not fit, and the exact residue-span DP decides both checks on
+    the tables; when a block or the structure does not fit its shape the
+    budgeted general search runs, then seeded sampling.
     """
-    try:
-        profiles = [_block_profile(S2, old_width, *blk) for blk in blocks]
-    except SearchBudgetExceeded:
-        profiles = None
+    profiles = []
+    for blk in blocks:
+        try:
+            profiles.append(_block_profile(S2, old_width, *blk))
+        except SearchBudgetExceeded:
+            profiles.append(None)
 
     def exact_ok(S, prime):
         """The DP's verdict, or None when the structure does not fit its shape."""
-        if profiles is None:
+        if any(p is None for p in profiles):
             return None
         try:
             return _free_union_min(S, prime, old_width, blocks, profiles).sign(S2.alpha) >= 0
@@ -554,7 +555,7 @@ def _patch_checks(S2, b_ids, new_ids, s: int, old_width: int, table, minimal: bo
     elif interior:
         last = Check("interior_condition", True)
     else:
-        last = _patch_interior_check(S2, b_ids, new_ids, alpha, math.inf)
+        last = _patch_interior_check(S2, b_ids, new_ids, alpha)
     return [Check("generic_position", True) if generic else _genericity_check(S2, new_ids, b_ids, s), last]
 
 
@@ -720,11 +721,11 @@ def transcendental_patch(a_ids, b_ids, epsilon, S: ColoredStructure) -> Construc
     d_ids = b | set(new_ids)
     gap_post = delta(S2, new_ids, b)
     window_val = PreDimValue(s, k).value(S2.alpha)
-    kp, anchor, tables = _union_checks(S2, a, d_ids, old_width, [(new_ids, old_width, s)])
+    kp, anchor, (table,) = _union_checks(S2, a, d_ids, old_width, [(new_ids, old_width, s)])
     checks = [
         Check("window", window_val.sign() < 0 and (window_val + eps).sign() > 0),
         Check("delta_gap", gap_post == PreDimValue(s, k)),
-        *_patch_checks(S2, b, new_ids, s, old_width, tables and tables[0], minimal=False),
+        *_patch_checks(S2, b, new_ids, s, old_width, table, minimal=False),
         anchor,
         Check("transcendental", _transcendental_over(S2, d_ids, a)),
         kp,
@@ -810,11 +811,11 @@ def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Con
     d_ids = b | set(new_ids)
     m, nden = S.alpha.num, S.alpha.den
     gap_post = delta(S2, new_ids, b)
-    kp, anchor, tables = _union_checks(S2, a, d_ids, old_width, [(new_ids, old_width, s)])
+    kp, anchor, (table,) = _union_checks(S2, a, d_ids, old_width, [(new_ids, old_width, s)])
     checks = [
         Check("delta_exact", nden * s - m * k == -1 and gap_post == PreDimValue(s, k)),
         Check("size_exceeds_t", k > t),
-        *_patch_checks(S2, b, new_ids, s, old_width, tables and tables[0], minimal=True),
+        *_patch_checks(S2, b, new_ids, s, old_width, table, minimal=True),
         anchor,
         Check("transcendental", _transcendental_over(S2, d_ids, a)),
         kp,

@@ -1015,13 +1015,13 @@ class TestPatchReadOff:
         assert walked.count(len(res.new_ids)) == 1
 
     def test_thirteen_point_patch_interior_is_exhaustive(self):
-        # past 2^12 - 2 subsets the sweep alone would sample
+        # the read-off passes with no sweep, and the full sweep agrees
         S = _one_point(Alpha.quadratic(0, 1, 6, 2))  # sqrt(2)/6
         res = transcendental_patch([], ["b"], F(1, 10), S)
         assert (res.pair.s, res.pair.k) == (3, 13)
         interior = next(c for c in res.checks if c.name == "interior_condition")
         assert interior == Check("interior_condition", True)
-        sweep = _patch_interior_check(res.structure, ["b"], res.new_ids, S.alpha, math.inf)
+        sweep = _patch_interior_check(res.structure, ["b"], res.new_ids, S.alpha)
         assert sweep == interior
 
     def test_plain_new_point_runs_the_sweeps(self):
