@@ -20,6 +20,7 @@ from .colored import (
     ensure_k_plus,
     in_k_plus,
     is_lp_embedding,
+    strong_extension,
 )
 from .errors import (
     AlphaMismatch,
@@ -81,21 +82,16 @@ def _coords(S: ColoredStructure, basis_ids, ids):
     return out
 
 
-def _uncollide(base_ids, left_ids, right_ids):
-    """Deterministic id renaming: base wins, complements get L./R. prefixes."""
+def _uncollide(taken, right_ids):
+    """Deterministic names for the second side's complement: the first side
+    keeps its ids, and a name already taken gets R. prefixes."""
     names = {}
-    used = set(base_ids)
-    for eid in left_ids:
-        new = eid
-        while new in used:
-            new = "L." + new
-        names[("L", eid)] = new
-        used.add(new)
+    used = set(taken)
     for eid in right_ids:
         new = eid
         while new in used:
             new = "R." + new
-        names[("R", eid)] = new
+        names[eid] = new
         used.add(new)
     return names
 
@@ -111,7 +107,10 @@ def free_amalgam(
 
     Preconditions: the match is a color-and-structure bijection between the
     two base copies, the base is closed on both sides, and coefficients and
-    backend kinds agree.
+    backend kinds agree.  M1 keeps its ids (the second side's complement is
+    renamed around them), so the left injection is the identity; once
+    verified strong, it hands M1's memoized least violators to the amalgam,
+    where they are the answers again.
     """
     if M1.backend.kind != M2.backend.kind:
         raise BackendMismatch(f"{M1.backend.kind} vs {M2.backend.kind}")
@@ -137,18 +136,14 @@ def free_amalgam(
     if not is_closed(b2, M2):
         raise NotClosed("base is not closed in the second structure")
 
-    names = _uncollide(b1, sorted(M1.id_set - b1), sorted(M2.id_set - b2))
-    left_name = {eid: (eid if eid in b1 else names[("L", eid)]) for eid in M1.id_set}
+    names = _uncollide(M1.id_set, sorted(M2.id_set - b2))
     inv = {v: k for k, v in fwd.items()}
-    right_name = {
-        eid: (inv[eid] if eid in b2 else names[("R", eid)]) for eid in M2.id_set
-    }
+    right_name = {eid: (inv[eid] if eid in b2 else names[eid]) for eid in M2.id_set}
 
     if M1.backend.kind == FREE:
-        elements = [GroundElement(left_name[e.id]) for e in M1.elements]
+        elements = [GroundElement(e.id) for e in M1.elements]
         elements += [GroundElement(right_name[e.id]) for e in M2.elements if e.id not in b2]
-        colored = {left_name[i] for i in M1.colored}
-        colored |= {right_name[i] for i in M2.colored}
+        colored = M1.colored | {right_name[i] for i in M2.colored}
         M = ColoredStructure(Backend(FREE), tuple(elements), frozenset(colored), M1.alpha)
     else:
         red0, basis0 = _greedy_basis(M1, b1)
@@ -174,20 +169,18 @@ def free_amalgam(
         ids1 = M1.ids_sorted
         ids2 = [i for i in M2.ids_sorted if i not in b2]
         elements = [
-            GroundElement(left_name[i], place(c, off1))
-            for i, c in zip(ids1, _coords(M1, basis1, ids1))
+            GroundElement(i, place(c, off1)) for i, c in zip(ids1, _coords(M1, basis1, ids1))
         ]
         elements += [
             GroundElement(right_name[i], place(c, off2))
             for i, c in zip(ids2, _coords(M2, basis2, ids2))
         ]
-        colored = {left_name[i] for i in M1.colored}
-        colored |= {right_name[i] for i in M2.colored}
+        colored = M1.colored | {right_name[i] for i in M2.colored}
         M = ColoredStructure(Backend(LINEAR, ambient), tuple(elements), frozenset(colored), M1.alpha)
 
-    inj1 = EmbeddingMap(tuple((eid, left_name[eid]) for eid in M1.id_set))
+    inj1 = EmbeddingMap.identity(M1.ids_sorted)
     inj2 = EmbeddingMap(tuple((eid, right_name[eid]) for eid in M2.id_set))
-    part1 = frozenset(left_name.values())
+    part1 = M1.id_set
     part2 = frozenset(right_name.values())
     base = frozenset(b1)
 
@@ -195,7 +188,7 @@ def free_amalgam(
         raise InvariantError("amalgam broke hereditary positivity")
     checks = [
         Check("in_k_plus", True),
-        Check("left_injection_strong", verify_strong(inj1, M1, M)),
+        Check("left_injection_strong", strong_extension(M1, M)),
         Check("right_injection_strong", verify_strong(inj2, M2, M)),
         Check("parts_free_over_base", verify_free(M, part1, part2, base)),
     ]

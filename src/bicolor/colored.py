@@ -33,6 +33,17 @@ again, so the last violator met in a component is its (size, lex)-least.
 
 Everything is exact; searches that outgrow their node budget raise, naming
 the search and the size of the component, instead of degrading.
+
+Lemma (inherited witnesses).  Let P and S fix the same alpha and share the
+ids of P, with the identity an lp-embedding of P into S (same colors, same
+ranks on every subset), and P closed in S.  Then for every X within P the least violator of
+X in S is its least violator in P.  Proof: let V violate X in S, V1 = V n P
+and V2 = V - P.  By submodularity and P closed in S, delta(V2 / X u V1) >=
+delta(V2 / P) >= 0, so delta(V1 / X) <= delta(V / X) < 0: V1 is a violator
+no larger than V, and the least violator in S lies in P.  Deltas of subsets
+of P agree in P and S, so the violators within P are the same in both, and
+the least one is P's.  `strong_extension` checks these hypotheses and only
+then lets S inherit P's answers.
 """
 
 from __future__ import annotations
@@ -65,6 +76,12 @@ class ColoredStructure:
     (sorted by id) so equality is structural.  The hereditary-positivity
     verdict is cached per instance, a positive one is inherited by
     restrictions, and neither is trusted across file round-trips.
+
+    `_witnesses` memoizes `min_violating_witness`: each set X asked maps to
+    its (size, lex)-least violator, or None when X is closed.  The answers
+    are exact, so a hit ignores the node budget; a search that overran its
+    budget stores nothing.  A verified strong extension (`strong_extension`)
+    inherits the memo; restrictions and file round-trips start empty.
     """
 
     backend: Backend
@@ -74,7 +91,7 @@ class ColoredStructure:
     _by_id: dict = field(default=None, repr=False, compare=False)
     _introws: dict = field(default=None, repr=False, compare=False)
     _k_plus: object = field(default=None, repr=False, compare=False)
-    _k_plus_witness: object = field(default=None, repr=False, compare=False)
+    _witnesses: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         elts = tuple(sorted(self.elements, key=lambda e: e.id))
@@ -380,9 +397,17 @@ def min_violating_witness(S: ColoredStructure, x_ids, node_budget: int = DEFAULT
     far, so every violator met is compared by (size, sorted ids).  A closed
     component is walked node for node as `_component_min` walks it.  The
     empty set is closed in a structure with a recorded K+ verdict, so that
-    case is answered without a search.
+    case is answered without a search.  Answers are memoized on S (see
+    `ColoredStructure`): a set is searched at most once per structure.
     """
     x = S.check_ids(x_ids)
+    if x not in S._witnesses:
+        S._witnesses[x] = _least_violator(S, x, node_budget)
+    return S._witnesses[x]
+
+
+def _least_violator(S, x, node_budget):
+    """The search behind `min_violating_witness`, over checked ids x."""
     if S.backend.kind == FREE or (not x and S._k_plus is True):
         return None
     drops, comps = colored_components(S, x)
@@ -408,10 +433,7 @@ def in_k_plus(S: ColoredStructure, node_budget: int = DEFAULT_NODE_BUDGET) -> bo
     """True iff every subset has nonnegative pre-dimension (exact)."""
     if S._k_plus is None:
         v, _ = min_relative_delta(S, (), node_budget)
-        ok = v.sign(S.alpha) >= 0
-        S._k_plus = ok
-        if not ok:
-            S._k_plus_witness = min_violating_witness(S, (), node_budget)
+        S._k_plus = v.sign(S.alpha) >= 0
     return S._k_plus
 
 
@@ -425,9 +447,7 @@ def certify_k_plus(S: ColoredStructure):
 
 def k_plus_violation(S: ColoredStructure) -> frozenset | None:
     """Minimal violating subset (size, then lex), or None when hereditarily positive."""
-    if in_k_plus(S):
-        return None
-    return S._k_plus_witness
+    return None if in_k_plus(S) else min_violating_witness(S, ())
 
 
 def ensure_k_plus(S: ColoredStructure):
@@ -497,6 +517,25 @@ def is_lp_embedding(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -
     src = [S.element(i).vec for i in order]
     tgt = [T.element(mapping[i]).vec for i in order]
     return dependency_kernel(src) == dependency_kernel(tgt)
+
+
+def strong_extension(P: ColoredStructure, S: ColoredStructure) -> bool:
+    """True iff P <= S along the identity on P's ids: both fix the same
+    alpha, P's ids are S's ids too, the identity is an lp-embedding, S is in
+    K+ and P is closed in S.  Only then S inherits P's memoized witnesses,
+    which the module's lemma shows are S's answers for the same sets (where
+    S has answered a set too, the two answers agree), and the answer that P
+    is closed; a False leaves S's memo as it was.
+    """
+    if P.alpha != S.alpha or not P.id_set <= S.id_set:
+        return False
+    if not (is_lp_embedding(EmbeddingMap.identity(P.ids_sorted), P, S) and in_k_plus(S)):
+        return False
+    if _least_violator(S, P.id_set, DEFAULT_NODE_BUDGET) is not None:
+        return False
+    S._witnesses.update(P._witnesses)
+    S._witnesses[P.id_set] = None
+    return True
 
 
 def _span_image(vectors, images, target):

@@ -12,9 +12,10 @@ Every embedding search (the strong embeddings of A, the extensions to B, the
 semi-generic audit's witnesses) consumes one generator, `_extensions`, which
 enumerates extensions in lex order and tests each new point against its
 already embedded prefix exactly, without rebuilding a substructure or a
-dependency kernel per candidate.  One audit, and the builder between two
-amalgams, ask `is_closed` once per image set: the answers for the structure
-searched are kept in a dict that the search's caller makes and drops.
+dependency kernel per candidate.  Closedness is asked of `is_closed`
+directly: the least violators it reads are memoized on the structure and
+carried across each amalgam (see `colored.strong_extension`), so a build and
+an audit of its result search each set once.
 """
 
 from __future__ import annotations
@@ -410,32 +411,22 @@ def _extensions(small: ColoredStructure, big: ColoredStructure, base_pairs, S: C
             return
 
 
-def _closed(image: frozenset, S: ColoredStructure, closed: dict) -> bool:
-    """is_closed(image, S), asked once per set: `closed` holds the answers
-    for S made so far, keyed by the set."""
-    answer = closed.get(image)
-    if answer is None:
-        answer = closed[image] = is_closed(image, S)
-    return answer
-
-
-def _strong_embeddings(small: ColoredStructure, S: ColoredStructure, cap: int, closed: dict):
-    """Strong embeddings of `small` into S, by sorted image-id tuples;
-    `closed` holds S's closedness answers (see `_closed`)."""
+def _strong_embeddings(small: ColoredStructure, S: ColoredStructure, cap: int):
+    """Strong embeddings of `small` into S, by sorted image-id tuples."""
     found = []
     for f in _extensions(small.restrict(()), small, (), S):
-        if _closed(f.image, S, closed):
+        if is_closed(f.image, S):
             found.append(f)
             if len(found) >= cap:
                 break
     return found
 
 
-def _extend_embedding(task: ExtensionTask, f: EmbeddingMap, S: ColoredStructure, closed: dict):
+def _extend_embedding(task: ExtensionTask, f: EmbeddingMap, S: ColoredStructure):
     """Least (lex over assignment tuples) strong extension of f to the big
-    side, or None; `closed` holds S's closedness answers (see `_closed`)."""
+    side, or None."""
     for g in _extensions(task.small, task.big, f.pairs, S):
-        if _closed(g.image, S, closed):
+        if is_closed(g.image, S):
             return g
     return None
 
@@ -444,18 +435,17 @@ def audit_richness(S: ColoredStructure, size_budget: int, cap: int = EMBEDDING_C
     """For every catalog task and strong embedding of its small side, search
     for a strong extension of the big side; pass iff every one extends."""
     ensure_k_plus(S)
-    return _audit(S, task_catalog(S.alpha, size_budget), cap, {})
+    return _audit(S, task_catalog(S.alpha, size_budget), cap)
 
 
-def _audit(S: ColoredStructure, catalog, cap: int, closed: dict) -> AuditReport:
-    """audit_richness of the K+ structure S over a built catalog; `closed`
-    holds S's closedness answers (see `_closed`)."""
+def _audit(S: ColoredStructure, catalog, cap: int) -> AuditReport:
+    """audit_richness of the K+ structure S over a built catalog."""
     audits = []
     for task in catalog:
         outcomes = []
-        embeddings = _strong_embeddings(task.small, S, cap, closed)
+        embeddings = _strong_embeddings(task.small, S, cap)
         for f in embeddings:
-            g = _extend_embedding(task, f, S, closed)
+            g = _extend_embedding(task, f, S)
             outcomes.append(
                 EmbeddingOutcome(
                     image=tuple(b for _, b in f.pairs),
@@ -537,12 +527,11 @@ def build_generic(
     rng = random.Random(rng_seed)
     catalog = task_catalog(seed.alpha, size_budget)
     tasks = {t.task_id: t for t in catalog}
-    closed: dict = {}  # closedness answers for the current S
     queue: list[tuple[str, tuple[str, ...]]] = []
     performed = 0
     while performed < steps:
         if not queue:
-            report = _audit(S, catalog, EMBEDDING_CAP, closed)
+            report = _audit(S, catalog, EMBEDDING_CAP)
             queue = [
                 (t.task_id, o.image)
                 for t in report.tasks
@@ -555,7 +544,7 @@ def build_generic(
         task_id, image = queue.pop(0)
         task = tasks[task_id]
         f = EmbeddingMap(tuple(zip(task.small.ids_sorted, image)))
-        if _extend_embedding(task, f, S, closed) is not None:
+        if _extend_embedding(task, f, S) is not None:
             continue  # repaired incidentally by an earlier amalgam
         complement = [i for i in task.big.ids_sorted if i not in task.small.id_set]
         renamed = _rename_structure(
@@ -564,7 +553,6 @@ def build_generic(
         match = EmbeddingMap(tuple(zip(image, task.small.ids_sorted)))
         result = free_amalgam(S, renamed, frozenset(image), task.small.id_set, match)
         S = result.structure
-        closed = {}
         performed += 1
         if S.backend.kind == LINEAR and S.backend.ambient_dim > max_ambient:
             raise BudgetExceeded(

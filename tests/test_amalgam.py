@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
+from bicolor import colored
 from bicolor.amalgam import free_amalgam, verify_free, verify_strong
 from bicolor.closure import closure, is_closed
 from bicolor.colored import (
@@ -11,15 +13,24 @@ from bicolor.colored import (
     delta,
     in_k_plus,
     is_weak_iso,
+    min_violating_witness,
+    strong_extension,
 )
 from bicolor.errors import AlphaMismatch, MatchInvalid, NotClosed
 from bicolor.exactnum import PreDimValue
 from bicolor.pregeom import Backend, GroundElement, LINEAR, rank
 from bicolor.report import canonical_dumps
-from bicolor.workbench import dumps
+from bicolor.workbench import dumps, task_catalog
 
-from conftest import ALL_ALPHAS, ALPHA_HALF, ALPHA_INV_SQRT2, ALPHA_ONE, random_k_plus_structure
-from test_colored import ge, witness_structure
+from conftest import (
+    ALL_ALPHAS,
+    ALPHA_HALF,
+    ALPHA_INV_SQRT2,
+    ALPHA_ONE,
+    SubsetTable,
+    random_k_plus_structure,
+)
+from test_colored import _least_violator, ge, witness_structure
 
 
 def point(eid, colored, alpha, val=1):
@@ -201,3 +212,60 @@ class TestRandomTriples:
             res = free_amalgam(M1, M2, [], [], EmbeddingMap(()))
             assert in_k_plus(res.structure)
             assert len(res.structure) == len(M1) + len(M2)
+
+
+class TestInheritedWitnesses:
+    """The amalgam's left check (`strong_extension`) hands the first side's
+    memoized least violators to the amalgam; the lemma in `colored` says
+    they are the amalgam's answers too."""
+
+    def test_amalgam_serves_first_side_answers(self, rng, monkeypatch):
+        sizes = []
+        for i in range(20):
+            alpha = ALL_ALPHAS[i % 4]
+            P = random_k_plus_structure(rng, alpha, max_n=7, max_dim=4, color_p=0.6)
+            while len(P) < 5:
+                P = random_k_plus_structure(rng, alpha, max_n=7, max_dim=4, color_p=0.6)
+            ids = P.ids_sorted
+            subsets = [frozenset(c) for r in range(len(ids) + 1) for c in itertools.combinations(ids, r)]
+            for x in subsets:
+                min_violating_witness(P, x)
+            catalog = task_catalog(alpha, 3)
+            task = catalog[i % len(catalog)]
+            base = [p for p in ids if not P.is_colored(p) and is_closed([p], P)][: len(task.small)]
+            if len(base) < len(task.small):  # no closed plain point to glue over
+                task, base = catalog[i % 2], []
+            match = EmbeddingMap(tuple(zip(base, task.small.ids_sorted)))
+            M = free_amalgam(P, task.big, base, task.small.id_set, match).structure
+            t = SubsetTable(M)
+            with monkeypatch.context() as m:
+                m.setattr(colored, "_least_violator", None)  # every answer from the memo
+                for x in subsets:
+                    got = min_violating_witness(M, x)
+                    want = _least_violator(t, t.mask_of(x))
+                    assert got == (None if want is None else t.ids_of(want))
+                    sizes.append(0 if got is None else len(got))
+        # closed sets, single-point and larger violators all occur
+        assert sizes.count(0) >= 300 and sizes.count(1) >= 300 and sum(w >= 2 for w in sizes) >= 100
+
+    def test_false_leaves_the_memo_empty(self):
+        S = witness_structure()  # {a} is not closed: b1, b2 lie over it
+        independent = ColoredStructure(  # S's ids, closed in S, but of rank 3
+            Backend(LINEAR, 3),
+            (ge("a", 1, 0, 0), ge("b1", 0, 1, 0), ge("b2", 0, 0, 1)),
+            frozenset({"b1", "b2"}),
+            S.alpha,
+        )
+        stranger = ColoredStructure(
+            Backend(LINEAR, 2), (ge("a", 1, 0), ge("z", 0, 1)), frozenset(), S.alpha
+        )
+        for P in (S.restrict(["a"]), independent, stranger):
+            for x in (set(), P.id_set):
+                min_violating_witness(P, x)
+            assert P._witnesses
+            assert not strong_extension(P, S)
+            assert S._witnesses == {}
+        P = S.restrict(["b1"])
+        min_violating_witness(P, [])
+        assert strong_extension(P, S)
+        assert S._witnesses == {frozenset(): None, frozenset({"b1"}): None}

@@ -1,7 +1,8 @@
 """Source-level guards over src/bicolor.
 
-Only `colored` writes the K+ cache fields of a ColoredStructure (others go
-through `certify_k_plus`), `construct` seeds random subset draws in one
+Only `colored` writes the K+ cache fields and the witness memo of a
+ColoredStructure (others go through `certify_k_plus` and
+`strong_extension`), `construct` seeds random subset draws in one
 place, `_verify_subsets`, and `pregeom` holds the only elimination code.  No
 module but `pregeom` uses `eliminate`, so `pregeom.walk` stays the one
 depth-first subset walk, and `colored` enumerates no
@@ -41,9 +42,18 @@ from bicolor.workbench import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bicolor"
-K_PLUS_FIELDS = {"_k_plus", "_k_plus_witness"}
-# Code removed for having no caller, or as a knob no caller set.
-DELETED_NAMES = {"all_pass", "_column_key", "_extend_embedding.strong"}
+K_PLUS_FIELDS = {"_k_plus", "_witnesses"}
+# Code removed for having no caller, or as a knob no caller set, and the
+# per-call closedness dict the witness memo replaced.
+DELETED_NAMES = {
+    "all_pass",
+    "_column_key",
+    "_extend_embedding.strong",
+    "_closed",
+    "_audit.closed",
+    "_strong_embeddings.closed",
+    "_extend_embedding.closed",
+}
 ELIMINATION_NAMES = re.compile(r"rref|solve|kernel|bareiss|gauss|elimin|echelon|rank_int", re.I)
 
 
@@ -228,16 +238,17 @@ def test_searches_leave_no_reference_cycles():
     ids = list(S.ids_sorted)
     task = task_catalog(alpha, 2)[-1]
     T = build_generic(empty_structure(alpha, 0), 6, 2, 3)
-    f = _strong_embeddings(task.small, T, 1, {})[0]
+    f = _strong_embeddings(task.small, T, 1)[0]
+    fresh = lambda U: U.restrict(U.id_set)  # an empty witness memo, so the calls search
     calls = {
         "is_minimal_pair": lambda: is_minimal_pair(["p0"], ["p0", "p1", "p2"], S),
         "_component_min": lambda: _component_min(
             S, S.reducer_for(["p0"]), ids[1:5], alpha, _BudgetCounter(10_000)
         ),
-        "min_violating_witness": lambda: min_violating_witness(S, ["p5"]),
+        "min_violating_witness": lambda: min_violating_witness(fresh(S), ["p5"]),
         "_block_profile": lambda: _block_profile(S, 3, ids, 3, 0),
-        "_extend_embedding": lambda: _extend_embedding(task, f, T, {}),
-        "audit_richness": lambda: audit_richness(T, 2),
+        "_extend_embedding": lambda: _extend_embedding(task, f, fresh(T)),
+        "audit_richness": lambda: audit_richness(fresh(T), 2),
     }
     assert min_violating_witness(S, ["p5"]) == {"p1", "p2", "p3", "p4"}
     assert {name: _garbage_after(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
@@ -245,10 +256,11 @@ def test_searches_leave_no_reference_cycles():
 
 def test_guards_catch_violations():
     assert k_plus_writes("S._k_plus = True\n") == [1]
-    assert k_plus_writes("x = 1\nsub._k_plus_witness, y = w, 2\n") == [2]
+    assert k_plus_writes("x = 1\nsub._witnesses, y = w, 2\n") == [2]
     assert k_plus_writes("object.__setattr__(S, '_k_plus', True)\n") == [1]
     assert k_plus_writes("ColoredStructure(b, e, c, a, _k_plus=True)\n") == [1]
     assert k_plus_writes("ok = S._k_plus\n") == []
+    assert k_plus_writes("M._witnesses = dict(P._witnesses)\n") == [1]
     src = "import random\nR = random.Random(1)\ndef f():\n    return Random(2)\n"
     assert rng_constructions(src) == [(None, 2), ("f", 4)]
     for name in ("_rref", "_rref_rows", "_solve_coeffs", "_solve_fraction_coeffs", "rank_int_matrix"):

@@ -8,7 +8,7 @@ from bicolor.closure import is_closed
 from bicolor.colored import ColoredStructure, EmbeddingMap, empty_structure, in_k_plus
 from bicolor.errors import BudgetExceeded, SchemaError
 from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR
-from bicolor import workbench
+from bicolor import colored, workbench
 from bicolor.report import canonical_dumps
 from bicolor.workbench import (
     audit_richness,
@@ -120,13 +120,13 @@ class TestExtensionSearchCost:
 
         searched = 0
         for task in task_catalog(ALPHA_TWO_THIRDS, 3):
-            for f in workbench._strong_embeddings(task.small, S, 3, {}):
-                expected = workbench._extend_embedding(task, f, S, {})
+            for f in workbench._strong_embeddings(task.small, S, 3):
+                expected = workbench._extend_embedding(task, f, S)
                 with monkeypatch.context() as m:
                     m.setattr(ColoredStructure, "restrict", counted_restrict)
                     m.setattr(workbench, "is_lp_embedding", counted_is_lp)
                     calls.update(restrict=0, embedding=0)
-                    got = workbench._extend_embedding(task, f, S, {})
+                    got = workbench._extend_embedding(task, f, S)
                 assert got == expected
                 assert calls["restrict"] == 0, task.task_id
                 assert calls["embedding"] <= 1, task.task_id
@@ -135,39 +135,58 @@ class TestExtensionSearchCost:
 
 
 class TestClosednessAskedOnce:
-    """One audit or build asks is_closed once per (structure, set): the
-    searches share one answer per set for the structure they search."""
+    """A build, and an audit of its result, search each set once per build
+    lineage: `min_violating_witness` answers a set again from the memo of the
+    structure asked, and each amalgam hands its first side's memo on.  So the
+    searches are counted, not the questions: a search is a memo miss."""
 
     @staticmethod
-    def _asked(monkeypatch):
-        asked = []  # holds each structure, so ids stay distinct
-        real = workbench.is_closed
+    def _record(monkeypatch):
+        """Lists of the searches run, as (structure, set), and of the first
+        sides of the amalgams, in order; both hold each structure, so ids
+        stay distinct."""
+        searched, lineage = [], []
+        search, amalgam = colored._least_violator, workbench.free_amalgam
 
-        def counted(x_ids, S, *args):
-            asked.append((S, frozenset(x_ids)))
-            return real(x_ids, S, *args)
+        def counted(S, x, *args):
+            searched.append((S, x))
+            return search(S, x, *args)
 
-        monkeypatch.setattr(workbench, "is_closed", counted)
-        return asked
+        def recorded(M1, *args):
+            lineage.append(M1)
+            return amalgam(M1, *args)
+
+        monkeypatch.setattr(colored, "_least_violator", counted)
+        monkeypatch.setattr(workbench, "free_amalgam", recorded)
+        return searched, lineage
 
     @staticmethod
-    def _repeats(asked):
-        keys = [(id(S), x) for S, x in asked]
-        return len(keys) - len(set(keys))
+    def _sets_on(searched, structures) -> list:
+        return [x for S, x in searched if any(S is T for T in structures)]
 
     def test_audit_richness(self, monkeypatch):
+        searched, lineage = self._record(monkeypatch)
         S = build_generic(empty_structure(ALPHA_TWO_THIRDS, 0), 20, 3, 13)
-        asked = self._asked(monkeypatch)
-        audit_richness(S, 3)
-        assert sum(T is S for T, _ in asked) > 10
-        assert self._repeats(asked) == 0
+        built = set(self._sets_on(searched, lineage + [S]))
+        searched.clear()
+        report = audit_richness(S, 3)
+        assert sum(t.tried for t in report.tasks) > 10
+        assert built.isdisjoint(self._sets_on(searched, [S]))
 
     @pytest.mark.parametrize("alpha", [ALPHA_TWO_THIRDS, ALPHA_INV_SQRT2], ids=["2/3", "1/sqrt2"])
     def test_build_generic(self, monkeypatch, alpha):
-        asked = self._asked(monkeypatch)
-        build_generic(empty_structure(alpha, 0), 20, 3, 13)
-        assert len({id(S) for S, _ in asked}) > 5
-        assert self._repeats(asked) == 0
+        searched, lineage = self._record(monkeypatch)
+        S = build_generic(empty_structure(alpha, 0), 20, 3, 13)
+        keys = [(id(T), x) for T, x in searched]
+        assert len(keys) == len(set(keys))
+        assert len(lineage) > 5
+        seen = set()  # sets searched on the ancestors so far
+        for k, T in enumerate(lineage + [S]):
+            sets = self._sets_on(searched, [T])
+            # the left injection's check searches whether T's parent is closed in T
+            parent = {lineage[k - 1].id_set} if k else set()
+            assert seen.isdisjoint(set(sets) - parent)
+            seen.update(sets)
 
 
 class TestRoundTrip:
