@@ -13,11 +13,14 @@ Each check records its method.  "exhaustive": every case was tried.
 K+ (`_tower_k_plus_check`) is proved level by level from its genericity
 checks and one exact search per level.  "structural": minimal pairs past 17
 new points, from new points colored and s-subsets bases, plus draws.
-"sampled": seeded draws only.  A patch of at most 14 points is walked once:
-`_block_profile` tabulates its subsets, the free-union DP `_free_union_min`
-decides ambient K+ and the anchor's closedness from the tables, and
-`_patch_checks` reads genericity and the interior or minimal-pair condition
-off the same table.  Every other subset condition, and a read-off that fails
+"sampled": seeded draws only.  A patch of at most 14 points is tabulated
+once: `_block_profile` reads its subsets' table in closed form when its rows
+lie on the moment curve over a base of rank at most one (`_moment_table`, a
+Vandermonde lemma checked on the rows), and walks them otherwise.  The
+free-union DP `_free_union_min` decides ambient K+ and the anchor's
+closedness from the tables, and `_patch_checks` reads genericity and the
+interior or minimal-pair condition off the same table.  Every other subset
+condition, and a read-off that fails
 (for its witness) or whose assumptions do not hold, goes through one
 verifier, `_verify_subsets`, which reduces each pool once against
 span(base), walks every subset up to a per-check count (2^14 - 2 for the
@@ -142,14 +145,17 @@ def _transcendental_over(S: ColoredStructure, ids, base) -> bool:
 
 def _moment_rows(basis_vecs, count: int, lam_start: int = 1):
     """Row for lambda is sum_i lambda^(i-1) * basis_vecs[i]; lambdas are the
-    consecutive integers lam_start, lam_start+1, ..."""
+    consecutive integers lam_start, lam_start+1, ...; only each vector's
+    nonzero entries are accumulated."""
     rows = []
     width = len(basis_vecs[0])
+    supports = [[(j, v) for j, v in enumerate(vec) if v] for vec in basis_vecs]
     for lam in range(lam_start, lam_start + count):
         acc = [Fraction(0)] * width
         power = 1
-        for vec in basis_vecs:
-            acc = [a + power * v for a, v in zip(acc, vec)]
+        for support in supports:
+            for j, v in support:
+                acc[j] += power * v
             power *= lam
         rows.append(tuple(acc))
     return rows
@@ -349,18 +355,18 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
     """Table {(raw residue key, fresh rank): largest size} of a block's subsets.
 
     A point's row is its fresh columns [start, start + length) followed by its
-    old columns [0, old_width).  Subsets are walked depth-first in sorted-id
-    order by `pregeom.walk`, which carries the pending rows, so every subset
-    has the echelon rows of a from-scratch elimination in sorted order, and a
-    k-point block takes at most 2^k - 1 steps.  Echelon rows with a fresh
-    pivot give the fresh rank; the others span the subset's raw residue over
-    the old coordinates, and their old parts, in echelon form, are keyed by
-    their canonical integer rows.  Each (key, fresh rank) keeps the size of
-    its largest subset, the empty set giving ((), 0): 0; subsets sharing both
-    have one rank, so the largest has the least delta.  A zero-width block
-    (start = old_width, length = 0) profiles points on the old coordinates
-    alone.  Raises SearchBudgetExceeded past BLOCK_PROFILE_LIMIT points or for
-    a point outside its columns.
+    old columns [0, old_width).  Echelon rows of a subset with a fresh pivot
+    give its fresh rank; the others span its raw residue over the old
+    coordinates, keyed by their canonical integer rows.  Each (key, fresh
+    rank) keeps the size of its largest subset, the empty set giving
+    ((), 0): 0; subsets sharing both have one rank, so the largest has the
+    least delta.  A block on the moment curve over a residue of rank at most
+    one is tabulated in closed form by `_moment_table`, which checks that
+    shape on the rows; any other block is walked by `_walk_table`.  A
+    zero-width block (start = old_width, length = 0) profiles points on the
+    old coordinates alone.  Raises SearchBudgetExceeded past
+    BLOCK_PROFILE_LIMIT points, whichever path would serve, or for a point
+    outside its columns.
     """
     ids = sorted(ids)
     if len(ids) > BLOCK_PROFILE_LIMIT:
@@ -371,6 +377,87 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
     if any(any(row[old_width:start]) or any(row[start + length:]) for row in rows):
         raise SearchBudgetExceeded("block escapes its fresh coordinates")
     rows = [row[start:start + length] + row[:old_width] for row in rows]
+    table = _moment_table(rows, length, old_width)
+    return _walk_table(rows, length) if table is None else table
+
+
+def _moment_table(rows, length: int, old_width: int) -> dict | None:
+    """`_block_profile`'s table of integer rows (fresh part f_i of width
+    s = `length`, then old part o_i) that lie on the moment curve over a
+    residue of rank r <= 1, or None when they do not.
+
+    The shapes need s >= 1 and every c_i nonzero:
+      r = 0: every o_i = 0 and f_i = c_i*(1, mu_i, ..., mu_i^(s-1)), the mu_i
+             distinct when s >= 2;
+      r = 1: o_i = c_i*v for one nonzero v, and f_i = c_i*(mu_i, ..., mu_i^s),
+             the mu_i nonzero and distinct.
+    They are read off the rows, k of width s + w, in O(k*(s + w)) exact
+    products: f_i is a geometric progression from f_i[0] != 0, whose ratio
+    is mu_i for s >= 2.  For r = 1, v is found up to its scale: with v_0 the
+    first nonzero o_i, every o_i = b_i*v_0 with b_i != 0, and the f_i / b_i =
+    lam*(mu_i, ..., mu_i^s) share one lam, so that v = v_0 / lam and c_i =
+    lam*b_i (for s = 1 any lam serves, mu_i = f_i[0] / b_i taking lam = 1).
+    Then the table is ((), j): j for j <= min(s, k) and, when k > s, also
+    ((), s): k for r = 0 or (key of span v, s): k for r = 1.
+
+    Lemma.  In the coordinates (v, e_1, ..., e_s), e_t the fresh unit
+    vectors, row i is c_i*(1, mu_i, ..., mu_i^s) (drop the v column for
+    r = 0).  Any m of the rows have fresh rank min(m, s) and total rank
+    min(m, s + r), so their residue over the old coordinates is 0 when m <= s
+    and span(v) when m > s.
+
+    Proof.  v and the e_t are independent, v being nonzero and zero on the
+    fresh columns, so a subset's rank is that of its coefficient rows.  Its
+    fresh parts are c_i*mu_i^r*(1, mu_i, ..., mu_i^(s-1)), a Vandermonde
+    matrix with distinct nodes scaled by nonzero rows (for r = 0 and s = 1,
+    the nonzero c_i), of rank min(m, s); for r = 1 its full coefficient rows
+    are a Vandermonde matrix with s + 1 columns, of rank min(m, s + 1).  The
+    residue has dimension rank minus fresh rank and lies in span(v): zero
+    when m <= s, span(v) past it.  So the sizes with fresh rank j < s are j
+    alone, under the key (); size s has key (); every larger size has fresh
+    rank s and the residue key, the largest being k.
+    """
+    if not length:
+        return None
+    s, k = length, len(rows)
+    v = next((row[s:] for row in rows if any(row[s:])), None)
+    p = next(t for t, x in enumerate(v) if x) if v else None
+    mus, lams = set(), set()
+    for row in rows:
+        f, o = row[:s], row[s:]
+        if not f[0] or any(x * f[0] != y * f[1] for x, y in zip(f[2:], f[1:])):
+            return None
+        if v is None:
+            if s > 1:
+                mus.add(Fraction(f[1], f[0]))
+            continue
+        if not o[p] or any(x * v[p] != y * o[p] for x, y in zip(o, v)):
+            return None
+        b = Fraction(o[p], v[p])
+        if s == 1:
+            mus.add(f[0] / b)
+        elif f[1]:
+            mus.add(Fraction(f[1], f[0]))
+            lams.add(f[0] * f[0] / (b * f[1]))
+        else:
+            return None
+    if len(lams) > 1 or (mus and len(mus) < k):
+        return None
+    table = {((), j): j for j in range(min(s, k) + 1)}
+    if k > s:
+        table[() if v is None else span_key([v], old_width), s] = k
+    return table
+
+
+def _walk_table(rows, length: int) -> dict:
+    """`_block_profile`'s table by walking the subsets of the rows.
+
+    Subsets are walked depth-first in row order by `pregeom.walk`, which
+    carries the pending rows, so every subset has the echelon rows of a
+    from-scratch elimination in that order, and k rows take at most 2^k - 1
+    steps; the old parts of the rows with no fresh pivot are keyed in
+    echelon form.
+    """
 
     def take(state, j, row):  # state: size, fresh rank, (lead, old part)s, key
         size, rank_f, olds, key = state

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from bicolor.cli import main
+from bicolor.exactnum import Alpha
 from bicolor.workbench import load, save
 
 from conftest import ALPHA_HALF, ALPHA_INV_SQRT2, ALPHA_TWO_THIRDS
@@ -330,11 +331,15 @@ def _plain_points(alpha, rows):
 
 class TestConstructGoldenBytes:
     """stdout and `--out` bytes of every `bicolor construct` op, pinned by
-    sha256 prefix."""
+    sha256 prefix.  The patch at sqrt(2)/6 (s = 3, k = 13) has its block
+    table in closed form, the patch over two base points (s = 7, k = 10) has
+    it walked; both were pinned before the closed form existed."""
 
     QUAD = '{"kind":"quadratic","a":0,"b":1,"c":2,"d":2}'
     INPUTS = {
         "irr": lambda: _plain_points(ALPHA_INV_SQRT2, [("b", (1,))]),
+        "irr6": lambda: _plain_points(Alpha.quadratic(0, 1, 6, 2), [("b", (1,))]),
+        "irr2": lambda: _plain_points(ALPHA_INV_SQRT2, [("b1", (1, 0)), ("b2", (0, 1))]),
         "rat": lambda: _plain_points(ALPHA_TWO_THIRDS, [("b", (1,))]),
         "basis": lambda: _plain_points(ALPHA_HALF, [("b1", (1, 0, 0)), ("b2", (0, 1, 0))]),
         "pool": lambda: _plain_points(
@@ -347,6 +352,10 @@ class TestConstructGoldenBytes:
         [
             ("irr", ["patch", "--base", "b", "--epsilon", "1/3"],
              "2a26e57eb2094543", "1aae00673358b542"),
+            ("irr6", ["patch", "--base", "b", "--epsilon", "1/10"],
+             "010af60db2cbdd6d", "320bd2e7b829c4b9"),
+            ("irr2", ["patch", "--base", "b1,b2", "--epsilon", "1/10"],
+             "f8c9712d883152ed", "04388e70e45f38ed"),
             ("irr", ["power", "--base", "b", "--mu", "1/2", "-n", "2"],
              "610ffd03c9556a0e", "50cd8d331634820a"),
             ("rat", ["ratmin", "--base", "b", "-t", "0"],
@@ -362,7 +371,10 @@ class TestConstructGoldenBytes:
             ("pool", ["dsystem", "--family", "y0;y1;y2;y3", "-n", "3"],
              "fb4ee8ee5fb3b5e3", None),
         ],
-        ids=["patch", "power", "ratmin-t0", "ratmin-t1", "ratzero", "chain", "basis", "dsystem"],
+        ids=[
+            "patch", "patch-closed-form", "patch-two-point-base", "power", "ratmin-t0",
+            "ratmin-t1", "ratzero", "chain", "basis", "dsystem",
+        ],
     )
     def test_bytes(self, capsys, tmp_path, structure, argv, stdout_digest, out_digest):
         argv = ["construct", *argv]

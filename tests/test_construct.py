@@ -21,10 +21,12 @@ from bicolor.construct import (
     _genericity_check,
     _k_plus_check,
     _minimal_pair_check,
+    _moment_table,
     _patch_checks,
     _patch_interior_check,
     _tower_k_plus_check,
     _verify_subsets,
+    _walk_table,
     chain_pairs,
     chain_window,
     delta_system_closed_root,
@@ -48,7 +50,7 @@ from bicolor.errors import (
     SearchBudgetExceeded,
 )
 from bicolor.exactnum import ZERO, Alpha, ApproximationPair, PreDimValue, QuadRat, compare
-from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR, SpanReducer, span_key
+from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR, SpanReducer, int_row, span_key
 from bicolor.report import Check, canonical_dumps
 
 from conftest import (
@@ -776,6 +778,15 @@ def _one_point(alpha, payload=1, colored=False):
     )
 
 
+def _perturbed(S, eid, shift):
+    """S with `shift` added to the last coordinate of `eid`'s payload."""
+    elements = tuple(
+        GroundElement(e.id, e.vec[:-1] + (e.vec[-1] + shift,)) if e.id == eid else e
+        for e in S.elements
+    )
+    return ColoredStructure(S.backend, elements, S.colored, S.alpha)
+
+
 class TestFreeUnionVerifier:
     def _blocks_structure(self, rng, alpha, n_old, blocks_spec):
         """Old independent part plus moment blocks over a base subset."""
@@ -872,7 +883,8 @@ class TestFreeUnionVerifier:
     def test_block_profile_steps_once_per_growing_subset(self, monkeypatch, k):
         # the walk carries pending rows: no reducer clone or add, and one
         # elimination step per subset with points still to come whose last
-        # row grew the span, so at most 2^k - 1
+        # row grew the span, so at most 2^k - 1.  A moment block is not
+        # walked, so the walk runs on a copy with one entry perturbed.
         S, blocks, old_w = self._add_blocks(_one_point(ALPHA_TWO_THIRDS), ["b"], [(2, k)])
         calls = dict.fromkeys(["add", "clone", "eliminate"], 0)
 
@@ -886,6 +898,10 @@ class TestFreeUnionVerifier:
         monkeypatch.setattr(SpanReducer, "add", counting("add", SpanReducer.add))
         monkeypatch.setattr(SpanReducer, "clone", counting("clone", SpanReducer.clone))
         monkeypatch.setattr(pregeom, "eliminate", counting("eliminate", pregeom.eliminate))
+        _block_profile(S, old_w, *blocks[0])
+        assert calls["eliminate"] == 0
+        S = _perturbed(S, blocks[0][0][-1], -1)
+        calls.update(dict.fromkeys(calls, 0))
         _block_profile(S, old_w, *blocks[0])
         rows = [S.introw(i) for i in sorted(blocks[0][0])]
         rank = lambda c: rank_int_matrix([rows[j] for j in c], len(rows[0]))
@@ -993,14 +1009,19 @@ class TestPatchReadOff:
         assert seen >= {(name, ok) for name in checks for ok in (True, False)} | {("k < s", True)}
 
     @pytest.mark.parametrize(
-        "engine",
+        "engine, walks",
         [
-            lambda: rational_minimal_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS)),
-            lambda: transcendental_patch([], ["b"], F(1, 10), _one_point(ALPHA_INV_SQRT2)),
+            (lambda: rational_minimal_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS)), 0),
+            (lambda: transcendental_patch([], ["b"], F(1, 10), _one_point(ALPHA_INV_SQRT2)), 0),
+            (lambda: transcendental_patch(
+                [], ["b1", "b2"], F(1, 10), plain_points(ALPHA_INV_SQRT2, [(1, 0), (0, 1)])
+            ), 1),
         ],
-        ids=["rational_minimal_extension", "transcendental_patch"],
+        ids=["rational_minimal_extension", "transcendental_patch", "two_point_base"],
     )
-    def test_one_walk_over_the_new_points(self, monkeypatch, engine):
+    def test_one_walk_over_the_new_points(self, monkeypatch, engine, walks):
+        # a moment patch over one point is tabulated in closed form; over two
+        # points its block is walked once
         original, walked = pregeom.walk, []
 
         def counting(rows, *args):
@@ -1012,7 +1033,7 @@ class TestPatchReadOff:
         res = engine()
         assert all(c.passed and c.method == "exhaustive" for c in res.checks)
         assert len(res.new_ids) > 1
-        assert walked.count(len(res.new_ids)) == 1
+        assert walked.count(len(res.new_ids)) == walks
 
     def test_thirteen_point_patch_interior_is_exhaustive(self):
         # the read-off passes with no sweep, and the full sweep agrees
@@ -1054,6 +1075,103 @@ class TestPatchReadOff:
         for minimal in (False, True):
             want = self._sweeps(S, ["b"], new_ids, 1, minimal)
             assert _patch_checks(S, ["b"], new_ids, 1, 1, None, minimal) == want
+
+
+class TestMomentTable:
+    """`_moment_table` against the walk on random moment blocks, and
+    `_block_profile` falling back to the walk where the shape fails."""
+
+    @staticmethod
+    def _nonzero(rng):
+        return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    def _block(self, rng, r, s, k, old_w, mus=None):
+        """Rows (o_i | f_i) on old columns [0, old_w) and fresh columns
+        [old_w, old_w + s): o_i = c_i*v for r = 1 and 0 for r = 0, and
+        f_i = c_i*(mu_i^r, ..., mu_i^(r+s-1)), with random nonzero c_i and v
+        and, unless given, random distinct mu_i, nonzero for r = 1."""
+        if mus is None:
+            mus = []
+            while len(mus) < k:
+                mu = self._nonzero(rng) if rng.random() < 0.8 else F(rng.randint(-3, 3))
+                if mu not in mus and (mu or not r):
+                    mus.append(mu)
+        v = [F(0)] * old_w
+        while r and not any(v):
+            v = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(old_w)]
+        rows = []
+        for mu in mus:
+            c = self._nonzero(rng)
+            rows.append(tuple(c * x for x in v) + tuple(c * mu ** (r + t) for t in range(s)))
+        return rows
+
+    @staticmethod
+    def _structure(rows, old_w, s):
+        ids = [f"x{i:02d}" for i in range(len(rows))]
+        S = empty_structure(ALPHA_TWO_THIRDS, ambient=old_w + s).extended(
+            [GroundElement(i, row) for i, row in zip(ids, rows)], new_colored=ids
+        )
+        walk_rows = [S.introw(i)[old_w:] + S.introw(i)[:old_w] for i in ids]
+        return S, ids, walk_rows
+
+    def test_closed_form_matches_the_walk(self, rng):
+        seen = set()
+        for trial in range(48):
+            r, s, k = trial % 2, rng.randint(1, 4), rng.randint(1, BLOCK_PROFILE_LIMIT)
+            if trial < 8:
+                k = BLOCK_PROFILE_LIMIT - trial // 2
+            old_w = rng.randint(r, 3)
+            S, ids, rows = self._structure(self._block(rng, r, s, k, old_w), old_w, s)
+            table = _moment_table(rows, s, old_w)
+            assert table is not None
+            assert table == _walk_table(rows, s) == _block_profile(S, old_w, ids, old_w, s)
+            seen.add((r, k > s))
+        assert seen == {(r, past) for r in (0, 1) for past in (False, True)}
+
+    def test_moment_block_is_not_walked(self, monkeypatch, rng):
+        S, ids, rows = self._structure(self._block(rng, 1, 2, 9, 2), 2, 2)
+        monkeypatch.setattr(construct, "walk", None)
+        monkeypatch.setattr(pregeom, "eliminate", None)
+        assert _block_profile(S, 2, ids, 2, 2) == {
+            ((), 0): 0, ((), 1): 1, ((), 2): 2, (span_key([rows[0][2:]], 2), 2): 9
+        }
+
+    def _declined(self, rng, case):
+        """(rows, old width, s) of a block off the closed form's shapes."""
+        r, s, k, old_w = rng.randint(case == "v scale", 1), rng.randint(3, 4), rng.randint(3, 9), 2
+        if case == "repeated mu":
+            return self._block(rng, r, s, k, old_w, [F(i + 1) for i in range(k - 1)] + [F(1)]), old_w, s
+        if case == "mu = 0":
+            return self._block(rng, 1, s, k, old_w, [F(i) for i in range(k)]), old_w, s
+        if case == "length 0":
+            return self._block(rng, 1, 0, k, old_w), old_w, 0
+        if case == "r = 2":  # o_i = c_i*(1, mu_i^(s+1)), no two proportional
+            rows = []
+            for mu in (F(j + 1) for j in range(k)):
+                c = self._nonzero(rng)
+                rows.append(tuple(c * mu ** t for t in (0, s + 1, *range(1, s + 1))))
+            return rows, old_w, s
+        rows = self._block(rng, r, s, k, old_w)
+        i = rng.randrange(k)
+        if case == "c = 0":
+            rows[i] = (F(0),) * (old_w + s)
+        elif case == "perturbed":
+            rows[i] = rows[i][:-1] + (rows[i][-1] + 1,)
+        elif case == "v scale":  # o_i = 2*c_i*v: proportional old parts, off the curve
+            rows[i] = tuple(2 * x for x in rows[i][:old_w]) + rows[i][old_w:]
+        return rows, old_w, s
+
+    @pytest.mark.parametrize(
+        "case", ["repeated mu", "mu = 0", "c = 0", "perturbed", "v scale", "r = 2", "length 0"]
+    )
+    def test_declined_blocks_are_walked(self, rng, case):
+        for _ in range(6):
+            block, old_w, s = self._declined(rng, case)
+            rows = [int_row(row)[old_w:] + int_row(row)[:old_w] for row in block]
+            assert _moment_table(rows, s, old_w) is None
+            if all(map(any, block)):  # a structure holds no zero payload (c = 0)
+                S, ids, _ = self._structure(block, old_w, s)
+                assert _block_profile(S, old_w, ids, old_w, s) == _walk_table(rows, s)
 
 
 class TestConstruction:
