@@ -3,10 +3,13 @@
 Each structure builder returns one `Construction`: the extended structure,
 its new points grouped by copy, and a verification report recomputed from
 scratch on the result (construction and verification are separate code
-paths).  New points are placed on a rational moment curve
-over span(base) plus fresh coordinates, so every s-element subset of a patch
-is a base over its anchor while small subsets of the patch stay independent
-absolutely; genericity is verified, never assumed.
+paths).  `grow_patch` places every new point: on a rational moment curve
+over span(base) plus s fresh coordinates, so every s-element subset of a
+patch is a base over its anchor while small subsets of the patch stay
+independent absolutely; a basis extension takes s = 0, and a chain level
+puts its E points on the fresh unit vectors after its F points.  Genericity
+is verified, never assumed.  The four patch engines share one pipeline,
+`_patch_union`: a single patch is a free union of one copy.
 
 Each check records its method.  "exhaustive": every case was tried.
 "certified": a proof read off the result's verified shape; a chain's ambient
@@ -167,11 +170,15 @@ def grow_patch(
 ):
     """Widen by s dims and drop k moment-curve points over span(B) + fresh axes.
 
-    Returns the grown structure and the new ids, named from `prefix` and
-    colored when `colored` is set; nothing is verified.  Distinct copies over
-    the same base must continue the lambda sequence: repeating parameters
-    would stack identical residue lines inside span(B) and break hereditary
-    positivity once rank(B) > 1.
+    The point for lambda = lam_start, lam_start + 1, ... is sum_i
+    lambda^(i-1)*v_i over a basis of span(B) picked from B in id order, then
+    the s fresh unit vectors.  Returns the grown structure and the new ids,
+    named from `prefix` and colored when `colored` is set; nothing is
+    verified.  With s = 0 the points lie in span(B) (a basis extension); a
+    chain level adds its E points on the s fresh unit vectors afterwards.
+    Distinct copies over the same base must continue the lambda sequence:
+    repeating parameters would stack identical residue lines inside span(B)
+    and break hereditary positivity once rank(B) > 1.
     """
     old_dim = S.backend.ambient_dim
     basis_red = S.reducer_for(())
@@ -546,46 +553,6 @@ def _free_union_min(S2, prime_ids, old_width: int, blocks, profiles) -> PreDimVa
     return best
 
 
-def _union_checks(S2, a_ids, star_ids, old_width, blocks):
-    """(ambient K+ check, anchor-closed check, block tables) for free unions
-    of patches.
-
-    Each block is tabulated by `_block_profile`, its table None when the
-    block does not fit, and the exact residue-span DP decides both checks on
-    the tables; when a block or the structure does not fit its shape the
-    budgeted general search runs, then seeded sampling.
-    """
-    profiles = []
-    for blk in blocks:
-        try:
-            profiles.append(_block_profile(S2, old_width, *blk))
-        except SearchBudgetExceeded:
-            profiles.append(None)
-
-    def exact_ok(S, prime):
-        """The DP's verdict, or None when the structure does not fit its shape."""
-        if any(p is None for p in profiles):
-            return None
-        try:
-            return _free_union_min(S, prime, old_width, blocks, profiles).sign(S2.alpha) >= 0
-        except SearchBudgetExceeded:
-            return None
-
-    ok = exact_ok(S2, ())
-    if ok is None:
-        kp = _k_plus_check(S2)
-    else:
-        kp = Check("ambient_k_plus", ok)
-        if ok:
-            certify_k_plus(S2)
-    ok = exact_ok(S2.restrict(star_ids), a_ids)
-    if ok is None:
-        anchor = _anchor_closed_check(S2, a_ids, star_ids)
-    else:
-        anchor = Check("anchor_closed", ok)
-    return kp, anchor, profiles
-
-
 def _patch_checks(S2, b_ids, new_ids, s: int, old_width: int, table, minimal: bool) -> list:
     """[generic_position, then minimal_pair if `minimal` else
     interior_condition] for a patch N = `new_ids` over B = `b_ids`, read off
@@ -695,10 +662,7 @@ def generic_basis_extension(a_ids, b_ids, n: int, S: ColoredStructure) -> Constr
         raise NotIndependent("cannot extend the span of an empty independent set")
     if delta(S, bs, a).dim_part != m:
         raise NotIndependent("base set is not independent over the anchor")
-    basis_vecs = [S.element(i).vec for i in bs]
-    rows = _moment_rows(basis_vecs, n)
-    new_ids = S.fresh_ids("g", n)
-    S2 = S.extended([GroundElement(i, v) for i, v in zip(new_ids, rows)])
+    S2, new_ids = grow_patch(S, bs, 0, n, colored=False, prefix="g")
     checks = [
         _verify_subsets(
             "all_bases", S2, a, set(bs) | set(new_ids), range(m, m + 1),
@@ -706,7 +670,7 @@ def generic_basis_extension(a_ids, b_ids, n: int, S: ColoredStructure) -> Constr
         )
     ]
     _require(checks)
-    return Construction(S2, checks, copies=[tuple(new_ids)])
+    return Construction(S2, checks, copies=[new_ids])
 
 
 # -- sunflowers with closed roots ---------------------------------------------
@@ -802,23 +766,13 @@ def transcendental_patch(a_ids, b_ids, epsilon, S: ColoredStructure) -> Construc
     if (gap.value(S.alpha) - eps).sign() <= 0:
         raise GapTooSmall("need delta(B/A) > epsilon")
     pair = dirichlet_window(S.alpha, eps)
-    s, k = pair.s, pair.k
+    window = PreDimValue(pair.s, pair.k).value(S.alpha)
     old_width = S.backend.ambient_dim
-    S2, new_ids = grow_patch(S, b, s, k, colored=True)
-    d_ids = b | set(new_ids)
-    gap_post = delta(S2, new_ids, b)
-    window_val = PreDimValue(s, k).value(S2.alpha)
-    kp, anchor, (table,) = _union_checks(S2, a, d_ids, old_width, [(new_ids, old_width, s)])
-    checks = [
-        Check("window", window_val.sign() < 0 and (window_val + eps).sign() > 0),
-        Check("delta_gap", gap_post == PreDimValue(s, k)),
-        *_patch_checks(S2, b, new_ids, s, old_width, table, minimal=False),
-        anchor,
-        Check("transcendental", _transcendental_over(S2, d_ids, a)),
-        kp,
-    ]
-    _require(checks)
-    return Construction(S2, checks, copies=[new_ids], pair=pair)
+    return _patch_union(S, a, b, pair, 1, lambda res, tables, gap_ok: [
+        Check("window", window.sign() < 0 and (window + eps).sign() > 0),
+        Check("delta_gap", gap_ok),
+        *_patch_checks(res.structure, b, res.new_ids, pair.s, old_width, tables[0], minimal=False),
+    ])
 
 
 def free_power_patch(a_ids, b_ids, mu, n: int, S: ColoredStructure) -> Construction:
@@ -835,36 +789,71 @@ def free_power_patch(a_ids, b_ids, mu, n: int, S: ColoredStructure) -> Construct
     terms = [gap.value(S.alpha), mu_q, S.alpha.value()]
     if n >= 2:
         terms.append(epsilon_bound(n, S.alpha).value(S.alpha) / n)
-    first = transcendental_patch(a, b, min(terms) / 2, S)
-    count = (gap.value(S.alpha) / -first.delta_gap.value(S.alpha)).floor()
-    return _patch_union(
-        first, a, b, count, n, "power_gap",
-        lambda gap_star: (gap_star.value(S.alpha) - mu_q).sign() < 0,
-    )
+    pair = dirichlet_window(S.alpha, min(terms) / 2)
+    count = (gap.value(S.alpha) / -PreDimValue(pair.s, pair.k).value(S.alpha)).floor()
+    return _patch_union(S, a, b, pair, count, lambda res, _, gap_ok: [
+        Check("per_copy_gap", gap_ok),
+        Check("power_gap", (
+            delta(res.structure, b | set(res.new_ids), a).value(S.alpha) - mu_q
+        ).sign() < 0),
+        _small_extensions_closed_check(res.structure, b, res.new_ids, n),
+    ])
 
 
-def _patch_union(res: Construction, a, b, count: int, n: int, gap_name, gap_ok) -> Construction:
-    """Grow `res`'s patch copies over B to `count` and verify the free union D*.
+def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construction:
+    """Grow `count` copies of the patch `pair` = (s, k) over B and verify
+    their free union D*; a single patch is the union of one copy.
 
     Copy c continues the lambda sequence from 1 + c*k in its own s fresh
-    columns, which follow the columns of the structure before its first copy.
-    `gap_ok` judges delta(D*/A) for the check `gap_name`; extensions of B by
-    fewer than n new points must stay closed.
+    columns, which follow S's columns.  Each copy is tabulated by
+    `_block_profile` (None past BLOCK_PROFILE_LIMIT points), and the exact
+    residue-span DP `_free_union_min` decides ambient K+ and whether A is
+    closed in D* from the tables; when a block or the structure does not
+    fit its shape, the budgeted searches of `_k_plus_check` and
+    `_anchor_closed_check` run, then seeded sampling.  The checks come in one
+    order: the engine's own, `lead(result, tables, gap_ok)` with gap_ok
+    whether every copy has delta(copy/B) = s - alpha*k, then anchor_closed,
+    transcendental and ambient_k_plus.
     """
-    s, k = res.pair.s, res.pair.k
-    S2, copies = res.structure, list(res.copies)
-    old_width = S2.backend.ambient_dim - s * len(copies)
-    while len(copies) < count:
-        S2, ids = grow_patch(S2, b, s, k, colored=True, lam_start=1 + len(copies) * k)
+    s, k = pair.s, pair.k
+    old_width = S.backend.ambient_dim
+    S2, copies = S, []
+    for c in range(count):
+        S2, ids = grow_patch(S2, b, s, k, colored=True, lam_start=1 + c * k)
         copies.append(ids)
-    res = Construction(S2, copies=copies, pair=res.pair)
+    res = Construction(S2, copies=copies, pair=pair)
     star = b | set(res.new_ids)
     blocks = [(ids, old_width + c * s, s) for c, ids in enumerate(copies)]
-    kp, anchor, _ = _union_checks(S2, a, star, old_width, blocks)
+    tables = []
+    for blk in blocks:
+        try:
+            tables.append(_block_profile(S2, old_width, *blk))
+        except SearchBudgetExceeded:
+            tables.append(None)
+
+    def exact_ok(T, prime):
+        """The DP's verdict, or None when the structure does not fit its shape."""
+        if None in tables:
+            return None
+        try:
+            return _free_union_min(T, prime, old_width, blocks, tables).sign(S2.alpha) >= 0
+        except SearchBudgetExceeded:
+            return None
+
+    ok = exact_ok(S2, ())
+    if ok is None:
+        kp = _k_plus_check(S2)
+    else:
+        kp = Check("ambient_k_plus", ok)
+        if ok:
+            certify_k_plus(S2)
+    ok = exact_ok(S2.restrict(star), a)
+    if ok is None:
+        anchor = _anchor_closed_check(S2, a, star)
+    else:
+        anchor = Check("anchor_closed", ok)
     res.checks = [
-        Check("per_copy_gap", all(delta(S2, c, b) == res.delta_gap for c in copies)),
-        Check(gap_name, gap_ok(delta(S2, star, a))),
-        _small_extensions_closed_check(S2, b, res.new_ids, n),
+        *lead(res, tables, all(delta(S2, c, b) == res.delta_gap for c in copies)),
         anchor,
         Check("transcendental", _transcendental_over(S2, star, a)),
         kp,
@@ -873,10 +862,10 @@ def _patch_union(res: Construction, a, b, count: int, n: int, gap_name, gap_ok) 
     return res
 
 
-def _small_extensions_closed_check(S2, b_ids, new_ids, n, name="small_sets_closed") -> Check:
+def _small_extensions_closed_check(S2, b_ids, new_ids, n) -> Check:
     """delta(C/B) >= 0 for every C between B and B u new with |C - B| < n."""
     return _verify_subsets(
-        name, S2, b_ids, new_ids, range(min(n, len(new_ids) + 1)),
+        "small_sets_closed", S2, b_ids, new_ids, range(min(n, len(new_ids) + 1)),
         lambda d: d.sign(S2.alpha) < 0, 200_000,
     )
 
@@ -890,33 +879,23 @@ def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Con
         raise IrrationalAlpha("rational extension needs a rational coefficient")
     if S.alpha.num == S.alpha.den:
         raise AlphaOne("alpha = 1 admits no such pair")
-    a, b, gap = _patch_preconditions(S, a_ids, b_ids, need_positive_gap=True)
+    a, b, _ = _patch_preconditions(S, a_ids, b_ids, need_positive_gap=True)
     pair = rational_pair(S.alpha, t)
-    s, k = pair.s, pair.k
+    exact = S.alpha.den * pair.s - S.alpha.num * pair.k == -1
     old_width = S.backend.ambient_dim
-    S2, new_ids = grow_patch(S, b, s, k, colored=True)
-    d_ids = b | set(new_ids)
-    m, nden = S.alpha.num, S.alpha.den
-    gap_post = delta(S2, new_ids, b)
-    kp, anchor, (table,) = _union_checks(S2, a, d_ids, old_width, [(new_ids, old_width, s)])
-    checks = [
-        Check("delta_exact", nden * s - m * k == -1 and gap_post == PreDimValue(s, k)),
-        Check("size_exceeds_t", k > t),
-        *_patch_checks(S2, b, new_ids, s, old_width, table, minimal=True),
-        anchor,
-        Check("transcendental", _transcendental_over(S2, d_ids, a)),
-        kp,
-    ]
-    _require(checks)
-    return Construction(S2, checks, copies=[new_ids], pair=pair)
+    return _patch_union(S, a, b, pair, 1, lambda res, tables, gap_ok: [
+        Check("delta_exact", exact and gap_ok),
+        Check("size_exceeds_t", pair.k > t),
+        *_patch_checks(res.structure, b, res.new_ids, pair.s, old_width, tables[0], minimal=True),
+    ])
 
 
-def _minimal_pair_check(S2, b_ids, d_ids, new_ids, s, limit=None, name="minimal_pair") -> Check:
-    """(B, D) a minimal pair: exhaustively up to `limit` new points, else by the
-    structural argument, whose min(l, s) - alpha*l needs every new point colored."""
+def _minimal_pair_check(S2, b_ids, d_ids, new_ids, s, name="minimal_pair") -> Check:
+    """(B, D) a minimal pair: exhaustively up to EXHAUSTIVE_MINPAIR_LIMIT new
+    points, else by the structural argument, whose min(l, s) - alpha*l needs
+    every new point colored."""
     k = len(new_ids)
-    limit = EXHAUSTIVE_MINPAIR_LIMIT if limit is None else limit
-    if k <= limit:
+    if k <= EXHAUSTIVE_MINPAIR_LIMIT:
         return Check(name, is_minimal_pair(b_ids, d_ids, S2))
     alpha = S2.alpha
     plain = sorted(set(new_ids) - S2.colored)
@@ -949,10 +928,11 @@ def rational_zero_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Constr
         raise GapTooSmall("delta(B/A) must be nonnegative")
     if p == 0:
         return Construction(S, [Check("zero_gap", True)])
-    return _patch_union(
-        Construction(S, pair=rational_pair(S.alpha, t)), a, b, p, t, "zero_gap",
-        lambda gap_star: gap_star.sign(S.alpha) == 0,
-    )
+    return _patch_union(S, a, b, rational_pair(S.alpha, t), p, lambda res, _, gap_ok: [
+        Check("per_copy_gap", gap_ok),
+        Check("zero_gap", delta(res.structure, b | set(res.new_ids), a).sign(S.alpha) == 0),
+        _small_extensions_closed_check(res.structure, b, res.new_ids, t),
+    ])
 
 
 # -- minimal pair chains --------------------------------------------------------
@@ -997,10 +977,6 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> Constru
     levels = [ChainLevel(d_ids=("d0",), e_ids=("d0",), f_ids=(), pair=None)]
     checks: list[Check] = []
     generic: list[Check] = []
-    d_cur = {"d0"}
-    e_counter = 1
-    f_counter = 1
-    lam_counter = 1
     prev_drop = None
     for lvl, pair in enumerate(pairs, start=1):
         s, k = pair.s, pair.k
@@ -1010,49 +986,29 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> Constru
         if prev_drop is not None:
             checks.append(Check(f"drops_increase_{lvl}", (drop - prev_drop).sign() > 0))
         prev_drop = drop
-        old_dim = S.backend.ambient_dim
-        e_ids = [f"e{e_counter + i}" for i in range(s)]
-        e_counter += s
-        pad_elems = []
-        for i, eid in enumerate(e_ids):
-            vec = [Fraction(0)] * (old_dim + s)
-            vec[old_dim + i] = Fraction(1)
-            pad_elems.append(GroundElement(eid, tuple(vec)))
-        S = S.extended(pad_elems, new_colored=e_ids, widen_by=s)
-        f_count = k - s
-        f_ids = [f"f{f_counter + i}" for i in range(f_count)]
-        f_counter += f_count
-        if f_count:
-            basis_red = S.reducer_for(())
-            basis_ids = [i for i in sorted(d_cur) if basis_red.add(S.introw(i))]
-            basis_vecs = [S.element(i).vec for i in basis_ids]
-            basis_vecs += [S.element(i).vec for i in e_ids]
-            rows = _moment_rows(basis_vecs, f_count, lam_counter)
-            lam_counter += f_count
-            S = S.extended(
-                [GroundElement(fid, vec) for fid, vec in zip(f_ids, rows)],
-                new_colored=f_ids,
-            )
-        d_next = d_cur | set(e_ids) | set(f_ids)
-        generic.append(
-            _genericity_check(S, tuple(e_ids) + tuple(f_ids), d_cur, s, name=f"generic_{lvl}")
-        )
+        d_prev = levels[-1].d_ids
+        lam = 1 + sum(len(lv.f_ids) for lv in levels)
+        S, f_ids = grow_patch(S, d_prev, s, k - s, colored=True, prefix="f", lam_start=lam)
+        width = S.backend.ambient_dim
+        e_ids = tuple(S.fresh_ids("e", s))
+        units = [tuple(Fraction(int(j == width - s + i)) for j in range(width)) for i in range(s)]
+        S = S.extended(map(GroundElement, e_ids, units), new_colored=e_ids)
+        new = e_ids + f_ids
+        generic.append(_genericity_check(S, new, d_prev, s, name=f"generic_{lvl}"))
         checks.append(generic[-1])
         checks.append(
             _minimal_pair_check(
-                S, frozenset(d_cur), frozenset(d_next), tuple(e_ids) + tuple(f_ids), s,
-                name=f"minimal_pair_{lvl}",
+                S, frozenset(d_prev), frozenset(d_prev + new), new, s, name=f"minimal_pair_{lvl}"
             )
         )
         levels.append(
             ChainLevel(
-                d_ids=tuple(sorted(d_next)),
-                e_ids=tuple(e_ids),
-                f_ids=tuple(f_ids),
+                d_ids=tuple(sorted(d_prev + new)),
+                e_ids=e_ids,
+                f_ids=f_ids,
                 pair=pair,
             )
         )
-        d_cur = d_next
     checks.append(_tower_k_plus_check(S, levels, generic))
     _require(checks)
     copies = [lv.e_ids + lv.f_ids for lv in levels[1:]]

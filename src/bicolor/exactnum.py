@@ -241,25 +241,23 @@ class Alpha:
 
     @staticmethod
     def from_json(obj) -> "Alpha":
+        """Alpha from its `to_json` object; every field must be a JSON integer
+        (no float, string or boolean), named in the SchemaError otherwise."""
         if not isinstance(obj, dict) or "kind" not in obj:
             raise SchemaError("alpha must be an object with a 'kind' field")
         kind = obj["kind"]
-        try:
-            if kind == "rational":
-                return Alpha(kind="rational", num=int(obj["num"]), den=int(obj["den"]))
-            if kind == "quadratic":
-                return Alpha(
-                    kind="quadratic",
-                    a=int(obj["a"]),
-                    b=int(obj["b"]),
-                    c=int(obj["c"]),
-                    d=int(obj["d"]),
-                )
-        except KeyError as e:
-            raise SchemaError(f"alpha missing field {e}") from None
-        except (TypeError, ValueError):
-            raise SchemaError("alpha fields must be integers") from None
-        raise SchemaError(f"unknown alpha kind {kind!r}")
+        if kind == "rational":
+            names = ("num", "den")
+        elif kind == "quadratic":
+            names = ("a", "b", "c", "d")
+        else:
+            raise SchemaError(f"unknown alpha kind {kind!r}")
+        for name in names:
+            if name not in obj:
+                raise SchemaError(f"alpha missing field {name!r}")
+            if type(obj[name]) is not int:
+                raise SchemaError(f"alpha.{name}: must be an integer, got {obj[name]!r}")
+        return Alpha(kind=kind, **{name: obj[name] for name in names})
 
     @staticmethod
     def parse(text: str) -> "Alpha":

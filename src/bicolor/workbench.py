@@ -93,7 +93,7 @@ def structure_from_obj(obj) -> ColoredStructure:
     kind = backend_obj["kind"]
     if kind == LINEAR:
         dim = backend_obj.get("ambientDim")
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise SchemaError("backend.ambientDim: must be a natural number")
         backend = Backend(LINEAR, dim)
     elif kind == FREE:
@@ -122,7 +122,10 @@ def structure_from_obj(obj) -> ColoredStructure:
             if "vec" in item:
                 raise SchemaError(f"{where}.vec: forbidden for the free backend")
             payload = None
-        if item.get("colored"):
+        is_colored = item.get("colored", False)
+        if type(is_colored) is not bool:
+            raise SchemaError(f"{where}.colored: must be true or false, got {is_colored!r}")
+        if is_colored:
             colored.add(eid)
         elements.append(GroundElement(eid, payload))
     return ColoredStructure(backend, tuple(elements), frozenset(colored), alpha)

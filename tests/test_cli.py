@@ -104,6 +104,19 @@ class TestErrorCodes:
             "over a 2-point component",
         }
 
+    def test_non_integer_alpha_json_is_one(self, capsys):
+        alpha = '{"kind":"rational","num":1.9,"den":3}'  # was read as 1/3
+        code, obj = run(capsys, "epsilon", "--alpha", alpha, "-n", "3")
+        assert code == 1
+        assert obj["error"] == "SchemaError" and "alpha.num" in obj["message"]
+
+    def test_non_boolean_colored_is_one(self, capsys, tmp_path, witness_file):
+        p = tmp_path / "bad.json"
+        p.write_text(open(witness_file).read().replace('"colored":true', '"colored":"no"', 1))
+        code, obj = run(capsys, "delta", "--structure", str(p), "--set", "a")
+        assert code == 1
+        assert obj["error"] == "SchemaError" and "colored" in obj["message"]
+
     def test_rational_alpha_patch_is_one(self, capsys, witness_file):
         code, obj = run(
             capsys, "construct", "patch", "--structure", witness_file,
@@ -333,7 +346,10 @@ class TestConstructGoldenBytes:
     """stdout and `--out` bytes of every `bicolor construct` op, pinned by
     sha256 prefix.  The patch at sqrt(2)/6 (s = 3, k = 13) has its block
     table in closed form, the patch over two base points (s = 7, k = 10) has
-    it walked; both were pinned before the closed form existed."""
+    it walked; both were pinned before the closed form existed.  The 17-point
+    patch at 1/sqrt(2) (s = 12) is past BLOCK_PROFILE_LIMIT, so its ambient
+    K+ and anchor checks come from the budgeted searches; it was pinned
+    before the patch engines shared one pipeline."""
 
     QUAD = '{"kind":"quadratic","a":0,"b":1,"c":2,"d":2}'
     INPUTS = {
@@ -356,6 +372,8 @@ class TestConstructGoldenBytes:
              "010af60db2cbdd6d", "320bd2e7b829c4b9"),
             ("irr2", ["patch", "--base", "b1,b2", "--epsilon", "1/10"],
              "f8c9712d883152ed", "04388e70e45f38ed"),
+            ("irr", ["patch", "--base", "b", "--epsilon", "1/20"],
+             "2882e221027cc41b", "50cee748c5e0d4a5"),
             ("irr", ["power", "--base", "b", "--mu", "1/2", "-n", "2"],
              "610ffd03c9556a0e", "50cd8d331634820a"),
             ("rat", ["ratmin", "--base", "b", "-t", "0"],
@@ -372,8 +390,8 @@ class TestConstructGoldenBytes:
              "fb4ee8ee5fb3b5e3", None),
         ],
         ids=[
-            "patch", "patch-closed-form", "patch-two-point-base", "power", "ratmin-t0",
-            "ratmin-t1", "ratzero", "chain", "basis", "dsystem",
+            "patch", "patch-closed-form", "patch-two-point-base", "patch-past-block-limit",
+            "power", "ratmin-t0", "ratmin-t1", "ratzero", "chain", "basis", "dsystem",
         ],
     )
     def test_bytes(self, capsys, tmp_path, structure, argv, stdout_digest, out_digest):

@@ -358,24 +358,26 @@ class TestMinimalPairChain:
 
 
 class TestMinimalPairStructural:
-    """The structural branch of _minimal_pair_check, forced with limit=0."""
+    """The structural branch of _minimal_pair_check, forced with
+    EXHAUSTIVE_MINPAIR_LIMIT = 0."""
 
-    def test_chain_level_passes(self):
+    def test_chain_level_passes(self, monkeypatch):
         res = minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8)
         lo, hi = res.levels
+        monkeypatch.setattr(construct, "EXHAUSTIVE_MINPAIR_LIMIT", 0)
         check = _minimal_pair_check(
-            res.structure, frozenset(lo.d_ids), frozenset(hi.d_ids),
-            hi.e_ids + hi.f_ids, hi.pair.s, limit=0,
+            res.structure, frozenset(lo.d_ids), frozenset(hi.d_ids), hi.e_ids + hi.f_ids, hi.pair.s
         )
         assert check.passed and check.method == "structural"
 
-    def test_plain_new_point_fails(self):
+    def test_plain_new_point_fails(self, monkeypatch):
         S = plain_points(ALPHA_TWO_THIRDS, [(1,)])
         res = rational_minimal_extension([], ["b1"], 0, S)
         S2 = res.structure.extended([GroundElement("p1", (F(1), F(1)))])
         new_ids = res.new_ids + ("p1",)
+        monkeypatch.setattr(construct, "EXHAUSTIVE_MINPAIR_LIMIT", 0)
         check = _minimal_pair_check(
-            S2, frozenset({"b1"}), frozenset({"b1", *new_ids}), new_ids, res.pair.s, limit=0
+            S2, frozenset({"b1"}), frozenset({"b1", *new_ids}), new_ids, res.pair.s
         )
         assert not check.passed
         assert check.method == "structural"

@@ -57,6 +57,25 @@ class TestAlpha:
         for a in ALL_ALPHAS:
             assert Alpha.from_json(a.to_json()) == a
 
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"kind": "rational", "num": 1.9, "den": 3}, "num"),  # was loaded as 1/3
+            ({"kind": "quadratic", "a": 0, "b": 1.5, "c": 2, "d": 2}, "b"),  # was 1/sqrt(2)
+            ({"kind": "rational", "num": "2", "den": 3}, "num"),
+            ({"kind": "rational", "num": True, "den": 2}, "num"),
+            ({"kind": "quadratic", "a": 0, "b": 1, "c": 2, "d": 2.0}, "d"),
+        ],
+        ids=["float", "quadratic-float", "string", "bool", "integral-float"],
+    )
+    def test_from_json_rejects_non_integer_fields(self, obj, field):
+        with pytest.raises(SchemaError, match=f"alpha.{field}: must be an integer"):
+            Alpha.from_json(obj)
+
+    def test_from_json_names_a_missing_field(self):
+        with pytest.raises(SchemaError, match="alpha missing field 'den'"):
+            Alpha.from_json({"kind": "rational", "num": 1})
+
     def test_parse_inline(self):
         assert Alpha.parse("2/3") == ALPHA_TWO_THIRDS
         assert Alpha.parse('{"kind":"quadratic","a":0,"b":1,"c":2,"d":2}') == ALPHA_INV_SQRT2

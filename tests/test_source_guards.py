@@ -8,7 +8,8 @@ module but `pregeom` uses `eliminate`, so `pregeom.walk` stays the one
 depth-first subset walk, and `colored` enumerates no
 `itertools.combinations`, so every subset search there runs on the walk.
 No module imports another module's private (underscore-prefixed) names, and
-deleted names stay deleted.  No nested function calls itself: such a closure
+deleted names stay deleted.  Only `construct.grow_patch` computes moment-curve
+rows, so every engine shares one point layout.  No nested function calls itself: such a closure
 holds a cell that refers back to it, a reference cycle that keeps the
 searched structure alive until the cyclic collector runs, so the searches
 leave no garbage for it.
@@ -53,6 +54,8 @@ DELETED_NAMES = {
     "_audit.closed",
     "_strong_embeddings.closed",
     "_extend_embedding.closed",
+    "_minimal_pair_check.limit",
+    "_small_extensions_closed_check.name",
 }
 ELIMINATION_NAMES = re.compile(r"rref|solve|kernel|bareiss|gauss|elimin|echelon|rank_int", re.I)
 
@@ -156,6 +159,21 @@ def self_calling_closures(source: str) -> list[str]:
     return sorted(found)
 
 
+def callers_of(source: str, name: str) -> list[str]:
+    """Top-level functions (or None for module level) that call `name`,
+    directly or read off any object, once each in source order."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name and owner not in found:
+                    found.append(owner)
+    return found
+
+
 def private_imports(source: str) -> list[str]:
     """`module.name` for each underscore-prefixed name imported, at any depth,
     from a `bicolor` module."""
@@ -193,6 +211,10 @@ def test_elimination_only_in_pregeom(path):
 )
 def test_eliminate_used_only_by_pregeom(path):
     assert "eliminate" not in imported_names((SRC / path).read_text())
+
+
+def test_only_grow_patch_places_moment_points():
+    assert callers_of((SRC / "construct.py").read_text(), "_moment_rows") == ["grow_patch"]
 
 
 def test_colored_enumerates_no_combinations():
@@ -275,6 +297,9 @@ def test_guards_catch_violations():
     assert self_calling_closures("def visit(i):\n    return visit(i - 1)\n") == []
     src = "from .construct import _grow_patch, grow_patch\ndef f():\n    from .pregeom import _x\n"
     assert private_imports(src) == ["construct._grow_patch", "pregeom._x"]
+    src = "def g():\n    return m._moment_rows(v, 2)\ndef f():\n    _moment_rows(v, 1)\n    h(_moment_rows)\n"
+    assert callers_of(src, "_moment_rows") == ["g", "f"]
+    assert callers_of("x = _moment_rows(v, 1)\ndef f():\n    pass\n", "_moment_rows") == [None]
     assert private_imports("from bicolor.colored import _component_min\n") == [
         "bicolor.colored._component_min"
     ]

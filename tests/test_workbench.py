@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -244,6 +245,22 @@ class TestRoundTrip:
     def test_missing_field(self):
         with pytest.raises(SchemaError):
             loads('{"alpha":{"kind":"rational","num":1,"den":2},"backend":{"kind":"linear","ambientDim":1}}')
+
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ('"num":2', '"num":1.9', "alpha.num"),
+            ('"colored":true', '"colored":"no"', "elements[1].colored"),
+            ('"colored":false', '"colored":1', "elements[0].colored"),
+            ('"ambientDim":2', '"ambientDim":true', "backend.ambientDim"),
+        ],
+        ids=["float-alpha", "string-colored", "integer-colored", "bool-ambient-dim"],
+    )
+    def test_lossy_fields_rejected(self, old, new, field):
+        text = dumps(witness_structure())
+        assert old in text
+        with pytest.raises(SchemaError, match=re.escape(field)):
+            loads(text.replace(old, new, 1))
 
 
 class TestTaskCatalog:
