@@ -11,34 +11,20 @@ puts its E points on the fresh unit vectors after its F points.  Genericity
 is verified, never assumed.  The four patch engines share one pipeline,
 `_patch_union`: a single patch is a free union of one copy.
 
-Each check records its method.  "exhaustive": every case was tried.
-"certified": a proof read off the result's verified shape; a chain's ambient
-K+ (`_tower_k_plus_check`) is proved level by level from its genericity
-checks and one exact search per level.  "structural": minimal pairs past 17
-new points, from new points colored and s-subsets bases, plus draws.
-"sampled": seeded draws only.  A patch of at most 14 points is tabulated
-once: `_block_profile` reads its subsets' table in closed form when its rows
-lie on the moment curve over a base of rank at most one (`_moment_table`, a
-Vandermonde lemma checked on the rows), and walks them otherwise.  The
-free-union DP `_free_union_min` decides ambient K+ and the anchor's
-closedness from the tables, and `_patch_checks` reads genericity and the
-interior or minimal-pair condition off the same table.  Every other subset
-condition, and a read-off that fails
-(for its witness) or whose assumptions do not hold, goes through one
-verifier, `_verify_subsets`, which reduces each pool once against
-span(base), walks every subset up to a per-check count (2^14 - 2 for the
-interior condition, 20 000 for genericity, 200 000 for small extensions)
-with `pregeom.walk` and past it makes the draws.  A chain the certificate
-does not accept gets the budgeted K+ search, and K+ and anchor searches that
-run out of their budget fall back to the same draws.
+Each check records its method, "exhaustive" (every case was tried) or
+"certified" (a proof read off the result's verified shape), by one rule:
+exhaustive within the check's limit, otherwise certified, otherwise
+SearchBudgetExceeded.  Patch checks read their subsets off block tables
+(`_block_profile`, `_free_union_min`, `_patch_checks`); other subset checks
+walk them (`_verify_subsets`) or, past the limit, are certified by
+`_moment_shape`; a chain's K+ is certified level by level.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .closure import is_closed, is_minimal_pair
@@ -85,10 +71,8 @@ from .report import Check
 # Largest block whose subsets `_block_profile` tabulates (2^14 - 1 of them).
 BLOCK_PROFILE_LIMIT = 14
 EXHAUSTIVE_MINPAIR_LIMIT = 17
-SAMPLE_COUNT = 10_000
-SAMPLE_SEED = 0x5EED
-# Verification sweeps inside this module switch to seeded sampling once the
-# exact search would pass this many nodes; the report records which mode ran.
+# Node budget of this module's K+ and closedness searches; an overrun raises
+# SearchBudgetExceeded naming the check (CLI exit 2), never samples.
 VERIFY_NODE_BUDGET = 150_000
 
 
@@ -196,78 +180,121 @@ def grow_patch(
     return S2, tuple(new_ids)
 
 
-def _first_draws(draws):
-    """Each subset among `draws` once, at its first draw."""
-    seen = set()
-    for combo in draws:
-        key = frozenset(combo)
-        if key not in seen:
-            seen.add(key)
-            yield combo
+def _fresh_blocks(S, copies, s: int) -> list:
+    """(ids, start, s) per copy, the copies owning S's last columns in order."""
+    width = S.backend.ambient_dim
+    return [(ids, width - (len(copies) - c) * s, s) for c, ids in enumerate(copies)]
 
 
-def _verify_subsets(name, S, base, pool, sizes, violates, limit) -> Check:
+def _moment_shape(S, base_ids, blocks) -> bool:
+    """True when B = `base_ids` and the copies of `blocks`, (ids, start, s)
+    each, have on their integer rows the fresh-block shape that `grow_patch`
+    and the chain levels build, read in O(k*s) per copy of k points: each
+    block [start, start + s) is nonempty and within the columns; B is zero
+    on every block and each copy on the other copies' blocks; on its own
+    block each point is c*(1, lam, ..., lam^(s-1)) with c > 0, lam > 0 and
+    the copy's lams distinct, or a unit vector (one positive entry) met once
+    in the copy; for s = 1 any c > 0 serves.
+
+    Lemma.  Then dim(C/B) >= sum over copies of min(|C n copy|, s) for every
+    C within the copies, with equality when |C| <= s.
+
+    Proof.  Each point is nonzero on its own block and zero on the others, so
+    no point is in B or in two copies.  Projecting onto the blocks kills B,
+    so dim(C/B) is at least the sum of the copies' ranks on their own blocks.
+    There m <= s points, j units on columns J and m - j moment rows, have on
+    J plus any m - j other columns a minor that is, up to nonzero factors, a
+    minor of a Vandermonde matrix with distinct positive nodes, nonzero by
+    Descartes' rule of signs; so m <= s points have rank m, more have rank s.
+    Equality for |C| <= s: dim(C/B) <= |C|.
+    """
+    spans = [(start, start + s) for _, start, s in blocks]
+    if any(not 0 <= lo < hi <= S.backend.ambient_dim for lo, hi in spans):
+        return False
+    touched = lambda row: {c for c, (lo, hi) in enumerate(spans) if any(row[lo:hi])}
+    if any(touched(S.introw(i)) for i in base_ids):
+        return False
+    for c, (ids, start, s) in enumerate(blocks):
+        units, lams = set(), set()
+        for eid in ids:
+            row = S.introw(eid)
+            f = row[start:start + s]
+            support = [t for t, x in enumerate(f) if x]
+            if s == 1:
+                ok = f[0] > 0
+            elif len(support) == 1:
+                t = support[0]
+                ok = f[t] > 0 and t not in units
+                units.add(t)
+            else:
+                lam = Fraction(f[1], f[0]) if f[0] > 0 else 0
+                ok = lam > 0 and lam not in lams
+                ok = ok and not any(x * f[0] != y * f[1] for x, y in zip(f[2:], f[1:]))
+                lams.add(lam)
+            if not (ok and touched(row) == {c}):
+                return False
+    return True
+
+
+def _verify_subsets(name, S, base, pool, sizes, violates, limit, certify=None) -> Check:
     """Check that no non-empty subset C of `pool` (disjoint from `base`) with
     size in `sizes` has a delta(C/base) that `violates`.
 
-    The pool is reduced once against span(base); the residuals vanish on its
-    pivot columns, where only zero in span(base) does, so the rank of C's
-    residuals is dim(C/base).  When at most `limit` subsets have those sizes,
-    `pregeom.walk` meets them in lex order and, once it meets a violator,
-    grows no subset to its size: the last violator met is the least by size,
-    then lex.  Otherwise SAMPLE_COUNT seeded draws of a size in `sizes` and
-    a subset of that size are made, each distinct subset is ranked at its
-    first draw (a repeat of a passed draw cannot fail): "sampled".
+    Up to `limit` such subsets, the pool is reduced once against span(base)
+    (the residuals vanish on its pivot columns, so the rank of C's residuals
+    is dim(C/base)) and `pregeom.walk` meets them in lex order, growing no
+    subset to a violator's size once it met one: the last violator met is
+    the least by size, then lex.  Past the limit, `certify()` (a proof from
+    `_moment_shape` that none violates) certifies the check, else it raises.
     """
     pool, n = sorted(pool), len(pool)
+    count = sum(math.comb(n, j) for j in sizes)
+    if count > limit:
+        if certify is None or not certify():
+            msg = f"{name}: {count} subsets exceed the limit {limit}; no certificate applies"
+            raise SearchBudgetExceeded(msg)
+        return Check(name, True, method="certified")
     red = S.reducer_for(base)
     rows = [red.residual(S.introw(i)) for i in pool]
     colored = [S.is_colored(i) for i in pool]
-    witness = None
-    if sum(math.comb(n, j) for j in sizes) <= limit:
-        method, top = "exhaustive", sizes.stop - 1
-        take = lambda st, i, row: (st[0] + any(row), st[1] + colored[i], st[2] + (pool[i],))
-        prune = lambda i, st: not sizes.start - (n - i) <= len(st[2]) < top
-        for _, (dim, ncol, combo), new in walk(rows, (0, 0, ()), take, prune):
-            if new and combo and len(combo) in sizes and violates(PreDimValue(dim, ncol)):
-                top, witness = len(combo) - 1, combo
-    else:
-        method, rng = "sampled", random.Random(SAMPLE_SEED)
-        at = {eid: i for i, eid in enumerate(pool)}
-        draws = (rng.sample(pool, rng.randrange(sizes.start, sizes.stop)) for _ in range(SAMPLE_COUNT))
-        for combo in _first_draws(draws):
-            sub = SpanReducer(red.ncols)
-            dim = sum(sub.add(rows[at[i]]) for i in combo)
-            if combo and violates(PreDimValue(dim, sum(colored[at[i]] for i in combo))):
-                witness = combo
-                break
-    return Check(name, witness is None, witness=witness and sorted(witness), method=method)
+    witness, top = None, sizes.stop - 1
+    take = lambda st, i, row: (st[0] + any(row), st[1] + colored[i], st[2] + (pool[i],))
+    prune = lambda i, st: not sizes.start - (n - i) <= len(st[2]) < top
+    for _, (dim, ncol, combo), new in walk(rows, (0, 0, ()), take, prune):
+        if new and combo and len(combo) in sizes and violates(PreDimValue(dim, ncol)):
+            top, witness = len(combo) - 1, combo
+    return Check(name, witness is None, witness=witness and sorted(witness))
 
 
-def _patch_interior_check(S2, b_ids, new_ids, alpha) -> Check:
-    """delta(D') >= delta(B) for all B within D' strictly inside D, i.e.
-    delta(C/B) >= 0 for every proper subset C of the patch."""
+def _patch_interior_check(S2, b_ids, new_ids, s: int, name="interior_condition") -> Check:
+    """delta(C/B) >= 0 for every proper subset C of the patch `new_ids` of k
+    points, whose s fresh columns are the last.  Past the limit `_moment_shape`
+    gives delta(C/B) >= min(m, s) - alpha*m for |C| = m < k, which is >= 0
+    when s - alpha*(k - 1) >= 0."""
+    alpha, k = S2.alpha, len(new_ids)
     return _verify_subsets(
-        "interior_condition", S2, b_ids, new_ids, range(1, len(new_ids)),
-        lambda d: d.sign(alpha) < 0, 2**BLOCK_PROFILE_LIMIT - 2,
+        name, S2, b_ids, new_ids, range(1, k), lambda d: d.sign(alpha) < 0,
+        2**BLOCK_PROFILE_LIMIT - 2,
+        lambda: PreDimValue(s, k - 1).sign(alpha) >= 0
+        and _moment_shape(S2, b_ids, _fresh_blocks(S2, [new_ids], s)),
     )
 
 
 def _genericity_check(S2, new_ids, base_ids, s: int, name="generic_position") -> Check:
-    """Every s-element subset of the patch is a base over the anchor."""
+    """Every s-subset of the patch, whose s fresh columns are the last, is a
+    base over the anchor; `_moment_shape` certifies it past the limit."""
     return _verify_subsets(
-        name, S2, base_ids, new_ids, range(s, s + 1), lambda d: d.dim_part != s, 20_000
+        name, S2, base_ids, new_ids, range(s, s + 1), lambda d: d.dim_part != s, 20_000,
+        lambda: _moment_shape(S2, base_ids, _fresh_blocks(S2, [new_ids], s)),
     )
 
 
-def _k_plus_check(S2) -> Check:
+def _searched(name: str, search) -> Check:
+    """Check(name, search()); a budget overrun raises, naming the check."""
     try:
-        return Check("ambient_k_plus", in_k_plus(S2, node_budget=VERIFY_NODE_BUDGET))
-    except SearchBudgetExceeded:
-        return _verify_subsets(
-            "ambient_k_plus", S2, (), S2.id_set, range(len(S2) + 1),
-            lambda d: d.sign(S2.alpha) < 0, 0,
-        )
+        return Check(name, search())
+    except SearchBudgetExceeded as e:
+        raise SearchBudgetExceeded(f"{name}: {e}") from e
 
 
 def _tower_k_plus_check(S, levels, generic_checks) -> Check:
@@ -302,7 +329,7 @@ def _tower_k_plus_check(S, levels, generic_checks) -> Check:
     delta(F'_l) + min_relative_delta(S'_l, F'_l) - (alpha*k - s) >= 0 by (c).
 
     When the shape or one of (a)-(c) fails, or (c)'s search runs out of its
-    budget, the answer is `_k_plus_check`'s.
+    budget, the answer is the budgeted K+ search's.
     """
     try:
         if _tower_in_k_plus(S, levels, generic_checks):
@@ -310,7 +337,7 @@ def _tower_k_plus_check(S, levels, generic_checks) -> Check:
             return Check("ambient_k_plus", True, method="certified")
     except SearchBudgetExceeded:
         pass
-    return _k_plus_check(S)
+    return _searched("ambient_k_plus", lambda: in_k_plus(S, node_budget=VERIFY_NODE_BUDGET))
 
 
 def _zero_from(S, ids, col: int) -> bool:
@@ -367,25 +394,26 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
     coordinates, keyed by their canonical integer rows.  Each (key, fresh
     rank) keeps the size of its largest subset, the empty set giving
     ((), 0): 0; subsets sharing both have one rank, so the largest has the
-    least delta.  A block on the moment curve over a residue of rank at most
-    one is tabulated in closed form by `_moment_table`, which checks that
-    shape on the rows; any other block is walked by `_walk_table`.  A
+    least delta.  `_moment_table` reads a block on the moment curve over a
+    residue of rank at most one in closed form, at any size; `_walk_table`
+    walks any other block of at most BLOCK_PROFILE_LIMIT points.  A
     zero-width block (start = old_width, length = 0) profiles points on the
-    old coordinates alone.  Raises SearchBudgetExceeded past
-    BLOCK_PROFILE_LIMIT points, whichever path would serve, or for a point
-    outside its columns.
+    old coordinates alone.  Raises SearchBudgetExceeded for a point outside
+    its columns or a longer block to walk.
     """
     ids = sorted(ids)
-    if len(ids) > BLOCK_PROFILE_LIMIT:
-        raise SearchBudgetExceeded(
-            f"free-union block of {len(ids)} points exceeds {BLOCK_PROFILE_LIMIT}"
-        )
     rows = [S2.introw(eid) for eid in ids]
     if any(any(row[old_width:start]) or any(row[start + length:]) for row in rows):
         raise SearchBudgetExceeded("block escapes its fresh coordinates")
     rows = [row[start:start + length] + row[:old_width] for row in rows]
     table = _moment_table(rows, length, old_width)
-    return _walk_table(rows, length) if table is None else table
+    if table is not None:
+        return table
+    if len(ids) > BLOCK_PROFILE_LIMIT:
+        raise SearchBudgetExceeded(
+            f"free-union block of {len(ids)} points exceeds {BLOCK_PROFILE_LIMIT}"
+        )
+    return _walk_table(rows, length)
 
 
 def _moment_table(rows, length: int, old_width: int) -> dict | None:
@@ -398,14 +426,12 @@ def _moment_table(rows, length: int, old_width: int) -> dict | None:
              distinct when s >= 2;
       r = 1: o_i = c_i*v for one nonzero v, and f_i = c_i*(mu_i, ..., mu_i^s),
              the mu_i nonzero and distinct.
-    They are read off the rows, k of width s + w, in O(k*(s + w)) exact
-    products: f_i is a geometric progression from f_i[0] != 0, whose ratio
-    is mu_i for s >= 2.  For r = 1, v is found up to its scale: with v_0 the
-    first nonzero o_i, every o_i = b_i*v_0 with b_i != 0, and the f_i / b_i =
-    lam*(mu_i, ..., mu_i^s) share one lam, so that v = v_0 / lam and c_i =
-    lam*b_i (for s = 1 any lam serves, mu_i = f_i[0] / b_i taking lam = 1).
-    Then the table is ((), j): j for j <= min(s, k) and, when k > s, also
-    ((), s): k for r = 0 or (key of span v, s): k for r = 1.
+    They are read off the k rows in O(k*(s + w)) exact products: f_i is a
+    geometric progression of ratio mu_i (s >= 2); for r = 1 every o_i =
+    b_i*v_0, v_0 the first nonzero o_i, and the f_i / b_i = lam*(mu_i, ...,
+    mu_i^s) share one lam (any for s = 1).  The table is ((), j): j for
+    j <= min(s, k) and, when k > s, also ((), s): k for r = 0 or (key of
+    span v, s): k for r = 1.
 
     Lemma.  In the coordinates (v, e_1, ..., e_s), e_t the fresh unit
     vectors, row i is c_i*(1, mu_i, ..., mu_i^s) (drop the v column for
@@ -560,9 +586,10 @@ def _patch_checks(S2, b_ids, new_ids, s: int, old_width: int, table, minimal: bo
     old_width + s).
 
     Let k = |N|.  The read-off assumes every point of N colored, B zero past
-    the old columns (so on the fresh block), and the table present (k at
-    most BLOCK_PROFILE_LIMIT); otherwise the checks run as
-    `_genericity_check`, `_patch_interior_check` and `_minimal_pair_check`.
+    the old columns (so on the fresh block), and the table present with k at
+    most BLOCK_PROFILE_LIMIT; otherwise the checks run as
+    `_genericity_check`, `_patch_interior_check` and `_minimal_pair_check`,
+    each exhaustive within its own limit and certified past it.
     For C within N with table key (K, f), span(C u B) maps onto the fresh
     block with rank f and kernel K + span(B), so dim(C/B) = f + d(K) with
     d(K) = dim((K + span B)/span B), one reduction per key.  So each entry
@@ -592,11 +619,11 @@ def _patch_checks(S2, b_ids, new_ids, s: int, old_width: int, table, minimal: bo
     """
     alpha, k = S2.alpha, len(new_ids)
     red = _old_reducer(S2, b_ids, old_width)
-    if table is None or red is None or not S2.colored.issuperset(new_ids):
+    if table is None or k > BLOCK_PROFILE_LIMIT or red is None or not S2.colored.issuperset(new_ids):
         if minimal:
-            last = _minimal_pair_check(S2, b_ids, set(b_ids) | set(new_ids), new_ids, s)
+            last = _minimal_pair_check(S2, b_ids, new_ids, s)
         else:
-            last = _patch_interior_check(S2, b_ids, new_ids, alpha)
+            last = _patch_interior_check(S2, b_ids, new_ids, s)
         return [_genericity_check(S2, new_ids, b_ids, s), last]
     entries = {(f + len(_modulo(red, key)), size) for (key, f), size in table.items()}
     rank = max(j for j, _ in entries)
@@ -609,21 +636,8 @@ def _patch_checks(S2, b_ids, new_ids, s: int, old_width: int, table, minimal: bo
     elif interior:
         last = Check("interior_condition", True)
     else:
-        last = _patch_interior_check(S2, b_ids, new_ids, alpha)
+        last = _patch_interior_check(S2, b_ids, new_ids, s)
     return [Check("generic_position", True) if generic else _genericity_check(S2, new_ids, b_ids, s), last]
-
-
-def _anchor_closed_check(S2, a_ids, within_ids) -> Check:
-    """A closed inside the induced substructure, budgeted with sampled fallback."""
-    sub = S2.restrict(within_ids)
-    try:
-        return Check("anchor_closed", is_closed(a_ids, sub, node_budget=VERIFY_NODE_BUDGET))
-    except SearchBudgetExceeded:
-        pool = set(within_ids) - set(a_ids)
-        return _verify_subsets(
-            "anchor_closed", S2, a_ids, pool, range(len(pool) + 1),
-            lambda d: d.sign(S2.alpha) < 0, 0,
-        )
 
 
 def _patch_preconditions(S, a_ids, b_ids, need_positive_gap=True):
@@ -796,7 +810,7 @@ def free_power_patch(a_ids, b_ids, mu, n: int, S: ColoredStructure) -> Construct
         Check("power_gap", (
             delta(res.structure, b | set(res.new_ids), a).value(S.alpha) - mu_q
         ).sign() < 0),
-        _small_extensions_closed_check(res.structure, b, res.new_ids, n),
+        _small_extensions_closed_check(res, b, n),
     ])
 
 
@@ -806,14 +820,14 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
 
     Copy c continues the lambda sequence from 1 + c*k in its own s fresh
     columns, which follow S's columns.  Each copy is tabulated by
-    `_block_profile` (None past BLOCK_PROFILE_LIMIT points), and the exact
-    residue-span DP `_free_union_min` decides ambient K+ and whether A is
-    closed in D* from the tables; when a block or the structure does not
-    fit its shape, the budgeted searches of `_k_plus_check` and
-    `_anchor_closed_check` run, then seeded sampling.  The checks come in one
-    order: the engine's own, `lead(result, tables, gap_ok)` with gap_ok
-    whether every copy has delta(copy/B) = s - alpha*k, then anchor_closed,
-    transcendental and ambient_k_plus.
+    `_block_profile` (None when it can be neither read in closed form nor
+    walked), and the DP `_free_union_min` decides ambient K+ and whether A
+    is closed in D*: "exhaustive" up to BLOCK_PROFILE_LIMIT points a copy,
+    "certified" from closed-form tables past it; where the DP does not fit,
+    the budgeted searches run.  The checks come in one order: the engine's
+    own, `lead(result, tables, gap_ok)` with gap_ok whether every copy has
+    delta(copy/B) = s - alpha*k, then anchor_closed, transcendental and
+    ambient_k_plus.
     """
     s, k = pair.s, pair.k
     old_width = S.backend.ambient_dim
@@ -823,35 +837,30 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
         copies.append(ids)
     res = Construction(S2, copies=copies, pair=pair)
     star = b | set(res.new_ids)
-    blocks = [(ids, old_width + c * s, s) for c, ids in enumerate(copies)]
+    blocks = _fresh_blocks(S2, copies, s)
     tables = []
     for blk in blocks:
         try:
             tables.append(_block_profile(S2, old_width, *blk))
         except SearchBudgetExceeded:
             tables.append(None)
+    method = "certified" if k > BLOCK_PROFILE_LIMIT else "exhaustive"
 
-    def exact_ok(T, prime):
-        """The DP's verdict, or None when the structure does not fit its shape."""
-        if None in tables:
-            return None
-        try:
-            return _free_union_min(T, prime, old_width, blocks, tables).sign(S2.alpha) >= 0
-        except SearchBudgetExceeded:
-            return None
+    def union_check(name, T, prime, search) -> Check:
+        """The DP's verdict, or `search`'s where the DP's shape does not fit."""
+        if None not in tables:
+            try:
+                low = _free_union_min(T, prime, old_width, blocks, tables)
+                return Check(name, low.sign(S2.alpha) >= 0, method=method)
+            except SearchBudgetExceeded:
+                pass
+        return _searched(name, search)
 
-    ok = exact_ok(S2, ())
-    if ok is None:
-        kp = _k_plus_check(S2)
-    else:
-        kp = Check("ambient_k_plus", ok)
-        if ok:
-            certify_k_plus(S2)
-    ok = exact_ok(S2.restrict(star), a)
-    if ok is None:
-        anchor = _anchor_closed_check(S2, a, star)
-    else:
-        anchor = Check("anchor_closed", ok)
+    kp = union_check("ambient_k_plus", S2, (), lambda: in_k_plus(S2, node_budget=VERIFY_NODE_BUDGET))
+    if kp.passed:
+        certify_k_plus(S2)
+    sub = S2.restrict(star)
+    anchor = union_check("anchor_closed", sub, a, lambda: is_closed(a, sub, node_budget=VERIFY_NODE_BUDGET))
     res.checks = [
         *lead(res, tables, all(delta(S2, c, b) == res.delta_gap for c in copies)),
         anchor,
@@ -862,11 +871,17 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     return res
 
 
-def _small_extensions_closed_check(S2, b_ids, new_ids, n) -> Check:
-    """delta(C/B) >= 0 for every C between B and B u new with |C - B| < n."""
+def _small_extensions_closed_check(res: Construction, b_ids, n) -> Check:
+    """delta(C/B) >= 0 for every C of fewer than n points within the copies
+    of `res`.  Past the limit, for n <= k, such a C meets each copy in m < k
+    points, adding min(m, s) - alpha*m to `_moment_shape`'s lower bound on
+    delta(C/B), which is >= 0 when s - alpha*(k - 1) >= 0."""
+    S2, (s, k), alpha = res.structure, (res.pair.s, res.pair.k), res.structure.alpha
     return _verify_subsets(
-        "small_sets_closed", S2, b_ids, new_ids, range(min(n, len(new_ids) + 1)),
-        lambda d: d.sign(S2.alpha) < 0, 200_000,
+        "small_sets_closed", S2, b_ids, res.new_ids, range(min(n, len(res.new_ids) + 1)),
+        lambda d: d.sign(alpha) < 0, 200_000,
+        lambda: n <= k and PreDimValue(s, k - 1).sign(alpha) >= 0
+        and _moment_shape(S2, b_ids, _fresh_blocks(S2, res.copies, s)),
     )
 
 
@@ -890,28 +905,15 @@ def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Con
     ])
 
 
-def _minimal_pair_check(S2, b_ids, d_ids, new_ids, s, name="minimal_pair") -> Check:
-    """(B, D) a minimal pair: exhaustively up to EXHAUSTIVE_MINPAIR_LIMIT new
-    points, else by the structural argument, whose min(l, s) - alpha*l needs
-    every new point colored."""
-    k = len(new_ids)
-    if k <= EXHAUSTIVE_MINPAIR_LIMIT:
+def _minimal_pair_check(S2, b_ids, new_ids, s, name="minimal_pair") -> Check:
+    """(B, B u `new_ids`) a minimal pair: searched up to EXHAUSTIVE_MINPAIR_LIMIT
+    new points, past them delta(D/B) < 0 and the interior condition."""
+    d_ids = set(b_ids) | set(new_ids)
+    if len(new_ids) <= EXHAUSTIVE_MINPAIR_LIMIT:
         return Check(name, is_minimal_pair(b_ids, d_ids, S2))
-    alpha = S2.alpha
-    plain = sorted(set(new_ids) - S2.colored)
-    if plain:
-        return Check(name, False, witness=plain, method="structural")
-    if delta(S2, d_ids, b_ids).sign(alpha) >= 0:
-        return Check(name, False, method="structural")
-    # Verified genericity turns every intermediate into min(l, s) - alpha*l.
-    gen = _genericity_check(S2, new_ids, b_ids, s, name="minpair_genericity")
-    if not gen.passed:
-        return Check(name, False, witness=gen.witness, method="structural")
-    for l in range(1, k):
-        if PreDimValue(min(l, s), l).sign(alpha) < 0:
-            return Check(name, False, witness=f"size {l}", method="structural")
-    tail = _verify_subsets(name, S2, b_ids, new_ids, range(1, k), lambda d: d.sign(alpha) < 0, 0)
-    return replace(tail, method="structural")
+    if delta(S2, d_ids, b_ids).sign(S2.alpha) >= 0:
+        return Check(name, False)
+    return _patch_interior_check(S2, b_ids, new_ids, s, name)
 
 
 def rational_zero_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Construction:
@@ -931,7 +933,7 @@ def rational_zero_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Constr
     return _patch_union(S, a, b, rational_pair(S.alpha, t), p, lambda res, _, gap_ok: [
         Check("per_copy_gap", gap_ok),
         Check("zero_gap", delta(res.structure, b | set(res.new_ids), a).sign(S.alpha) == 0),
-        _small_extensions_closed_check(res.structure, b, res.new_ids, t),
+        _small_extensions_closed_check(res, b, t),
     ])
 
 
@@ -996,11 +998,7 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> Constru
         new = e_ids + f_ids
         generic.append(_genericity_check(S, new, d_prev, s, name=f"generic_{lvl}"))
         checks.append(generic[-1])
-        checks.append(
-            _minimal_pair_check(
-                S, frozenset(d_prev), frozenset(d_prev + new), new, s, name=f"minimal_pair_{lvl}"
-            )
-        )
+        checks.append(_minimal_pair_check(S, d_prev, new, s, name=f"minimal_pair_{lvl}"))
         levels.append(
             ChainLevel(
                 d_ids=tuple(sorted(d_prev + new)),

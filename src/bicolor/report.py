@@ -10,10 +10,10 @@ from dataclasses import dataclass
 class Check:
     """One named verification outcome and how it was reached.
 
-    `method` is "exhaustive" (every case tried), "certified" (a proof read off
-    the verified shape of the result, such as a chain's level-by-level K+
-    certificate), "structural" (an argument from verified properties, with
-    seeded draws for the rest) or "sampled" (seeded draws only).
+    `method` is "exhaustive" (every case tried) or "certified" (a proof read
+    off the verified shape of the result, such as the moment-shape
+    certificate or a chain's level-by-level K+ certificate).  A check that
+    neither decides raises instead of being reported.
     """
 
     name: str

@@ -5,6 +5,7 @@ import pytest
 
 from bicolor.cli import main
 from bicolor.exactnum import Alpha
+from bicolor.report import canonical_dumps
 from bicolor.workbench import load, save
 
 from conftest import ALPHA_HALF, ALPHA_INV_SQRT2, ALPHA_TWO_THIRDS
@@ -103,6 +104,30 @@ class TestErrorCodes:
             "message": "exact search node budget of 1 exhausted in min_violating_witness "
             "over a 2-point component",
         }
+
+    @pytest.mark.parametrize(
+        "check, search", [("ambient_k_plus", "in_k_plus"), ("anchor_closed", "is_closed")],
+        ids=["ambient_k_plus", "anchor_closed"],
+    )
+    def test_forced_overrun_exits_two(self, capsys, monkeypatch, tmp_path, check, search):
+        # with the free-union DP unavailable the budgeted search decides the
+        # check; its overrun fails the construction, naming the check
+        from bicolor import construct
+        from bicolor.errors import SearchBudgetExceeded
+
+        def overrun(*args, **kwargs):
+            raise SearchBudgetExceeded("forced overrun")
+
+        original = getattr(construct, search)
+        monkeypatch.setattr(construct, "_free_union_min", overrun)
+        monkeypatch.setattr(construct, search, lambda *a, node_budget=None: (
+            overrun() if node_budget else original(*a)
+        ))
+        p = tmp_path / "in.json"
+        save(TestConstructGoldenBytes.INPUTS["irr"](), p)
+        code, obj = run(capsys, "construct", "patch", "--base", "b", "--epsilon", "1/3", "--structure", str(p))
+        assert code == 2
+        assert obj == {"error": "SearchBudgetExceeded", "message": f"{check}: forced overrun"}
 
     def test_non_integer_alpha_json_is_one(self, capsys):
         alpha = '{"kind":"rational","num":1.9,"den":3}'  # was read as 1/3
@@ -347,9 +372,17 @@ class TestConstructGoldenBytes:
     sha256 prefix.  The patch at sqrt(2)/6 (s = 3, k = 13) has its block
     table in closed form, the patch over two base points (s = 7, k = 10) has
     it walked; both were pinned before the closed form existed.  The 17-point
-    patch at 1/sqrt(2) (s = 12) is past BLOCK_PROFILE_LIMIT, so its ambient
-    K+ and anchor checks come from the budgeted searches; it was pinned
-    before the patch engines shared one pipeline."""
+    patch at 1/sqrt(2) (s = 12) is past BLOCK_PROFILE_LIMIT: its ambient K+
+    and anchor checks are certified by the free-union DP on its closed-form
+    table, its interior condition (2^17 - 2 subsets) by the moment-shape
+    certificate, and its genericity (6188 subsets) is swept.  Its stdout
+    had `OLD_PAST_LIMIT_DIGEST` when those three checks were searched or
+    sampled instead (`test_past_limit_old_methods`)."""
+
+    OLD_PAST_LIMIT_DIGEST = "2882e221027cc41b"
+    OLD_PAST_LIMIT_METHODS = {
+        "interior_condition": "sampled", "anchor_closed": "exhaustive", "ambient_k_plus": "exhaustive",
+    }
 
     QUAD = '{"kind":"quadratic","a":0,"b":1,"c":2,"d":2}'
     INPUTS = {
@@ -373,7 +406,7 @@ class TestConstructGoldenBytes:
             ("irr2", ["patch", "--base", "b1,b2", "--epsilon", "1/10"],
              "f8c9712d883152ed", "04388e70e45f38ed"),
             ("irr", ["patch", "--base", "b", "--epsilon", "1/20"],
-             "2882e221027cc41b", "50cee748c5e0d4a5"),
+             "02eb834b97a4be9c", "50cee748c5e0d4a5"),
             ("irr", ["power", "--base", "b", "--mu", "1/2", "-n", "2"],
              "610ffd03c9556a0e", "50cd8d331634820a"),
             ("rat", ["ratmin", "--base", "b", "-t", "0"],
@@ -407,3 +440,14 @@ class TestConstructGoldenBytes:
         assert _digest(capsys.readouterr().out.encode()) == stdout_digest
         if out_digest:
             assert _digest(out.read_bytes()) == out_digest
+
+    def test_past_limit_old_methods(self, capsys, tmp_path):
+        p = tmp_path / "in.json"
+        save(self.INPUTS["irr"](), p)
+        code, obj = run(capsys, "construct", "patch", "--base", "b", "--epsilon", "1/20", "--structure", str(p))
+        assert code == 0
+        methods = {c["name"]: c["method"] for c in obj["checks"] if c["method"] != "exhaustive"}
+        assert methods == dict.fromkeys(self.OLD_PAST_LIMIT_METHODS, "certified")
+        for c in obj["checks"]:
+            c["method"] = self.OLD_PAST_LIMIT_METHODS.get(c["name"], c["method"])
+        assert _digest(canonical_dumps(obj).encode()) == self.OLD_PAST_LIMIT_DIGEST

@@ -13,17 +13,16 @@ from bicolor.closure import is_minimal_pair
 from bicolor.colored import ColoredStructure, delta, empty_structure, in_k_plus, min_relative_delta
 from bicolor.construct import (
     BLOCK_PROFILE_LIMIT,
-    SAMPLE_COUNT,
     ChainLevel,
-    _anchor_closed_check,
     _block_profile,
     _free_union_min,
     _genericity_check,
-    _k_plus_check,
     _minimal_pair_check,
+    _moment_shape,
     _moment_table,
     _patch_checks,
     _patch_interior_check,
+    _small_extensions_closed_check,
     _tower_k_plus_check,
     _verify_subsets,
     _walk_table,
@@ -357,31 +356,153 @@ class TestMinimalPairChain:
         assert set(res.levels[1].e_ids) | set(res.levels[1].f_ids) <= S.colored
 
 
-class TestMinimalPairStructural:
-    """The structural branch of _minimal_pair_check, forced with
-    EXHAUSTIVE_MINPAIR_LIMIT = 0."""
+class TestExactPastDeskScale:
+    """Chains and patches past the sweeps' limits end with every check
+    exhaustive or certified."""
 
-    def test_chain_level_passes(self, monkeypatch):
-        res = minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8)
-        lo, hi = res.levels
-        monkeypatch.setattr(construct, "EXHAUSTIVE_MINPAIR_LIMIT", 0)
-        check = _minimal_pair_check(
-            res.structure, frozenset(lo.d_ids), frozenset(hi.d_ids), hi.e_ids + hi.f_ids, hi.pair.s
-        )
-        assert check.passed and check.method == "structural"
+    @pytest.mark.parametrize(
+        "alpha, depth, budget",
+        [
+            (ALPHA_INV_SQRT2, 3, 32),
+            (Alpha.quadratic(1, 1, 6, 3), 3, 32),
+            (Alpha.quadratic(0, 1, 3, 3), 3, 32),
+            (Alpha.quadratic(-1, 1, 2, 5), 3, 64),
+            (ALPHA_INV_SQRT2, 4, 256),
+        ],
+        ids=["1/sqrt2-3", "(1+sqrt3)/6-3", "1/sqrt3-3", "(sqrt5-1)/2-3", "1/sqrt2-4"],
+    )
+    def test_chain(self, alpha, depth, budget):
+        res = minimal_pair_chain(alpha, depth, budget)
+        assert all(c.passed for c in res.checks)
+        assert {c.method for c in res.checks} <= {"exhaustive", "certified"}
+        assert res.checks[-1] == Check("ambient_k_plus", True, method="certified")
 
-    def test_plain_new_point_fails(self, monkeypatch):
-        S = plain_points(ALPHA_TWO_THIRDS, [(1,)])
-        res = rational_minimal_extension([], ["b1"], 0, S)
-        S2 = res.structure.extended([GroundElement("p1", (F(1), F(1)))])
-        new_ids = res.new_ids + ("p1",)
-        monkeypatch.setattr(construct, "EXHAUSTIVE_MINPAIR_LIMIT", 0)
-        check = _minimal_pair_check(
-            S2, frozenset({"b1"}), frozenset({"b1", *new_ids}), new_ids, res.pair.s
-        )
-        assert not check.passed
-        assert check.method == "structural"
-        assert check.witness == ["p1"]
+    def test_rational_minimal_extension(self):
+        res = rational_minimal_extension([], ["b"], 2, _one_point(ALPHA_TWO_THIRDS))
+        assert (res.pair.s, res.pair.k) == (45, 68)
+        certified = ["generic_position", "minimal_pair", "anchor_closed", "ambient_k_plus"]
+        assert [c.name for c in res.checks if c.method == "certified"] == certified
+        assert all(c.passed and c.method in ("exhaustive", "certified") for c in res.checks)
+
+
+class TestMomentShape:
+    """`_moment_shape` against brute-force subset ranks (conftest's Bareiss
+    rank on cleared payloads): where it accepts, every C within the copies
+    has dim(C/B) >= the sum over copies of min(|C n copy|, s), with equality
+    when |C| <= s; each broken shape makes it decline."""
+
+    @staticmethod
+    def _copy(rng, s, k):
+        """Block parts of k points: distinct positive units and moment rows
+        c*(1, lam, ..., lam^(s-1)) with c > 0 and distinct lam > 0."""
+        units = rng.sample(range(s), rng.randint(0, min(s, k))) if s > 1 else []
+        lams = set()
+        while len(lams) < k - len(units):
+            lams.add(F(rng.randint(1, 7), rng.randint(1, 3)))
+        parts = [[F(rng.randint(1, 3)) * (j == t) for j in range(s)] for t in units]
+        for lam in sorted(lams, key=lambda _: rng.random()):
+            c = F(rng.randint(1, 4), rng.randint(1, 2))
+            parts.append([c * lam**j for j in range(s)])
+        rng.shuffle(parts)
+        return parts
+
+    def _layout(self, rng, s=None, ncopies=None):
+        """(old width, s, base rows, per copy its rows' (old part, block part))."""
+        s = s or rng.randint(1, 5)
+        ncopies = ncopies or rng.randint(1, 3)
+        sizes = [rng.randint(1, 10 // ncopies) for _ in range(ncopies)]
+        w = rng.randint(1, 3)
+        old = lambda: [F(rng.randint(-2, 2)) for _ in range(w)]
+        base = []
+        while len(base) < rng.randint(0, 3):
+            row = old()
+            base += [row] if any(row) else []
+        copies = [[(old(), part) for part in self._copy(rng, s, k)] for k in sizes]
+        return w, s, base, copies
+
+    @staticmethod
+    def _build(w, s, base, copies):
+        """The structure, base ids and blocks of a layout: copy c owns the
+        block [w + c*s, w + (c + 1)*s)."""
+        width = w + len(copies) * s
+        elems = [GroundElement(f"b{i}", tuple(r) + (F(0),) * (width - w)) for i, r in enumerate(base)]
+        blocks = []
+        for c, rows in enumerate(copies):
+            ids = tuple(f"c{c}_{i}" for i in range(len(rows)))
+            start = w + c * s
+            for eid, (o, f) in zip(ids, rows):
+                vec = [*o, *[F(0)] * (width - w)]
+                vec[start:start + s] = f
+                elems.append(GroundElement(eid, tuple(vec)))
+            blocks.append((ids, start, s))
+        S = empty_structure(ALPHA_INV_SQRT2, ambient=width).extended(elems)
+        return S, [e.id for e in elems[:len(base)]], blocks
+
+    def test_accepts_and_bounds_hold(self, rng):
+        seen = set()
+        for trial in range(40):
+            w, s, base, copies = self._layout(rng, s=trial % 5 + 1)
+            S, b_ids, blocks = self._build(w, s, base, copies)
+            assert _moment_shape(S, b_ids, blocks)
+            seen.add(len(blocks))
+            rows = dict(zip(S.ids_sorted, _int_rows(S)))
+            rank = lambda ids: rank_int_matrix([rows[i] for i in ids], S.backend.ambient_dim)
+            r_base = rank(b_ids)
+            points = [(i, c) for c, (ids, _, _) in enumerate(blocks) for i in ids]
+            for size in range(1, len(points) + 1):
+                for combo in itertools.combinations(points, size):
+                    dim = rank(b_ids + [i for i, _ in combo]) - r_base
+                    per_copy = [sum(d == j for _, d in combo) for j in range(len(blocks))]
+                    assert dim >= sum(min(m, s) for m in per_copy)
+                    assert size > s or dim == size
+        assert seen == {1, 2, 3}
+
+    def _broken(self, rng, case):
+        """(S, base ids, blocks) of a random layout with one shape rule broken."""
+        two = case == "copy on another block"
+        w, s, base, copies = self._layout(rng, s=1 if "s = 1" in case else rng.randint(3, 5),
+                                          ncopies=2 if two else 1)
+        old = lambda: [F(rng.randint(-2, 2)) for _ in range(w - 1)] + [F(1)]
+        curve = lambda c, lam: (old(), [c * lam**j for j in range(s)])
+        unit = lambda t, x: (old(), [F(x) * (j == t) for j in range(s)])
+        lam, t = F(rng.randint(15, 20)), rng.randrange(s)  # lam unused: the layout's are <= 7
+        moments = [r for r in copies[0] if s == 1 or sum(map(bool, r[1])) > 1]
+        if case == "repeated lam":
+            copies[0] += [curve(F(1), lam), curve(F(2), lam)]
+        elif case == "lam < 0":  # lam = 0 is c times the unit e_0
+            copies[0].append(curve(F(1), -rng.choice([F(1), F(1, 2), F(3)])))
+        elif case.startswith("c <= 0"):
+            copies[0].append(curve(rng.choice([F(0), F(-1), F(-2), F(-1, 2)]), lam))
+        elif case == "repeated unit":
+            copies[0] += [unit(t, 1), unit(t, 2)]
+        elif case == "negative unit":
+            copies[0] = [*moments, unit(t, -1)]
+        elif case == "perturbed":
+            copies[0].append(curve(F(1), lam))
+        elif case == "base on a block":
+            base.append(old())
+        S, b_ids, blocks = self._build(w, s, base, copies)
+        if case == "perturbed":  # one entry of the new moment row
+            S = _perturbed(S, blocks[0][0][-1], 1)
+        elif case == "base on a block":  # the last column lies in the last block
+            S = _perturbed(S, b_ids[-1], 1)
+        elif two:
+            S = _perturbed(S, blocks[0][0][0], 1)
+        elif case == "block past the columns":
+            blocks[-1] = (blocks[-1][0], blocks[-1][1] + 1, s)
+        elif case == "empty block":
+            blocks[0] = (blocks[0][0], blocks[0][1], 0)
+        return S, b_ids, blocks
+
+    @pytest.mark.parametrize("case", [
+        "repeated lam", "lam < 0", "c <= 0", "c <= 0, s = 1", "repeated unit", "negative unit",
+        "perturbed", "base on a block", "copy on another block", "block past the columns",
+        "empty block",
+    ])
+    def test_broken_shapes_decline(self, rng, case):
+        for _ in range(8):
+            S, b_ids, blocks = self._broken(rng, case)
+            assert not _moment_shape(S, b_ids, blocks)
 
 
 QUADRATIC_ALPHAS = [
@@ -593,8 +714,9 @@ def _brute_pairs(S, base, pool, sizes):
 
 
 class TestVerifySubsets:
-    """The one subset verifier, on real structures: it judges delta(C/base)
-    read off the pool's rows reduced once against span(base)."""
+    """The one subset verifier, on real structures: within its limit it
+    judges delta(C/base) read off the pool's rows reduced once against
+    span(base); past it a check is certified or raises."""
 
     @staticmethod
     def _recording(violates):
@@ -605,21 +727,6 @@ class TestVerifySubsets:
             return violates(d)
 
         return calls, pred
-
-    @staticmethod
-    def _record_draws(monkeypatch):
-        """Non-empty subsets as `_first_draws` hands them to the verifier."""
-        drawn = []
-        original = construct._first_draws
-
-        def recording(draws):
-            for combo in original(draws):
-                if combo:
-                    drawn.append(tuple(combo))
-                yield combo
-
-        monkeypatch.setattr(construct, "_first_draws", recording)
-        return drawn
 
     def test_exhaustive_pass(self, rng):
         # every subset of the allowed sizes is judged once, the empty one never
@@ -659,102 +766,52 @@ class TestVerifySubsets:
             assert check.method == "exhaustive" and check.passed == (not bad)
             assert check.witness == (list(bad[0]) if bad else None)
             larger_first += bool(bad) and min(bad) != bad[0]
-            if trial < 30:
-                # the draws reach each of these few subsets and rank it over the base
-                check = _verify_subsets("x", S, base, pool, sizes, violates, 0)
-                assert check.passed == (not bad) and check.witness in [None, *map(list, bad)]
         assert larger_first > 0
-
-    def test_switches_to_sampled_past_limit(self):
-        S = _points(6, 4, 1)
-        pool = list(S.ids_sorted)
-        total = sum(math.comb(6, j) for j in range(2, 4))
-        check = _verify_subsets("x", S, (), pool, range(2, 4), lambda d: False, total)
-        assert check.method == "exhaustive"
-        check = _verify_subsets("x", S, (), pool, range(2, 4), lambda d: False, total - 1)
-        assert check.passed and check.method == "sampled"
-
-    @pytest.mark.parametrize("sizes", [range(0, 3), range(2, 5), range(0, 9)])
-    def test_sampled_sizes_lie_in_range(self, monkeypatch, sizes):
-        S = _points(8, 4, 2)
-        drawn = self._record_draws(monkeypatch)
-        calls, pred = self._recording(lambda d: False)
-        _verify_subsets("x", S, (), S.ids_sorted, sizes, pred, 0)
-        assert {len(c) for c in drawn} <= set(sizes) - {0}
-        # SAMPLE_COUNT draws reach every one of these few subsets, each tried once
-        assert len(set(map(frozenset, drawn))) == len(drawn) == len(calls)
-        assert len(calls) == sum(math.comb(8, j) for j in sizes if j)
-
-    @pytest.mark.parametrize("fails", [False, True], ids=["passes", "fails-at-last-new-draw"])
-    def test_sampled_skips_repeated_draws(self, monkeypatch, fails):
-        S = _points(20, 5, 3)
-        pool = list(S.ids_sorted)
-        stream = self._seed_stream(pool)
-        distinct = self._first_occurrences(stream)
-        drawn = self._record_draws(monkeypatch)
-        calls, pred = self._recording(lambda d: fails and len(calls) == len(distinct))
-        check = _verify_subsets("x", S, (), pool, range(21), pred, 0)
-        assert check.method == "sampled" and check.passed == (not fails)
-        assert check.witness == (sorted(distinct[-1]) if fails else None)
-        assert drawn == distinct and len(calls) == len(distinct) < len(stream)
 
     def test_empty_subset_never_passed(self):
         S = _points(2, 2, 4)
-        for limit in (0, math.inf):
-            calls, pred = self._recording(lambda d: True)
-            check = _verify_subsets("x", S, (), S.ids_sorted, range(0, 3), pred, limit)
-            assert not check.passed and check.witness
-            assert all(dim > 0 for dim, _ in calls)  # no point lies in span(())
-            calls, pred = self._recording(lambda d: True)
-            assert _verify_subsets("x", S, (), S.ids_sorted, range(0, 1), pred, limit).passed
-            assert calls == []
+        calls, pred = self._recording(lambda d: True)
+        check = _verify_subsets("x", S, (), S.ids_sorted, range(0, 3), pred, math.inf)
+        assert not check.passed and check.witness
+        assert all(dim > 0 for dim, _ in calls)  # no point lies in span(())
+        calls, pred = self._recording(lambda d: True)
+        assert _verify_subsets("x", S, (), S.ids_sorted, range(0, 1), pred, math.inf).passed
+        assert calls == []
 
-    def test_sampled_witness_repeats(self):
-        S = _points(20, 6, 5)
-        violates = lambda d: d.dim_part >= 5 and d.color_part >= 6
-        runs = [_verify_subsets("x", S, (), S.ids_sorted, range(21), violates, 0) for _ in range(2)]
-        assert runs[0].witness is not None and not runs[0].passed
-        assert runs[0] == runs[1]
+    def test_certified_past_limit(self):
+        # exhaustive up to its limit, certified one subset past it
+        res = rational_zero_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS))
+        S, (s, k), ids = res.structure, (res.pair.s, res.pair.k), res.copies[0]
+        certify = lambda: _moment_shape(S, ["b"], [(ids, 1, s)])
+        count = math.comb(k, s)
+        for limit, method in ((count, "exhaustive"), (count - 1, "certified")):
+            check = _verify_subsets("x", S, ["b"], ids, range(s, s + 1), lambda d: d.dim_part != s, limit, certify)
+            assert check == Check("x", True, method=method)
+        # each subset check of an engine, past its own limit on a real result
+        assert _small_extensions_closed_check(res, ["b"], k) == Check("small_sets_closed", True, method="certified")
+        chain = minimal_pair_chain(Alpha.quadratic(0, 1, 3, 3), 3, 32)  # level 3: s = 15, k = 26
+        methods = {c.name: c.method for c in chain.checks if c.name.endswith("_3")}
+        assert methods == {"window_3": "exhaustive", "drops_increase_3": "exhaustive",
+                           "generic_3": "certified", "minimal_pair_3": "certified"}
+        patch = transcendental_patch([], ["b"], F(1, 20), _one_point(ALPHA_INV_SQRT2))  # s = 12, k = 17
+        assert Check("interior_condition", True, method="certified") in patch.checks
 
-    @staticmethod
-    def _seed_stream(pool):
-        """The K+/anchor fallback stream: one seeded Random, a size in
-        0..n, then a sample of that size from the sorted pool; non-empty
-        draws, repeats included."""
-        rng = random.Random(0x5EED)
-        pool = sorted(pool)
-        draws = [rng.sample(pool, rng.randrange(0, len(pool) + 1)) for _ in range(SAMPLE_COUNT)]
-        return [tuple(c) for c in draws if c]
-
-    @staticmethod
-    def _first_occurrences(stream):
-        seen = set()
-        return [c for c in stream if not (frozenset(c) in seen or seen.add(frozenset(c)))]
-
-    def test_k_plus_fallback_stream(self, monkeypatch):
-        S = minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8).structure
-
-        def exhausted(S, node_budget):
-            raise SearchBudgetExceeded("forced")
-
-        monkeypatch.setattr(construct, "in_k_plus", exhausted)
-        drawn = self._record_draws(monkeypatch)
-        check = _k_plus_check(S)
-        assert check.passed and check.method == "sampled"
-        assert drawn == self._first_occurrences(self._seed_stream(S.id_set))
-
-    def test_anchor_fallback_stream(self, monkeypatch):
-        S = minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8).structure
-
-        def exhausted(a_ids, S, node_budget):
-            raise SearchBudgetExceeded("forced")
-
-        monkeypatch.setattr(construct, "is_closed", exhausted)
-        drawn = self._record_draws(monkeypatch)
-        # {e1} is closed in the chain, so every draw is judged
-        check = _anchor_closed_check(S, {"e1"}, S.id_set)
-        assert check.passed and check.method == "sampled"
-        assert drawn == self._first_occurrences(self._seed_stream(S.id_set - {"e1"}))
+    def test_undecided_past_limit_raises(self, monkeypatch):
+        # n = k + 1 lets a whole copy into the small sets, which the
+        # certificate's bound does not reach
+        res = rational_zero_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS))
+        with pytest.raises(SearchBudgetExceeded, match="^small_sets_closed: .* no certificate applies"):
+            _small_extensions_closed_check(res, ["b"], res.pair.k + 1)
+        # three points at s = 1 break s - alpha*(k - 1) >= 0, so a minimal
+        # pair past both its limits is left undecided
+        S = plain_points(ALPHA_TWO_THIRDS, [(1,)])
+        res = rational_minimal_extension([], ["b1"], 0, S)
+        S2 = res.structure.extended([GroundElement("p1", (F(1), F(1)))])
+        new_ids = res.new_ids + ("p1",)
+        monkeypatch.setattr(construct, "EXHAUSTIVE_MINPAIR_LIMIT", 0)
+        monkeypatch.setattr(construct, "BLOCK_PROFILE_LIMIT", 1)
+        with pytest.raises(SearchBudgetExceeded, match="^minimal_pair: 6 subsets exceed the limit 0;"):
+            _minimal_pair_check(S2, {"b1"}, new_ids, res.pair.s)
 
 
 def _union_min(S, prime, old_w, blocks):
@@ -972,9 +1029,9 @@ class TestPatchReadOff:
     def _sweeps(S, b_ids, new_ids, s, minimal):
         """The checks `_patch_checks` stands for, run as subset sweeps."""
         if minimal:
-            last = _minimal_pair_check(S, b_ids, set(b_ids) | set(new_ids), new_ids, s)
+            last = _minimal_pair_check(S, b_ids, new_ids, s)
         else:
-            last = _patch_interior_check(S, b_ids, new_ids, S.alpha)
+            last = _patch_interior_check(S, b_ids, new_ids, s)
         return [_genericity_check(S, new_ids, b_ids, s), last]
 
     def test_read_off_matches_the_sweeps(self, monkeypatch, rng):
@@ -1044,7 +1101,7 @@ class TestPatchReadOff:
         assert (res.pair.s, res.pair.k) == (3, 13)
         interior = next(c for c in res.checks if c.name == "interior_condition")
         assert interior == Check("interior_condition", True)
-        sweep = _patch_interior_check(res.structure, ["b"], res.new_ids, S.alpha)
+        sweep = _patch_interior_check(res.structure, ["b"], res.new_ids, res.pair.s)
         assert sweep == interior
 
     def test_plain_new_point_runs_the_sweeps(self):
@@ -1070,13 +1127,23 @@ class TestPatchReadOff:
         assert want == [Check("generic_position", False, witness=["x"]), Check("minimal_pair", True)]
 
     def test_no_table_past_the_limit(self):
+        # past BLOCK_PROFILE_LIMIT points a block off the moment curve is not
+        # walked, and a moment block's closed form is not read off: the
+        # sweeps run, each exhaustive within its own limit and certified past it
         k = BLOCK_PROFILE_LIMIT + 1
-        S, new_ids = grow_patch(_one_point(ALPHA_TWO_THIRDS), ["b"], 1, k, colored=True)
+        S, new_ids = grow_patch(_one_point(ALPHA_TWO_THIRDS), ["b"], 10, k, colored=True)
         with pytest.raises(SearchBudgetExceeded, match=f"block of {k} points"):
-            _block_profile(S, 1, new_ids, 1, 1)
+            _block_profile(_perturbed(S, new_ids[-1], -1), 1, new_ids, 1, 10)
+        table = _block_profile(S, 1, new_ids, 1, 10)
+        assert table[span_key([[1]], 1), 10] == k
         for minimal in (False, True):
-            want = self._sweeps(S, ["b"], new_ids, 1, minimal)
-            assert _patch_checks(S, ["b"], new_ids, 1, 1, None, minimal) == want
+            want = self._sweeps(S, ["b"], new_ids, 10, minimal)
+            assert _patch_checks(S, ["b"], new_ids, 10, 1, table, minimal) == want
+            assert _patch_checks(S, ["b"], new_ids, 10, 1, None, minimal) == want
+        # delta(D/B) = 10 - (2/3)*15 = 0, so no minimal pair, found by the search
+        assert want == [Check("generic_position", True), Check("minimal_pair", False)]
+        interior = self._sweeps(S, ["b"], new_ids, 10, False)[1]
+        assert interior == Check("interior_condition", True, method="certified")
 
 
 class TestMomentTable:

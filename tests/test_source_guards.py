@@ -2,8 +2,9 @@
 
 Only `colored` writes the K+ cache fields and the witness memo of a
 ColoredStructure (others go through `certify_k_plus` and
-`strong_extension`), `construct` seeds random subset draws in one
-place, `_verify_subsets`, and `pregeom` holds the only elimination code.  No
+`strong_extension`), `construct` builds no random generator (its checks
+are exhaustive or certified, never sampled), and `pregeom` holds the only
+elimination code.  No
 module but `pregeom` uses `eliminate`, so `pregeom.walk` stays the one
 depth-first subset walk, and `colored` enumerates no
 `itertools.combinations`, so every subset search there runs on the walk.
@@ -44,8 +45,9 @@ from bicolor.workbench import (
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bicolor"
 K_PLUS_FIELDS = {"_k_plus", "_witnesses"}
-# Code removed for having no caller, or as a knob no caller set, and the
-# per-call closedness dict the witness memo replaced.
+# Code removed for having no caller, or as a knob no caller set, the
+# per-call closedness dict the witness memo replaced, and construct's
+# seeded subset draws, which certificates replaced.
 DELETED_NAMES = {
     "all_pass",
     "_column_key",
@@ -56,6 +58,9 @@ DELETED_NAMES = {
     "_extend_embedding.closed",
     "_minimal_pair_check.limit",
     "_small_extensions_closed_check.name",
+    "_first_draws",
+    "SAMPLE_COUNT",
+    "SAMPLE_SEED",
 }
 ELIMINATION_NAMES = re.compile(r"rref|solve|kernel|bareiss|gauss|elimin|echelon|rank_int", re.I)
 
@@ -128,10 +133,16 @@ def imported_names(source: str) -> set[str]:
 
 
 def defined_names(source: str) -> set[str]:
-    """Names of functions and classes, at any depth, and `function.parameter`
-    for each parameter of each function."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
+    """Names of functions and classes, at any depth, `function.parameter`
+    for each parameter of each function, and names assigned at module level."""
+    tree = ast.parse(source)
+    names = {
+        target.id
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -194,9 +205,10 @@ def test_k_plus_fields_written_only_by_colored(path):
     assert k_plus_writes((SRC / path).read_text()) == []
 
 
-def test_construct_seeds_randomness_in_one_place():
-    found = rng_constructions((SRC / "construct.py").read_text())
-    assert [owner for owner, _ in found] == ["_verify_subsets"]
+def test_construct_builds_no_random_generator():
+    source = (SRC / "construct.py").read_text()
+    assert rng_constructions(source) == []
+    assert "random" not in imported_names(source)
 
 
 @pytest.mark.parametrize(
@@ -292,6 +304,7 @@ def test_guards_catch_violations():
     assert defined_names("class C:\n    def f(self, x, *, strong=True):\n        pass\n") == {
         "C", "f", "f.self", "f.x", "f.strong"
     }
+    assert defined_names("A = 1\nB: int = 2\nC, D = 3, 4\ndef f():\n    E = 5\n") == {"A", "B", "f"}
     src = "def f():\n    def visit(i):\n        return visit(i - 1)\n    return visit(3)\n"
     assert self_calling_closures(src) == ["f.visit"]
     assert self_calling_closures("def visit(i):\n    return visit(i - 1)\n") == []
