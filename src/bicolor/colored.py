@@ -42,8 +42,9 @@ and V2 = V - P.  By submodularity and P closed in S, delta(V2 / X u V1) >=
 delta(V2 / P) >= 0, so delta(V1 / X) <= delta(V / X) < 0: V1 is a violator
 no larger than V, and the least violator in S lies in P.  Deltas of subsets
 of P agree in P and S, so the violators within P are the same in both, and
-the least one is P's.  `strong_extension` checks these hypotheses and only
-then lets S inherit P's answers.
+the least one is P's.  A free amalgam meets these hypotheses for its first
+side by the amalgamation lemma (see `amalgam`), and only there S inherits
+P's answers (`certify_free_amalgam`).
 """
 
 from __future__ import annotations
@@ -80,8 +81,14 @@ class ColoredStructure:
     `_witnesses` memoizes `min_violating_witness`: each set X asked maps to
     its (size, lex)-least violator, or None when X is closed.  The answers
     are exact, so a hit ignores the node budget; a search that overran its
-    budget stores nothing.  A verified strong extension (`strong_extension`)
-    inherits the memo; restrictions and file round-trips start empty.
+    budget stores nothing.  A certified free amalgam inherits its first
+    side's memo (`certify_free_amalgam`); restrictions and file round-trips
+    start empty.
+
+    `_introws` holds each point's payload with its denominators cleared
+    (`pregeom.int_row`); restrictions and extensions carry the rows of the
+    points they keep.  `_by_vec` indexes the points by exact payload, built
+    on first use (`ids_with_vec`).
     """
 
     backend: Backend
@@ -92,6 +99,7 @@ class ColoredStructure:
     _introws: dict = field(default=None, repr=False, compare=False)
     _k_plus: object = field(default=None, repr=False, compare=False)
     _witnesses: dict = field(default_factory=dict, repr=False, compare=False)
+    _by_vec: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         elts = tuple(sorted(self.elements, key=lambda e: e.id))
@@ -120,7 +128,8 @@ class ColoredStructure:
                     raise SchemaError(f"free-backend element {e.id!r} must not carry a payload")
         self._by_id = {e.id: e for e in elts}
         if self.backend.kind == LINEAR:
-            self._introws = {e.id: int_row(e.vec) for e in elts}
+            rows = self._introws or {}
+            self._introws = {e.id: rows[e.id] if e.id in rows else int_row(e.vec) for e in elts}
         else:
             self._introws = {}
 
@@ -156,6 +165,15 @@ class ColoredStructure:
     def introw(self, eid: str) -> list[int]:
         return self._introws[eid]
 
+    def ids_with_vec(self, vec) -> list[str]:
+        """Ids of the points whose payload is exactly vec, in id order."""
+        if self._by_vec is None:
+            index: dict = {}
+            for e in self.elements:
+                index.setdefault(e.vec, []).append(e.id)
+            self._by_vec = index
+        return self._by_vec.get(vec, [])
+
     def reducer_for(self, ids) -> SpanReducer:
         red = SpanReducer(self.backend.ambient_dim)
         for eid in sorted(ids):
@@ -173,11 +191,14 @@ class ColoredStructure:
             elements=tuple(e for e in self.elements if e.id in keep),
             colored=self.colored & keep,
             alpha=self.alpha,
+            _introws=self._introws,
             _k_plus=True if self._k_plus is True else None,
         )
 
     def extended(self, new_elements, new_colored=(), widen_by: int = 0) -> "ColoredStructure":
-        """New structure with widened ambient (zero-padding preserves ranks)."""
+        """New structure with widened ambient (zero-padding preserves ranks).
+        A kept point's integer row gains zero columns: zeros add no
+        denominator, so its multiplier stays the same."""
         if self.backend.kind == FREE:
             if widen_by:
                 raise InputError("free backend has no ambient to widen")
@@ -187,16 +208,19 @@ class ColoredStructure:
                 colored=self.colored | frozenset(new_colored),
                 alpha=self.alpha,
             )
-        pad = (Fraction(0),) * widen_by
-        old = tuple(
-            GroundElement(e.id, e.vec + pad) if widen_by else e for e in self.elements
-        )
+        rows = self._introws
+        old = self.elements
+        if widen_by:
+            pad = (Fraction(0),) * widen_by
+            old = tuple(GroundElement(e.id, e.vec + pad) for e in old)
+            rows = {eid: row + [0] * widen_by for eid, row in rows.items()}
         backend = Backend(LINEAR, self.backend.ambient_dim + widen_by)
         return ColoredStructure(
             backend=backend,
             elements=old + tuple(new_elements),
             colored=self.colored | frozenset(new_colored),
             alpha=self.alpha,
+            _introws=rows,
         )
 
     def fresh_ids(self, prefix: str, count: int) -> list[str]:
@@ -445,6 +469,22 @@ def certify_k_plus(S: ColoredStructure):
     S._k_plus = True
 
 
+def certify_free_amalgam(M: ColoredStructure, first: ColoredStructure, second_image):
+    """Record the amalgamation lemma's conclusions for a free amalgam M of
+    `first` and a second side, proved by the exact verifier that built it
+    (`amalgam.free_amalgam`): M is in K+, `first` <= M along the identity on
+    its ids, and `second_image`, the ids of the second side in M, is closed
+    in M.  By the module's lemma on inherited witnesses, M then takes over
+    `first`'s memoized least violators, and both parts are memoized closed.
+    """
+    if first.alpha != M.alpha or not first.id_set <= M.id_set:
+        raise InvariantError("the first side of an amalgam must keep its ids and alpha")
+    certify_k_plus(M)
+    M._witnesses.update(first._witnesses)
+    M._witnesses[first.id_set] = None
+    M._witnesses[M.check_ids(second_image)] = None
+
+
 def k_plus_violation(S: ColoredStructure) -> frozenset | None:
     """Minimal violating subset (size, then lex), or None when hereditarily positive."""
     return None if in_k_plus(S) else min_violating_witness(S, ())
@@ -517,25 +557,6 @@ def is_lp_embedding(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -
     src = [S.element(i).vec for i in order]
     tgt = [T.element(mapping[i]).vec for i in order]
     return dependency_kernel(src) == dependency_kernel(tgt)
-
-
-def strong_extension(P: ColoredStructure, S: ColoredStructure) -> bool:
-    """True iff P <= S along the identity on P's ids: both fix the same
-    alpha, P's ids are S's ids too, the identity is an lp-embedding, S is in
-    K+ and P is closed in S.  Only then S inherits P's memoized witnesses,
-    which the module's lemma shows are S's answers for the same sets (where
-    S has answered a set too, the two answers agree), and the answer that P
-    is closed; a False leaves S's memo as it was.
-    """
-    if P.alpha != S.alpha or not P.id_set <= S.id_set:
-        return False
-    if not (is_lp_embedding(EmbeddingMap.identity(P.ids_sorted), P, S) and in_k_plus(S)):
-        return False
-    if _least_violator(S, P.id_set, DEFAULT_NODE_BUDGET) is not None:
-        return False
-    S._witnesses.update(P._witnesses)
-    S._witnesses[P.id_set] = None
-    return True
 
 
 def _span_image(vectors, images, target):

@@ -10,20 +10,26 @@ over the (closed) embedded image.
 
 Every embedding search (the strong embeddings of A, the extensions to B, the
 semi-generic audit's witnesses) consumes one generator, `_extensions`, which
-enumerates extensions in lex order and tests each new point against its
-already embedded prefix exactly, without rebuilding a substructure or a
-dependency kernel per candidate.  Closedness is asked of `is_closed`
-directly: the least violators it reads are memoized on the structure and
-carried across each amalgam (see `colored.strong_extension`), so a build and
-an audit of its result search each set once.
+enumerates extensions in lex order and tests each point, the given base's
+first, against its already embedded prefix exactly, without rebuilding a
+substructure or a dependency kernel per candidate.  What a search needs of
+its source side is fixed per task (`_SearchPlan`, made once per
+`ExtensionTask`).  Closedness is asked of `is_closed` directly: the least
+violators it reads are memoized on the structure and carried across each
+amalgam (see `colored.certify_free_amalgam`), so a build and an audit of its
+result search each set once.  When the builder stops on a clean audit,
+that report is recorded for the structure it returns, and `audit_richness`
+answers the same question from it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .amalgam import free_amalgam, verify_free
@@ -38,6 +44,7 @@ from .colored import (
 )
 from .construct import grow_patch
 from .errors import (
+    BackendMismatch,
     BudgetExceeded,
     InputError,
     InvariantError,
@@ -156,6 +163,29 @@ def load(path) -> ColoredStructure:
 # -- extension tasks ------------------------------------------------------------
 
 
+class _SearchPlan:
+    """The source side of an extension search, fixed per (big, base order):
+    big's points in search order (the base's sources as given, then the
+    other points by id), the color of each, and each point's coordinates
+    over the points before it as (index, coefficient) pairs over the
+    nonzero coefficients, or None where it is independent of them (always,
+    on the free backend)."""
+
+    __slots__ = ("base", "order", "colors", "coeffs")
+
+    def __init__(self, big: ColoredStructure, base: tuple[str, ...]):
+        self.base = base
+        self.order = [*base, *(i for i in big.ids_sorted if i not in base)]
+        self.colors = [big.is_colored(i) for i in self.order]
+        self.coeffs = [None] * len(self.order)
+        if big.backend.kind == LINEAR:
+            co = Coordinates(big.backend.ambient_dim, len(self.order))
+            for k, eid in enumerate(self.order):
+                c = co.insert(big.element(eid).vec)
+                if c is not None:
+                    self.coeffs[k] = [(j, x) for j, x in enumerate(c) if x]
+
+
 @dataclass
 class ExtensionTask:
     """A closed pair small <= big: the unit of every richness question."""
@@ -166,6 +196,14 @@ class ExtensionTask:
     kind: str
     algebraic_split: frozenset[str]
     catalog: str = CATALOG_VERSION
+    _plan: _SearchPlan = field(default=None, repr=False, compare=False)
+
+    def search_plan(self) -> _SearchPlan:
+        """The plan of every search extending an embedding of the small side
+        (given by pairs in source order) to the big side, made on first use."""
+        if self._plan is None:
+            self._plan = _SearchPlan(self.big, self.small.ids_sorted)
+        return self._plan
 
 
 def _classify(big: ColoredStructure, small_ids) -> tuple[str, frozenset]:
@@ -325,27 +363,47 @@ class AuditReport:
         }
 
 
-def _next_candidate(S: ColoredStructure, cands, used, colored: bool, z, red):
-    """The next id from `cands` that extends an embedded prefix by one point
-    (see `_extensions`): unused, of the wanted color, and equal to z when z
-    is given, else outside the span tracked by `red` (None: free backend)."""
-    for cand in cands:
-        if cand in used or S.is_colored(cand) != colored:
+def _image_of(coeffs, img, ncols: int):
+    """z = Q.c for c given by its nonzero (index, coefficient) pairs and Q
+    by the nonzero (column, entry) pairs of each image; None for c None."""
+    if coeffs is None:
+        return None
+    z = [Fraction(0)] * ncols
+    for j, c in coeffs:
+        for col, q in img[j]:
+            z[col] += c * q
+    return tuple(z)
+
+
+def _nonzero(vec):
+    """The nonzero (column, entry) pairs of a payload (none on the free backend)."""
+    return [(col, q) for col, q in enumerate(vec or ()) if q]
+
+
+def _candidates(S: ColoredStructure, pool, used, colored: bool, z, red):
+    """The ids of `pool` that extend an embedded prefix by one point (see
+    `_extensions`), in order: unused, of the wanted color, and with payload
+    z when z is given, else outside the span tracked by `red` (None: free
+    backend)."""
+    for c in pool:
+        if c in used or S.is_colored(c) != colored:
             continue
         if z is not None:
-            if S.element(cand).vec == z:
-                return cand
-        elif red is None or any(red.residual(S.introw(cand))):
-            return cand
-    return None
+            if S.element(c).vec == z:
+                yield c
+        elif red is None or any(red.residual(S.introw(c))):
+            yield c
 
 
-def _extensions(small: ColoredStructure, big: ColoredStructure, base_pairs, S: ColoredStructure):
+def _extensions(
+    small: ColoredStructure, big: ColoredStructure, base_pairs, S: ColoredStructure, plan=None
+):
     """Every extension of the embedding `base_pairs` of `small` into S to an
     embedding of `big`, in lex order of the images of big's other points
     (sorted by id) over S.ids_sorted.  A base that is not an embedding
-    yields nothing; the base is tested once with `is_lp_embedding`, and each
-    further point against its prefix by the lemma below.
+    yields nothing: each point, the base's in the order given (each with its
+    one candidate) and then the others, is tested against its prefix by the
+    lemma below, starting from the empty prefix, whose kernels agree.
 
     Lemma.  Let P be the source vectors of a prefix and Q their images, with
     ker[P] = ker[Q] (the prefix is an embedding).  Then ker[P, x] = ker[Q, y]
@@ -362,51 +420,52 @@ def _extensions(small: ColoredStructure, big: ColoredStructure, base_pairs, S: C
     Q.c does not depend on the choice of c: two choices differ by an element
     of ker[P] = ker[Q].
 
-    The source prefix at each depth is the same whatever the images, so one
-    `Coordinates` pass over the source points gives each next x over P.
-    Where x = P.c, z = Q.c is formed once per search step and a candidate
-    must equal it; otherwise a candidate's residual against a reducer of the
-    image prefix must be nonzero, and the reducer is cloned only when a point
-    is accepted.  Colors must match point by point.
+    The source prefix at each depth is the same whatever the images, so
+    each x's coordinates over P come from the plan (`_SearchPlan`; pass the
+    task's to reuse it).  Where x = P.c, z = Q.c is formed once per search
+    step over the nonzero entries, and the candidates are the points with
+    payload z (`ids_with_vec`); otherwise a candidate's residual against a
+    reducer of the image prefix must be nonzero, and the reducer is cloned
+    only when a point is accepted.  Colors must match point by point.
     """
-    if not is_lp_embedding(EmbeddingMap(base_pairs), small, S):
-        return
-    fresh = [i for i in big.ids_sorted if i not in small.id_set]
-    coeffs = [None] * len(fresh)  # per depth: c with x = P.c, or None
-    red = None
-    if S.backend.kind == LINEAR:
-        src = [big.element(a).vec for a in [a for a, _ in base_pairs] + fresh]
-        co = Coordinates(big.backend.ambient_dim, len(src))
-        coeffs = [co.insert(v) for v in src][len(base_pairs):]
-        red = S.reducer_for(b for _, b in base_pairs)
-    img = [S.element(b).vec for _, b in base_pairs]
-    used = {b for _, b in base_pairs}
+    base = tuple(a for a, _ in base_pairs)
+    if plan is None or plan.base != base:
+        plan = _SearchPlan(big, base)
+    if big.backend.kind != S.backend.kind:
+        raise BackendMismatch(f"{big.backend.kind} vs {S.backend.kind}")
+    if set(base) != small.id_set:
+        raise InputError("embedding must be total on the source structure")
+    images = [b for _, b in base_pairs]
+    S.check_ids(images)
+    red = S.reducer_for(()) if S.backend.kind == LINEAR else None
+    img = []  # per embedded point: the nonzero entries of its image
+    used: set[str] = set()
     assigned: list[str] = []
-    levels = []  # per open depth: (candidate iterator, color, z, image reducer)
+    levels = []  # per open depth: (candidate iterator, independent?, image reducer)
     while True:
         k = len(assigned)
-        if k == len(fresh):
-            yield EmbeddingMap(base_pairs + tuple(zip(fresh, assigned)))
+        if k == len(plan.order):
+            yield EmbeddingMap(tuple(zip(plan.order, assigned)))
         else:
-            c = coeffs[k]
-            z = None if c is None else tuple(
-                sum((ci * q[j] for ci, q in zip(c, img) if ci and q[j]), Fraction(0))
-                for j in range(S.backend.ambient_dim)
-            )
-            levels.append((iter(S.ids_sorted), big.is_colored(fresh[k]), z, red))
+            z = _image_of(plan.coeffs[k], img, S.backend.ambient_dim)
+            if k < len(images):
+                pool = images[k:k + 1]
+            else:
+                pool = S.ids_sorted if z is None else S.ids_with_vec(z)
+            levels.append((_candidates(S, pool, used, plan.colors[k], z, red), z is None, red))
         while levels:
-            cands, colored, z, red = levels[-1]
+            cands, independent, red = levels[-1]
             if len(assigned) == len(levels):
                 used.discard(assigned.pop())
                 img.pop()
-            cand = _next_candidate(S, cands, used, colored, z, red)
+            cand = next(cands, None)
             if cand is None:
                 levels.pop()
                 continue
             assigned.append(cand)
             used.add(cand)
-            img.append(S.element(cand).vec)
-            if red is not None and z is None:
+            img.append(_nonzero(S.element(cand).vec))
+            if red is not None and independent:
                 red = red.clone()
                 red.add(S.introw(cand))
             break
@@ -428,16 +487,38 @@ def _strong_embeddings(small: ColoredStructure, S: ColoredStructure, cap: int):
 def _extend_embedding(task: ExtensionTask, f: EmbeddingMap, S: ColoredStructure):
     """Least (lex over assignment tuples) strong extension of f to the big
     side, or None."""
-    for g in _extensions(task.small, task.big, f.pairs, S):
+    for g in _extensions(task.small, task.big, f.pairs, S, task.search_plan()):
         if is_closed(g.image, S):
             return g
     return None
 
 
+# id(S) -> {(size_budget, cap): clean AuditReport of S}; an entry goes with
+# its structure (weakref.finalize), so ids are never reused while recorded.
+_CLEAN_AUDITS: dict[int, dict] = {}
+
+
+def _record_clean_audit(S: ColoredStructure, size_budget: int, report: AuditReport):
+    records = _CLEAN_AUDITS.get(id(S))
+    if records is None:
+        records = _CLEAN_AUDITS[id(S)] = {}
+        weakref.finalize(S, _CLEAN_AUDITS.pop, id(S), None)
+    records[size_budget, report.cap] = report
+
+
 def audit_richness(S: ColoredStructure, size_budget: int, cap: int = EMBEDDING_CAP) -> AuditReport:
     """For every catalog task and strong embedding of its small side, search
-    for a strong extension of the big side; pass iff every one extends."""
+    for a strong extension of the big side; pass iff every one extends.
+
+    A structure returned by `build_generic` carries the builder's clean
+    report for its budget and cap, the answer to the same question on the
+    same object; it is handed out as a fresh copy.  Any other budget or cap,
+    and a reloaded structure, is audited afresh.
+    """
     ensure_k_plus(S)
+    clean = _CLEAN_AUDITS.get(id(S), {}).get((size_budget, cap))
+    if clean is not None:
+        return copy.deepcopy(clean)
     return _audit(S, task_catalog(S.alpha, size_budget), cap)
 
 
@@ -523,7 +604,8 @@ def build_generic(
     """Iterated free amalgamation repairing audit failures round-robin.
 
     Fully deterministic given rng_seed (used only to shuffle the repair
-    order); stops early if the audit comes back clean.
+    order); stops early if the audit comes back clean, and then records that
+    report for the structure returned (see `audit_richness`).
     """
     ensure_k_plus(seed)
     S = seed
@@ -542,6 +624,7 @@ def build_generic(
                 if not o.extended
             ]
             if not queue:
+                _record_clean_audit(S, size_budget, report)
                 break
             rng.shuffle(queue)
         task_id, image = queue.pop(0)

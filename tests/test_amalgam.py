@@ -1,24 +1,26 @@
 import hashlib
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from bicolor import colored
+from bicolor import amalgam, colored
 from bicolor.amalgam import free_amalgam, verify_free, verify_strong
 from bicolor.closure import closure, is_closed
 from bicolor.colored import (
     ColoredStructure,
     EmbeddingMap,
+    certify_free_amalgam,
     delta,
     in_k_plus,
     is_weak_iso,
     min_violating_witness,
-    strong_extension,
 )
-from bicolor.errors import AlphaMismatch, MatchInvalid, NotClosed
+from bicolor.errors import AlphaMismatch, InvariantError, MatchInvalid, NotClosed
 from bicolor.exactnum import PreDimValue
-from bicolor.pregeom import Backend, GroundElement, LINEAR, rank
+from bicolor.pregeom import FREE, Backend, GroundElement, LINEAR, rank
 from bicolor.report import canonical_dumps
 from bicolor.workbench import dumps, task_catalog
 
@@ -27,7 +29,9 @@ from conftest import (
     ALPHA_HALF,
     ALPHA_INV_SQRT2,
     ALPHA_ONE,
+    ALPHA_TWO_THIRDS,
     SubsetTable,
+    brute_in_k_plus,
     random_k_plus_structure,
 )
 from test_colored import _least_violator, ge, witness_structure
@@ -142,9 +146,7 @@ class TestFreeAmalgam:
         assert res.structure.id_set == {"p", "q", "R.q"}
 
 
-def test_golden_bytes_over_a_base_with_non_integer_payloads():
-    """One amalgam over a one-point base, its structure and checks pinned by
-    sha256 prefix; both sides' coordinates are solved over non-unit bases."""
+def _golden_amalgam():
     M1 = ColoredStructure(
         Backend(LINEAR, 2),
         (ge("a", F(1, 2), F(1, 3)), ge("b1", 0, F(3, 4)), ge("b2", F(2, 5), F(-1, 7))),
@@ -162,10 +164,33 @@ def test_golden_bytes_over_a_base_with_non_integer_payloads():
         frozenset({"c"}),
         ALPHA_INV_SQRT2,
     )
-    res = free_amalgam(M1, M2, ["a"], ["x"], EmbeddingMap.of({"a": "x"}))
+    return free_amalgam(M1, M2, ["a"], ["x"], EmbeddingMap.of({"a": "x"}))
+
+
+def _digest(res, checks) -> str:
+    blob = dumps(res.structure) + canonical_dumps(checks)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def test_golden_bytes_over_a_base_with_non_integer_payloads():
+    """One amalgam over a one-point base, its structure and checks pinned by
+    sha256 prefix; both sides' coordinates are solved over non-unit bases."""
+    res = _golden_amalgam()
     assert res.structure.element("b2").vec == (F(4, 5), F(-172, 315), 0, 0)
-    blob = dumps(res.structure) + canonical_dumps([c.to_json() for c in res.checks])
-    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "5ecbb9fab44b5529"
+    assert _digest(res, [c.to_json() for c in res.checks]) == "d6d94b033e44f5dc"
+
+
+def test_golden_bytes_before_the_lemma_certificate():
+    """The same amalgam hashed to 5ecbb9fab44b5529 while the lemma's three
+    conclusions were searched; putting their old method back reproduces it,
+    so the structure and every other byte are unchanged."""
+    checks = [c.to_json() for c in _golden_amalgam().checks]
+    lemma = ["in_k_plus", "left_injection_strong", "right_injection_strong"]
+    assert [c["name"] for c in checks] == lemma + ["parts_free_over_base", "rank_identity"]
+    assert [c["method"] for c in checks] == ["certified"] * 3 + ["exhaustive"] * 2
+    for c in checks[:3]:
+        c["method"] = "exhaustive"
+    assert _digest(_golden_amalgam(), checks) == "5ecbb9fab44b5529"
 
 
 def _grow_with_safe_extras(rng, base: ColoredStructure, extras: int) -> ColoredStructure:
@@ -215,9 +240,9 @@ class TestRandomTriples:
 
 
 class TestInheritedWitnesses:
-    """The amalgam's left check (`strong_extension`) hands the first side's
-    memoized least violators to the amalgam; the lemma in `colored` says
-    they are the amalgam's answers too."""
+    """The amalgam's certificate (`certify_free_amalgam`) hands the first
+    side's memoized least violators to the amalgam; the lemmas in `amalgam`
+    and `colored` say they are the amalgam's answers too."""
 
     def test_amalgam_serves_first_side_answers(self, rng, monkeypatch):
         sizes = []
@@ -248,24 +273,200 @@ class TestInheritedWitnesses:
         # closed sets, single-point and larger violators all occur
         assert sizes.count(0) >= 300 and sizes.count(1) >= 300 and sum(w >= 2 for w in sizes) >= 100
 
-    def test_false_leaves_the_memo_empty(self):
+    def test_certificate_records_both_parts_closed(self):
+        P = witness_structure()
+        Q = ColoredStructure(Backend(LINEAR, 1), (ge("y", 1),), frozenset(), P.alpha)
+        min_violating_witness(P, ["a"])
+        M = free_amalgam(P, Q, [], [], EmbeddingMap(())).structure
+        assert M._k_plus is True
+        assert P._witnesses[frozenset({"a"})] == {"b1", "b2"}
+        assert M._witnesses == {**P._witnesses, P.id_set: None, frozenset({"y"}): None}
+
+    def test_certificate_refuses_a_first_side_it_does_not_extend(self):
+        S = witness_structure()
+        stranger = ColoredStructure(Backend(LINEAR, 1), (ge("z", 1),), frozenset(), S.alpha)
+        other_alpha = ColoredStructure(Backend(LINEAR, 1), (ge("a", 1),), frozenset(), ALPHA_ONE)
+        for first in (stranger, other_alpha):
+            with pytest.raises(InvariantError):
+                certify_free_amalgam(S, first, [])
+            assert S._witnesses == {} and S._k_plus is None
+
+
+def _as_linear(S: ColoredStructure) -> ColoredStructure:
+    """The free pregeometry on S's points as unit vectors, for SubsetTable."""
+    if S.backend.kind != FREE:
+        return S
+    n = len(S)
+    unit = lambda k: tuple(F(int(j == k)) for j in range(n))
+    elements = tuple(GroundElement(e, unit(k)) for k, e in enumerate(S.ids_sorted))
+    return ColoredStructure(Backend(LINEAR, n), elements, S.colored, S.alpha)
+
+
+def _brute_closed(t: SubsetTable, mask: int) -> bool:
+    """No set over `mask` has negative delta over it, by every subset of the rest."""
+    rest = ((1 << t.n) - 1) & ~mask
+    sub = rest
+    while sub:
+        if t.delta_sign(sub, mask) < 0:
+            return False
+        sub = (sub - 1) & rest
+    return True
+
+
+def _random_side(rng, base: ColoredStructure, extra: int, alpha) -> ColoredStructure | None:
+    """base plus `extra` random points (some dependent, some colored) in a
+    widened ambient, renamed base ids and an invertible change of
+    coordinates on the linear backend; None unless it is in K+ with the
+    base's image closed (brute force)."""
+    names = {i: f"m{i}" for i in base.ids_sorted} if rng.random() < 0.5 else {}
+    colored = {names.get(i, i) for i in base.colored}
+    taken = set(names.values()) or base.id_set
+    extra_ids = [i for i in (f"e{k}" for k in range(24)) if i not in taken][:extra]
+    colored |= {i for i in extra_ids if rng.random() < 0.4}
+    if base.backend.kind == FREE:
+        elements = [GroundElement(names.get(i, i)) for i in base.ids_sorted]
+        elements += [GroundElement(i) for i in extra_ids]
+        return ColoredStructure(base.backend, tuple(elements), frozenset(colored), alpha)
+    dim = base.backend.ambient_dim + rng.randint(0, 2)
+    vecs = [e.vec + (F(0),) * (dim - len(e.vec)) for e in base.elements]
+    while True:
+        mix = [[F(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(dim)] for _ in range(dim)]
+        if rank([GroundElement(f"r{k}", tuple(r)) for k, r in enumerate(mix)], Backend(LINEAR, dim)) == dim:
+            break
+    new = []
+    while len(new) < extra:
+        v = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+        if any(v):
+            new.append(v)
+    move = lambda v: tuple(sum((m[k] * v[k] for k in range(dim)), F(0)) for m in mix)
+    ids = [names.get(i, i) for i in base.ids_sorted] + extra_ids
+    M2 = ColoredStructure(
+        Backend(LINEAR, dim),
+        tuple(GroundElement(i, move(v)) for i, v in zip(ids, vecs + new)),
+        frozenset(colored),
+        alpha,
+    )
+    t = SubsetTable(M2)
+    image = [names.get(i, i) for i in base.ids_sorted]
+    if not (brute_in_k_plus(M2) and _brute_closed(t, t.mask_of(image))):
+        return None
+    return M2
+
+
+class TestLemmaCertificate:
+    """Against `conftest.SubsetTable`, which never calls the code under test:
+    random amalgams of at most 12 points, over empty and colored bases and
+    on the free backend, at rational and quadratic alpha, are in K+ with
+    both parts closed, as the certified checks claim."""
+
+    def test_certified_amalgams_hold_by_brute_force(self):
+        rng = random.Random(0xA4A1)
+        seen = Counter()
+        alphas = [ALPHA_HALF, ALPHA_TWO_THIRDS, ALPHA_INV_SQRT2]
+        while sum(seen[k] for k in ("empty-base", "colored-base", "free")) < 60:
+            alpha = alphas[rng.randrange(3)]
+            M1 = random_k_plus_structure(rng, alpha, max_n=6, max_dim=3, color_p=0.5)
+            if rng.random() < 0.2:
+                M1 = ColoredStructure(
+                    Backend(FREE), tuple(GroundElement(i) for i in M1.ids_sorted), M1.colored, alpha
+                )
+            ids = list(M1.ids_sorted)
+            base1 = sorted(closure(rng.sample(ids, rng.randint(0, len(ids))), M1))
+            M2 = _random_side(rng, M1.restrict(base1), rng.randint(0, 12 - len(M1)), alpha)
+            if M2 is None:
+                continue
+            base2 = [f"m{i}" if f"m{i}" in M2.id_set else i for i in base1]
+            res = free_amalgam(M1, M2, base1, base2, EmbeddingMap(tuple(zip(base1, base2))))
+            M = res.structure
+            assert len(M) <= 12
+            assert [(c.name, c.passed, c.method) for c in res.checks][:3] == [
+                ("in_k_plus", True, "certified"),
+                ("left_injection_strong", True, "certified"),
+                ("right_injection_strong", True, "certified"),
+            ]
+            t = SubsetTable(_as_linear(M))
+            assert all(t.delta_sign(m) >= 0 for m in range(1 << t.n))
+            assert _brute_closed(t, t.mask_of(M1.id_set))
+            assert _brute_closed(t, t.mask_of(res.right.image))
+            fresh = M.restrict(M.id_set)  # no certificate, no memo: searched again
+            assert in_k_plus(fresh) and verify_strong(res.left, M1, fresh)
+            assert verify_strong(res.right, M2, fresh)
+            if M1.backend.kind == FREE:
+                seen["free"] += 1
+            elif not base1:
+                seen["empty-base"] += 1
+            elif M1.colored & set(base1):
+                seen["colored-base"] += 1
+            seen["quadratic" if not alpha.is_rational else "rational"] += 1
+            seen["renamed" if any(b.startswith("m") for b in base2) else "same-ids"] += 1
+            seen["collision"] += any(i.startswith("R.") for i in M.id_set)
+        for what in ("empty-base", "colored-base", "free", "quadratic", "rational", "renamed", "collision"):
+            assert seen[what] >= 5, (what, seen)
+
+
+class TestLemmaHypotheses:
+    """Each check the certificate rests on refuses a forced fault."""
+
+    def test_base_not_closed_on_the_second_side(self):
         S = witness_structure()  # {a} is not closed: b1, b2 lie over it
-        independent = ColoredStructure(  # S's ids, closed in S, but of rank 3
-            Backend(LINEAR, 3),
-            (ge("a", 1, 0, 0), ge("b1", 0, 1, 0), ge("b2", 0, 0, 1)),
-            frozenset({"b1", "b2"}),
-            S.alpha,
+        other = point("q", False, S.alpha)
+        with pytest.raises(NotClosed, match="second"):
+            free_amalgam(other, S, ["q"], ["a"], EmbeddingMap.of({"q": "a"}))
+
+    def test_a_match_that_is_not_an_lp_embedding_is_refused(self):
+        """b = 2a on the first side, y independent of x on the second: colors
+        agree, both bases are closed, but the match breaks the linear structure."""
+        M1 = ColoredStructure(Backend(LINEAR, 1), (ge("a", 1), ge("b", 2)), frozenset(), ALPHA_HALF)
+        M2 = ColoredStructure(Backend(LINEAR, 2), (ge("x", 1, 0), ge("y", 0, 1)), frozenset(), ALPHA_HALF)
+        with pytest.raises(MatchInvalid, match="quantifier-free"):
+            free_amalgam(M1, M2, ["a", "b"], ["x", "y"], EmbeddingMap.of({"a": "x", "b": "y"}))
+
+    @staticmethod
+    def _sides():
+        """a (the base) and p on the first side; a, q and y = a + q on the second."""
+        M1 = ColoredStructure(
+            Backend(LINEAR, 2), (ge("a", 1, 0), ge("p", 0, 1)), frozenset({"p"}), ALPHA_HALF
         )
-        stranger = ColoredStructure(
-            Backend(LINEAR, 2), (ge("a", 1, 0), ge("z", 0, 1)), frozenset(), S.alpha
+        M2 = ColoredStructure(
+            Backend(LINEAR, 2), (ge("a", 1, 0), ge("q", 0, 1), ge("y", 1, 1)), frozenset(), ALPHA_HALF
         )
-        for P in (S.restrict(["a"]), independent, stranger):
-            for x in (set(), P.id_set):
-                min_violating_witness(P, x)
-            assert P._witnesses
-            assert not strong_extension(P, S)
-            assert S._witnesses == {}
-        P = S.restrict(["b1"])
-        min_violating_witness(P, [])
-        assert strong_extension(P, S)
-        assert S._witnesses == {frozenset(): None, frozenset({"b1"}): None}
+        return M1, M2
+
+    def test_unskewed_sides_amalgamate(self):
+        M1, M2 = self._sides()
+        M = free_amalgam(M1, M2, ["a"], ["a"], EmbeddingMap.of({"a": "a"})).structure
+        assert M.element("y").vec == (1, 0, 1)
+
+    def test_a_part_that_is_not_free_is_refused(self, monkeypatch):
+        """y moved off its side's span into the first side's column of p: the
+        parts are no longer free, and only the freeness check sees it."""
+        build = amalgam.ColoredStructure
+
+        def skewed(backend, elements, colored, alpha):
+            moved = lambda e: GroundElement(e.id, (e.vec[0], e.vec[1] + 1, e.vec[2]))
+            elements = tuple(moved(e) if e.id == "y" else e for e in elements)
+            return build(backend, elements, colored, alpha)
+
+        monkeypatch.setattr(amalgam, "ColoredStructure", skewed)
+        M1, M2 = self._sides()
+        with pytest.raises(InvariantError, match="parts_free_over_base"):
+            free_amalgam(M1, M2, ["a"], ["a"], EmbeddingMap.of({"a": "a"}))
+
+    def test_a_basis_point_off_its_unit_vector_is_refused(self, monkeypatch):
+        """The first side's second basis point placed at e0 + e1: ranks and
+        freeness hold, but a point equal to it is placed at e1 alone."""
+        coords = amalgam._coords
+
+        def skewed(S, basis_ids, ids):
+            out = coords(S, basis_ids, ids)
+            for k, eid in enumerate(ids):
+                if len(basis_ids) > 1 and eid == basis_ids[1]:
+                    out[k] = [out[k][0] + 1, *out[k][1:]]
+            return out
+
+        monkeypatch.setattr(amalgam, "_coords", skewed)
+        M1 = ColoredStructure(
+            Backend(LINEAR, 2), (ge("a", 1, 0), ge("b", 0, 1), ge("c", 0, 2)), frozenset(), ALPHA_HALF
+        )
+        with pytest.raises(InvariantError, match="unit vector"):
+            free_amalgam(M1, point("z", False, ALPHA_HALF), [], [], EmbeddingMap(()))

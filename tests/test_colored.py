@@ -28,7 +28,7 @@ from bicolor.errors import (
     UnknownElement,
 )
 from bicolor.exactnum import PreDimValue
-from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR
+from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR, int_row
 
 from conftest import (
     ALL_ALPHAS,
@@ -473,6 +473,39 @@ class TestAmbientWidening:
             a = rng.sample(ids, rng.randint(0, len(ids)))
             x = rng.sample(ids, rng.randint(0, len(ids)))
             assert delta(S, a, x) == delta(wide, a, x)
+
+    def test_carried_rows_are_the_cleared_payloads(self):
+        """Random chains of `extended` (widening or not) and `restrict` over
+        non-integer payloads: every integer row equals int_row of its
+        payload, and a restriction or an unwidened extension hands on the
+        kept points' rows themselves."""
+        rng = random.Random(0x1E0)
+        payload = lambda dim: tuple(F(rng.randint(-5, 5), rng.choice([1, 2, 3, 6, 7])) for _ in range(dim))
+        widened = carried = 0
+        for i in range(40):
+            S = random_structure(rng, ALL_ALPHAS[i % 4], max_n=5, max_dim=3)
+            S = S.extended([], widen_by=0)
+            for step in range(8):
+                if S.ids_sorted and rng.random() < 0.4:
+                    T = S.restrict(rng.sample(S.ids_sorted, rng.randint(0, len(S))))
+                else:
+                    widen = rng.choice([0, 0, 1, 2])
+                    dim = S.backend.ambient_dim + widen
+                    new = []
+                    for k in range(rng.randint(0, 2)):
+                        vec = payload(dim)
+                        if any(vec):
+                            new.append(GroundElement(f"n{i}_{step}_{k}", vec))
+                    colored_ids = [g.id for g in new if rng.random() < 0.5]
+                    T = S.extended(new, new_colored=colored_ids, widen_by=widen)
+                    widened += widen > 0
+                for e in T.elements:
+                    assert T.introw(e.id) == int_row(e.vec)
+                    if e.id in S.id_set and T.backend == S.backend:
+                        assert T.introw(e.id) is S.introw(e.id)
+                        carried += 1
+                S = T
+        assert widened >= 20 and carried >= 100
 
     def test_free_backend_weak_iso(self):
         S = ColoredStructure(

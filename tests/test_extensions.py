@@ -1,7 +1,8 @@
 """`workbench._extensions` against the brute-force oracle
 `conftest.brute_extensions`, which enumerates every injective assignment and
 compares dependency kernels by Fraction row reduction: the same extensions,
-in the same order, on seeded random small structures."""
+in the same order, on seeded random small structures and on the catalog's
+tasks searched through their plans."""
 
 import random
 from collections import Counter
@@ -9,11 +10,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from bicolor.colored import ColoredStructure
+from bicolor.colored import ColoredStructure, empty_structure
 from bicolor.pregeom import FREE, LINEAR, Backend, GroundElement
-from bicolor.workbench import _extensions
+from bicolor.workbench import _extensions, build_generic, task_catalog
 
-from conftest import ALL_ALPHAS, ALPHA_HALF, brute_extensions, fraction_rref
+from conftest import ALL_ALPHAS, ALPHA_HALF, ALPHA_INV_SQRT2, brute_extensions, fraction_rref
 
 
 def _vectors(rng, n, dim):
@@ -144,3 +145,28 @@ def test_dependent_prefix_needs_the_same_combination(scale):
         want = brute_extensions(big, small_b.id_set, dict(base), S)
         got = [g.pairs for g in _extensions(small_b, big, base, S)]
         assert got == want and want
+
+
+@pytest.mark.parametrize("alpha", [ALPHA_HALF, ALPHA_INV_SQRT2], ids=["1/2", "1/sqrt2"])
+def test_catalog_plans_on_duplicate_and_scaled_payloads(alpha):
+    """Each catalog task at budget 2 (parallel-ext-plain's big side repeats
+    its payload), searched through the task's own plan from every embedding
+    of its small side, into a built structure plus exact duplicates and
+    scaled copies of its points, gives the brute-force sequence."""
+    built = build_generic(empty_structure(alpha, 0), 6, 2, 5)
+    copies = []
+    for k, e in enumerate(built.elements[:4]):
+        copies.append(GroundElement(f"d{k}", e.vec))
+        copies.append(GroundElement(f"t{k}", tuple(F(-3, 2) * x for x in e.vec)))
+    S = built.extended(copies, new_colored=[g.id for g in copies[::3]])
+    found = Counter()
+    for task in task_catalog(alpha, 2):
+        plan = task.search_plan()
+        for base in brute_extensions(task.small, (), {}, S):
+            want = brute_extensions(task.big, task.small.id_set, dict(base), S)
+            got = [g.pairs for g in _extensions(task.small, task.big, base, S, plan)]
+            assert got == want, (task.task_id, base)
+            found[task.task_id] += len(want)
+        assert task.search_plan() is plan
+    assert found["parallel-ext-plain"] >= 4
+    assert all(found[task.task_id] for task in task_catalog(alpha, 2))

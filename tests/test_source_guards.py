@@ -1,8 +1,10 @@
 """Source-level guards over src/bicolor.
 
-Only `colored` writes the K+ cache fields and the witness memo of a
-ColoredStructure (others go through `certify_k_plus` and
-`strong_extension`), `construct` builds no random generator (its checks
+Only `colored` writes the private cache fields of a ColoredStructure: the
+K+ verdict, the witness memo, the id map, the integer rows and the payload
+index (others go through `certify_k_plus` and `certify_free_amalgam`), by
+assignment, keyword, subscript or a mutating method.  `construct` builds no
+random generator (its checks
 are exhaustive or certified, never sampled), and `pregeom` holds the only
 elimination code.  No
 module but `pregeom` uses `eliminate`, so `pregeom.walk` stays the one
@@ -44,11 +46,14 @@ from bicolor.workbench import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bicolor"
-K_PLUS_FIELDS = {"_k_plus", "_witnesses"}
+K_PLUS_FIELDS = {"_k_plus", "_witnesses", "_by_id", "_introws", "_by_vec"}
+MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
 # Code removed for having no caller, or as a knob no caller set, the
-# per-call closedness dict the witness memo replaced, and construct's
-# seeded subset draws, which certificates replaced.
+# per-call closedness dict the witness memo replaced, construct's seeded
+# subset draws, which certificates replaced, and the amalgam's searched
+# left check, which the amalgamation lemma replaced.
 DELETED_NAMES = {
+    "strong_extension",
     "all_pass",
     "_column_key",
     "_extend_embedding.strong",
@@ -66,14 +71,21 @@ ELIMINATION_NAMES = re.compile(r"rref|solve|kernel|bareiss|gauss|elimin|echelon|
 
 
 def k_plus_writes(source: str) -> list[int]:
-    """Lines that store a K+ cache field: attribute targets, setattr-style
-    calls naming the field, and constructor keywords."""
+    """Lines that store or change a private cache field: attribute targets,
+    subscript targets on the field, mutating method calls on it,
+    setattr-style calls naming the field, and constructor keywords."""
+    field = lambda node: isinstance(node, ast.Attribute) and node.attr in K_PLUS_FIELDS
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-            if node.attr in K_PLUS_FIELDS:
+        if field(node) and isinstance(node.ctx, ast.Store):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if field(node.value):
                 lines.append(node.lineno)
         elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+                if field(node.func.value):
+                    lines.append(node.lineno)
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name in ("setattr", "__setattr__") and any(
@@ -295,6 +307,10 @@ def test_guards_catch_violations():
     assert k_plus_writes("ColoredStructure(b, e, c, a, _k_plus=True)\n") == [1]
     assert k_plus_writes("ok = S._k_plus\n") == []
     assert k_plus_writes("M._witnesses = dict(P._witnesses)\n") == [1]
+    assert k_plus_writes("S._introws = rows\nT._by_id = {}\nU._by_vec = None\n") == [1, 2, 3]
+    assert k_plus_writes("S._introws[i] = row\ndel S._by_vec[v]\nx = S._introws[i]\n") == [1, 2]
+    assert k_plus_writes("M._witnesses.update(P._witnesses)\nS._by_vec.get(v)\n") == [1]
+    assert k_plus_writes("ColoredStructure(b, e, c, a, _introws=rows)\n") == [1]
     src = "import random\nR = random.Random(1)\ndef f():\n    return Random(2)\n"
     assert rng_constructions(src) == [(None, 2), ("f", 4)]
     for name in ("_rref", "_rref_rows", "_solve_coeffs", "_solve_fraction_coeffs", "rank_int_matrix"):

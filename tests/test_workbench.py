@@ -102,13 +102,13 @@ class TestSemiGenericGoldenBytes:
 
 
 class TestExtensionSearchCost:
-    """One extension search restricts no structure and tests embeddings with
-    is_lp_embedding at most once (its base); every fresh point is tested
-    against its prefix incrementally."""
+    """One extension search restricts no structure and never calls
+    is_lp_embedding: the base is tested against its prefix like every fresh
+    point.  The source side's coordinates are planned once per task."""
 
     def test_one_search_counts(self, monkeypatch):
         S = build_generic(empty_structure(ALPHA_TWO_THIRDS, 0), 20, 3, 13)
-        calls = {"restrict": 0, "embedding": 0}
+        calls = {"restrict": 0, "embedding": 0, "plan": 0}
         restrict, is_lp = ColoredStructure.restrict, workbench.is_lp_embedding
 
         def counted_restrict(self, ids):
@@ -119,20 +119,111 @@ class TestExtensionSearchCost:
             calls["embedding"] += 1
             return is_lp(*args)
 
+        class CountedPlan(workbench._SearchPlan):
+            def __init__(self, *args):
+                calls["plan"] += 1
+                super().__init__(*args)
+
+        catalog = task_catalog(ALPHA_TWO_THIRDS, 3)
+        embeddings = {t.task_id: workbench._strong_embeddings(t.small, S, 3) for t in catalog}
+        expected = {
+            (t.task_id, f): workbench._extend_embedding(t, f, S)
+            for t in task_catalog(ALPHA_TWO_THIRDS, 3)
+            for f in embeddings[t.task_id]
+        }
         searched = 0
-        for task in task_catalog(ALPHA_TWO_THIRDS, 3):
-            for f in workbench._strong_embeddings(task.small, S, 3):
-                expected = workbench._extend_embedding(task, f, S)
-                with monkeypatch.context() as m:
-                    m.setattr(ColoredStructure, "restrict", counted_restrict)
-                    m.setattr(workbench, "is_lp_embedding", counted_is_lp)
+        with monkeypatch.context() as m:
+            m.setattr(ColoredStructure, "restrict", counted_restrict)
+            m.setattr(workbench, "is_lp_embedding", counted_is_lp)
+            m.setattr(colored, "is_lp_embedding", counted_is_lp)
+            m.setattr(workbench, "_SearchPlan", CountedPlan)
+            for task in catalog:
+                calls["plan"] = 0
+                for f in embeddings[task.task_id]:
                     calls.update(restrict=0, embedding=0)
                     got = workbench._extend_embedding(task, f, S)
-                assert got == expected
-                assert calls["restrict"] == 0, task.task_id
-                assert calls["embedding"] <= 1, task.task_id
-                searched += 1
+                    assert got == expected[task.task_id, f]
+                    assert calls["restrict"] == 0, task.task_id
+                    assert calls["embedding"] == 0, task.task_id
+                    searched += 1
+                assert calls["plan"] == (1 if embeddings[task.task_id] else 0), task.task_id
         assert searched >= 6
+
+
+def _golden_seed(alpha):
+    return ColoredStructure(
+        Backend(LINEAR, 2),
+        (ge("p", F(1, 2), F(1, 3)), ge("q", F(2, 3), -1), ge("r", F(1, 4), F(5, 6))),
+        frozenset({"q"}),
+        alpha,
+    )
+
+
+class TestCleanAuditRecord:
+    """build_generic records its last audit, clean on the structure it
+    returns, and audit_richness answers the same budget and cap on the same
+    object from that record, a fresh copy each time."""
+
+    @pytest.mark.parametrize(
+        "alpha, digest",
+        [
+            (ALPHA_HALF, "22c904a50745e1ee"),
+            (ALPHA_TWO_THIRDS, "da16f9cf1f0ee381"),
+            (ALPHA_INV_SQRT2, "b8d41a9b4672af5f"),
+        ],
+        ids=["1/2", "2/3", "1/sqrt2"],
+    )
+    def test_pinned_bytes_without_an_audit(self, monkeypatch, alpha, digest):
+        built = build_generic(_golden_seed(alpha), 30, 3, 7)
+
+        def no_audit(*args):
+            raise AssertionError("audited again")
+
+        monkeypatch.setattr(workbench, "_audit", no_audit)
+        blob = dumps(built) + canonical_dumps(audit_richness(built, 3).to_json())
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+
+    def test_reports_are_fresh_copies(self):
+        built = build_generic(_golden_seed(ALPHA_HALF), 30, 3, 7)
+        first = audit_richness(built, 3)
+        want = canonical_dumps(first.to_json())
+        outcome = next(o for t in first.tasks for o in t.outcomes)
+        outcome.extension.clear()
+        outcome.extended = False
+        first.tasks.pop()
+        first.passed = False
+        again = audit_richness(built, 3)
+        assert canonical_dumps(again.to_json()) == want and again is not audit_richness(built, 3)
+
+    def test_other_questions_miss_the_record(self, monkeypatch):
+        built = build_generic(_golden_seed(ALPHA_TWO_THIRDS), 30, 3, 7)
+        want = audit_richness(built, 3).to_json()
+        audits, audit = [], workbench._audit
+
+        def counted(S, catalog, cap):
+            audits.append(cap)
+            return audit(S, catalog, cap)
+
+        monkeypatch.setattr(workbench, "_audit", counted)
+        assert audit_richness(built, 3).to_json() == want and audits == []
+        audit_richness(built, 2)
+        audit_richness(built, 3, cap=5)
+        assert audits == [200, 5]
+        for other in (loads(dumps(built)), built.restrict(built.id_set)):
+            assert audit_richness(other, 3).to_json() == want
+        assert audits == [200, 5, 200, 200]
+
+    def test_record_goes_with_its_structure(self):
+        built = build_generic(_golden_seed(ALPHA_HALF), 30, 3, 7)
+        key = id(built)
+        assert set(workbench._CLEAN_AUDITS[key]) == {(3, 200)}
+        del built
+        assert key not in workbench._CLEAN_AUDITS
+
+    def test_a_build_that_runs_out_of_steps_records_nothing(self):
+        built = build_generic(_golden_seed(ALPHA_HALF), 2, 3, 7)
+        assert id(built) not in workbench._CLEAN_AUDITS
+        assert not audit_richness(built, 3).passed
 
 
 class TestClosednessAskedOnce:
