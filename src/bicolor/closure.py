@@ -6,9 +6,13 @@ adjoins the minimal violating witness (smallest size, ties broken
 lexicographically on sorted ids), so fixpoints are deterministic.  All
 notions are relative to the finite ambient structure.
 
-D(A) is the minimum of delta over supersets of A inside the ambient; for a
-rational coefficient it provably equals delta(closure(A)) and that identity
-is asserted on every call.
+D(A) is the minimum of delta over supersets of A inside the ambient.  It
+equals delta(closure(A)) at every alpha, and that identity is asserted on
+every call.  Proof: let C* attain D(A).  C* is closed, for a Y with
+delta(Y/C*) < 0 would give the superset C* u Y of A a smaller delta, so
+cl(A), the least closed superset of A, lies within C*.  cl(A) is closed, so
+delta(C*) - delta(cl(A)) = delta(C*/cl(A)) >= 0, and delta(cl(A)) <= D(A)
+<= delta(cl(A)).
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from .colored import (
     min_violating_witness,
 )
 from .errors import InputError, InvariantError, NotInKPlus
-from .exactnum import PreDimValue, compare
-from .pregeom import dim_independent as _dim_indep_elements, walk
+from .exactnum import ZERO, PreDimValue, compare, pre_dim_sign
+from .pregeom import dim_independent as _dim_indep_elements, suffix_ranks, walk
 
 
 def _require_subset(small, big, what: str):
@@ -69,7 +73,10 @@ def closure(a_ids, S: ColoredStructure) -> frozenset:
 
 def is_intrinsic(a_ids, b_ids, S: ColoredStructure) -> bool:
     """True iff delta(B) < delta(A') for every A <= A' strictly inside B: with
-    C = A' minus A, delta(B/A) < 0 (C empty) and delta(B/A) < delta(C/A)."""
+    C = A' minus A, delta(B/A) < 0 (C empty) and delta(C/A) > delta(B/A),
+    strictly, for every nonempty proper C (`_proper_subsets_hold` with the
+    threshold delta(B/A), strict, pruned off the spine by the suffix-rank
+    bound)."""
     a = S.check_ids(a_ids)
     b = S.check_ids(b_ids)
     _require_subset(a, b, "is_intrinsic")
@@ -77,22 +84,42 @@ def is_intrinsic(a_ids, b_ids, S: ColoredStructure) -> bool:
     if not extra:
         return True
     rel = delta(S, b, a)
-    return rel.sign(S.alpha) < 0 and _proper_subsets_hold(
-        S, a, extra, lambda d: compare(rel, d, S.alpha) < 0
-    )
+    return rel.sign(S.alpha) < 0 and _proper_subsets_hold(S, a, extra, rel, True)
 
 
-def _proper_subsets_hold(S: ColoredStructure, a, extra, holds) -> bool:
-    """True iff holds(delta(C/A)) for each nonempty proper subset C of
-    `extra`, off one `walk` over its rows reduced against span(A) that stops
-    at a failure.  Callers first ask delta(extra/A) < 0, never so in the free
-    backend."""
+def _proper_subsets_hold(S: ColoredStructure, a, extra, floor, strict) -> bool:
+    """True iff delta(C/A) > floor (strict) or >= floor (not strict) for
+    each nonempty proper subset C of `extra`, off one `walk` over its rows
+    reduced against span(A) that stops at a failure.
+
+    The walk folds (dim(C/A), colored count, |C|) in integers and decides
+    each node by `pre_dim_sign`.  Its first n + 1 nodes are the spine, the
+    prefixes extra[:i] taking every row, and give R_i = dim(extra[:i] / A);
+    S_i = dim(extra[i:] / A) comes from one reverse pass.  A node on
+    extra[:i] holding C that has skipped a row (|C| < i) has only proper
+    subsets below it, and is not expanded once delta(C/A) - alpha * rho
+    meets the threshold, rho = (n - i) - max(R_n - R_i, S_i - dim(C/A)):
+    by the `colored` module's suffix-rank lemma every subset below it then
+    meets it too.  Plain points in `extra` only raise delta over that
+    bound, so the lemma holds for them as well.  Callers first ask
+    delta(extra/A) < 0, never so in the free backend.
+    """
     n = len(extra)
     red = S.reducer_for(a)
-    take = lambda st, i, row: (st[0] + any(row), st[1] + S.is_colored(extra[i]), st[2] + 1)
     rows = [red.residual(S.introw(e)) for e in extra]
-    for _, (dimc, ncol, size), new in walk(rows, (0, 0, 0), take):
-        if new and 0 < size < n and not holds(PreDimValue(dimc, ncol)):
+    colors = [S.is_colored(e) for e in extra]
+    null = [(n - i) - s for i, s in enumerate(suffix_ranks(rows, red.ncols))]
+    ranks = []
+    fd, fc, alpha = floor.dim_part, floor.color_part, S.alpha
+    meets = lambda dim, col: pre_dim_sign(dim - fd, col - fc, alpha) >= strict
+    take = lambda st, i, row: (st[0] + any(row), st[1] + colors[i], st[2] + 1)
+    prune = lambda i, st: st[2] < i and meets(
+        st[0], st[1] + min((n - i) - (ranks[n] - ranks[i]), null[i] + st[0])
+    )
+    for i, (dimc, ncol, size), new in walk(rows, (0, 0, 0), take, prune):
+        if size == i:
+            ranks.append(dimc)
+        if new and 0 < size < n and not meets(dimc, ncol):
             return False
     return True
 
@@ -120,16 +147,16 @@ def intrinsic_tower(a_ids, b_ids, S: ColoredStructure) -> list[frozenset]:
 
 
 def is_minimal_pair(a_ids, b_ids, S: ColoredStructure) -> bool:
-    """delta(B/A) < 0 while every proper intermediate stays nonnegative."""
+    """delta(B/A) < 0 while every proper intermediate stays nonnegative:
+    `_proper_subsets_hold` with the threshold 0, not strict, pruned off the
+    spine by the suffix-rank bound."""
     a = S.check_ids(a_ids)
     b = S.check_ids(b_ids)
     _require_subset(a, b, "is_minimal_pair")
     extra = sorted(b - a)
     if not extra:
         return False
-    return delta(S, b, a).sign(S.alpha) < 0 and _proper_subsets_hold(
-        S, a, extra, lambda d: d.sign(S.alpha) >= 0
-    )
+    return delta(S, b, a).sign(S.alpha) < 0 and _proper_subsets_hold(S, a, extra, ZERO, False)
 
 
 def closure_n(a_ids, S: ColoredStructure, n: int):
@@ -156,10 +183,8 @@ def d_value_with_witness(a_ids, S: ColoredStructure):
     base = delta(S, a)
     rel_min, extra = min_relative_delta(S, a)
     val = base + rel_min
-    if S.alpha.is_rational:
-        cl = closure(a, S)
-        if compare(val, delta(S, cl), S.alpha) != 0:
-            raise InvariantError("D(A) disagrees with delta(closure(A)) at rational alpha")
+    if compare(val, delta(S, closure(a, S)), S.alpha) != 0:
+        raise InvariantError("D(A) disagrees with delta(closure(A))")
     return val, frozenset(a | extra)
 
 

@@ -10,21 +10,31 @@ among colored points.  Those split into connected components of the linear
 matroid contracted by the conditioning set (computed from fundamental
 circuits of a greedy basis), delta is additive across components, and each
 component is searched exhaustively by `_component_walk`, one `pregeom.walk`
-over its rows reduced once against span(X).  `_component_min` reads the
-least delta off it and `min_violating_witness` the (size, lex)-least
-violator; both prune by the alpha-weighted rank deficiency of the untouched
-suffix.
+over the residual rows `colored_components` reduced against span(X).
+`_component_min` reads the least delta off it and `min_violating_witness`
+the (size, lex)-least violator; both prune by the suffix-rank bound below.
 
-Lemma.  Let a component's points be c_0 < ... < c_{n-1}, R_i = rank(c_0 ..
-c_{i-1} / X) and red_i = (n - i) - (R_n - R_i).  For C within comp[:i], T
-within comp[i:] and alpha <= 1, delta(C u T / X) >= delta(C / X) - alpha *
-red_i.  Proof: comp[i:] raises the rank of comp[:i] by R_n - R_i, and
-dropping its points outside T loses at most one each, so T raises it by at
-least |T| - red_i; by submodularity T raises the rank of C by at least as
-much, and by at least 0.  With alpha <= 1 that gain minus alpha * |T| is >=
--alpha * red_i in both cases.  So a node holding C on comp[:i] whose bound
-delta(C / X) - alpha * red_i is no less than the best value so far (0 for
-the witness search) has no better subset below it.
+Lemma (suffix-rank bound).  Let a component's points be c_0 < ... < c_{n-1},
+R_i = dim(c_0 .. c_{i-1} / X) and S_i = dim(c_i .. c_{n-1} / X).  For C
+within comp[:i] put rho = (n - i) - max(R_n - R_i, S_i - dim(C / X)).  Then
+for every T within comp[i:] and alpha <= 1,
+delta(C u T / X) >= delta(C / X) - alpha * rho.  Proof: let U = comp[i:].  By submodularity, dim(C u U / X) +
+R_i >= R_n + dim(C / X), and by monotonicity dim(C u U / X) >= S_i, so the
+suffix raises dim(C / X) by at least max(R_n - R_i, S_i - dim(C / X)) = (n -
+i) - rho.  Dropping each of its n - i - |T| points outside T loses at most
+one, so T raises it by at least |T| - rho, and by at least 0.  Hence
+delta(C u T / X) - delta(C / X) >= max(0, |T| - rho) - alpha * |T|, which
+is >= -alpha * rho: for |T| <= rho since rho >= 0, and for |T| > rho since
+(1 - alpha) * |T| >= (1 - alpha) * rho.  So a node holding C on comp[:i]
+whose bound delta(C / X) - alpha * rho is no less than the best value so far
+(0 for the witness search) has no better subset below it.  rho is at most
+the static red_i = (n - i) - (R_n - R_i), so the bound prunes every node
+that bound did; a pruned node's subtree holds nothing strictly better than
+the best so far, so the first minimizer in lex order and the (size,
+lex)-least violator are met as before.  R_i comes from the direct-sum check
+of `colored_components` and S_i from one reverse pass (`suffix_ranks`); the
+walk folds (dim(C / X), |C|, bitmask of C) in integers and decides each node
+by `pre_dim_sign`, building the witness's ids once.
 
 The witness search also prunes by size.  The walk meets subsets of equal
 size in lex order, so the first violator of each size is that size's
@@ -49,7 +59,6 @@ P's answers (`certify_free_amalgam`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,9 +71,9 @@ from .errors import (
     SearchBudgetExceeded,
     UnknownElement,
 )
-from .exactnum import Alpha, PreDimValue, ZERO, compare
+from .exactnum import Alpha, PreDimValue, ZERO, pre_dim_sign
 from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer, int_row
-from .pregeom import dependency_kernel, solve, walk
+from .pregeom import dependency_kernel, solve, suffix_ranks, walk
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -283,13 +292,30 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+class _Component(list):
+    """A component's ids in order, with `rows`, their residuals over span(X),
+    and `ranks`, the prefix ranks R_0 .. R_n of those rows."""
+
+    def __init__(self, ids, rows, ncols):
+        super().__init__(ids)
+        self.rows, self.ncols = rows, ncols
+        red = SpanReducer(ncols)
+        self.ranks = [0]
+        for row in rows:
+            self.ranks.append(self.ranks[-1] + red.add(row))
+
+    def ids_of(self, mask) -> tuple[str, ...]:
+        return tuple(eid for j, eid in enumerate(self) if mask >> j & 1)
+
+
 def colored_components(S: ColoredStructure, x_ids):
     """Split colored candidates over span(X) into (zero-residual, components).
 
     Zero-residual colored points always lower delta; the rest decompose into
     connected components of the contracted matroid, read off the fundamental
     circuits of the greedy basis.  delta minimization is additive across
-    components.
+    components.  Each component carries its residual rows and prefix ranks
+    (`_Component`) for the searches.
     """
     x = S.check_ids(x_ids)
     cands = sorted(i for i in S.colored - x)
@@ -319,15 +345,13 @@ def colored_components(S: ColoredStructure, x_ids):
     comps: dict[str, list[str]] = {}
     for eid in residuals:
         comps.setdefault(uf.find(eid), []).append(eid)
-    out = [sorted(v) for v in comps.values()]
-    out.sort(key=lambda c: c[0])
+    out = [
+        _Component(ids, [residuals[eid] for eid in ids], S.backend.ambient_dim)
+        for ids in sorted(map(sorted, comps.values()))
+    ]
     # Direct-sum sanity: component ranks must add up to the total.  The
     # residuals are clear of span(X), so each component's rank is theirs.
-    per = 0
-    for comp in out:
-        red = SpanReducer(S.backend.ambient_dim)
-        per += sum(1 for eid in comp if red.add(residuals[eid]))
-    if per != rank:
+    if sum(comp.ranks[-1] for comp in out) != rank:
         raise InvariantError("component decomposition lost rank")
     return drops, out
 
@@ -351,38 +375,45 @@ class _BudgetCounter:
             )
 
 
-def _component_walk(S, base_red, comp, counter, stop):
-    """One `walk` over the subsets C of comp, yielding (delta(C/X), C) for
-    each new one, C a sorted tuple; every node spends one from `counter`.
+def _component_walk(comp, counter, alpha, bar):
+    """One `walk` over the subsets C of comp, yielding (dim(C/X), |C|,
+    bitmask of C) for each new one whose delta(C/X) is below the bar's;
+    every node spends one from `counter`.
 
-    comp's rows are reduced once against span(X).  A node on comp[:i]
-    holding C is not expanded when stop(delta(C/X) - alpha * red_i, |C|),
-    red_i being the static suffix redundancy of the module's lemma; the
-    walk's first n + 1 nodes are the prefixes comp[:i], each taking every
-    row, and give the ranks R_i.
+    `bar` is [dim, col, cap], the value dim - alpha * col to beat and a size
+    cap, which the caller raises as it goes.  A node on comp[:i] holding C
+    is not expanded when |C| >= cap or delta(C/X) - alpha * rho is no less
+    than the bar's value, rho = min(red_i, null_i + dim(C/X)) being the
+    module lemma's (n - i) - max(R_n - R_i, S_i - dim(C/X)), with red_i =
+    (n - i) - (R_n - R_i) and null_i = (n - i) - S_i.
     """
     n = counter.size = len(comp)
-    pending = [base_red.residual(S.introw(eid)) for eid in comp]
-    spine = walk(pending, 0, lambda dim, i, row: dim + any(row))
-    ranks = [dim for _, dim, _ in itertools.islice(spine, n + 1)]
+    ranks = comp.ranks
     red = [(n - i) - (ranks[n] - ranks[i]) for i in range(n + 1)]
-    take = lambda st, i, row: (st[0] + any(row), st[1] + (comp[i],))
-    prune = lambda i, st: stop(PreDimValue(st[0], len(st[1]) + red[i]), len(st[1]))
-    for _, (dimc, chosen), new in walk(pending, (0, ()), take, prune):
+    null = [(n - i) - s for i, s in enumerate(suffix_ranks(comp.rows, comp.ncols))]
+    take = lambda st, i, row: (st[0] + any(row), st[1] + 1, st[2] | 1 << i)
+    prune = lambda i, st: st[1] >= bar[2] or pre_dim_sign(
+        st[0] - bar[0], st[1] + min(red[i], null[i] + st[0]) - bar[1], alpha
+    ) >= 0
+    for _, state, new in walk(comp.rows, (0, 0, 0), take, prune):
         counter.spend()
-        if new:
-            yield PreDimValue(dimc, len(chosen)), chosen
+        if new and pre_dim_sign(state[0] - bar[0], state[1] - bar[1], alpha) < 0:
+            yield state
 
 
 def _component_min(S, base_red, comp, alpha, counter):
     """Exact min of delta(C/X) over C within one component, with witness:
-    no node is expanded whose bound is no less than the best so far."""
-    best, best_set = ZERO, ()
-    stop = lambda bound, size: compare(bound, best, alpha) >= 0
-    for cur, chosen in _component_walk(S, base_red, comp, counter, stop):
-        if compare(cur, best, alpha) < 0:
-            best, best_set = cur, chosen
-    return best, frozenset(best_set)
+    each subset met below the best so far becomes the bar, and no node is
+    expanded whose bound is no less than it.  comp is a component of
+    `colored_components`, or ids whose rows are then reduced against
+    base_red."""
+    if not isinstance(comp, _Component):
+        rows = [base_red.residual(S.introw(eid)) for eid in comp]
+        comp = _Component(comp, rows, base_red.ncols)
+    bar, mask = [0, 0, len(comp) + 1], 0
+    for dim, size, mask in _component_walk(comp, counter, alpha, bar):
+        bar[:2] = dim, size
+    return PreDimValue(bar[0], bar[1]), frozenset(comp.ids_of(mask))
 
 
 def min_relative_delta(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -398,9 +429,8 @@ def min_relative_delta(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NO
     counter = _BudgetCounter(node_budget, "min_relative_delta")
     total = PreDimValue(0, len(drops))
     witness = set(drops)
-    base_red = S.reducer_for(x)
     for comp in comps:
-        v, w = _component_min(S, base_red, comp, S.alpha, counter)
+        v, w = _component_min(S, None, comp, S.alpha, counter)
         total = total + v
         witness |= w
     return total, frozenset(witness)
@@ -413,16 +443,17 @@ def min_violating_witness(S: ColoredStructure, x_ids, node_budget: int = DEFAULT
     and no other point is (alpha <= 1).  Otherwise a least violator lies in
     one component, delta being additive across them, and each component is
     searched by one `_component_walk` pruned two ways.  By bound: no node is
-    expanded whose bound delta(C/X) - alpha * red_i is >= 0, for then no
+    expanded whose bound delta(C/X) - alpha * rho is >= 0, for then no
     subset below it violates (the module's lemma).  By size: once a
     violator of size w is met, no subset grows to size w.  The walk meets
     equal-size subsets in lex order, so the first violator of each size is
-    that size's lex-least.  A later component may reach the best size so
-    far, so every violator met is compared by (size, sorted ids).  A closed
-    component is walked node for node as `_component_min` walks it.  The
-    empty set is closed in a structure with a recorded K+ verdict, so that
-    case is answered without a search.  Answers are memoized on S (see
-    `ColoredStructure`): a set is searched at most once per structure.
+    that size's lex-least, and the last one met in a component is its
+    (size, lex)-least.  A later component may reach the best size so far,
+    so each component's least violator is compared by (size, sorted ids).
+    A closed component is walked node for node as `_component_min` walks
+    it.  The empty set is closed in a structure with a recorded K+ verdict,
+    so that case is answered without a search.  Answers are memoized on S
+    (see `ColoredStructure`): a set is searched at most once per structure.
     """
     x = S.check_ids(x_ids)
     if x not in S._witnesses:
@@ -438,15 +469,13 @@ def _least_violator(S, x, node_budget):
     if drops:
         return frozenset({min(drops)})
     counter = _BudgetCounter(node_budget, "min_violating_witness")
-    base_red = S.reducer_for(x)
     best = (len(S) + 1, ())
     for comp in comps:
-        cap = best[0]
-        stop = lambda bound, size: size >= cap or bound.sign(S.alpha) >= 0
-        for cur, chosen in _component_walk(S, base_red, comp, counter, stop):
-            if cur.sign(S.alpha) < 0:
-                cap = len(chosen) - 1
-                best = min(best, (len(chosen), chosen))
+        bar, last = [0, 0, best[0]], 0
+        for _, size, last in _component_walk(comp, counter, S.alpha, bar):
+            bar[2] = size - 1
+        if last:
+            best = min(best, (bar[2] + 1, comp.ids_of(last)))
     return frozenset(best[1]) or None
 
 

@@ -8,9 +8,9 @@ it: window widths, gap thresholds, epsilon bounds and floors.
 
 Sign determination.  Every pre-dimension question (closedness, K+, minimal
 pairs, chains) reduces to the sign of an integer pair dim - alpha*col, which
-`PreDimValue.sign` and `compare` decide in integers alone, without building a
-`QuadRat`.  For rational alpha = num/den the sign is that of
-den*dim - num*col.  For quadratic alpha = (a + b*sqrt(d))/c, multiplying by
+`pre_dim_sign` decides in integers alone, without building a `QuadRat`;
+`PreDimValue.sign`, `compare` and the subset searches call it.  For
+rational alpha = num/den the sign is that of den*dim - num*col.  For quadratic alpha = (a + b*sqrt(d))/c, multiplying by
 c > 0 gives u + w*sqrt(d) with u = c*dim - a*col and w = -b*col.  When u and
 w agree in sign, or one of them is zero, that is the answer; otherwise the
 term of larger magnitude decides, found by comparing u^2 with w^2*d (equality
@@ -298,13 +298,13 @@ class PreDimValue:
         return QuadRat.of(self.dim_part) - alpha.value() * self.color_part
 
     def sign(self, alpha: Alpha) -> int:
-        return _sign(self.dim_part, self.color_part, alpha)
+        return pre_dim_sign(self.dim_part, self.color_part, alpha)
 
 
 ZERO = PreDimValue(0, 0)
 
 
-def _sign(dim: int, col: int, alpha: Alpha) -> int:
+def pre_dim_sign(dim: int, col: int, alpha: Alpha) -> int:
     """Exact sign of dim - alpha*col, in integers only (see the module docstring)."""
     if alpha.is_rational:
         lhs = alpha.den * dim - alpha.num * col
@@ -321,7 +321,7 @@ def _sign(dim: int, col: int, alpha: Alpha) -> int:
 
 def compare(x: PreDimValue, y: PreDimValue, alpha: Alpha) -> int:
     """Exact order of the two real values: -1 (less), 0 (equal), +1 (greater)."""
-    return _sign(x.dim_part - y.dim_part, x.color_part - y.color_part, alpha)
+    return pre_dim_sign(x.dim_part - y.dim_part, x.color_part - y.color_part, alpha)
 
 
 def compare_word(x: PreDimValue, y: PreDimValue, alpha: Alpha) -> str:

@@ -177,6 +177,16 @@ def walk(rows, root, take, prune=None):
         stack.append((i + 1, pending, i if any(row) else None, take(state, i, row), True))
 
 
+def suffix_ranks(rows, ncols: int) -> list[int]:
+    """rank(rows[i:]) for i = 0 .. len(rows), from one reverse `SpanReducer`
+    pass."""
+    red = SpanReducer(ncols)
+    out = [0]
+    for row in reversed(rows):
+        out.append(out[-1] + red.add(row))
+    return out[::-1]
+
+
 def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
     """Canonical integer rows of the span of echelon integer rows.
 

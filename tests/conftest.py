@@ -21,7 +21,9 @@ ALPHA_ONE = Alpha.rational(1, 1)
 ALPHA_HALF = Alpha.rational(1, 2)
 ALPHA_TWO_THIRDS = Alpha.rational(2, 3)
 ALPHA_INV_SQRT2 = Alpha.quadratic(0, 1, 2, 2)
+ALPHA_GOLDEN = Alpha.quadratic(-1, 1, 2, 5)  # (sqrt(5) - 1)/2
 ALL_ALPHAS = [ALPHA_ONE, ALPHA_HALF, ALPHA_TWO_THIRDS, ALPHA_INV_SQRT2]
+SEARCH_ALPHAS = [ALPHA_HALF, ALPHA_TWO_THIRDS, ALPHA_INV_SQRT2, ALPHA_GOLDEN]
 
 
 def random_structure(rng: random.Random, alpha: Alpha, max_n=8, max_dim=5, color_p=0.45):
@@ -40,6 +42,31 @@ def random_structure(rng: random.Random, alpha: Alpha, max_n=8, max_dim=5, color
         if rng.random() < color_p:
             colored.add(eid)
     return ColoredStructure(Backend(LINEAR, dim), tuple(elements), frozenset(colored), alpha)
+
+
+def random_dependent_structure(rng: random.Random, alpha: Alpha, n: int, dim: int, color_p=0.5):
+    """n points with fractional entries, a fifth of them exact repeats or
+    scaled copies of earlier points and a fifth sums with a multiple of
+    another, so dependent and parallel payloads are common."""
+    vecs = []
+    for _ in range(n):
+        pick = rng.random()
+        vec = ()
+        if vecs and pick < 0.2:
+            vec = tuple(x * rng.choice([1, 1, -1, Fraction(1, 2), 3]) for x in rng.choice(vecs))
+        elif len(vecs) > 1 and pick < 0.4:
+            a, b = rng.sample(vecs, 2)
+            c = Fraction(rng.randint(-2, 2), rng.randint(1, 3)) or Fraction(1)
+            vec = tuple(x + c * y for x, y in zip(a, b))
+        while not any(vec):
+            vec = tuple(
+                Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.6 else Fraction(0)
+                for _ in range(dim)
+            )
+        vecs.append(vec)
+    elements = tuple(GroundElement(f"e{i:02d}", v) for i, v in enumerate(vecs))
+    colored = frozenset(e.id for e in elements if rng.random() < color_p)
+    return ColoredStructure(Backend(LINEAR, dim), elements, colored, alpha)
 
 
 def random_k_plus_structure(rng, alpha, max_n=8, max_dim=5, color_p=0.35):
@@ -254,6 +281,40 @@ class SubsetTable:
                     break
                 sub = (sub - 1) & rest
         return closed
+
+
+def submasks(mask: int):
+    """Every submask of mask, mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def brute_components(t: SubsetTable, x_mask: int) -> tuple[int, list[int]]:
+    """(loops, components) of the colored points outside X, contracted by X.
+
+    loops is the mask of those lying in span(X).  The components are the
+    connected components of the others, P: the least nonempty separators,
+    sets A within P with dim(A/X) + dim(P - A/X) = dim(P/X), each the
+    intersection of the separators holding one point; sorted by least point.
+    """
+    rel = lambda m: t.dim[m | x_mask] - t.dim[x_mask]
+    cand = [j for j in range(t.n) if not x_mask >> j & 1 and t.ids[j] in t.S.colored]
+    loops = sum(1 << j for j in cand if rel(1 << j) == 0)
+    p = sum(1 << j for j in cand) & ~loops
+    seps = [a for a in submasks(p) if rel(a) + rel(p ^ a) == rel(p)]
+    comps = set()
+    for j in cand:
+        if p >> j & 1:
+            comp = p
+            for a in seps:
+                if a >> j & 1:
+                    comp &= a
+            comps.add(comp)
+    return loops, sorted(comps, key=lambda m: m & -m)
 
 
 def brute_in_k_plus(S: ColoredStructure) -> bool:

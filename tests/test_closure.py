@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,22 +20,26 @@ from bicolor.closure import (
     is_minimal_pair,
 )
 from bicolor.colored import ColoredStructure, delta, in_k_plus
-from bicolor.construct import free_power_patch, minimal_pair_chain
+from bicolor.construct import free_power_patch, minimal_pair_chain, transcendental_patch
 from bicolor.errors import NotInKPlus
 from bicolor.exactnum import Alpha, PreDimValue, compare
 from bicolor.pregeom import Backend, GroundElement, LINEAR
 
 from conftest import (
     ALL_ALPHAS,
+    ALPHA_GOLDEN,
     ALPHA_HALF,
     ALPHA_INV_SQRT2,
     ALPHA_ONE,
     ALPHA_TWO_THIRDS,
+    SEARCH_ALPHAS,
     SubsetTable,
     alpha_sign,
     brute_closure,
     brute_d_value,
     brute_is_closed,
+    brute_in_k_plus,
+    random_dependent_structure,
     random_k_plus_structure,
     random_structure,
 )
@@ -75,6 +80,27 @@ class TestIsClosed:
             ids = list(S.ids_sorted)
             x = rng.sample(ids, rng.randint(0, len(ids)))
             assert is_closed(x, S) == brute_is_closed(S, x)
+
+
+def test_closure_queries_match_subset_table():
+    """is_closed, the least violator, closure and D(A) against the table on
+    K+ structures of up to nine points with dependent payloads."""
+    rng = random.Random(0xC105)
+    steps = []
+    for i in range(120):
+        alpha = SEARCH_ALPHAS[i % 4]
+        S = random_dependent_structure(rng, alpha, rng.randint(3, 9), rng.randint(2, 6), 0.4)
+        if not brute_in_k_plus(S):
+            continue
+        table = SubsetTable(S)
+        ids = list(S.ids_sorted)
+        x = rng.sample(ids, rng.randint(0, 3))
+        assert is_closed(x, S) == brute_is_closed(S, x)
+        cl, n = closure_with_steps(x, S)
+        assert cl == brute_closure(S, x, table)
+        assert compare(d_value(x, S), PreDimValue(*brute_d_value(S, x)), alpha) == 0
+        steps.append(n)
+    assert len(steps) >= 60 and sum(n >= 1 for n in steps) >= 20
 
 
 class TestClosure:
@@ -284,6 +310,71 @@ class TestMinimalPairsIntrinsic:
         assert got == [(True, False, False, False)] * 3
         assert not is_minimal_pair(res.levels[0].d_ids, res.levels[2].d_ids, S)
 
+    def test_dependent_payloads_with_plain_points_inside(self):
+        """Both verdicts against the mask table on structures of up to ten
+        points with repeated and dependent payloads, B minus A often holding
+        plain points, at alpha = 1/2, 2/3, 1/sqrt(2) and (sqrt(5) - 1)/2."""
+        rng = random.Random(0x1A7)
+        seen = {"intrinsic": 0, "minimal": 0, "plain inside": 0}
+        for i in range(240):
+            alpha = SEARCH_ALPHAS[i % 4]
+            S = random_dependent_structure(rng, alpha, rng.randint(3, 10), rng.randint(2, 5), 0.7)
+            table = SubsetTable(S)
+            ids = list(S.ids_sorted)
+            b = frozenset(rng.sample(ids, rng.randint(1, len(ids))))
+            a = frozenset(rng.sample(sorted(b), rng.randint(0, len(b) - 1)))
+            ma, mb = table.mask_of(a), table.mask_of(b)
+            inner = [m for m in range(mb) if m & mb == m and m & ma == ma]
+            intrinsic = all(
+                table._sign(table.dim[mb] - table.dim[m], table.col[mb] - table.col[m]) < 0
+                for m in inner
+            )
+            minimal = table.delta_sign(mb ^ ma, ma) < 0 and all(
+                table.delta_sign(m ^ ma, ma) >= 0 for m in inner if m != ma
+            )
+            assert is_intrinsic(a, b, S) == intrinsic
+            assert is_minimal_pair(a, b, S) == minimal
+            seen["intrinsic"] += intrinsic
+            seen["minimal"] += minimal
+            # the walk runs, and must find a failing subset: B minus a plain
+            # point never has the larger delta
+            seen["plain inside"] += bool((b - a) - S.colored) and table.delta_sign(mb ^ ma, ma) < 0
+        assert min(seen.values()) >= 10, seen
+
+    def test_intrinsic_tie_below_a_skipped_plain_point(self):
+        """delta(C/A) = delta(B/A) for C = B minus the plain point b, which
+        sorts first: the walk meets C only below the node that skipped b,
+        whose bound delta({c1}/A) - alpha * 1 equals delta(B/A), so the
+        prune there must be strict."""
+        for alpha in (ALPHA_TWO_THIRDS, ALPHA_INV_SQRT2, ALPHA_ONE):
+            S = ColoredStructure(
+                Backend(LINEAR, 2),
+                (ge("a", 1, 0), ge("b", 0, 1), ge("c1", 1, 1), ge("c2", 2, 1)),
+                frozenset({"c1", "c2"}),
+                alpha,
+            )
+            assert not is_intrinsic(["a"], ["a", "b", "c1", "c2"], S)
+            assert is_intrinsic(["a"], ["a", "c1", "c2"], S)
+
+    def test_minimal_pair_walk_pinned(self, monkeypatch):
+        """The 9-point patch of the query workload's median job, (s, k) =
+        (4, 9) at 1/sqrt(5) over one plain point, is a minimal pair, found
+        by walking 36 of the 512 subsets of its new points."""
+        alpha = Alpha.quadratic(0, 1, 5, 5)
+        base = ColoredStructure(Backend(LINEAR, 1), (ge("b", 1),), frozenset(), alpha)
+        S = transcendental_patch([], ["b"], F(1, 10), base).structure
+        walked, original = [], closure_module.walk
+
+        def counting(*args, **kwargs):
+            for node in original(*args, **kwargs):
+                walked.append(node[2])
+                yield node
+
+        monkeypatch.setattr(closure_module, "walk", counting)
+        assert len(S) == 10 and is_minimal_pair(["b"], S.id_set, S)
+        assert (sum(walked), len(walked)) == (36, 71)
+
+
 class TestSmoothClassAxioms:
     def test_axioms_on_random_nests(self, rng):
         for i in range(120):
@@ -340,6 +431,18 @@ class TestDValue:
             ids = list(S.ids_sorted)
             a = rng.sample(ids, rng.randint(0, len(ids)))
             assert compare(d_value(a, S), delta(S, closure(a, S)), alpha) == 0
+
+    @pytest.mark.parametrize("alpha", [ALPHA_INV_SQRT2, ALPHA_GOLDEN, Alpha.quadratic(0, 1, 3, 3)])
+    def test_closure_identity_at_quadratic_alpha(self, alpha):
+        # D(A) = delta(cl(A)) holds at every alpha (closure's module docstring)
+        rng = random.Random(repr(alpha))
+        for _ in range(40):
+            S = random_k_plus_structure(rng, alpha, max_n=7, max_dim=4, color_p=0.5)
+            ids = list(S.ids_sorted)
+            a = rng.sample(ids, rng.randint(0, len(ids)))
+            got = d_value(a, S)
+            assert compare(got, delta(S, closure(a, S)), alpha) == 0
+            assert compare(got, PreDimValue(*brute_d_value(S, a)), alpha) == 0
 
     def test_monotone_under_ambient_growth(self, rng):
         for i in range(30):

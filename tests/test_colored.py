@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -36,9 +37,13 @@ from conftest import (
     ALPHA_INV_SQRT2,
     ALPHA_ONE,
     ALPHA_TWO_THIRDS,
+    SEARCH_ALPHAS,
     SubsetTable,
+    brute_components,
     brute_in_k_plus,
+    random_dependent_structure,
     random_structure,
+    submasks,
 )
 
 
@@ -560,17 +565,17 @@ def _component_case(seed, n, dim, nx, alpha):
 # (seed, n, dim, nx, alpha) -> per component over X: (size, dim part, color
 # part, witness, budget left of 10 000).
 COMPONENT_PINS = [
-    ((1, 6, 4, 1, ALPHA_TWO_THIRDS), [(4, 2, 4, "e1,e2,e3,e5", 9983), (1, 0, 0, "", 9999)]),
-    ((15, 6, 4, 1, ALPHA_INV_SQRT2), [(2, 1, 2, "e2,e5", 9993), (1, 0, 0, "", 9999), (1, 0, 0, "", 9999)]),
-    ((61, 6, 4, 1, ALPHA_INV_SQRT2), [(2, 1, 2, "e1,e2", 9993), (3, 2, 3, "e3,e4,e5", 9985)]),
-    ((96, 6, 4, 1, ALPHA_TWO_THIRDS), [(5, 1, 2, "e1,e2", 9975)]),
-    ((14, 6, 4, 1, ALPHA_INV_SQRT2), [(4, 0, 0, "", 9971)]),
-    ((13, 9, 8, 1, ALPHA_INV_SQRT2), [(6, 0, 0, "", 9917), (1, 0, 0, "", 9999), (1, 0, 0, "", 9999)]),
-    ((48, 10, 7, 2, ALPHA_INV_SQRT2), [(7, 0, 0, "", 9831)]),
-    ((227, 10, 7, 2, ALPHA_HALF), [(7, 0, 0, "", 9935), (1, 0, 0, "", 9999)]),
-    ((199, 9, 6, 1, ALPHA_TWO_THIRDS), [(8, 5, 8, "e1,e2,e3,e4,e5,e6,e7,e8", 9823)]),
-    ((5, 9, 6, 1, ALPHA_INV_SQRT2), [(8, 5, 8, "e1,e2,e3,e4,e5,e6,e7,e8", 9801)]),
-    ((5, 9, 6, 1, ALPHA_TWO_THIRDS), [(8, 5, 8, "e1,e2,e3,e4,e5,e6,e7,e8", 9801)]),
+    ((1, 6, 4, 1, ALPHA_TWO_THIRDS), [(4, 2, 4, "e1,e2,e3,e5", 9991), (1, 0, 0, "", 9999)]),
+    ((15, 6, 4, 1, ALPHA_INV_SQRT2), [(2, 1, 2, "e2,e5", 9995), (1, 0, 0, "", 9999), (1, 0, 0, "", 9999)]),
+    ((61, 6, 4, 1, ALPHA_INV_SQRT2), [(2, 1, 2, "e1,e2", 9995), (3, 2, 3, "e3,e4,e5", 9991)]),
+    ((96, 6, 4, 1, ALPHA_TWO_THIRDS), [(5, 1, 2, "e1,e2", 9981)]),
+    ((14, 6, 4, 1, ALPHA_INV_SQRT2), [(4, 0, 0, "", 9985)]),
+    ((13, 9, 8, 1, ALPHA_INV_SQRT2), [(6, 0, 0, "", 9967), (1, 0, 0, "", 9999), (1, 0, 0, "", 9999)]),
+    ((48, 10, 7, 2, ALPHA_INV_SQRT2), [(7, 0, 0, "", 9883)]),
+    ((227, 10, 7, 2, ALPHA_HALF), [(7, 0, 0, "", 9949), (1, 0, 0, "", 9999)]),
+    ((199, 9, 6, 1, ALPHA_TWO_THIRDS), [(8, 5, 8, "e1,e2,e3,e4,e5,e6,e7,e8", 9919)]),
+    ((5, 9, 6, 1, ALPHA_INV_SQRT2), [(8, 5, 8, "e1,e2,e3,e4,e5,e6,e7,e8", 9873)]),
+    ((5, 9, 6, 1, ALPHA_TWO_THIRDS), [(8, 5, 8, "e1,e2,e3,e4,e5,e6,e7,e8", 9873)]),
 ]
 
 
@@ -648,3 +653,92 @@ def test_exhausted_budget_is_named():
     with pytest.raises(SearchBudgetExceeded, match="node budget of 1 exhausted") as err:
         min_relative_delta(witness_structure(), [], node_budget=1)
     assert isinstance(err.value, InvariantError) and err.value.code == "SearchBudgetExceeded"
+
+
+def _search_cases(seed, count, max_n):
+    """(S, X, table) on random structures of 4 .. max_n points with
+    dependent, parallel and repeated payloads, about half of them colored,
+    X empty in a quarter of the cases, cycling through SEARCH_ALPHAS."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(4, max_n)
+        S = random_dependent_structure(rng, SEARCH_ALPHAS[k % 4], n, rng.randint(2, 6), 0.6)
+        x = rng.sample(S.ids_sorted, rng.randint(0, 3) if k % 4 else 0)
+        yield S, x, SubsetTable(S)
+
+
+def _first_minimizers(t, x_mask):
+    """The oracle of `min_relative_delta`: the least (dim, colored) pair of
+    delta(A/X) and its witness mask, the zero-residual colored points plus,
+    per component (`brute_components`), the first subset in lex order of
+    sorted indices that attains the component's least delta over X, or the
+    empty set when that least delta is 0."""
+    loops, comps = brute_components(t, x_mask)
+    total, witness = [0, bin(loops).count("1")], loops
+    for comp in comps:
+        idx = [j for j in range(t.n) if comp >> j & 1]
+        best, best_mask = (0, 0), 0
+        for c in sorted(itertools.chain.from_iterable(
+            itertools.combinations(idx, r) for r in range(len(idx) + 1)
+        )):
+            m = sum(1 << j for j in c)
+            pair = t.delta_pair(m, x_mask)
+            if t._sign(pair[0] - best[0], pair[1] - best[1]) < 0:
+                best, best_mask = pair, m
+        total = [total[0] + best[0], total[1] + best[1]]
+        witness |= best_mask
+    return PreDimValue(*total), witness
+
+
+def test_searches_match_subset_table():
+    """min_relative_delta's value and witness and min_violating_witness
+    against the brute-force table, over X empty or not, on structures of up
+    to twelve points at alpha = 1/2, 2/3, 1/sqrt(2) and (sqrt(5) - 1)/2."""
+    sizes = []
+    for S, x, t in _search_cases(0x5EA, 160, 12):
+        x_mask = t.mask_of(x)
+        loops, comps = brute_components(t, x_mask)
+        drops, got_comps = colored.colored_components(S, x)
+        assert (t.mask_of(drops), [t.mask_of(c) for c in got_comps]) == (loops, comps)
+        value, witness = _first_minimizers(t, x_mask)
+        assert min_relative_delta(S, x) == (value, t.ids_of(witness))
+        brute = _least_violator(t, x_mask)
+        got = min_violating_witness(S, x)
+        assert got == (None if brute is None else t.ids_of(brute))
+        sizes.append((len(got) if got else 0, max(map(len, got_comps), default=0)))
+    # closed sets, single-point and larger violators, and components of
+    # eight or more points all occur
+    assert sum(w == 0 for w, _ in sizes) >= 20 and sum(w == 1 for w, _ in sizes) >= 20
+    assert sum(w >= 2 for w, _ in sizes) >= 20 and sum(c >= 8 for _, c in sizes) >= 10
+
+
+@pytest.mark.parametrize("alpha", SEARCH_ALPHAS + [ALPHA_ONE])
+def test_suffix_rank_bound(alpha):
+    """The colored module's lemma, node by node: for the points q_0 < ... <
+    q_{n-1} outside X, every i and every C within q[:i], the least
+    delta(C u T / X) over T within q[i:] is >= delta(C / X) - alpha * rho,
+    rho = (n - i) - max(R_n - R_i, S_i - dim(C / X)), all read off the
+    table.  Plain points are among the q's: they only raise delta."""
+    rng = random.Random(repr(alpha))
+    tight = 0
+    for _ in range(25):
+        S = random_dependent_structure(rng, alpha, rng.randint(3, 9), rng.randint(2, 5), 0.8)
+        t = SubsetTable(S)
+        x_mask = t.mask_of(rng.sample(S.ids_sorted, rng.randint(0, 2)))
+        q = [j for j in range(t.n) if not x_mask >> j & 1]
+        n = len(q)
+        rank = lambda m: t.dim[m | x_mask] - t.dim[x_mask]
+        for i in range(n + 1):
+            head = sum(1 << j for j in q[:i])
+            tail = sum(1 << j for j in q[i:])
+            big_r, big_s = rank(head | tail) - rank(head), rank(tail)
+            for c in submasks(head):
+                dim_c, col_c = t.delta_pair(c, x_mask)
+                rho = (n - i) - max(big_r, big_s - dim_c)
+                signs = [
+                    t._sign(d - dim_c, col - col_c - rho)
+                    for d, col in (t.delta_pair(c | u, x_mask) for u in submasks(tail))
+                ]
+                assert min(signs) >= 0
+                tight += min(signs) == 0 and rho > 0
+    assert tight > 0  # the bound is attained

@@ -22,6 +22,7 @@ from bicolor.exactnum import (
     compare_word,
     dirichlet_window,
     epsilon_bound,
+    pre_dim_sign,
     rational_pair,
 )
 
@@ -177,6 +178,24 @@ class TestIntegerSign:
             x = data.draw(_pairs(a))
             y = data.draw(_pairs(a))
             assert compare(x, y, a) == (x.value(a) - y.value(a)).sign()
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [Alpha.rational(1, 1), Alpha.rational(1, 2), ALPHA_TWO_THIRDS, Alpha.rational(5, 7)]
+        + QUADRATIC_ALPHAS,
+    )
+    def test_pre_dim_sign_on_a_grid(self, alpha):
+        # every pair with |dim|, |col| <= 40: at alpha = 1 and 1/2, alpha*col
+        # is an integer on many of them, so the zero sign occurs
+        value = alpha.value()
+        zeros = 0
+        for dim in range(-40, 41):
+            for col in range(-40, 41):
+                want = (value * -col + dim).sign()
+                assert pre_dim_sign(dim, col, alpha) == want
+                assert pdv(dim, col).sign(alpha) == want == compare(pdv(dim, col), pdv(0, 0), alpha)
+                zeros += want == 0
+        assert zeros == (1 if not alpha.is_rational else 2 * (40 // alpha.den) + 1)
 
     def test_near_zero_uses_squares(self):
         # mixed signs of u and w with |u| close to |w|*sqrt(d): convergents of alpha
