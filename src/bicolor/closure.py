@@ -31,7 +31,7 @@ from .colored import (
 )
 from .errors import InputError, InvariantError, NotInKPlus
 from .exactnum import ZERO, PreDimValue, compare, pre_dim_sign
-from .pregeom import dim_independent as _dim_indep_elements, suffix_ranks, walk
+from .pregeom import dim_independent as _dim_indep_elements, suffix_rank_bound, walk
 
 
 def _require_subset(small, big, what: str):
@@ -93,32 +93,31 @@ def _proper_subsets_hold(S: ColoredStructure, a, extra, floor, strict) -> bool:
     reduced against span(A) that stops at a failure.
 
     The walk folds (dim(C/A), colored count, |C|) in integers and decides
-    each node by `pre_dim_sign`.  Its first n + 1 nodes are the spine, the
-    prefixes extra[:i] taking every row, and give R_i = dim(extra[:i] / A);
-    S_i = dim(extra[i:] / A) comes from one reverse pass.  A node on
-    extra[:i] holding C that has skipped a row (|C| < i) has only proper
-    subsets below it, and is not expanded once delta(C/A) - alpha * rho
-    meets the threshold, rho = (n - i) - max(R_n - R_i, S_i - dim(C/A)):
-    by the `colored` module's suffix-rank lemma every subset below it then
-    meets it too.  Plain points in `extra` only raise delta over that
-    bound, so the lemma holds for them as well.  Callers first ask
-    delta(extra/A) < 0, never so in the free backend.
+    each node by `pre_dim_sign`: a node meets the threshold when the sign
+    of delta(C/A) - floor is at least `least_sign`, 1 if strict and 0 if
+    not.  A node on extra[:i] holding C that has skipped a row (|C| < i)
+    has only proper subsets below it, and is not expanded once delta(C/A) -
+    alpha * rho meets the threshold, rho = (n - i) - max(R_n - R_i, S_i -
+    dim(C/A)) with R_i = dim(extra[:i] / A) and S_i = dim(extra[i:] / A)
+    (`pregeom.suffix_rank_bound`): by the `colored` module's suffix-rank
+    lemma every subset below it then meets it too.  Plain points in
+    `extra` only raise delta over that bound, so the lemma holds for them
+    as well.  Callers first ask delta(extra/A) < 0, never so in the free
+    backend, so `extra` itself fails the threshold; it lies below every
+    spine node (one that has skipped no row), whose bound therefore never
+    meets it, and the walk does not test them.
     """
     n = len(extra)
-    red = S.reducer_for(a)
-    rows = [red.residual(S.introw(e)) for e in extra]
+    base = S.reducer_for(a)
+    rows = [base.residual(S.introw(e)) for e in extra]
     colors = [S.is_colored(e) for e in extra]
-    null = [(n - i) - s for i, s in enumerate(suffix_ranks(rows, red.ncols))]
-    ranks = []
+    _, red, null = suffix_rank_bound(rows, base.ncols)
     fd, fc, alpha = floor.dim_part, floor.color_part, S.alpha
-    meets = lambda dim, col: pre_dim_sign(dim - fd, col - fc, alpha) >= strict
+    least_sign = 1 if strict else 0
+    meets = lambda dim, col: pre_dim_sign(dim - fd, col - fc, alpha) >= least_sign
     take = lambda st, i, row: (st[0] + any(row), st[1] + colors[i], st[2] + 1)
-    prune = lambda i, st: st[2] < i and meets(
-        st[0], st[1] + min((n - i) - (ranks[n] - ranks[i]), null[i] + st[0])
-    )
-    for i, (dimc, ncol, size), new in walk(rows, (0, 0, 0), take, prune):
-        if size == i:
-            ranks.append(dimc)
+    prune = lambda i, st: st[2] < i and meets(st[0], st[1] + min(red[i], null[i] + st[0]))
+    for _, (dimc, ncol, size), new in walk(rows, (0, 0, 0), take, prune):
         if new and 0 < size < n and not meets(dimc, ncol):
             return False
     return True

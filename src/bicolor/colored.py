@@ -31,9 +31,9 @@ whose bound delta(C / X) - alpha * rho is no less than the best value so far
 the static red_i = (n - i) - (R_n - R_i), so the bound prunes every node
 that bound did; a pruned node's subtree holds nothing strictly better than
 the best so far, so the first minimizer in lex order and the (size,
-lex)-least violator are met as before.  R_i comes from the direct-sum check
-of `colored_components` and S_i from one reverse pass (`suffix_ranks`); the
-walk folds (dim(C / X), |C|, bitmask of C) in integers and decides each node
+lex)-least violator are met as before.  `colored_components` works out
+R_i and S_i once per component (`pregeom.suffix_rank_bound`, whose R_n
+feeds its direct-sum check); the walk folds (dim(C / X), |C|, bitmask of C) in integers and decides each node
 by `pre_dim_sign`, building the witness's ids once.
 
 The witness search also prunes by size.  The walk meets subsets of equal
@@ -73,7 +73,7 @@ from .errors import (
 )
 from .exactnum import Alpha, PreDimValue, ZERO, pre_dim_sign
 from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer, int_row
-from .pregeom import dependency_kernel, solve, suffix_ranks, walk
+from .pregeom import dependency_kernel, solve, suffix_rank_bound, walk
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -294,15 +294,13 @@ class _UnionFind:
 
 class _Component(list):
     """A component's ids in order, with `rows`, their residuals over span(X),
-    and `ranks`, the prefix ranks R_0 .. R_n of those rows."""
+    their `rank`, and the `red` and `null` lists of their suffix-rank bound
+    (`pregeom.suffix_rank_bound`)."""
 
     def __init__(self, ids, rows, ncols):
         super().__init__(ids)
-        self.rows, self.ncols = rows, ncols
-        red = SpanReducer(ncols)
-        self.ranks = [0]
-        for row in rows:
-            self.ranks.append(self.ranks[-1] + red.add(row))
+        self.rows = rows
+        self.rank, self.red, self.null = suffix_rank_bound(rows, ncols)
 
     def ids_of(self, mask) -> tuple[str, ...]:
         return tuple(eid for j, eid in enumerate(self) if mask >> j & 1)
@@ -314,8 +312,10 @@ def colored_components(S: ColoredStructure, x_ids):
     Zero-residual colored points always lower delta; the rest decompose into
     connected components of the contracted matroid, read off the fundamental
     circuits of the greedy basis.  delta minimization is additive across
-    components.  Each component carries its residual rows and prefix ranks
-    (`_Component`) for the searches.
+    components.  Each component carries its residual rows and the lists of
+    its suffix-rank bound (`_Component`) for the searches.  In the free
+    backend each candidate is a component of its own, a plain list of its
+    id: no subset lowers delta there, so the searches return before walking.
     """
     x = S.check_ids(x_ids)
     cands = sorted(i for i in S.colored - x)
@@ -351,7 +351,7 @@ def colored_components(S: ColoredStructure, x_ids):
     ]
     # Direct-sum sanity: component ranks must add up to the total.  The
     # residuals are clear of span(X), so each component's rank is theirs.
-    if sum(comp.ranks[-1] for comp in out) != rank:
+    if sum(comp.rank for comp in out) != rank:
         raise InvariantError("component decomposition lost rank")
     return drops, out
 
@@ -383,14 +383,11 @@ def _component_walk(comp, counter, alpha, bar):
     `bar` is [dim, col, cap], the value dim - alpha * col to beat and a size
     cap, which the caller raises as it goes.  A node on comp[:i] holding C
     is not expanded when |C| >= cap or delta(C/X) - alpha * rho is no less
-    than the bar's value, rho = min(red_i, null_i + dim(C/X)) being the
-    module lemma's (n - i) - max(R_n - R_i, S_i - dim(C/X)), with red_i =
-    (n - i) - (R_n - R_i) and null_i = (n - i) - S_i.
+    than the bar's value, rho = min(red[i], null[i] + dim(C/X)) being the
+    module lemma's (n - i) - max(R_n - R_i, S_i - dim(C/X)).
     """
-    n = counter.size = len(comp)
-    ranks = comp.ranks
-    red = [(n - i) - (ranks[n] - ranks[i]) for i in range(n + 1)]
-    null = [(n - i) - s for i, s in enumerate(suffix_ranks(comp.rows, comp.ncols))]
+    counter.size = len(comp)
+    red, null = comp.red, comp.null
     take = lambda st, i, row: (st[0] + any(row), st[1] + 1, st[2] | 1 << i)
     prune = lambda i, st: st[1] >= bar[2] or pre_dim_sign(
         st[0] - bar[0], st[1] + min(red[i], null[i] + st[0]) - bar[1], alpha
@@ -401,15 +398,11 @@ def _component_walk(comp, counter, alpha, bar):
             yield state
 
 
-def _component_min(S, base_red, comp, alpha, counter):
-    """Exact min of delta(C/X) over C within one component, with witness:
-    each subset met below the best so far becomes the bar, and no node is
-    expanded whose bound is no less than it.  comp is a component of
-    `colored_components`, or ids whose rows are then reduced against
-    base_red."""
-    if not isinstance(comp, _Component):
-        rows = [base_red.residual(S.introw(eid)) for eid in comp]
-        comp = _Component(comp, rows, base_red.ncols)
+def _component_min(comp, alpha, counter):
+    """Exact min of delta(C/X) over C within one component of
+    `colored_components`, with witness: each subset met below the best so
+    far becomes the bar, and no node is expanded whose bound is no less
+    than it."""
     bar, mask = [0, 0, len(comp) + 1], 0
     for dim, size, mask in _component_walk(comp, counter, alpha, bar):
         bar[:2] = dim, size
@@ -430,7 +423,7 @@ def min_relative_delta(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NO
     total = PreDimValue(0, len(drops))
     witness = set(drops)
     for comp in comps:
-        v, w = _component_min(S, None, comp, S.alpha, counter)
+        v, w = _component_min(comp, S.alpha, counter)
         total = total + v
         witness |= w
     return total, frozenset(witness)

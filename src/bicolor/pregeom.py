@@ -177,14 +177,22 @@ def walk(rows, root, take, prune=None):
         stack.append((i + 1, pending, i if any(row) else None, take(state, i, row), True))
 
 
-def suffix_ranks(rows, ncols: int) -> list[int]:
-    """rank(rows[i:]) for i = 0 .. len(rows), from one reverse `SpanReducer`
-    pass."""
-    red = SpanReducer(ncols)
-    out = [0]
-    for row in reversed(rows):
-        out.append(out[-1] + red.add(row))
-    return out[::-1]
+def suffix_rank_bound(rows, ncols: int):
+    """(rank(rows), red, null) for the suffix-rank bound of the `colored`
+    module's lemma.  With R_i = rank(rows[:i]) from one forward and S_i =
+    rank(rows[i:]) from one reverse `SpanReducer` pass, red[i] = (n - i) -
+    (R_n - R_i) and null[i] = (n - i) - S_i, so a subset of rows[:i] of
+    rank d has rho = (n - i) - max(R_n - R_i, S_i - d) = min(red[i],
+    null[i] + d)."""
+    n = len(rows)
+    fwd, bwd = SpanReducer(ncols), SpanReducer(ncols)
+    prefix, suffix = [0], [0]
+    for row, back in zip(rows, reversed(rows)):
+        prefix.append(prefix[-1] + fwd.add(row))
+        suffix.append(suffix[-1] + bwd.add(back))
+    red = [(n - i) - (prefix[n] - r) for i, r in enumerate(prefix)]
+    null = [(n - i) - s for i, s in enumerate(reversed(suffix))]
+    return prefix[n], red, null
 
 
 def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:

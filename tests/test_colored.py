@@ -587,7 +587,7 @@ def test_component_min_pinned(case, expected):
     got = []
     for comp in comps:
         counter = colored._BudgetCounter(10_000)
-        v, w = colored._component_min(S, S.reducer_for(x), comp, S.alpha, counter)
+        v, w = colored._component_min(comp, S.alpha, counter)
         got.append((len(comp), v.dim_part, v.color_part, ",".join(sorted(w)), counter.left))
     assert got == expected
 

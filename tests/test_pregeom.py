@@ -23,6 +23,7 @@ from bicolor.pregeom import (
     rel_rank,
     solve,
     span_key,
+    suffix_rank_bound,
     walk,
 )
 
@@ -147,6 +148,22 @@ def test_eliminate_walk_matches_reducer_and_bareiss(rng):
             else:
                 stack.append((i + 1, pending, kept, chosen + (i,)))
     assert leaves > 1000
+
+
+def test_suffix_rank_bound_matches_bareiss(rng):
+    """red[i] = (n - i) - (R_n - R_i) and null[i] = (n - i) - S_i for the
+    Bareiss ranks R_i of rows[:i] and S_i of rows[i:], and the rank is R_n."""
+    for _ in range(60):
+        ncols = rng.randint(1, 5)
+        rows = _walk_rows(rng, ncols)
+        n = len(rows)
+        big_r = [rank_int_matrix(rows[:i], ncols) for i in range(n + 1)]
+        big_s = [rank_int_matrix(rows[i:], ncols) for i in range(n + 1)]
+        assert suffix_rank_bound(rows, ncols) == (
+            big_r[n],
+            [(n - i) - (big_r[n] - big_r[i]) for i in range(n + 1)],
+            [(n - i) - big_s[i] for i in range(n + 1)],
+        )
 
 
 def test_walk_yields_each_subset_once_with_its_bareiss_rank(rng):

@@ -31,6 +31,7 @@ from bicolor.colored import (
     ColoredStructure,
     _BudgetCounter,
     _component_min,
+    colored_components,
     empty_structure,
     min_violating_witness,
 )
@@ -289,7 +290,7 @@ def test_searches_leave_no_reference_cycles():
     calls = {
         "is_minimal_pair": lambda: is_minimal_pair(["p0"], ["p0", "p1", "p2"], S),
         "_component_min": lambda: _component_min(
-            S, S.reducer_for(["p0"]), ids[1:5], alpha, _BudgetCounter(10_000)
+            colored_components(S, ["p0"])[1][0], alpha, _BudgetCounter(10_000)
         ),
         "min_violating_witness": lambda: min_violating_witness(fresh(S), ["p5"]),
         "_block_profile": lambda: _block_profile(S, 3, ids, 3, 0),
@@ -297,6 +298,7 @@ def test_searches_leave_no_reference_cycles():
         "audit_richness": lambda: audit_richness(fresh(T), 2),
     }
     assert min_violating_witness(S, ["p5"]) == {"p1", "p2", "p3", "p4"}
+    assert colored_components(S, ["p0"])[1] == [ids[1:5]]
     assert {name: _garbage_after(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
 
 
