@@ -12,12 +12,13 @@ is verified, never assumed.  The four patch engines share one pipeline,
 `_patch_union`: a single patch is a free union of one copy.
 
 Each check records its method, "exhaustive" (every case was tried) or
-"certified" (a proof read off the result's verified shape), by one rule:
-exhaustive within the check's limit, otherwise certified, otherwise
-SearchBudgetExceeded.  Patch checks read their subsets off block tables
-(`_block_profile`, `_free_union_min`, `_patch_checks`); other subset checks
-walk them (`_verify_subsets`) or, past the limit, are certified by
-`_moment_shape`; a chain's K+ is certified level by level.
+"certified" (a proof read off the result's verified shape).  Every subset
+check (`_verify_subsets`) follows one rule: certified when `_moment_shape`
+and the check's own exact inequality prove it on the built result, otherwise
+exhaustive within the check's limit, otherwise SearchBudgetExceeded.  A
+patch's ambient K+ and anchor closedness are read off block tables
+(`_block_profile`, `_free_union_min`); a chain's K+ is certified level by
+level.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .closure import is_closed, is_minimal_pair
+from .closure import is_closed
 from .colored import (
     ColoredStructure,
     certify_k_plus,
@@ -70,7 +71,6 @@ from .report import Check
 
 # Largest block whose subsets `_block_profile` tabulates (2^14 - 1 of them).
 BLOCK_PROFILE_LIMIT = 14
-EXHAUSTIVE_MINPAIR_LIMIT = 17
 # Node budget of this module's K+ and closedness searches; an overrun raises
 # SearchBudgetExceeded naming the check (CLI exit 2), never samples.
 VERIFY_NODE_BUDGET = 150_000
@@ -133,18 +133,25 @@ def _transcendental_over(S: ColoredStructure, ids, base) -> bool:
 def _moment_rows(basis_vecs, count: int, lam_start: int = 1):
     """Row for lambda is sum_i lambda^(i-1) * basis_vecs[i]; lambdas are the
     consecutive integers lam_start, lam_start+1, ...; only each vector's
-    nonzero entries are accumulated."""
-    rows = []
-    width = len(basis_vecs[0])
+    nonzero entries are accumulated, as integer numerators over the vectors'
+    common denominator, with one Fraction per column they reach at the end."""
     supports = [[(j, v) for j, v in enumerate(vec) if v] for vec in basis_vecs]
+    den = math.lcm(*(v.denominator for support in supports for _, v in support))
+    supports = [[(j, v.numerator * (den // v.denominator)) for j, v in sup] for sup in supports]
+    cols = sorted({j for support in supports for j, _ in support})
+    zero = Fraction(0)
+    rows = []
     for lam in range(lam_start, lam_start + count):
-        acc = [Fraction(0)] * width
+        acc = dict.fromkeys(cols, 0)
         power = 1
         for support in supports:
             for j, v in support:
                 acc[j] += power * v
             power *= lam
-        rows.append(tuple(acc))
+        row = [zero] * len(basis_vecs[0])
+        for j, x in acc.items():
+            row[j] = Fraction(x, den)
+        rows.append(tuple(row))
     return rows
 
 
@@ -240,20 +247,22 @@ def _verify_subsets(name, S, base, pool, sizes, violates, limit, certify=None) -
     """Check that no non-empty subset C of `pool` (disjoint from `base`) with
     size in `sizes` has a delta(C/base) that `violates`.
 
-    Up to `limit` such subsets, the pool is reduced once against span(base)
-    (the residuals vanish on its pivot columns, so the rank of C's residuals
-    is dim(C/base)) and `pregeom.walk` meets them in lex order, growing no
-    subset to a violator's size once it met one: the last violator met is
-    the least by size, then lex.  Past the limit, `certify()` (a proof from
-    `_moment_shape` that none violates) certifies the check, else it raises.
+    `certify()`, a proof from `_moment_shape` and the check's own exact
+    inequality that none violates, certifies the check before any subset is
+    counted.  Otherwise, up to `limit` such subsets, the pool is reduced once
+    against span(base) (the residuals vanish on its pivot columns, so the
+    rank of C's residuals is dim(C/base)) and `pregeom.walk` meets them in
+    lex order, growing no subset to a violator's size once it met one: the
+    last violator met is the least by size, then lex.  Past the limit it
+    raises.
     """
+    if certify is not None and certify():
+        return Check(name, True, method="certified")
     pool, n = sorted(pool), len(pool)
     count = sum(math.comb(n, j) for j in sizes)
     if count > limit:
-        if certify is None or not certify():
-            msg = f"{name}: {count} subsets exceed the limit {limit}; no certificate applies"
-            raise SearchBudgetExceeded(msg)
-        return Check(name, True, method="certified")
+        msg = f"{name}: {count} subsets exceed the limit {limit}; no certificate applies"
+        raise SearchBudgetExceeded(msg)
     red = S.reducer_for(base)
     rows = [red.residual(S.introw(i)) for i in pool]
     colored = [S.is_colored(i) for i in pool]
@@ -268,9 +277,9 @@ def _verify_subsets(name, S, base, pool, sizes, violates, limit, certify=None) -
 
 def _patch_interior_check(S2, b_ids, new_ids, s: int, name="interior_condition") -> Check:
     """delta(C/B) >= 0 for every proper subset C of the patch `new_ids` of k
-    points, whose s fresh columns are the last.  Past the limit `_moment_shape`
-    gives delta(C/B) >= min(m, s) - alpha*m for |C| = m < k, which is >= 0
-    when s - alpha*(k - 1) >= 0."""
+    points, whose s fresh columns are the last.  `_moment_shape` gives
+    delta(C/B) >= min(m, s) - alpha*m for |C| = m < k, which is >= 0 when
+    s - alpha*(k - 1) >= 0."""
     alpha, k = S2.alpha, len(new_ids)
     return _verify_subsets(
         name, S2, b_ids, new_ids, range(1, k), lambda d: d.sign(alpha) < 0,
@@ -282,7 +291,7 @@ def _patch_interior_check(S2, b_ids, new_ids, s: int, name="interior_condition")
 
 def _genericity_check(S2, new_ids, base_ids, s: int, name="generic_position") -> Check:
     """Every s-subset of the patch, whose s fresh columns are the last, is a
-    base over the anchor; `_moment_shape` certifies it past the limit."""
+    base over the anchor; `_moment_shape` certifies it (dim(C/B) = |C| = s)."""
     return _verify_subsets(
         name, S2, base_ids, new_ids, range(s, s + 1), lambda d: d.dim_part != s, 20_000,
         lambda: _moment_shape(S2, base_ids, _fresh_blocks(S2, [new_ids], s)),
@@ -313,7 +322,7 @@ def _tower_k_plus_check(S, levels, generic_checks) -> Check:
 
     Lemma.  Let D_{l-1} be in K+, and
       (a) every s-subset of N_l a base over D_{l-1}: generic_checks[l-1]
-          passed, by an exact method;
+          passed (every `Check` is exhaustive or certified);
       (b) s - alpha*(k - 1) >= 0;
       (c) delta(F'_l) + min_relative_delta(S'_l, F'_l) >= alpha*k - s.
     Then D_l is in K+.  D_0 is, having no colored point, so S is by induction.
@@ -362,7 +371,7 @@ def _tower_in_k_plus(S, levels, generic_checks) -> bool:
                 return False
         if not _zero_from(S, lv.f_ids, width + s):
             return False
-        if not (gen.passed and gen.method in ("exhaustive", "certified")):  # (a)
+        if not gen.passed:  # (a)
             return False
         if PreDimValue(s, k - 1).sign(S.alpha) < 0:  # (b)
             return False
@@ -579,65 +588,12 @@ def _free_union_min(S2, prime_ids, old_width: int, blocks, profiles) -> PreDimVa
     return best
 
 
-def _patch_checks(S2, b_ids, new_ids, s: int, old_width: int, table, minimal: bool) -> list:
+def _patch_checks(S2, b_ids, new_ids, s: int, minimal: bool) -> list:
     """[generic_position, then minimal_pair if `minimal` else
-    interior_condition] for a patch N = `new_ids` over B = `b_ids`, read off
-    N's block table: `_block_profile` with fresh block [old_width,
-    old_width + s).
-
-    Let k = |N|.  The read-off assumes every point of N colored, B zero past
-    the old columns (so on the fresh block), and the table present with k at
-    most BLOCK_PROFILE_LIMIT; otherwise the checks run as
-    `_genericity_check`, `_patch_interior_check` and `_minimal_pair_check`,
-    each exhaustive within its own limit and certified past it.
-    For C within N with table key (K, f), span(C u B) maps onto the fresh
-    block with rank f and kernel K + span(B), so dim(C/B) = f + d(K) with
-    d(K) = dim((K + span B)/span B), one reduction per key.  So each entry
-    gives j = dim(C/B), shared by the Cs of its key, and the size of the
-    largest; C is colored, so delta(C/B) = j - alpha*|C|, least at that
-    size.  R = dim(N/B) is the largest j.
-
-    Lemma.  (i) Every s-subset of N is a base over B iff k < s or no entry
-    has j < s and size > j.  (ii) delta(C/B) >= 0 for every nonempty proper
-    C iff j - alpha*size >= 0 for every entry with j < R, and
-    R - alpha*(k - 1) >= 0.  (iii) (B, B u N) is a minimal pair iff (ii)
-    holds and R - alpha*k < 0.
-
-    Proof.  (i) An s-subset of rank below s has j < s = |C|, so its entry
-    has size > j.  Conversely, a C with j < s and |C| > j is dependent over
-    B, so holds a circuit over B of at most j + 1 <= s points; when k >= s,
-    an s-subset containing it has rank at most s - 1.  (ii) Every C with
-    j < R is proper or empty (delta 0), and an entry's size gives the least
-    delta of its key, so the entries with j < R decide them.  A proper C with
-    j = R has delta(C/B) >= R - alpha*(k - 1).  That bound is reached when
-    R < k: N has a circuit over B, and dropping one of its points leaves
-    k - 1 points of rank R; for k = 1 or R = k it holds anyway, alpha lying
-    in (0, 1].  (iii) is (ii) plus delta(N/B) < 0.
-
-    A failed read-off takes its witness from the exhaustive sweep, at most
-    2^BLOCK_PROFILE_LIMIT subsets; `is_minimal_pair` reports none.
-    """
-    alpha, k = S2.alpha, len(new_ids)
-    red = _old_reducer(S2, b_ids, old_width)
-    if table is None or k > BLOCK_PROFILE_LIMIT or red is None or not S2.colored.issuperset(new_ids):
-        if minimal:
-            last = _minimal_pair_check(S2, b_ids, new_ids, s)
-        else:
-            last = _patch_interior_check(S2, b_ids, new_ids, s)
-        return [_genericity_check(S2, new_ids, b_ids, s), last]
-    entries = {(f + len(_modulo(red, key)), size) for (key, f), size in table.items()}
-    rank = max(j for j, _ in entries)
-    generic = k < s or all(size <= j for j, size in entries if j < s)
-    interior = PreDimValue(rank, k - 1).sign(alpha) >= 0 and all(
-        PreDimValue(j, size).sign(alpha) >= 0 for j, size in entries if j < rank
-    )
-    if minimal:
-        last = Check("minimal_pair", interior and PreDimValue(rank, k).sign(alpha) < 0)
-    elif interior:
-        last = Check("interior_condition", True)
-    else:
-        last = _patch_interior_check(S2, b_ids, new_ids, s)
-    return [Check("generic_position", True) if generic else _genericity_check(S2, new_ids, b_ids, s), last]
+    interior_condition] for a patch `new_ids` over `b_ids` whose s fresh
+    columns are the last."""
+    last = _minimal_pair_check if minimal else _patch_interior_check
+    return [_genericity_check(S2, new_ids, b_ids, s), last(S2, b_ids, new_ids, s)]
 
 
 def _patch_preconditions(S, a_ids, b_ids, need_positive_gap=True):
@@ -781,11 +737,10 @@ def transcendental_patch(a_ids, b_ids, epsilon, S: ColoredStructure) -> Construc
         raise GapTooSmall("need delta(B/A) > epsilon")
     pair = dirichlet_window(S.alpha, eps)
     window = PreDimValue(pair.s, pair.k).value(S.alpha)
-    old_width = S.backend.ambient_dim
-    return _patch_union(S, a, b, pair, 1, lambda res, tables, gap_ok: [
+    return _patch_union(S, a, b, pair, 1, lambda res, gap_ok: [
         Check("window", window.sign() < 0 and (window + eps).sign() > 0),
         Check("delta_gap", gap_ok),
-        *_patch_checks(res.structure, b, res.new_ids, pair.s, old_width, tables[0], minimal=False),
+        *_patch_checks(res.structure, b, res.new_ids, pair.s, minimal=False),
     ])
 
 
@@ -805,7 +760,7 @@ def free_power_patch(a_ids, b_ids, mu, n: int, S: ColoredStructure) -> Construct
         terms.append(epsilon_bound(n, S.alpha).value(S.alpha) / n)
     pair = dirichlet_window(S.alpha, min(terms) / 2)
     count = (gap.value(S.alpha) / -PreDimValue(pair.s, pair.k).value(S.alpha)).floor()
-    return _patch_union(S, a, b, pair, count, lambda res, _, gap_ok: [
+    return _patch_union(S, a, b, pair, count, lambda res, gap_ok: [
         Check("per_copy_gap", gap_ok),
         Check("power_gap", (
             delta(res.structure, b | set(res.new_ids), a).value(S.alpha) - mu_q
@@ -825,7 +780,7 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     is closed in D*: "exhaustive" up to BLOCK_PROFILE_LIMIT points a copy,
     "certified" from closed-form tables past it; where the DP does not fit,
     the budgeted searches run.  The checks come in one order: the engine's
-    own, `lead(result, tables, gap_ok)` with gap_ok whether every copy has
+    own, `lead(result, gap_ok)` with gap_ok whether every copy has
     delta(copy/B) = s - alpha*k, then anchor_closed, transcendental and
     ambient_k_plus.
     """
@@ -862,7 +817,7 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     sub = S2.restrict(star)
     anchor = union_check("anchor_closed", sub, a, lambda: is_closed(a, sub, node_budget=VERIFY_NODE_BUDGET))
     res.checks = [
-        *lead(res, tables, all(delta(S2, c, b) == res.delta_gap for c in copies)),
+        *lead(res, all(delta(S2, c, b) == res.delta_gap for c in copies)),
         anchor,
         Check("transcendental", _transcendental_over(S2, star, a)),
         kp,
@@ -873,9 +828,9 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
 
 def _small_extensions_closed_check(res: Construction, b_ids, n) -> Check:
     """delta(C/B) >= 0 for every C of fewer than n points within the copies
-    of `res`.  Past the limit, for n <= k, such a C meets each copy in m < k
-    points, adding min(m, s) - alpha*m to `_moment_shape`'s lower bound on
-    delta(C/B), which is >= 0 when s - alpha*(k - 1) >= 0."""
+    of `res`.  For n <= k such a C meets each copy in m < k points, adding
+    min(m, s) - alpha*m to `_moment_shape`'s lower bound on delta(C/B), which
+    is >= 0 when s - alpha*(k - 1) >= 0; for n > k the subsets are swept."""
     S2, (s, k), alpha = res.structure, (res.pair.s, res.pair.k), res.structure.alpha
     return _verify_subsets(
         "small_sets_closed", S2, b_ids, res.new_ids, range(min(n, len(res.new_ids) + 1)),
@@ -897,21 +852,17 @@ def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Con
     a, b, _ = _patch_preconditions(S, a_ids, b_ids, need_positive_gap=True)
     pair = rational_pair(S.alpha, t)
     exact = S.alpha.den * pair.s - S.alpha.num * pair.k == -1
-    old_width = S.backend.ambient_dim
-    return _patch_union(S, a, b, pair, 1, lambda res, tables, gap_ok: [
+    return _patch_union(S, a, b, pair, 1, lambda res, gap_ok: [
         Check("delta_exact", exact and gap_ok),
         Check("size_exceeds_t", pair.k > t),
-        *_patch_checks(res.structure, b, res.new_ids, pair.s, old_width, tables[0], minimal=True),
+        *_patch_checks(res.structure, b, res.new_ids, pair.s, minimal=True),
     ])
 
 
 def _minimal_pair_check(S2, b_ids, new_ids, s, name="minimal_pair") -> Check:
-    """(B, B u `new_ids`) a minimal pair: searched up to EXHAUSTIVE_MINPAIR_LIMIT
-    new points, past them delta(D/B) < 0 and the interior condition."""
-    d_ids = set(b_ids) | set(new_ids)
-    if len(new_ids) <= EXHAUSTIVE_MINPAIR_LIMIT:
-        return Check(name, is_minimal_pair(b_ids, d_ids, S2))
-    if delta(S2, d_ids, b_ids).sign(S2.alpha) >= 0:
+    """(B, B u `new_ids`) a minimal pair: delta(D/B) < 0, then the interior
+    condition of `_patch_interior_check` under the pair's name."""
+    if delta(S2, set(b_ids) | set(new_ids), b_ids).sign(S2.alpha) >= 0:
         return Check(name, False)
     return _patch_interior_check(S2, b_ids, new_ids, s, name)
 
@@ -930,7 +881,7 @@ def rational_zero_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Constr
         raise GapTooSmall("delta(B/A) must be nonnegative")
     if p == 0:
         return Construction(S, [Check("zero_gap", True)])
-    return _patch_union(S, a, b, rational_pair(S.alpha, t), p, lambda res, _, gap_ok: [
+    return _patch_union(S, a, b, rational_pair(S.alpha, t), p, lambda res, gap_ok: [
         Check("per_copy_gap", gap_ok),
         Check("zero_gap", delta(res.structure, b | set(res.new_ids), a).sign(S.alpha) == 0),
         _small_extensions_closed_check(res, b, t),

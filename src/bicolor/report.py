@@ -5,21 +5,31 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .errors import InvariantError
+
+METHODS = ("exhaustive", "certified")
+
 
 @dataclass
 class Check:
     """One named verification outcome and how it was reached.
 
-    `method` is "exhaustive" (every case tried) or "certified" (a proof read
-    off the verified shape of the result, such as the moment-shape
-    certificate or a chain's level-by-level K+ certificate).  A check that
-    neither decides raises instead of being reported.
+    `method` is "certified" (a proof read off the verified shape of the
+    result, such as the moment-shape certificate, which every subset check
+    tries first, or a chain's level-by-level K+ certificate) or "exhaustive"
+    (every case tried).  A check that neither decides raises instead of
+    being reported, and a Check with any other method raises InvariantError
+    when it is made.
     """
 
     name: str
     passed: bool
     witness: object = None
     method: str = "exhaustive"
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise InvariantError(f"check {self.name}: unknown method {self.method!r}")
 
     def to_json(self) -> dict:
         obj = {"name": self.name, "pass": self.passed, "method": self.method}

@@ -374,15 +374,21 @@ class TestConstructGoldenBytes:
     it walked; both were pinned before the closed form existed.  The 17-point
     patch at 1/sqrt(2) (s = 12) is past BLOCK_PROFILE_LIMIT: its ambient K+
     and anchor checks are certified by the free-union DP on its closed-form
-    table, its interior condition (2^17 - 2 subsets) by the moment-shape
-    certificate, and its genericity (6188 subsets) is swept.  Its stdout
-    had `OLD_PAST_LIMIT_DIGEST` when those three checks were searched or
-    sampled instead (`test_past_limit_old_methods`)."""
+    table.  Every subset check (genericity, interior, minimal pair, small
+    sets) is certified by the moment-shape certificate before any sweep;
+    before it was tried first, the checks named in `moved` were exhaustive
+    and stdout had `old_stdout_digest`.  The 17-point patch's stdout had
+    `OLD_PAST_LIMIT_DIGEST` when its genericity was swept and its other
+    three certified checks were searched or sampled
+    (`test_past_limit_old_methods`)."""
 
     OLD_PAST_LIMIT_DIGEST = "2882e221027cc41b"
     OLD_PAST_LIMIT_METHODS = {
-        "interior_condition": "sampled", "anchor_closed": "exhaustive", "ambient_k_plus": "exhaustive",
+        "generic_position": "exhaustive", "interior_condition": "sampled",
+        "anchor_closed": "exhaustive", "ambient_k_plus": "exhaustive",
     }
+    PATCH = ("generic_position", "interior_condition")
+    RATMIN = ("generic_position", "minimal_pair")
 
     QUAD = '{"kind":"quadratic","a":0,"b":1,"c":2,"d":2}'
     INPUTS = {
@@ -397,37 +403,39 @@ class TestConstructGoldenBytes:
     }
 
     @pytest.mark.parametrize(
-        "structure, argv, stdout_digest, out_digest",
+        "structure, argv, stdout_digest, out_digest, old_stdout_digest, moved",
         [
             ("irr", ["patch", "--base", "b", "--epsilon", "1/3"],
-             "2a26e57eb2094543", "1aae00673358b542"),
+             "57550cb261f35314", "1aae00673358b542", "2a26e57eb2094543", PATCH),
             ("irr6", ["patch", "--base", "b", "--epsilon", "1/10"],
-             "010af60db2cbdd6d", "320bd2e7b829c4b9"),
+             "7f69048563b54850", "320bd2e7b829c4b9", "010af60db2cbdd6d", PATCH),
             ("irr2", ["patch", "--base", "b1,b2", "--epsilon", "1/10"],
-             "f8c9712d883152ed", "04388e70e45f38ed"),
+             "e02dc559bda5cdb5", "04388e70e45f38ed", "f8c9712d883152ed", PATCH),
             ("irr", ["patch", "--base", "b", "--epsilon", "1/20"],
-             "02eb834b97a4be9c", "50cee748c5e0d4a5"),
+             "201376e9cc6bca9b", "50cee748c5e0d4a5", "02eb834b97a4be9c", ("generic_position",)),
             ("irr", ["power", "--base", "b", "--mu", "1/2", "-n", "2"],
-             "610ffd03c9556a0e", "50cd8d331634820a"),
+             "f7d2daae29ca0041", "50cd8d331634820a", "610ffd03c9556a0e", ("small_sets_closed",)),
             ("rat", ["ratmin", "--base", "b", "-t", "0"],
-             "8fc89e4434258d5e", "86c4bd84e76ae430"),
+             "87c5183e6c42dc9a", "86c4bd84e76ae430", "8fc89e4434258d5e", RATMIN),
             ("rat", ["ratmin", "--base", "b", "-t", "1"],
-             "667315bcd54b9278", "bce08e5479282e13"),
+             "9a663936e60d570b", "bce08e5479282e13", "667315bcd54b9278", RATMIN),
             ("rat", ["ratzero", "--base", "b", "-t", "0"],
-             "1e19520c7b0237c5", "cea836df65cc255f"),
+             "99cd6d3736981d8c", "cea836df65cc255f", "1e19520c7b0237c5", ("small_sets_closed",)),
             (None, ["chain", "--alpha", QUAD, "--depth", "2", "--ambient-budget", "32"],
-             "947d6dbb3d1dc971", "f05197bccdc4049a"),
+             "1a33c4d136abe46d", "f05197bccdc4049a", "947d6dbb3d1dc971",
+             ("generic_1", "minimal_pair_1", "generic_2", "minimal_pair_2")),
             ("basis", ["basis", "--base", "b1,b2", "-n", "2"],
-             "601ee901c94bbfbd", "5e3f3f19d55878c0"),
+             "601ee901c94bbfbd", "5e3f3f19d55878c0", "601ee901c94bbfbd", ()),
             ("pool", ["dsystem", "--family", "y0;y1;y2;y3", "-n", "3"],
-             "fb4ee8ee5fb3b5e3", None),
+             "fb4ee8ee5fb3b5e3", None, "fb4ee8ee5fb3b5e3", ()),
         ],
         ids=[
             "patch", "patch-closed-form", "patch-two-point-base", "patch-past-block-limit",
             "power", "ratmin-t0", "ratmin-t1", "ratzero", "chain", "basis", "dsystem",
         ],
     )
-    def test_bytes(self, capsys, tmp_path, structure, argv, stdout_digest, out_digest):
+    def test_bytes(self, capsys, tmp_path, structure, argv, stdout_digest, out_digest,
+                   old_stdout_digest, moved):
         argv = ["construct", *argv]
         if structure:
             p = tmp_path / "in.json"
@@ -437,9 +445,16 @@ class TestConstructGoldenBytes:
         if out_digest:
             argv += ["--out", str(out)]
         assert main(argv) == 0
-        assert _digest(capsys.readouterr().out.encode()) == stdout_digest
+        stdout = capsys.readouterr().out
+        assert _digest(stdout.encode()) == stdout_digest
         if out_digest:
             assert _digest(out.read_bytes()) == out_digest
+        obj = json.loads(stdout)
+        for c in obj.get("checks", []):
+            if c["name"] in moved:
+                assert c["method"] == "certified"
+                c["method"] = "exhaustive"
+        assert _digest(canonical_dumps(obj).encode()) == old_stdout_digest
 
     def test_past_limit_old_methods(self, capsys, tmp_path):
         p = tmp_path / "in.json"

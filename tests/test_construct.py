@@ -42,6 +42,7 @@ from bicolor.errors import (
     FamilyTooSmall,
     FreeBackendUnsupported,
     GapTooSmall,
+    InvariantError,
     IrrationalAlpha,
     NotClosed,
     NotIndependent,
@@ -58,11 +59,14 @@ from conftest import (
     ALPHA_INV_SQRT2,
     ALPHA_ONE,
     ALPHA_TWO_THIRDS,
+    SEARCH_ALPHAS,
+    SubsetTable,
     _int_rows,
     brute_in_k_plus,
     incremental_in_k_plus,
     random_structure,
     rank_int_matrix,
+    submasks,
 )
 from test_colored import ge
 
@@ -332,7 +336,8 @@ class TestMinimalPairChain:
         assert [lv.pair for lv in res.levels[1:]] == [ApproximationPair(3, 5), ApproximationPair(8, 13)]
         assert [c.name for c in res.checks if c.name.startswith("drops")] == ["drops_increase_2"]
         assert all(c.passed for c in res.checks)
-        assert [c.name for c in res.checks if c.method != "exhaustive"] == ["ambient_k_plus"]
+        certified = ["generic_1", "minimal_pair_1", "generic_2", "minimal_pair_2", "ambient_k_plus"]
+        assert [c.name for c in res.checks if c.method != "exhaustive"] == certified
         assert res.checks[-1].method == "certified"
 
     def test_depth_two_minimal_pairs(self):
@@ -665,7 +670,11 @@ class TestTowerKPlus:
         elif how == "failed":
             generic[0] = replace(generic[0], passed=False)
         elif how == "sampled":
-            generic[0] = replace(generic[0], method="sampled")
+            # no Check holds a method other than exhaustive or certified, so
+            # (a) reads `passed` alone
+            with pytest.raises(InvariantError, match="generic_1: unknown method 'sampled'"):
+                replace(generic[0], method="sampled")
+            return
         else:
             def exhausted(*args, **kwargs):
                 raise SearchBudgetExceeded("exact search node budget exhausted")
@@ -779,12 +788,12 @@ class TestVerifySubsets:
         assert calls == []
 
     def test_certified_past_limit(self):
-        # exhaustive up to its limit, certified one subset past it
+        # certified before any subset is counted, within the limit and past it
         res = rational_zero_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS))
         S, (s, k), ids = res.structure, (res.pair.s, res.pair.k), res.copies[0]
         certify = lambda: _moment_shape(S, ["b"], [(ids, 1, s)])
         count = math.comb(k, s)
-        for limit, method in ((count, "exhaustive"), (count - 1, "certified")):
+        for limit, method in ((count, "certified"), (count - 1, "certified")):
             check = _verify_subsets("x", S, ["b"], ids, range(s, s + 1), lambda d: d.dim_part != s, limit, certify)
             assert check == Check("x", True, method=method)
         # each subset check of an engine, past its own limit on a real result
@@ -808,7 +817,6 @@ class TestVerifySubsets:
         res = rational_minimal_extension([], ["b1"], 0, S)
         S2 = res.structure.extended([GroundElement("p1", (F(1), F(1)))])
         new_ids = res.new_ids + ("p1",)
-        monkeypatch.setattr(construct, "EXHAUSTIVE_MINPAIR_LIMIT", 0)
         monkeypatch.setattr(construct, "BLOCK_PROFILE_LIMIT", 1)
         with pytest.raises(SearchBudgetExceeded, match="^minimal_pair: 6 subsets exceed the limit 0;"):
             _minimal_pair_check(S2, {"b1"}, new_ids, res.pair.s)
@@ -983,7 +991,9 @@ class TestFreeUnionVerifier:
 
         monkeypatch.setattr(construct, "_block_profile", recording)
         res = rational_zero_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS, colored=colored_base))
-        assert all(c.passed and c.method == "exhaustive" for c in res.checks)
+        certified = {"small_sets_closed"}
+        assert all(c.passed and c.method == ("certified" if c.name in certified else "exhaustive")
+                   for c in res.checks)
         fresh = [ids for ids, _, length in calls if length]
         assert sorted(fresh) == sorted(tuple(sorted(c)) for c in res.copies)
         old_part = [(ids, start) for ids, start, length in calls if not length]
@@ -991,9 +1001,80 @@ class TestFreeUnionVerifier:
         assert old_part == ([(("b",), 1)] * 2 if colored_base else [])
 
 
+def _read_off(S, b_ids, new_ids, s: int, old_w: int, table):
+    """Verdicts (generic, interior, minimal pair) of a patch N = `new_ids`
+    over B = `b_ids`, read off N's block table (`_block_profile` with fresh
+    block [old_w, old_w + s)), or None where the read-off does not apply: a
+    point of N plain, B nonzero past the old columns, or k = |N| past
+    BLOCK_PROFILE_LIMIT.
+
+    For C within N with table key (K, f), span(C u B) maps onto the fresh
+    block with rank f and kernel K + span(B), so dim(C/B) = f + d(K) with
+    d(K) = dim((K + span B)/span B), one reduction per key.  So each entry
+    gives j = dim(C/B), shared by the Cs of its key, and the size of the
+    largest; C is colored, so delta(C/B) = j - alpha*|C|, least at that
+    size.  R = dim(N/B) is the largest j.
+
+    Lemma.  (i) Every s-subset of N is a base over B iff k < s or no entry
+    has j < s and size > j.  (ii) delta(C/B) >= 0 for every nonempty proper
+    C iff j - alpha*size >= 0 for every entry with j < R, and
+    R - alpha*(k - 1) >= 0.  (iii) (B, B u N) is a minimal pair iff (ii)
+    holds and R - alpha*k < 0.
+
+    Proof.  (i) An s-subset of rank below s has j < s = |C|, so its entry
+    has size > j.  Conversely, a C with j < s and |C| > j is dependent over
+    B, so holds a circuit over B of at most j + 1 <= s points; when k >= s,
+    an s-subset containing it has rank at most s - 1.  (ii) Every C with
+    j < R is proper or empty (delta 0), and an entry's size gives the least
+    delta of its key, so the entries with j < R decide them.  A proper C with
+    j = R has delta(C/B) >= R - alpha*(k - 1).  That bound is reached when
+    R < k: N has a circuit over B, and dropping one of its points leaves
+    k - 1 points of rank R; for k = 1 or R = k it holds anyway, alpha lying
+    in (0, 1].  (iii) is (ii) plus delta(N/B) < 0.
+    """
+    alpha, k = S.alpha, len(new_ids)
+    base_rows = [S.introw(i) for i in sorted(b_ids)]
+    if k > BLOCK_PROFILE_LIMIT or any(any(r[old_w:]) for r in base_rows):
+        return None
+    if not S.colored.issuperset(new_ids):
+        return None
+    red = SpanReducer(old_w)
+    for row in base_rows:
+        red.add(row[:old_w])
+    modulo = lambda key: span_key([red.residual(r) for r in key], old_w)
+    entries = {(f + len(modulo(key)), size) for (key, f), size in table.items()}
+    rank = max(j for j, _ in entries)
+    generic = k < s or all(size <= j for j, size in entries if j < s)
+    interior = PreDimValue(rank, k - 1).sign(alpha) >= 0 and all(
+        PreDimValue(j, size).sign(alpha) >= 0 for j, size in entries if j < rank
+    )
+    return generic, interior, interior and PreDimValue(rank, k).sign(alpha) < 0
+
+
+def _swept(S, b_ids, new_ids, s: int) -> list:
+    """Genericity, the interior condition and the minimal pair of a patch,
+    each by `_verify_subsets` with no limit and no certificate."""
+    alpha, k = S.alpha, len(new_ids)
+    generic = _verify_subsets(
+        "generic_position", S, b_ids, new_ids, range(s, s + 1), lambda d: d.dim_part != s, math.inf
+    )
+    interior = _verify_subsets(
+        "interior_condition", S, b_ids, new_ids, range(1, k), lambda d: d.sign(alpha) < 0, math.inf
+    )
+    below = delta(S, set(b_ids) | set(new_ids), b_ids).sign(alpha) < 0
+    minimal = replace(interior, name="minimal_pair") if below else Check("minimal_pair", False)
+    return [generic, interior, minimal]
+
+
+def _verdict(check: Check):
+    return check.passed, check.witness
+
+
 class TestPatchReadOff:
-    """`_patch_checks` reads a patch's genericity and interior or minimal-pair
-    checks off its block table, and runs the sweeps where it may not."""
+    """The block-table read-off of a patch's genericity and interior or
+    minimal-pair checks (`_read_off`, lemma (i)-(iii)), kept here as an
+    oracle: against the uncertified sweeps and `_patch_checks`, which
+    certifies first and sweeps where the moment shape fails."""
 
     @staticmethod
     def _random_patch(rng, alpha):
@@ -1027,41 +1108,25 @@ class TestPatchReadOff:
 
     @staticmethod
     def _sweeps(S, b_ids, new_ids, s, minimal):
-        """The checks `_patch_checks` stands for, run as subset sweeps."""
-        if minimal:
-            last = _minimal_pair_check(S, b_ids, new_ids, s)
-        else:
-            last = _patch_interior_check(S, b_ids, new_ids, s)
-        return [_genericity_check(S, new_ids, b_ids, s), last]
+        """The checks `_patch_checks` stands for, run as uncertified sweeps."""
+        generic, interior, pair = _swept(S, b_ids, new_ids, s)
+        return [generic, pair if minimal else interior]
 
-    def test_read_off_matches_the_sweeps(self, monkeypatch, rng):
-        # a read-off sweeps only to name a failure's witness
-        original, sweeps = construct.walk, []
-
-        def counting(*args):
-            sweeps.append(1)
-            return original(*args)
-
-        def read_off(*args, minimal):
-            before = len(sweeps)
-            checks = _patch_checks(*args, minimal=minimal)
-            swept = checks[:1] if minimal else checks  # is_minimal_pair reports no witness
-            assert len(sweeps) - before == sum(not c.passed for c in swept)
-            return checks
-
-        monkeypatch.setattr(construct, "walk", counting)
-
+    def test_read_off_matches_the_sweeps(self, rng):
         seen = set()
         for trial in range(320):
             alpha = ALL_ALPHAS[trial % 4]
             S, b_ids, new_ids, s, old_w = self._random_patch(rng, alpha)
             table = _block_profile(S, old_w, new_ids, old_w, s)
-            generic, interior = read_off(S, b_ids, new_ids, s, old_w, table, minimal=False)
-            generic_too, minimal = read_off(S, b_ids, new_ids, s, old_w, table, minimal=True)
-            assert [generic, interior] == self._sweeps(S, b_ids, new_ids, s, minimal=False)
-            assert generic_too == generic
-            pair = is_minimal_pair(b_ids, set(b_ids) | set(new_ids), S)
-            assert minimal == Check("minimal_pair", pair)
+            generic, interior, minimal = _swept(S, b_ids, new_ids, s)
+            assert _read_off(S, b_ids, new_ids, s, old_w, table) == (
+                generic.passed, interior.passed, minimal.passed
+            )
+            for flag in (False, True):
+                got = _patch_checks(S, b_ids, new_ids, s, minimal=flag)
+                assert list(map(_verdict, got)) == [_verdict(generic), _verdict(minimal if flag else interior)]
+                assert all(c.method == "exhaustive" for c in got if not c.passed)
+            assert minimal.passed == is_minimal_pair(b_ids, set(b_ids) | set(new_ids), S)
             seen |= {("generic", generic.passed), ("interior", interior.passed)}
             seen |= {("minimal", minimal.passed), ("k < s", len(new_ids) < s)}
         checks = ("generic", "interior", "minimal")
@@ -1090,27 +1155,38 @@ class TestPatchReadOff:
         for module in ("closure", "colored", "construct"):
             monkeypatch.setattr(sys.modules[f"bicolor.{module}"], "walk", counting)
         res = engine()
-        assert all(c.passed and c.method == "exhaustive" for c in res.checks)
+        certified = {"generic_position", "interior_condition", "minimal_pair"}
+        assert all(c.passed and c.method == ("certified" if c.name in certified else "exhaustive")
+                   for c in res.checks)
         assert len(res.new_ids) > 1
         assert walked.count(len(res.new_ids)) == walks
 
-    def test_thirteen_point_patch_interior_is_exhaustive(self):
-        # the read-off passes with no sweep, and the full sweep agrees
+    def test_thirteen_point_patch_interior_is_certified(self):
+        # the certificate passes with no sweep, and the full sweep and the
+        # read-off agree
         S = _one_point(Alpha.quadratic(0, 1, 6, 2))  # sqrt(2)/6
         res = transcendental_patch([], ["b"], F(1, 10), S)
         assert (res.pair.s, res.pair.k) == (3, 13)
         interior = next(c for c in res.checks if c.name == "interior_condition")
-        assert interior == Check("interior_condition", True)
-        sweep = _patch_interior_check(res.structure, ["b"], res.new_ids, res.pair.s)
-        assert sweep == interior
+        assert interior == Check("interior_condition", True, method="certified")
+        S2, s, new_ids = res.structure, res.pair.s, res.new_ids
+        sweep = _swept(S2, ["b"], new_ids, s)[1]
+        assert sweep == Check("interior_condition", True)
+        table = _block_profile(S2, 1, new_ids, 1, s)
+        assert _read_off(S2, ["b"], new_ids, s, 1, table)[1]
 
-    def test_plain_new_point_runs_the_sweeps(self):
+    def test_plain_new_point_keeps_the_certificate(self):
+        # the moment-shape bound does not read colors: a plain point only
+        # raises delta(C/B), so genericity and the interior stay certified,
+        # while the read-off does not apply
         S, new_ids = grow_patch(_one_point(ALPHA_TWO_THIRDS), ["b"], 1, 2, colored=True)
         S = ColoredStructure(S.backend, S.elements, S.colored - {new_ids[0]}, S.alpha)
-        table = _block_profile(S, 1, new_ids, 1, 1)
+        assert _read_off(S, ["b"], new_ids, 1, 1, _block_profile(S, 1, new_ids, 1, 1)) is None
         for minimal in (False, True):
             want = self._sweeps(S, ["b"], new_ids, 1, minimal)
-            assert _patch_checks(S, ["b"], new_ids, 1, 1, table, minimal) == want
+            got = _patch_checks(S, ["b"], new_ids, 1, minimal)
+            assert list(map(_verdict, got)) == list(map(_verdict, want))
+            assert [c.method for c in got] == ["certified", "exhaustive" if minimal else "certified"]
         # with both points colored it would be a minimal pair: 1 - 2*(2/3) < 0
         assert want[1] == Check("minimal_pair", False)
 
@@ -1120,30 +1196,159 @@ class TestPatchReadOff:
         S = empty_structure(ALPHA_TWO_THIRDS, ambient=2).extended(
             [GroundElement("b", row), GroundElement("x", row)], new_colored=["x"]
         )
-        table = _block_profile(S, 1, ["x"], 1, 1)
+        assert _read_off(S, ["b"], ("x",), 1, 1, _block_profile(S, 1, ["x"], 1, 1)) is None
         for minimal in (False, True):
             want = self._sweeps(S, ["b"], ("x",), 1, minimal)
-            assert _patch_checks(S, ["b"], ("x",), 1, 1, table, minimal) == want
+            assert _patch_checks(S, ["b"], ("x",), 1, minimal) == want
         assert want == [Check("generic_position", False, witness=["x"]), Check("minimal_pair", True)]
 
     def test_no_table_past_the_limit(self):
         # past BLOCK_PROFILE_LIMIT points a block off the moment curve is not
-        # walked, and a moment block's closed form is not read off: the
-        # sweeps run, each exhaustive within its own limit and certified past it
+        # walked, and the read-off does not apply to a moment block's closed
+        # form; the checks are certified by the moment shape at any size
         k = BLOCK_PROFILE_LIMIT + 1
         S, new_ids = grow_patch(_one_point(ALPHA_TWO_THIRDS), ["b"], 10, k, colored=True)
         with pytest.raises(SearchBudgetExceeded, match=f"block of {k} points"):
             _block_profile(_perturbed(S, new_ids[-1], -1), 1, new_ids, 1, 10)
         table = _block_profile(S, 1, new_ids, 1, 10)
         assert table[span_key([[1]], 1), 10] == k
-        for minimal in (False, True):
-            want = self._sweeps(S, ["b"], new_ids, 10, minimal)
-            assert _patch_checks(S, ["b"], new_ids, 10, 1, table, minimal) == want
-            assert _patch_checks(S, ["b"], new_ids, 10, 1, None, minimal) == want
-        # delta(D/B) = 10 - (2/3)*15 = 0, so no minimal pair, found by the search
-        assert want == [Check("generic_position", True), Check("minimal_pair", False)]
-        interior = self._sweeps(S, ["b"], new_ids, 10, False)[1]
-        assert interior == Check("interior_condition", True, method="certified")
+        assert _read_off(S, ["b"], new_ids, 10, 1, table) is None
+        # delta(D/B) = 10 - (2/3)*15 = 0, so no minimal pair, and no sweep
+        generic = Check("generic_position", True, method="certified")
+        assert _patch_checks(S, ["b"], new_ids, 10, True) == [generic, Check("minimal_pair", False)]
+        interior = Check("interior_condition", True, method="certified")
+        assert _patch_checks(S, ["b"], new_ids, 10, False) == [generic, interior]
+
+
+class TestCertifiedSubsetChecks:
+    """Every subset check against the uncertified sweep (`_verify_subsets`
+    with no limit and no certificate) and a brute-force `SubsetTable`, on
+    chains of at most 14 points and on `grow_patch` patches of at most 12
+    points over bases of rank 0, 1 and 2: a check is certified exactly when
+    the moment shape and its own exact inequality hold, and its verdict and
+    witness are the sweep's either way.  Perturbed shapes fall back to the
+    sweep."""
+
+    BASES = {
+        0: lambda alpha: (plain_points(alpha, [(1,)]), []),
+        1: lambda alpha: (_one_point(alpha, 2, colored=True), ["b"]),
+        2: lambda alpha: (plain_points(alpha, [(1, 0), (1, 2), (2, 2)]), ["b1", "b2", "b3"]),
+    }
+
+    @staticmethod
+    def _table_passes(t, b_ids, pool, sizes, violates) -> bool:
+        """No C within `pool` with |C| in `sizes` has a delta(C/B) that
+        `violates`, by the brute-force table."""
+        over = t.mask_of(b_ids)
+        return not any(
+            sub and bin(sub).count("1") in sizes and violates(PreDimValue(*t.delta_pair(sub, over)))
+            for sub in submasks(t.mask_of(pool))
+        )
+
+    def _agree(self, t, check, b_ids, pool, sizes, violates):
+        """`check` has the sweep's verdict and witness and the table's verdict."""
+        sweep = _verify_subsets(check.name, t.S, b_ids, pool, sizes, violates, math.inf)
+        assert _verdict(check) == _verdict(sweep)
+        assert check.passed == self._table_passes(t, b_ids, pool, sizes, violates)
+
+    def _patch_checks_agree(self, t, b_ids, ids, s, shaped: bool) -> dict:
+        """Genericity, interior and minimal pair of the patch `ids` over B,
+        whose s fresh columns are the last; returns each check's method."""
+        S, alpha, k = t.S, t.S.alpha, len(ids)
+        tight = PreDimValue(s, k - 1).sign(alpha) >= 0
+        below = t.delta_sign(t.mask_of(ids), t.mask_of(b_ids)) < 0
+        generic = _genericity_check(S, ids, b_ids, s)
+        self._agree(t, generic, b_ids, ids, range(s, s + 1), lambda d: d.dim_part != s)
+        interior = _patch_interior_check(S, b_ids, ids, s)
+        self._agree(t, interior, b_ids, ids, range(1, k), lambda d: d.sign(alpha) < 0)
+        minimal = _minimal_pair_check(S, b_ids, ids, s)
+        assert minimal == (replace(interior, name="minimal_pair") if below else Check("minimal_pair", False))
+        assert generic.method == ("certified" if shaped else "exhaustive")
+        assert interior.method == ("certified" if shaped and tight else "exhaustive")
+        return {"generic": generic, "interior": interior, "minimal": minimal}
+
+    @pytest.mark.parametrize("alpha", QUADRATIC_ALPHAS[:4], ids=lambda a: a.render())
+    def test_chain_levels(self, alpha):
+        # each level is checked on D_l as it was built: its columns end with
+        # its own fresh block
+        depth = max(d for d in range(4) if 1 + sum(p.k for p in chain_pairs(alpha, d)) <= 14)
+        res = minimal_pair_chain(alpha, depth, 32)
+        S, width = res.structure, 1
+        by_name = {c.name: c for c in res.checks}
+        for lvl, (lo, hi) in enumerate(zip(res.levels, res.levels[1:]), start=1):
+            new, s = hi.e_ids + hi.f_ids, len(hi.e_ids)
+            width += s
+            elements = tuple(GroundElement(i, S.element(i).vec[:width]) for i in hi.d_ids)
+            level = ColoredStructure(Backend(LINEAR, width), elements, S.colored & set(hi.d_ids), alpha)
+            t = SubsetTable(level)
+            got = self._patch_checks_agree(t, lo.d_ids, new, s, shaped=True)
+            assert got["generic"] == replace(by_name[f"generic_{lvl}"], name="generic_position")
+            assert got["minimal"] == replace(by_name[f"minimal_pair_{lvl}"], name="minimal_pair")
+            assert got["minimal"] == Check("minimal_pair", True, method="certified")
+
+    def _patch(self, rng, rank):
+        """A structure with `copies` moment patches of k points over B of the
+        given rank, at most 12 points in all, mostly colored."""
+        alpha = SEARCH_ALPHAS[rng.randrange(4)]
+        S, b_ids = self.BASES[rank](alpha)
+        s, ncopies = rng.randint(1, 3), rng.choice([1, 1, 2])
+        k = rng.randint(1, (12 - len(S)) // ncopies)
+        colored, copies = rng.random() < 0.8, []
+        for c in range(ncopies):
+            S, ids = grow_patch(S, b_ids, s, k, colored=colored, lam_start=1 + c * k)
+            copies.append(ids)
+        return S, b_ids, s, k, copies
+
+    def test_grown_patches(self, rng):
+        seen = set()
+        for trial in range(150):
+            S, b_ids, s, k, copies = self._patch(rng, trial % 3)
+            t = SubsetTable(S)
+            got = self._patch_checks_agree(t, b_ids, copies[-1], s, shaped=True)
+            seen |= {(name, c.method, c.passed) for name, c in got.items()}
+            if s >= k:
+                continue
+            res = construct.Construction(S, copies=copies, pair=ApproximationPair(s, k))
+            for n in range(len(res.new_ids) + 2):
+                check = _small_extensions_closed_check(res, b_ids, n)
+                pool, sizes = res.new_ids, range(min(n, len(res.new_ids) + 1))
+                self._agree(t, check, b_ids, pool, sizes, lambda d: d.sign(S.alpha) < 0)
+                tight = PreDimValue(s, k - 1).sign(S.alpha) >= 0
+                assert check.method == ("certified" if n <= k and tight else "exhaustive")
+                seen.add(("small", check.method, check.passed))
+        assert seen >= {
+            ("generic", "certified", True), ("interior", "certified", True),
+            ("interior", "exhaustive", False), ("minimal", "certified", True),
+            ("minimal", "exhaustive", False),
+            ("small", "certified", True), ("small", "exhaustive", False),
+        }
+
+    def test_perturbed_shapes_fall_back(self, rng):
+        # a repeated lambda, a base point on the fresh block, or one entry
+        # off the curve: where the shape declines, every check is swept
+        declined = set()
+        for trial in range(120):
+            S, b_ids, s, k, copies = self._patch(rng, trial % 3)
+            ids = copies[-1]
+            case = ["repeated lam", "base on the block", "off the curve"][trial % 3]
+            if case == "repeated lam" and s >= 2 and k >= 2:
+                last = S.element(ids[-1])
+                twice = GroundElement(last.id, tuple(2 * x for x in S.element(ids[0]).vec))
+                S = ColoredStructure(
+                    S.backend, tuple(twice if e.id == last.id else e for e in S.elements), S.colored, S.alpha
+                )
+            elif case == "base on the block" and b_ids:
+                S = _perturbed(S, b_ids[-1], 1)
+            else:
+                case = "off the curve"
+                S = _perturbed(S, ids[-1], 1)
+            shaped = _moment_shape(S, b_ids, construct._fresh_blocks(S, [ids], s))
+            assert not shaped or case == "off the curve"
+            got = self._patch_checks_agree(SubsetTable(S), b_ids, ids, s, shaped)
+            declined.add((case, shaped, got["generic"].passed))
+        assert declined >= {
+            ("repeated lam", False, False), ("base on the block", False, True), ("off the curve", False, True),
+        }
 
 
 class TestMomentTable:
@@ -1288,41 +1493,63 @@ class TestConstruction:
         assert classes == {"ChainLevel", "Construction", "DeltaSystemResult"}
 
 
+_RATIONAL_PINS = [
+    (1, rational_zero_extension, "080bcc97c32c2f4e", "01461d890edc09a3"),
+    (1, rational_minimal_extension, "c643e65720b4b58b", "c599576fe6b093cb"),
+    (2, rational_zero_extension, "55992faca32b31af", "6352e59c25b5db0c"),
+    (2, rational_minimal_extension, "35bb0352c4ea5f8f", "c249f57c301a5185"),
+]
+
+
 class TestRationalGoldenBytes:
     """Canonical structure and checks of the rational engines at alpha = 2/3,
-    t = 1, over one plain base point b, pinned by sha256 prefix."""
+    t = 1, over one plain base point b, pinned by sha256 prefix.  Before the
+    subset checks tried the moment-shape certificate first they hashed to
+    `old_digest` (which names each case), which differs only in the methods
+    of the certified subset checks, then exhaustive."""
+
+    OLD_METHODS = dict.fromkeys(
+        ["generic_position", "interior_condition", "minimal_pair", "small_sets_closed"], "exhaustive"
+    )
 
     @pytest.mark.parametrize(
-        "payload, engine, digest",
-        [
-            (1, rational_zero_extension, "01461d890edc09a3"),
-            (1, rational_minimal_extension, "c599576fe6b093cb"),
-            (2, rational_zero_extension, "6352e59c25b5db0c"),
-            (2, rational_minimal_extension, "c249f57c301a5185"),
-        ],
+        "payload, engine, digest, old_digest",
+        _RATIONAL_PINS,
+        ids=[f"{p}-{engine.__name__}-{old}" for p, engine, _, old in _RATIONAL_PINS],
     )
-    def test_bytes(self, payload, engine, digest):
+    def test_bytes(self, payload, engine, digest, old_digest):
         res = engine([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS, payload))
-        blob = workbench.dumps(res.structure) + canonical_dumps([c.to_json() for c in res.checks])
+        structure = workbench.dumps(res.structure)
+        checks = [c.to_json() for c in res.checks]
+        blob = structure + canonical_dumps(checks)
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+        for c in checks:
+            if c["name"] in self.OLD_METHODS:
+                assert c["method"] == "certified"
+                c["method"] = self.OLD_METHODS[c["name"]]
+        blob = structure + canonical_dumps(checks)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == old_digest
 
 
 class TestChainGoldenBytes:
     """Canonical structure and checks of the `chain` benchmark's two chains,
-    pinned by sha256 prefix.  Before the tower certificate they hashed to
-    `old_digest`, which differs in ambient_k_plus's method alone."""
+    pinned by sha256 prefix.  Before the subset checks tried the moment-shape
+    certificate first they hashed to `exhaustive_digest`, which differs only
+    in each level's generic_l and minimal_pair_l, then exhaustive.  Before
+    the tower certificate they hashed to `old_digest`, which differs from
+    that in ambient_k_plus's method alone."""
 
     @pytest.mark.parametrize(
-        "alpha, depth, pairs, digest, old_method, old_digest",
+        "alpha, depth, pairs, digest, exhaustive_digest, old_method, old_digest",
         [
             (Alpha.quadratic(1, 1, 6, 3), 3, [(3, 7), (4, 9), (5, 11)],
-             "5bb43094ff87ba75", "sampled", "937c76f050e6f2f6"),
+             "cd05fddf3de8b30c", "5bb43094ff87ba75", "sampled", "937c76f050e6f2f6"),
             (ALPHA_INV_SQRT2, 2, [(2, 3), (7, 10)],
-             "e0e884c7bfb6f2e5", "exhaustive", "1a2abcb4dc5ae755"),
+             "1cad0cac292e3403", "e0e884c7bfb6f2e5", "exhaustive", "1a2abcb4dc5ae755"),
         ],
         ids=["(1+sqrt3)/6-depth3", "1/sqrt2-depth2"],
     )
-    def test_bytes(self, alpha, depth, pairs, digest, old_method, old_digest):
+    def test_bytes(self, alpha, depth, pairs, digest, exhaustive_digest, old_method, old_digest):
         res = minimal_pair_chain(alpha, depth, 32)
         assert [(lv.pair.s, lv.pair.k) for lv in res.levels[1:]] == pairs
         structure = workbench.dumps(res.structure)
@@ -1330,6 +1557,12 @@ class TestChainGoldenBytes:
         blob = structure + canonical_dumps(checks)
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
         assert checks[-1] == {"name": "ambient_k_plus", "pass": True, "method": "certified"}
+        for c in checks[:-1]:
+            if c["name"].startswith(("generic_", "minimal_pair_")):
+                assert c["method"] == "certified"
+                c["method"] = "exhaustive"
+        blob = structure + canonical_dumps(checks)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == exhaustive_digest
         checks[-1]["method"] = old_method
         blob = structure + canonical_dumps(checks)
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == old_digest

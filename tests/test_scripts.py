@@ -34,7 +34,7 @@ def test_chain_windows_tallies_check_methods():
     out = _run("chain_windows.py", "--depth", "2", "--build", "2")
     tally = out.splitlines()[-1]
     assert tally.startswith("checks: ")
-    assert "certified x1" in tally
+    assert "certified x5" in tally
 
 
 def test_build_and_audit_output_is_pinned(tmp_path):

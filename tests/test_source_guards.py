@@ -51,8 +51,9 @@ K_PLUS_FIELDS = {"_k_plus", "_witnesses", "_by_id", "_introws", "_by_vec"}
 MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
 # Code removed for having no caller, or as a knob no caller set, the
 # per-call closedness dict the witness memo replaced, construct's seeded
-# subset draws, which certificates replaced, and the amalgam's searched
-# left check, which the amalgamation lemma replaced.
+# subset draws, which certificates replaced, the amalgam's searched left
+# check, which the amalgamation lemma replaced, and the minimal-pair search
+# limit, which the certificate-first subset checks replaced.
 DELETED_NAMES = {
     "strong_extension",
     "all_pass",
@@ -67,6 +68,7 @@ DELETED_NAMES = {
     "_first_draws",
     "SAMPLE_COUNT",
     "SAMPLE_SEED",
+    "EXHAUSTIVE_MINPAIR_LIMIT",
 }
 ELIMINATION_NAMES = re.compile(r"rref|solve|kernel|bareiss|gauss|elimin|echelon|rank_int", re.I)
 
