@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run every patch engine over a one-point base and print the exact gaps.
+"""Run every patch engine over a one-point base, and the rational minimal
+extension over a two-point base, and print the exact gaps.
 
     python scripts/patch_gallery.py
 """
@@ -24,6 +25,12 @@ def one_point(alpha: Alpha) -> ColoredStructure:
     )
 
 
+def two_points(alpha: Alpha) -> ColoredStructure:
+    return empty_structure(alpha, ambient=2).extended(
+        [GroundElement("b1", (Fraction(1), Fraction(0))), GroundElement("b2", (Fraction(0), Fraction(1)))]
+    )
+
+
 def show(title, res, S):
     gap = res.delta_gap.value(S.alpha).render()
     names = ", ".join(f"{c.name}[{c.method[0]}]" for c in res.checks if c.passed)
@@ -44,6 +51,9 @@ def main() -> int:
     for t in (0, 1):
         res = rational_minimal_extension([], ["b"], t, R)
         show(f"rational minimal t={t} (k={len(res.new_ids)})", res, R)
+    R2 = two_points(rat)
+    res = rational_minimal_extension([], ["b1", "b2"], 2, R2)
+    show(f"rational minimal t=2 over two points (k={len(res.new_ids)})", res, R2)
     zero = rational_zero_extension([], ["b"], 0, R)
     tot = delta(zero.structure, zero.structure.id_set).value(rat)
     print(f"rational zero: {len(zero.copies)} copies, delta(D*) = {tot.render()}")

@@ -14,11 +14,14 @@ is verified, never assumed.  The four patch engines share one pipeline,
 Each check records its method, "exhaustive" (every case was tried) or
 "certified" (a proof read off the result's verified shape).  Every subset
 check (`_verify_subsets`) follows one rule: certified when `_moment_shape`
-and the check's own exact inequality prove it on the built result, otherwise
-exhaustive within the check's limit, otherwise SearchBudgetExceeded.  A
-patch's ambient K+ and anchor closedness are read off block tables
-(`_block_profile`, `_free_union_min`); a chain's K+ is certified level by
-level.
+(or, for a basis extension, `_on_moment_curve`) and the check's own exact
+inequality prove it on the built result, otherwise exhaustive within the
+check's limit, otherwise SearchBudgetExceeded.  A patch union's ambient K+
+and anchor closedness are certified by the fresh-block lemma
+(`_fresh_block_union`); where its hypotheses fail (a base of rank r with
+k - s < r) the DP over walked block tables (`_block_profile`,
+`_free_union_min`) decides them exhaustively.  A chain's K+ is certified
+level by level.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ from .exactnum import (
     epsilon_bound,
     rational_pair,
 )
-from .pregeom import FREE, LINEAR, Backend, GroundElement, SpanReducer, canonical_rows
-from .pregeom import span_key, walk
+from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer
+from .pregeom import canonical_rows, span_key, walk
 from .report import Check
 
 # Largest block whose subsets `_block_profile` tabulates (2^14 - 1 of them).
@@ -234,13 +237,40 @@ def _moment_shape(S, base_ids, blocks) -> bool:
                 ok = f[t] > 0 and t not in units
                 units.add(t)
             else:
-                lam = Fraction(f[1], f[0]) if f[0] > 0 else 0
-                ok = lam > 0 and lam not in lams
-                ok = ok and not any(x * f[0] != y * f[1] for x, y in zip(f[2:], f[1:]))
+                lam = _curve_node(f)
+                ok = lam is not None and lam not in lams
                 lams.add(lam)
             if not (ok and touched(row) == {c}):
                 return False
     return True
+
+
+def _curve_node(f):
+    """lam when f = c*(1, lam, lam^2, ...) with c > 0 and lam > 0, else None."""
+    if f[0] <= 0 or f[1] <= 0 or any(x * f[0] != y * f[1] for x, y in zip(f[2:], f[1:])):
+        return None
+    return Fraction(f[1], f[0])
+
+
+def _on_moment_curve(S, a, bs, ids) -> bool:
+    """True when bs = b_1 < ... < b_m is independent over A = `a` and the
+    exact coordinates over bs of each point of `ids` are c*(1, lam, ...,
+    lam^(m-1)) with c > 0 and distinct lam > 0 (any point of span(b_1) for
+    m = 1).  Then every m-subset of bs u `ids` is a base over A: in those
+    coordinates it is j unit rows e_i, i in J, and m - j curve rows, so its
+    determinant is, up to the c's and a sign, a minor of a Vandermonde
+    matrix with distinct positive nodes on the columns outside J, nonzero by
+    Descartes' rule of signs; so it spans span(bs), of dimension m over A.
+    """
+    m = len(bs)
+    if delta(S, bs, a).dim_part != m:
+        return False
+    co = Coordinates(S.backend.ambient_dim, m)
+    for i in bs:
+        co.insert(S.element(i).vec)
+    coords = (co.coords(S.element(eid).vec) for eid in ids)
+    lams = [c and (_curve_node(c) if m > 1 else c[0]) for c in coords]  # None off span(bs)
+    return all(lams) and (m == 1 or len(set(lams)) == len(lams))
 
 
 def _verify_subsets(name, S, base, pool, sizes, violates, limit, certify=None) -> Check:
@@ -403,103 +433,21 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
     coordinates, keyed by their canonical integer rows.  Each (key, fresh
     rank) keeps the size of its largest subset, the empty set giving
     ((), 0): 0; subsets sharing both have one rank, so the largest has the
-    least delta.  `_moment_table` reads a block on the moment curve over a
-    residue of rank at most one in closed form, at any size; `_walk_table`
-    walks any other block of at most BLOCK_PROFILE_LIMIT points.  A
+    least delta.  `pregeom.walk` meets the subsets in row order, with the
+    echelon rows of a from-scratch elimination, in at most 2^k - 1 steps.  A
     zero-width block (start = old_width, length = 0) profiles points on the
     old coordinates alone.  Raises SearchBudgetExceeded for a point outside
-    its columns or a longer block to walk.
+    its columns or a block of more than BLOCK_PROFILE_LIMIT points.
     """
     ids = sorted(ids)
     rows = [S2.introw(eid) for eid in ids]
     if any(any(row[old_width:start]) or any(row[start + length:]) for row in rows):
         raise SearchBudgetExceeded("block escapes its fresh coordinates")
-    rows = [row[start:start + length] + row[:old_width] for row in rows]
-    table = _moment_table(rows, length, old_width)
-    if table is not None:
-        return table
     if len(ids) > BLOCK_PROFILE_LIMIT:
         raise SearchBudgetExceeded(
             f"free-union block of {len(ids)} points exceeds {BLOCK_PROFILE_LIMIT}"
         )
-    return _walk_table(rows, length)
-
-
-def _moment_table(rows, length: int, old_width: int) -> dict | None:
-    """`_block_profile`'s table of integer rows (fresh part f_i of width
-    s = `length`, then old part o_i) that lie on the moment curve over a
-    residue of rank r <= 1, or None when they do not.
-
-    The shapes need s >= 1 and every c_i nonzero:
-      r = 0: every o_i = 0 and f_i = c_i*(1, mu_i, ..., mu_i^(s-1)), the mu_i
-             distinct when s >= 2;
-      r = 1: o_i = c_i*v for one nonzero v, and f_i = c_i*(mu_i, ..., mu_i^s),
-             the mu_i nonzero and distinct.
-    They are read off the k rows in O(k*(s + w)) exact products: f_i is a
-    geometric progression of ratio mu_i (s >= 2); for r = 1 every o_i =
-    b_i*v_0, v_0 the first nonzero o_i, and the f_i / b_i = lam*(mu_i, ...,
-    mu_i^s) share one lam (any for s = 1).  The table is ((), j): j for
-    j <= min(s, k) and, when k > s, also ((), s): k for r = 0 or (key of
-    span v, s): k for r = 1.
-
-    Lemma.  In the coordinates (v, e_1, ..., e_s), e_t the fresh unit
-    vectors, row i is c_i*(1, mu_i, ..., mu_i^s) (drop the v column for
-    r = 0).  Any m of the rows have fresh rank min(m, s) and total rank
-    min(m, s + r), so their residue over the old coordinates is 0 when m <= s
-    and span(v) when m > s.
-
-    Proof.  v and the e_t are independent, v being nonzero and zero on the
-    fresh columns, so a subset's rank is that of its coefficient rows.  Its
-    fresh parts are c_i*mu_i^r*(1, mu_i, ..., mu_i^(s-1)), a Vandermonde
-    matrix with distinct nodes scaled by nonzero rows (for r = 0 and s = 1,
-    the nonzero c_i), of rank min(m, s); for r = 1 its full coefficient rows
-    are a Vandermonde matrix with s + 1 columns, of rank min(m, s + 1).  The
-    residue has dimension rank minus fresh rank and lies in span(v): zero
-    when m <= s, span(v) past it.  So the sizes with fresh rank j < s are j
-    alone, under the key (); size s has key (); every larger size has fresh
-    rank s and the residue key, the largest being k.
-    """
-    if not length:
-        return None
-    s, k = length, len(rows)
-    v = next((row[s:] for row in rows if any(row[s:])), None)
-    p = next(t for t, x in enumerate(v) if x) if v else None
-    mus, lams = set(), set()
-    for row in rows:
-        f, o = row[:s], row[s:]
-        if not f[0] or any(x * f[0] != y * f[1] for x, y in zip(f[2:], f[1:])):
-            return None
-        if v is None:
-            if s > 1:
-                mus.add(Fraction(f[1], f[0]))
-            continue
-        if not o[p] or any(x * v[p] != y * o[p] for x, y in zip(o, v)):
-            return None
-        b = Fraction(o[p], v[p])
-        if s == 1:
-            mus.add(f[0] / b)
-        elif f[1]:
-            mus.add(Fraction(f[1], f[0]))
-            lams.add(f[0] * f[0] / (b * f[1]))
-        else:
-            return None
-    if len(lams) > 1 or (mus and len(mus) < k):
-        return None
-    table = {((), j): j for j in range(min(s, k) + 1)}
-    if k > s:
-        table[() if v is None else span_key([v], old_width), s] = k
-    return table
-
-
-def _walk_table(rows, length: int) -> dict:
-    """`_block_profile`'s table by walking the subsets of the rows.
-
-    Subsets are walked depth-first in row order by `pregeom.walk`, which
-    carries the pending rows, so every subset has the echelon rows of a
-    from-scratch elimination in that order, and k rows take at most 2^k - 1
-    steps; the old parts of the rows with no fresh pivot are keyed in
-    echelon form.
-    """
+    rows = [row[start:start + length] + row[:old_width] for row in rows]
 
     def take(state, j, row):  # state: size, fresh rank, (lead, old part)s, key
         size, rank_f, olds, key = state
@@ -516,23 +464,6 @@ def _walk_table(rows, length: int) -> dict:
         if size > table.get((key, rank_f), -1):
             table[key, rank_f] = size
     return table
-
-
-def _old_reducer(S2, ids, old_width: int):
-    """A reducer of the rows of `ids` on the old columns [0, old_width), or
-    None when one of them is nonzero past them."""
-    red = SpanReducer(old_width)
-    for eid in sorted(ids):
-        row = S2.introw(eid)
-        if any(row[old_width:]):
-            return None
-        red.add(row[:old_width])
-    return red
-
-
-def _modulo(red: SpanReducer, key) -> tuple:
-    """The key of span(key) modulo span(red): its rows' residuals, keyed again."""
-    return span_key([red.residual(r) for r in key], red.ncols)
 
 
 def _free_union_min(S2, prime_ids, old_width: int, blocks, profiles) -> PreDimValue:
@@ -560,9 +491,11 @@ def _free_union_min(S2, prime_ids, old_width: int, blocks, profiles) -> PreDimVa
     the structure does not fit the shape.
     """
     prime = set(prime_ids)
-    prime_red = _old_reducer(S2, prime, old_width)
-    if prime_red is None:
+    if not _zero_from(S2, prime, old_width):
         raise SearchBudgetExceeded("element escapes the old coordinates")
+    prime_red = SpanReducer(old_width)
+    for eid in sorted(prime):
+        prime_red.add(S2.introw(eid)[:old_width])
     in_blocks = {i for ids, _, _ in blocks for i in ids}
     old_cands = S2.colored - prime - in_blocks
     if old_cands:
@@ -572,7 +505,8 @@ def _free_union_min(S2, prime_ids, old_width: int, blocks, profiles) -> PreDimVa
     for table in profiles:
         profile: dict[tuple, PreDimValue] = {}
         for (raw_key, rank_f), size in table.items():
-            _keep_min(profile, _modulo(prime_red, raw_key), PreDimValue(rank_f, size), S2.alpha)
+            key = span_key([prime_red.residual(r) for r in raw_key], old_width)
+            _keep_min(profile, key, PreDimValue(rank_f, size), S2.alpha)
         nxt: dict[tuple, PreDimValue] = {}
         for srows, sval in states.items():
             for prows, pval in profile.items():
@@ -636,7 +570,7 @@ def generic_basis_extension(a_ids, b_ids, n: int, S: ColoredStructure) -> Constr
     checks = [
         _verify_subsets(
             "all_bases", S2, a, set(bs) | set(new_ids), range(m, m + 1),
-            lambda d: d.dim_part != m, math.inf,
+            lambda d: d.dim_part != m, math.inf, lambda: _on_moment_curve(S2, a, bs, new_ids),
         )
     ]
     _require(checks)
@@ -774,15 +708,14 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     their free union D*; a single patch is the union of one copy.
 
     Copy c continues the lambda sequence from 1 + c*k in its own s fresh
-    columns, which follow S's columns.  Each copy is tabulated by
-    `_block_profile` (None when it can be neither read in closed form nor
-    walked), and the DP `_free_union_min` decides ambient K+ and whether A
-    is closed in D*: "exhaustive" up to BLOCK_PROFILE_LIMIT points a copy,
-    "certified" from closed-form tables past it; where the DP does not fit,
-    the budgeted searches run.  The checks come in one order: the engine's
-    own, `lead(result, gap_ok)` with gap_ok whether every copy has
-    delta(copy/B) = s - alpha*k, then anchor_closed, transcendental and
-    ambient_k_plus.
+    columns, which follow S's columns.  `_fresh_block_union` reads each
+    copy's delta(copy/B) and, where its lemma applies, certifies ambient K+
+    and whether A is closed in D*.  Otherwise the DP `_free_union_min` over
+    the copies' walked `_block_profile` tables decides both exhaustively,
+    and where it does not fit the budgeted searches do.  The checks come in
+    one order: the engine's own, `lead(result, gap_ok)` with gap_ok whether
+    every copy has delta(copy/B) = s - alpha*k, then anchor_closed,
+    transcendental and ambient_k_plus.
     """
     s, k = pair.s, pair.k
     old_width = S.backend.ambient_dim
@@ -792,21 +725,21 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
         copies.append(ids)
     res = Construction(S2, copies=copies, pair=pair)
     star = b | set(res.new_ids)
+    gaps, verdicts = _fresh_block_union(S, S2, a, b, copies, pair)
     blocks = _fresh_blocks(S2, copies, s)
-    tables = []
-    for blk in blocks:
-        try:
-            tables.append(_block_profile(S2, old_width, *blk))
-        except SearchBudgetExceeded:
-            tables.append(None)
-    method = "certified" if k > BLOCK_PROFILE_LIMIT else "exhaustive"
+    try:
+        tables = None if verdicts else [_block_profile(S2, old_width, *blk) for blk in blocks]
+    except SearchBudgetExceeded:
+        tables = None
 
     def union_check(name, T, prime, search) -> Check:
-        """The DP's verdict, or `search`'s where the DP's shape does not fit."""
-        if None not in tables:
+        """The lemma's verdict, else the DP's, else the budgeted `search`'s."""
+        if verdicts is not None:
+            return Check(name, verdicts[name], method="certified")
+        if tables is not None:
             try:
                 low = _free_union_min(T, prime, old_width, blocks, tables)
-                return Check(name, low.sign(S2.alpha) >= 0, method=method)
+                return Check(name, low.sign(S2.alpha) >= 0)
             except SearchBudgetExceeded:
                 pass
         return _searched(name, search)
@@ -817,13 +750,78 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     sub = S2.restrict(star)
     anchor = union_check("anchor_closed", sub, a, lambda: is_closed(a, sub, node_budget=VERIFY_NODE_BUDGET))
     res.checks = [
-        *lead(res, all(delta(S2, c, b) == res.delta_gap for c in copies)),
+        *lead(res, all(g == res.delta_gap for g in gaps)),
         anchor,
         Check("transcendental", _transcendental_over(S2, star, a)),
         kp,
     ]
     _require(res.checks)
     return res
+
+
+def _fresh_block_union(S, S2, a, b, copies, pair: ApproximationPair):
+    """Each copy's delta(N_c/B), and the fresh-block lemma's verdicts
+    {"ambient_k_plus": D* in K+, "anchor_closed": A <= B u copies}, or None
+    for them where a hypothesis fails or a search on S overruns its budget.
+
+    D* = S2 extends S by the copies N_1, ..., N_p; B = `b` lies within S, A
+    = `a` within B, and (s, k) = `pair`.  Each copy is read off one reducer:
+    B's rows are added after N_c's, none grows the span iff B lies in
+    span(N_c), and dim(N_c/B) is the rank reached minus rank(B).  The
+    hypotheses, all checked here, as are S in K+ and A <= B:
+      (i)   `_moment_shape` holds for the copies' `_fresh_blocks` with all
+            of S, not only B, zero on the blocks;
+      (ii)  s - alpha*(k - 1) >= 0 > g = s - alpha*k;
+      (iii) each copy is k colored points, B lies in its span and
+            delta(N_c/B) = g.
+
+    Lemma.  With mu = min_relative_delta(S, B):
+      D* is in K+ iff S is and delta(B) + mu + p*g >= 0;
+      A <= B u copies iff A <= B and delta(B/A) + p*g >= 0.
+
+    Proof.  Let Y lie within D*, Y_S = Y n S, F the q copies within Y and Z
+    = Y_S u (their union).  Projecting onto the blocks of the copies outside
+    F kills Z by (i), and there each partial Y n N_c, of m < k points, has
+    rank min(m, s) by `_moment_shape`'s lemma; so delta(Y) >= delta(Z) plus
+    terms min(m, s) - alpha*m, each >= 0 by alpha <= 1 up to s and by (ii)
+    past it.  If q = 0, Z = Y_S.  If q >= 1, B lies in span(Z) by (iii),
+    and projecting onto F's blocks (rank s per full copy) gives dim(Z) >=
+    dim(Y_S u B) + q*s, with q*k colored points more than Y_S; so delta(Z)
+    >= delta(Y_S u B) + q*g >= delta(B) + mu + p*g, as g < 0.  Conversely,
+    for C within S attaining mu, Y = C u B u (all copies) has dim(Y) <=
+    dim(C u B) + p*s by (iii) and p*k colored points more, so delta(Y) <=
+    delta(B) + mu + p*g; and S lies within D*.  For A <= B u copies take Y
+    with A within Y, so delta(Y/A) = delta(Y) - delta(A) and Y_S lies within
+    B: if q = 0, delta(Y/A) >= delta(Y_S/A), and if q >= 1, delta(Y/A) >=
+    delta(B/A) + p*g; B and B u copies attain both bounds.
+    """
+    s, k = pair.s, pair.k
+    alpha, rank_b = S2.alpha, S2.reducer_for(b).rank
+    gaps, spanned = [], True
+    for ids in copies:
+        red = S2.reducer_for(ids)
+        spanned &= not sum(red.add(S2.introw(i)) for i in sorted(b))
+        gaps.append(PreDimValue(red.rank - rank_b, len(S2.colored.intersection(ids))))
+    gap = PreDimValue(s, k)
+    if not (
+        spanned
+        and all(g == gap and len(ids) == k for g, ids in zip(gaps, copies))
+        and PreDimValue(s, k - 1).sign(alpha) >= 0 > gap.sign(alpha)
+        and S2.id_set == S.id_set.union(*copies)
+        and _moment_shape(S2, S.id_set, _fresh_blocks(S2, copies, s))
+    ):
+        return gaps, None
+    try:
+        s_ok = in_k_plus(S, VERIFY_NODE_BUDGET)
+        mu, _ = min_relative_delta(S, b, VERIFY_NODE_BUDGET)
+        a_ok = is_closed(a, S.restrict(b), VERIFY_NODE_BUDGET)
+    except SearchBudgetExceeded:
+        return gaps, None
+    whole = PreDimValue(len(copies) * s, len(copies) * k)
+    return gaps, {
+        "ambient_k_plus": s_ok and (delta(S, b) + mu + whole).sign(alpha) >= 0,
+        "anchor_closed": a_ok and (delta(S, b, a) + whole).sign(alpha) >= 0,
+    }
 
 
 def _small_extensions_closed_check(res: Construction, b_ids, n) -> Check:

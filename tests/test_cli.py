@@ -110,22 +110,33 @@ class TestErrorCodes:
         ids=["ambient_k_plus", "anchor_closed"],
     )
     def test_forced_overrun_exits_two(self, capsys, monkeypatch, tmp_path, check, search):
-        # with the free-union DP unavailable the budgeted search decides the
-        # check; its overrun fails the construction, naming the check
+        # a power patch over two points (k - s = 1 < 2) is past the
+        # fresh-block lemma; with the free-union DP unavailable for the check
+        # (it decides ambient_k_plus first, then anchor_closed) the budgeted
+        # search decides it, and its overrun fails the construction, naming
+        # the check
         from bicolor import construct
         from bicolor.errors import SearchBudgetExceeded
 
         def overrun(*args, **kwargs):
             raise SearchBudgetExceeded("forced overrun")
 
-        original = getattr(construct, search)
-        monkeypatch.setattr(construct, "_free_union_min", overrun)
+        original, dp, dp_calls = getattr(construct, search), construct._free_union_min, []
+
+        def dp_unless_checked(*args):
+            dp_calls.append(args)
+            if ["ambient_k_plus", "anchor_closed"][len(dp_calls) - 1] == check:
+                overrun()
+            return dp(*args)
+
+        monkeypatch.setattr(construct, "_free_union_min", dp_unless_checked)
         monkeypatch.setattr(construct, search, lambda *a, node_budget=None: (
             overrun() if node_budget else original(*a)
         ))
         p = tmp_path / "in.json"
-        save(TestConstructGoldenBytes.INPUTS["irr"](), p)
-        code, obj = run(capsys, "construct", "patch", "--base", "b", "--epsilon", "1/3", "--structure", str(p))
+        save(TestConstructGoldenBytes.INPUTS["irr2"](), p)
+        argv = ["power", "--base", "b1,b2", "--mu", "1/2", "-n", "2", "--structure", str(p)]
+        code, obj = run(capsys, "construct", *argv)
         assert code == 2
         assert obj == {"error": "SearchBudgetExceeded", "message": f"{check}: forced overrun"}
 
@@ -369,17 +380,21 @@ def _plain_points(alpha, rows):
 
 class TestConstructGoldenBytes:
     """stdout and `--out` bytes of every `bicolor construct` op, pinned by
-    sha256 prefix.  The patch at sqrt(2)/6 (s = 3, k = 13) has its block
-    table in closed form, the patch over two base points (s = 7, k = 10) has
-    it walked; both were pinned before the closed form existed.  The 17-point
-    patch at 1/sqrt(2) (s = 12) is past BLOCK_PROFILE_LIMIT: its ambient K+
-    and anchor checks are certified by the free-union DP on its closed-form
-    table.  Every subset check (genericity, interior, minimal pair, small
-    sets) is certified by the moment-shape certificate before any sweep;
-    before it was tried first, the checks named in `moved` were exhaustive
-    and stdout had `old_stdout_digest`.  The 17-point patch's stdout had
-    `OLD_PAST_LIMIT_DIGEST` when its genericity was swept and its other
-    three certified checks were searched or sampled
+    sha256 prefix.  `steps_back` lists, newest first, the checks each earlier
+    change moved to certified and the stdout digest before it: putting those
+    methods back to exhaustive, step by step, reproduces each earlier digest,
+    and nothing else differs.  The fresh-block lemma certifies ambient K+ and
+    anchor closedness of every patch here: over one point, over two points
+    with k - s = 3 (s = 7, k = 10), and past BLOCK_PROFILE_LIMIT in the
+    17-point patch at 1/sqrt(2) (s = 12), whose two checks were certified
+    before it too, by the free-union DP on a closed-form table that is gone;
+    the row ids name what each row pinned when it was added.  Before, the
+    DP decided them exhaustively (step FRESH).  Before that, the subset
+    checks (genericity, interior, minimal pair, small sets) were swept, not
+    certified by the moment-shape certificate first.  A basis extension's
+    all_bases is certified by `_on_moment_curve` and was swept before.  The
+    17-point patch's stdout had `OLD_PAST_LIMIT_DIGEST` when its genericity
+    was swept and its other three certified checks were searched or sampled
     (`test_past_limit_old_methods`)."""
 
     OLD_PAST_LIMIT_DIGEST = "2882e221027cc41b"
@@ -387,8 +402,10 @@ class TestConstructGoldenBytes:
         "generic_position": "exhaustive", "interior_condition": "sampled",
         "anchor_closed": "exhaustive", "ambient_k_plus": "exhaustive",
     }
+    FRESH = ("anchor_closed", "ambient_k_plus")
     PATCH = ("generic_position", "interior_condition")
     RATMIN = ("generic_position", "minimal_pair")
+    SMALL = ("small_sets_closed",)
 
     QUAD = '{"kind":"quadratic","a":0,"b":1,"c":2,"d":2}'
     INPUTS = {
@@ -403,39 +420,46 @@ class TestConstructGoldenBytes:
     }
 
     @pytest.mark.parametrize(
-        "structure, argv, stdout_digest, out_digest, old_stdout_digest, moved",
+        "structure, argv, stdout_digest, out_digest, steps_back",
         [
             ("irr", ["patch", "--base", "b", "--epsilon", "1/3"],
-             "57550cb261f35314", "1aae00673358b542", "2a26e57eb2094543", PATCH),
+             "07adc552299b5151", "1aae00673358b542",
+             [(FRESH, "57550cb261f35314"), (PATCH, "2a26e57eb2094543")]),
             ("irr6", ["patch", "--base", "b", "--epsilon", "1/10"],
-             "7f69048563b54850", "320bd2e7b829c4b9", "010af60db2cbdd6d", PATCH),
+             "41e83a5d2f7546ad", "320bd2e7b829c4b9",
+             [(FRESH, "7f69048563b54850"), (PATCH, "010af60db2cbdd6d")]),
             ("irr2", ["patch", "--base", "b1,b2", "--epsilon", "1/10"],
-             "e02dc559bda5cdb5", "04388e70e45f38ed", "f8c9712d883152ed", PATCH),
+             "15e86a6686a49f86", "04388e70e45f38ed",
+             [(FRESH, "e02dc559bda5cdb5"), (PATCH, "f8c9712d883152ed")]),
             ("irr", ["patch", "--base", "b", "--epsilon", "1/20"],
-             "201376e9cc6bca9b", "50cee748c5e0d4a5", "02eb834b97a4be9c", ("generic_position",)),
+             "201376e9cc6bca9b", "50cee748c5e0d4a5",
+             [(("generic_position",), "02eb834b97a4be9c")]),
             ("irr", ["power", "--base", "b", "--mu", "1/2", "-n", "2"],
-             "f7d2daae29ca0041", "50cd8d331634820a", "610ffd03c9556a0e", ("small_sets_closed",)),
+             "9e3cec42aa89b00e", "50cd8d331634820a",
+             [(FRESH, "f7d2daae29ca0041"), (SMALL, "610ffd03c9556a0e")]),
             ("rat", ["ratmin", "--base", "b", "-t", "0"],
-             "87c5183e6c42dc9a", "86c4bd84e76ae430", "8fc89e4434258d5e", RATMIN),
+             "78497156e2a9215f", "86c4bd84e76ae430",
+             [(FRESH, "87c5183e6c42dc9a"), (RATMIN, "8fc89e4434258d5e")]),
             ("rat", ["ratmin", "--base", "b", "-t", "1"],
-             "9a663936e60d570b", "bce08e5479282e13", "667315bcd54b9278", RATMIN),
+             "174f1cd6cdcec83a", "bce08e5479282e13",
+             [(FRESH, "9a663936e60d570b"), (RATMIN, "667315bcd54b9278")]),
             ("rat", ["ratzero", "--base", "b", "-t", "0"],
-             "99cd6d3736981d8c", "cea836df65cc255f", "1e19520c7b0237c5", ("small_sets_closed",)),
+             "4232239b39f2a0d1", "cea836df65cc255f",
+             [(FRESH, "99cd6d3736981d8c"), (SMALL, "1e19520c7b0237c5")]),
             (None, ["chain", "--alpha", QUAD, "--depth", "2", "--ambient-budget", "32"],
-             "1a33c4d136abe46d", "f05197bccdc4049a", "947d6dbb3d1dc971",
-             ("generic_1", "minimal_pair_1", "generic_2", "minimal_pair_2")),
+             "1a33c4d136abe46d", "f05197bccdc4049a",
+             [(("generic_1", "minimal_pair_1", "generic_2", "minimal_pair_2"), "947d6dbb3d1dc971")]),
             ("basis", ["basis", "--base", "b1,b2", "-n", "2"],
-             "601ee901c94bbfbd", "5e3f3f19d55878c0", "601ee901c94bbfbd", ()),
+             "a47b1435666273de", "5e3f3f19d55878c0", [(("all_bases",), "601ee901c94bbfbd")]),
             ("pool", ["dsystem", "--family", "y0;y1;y2;y3", "-n", "3"],
-             "fb4ee8ee5fb3b5e3", None, "fb4ee8ee5fb3b5e3", ()),
+             "fb4ee8ee5fb3b5e3", None, []),
         ],
         ids=[
             "patch", "patch-closed-form", "patch-two-point-base", "patch-past-block-limit",
             "power", "ratmin-t0", "ratmin-t1", "ratzero", "chain", "basis", "dsystem",
         ],
     )
-    def test_bytes(self, capsys, tmp_path, structure, argv, stdout_digest, out_digest,
-                   old_stdout_digest, moved):
+    def test_bytes(self, capsys, tmp_path, structure, argv, stdout_digest, out_digest, steps_back):
         argv = ["construct", *argv]
         if structure:
             p = tmp_path / "in.json"
@@ -450,11 +474,12 @@ class TestConstructGoldenBytes:
         if out_digest:
             assert _digest(out.read_bytes()) == out_digest
         obj = json.loads(stdout)
-        for c in obj.get("checks", []):
-            if c["name"] in moved:
-                assert c["method"] == "certified"
-                c["method"] = "exhaustive"
-        assert _digest(canonical_dumps(obj).encode()) == old_stdout_digest
+        for moved, digest in steps_back:
+            for c in obj["checks"]:
+                if c["name"] in moved:
+                    assert c["method"] == "certified"
+                    c["method"] = "exhaustive"
+            assert _digest(canonical_dumps(obj).encode()) == digest
 
     def test_past_limit_old_methods(self, capsys, tmp_path):
         p = tmp_path / "in.json"

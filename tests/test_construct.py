@@ -16,16 +16,15 @@ from bicolor.construct import (
     ChainLevel,
     _block_profile,
     _free_union_min,
+    _fresh_block_union,
     _genericity_check,
     _minimal_pair_check,
     _moment_shape,
-    _moment_table,
     _patch_checks,
     _patch_interior_check,
     _small_extensions_closed_check,
     _tower_k_plus_check,
     _verify_subsets,
-    _walk_table,
     chain_pairs,
     chain_window,
     delta_system_closed_root,
@@ -112,6 +111,38 @@ class TestGenericBasisExtension:
         pool = sorted(set(res.new_ids) | {"b2", "b3"})
         for pair in itertools.combinations(pool, 2):
             assert delta(res.structure, pair, ["b1"]).dim_part == 2
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 4), (3, 5), (5, 30)])
+    def test_all_bases_certified(self, m, n):
+        # points c*(b_1 + lam*b_2 + ...) over the base: every m-subset is a
+        # base by Descartes' rule, with no sweep; the sweep agrees where small
+        S = plain_points(ALPHA_HALF, [tuple(int(i == j) for j in range(m + 1)) for i in range(m)])
+        bs = [f"b{i + 1}" for i in range(m)]
+        res = generic_basis_extension([], bs, n, S)
+        assert res.checks == [Check("all_bases", True, method="certified")]
+        if n < 10:
+            pool = set(bs) | set(res.new_ids)
+            swept = _verify_subsets(
+                "all_bases", res.structure, [], pool, range(m, m + 1), lambda d: d.dim_part != m, math.inf
+            )
+            assert swept == Check("all_bases", True)
+
+    def test_off_the_curve_is_swept(self):
+        S = plain_points(ALPHA_HALF, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        S2, ids = grow_patch(S, ["b2", "b3"], 0, 3, colored=False, prefix="g")
+        assert construct._on_moment_curve(S2, ["b1"], ["b2", "b3"], ids)
+        # g3 = b2 + 3*b3 moved to b2 + 2*b3 = g2: {g2, g3} is no base
+        broken = _perturbed(S2, "g3", -1)
+        assert not construct._on_moment_curve(broken, ["b1"], ["b2", "b3"], ids)
+        # the points lie outside span(b1, b2)
+        assert not construct._on_moment_curve(S2, [], ["b1", "b2"], ids)
+        # b2 is not independent over b2
+        assert not construct._on_moment_curve(S2, ["b2"], ["b2", "b3"], ids)
+        check = _verify_subsets(
+            "all_bases", broken, ["b1"], {"b2", "b3", *ids}, range(2, 3), lambda d: d.dim_part != 2,
+            math.inf, lambda: construct._on_moment_curve(broken, ["b1"], ["b2", "b3"], ids),
+        )
+        assert check == Check("all_bases", False, witness=["g2", "g3"])
 
 
 class TestDeltaSystem:
@@ -381,6 +412,18 @@ class TestExactPastDeskScale:
         assert all(c.passed for c in res.checks)
         assert {c.method for c in res.checks} <= {"exhaustive", "certified"}
         assert res.checks[-1] == Check("ambient_k_plus", True, method="certified")
+
+    @pytest.mark.parametrize("engine", [rational_minimal_extension, rational_zero_extension])
+    def test_rank_two_base(self, engine):
+        # copies of 68 points over two plain points: the fresh-block lemma
+        # certifies both union checks, where a K+ search overran 150k nodes
+        S = plain_points(ALPHA_TWO_THIRDS, [(1, 0), (0, 1)])
+        res = engine([], ["b1", "b2"], 2, S)
+        assert (res.pair.s, res.pair.k) == (45, 68)
+        assert len(res.copies) == (1 if engine is rational_minimal_extension else 6)
+        assert all(c.passed and c.method in ("exhaustive", "certified") for c in res.checks)
+        union = {c.name: c.method for c in res.checks if c.name in ("anchor_closed", "ambient_k_plus")}
+        assert union == {"anchor_closed": "certified", "ambient_k_plus": "certified"}
 
     def test_rational_minimal_extension(self):
         res = rational_minimal_extension([], ["b"], 2, _one_point(ALPHA_TWO_THIRDS))
@@ -950,8 +993,7 @@ class TestFreeUnionVerifier:
     def test_block_profile_steps_once_per_growing_subset(self, monkeypatch, k):
         # the walk carries pending rows: no reducer clone or add, and one
         # elimination step per subset with points still to come whose last
-        # row grew the span, so at most 2^k - 1.  A moment block is not
-        # walked, so the walk runs on a copy with one entry perturbed.
+        # row grew the span, so at most 2^k - 1
         S, blocks, old_w = self._add_blocks(_one_point(ALPHA_TWO_THIRDS), ["b"], [(2, k)])
         calls = dict.fromkeys(["add", "clone", "eliminate"], 0)
 
@@ -965,10 +1007,6 @@ class TestFreeUnionVerifier:
         monkeypatch.setattr(SpanReducer, "add", counting("add", SpanReducer.add))
         monkeypatch.setattr(SpanReducer, "clone", counting("clone", SpanReducer.clone))
         monkeypatch.setattr(pregeom, "eliminate", counting("eliminate", pregeom.eliminate))
-        _block_profile(S, old_w, *blocks[0])
-        assert calls["eliminate"] == 0
-        S = _perturbed(S, blocks[0][0][-1], -1)
-        calls.update(dict.fromkeys(calls, 0))
         _block_profile(S, old_w, *blocks[0])
         rows = [S.introw(i) for i in sorted(blocks[0][0])]
         rank = lambda c: rank_int_matrix([rows[j] for j in c], len(rows[0]))
@@ -990,15 +1028,161 @@ class TestFreeUnionVerifier:
             return original(S2, old_width, ids, start, length)
 
         monkeypatch.setattr(construct, "_block_profile", recording)
-        res = rational_zero_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS, colored=colored_base))
+        # over two base points with k - s = 1 < 2 the fresh-block lemma
+        # declines, so the DP decides both union checks
+        S = plain_points(ALPHA_INV_SQRT2, [(1, 0), (0, 1)])
+        if colored_base:
+            S = ColoredStructure(S.backend, S.elements, S.id_set, S.alpha)
+        res = free_power_patch([], ["b1", "b2"], F(1, 2), 2, S)
+        assert (res.pair.s, res.pair.k, len(res.copies)) == (2, 3, 4 if colored_base else 16)
         certified = {"small_sets_closed"}
         assert all(c.passed and c.method == ("certified" if c.name in certified else "exhaustive")
                    for c in res.checks)
         fresh = [ids for ids, _, length in calls if length]
         assert sorted(fresh) == sorted(tuple(sorted(c)) for c in res.copies)
         old_part = [(ids, start) for ids, start, length in calls if not length]
-        # the colored base point is the old part of both minimisations
-        assert old_part == ([(("b",), 1)] * 2 if colored_base else [])
+        # the colored base points are the old part of both minimisations
+        assert old_part == ([(("b1", "b2"), 2)] * 2 if colored_base else [])
+
+
+def _unit_rows(width, *cols):
+    """Sum of the unit vectors on `cols` (each once per mention)."""
+    row = [0] * width
+    for c in cols:
+        row[c] += 1
+    return row
+
+
+class TestFreshBlockLemma:
+    """`_fresh_block_union` against the free-union DP on walked tables and a
+    brute-force `SubsetTable`, on unions of at most 12 points: bases of rank
+    0 to 2 with colored points, S larger than B, 1 to 3 `grow_patch` copies
+    with k - s >= r (the lemma applies) or k - s < r (it declines).  Three
+    hand-built unions each break one hypothesis, and there the lemma's
+    formula would give the wrong verdict: B outside the copies' span, the
+    interior condition, and a point of S - B on a copy's block."""
+
+    ALPHAS = [ALPHA_HALF, ALPHA_TWO_THIRDS, ALPHA_INV_SQRT2, Alpha.rational(3, 5)]
+
+    @staticmethod
+    def _pairs(alpha):
+        """(s, k) with s - alpha*(k - 1) >= 0 > s - alpha*k and k <= 6."""
+        return [
+            (s, k) for s in (1, 2, 3) for k in range(s + 1, 7)
+            if PreDimValue(s, k - 1).sign(alpha) >= 0 > PreDimValue(s, k).sign(alpha)
+        ]
+
+    @staticmethod
+    def _random_union(rng, alpha, r, s, k):
+        """B of rank r and one or two more points of S on old columns of
+        width r + 1, colored at random, then 1-3 copies (at most 12 points)."""
+        width = r + 1
+        while True:
+            base = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(r)]
+            if rank_int_matrix(base, width) == r:
+                break
+        extra, n_extra = [], rng.randint(1, 2)
+        while len(extra) < n_extra:
+            row = [rng.randint(-2, 2) for _ in range(width)]
+            extra += [row] if any(row) else []
+        rows = {f"b{i}": v for i, v in enumerate(base)} | {f"x{i}": v for i, v in enumerate(extra)}
+        colored = [i for i in rows if rng.random() < 0.5]
+        S = ColoredStructure(
+            Backend(LINEAR, width), tuple(ge(i, *v) for i, v in rows.items()), frozenset(colored), alpha
+        )
+        b = [f"b{i}" for i in range(r)]
+        S2, copies = S, []
+        for c in range(rng.randint(1, min(3, (12 - len(S)) // k))):
+            S2, ids = grow_patch(S2, b, s, k, colored=True, lam_start=1 + c * k)
+            copies.append(ids)
+        a = [i for i in b if rng.random() < 0.4]
+        return S2, a, b, copies
+
+    @staticmethod
+    def _verdicts(S2, a, b, copies, s):
+        """(lemma's verdicts or None, DP's or None, brute force's), with the
+        lemma's gaps checked against `delta`."""
+        S = S2.restrict(S2.id_set.difference(*copies))
+        gaps, lemma = _fresh_block_union(S, S2, a, b, copies, ApproximationPair(s, len(copies[0])))
+        assert gaps == [delta(S2, c, b) for c in copies]
+        star = set(b).union(*copies)
+        t = SubsetTable(S2)
+        brute = {
+            "ambient_k_plus": all(t.delta_sign(m) >= 0 for m in range(1 << t.n)),
+            "anchor_closed": all(t.delta_sign(m, t.mask_of(a)) >= 0 for m in submasks(t.mask_of(star))),
+        }
+        old_w = S2.backend.ambient_dim - len(copies) * s
+        blocks = construct._fresh_blocks(S2, copies, s)
+        try:
+            tables = [_block_profile(S2, old_w, *blk) for blk in blocks]
+            lows = {
+                "ambient_k_plus": _free_union_min(S2, (), old_w, blocks, tables),
+                "anchor_closed": _free_union_min(S2.restrict(star), a, old_w, blocks, tables),
+            }
+            dp = {name: low.sign(S2.alpha) >= 0 for name, low in lows.items()}
+        except SearchBudgetExceeded:
+            dp = None
+        return lemma, dp, brute
+
+    def test_random_unions_agree(self, rng):
+        seen = set()
+        for trial in range(72):
+            alpha = self.ALPHAS[trial % 4]
+            r = trial // 4 % 3
+            s, k = rng.choice(self._pairs(alpha))
+            S2, a, b, copies = self._random_union(rng, alpha, r, s, k)
+            lemma, dp, brute = self._verdicts(S2, a, b, copies, s)
+            assert dp == brute
+            assert (lemma is not None) == (k - s >= r)
+            if lemma is not None:
+                assert lemma == brute
+                seen |= {("rank", r), ("copies", len(copies))}
+                seen |= {(name, ok) for name, ok in lemma.items()}
+                seen |= {("colored base", bool(S2.colored & set(b)))}
+            else:
+                seen.add("k - s < r")
+        want = {("rank", r) for r in range(3)} | {("copies", p) for p in (1, 2, 3)}
+        want |= {(name, ok) for name in ("ambient_k_plus", "anchor_closed") for ok in (True, False)}
+        assert seen >= want | {("colored base", True), "k - s < r"}
+
+    @staticmethod
+    def _hand_built(case):
+        """(rows, colored ids, B, copies) of a union at alpha = 2/3 with s = 1
+        breaking one hypothesis; the copies own the last columns in order."""
+        if case == "B outside the span":
+            # four copies {b1 + e, b1 + 2e} share the residue line b1: 5 - 8*(2/3) < 0,
+            # while delta(B) + 4*(1 - 2*(2/3)) = 2/3
+            width = 6
+            rows = {"b1": _unit_rows(width, 0), "b2": _unit_rows(width, 1)}
+            copies = [(f"d{c}a", f"d{c}b") for c in range(4)]
+            for c, (u, v) in enumerate(copies):
+                rows[u], rows[v] = _unit_rows(width, 0, 2 + c), _unit_rows(width, 0, 2 + c, 2 + c)
+            return rows, [i for copy in copies for i in copy], ["b1", "b2"], copies
+        if case == "interior":
+            # {e, 2e} has delta 1 - 2*(2/3) < 0, while delta(B) + (1 - 3*(2/3)) = 0
+            rows = {"b1": [1, 0], "d1": [0, 1], "d2": [0, 2], "d3": [1, 3]}
+            return rows, ["d1", "d2", "d3"], ["b1"], [("d1", "d2", "d3")]
+        # x in S - B on the copy's column: B u x u copy has 2 - 4*(2/3) < 0,
+        # while delta(B) + min_relative_delta(S, B) + (1 - 2*(2/3)) = 0
+        rows = {"b1": [1, 0], "x": [0, 1], "d1": [1, 1], "d2": [1, 2]}
+        return rows, ["b1", "x", "d1", "d2"], ["b1"], [("d1", "d2")]
+
+    @pytest.mark.parametrize("case", ["B outside the span", "interior", "S - B on a block"])
+    def test_broken_hypotheses_decline(self, case):
+        rows, colored, b, copies = self._hand_built(case)
+        S2 = ColoredStructure(
+            Backend(LINEAR, len(rows["b1"])), tuple(ge(i, *v) for i, v in rows.items()),
+            frozenset(colored), ALPHA_TWO_THIRDS,
+        )
+        lemma, dp, brute = self._verdicts(S2, [], b, copies, 1)
+        assert lemma is None
+        assert dp in (None, brute)
+        # the lemma's formula, were it applied, would pass a union outside K+
+        S = S2.restrict(S2.id_set.difference(*copies))
+        p, k = len(copies), len(copies[0])
+        mu, _ = min_relative_delta(S, b)
+        assert (delta(S, b) + mu + PreDimValue(p, p * k)).sign(S2.alpha) >= 0
+        assert brute["ambient_k_plus"] is False
 
 
 def _read_off(S, b_ids, new_ids, s: int, old_w: int, table):
@@ -1137,15 +1321,16 @@ class TestPatchReadOff:
         [
             (lambda: rational_minimal_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS)), 0),
             (lambda: transcendental_patch([], ["b"], F(1, 10), _one_point(ALPHA_INV_SQRT2)), 0),
-            (lambda: transcendental_patch(
-                [], ["b1", "b2"], F(1, 10), plain_points(ALPHA_INV_SQRT2, [(1, 0), (0, 1)])
-            ), 1),
+            (lambda: free_power_patch(
+                [], ["b1", "b2"], F(1, 2), 2, plain_points(ALPHA_INV_SQRT2, [(1, 0), (0, 1)])
+            ), 16),
         ],
         ids=["rational_minimal_extension", "transcendental_patch", "two_point_base"],
     )
     def test_one_walk_over_the_new_points(self, monkeypatch, engine, walks):
-        # a moment patch over one point is tabulated in closed form; over two
-        # points its block is walked once
+        # a moment patch over one point is certified by the fresh-block lemma
+        # and no copy is walked; a power patch over two points (k - s = 1 <
+        # 2) has each of its 16 copies walked once for the DP
         original, walked = pregeom.walk, []
 
         def counting(rows, *args):
@@ -1155,11 +1340,13 @@ class TestPatchReadOff:
         for module in ("closure", "colored", "construct"):
             monkeypatch.setattr(sys.modules[f"bicolor.{module}"], "walk", counting)
         res = engine()
-        certified = {"generic_position", "interior_condition", "minimal_pair"}
+        certified = {"generic_position", "interior_condition", "minimal_pair", "small_sets_closed"}
+        if not walks:
+            certified |= {"anchor_closed", "ambient_k_plus"}
         assert all(c.passed and c.method == ("certified" if c.name in certified else "exhaustive")
                    for c in res.checks)
-        assert len(res.new_ids) > 1
-        assert walked.count(len(res.new_ids)) == walks
+        assert res.pair.k > 1
+        assert walked.count(res.pair.k) == walks
 
     def test_thirteen_point_patch_interior_is_certified(self):
         # the certificate passes with no sweep, and the full sweep and the
@@ -1203,16 +1390,14 @@ class TestPatchReadOff:
         assert want == [Check("generic_position", False, witness=["x"]), Check("minimal_pair", True)]
 
     def test_no_table_past_the_limit(self):
-        # past BLOCK_PROFILE_LIMIT points a block off the moment curve is not
-        # walked, and the read-off does not apply to a moment block's closed
-        # form; the checks are certified by the moment shape at any size
+        # past BLOCK_PROFILE_LIMIT points no block is walked, on the moment
+        # curve or off it; the checks are certified by the moment shape at
+        # any size
         k = BLOCK_PROFILE_LIMIT + 1
         S, new_ids = grow_patch(_one_point(ALPHA_TWO_THIRDS), ["b"], 10, k, colored=True)
-        with pytest.raises(SearchBudgetExceeded, match=f"block of {k} points"):
-            _block_profile(_perturbed(S, new_ids[-1], -1), 1, new_ids, 1, 10)
-        table = _block_profile(S, 1, new_ids, 1, 10)
-        assert table[span_key([[1]], 1), 10] == k
-        assert _read_off(S, ["b"], new_ids, 10, 1, table) is None
+        for T in (S, _perturbed(S, new_ids[-1], -1)):
+            with pytest.raises(SearchBudgetExceeded, match=f"block of {k} points"):
+                _block_profile(T, 1, new_ids, 1, 10)
         # delta(D/B) = 10 - (2/3)*15 = 0, so no minimal pair, and no sweep
         generic = Check("generic_position", True, method="certified")
         assert _patch_checks(S, ["b"], new_ids, 10, True) == [generic, Check("minimal_pair", False)]
@@ -1351,9 +1536,71 @@ class TestCertifiedSubsetChecks:
         }
 
 
+def _closed_form_table(rows, length: int, old_width: int) -> dict | None:
+    """`_block_profile`'s table of integer rows (fresh part f_i of width
+    s = `length`, then old part o_i) that lie on the moment curve over a
+    residue of rank r <= 1, or None when they do not.
+
+    The shapes need s >= 1 and every c_i nonzero:
+      r = 0: every o_i = 0 and f_i = c_i*(1, mu_i, ..., mu_i^(s-1)), the mu_i
+             distinct when s >= 2;
+      r = 1: o_i = c_i*v for one nonzero v, and f_i = c_i*(mu_i, ..., mu_i^s),
+             the mu_i nonzero and distinct.
+    The table is ((), j): j for j <= min(s, k) and, when k > s, also
+    ((), s): k for r = 0 or (key of span v, s): k for r = 1.
+
+    Lemma.  In the coordinates (v, e_1, ..., e_s), e_t the fresh unit
+    vectors, row i is c_i*(1, mu_i, ..., mu_i^s) (drop the v column for
+    r = 0).  Any m of the rows have fresh rank min(m, s) and total rank
+    min(m, s + r), so their residue over the old coordinates is 0 when m <= s
+    and span(v) when m > s.
+
+    Proof.  v and the e_t are independent, v being nonzero and zero on the
+    fresh columns, so a subset's rank is that of its coefficient rows.  Its
+    fresh parts are c_i*mu_i^r*(1, mu_i, ..., mu_i^(s-1)), a Vandermonde
+    matrix with distinct nodes scaled by nonzero rows (for r = 0 and s = 1,
+    the nonzero c_i), of rank min(m, s); for r = 1 its full coefficient rows
+    are a Vandermonde matrix with s + 1 columns, of rank min(m, s + 1).  The
+    residue has dimension rank minus fresh rank and lies in span(v).
+    """
+    if not length:
+        return None
+    s, k = length, len(rows)
+    v = next((row[s:] for row in rows if any(row[s:])), None)
+    p = next(t for t, x in enumerate(v) if x) if v else None
+    mus, lams = set(), set()
+    for row in rows:
+        f, o = row[:s], row[s:]
+        if not f[0] or any(x * f[0] != y * f[1] for x, y in zip(f[2:], f[1:])):
+            return None
+        if v is None:
+            if s > 1:
+                mus.add(F(f[1], f[0]))
+            continue
+        if not o[p] or any(x * v[p] != y * o[p] for x, y in zip(o, v)):
+            return None
+        b = F(o[p], v[p])
+        if s == 1:
+            mus.add(f[0] / b)
+        elif f[1]:
+            mus.add(F(f[1], f[0]))
+            lams.add(f[0] * f[0] / (b * f[1]))
+        else:
+            return None
+    if len(lams) > 1 or (mus and len(mus) < k):
+        return None
+    table = {((), j): j for j in range(min(s, k) + 1)}
+    if k > s:
+        table[() if v is None else span_key([v], old_width), s] = k
+    return table
+
+
 class TestMomentTable:
-    """`_moment_table` against the walk on random moment blocks, and
-    `_block_profile` falling back to the walk where the shape fails."""
+    """`_block_profile` walks every block.  On random moment blocks over a
+    residue of rank at most one its table must equal the closed form of the
+    Vandermonde lemma (`_closed_form_table`, an oracle here since the
+    engines certify such unions by the fresh-block lemma), which declines
+    every other shape."""
 
     @staticmethod
     def _nonzero(rng):
@@ -1396,19 +1643,11 @@ class TestMomentTable:
                 k = BLOCK_PROFILE_LIMIT - trial // 2
             old_w = rng.randint(r, 3)
             S, ids, rows = self._structure(self._block(rng, r, s, k, old_w), old_w, s)
-            table = _moment_table(rows, s, old_w)
+            table = _closed_form_table(rows, s, old_w)
             assert table is not None
-            assert table == _walk_table(rows, s) == _block_profile(S, old_w, ids, old_w, s)
+            assert table == _block_profile(S, old_w, ids, old_w, s)
             seen.add((r, k > s))
         assert seen == {(r, past) for r in (0, 1) for past in (False, True)}
-
-    def test_moment_block_is_not_walked(self, monkeypatch, rng):
-        S, ids, rows = self._structure(self._block(rng, 1, 2, 9, 2), 2, 2)
-        monkeypatch.setattr(construct, "walk", None)
-        monkeypatch.setattr(pregeom, "eliminate", None)
-        assert _block_profile(S, 2, ids, 2, 2) == {
-            ((), 0): 0, ((), 1): 1, ((), 2): 2, (span_key([rows[0][2:]], 2), 2): 9
-        }
 
     def _declined(self, rng, case):
         """(rows, old width, s) of a block off the closed form's shapes."""
@@ -1442,10 +1681,7 @@ class TestMomentTable:
         for _ in range(6):
             block, old_w, s = self._declined(rng, case)
             rows = [int_row(row)[old_w:] + int_row(row)[:old_w] for row in block]
-            assert _moment_table(rows, s, old_w) is None
-            if all(map(any, block)):  # a structure holds no zero payload (c = 0)
-                S, ids, _ = self._structure(block, old_w, s)
-                assert _block_profile(S, old_w, ids, old_w, s) == _walk_table(rows, s)
+            assert _closed_form_table(rows, s, old_w) is None
 
 
 class TestConstruction:
@@ -1494,41 +1730,45 @@ class TestConstruction:
 
 
 _RATIONAL_PINS = [
-    (1, rational_zero_extension, "080bcc97c32c2f4e", "01461d890edc09a3"),
-    (1, rational_minimal_extension, "c643e65720b4b58b", "c599576fe6b093cb"),
-    (2, rational_zero_extension, "55992faca32b31af", "6352e59c25b5db0c"),
-    (2, rational_minimal_extension, "35bb0352c4ea5f8f", "c249f57c301a5185"),
+    (1, rational_zero_extension, "924e9f9aed77f682", "080bcc97c32c2f4e", "01461d890edc09a3"),
+    (1, rational_minimal_extension, "a1423c6f1acf2a95", "c643e65720b4b58b", "c599576fe6b093cb"),
+    (2, rational_zero_extension, "8964753a0505c2f8", "55992faca32b31af", "6352e59c25b5db0c"),
+    (2, rational_minimal_extension, "6f1085ad699a66e9", "35bb0352c4ea5f8f", "c249f57c301a5185"),
 ]
 
 
 class TestRationalGoldenBytes:
     """Canonical structure and checks of the rational engines at alpha = 2/3,
-    t = 1, over one plain base point b, pinned by sha256 prefix.  Before the
-    subset checks tried the moment-shape certificate first they hashed to
-    `old_digest` (which names each case), which differs only in the methods
-    of the certified subset checks, then exhaustive."""
+    t = 1, over one plain base point b, pinned by sha256 prefix.  Each step
+    back puts the methods of the checks it names back to exhaustive: before
+    the fresh-block lemma certified ambient_k_plus and anchor_closed (the
+    free-union DP decided them) the bytes hashed to `dp_digest`, and before
+    the subset checks tried the moment-shape certificate first to
+    `old_digest` (which names each case).  Nothing else differs."""
 
-    OLD_METHODS = dict.fromkeys(
-        ["generic_position", "interior_condition", "minimal_pair", "small_sets_closed"], "exhaustive"
-    )
+    STEPS_BACK = [
+        ("anchor_closed", "ambient_k_plus"),
+        ("generic_position", "interior_condition", "minimal_pair", "small_sets_closed"),
+    ]
 
     @pytest.mark.parametrize(
-        "payload, engine, digest, old_digest",
+        "payload, engine, digest, dp_digest, old_digest",
         _RATIONAL_PINS,
-        ids=[f"{p}-{engine.__name__}-{old}" for p, engine, _, old in _RATIONAL_PINS],
+        ids=[f"{p}-{engine.__name__}-{old}" for p, engine, _, _, old in _RATIONAL_PINS],
     )
-    def test_bytes(self, payload, engine, digest, old_digest):
+    def test_bytes(self, payload, engine, digest, dp_digest, old_digest):
         res = engine([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS, payload))
         structure = workbench.dumps(res.structure)
         checks = [c.to_json() for c in res.checks]
         blob = structure + canonical_dumps(checks)
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
-        for c in checks:
-            if c["name"] in self.OLD_METHODS:
-                assert c["method"] == "certified"
-                c["method"] = self.OLD_METHODS[c["name"]]
-        blob = structure + canonical_dumps(checks)
-        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == old_digest
+        for names, want in zip(self.STEPS_BACK, (dp_digest, old_digest)):
+            for c in checks:
+                if c["name"] in names:
+                    assert c["method"] == "certified"
+                    c["method"] = "exhaustive"
+            blob = structure + canonical_dumps(checks)
+            assert hashlib.sha256(blob.encode()).hexdigest()[:16] == want
 
 
 class TestChainGoldenBytes:

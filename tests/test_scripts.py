@@ -37,6 +37,12 @@ def test_chain_windows_tallies_check_methods():
     assert "certified x5" in tally
 
 
+def test_patch_gallery_certifies_a_two_point_base():
+    rows = [line for line in _run("patch_gallery.py").splitlines() if "over two points" in line]
+    assert len(rows) == 1
+    assert "ambient_k_plus[c]" in rows[0] and "anchor_closed[c]" in rows[0]
+
+
 def test_build_and_audit_output_is_pinned(tmp_path):
     out = tmp_path / "built.json"
     text = _run("build_and_audit.py", "--alpha", "2/3", "--steps", "40", "--budget", "3",

@@ -52,8 +52,10 @@ MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "_
 # Code removed for having no caller, or as a knob no caller set, the
 # per-call closedness dict the witness memo replaced, construct's seeded
 # subset draws, which certificates replaced, the amalgam's searched left
-# check, which the amalgamation lemma replaced, and the minimal-pair search
-# limit, which the certificate-first subset checks replaced.
+# check, which the amalgamation lemma replaced, the minimal-pair search
+# limit, which the certificate-first subset checks replaced, and the patch
+# blocks' closed-form table (now a test oracle) and its separate walk, which
+# the fresh-block lemma replaced and `_block_profile` absorbed.
 DELETED_NAMES = {
     "strong_extension",
     "all_pass",
@@ -69,6 +71,8 @@ DELETED_NAMES = {
     "SAMPLE_COUNT",
     "SAMPLE_SEED",
     "EXHAUSTIVE_MINPAIR_LIMIT",
+    "_moment_table",
+    "_walk_table",
 }
 ELIMINATION_NAMES = re.compile(r"rref|solve|kernel|bareiss|gauss|elimin|echelon|rank_int", re.I)
 
