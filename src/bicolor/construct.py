@@ -13,10 +13,11 @@ is verified, never assumed.  The four patch engines share one pipeline,
 
 Each check records its method, "exhaustive" (every case was tried) or
 "certified" (a proof read off the result's verified shape).  Every subset
-check (`_verify_subsets`) follows one rule: certified when `_moment_shape`
-(or, for a basis extension, `_on_moment_curve`) and the check's own exact
-inequality prove it on the built result, otherwise exhaustive within the
-check's limit, otherwise SearchBudgetExceeded.  A patch union's ambient K+
+check (`_certified`) follows one rule: certified when `_moment_shape` (or,
+for a basis extension, `_on_moment_curve`) and the check's own exact
+inequality prove it on the built result, otherwise InvariantError naming
+the check and the hypothesis that failed; no subset is swept.  Every engine
+meets the hypotheses by construction.  A patch union's ambient K+
 and anchor closedness are certified by the fresh-block lemma
 (`_fresh_block_union`); where its hypotheses fail (a base of rank r with
 k - s < r) the DP over walked block tables (`_block_profile`,
@@ -273,59 +274,32 @@ def _on_moment_curve(S, a, bs, ids) -> bool:
     return all(lams) and (m == 1 or len(set(lams)) == len(lams))
 
 
-def _verify_subsets(name, S, base, pool, sizes, violates, limit, certify=None) -> Check:
-    """Check that no non-empty subset C of `pool` (disjoint from `base`) with
-    size in `sizes` has a delta(C/base) that `violates`.
+def _certified(name: str, shaped: bool, *hypotheses) -> Check:
+    """The one rule of every subset check: Check(name, True, "certified")
+    when the moment shape `shaped` and each (holds, statement) of the check's
+    own exact `hypotheses` hold on the built result; otherwise InvariantError
+    names the check and the first hypothesis that failed.
 
-    `certify()`, a proof from `_moment_shape` and the check's own exact
-    inequality that none violates, certifies the check before any subset is
-    counted.  Otherwise, up to `limit` such subsets, the pool is reduced once
-    against span(base) (the residuals vanish on its pivot columns, so the
-    rank of C's residuals is dim(C/base)) and `pregeom.walk` meets them in
-    lex order, growing no subset to a violator's size once it met one: the
-    last violator met is the least by size, then lex.  Past the limit it
-    raises.
+    For a patch copy of k points over B with s fresh columns, `_moment_shape`'s
+    lemma gives dim(C/B) = |C| for |C| <= s and rank s past it, so:
+      generic_position: every s-subset is a base over B (the shape alone);
+      interior_condition: delta(C/B) >= min(m, s) - alpha*m >= 0 for every C
+        of m < k points, by alpha <= 1 up to s and by s - alpha*(k - 1) >= 0
+        past it;
+      minimal_pair: delta(D/B) < 0 plus the interior condition;
+      small_sets_closed: a C of fewer than n <= k points within the copies
+        meets each copy in m < k points, so the interior bound holds per copy;
+      all_bases: `_on_moment_curve` for a basis extension.
     """
-    if certify is not None and certify():
-        return Check(name, True, method="certified")
-    pool, n = sorted(pool), len(pool)
-    count = sum(math.comb(n, j) for j in sizes)
-    if count > limit:
-        msg = f"{name}: {count} subsets exceed the limit {limit}; no certificate applies"
-        raise SearchBudgetExceeded(msg)
-    red = S.reducer_for(base)
-    rows = [red.residual(S.introw(i)) for i in pool]
-    colored = [S.is_colored(i) for i in pool]
-    witness, top = None, sizes.stop - 1
-    take = lambda st, i, row: (st[0] + any(row), st[1] + colored[i], st[2] + (pool[i],))
-    prune = lambda i, st: not sizes.start - (n - i) <= len(st[2]) < top
-    for _, (dim, ncol, combo), new in walk(rows, (0, 0, ()), take, prune):
-        if new and combo and len(combo) in sizes and violates(PreDimValue(dim, ncol)):
-            top, witness = len(combo) - 1, combo
-    return Check(name, witness is None, witness=witness and sorted(witness))
+    for holds, statement in ((shaped, "the moment shape"), *hypotheses):
+        if not holds:
+            raise InvariantError(f"{name}: {statement} does not hold on the result")
+    return Check(name, True, method="certified")
 
 
-def _patch_interior_check(S2, b_ids, new_ids, s: int, name="interior_condition") -> Check:
-    """delta(C/B) >= 0 for every proper subset C of the patch `new_ids` of k
-    points, whose s fresh columns are the last.  `_moment_shape` gives
-    delta(C/B) >= min(m, s) - alpha*m for |C| = m < k, which is >= 0 when
-    s - alpha*(k - 1) >= 0."""
-    alpha, k = S2.alpha, len(new_ids)
-    return _verify_subsets(
-        name, S2, b_ids, new_ids, range(1, k), lambda d: d.sign(alpha) < 0,
-        2**BLOCK_PROFILE_LIMIT - 2,
-        lambda: PreDimValue(s, k - 1).sign(alpha) >= 0
-        and _moment_shape(S2, b_ids, _fresh_blocks(S2, [new_ids], s)),
-    )
-
-
-def _genericity_check(S2, new_ids, base_ids, s: int, name="generic_position") -> Check:
-    """Every s-subset of the patch, whose s fresh columns are the last, is a
-    base over the anchor; `_moment_shape` certifies it (dim(C/B) = |C| = s)."""
-    return _verify_subsets(
-        name, S2, base_ids, new_ids, range(s, s + 1), lambda d: d.dim_part != s, 20_000,
-        lambda: _moment_shape(S2, base_ids, _fresh_blocks(S2, [new_ids], s)),
-    )
+def _interior(s: int, k: int, alpha):
+    """s - alpha*(k - 1) >= 0, the interior hypothesis of `_certified`."""
+    return PreDimValue(s, k - 1).sign(alpha) >= 0, "s - alpha*(k - 1) >= 0"
 
 
 def _searched(name: str, search) -> Check:
@@ -336,7 +310,7 @@ def _searched(name: str, search) -> Check:
         raise SearchBudgetExceeded(f"{name}: {e}") from e
 
 
-def _tower_k_plus_check(S, levels, generic_checks) -> Check:
+def _tower_k_plus_check(S, levels) -> Check:
     """Ambient K+ of a chain, proved level by level ("certified").
 
     D_0 is levels[0].d_ids and D_l is D_{l-1} plus the points N_l = E_l u F_l
@@ -351,16 +325,16 @@ def _tower_k_plus_check(S, levels, generic_checks) -> Check:
     columns plus F'_l as plain points.
 
     Lemma.  Let D_{l-1} be in K+, and
-      (a) every s-subset of N_l a base over D_{l-1}: generic_checks[l-1]
-          passed (every `Check` is exhaustive or certified);
+      (a) `_moment_shape` holds for N_l on its block [w_l, w_l + s) over
+          D_{l-1}, so dim(C/D_{l-1}) >= min(|C|, s) for C within N_l;
       (b) s - alpha*(k - 1) >= 0;
       (c) delta(F'_l) + min_relative_delta(S'_l, F'_l) >= alpha*k - s.
     Then D_l is in K+.  D_0 is, having no colored point, so S is by induction.
 
     Proof.  Let A be within D_l, A' = A n D_{l-1} and C = A n N_l, so that
     delta(A) = delta(A') + delta(C/A') with delta(A') >= 0.  If C is a proper
-    subset of N_l, (a) makes C independent over D_{l-1} up to size s and of
-    rank s past it, so delta(C/A') >= min(|C|, s) - alpha*|C|; that is >= 0,
+    subset of N_l, (a) gives delta(C/A') >= min(|C|, s) - alpha*|C|, as A' lies
+    within D_{l-1}; that is >= 0,
     by alpha <= 1 up to size s and by (b) from there to size k - 1.  If
     C = N_l, the fresh parts of F_l lie in span(E_l), the unit vectors of a
     block where A' is zero, so dim(A' u N_l) = s + dim(A' u F'_l) and
@@ -371,7 +345,7 @@ def _tower_k_plus_check(S, levels, generic_checks) -> Check:
     budget, the answer is the budgeted K+ search's.
     """
     try:
-        if _tower_in_k_plus(S, levels, generic_checks):
+        if _tower_in_k_plus(S, levels):
             certify_k_plus(S)
             return Check("ambient_k_plus", True, method="certified")
     except SearchBudgetExceeded:
@@ -383,13 +357,13 @@ def _zero_from(S, ids, col: int) -> bool:
     return not any(any(S.introw(i)[col:]) for i in ids)
 
 
-def _tower_in_k_plus(S, levels, generic_checks) -> bool:
+def _tower_in_k_plus(S, levels) -> bool:
     """True when `_tower_k_plus_check`'s shape and conditions (a)-(c) hold."""
     d_prev = set(levels[0].d_ids)
     width = S.backend.ambient_dim - sum(len(lv.e_ids) for lv in levels[1:])
     if d_prev & S.colored or not _zero_from(S, d_prev, width):
         return False
-    for lv, gen in zip(levels[1:], generic_checks):
+    for lv in levels[1:]:
         new = lv.e_ids + lv.f_ids
         s, k = len(lv.e_ids), len(new)
         if len(set(new)) != k or d_prev.intersection(new):
@@ -401,7 +375,7 @@ def _tower_in_k_plus(S, levels, generic_checks) -> bool:
                 return False
         if not _zero_from(S, lv.f_ids, width + s):
             return False
-        if not gen.passed:  # (a)
+        if not _moment_shape(S, d_prev, [(new, width, s)]):  # (a)
             return False
         if PreDimValue(s, k - 1).sign(S.alpha) < 0:  # (b)
             return False
@@ -522,14 +496,6 @@ def _free_union_min(S2, prime_ids, old_width: int, blocks, profiles) -> PreDimVa
     return best
 
 
-def _patch_checks(S2, b_ids, new_ids, s: int, minimal: bool) -> list:
-    """[generic_position, then minimal_pair if `minimal` else
-    interior_condition] for a patch `new_ids` over `b_ids` whose s fresh
-    columns are the last."""
-    last = _minimal_pair_check if minimal else _patch_interior_check
-    return [_genericity_check(S2, new_ids, b_ids, s), last(S2, b_ids, new_ids, s)]
-
-
 def _patch_preconditions(S, a_ids, b_ids, need_positive_gap=True):
     a = S.check_ids(a_ids)
     b = S.check_ids(b_ids)
@@ -567,13 +533,7 @@ def generic_basis_extension(a_ids, b_ids, n: int, S: ColoredStructure) -> Constr
     if delta(S, bs, a).dim_part != m:
         raise NotIndependent("base set is not independent over the anchor")
     S2, new_ids = grow_patch(S, bs, 0, n, colored=False, prefix="g")
-    checks = [
-        _verify_subsets(
-            "all_bases", S2, a, set(bs) | set(new_ids), range(m, m + 1),
-            lambda d: d.dim_part != m, math.inf, lambda: _on_moment_curve(S2, a, bs, new_ids),
-        )
-    ]
-    _require(checks)
+    checks = [_certified("all_bases", _on_moment_curve(S2, a, bs, new_ids))]
     return Construction(S2, checks, copies=[new_ids])
 
 
@@ -671,10 +631,11 @@ def transcendental_patch(a_ids, b_ids, epsilon, S: ColoredStructure) -> Construc
         raise GapTooSmall("need delta(B/A) > epsilon")
     pair = dirichlet_window(S.alpha, eps)
     window = PreDimValue(pair.s, pair.k).value(S.alpha)
-    return _patch_union(S, a, b, pair, 1, lambda res, gap_ok: [
+    return _patch_union(S, a, b, pair, 1, lambda res, gap_ok, shaped: [
         Check("window", window.sign() < 0 and (window + eps).sign() > 0),
         Check("delta_gap", gap_ok),
-        *_patch_checks(res.structure, b, res.new_ids, pair.s, minimal=False),
+        _certified("generic_position", shaped),
+        _certified("interior_condition", shaped, _interior(pair.s, pair.k, S.alpha)),
     ])
 
 
@@ -694,12 +655,12 @@ def free_power_patch(a_ids, b_ids, mu, n: int, S: ColoredStructure) -> Construct
         terms.append(epsilon_bound(n, S.alpha).value(S.alpha) / n)
     pair = dirichlet_window(S.alpha, min(terms) / 2)
     count = (gap.value(S.alpha) / -PreDimValue(pair.s, pair.k).value(S.alpha)).floor()
-    return _patch_union(S, a, b, pair, count, lambda res, gap_ok: [
+    return _patch_union(S, a, b, pair, count, lambda res, gap_ok, shaped: [
         Check("per_copy_gap", gap_ok),
         Check("power_gap", (
             delta(res.structure, b | set(res.new_ids), a).value(S.alpha) - mu_q
         ).sign() < 0),
-        _small_extensions_closed_check(res, b, n),
+        _certified("small_sets_closed", shaped, _interior(pair.s, pair.k, S.alpha), (n <= pair.k, "n <= k")),
     ])
 
 
@@ -708,14 +669,18 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     their free union D*; a single patch is the union of one copy.
 
     Copy c continues the lambda sequence from 1 + c*k in its own s fresh
-    columns, which follow S's columns.  `_fresh_block_union` reads each
-    copy's delta(copy/B) and, where its lemma applies, certifies ambient K+
-    and whether A is closed in D*.  Otherwise the DP `_free_union_min` over
-    the copies' walked `_block_profile` tables decides both exhaustively,
-    and where it does not fit the budgeted searches do.  The checks come in
-    one order: the engine's own, `lead(result, gap_ok)` with gap_ok whether
-    every copy has delta(copy/B) = s - alpha*k, then anchor_closed,
-    transcendental and ambient_k_plus.
+    columns, which follow S's columns.  `_moment_shape` is read once, with
+    all of S zero on the blocks; its verdict serves the engine's subset
+    checks and `_fresh_block_union`, which reads each copy's delta(copy/B)
+    and, where its lemma applies, certifies ambient K+ and whether A is
+    closed in D*.  Otherwise the DP `_free_union_min` over the copies'
+    walked `_block_profile` tables decides both exhaustively, and where it
+    does not fit the budgeted searches do.  The checks come in one order:
+    the engine's own, `lead(result, gap_ok, shaped)` with gap_ok whether
+    every copy has delta(copy/B) = s - alpha*k and shaped the moment shape's
+    verdict, then anchor_closed, transcendental and ambient_k_plus.  The
+    engine's own are made first, so a subset check whose certificate fails
+    raises before any table is walked or search run.
     """
     s, k = pair.s, pair.k
     old_width = S.backend.ambient_dim
@@ -725,8 +690,10 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
         copies.append(ids)
     res = Construction(S2, copies=copies, pair=pair)
     star = b | set(res.new_ids)
-    gaps, verdicts = _fresh_block_union(S, S2, a, b, copies, pair)
     blocks = _fresh_blocks(S2, copies, s)
+    shaped = _moment_shape(S2, S.id_set, blocks)
+    gaps, verdicts = _fresh_block_union(S, S2, a, b, copies, pair, shaped)
+    own = lead(res, all(g == res.delta_gap for g in gaps), shaped)
     try:
         tables = None if verdicts else [_block_profile(S2, old_width, *blk) for blk in blocks]
     except SearchBudgetExceeded:
@@ -750,7 +717,7 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     sub = S2.restrict(star)
     anchor = union_check("anchor_closed", sub, a, lambda: is_closed(a, sub, node_budget=VERIFY_NODE_BUDGET))
     res.checks = [
-        *lead(res, all(g == res.delta_gap for g in gaps)),
+        *own,
         anchor,
         Check("transcendental", _transcendental_over(S2, star, a)),
         kp,
@@ -759,7 +726,7 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     return res
 
 
-def _fresh_block_union(S, S2, a, b, copies, pair: ApproximationPair):
+def _fresh_block_union(S, S2, a, b, copies, pair: ApproximationPair, shaped: bool):
     """Each copy's delta(N_c/B), and the fresh-block lemma's verdicts
     {"ambient_k_plus": D* in K+, "anchor_closed": A <= B u copies}, or None
     for them where a hypothesis fails or a search on S overruns its budget.
@@ -768,7 +735,8 @@ def _fresh_block_union(S, S2, a, b, copies, pair: ApproximationPair):
     = `a` within B, and (s, k) = `pair`.  Each copy is read off one reducer:
     B's rows are added after N_c's, none grows the span iff B lies in
     span(N_c), and dim(N_c/B) is the rank reached minus rank(B).  The
-    hypotheses, all checked here, as are S in K+ and A <= B:
+    hypotheses, checked here (as are S in K+ and A <= B) but for (i), whose
+    verdict the caller reads as `shaped`:
       (i)   `_moment_shape` holds for the copies' `_fresh_blocks` with all
             of S, not only B, zero on the blocks;
       (ii)  s - alpha*(k - 1) >= 0 > g = s - alpha*k;
@@ -808,7 +776,7 @@ def _fresh_block_union(S, S2, a, b, copies, pair: ApproximationPair):
         and all(g == gap and len(ids) == k for g, ids in zip(gaps, copies))
         and PreDimValue(s, k - 1).sign(alpha) >= 0 > gap.sign(alpha)
         and S2.id_set == S.id_set.union(*copies)
-        and _moment_shape(S2, S.id_set, _fresh_blocks(S2, copies, s))
+        and shaped
     ):
         return gaps, None
     try:
@@ -824,20 +792,6 @@ def _fresh_block_union(S, S2, a, b, copies, pair: ApproximationPair):
     }
 
 
-def _small_extensions_closed_check(res: Construction, b_ids, n) -> Check:
-    """delta(C/B) >= 0 for every C of fewer than n points within the copies
-    of `res`.  For n <= k such a C meets each copy in m < k points, adding
-    min(m, s) - alpha*m to `_moment_shape`'s lower bound on delta(C/B), which
-    is >= 0 when s - alpha*(k - 1) >= 0; for n > k the subsets are swept."""
-    S2, (s, k), alpha = res.structure, (res.pair.s, res.pair.k), res.structure.alpha
-    return _verify_subsets(
-        "small_sets_closed", S2, b_ids, res.new_ids, range(min(n, len(res.new_ids) + 1)),
-        lambda d: d.sign(alpha) < 0, 200_000,
-        lambda: n <= k and PreDimValue(s, k - 1).sign(alpha) >= 0
-        and _moment_shape(S2, b_ids, _fresh_blocks(S2, res.copies, s)),
-    )
-
-
 # -- rational patches ----------------------------------------------------------
 
 
@@ -850,19 +804,14 @@ def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Con
     a, b, _ = _patch_preconditions(S, a_ids, b_ids, need_positive_gap=True)
     pair = rational_pair(S.alpha, t)
     exact = S.alpha.den * pair.s - S.alpha.num * pair.k == -1
-    return _patch_union(S, a, b, pair, 1, lambda res, gap_ok: [
+    return _patch_union(S, a, b, pair, 1, lambda res, gap_ok, shaped: [
         Check("delta_exact", exact and gap_ok),
         Check("size_exceeds_t", pair.k > t),
-        *_patch_checks(res.structure, b, res.new_ids, pair.s, minimal=True),
+        _certified("generic_position", shaped),
+        _certified("minimal_pair", shaped, _interior(pair.s, pair.k, S.alpha), (
+            delta(res.structure, b | set(res.new_ids), b).sign(S.alpha) < 0, "delta(D/B) < 0"
+        )),
     ])
-
-
-def _minimal_pair_check(S2, b_ids, new_ids, s, name="minimal_pair") -> Check:
-    """(B, B u `new_ids`) a minimal pair: delta(D/B) < 0, then the interior
-    condition of `_patch_interior_check` under the pair's name."""
-    if delta(S2, set(b_ids) | set(new_ids), b_ids).sign(S2.alpha) >= 0:
-        return Check(name, False)
-    return _patch_interior_check(S2, b_ids, new_ids, s, name)
 
 
 def rational_zero_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Construction:
@@ -879,10 +828,11 @@ def rational_zero_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Constr
         raise GapTooSmall("delta(B/A) must be nonnegative")
     if p == 0:
         return Construction(S, [Check("zero_gap", True)])
-    return _patch_union(S, a, b, rational_pair(S.alpha, t), p, lambda res, gap_ok: [
+    pair = rational_pair(S.alpha, t)
+    return _patch_union(S, a, b, pair, p, lambda res, gap_ok, shaped: [
         Check("per_copy_gap", gap_ok),
         Check("zero_gap", delta(res.structure, b | set(res.new_ids), a).sign(S.alpha) == 0),
-        _small_extensions_closed_check(res, b, t),
+        _certified("small_sets_closed", shaped, _interior(pair.s, pair.k, S.alpha), (t <= pair.k, "n <= k")),
     ])
 
 
@@ -927,7 +877,6 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> Constru
     S = S.extended([GroundElement("d0", (Fraction(1),))])
     levels = [ChainLevel(d_ids=("d0",), e_ids=("d0",), f_ids=(), pair=None)]
     checks: list[Check] = []
-    generic: list[Check] = []
     prev_drop = None
     for lvl, pair in enumerate(pairs, start=1):
         s, k = pair.s, pair.k
@@ -945,9 +894,12 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> Constru
         units = [tuple(Fraction(int(j == width - s + i)) for j in range(width)) for i in range(s)]
         S = S.extended(map(GroundElement, e_ids, units), new_colored=e_ids)
         new = e_ids + f_ids
-        generic.append(_genericity_check(S, new, d_prev, s, name=f"generic_{lvl}"))
-        checks.append(generic[-1])
-        checks.append(_minimal_pair_check(S, d_prev, new, s, name=f"minimal_pair_{lvl}"))
+        shaped = _moment_shape(S, d_prev, _fresh_blocks(S, [new], s))
+        below = delta(S, d_prev + new, d_prev).sign(alpha) < 0
+        checks.append(_certified(f"generic_{lvl}", shaped))
+        checks.append(_certified(
+            f"minimal_pair_{lvl}", shaped, _interior(s, k, alpha), (below, "delta(D/B) < 0")
+        ))
         levels.append(
             ChainLevel(
                 d_ids=tuple(sorted(d_prev + new)),
@@ -956,7 +908,7 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> Constru
                 pair=pair,
             )
         )
-    checks.append(_tower_k_plus_check(S, levels, generic))
+    checks.append(_tower_k_plus_check(S, levels))
     _require(checks)
     copies = [lv.e_ids + lv.f_ids for lv in levels[1:]]
     return Construction(S, checks, copies=copies, levels=levels)

@@ -15,16 +15,15 @@ class Check:
     """One named verification outcome and how it was reached.
 
     `method` is "certified" (a proof read off the verified shape of the
-    result, such as the moment-shape certificate, which every subset check
-    tries first, or a chain's level-by-level K+ certificate) or "exhaustive"
-    (every case tried).  A check that neither decides raises instead of
-    being reported, and a Check with any other method raises InvariantError
-    when it is made.
+    result, such as the moment-shape certificate, the only way a subset
+    check passes, or a chain's level-by-level K+ certificate) or
+    "exhaustive" (every case tried).  A check that neither decides raises
+    instead of being reported, and a Check with any other method raises
+    InvariantError when it is made.
     """
 
     name: str
     passed: bool
-    witness: object = None
     method: str = "exhaustive"
 
     def __post_init__(self):
@@ -32,10 +31,7 @@ class Check:
             raise InvariantError(f"check {self.name}: unknown method {self.method!r}")
 
     def to_json(self) -> dict:
-        obj = {"name": self.name, "pass": self.passed, "method": self.method}
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        return obj
+        return {"name": self.name, "pass": self.passed, "method": self.method}
 
 
 def checks_json(checks) -> list:

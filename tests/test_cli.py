@@ -140,6 +140,23 @@ class TestErrorCodes:
         assert code == 2
         assert obj == {"error": "SearchBudgetExceeded", "message": f"{check}: forced overrun"}
 
+    def test_misshapen_build_exits_two(self, capsys, monkeypatch, tmp_path):
+        # two points of the patch share a lambda, so the moment shape fails
+        # and the first subset check fails the construction, naming itself
+        from bicolor import construct
+        from test_construct import _repeating
+
+        monkeypatch.setattr(construct, "_moment_rows", _repeating(construct._moment_rows))
+        p = tmp_path / "in.json"
+        save(TestConstructGoldenBytes.INPUTS["irr"](), p)
+        argv = ["patch", "--base", "b", "--epsilon", "1/3", "--structure", str(p)]
+        code, obj = run(capsys, "construct", *argv)
+        assert code == 2
+        assert obj == {
+            "error": "InvariantError",
+            "message": "generic_position: the moment shape does not hold on the result",
+        }
+
     def test_non_integer_alpha_json_is_one(self, capsys):
         alpha = '{"kind":"rational","num":1.9,"den":3}'  # was read as 1/3
         code, obj = run(capsys, "epsilon", "--alpha", alpha, "-n", "3")

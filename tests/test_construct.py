@@ -1,7 +1,7 @@
 import hashlib
 import itertools
-import math
 import random
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
@@ -17,14 +17,8 @@ from bicolor.construct import (
     _block_profile,
     _free_union_min,
     _fresh_block_union,
-    _genericity_check,
-    _minimal_pair_check,
     _moment_shape,
-    _patch_checks,
-    _patch_interior_check,
-    _small_extensions_closed_check,
     _tower_k_plus_check,
-    _verify_subsets,
     chain_pairs,
     chain_window,
     delta_system_closed_root,
@@ -68,6 +62,16 @@ from conftest import (
     submasks,
 )
 from test_colored import ge
+
+
+def _repeating(moment_rows):
+    """`moment_rows` with its last row replaced by twice its first, so two
+    points of a copy share one lambda."""
+    def rows(basis_vecs, count, lam_start=1):
+        out = moment_rows(basis_vecs, count, lam_start)
+        return out[:-1] + [tuple(2 * x for x in out[0])] if count > 1 else out
+
+    return rows
 
 
 def plain_points(alpha, coords):
@@ -121,13 +125,11 @@ class TestGenericBasisExtension:
         res = generic_basis_extension([], bs, n, S)
         assert res.checks == [Check("all_bases", True, method="certified")]
         if n < 10:
-            pool = set(bs) | set(res.new_ids)
-            swept = _verify_subsets(
-                "all_bases", res.structure, [], pool, range(m, m + 1), lambda d: d.dim_part != m, math.inf
-            )
-            assert swept == Check("all_bases", True)
+            t = SubsetTable(res.structure)
+            pool = t.mask_of(set(bs) | set(res.new_ids))
+            assert all(t.dim[sub] == m for sub in submasks(pool) if bin(sub).count("1") == m)
 
-    def test_off_the_curve_is_swept(self):
+    def test_off_the_curve_raises(self, monkeypatch):
         S = plain_points(ALPHA_HALF, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         S2, ids = grow_patch(S, ["b2", "b3"], 0, 3, colored=False, prefix="g")
         assert construct._on_moment_curve(S2, ["b1"], ["b2", "b3"], ids)
@@ -138,11 +140,12 @@ class TestGenericBasisExtension:
         assert not construct._on_moment_curve(S2, [], ["b1", "b2"], ids)
         # b2 is not independent over b2
         assert not construct._on_moment_curve(S2, ["b2"], ["b2", "b3"], ids)
-        check = _verify_subsets(
-            "all_bases", broken, ["b1"], {"b2", "b3", *ids}, range(2, 3), lambda d: d.dim_part != 2,
-            math.inf, lambda: construct._on_moment_curve(broken, ["b1"], ["b2", "b3"], ids),
-        )
-        assert check == Check("all_bases", False, witness=["g2", "g3"])
+        t = SubsetTable(broken)
+        assert t.delta_pair(t.mask_of(["g2", "g3"]), t.mask_of(["b1"])) == (1, 0)
+        # an extension whose points repeat a lambda raises, naming the check
+        monkeypatch.setattr(construct, "_moment_rows", _repeating(construct._moment_rows))
+        with pytest.raises(InvariantError, match="^all_bases: the moment shape does not hold"):
+            generic_basis_extension(["b1"], ["b2", "b3"], 3, S)
 
 
 class TestDeltaSystem:
@@ -567,9 +570,8 @@ QUADRATIC_ALPHAS = [
 def _tower(alpha, d0, levels, extra=(), plain=()):
     """A hand-made chain: plain D_0 rows, then per level its (E rows, F rows),
     every row of one width; `extra` rows are colored points on no level and
-    `plain` lists level points left uncolored.  Returns the structure, its
-    ChainLevels and each level's genericity check, as the chain engine makes
-    them."""
+    `plain` lists level points left uncolored.  Returns the structure and
+    its ChainLevels, as the chain engine makes them."""
     elems = [ge(f"d{i}", *r) for i, r in enumerate(d0)]
     d_ids = tuple(e.id for e in elems)
     levels_out = [ChainLevel(d_ids, d_ids, (), None)]
@@ -583,11 +585,7 @@ def _tower(alpha, d0, levels, extra=(), plain=()):
         d_ids = tuple(sorted(d_ids + e_ids + f_ids))
         levels_out.append(ChainLevel(d_ids, e_ids, f_ids, None))
     S = ColoredStructure(Backend(LINEAR, len(d0[0])), tuple(elems), frozenset(colored), alpha)
-    generic = [
-        _genericity_check(S, hi.e_ids + hi.f_ids, lo.d_ids, len(hi.e_ids), name=f"generic_{lvl}")
-        for lvl, (lo, hi) in enumerate(zip(levels_out, levels_out[1:]), start=1)
-    ]
-    return S, levels_out, generic
+    return S, levels_out
 
 
 # Depth-1 chain level at 1/sqrt(2): pair (2, 3) over d0.
@@ -638,8 +636,8 @@ class TestTowerKPlus:
             pad = lambda r: tuple(r) + (0,) * (width - len(r))
             d0 = [pad(r) for r in d0]
             levels = [([pad(r) for r in e], [pad(r) for r in f]) for e, f in levels]
-            S, lvls, generic = _tower(alpha, d0, levels)
-            check = _tower_k_plus_check(S, lvls, generic)
+            S, lvls = _tower(alpha, d0, levels)
+            check = _tower_k_plus_check(S, lvls)
             assert check.passed == incremental_in_k_plus(S)
             seen.add((check.method, check.passed))
         assert seen == {("certified", True), ("exhaustive", True), ("exhaustive", False)}
@@ -670,16 +668,16 @@ class TestTowerKPlus:
     @pytest.mark.parametrize("name", sorted(NEGATIVE))
     def test_negative_towers_fall_back_and_fail(self, name):
         d0, levels, extra = self.NEGATIVE[name]
-        S, lvls, generic = _tower(ALPHA_INV_SQRT2, d0, levels, extra)
+        S, lvls = _tower(ALPHA_INV_SQRT2, d0, levels, extra)
         assert not incremental_in_k_plus(S)
-        assert _tower_k_plus_check(S, lvls, generic) == Check("ambient_k_plus", False)
+        assert _tower_k_plus_check(S, lvls) == Check("ambient_k_plus", False)
 
     def test_colored_d0_falls_back_and_fails(self):
         S = ColoredStructure(
             Backend(LINEAR, 1), (ge("x", 1), ge("y", 2)), frozenset({"x", "y"}), ALPHA_INV_SQRT2
         )
         levels = [ChainLevel(("x", "y"), ("x", "y"), (), None)]
-        assert _tower_k_plus_check(S, levels, []) == Check("ambient_k_plus", False)
+        assert _tower_k_plus_check(S, levels) == Check("ambient_k_plus", False)
 
     MISSHAPEN = {
         "d0_reaches_a_fresh_block": ([(1, 0, 0), (0, 1, 1)], [([(0, 0, 1)], [(1, 0, 1)])], ()),
@@ -692,38 +690,40 @@ class TestTowerKPlus:
     @pytest.mark.parametrize("name", sorted(MISSHAPEN))
     def test_misshapen_towers_fall_back(self, name):
         d0, levels, plain = self.MISSHAPEN[name]
-        S, lvls, generic = _tower(ALPHA_INV_SQRT2, d0, levels, plain=plain)
+        S, lvls = _tower(ALPHA_INV_SQRT2, d0, levels, plain=plain)
         assert incremental_in_k_plus(S)
-        assert _tower_k_plus_check(S, lvls, generic) == Check("ambient_k_plus", True)
+        assert _tower_k_plus_check(S, lvls) == Check("ambient_k_plus", True)
 
     @pytest.mark.parametrize("how", ["relisted", "listed_twice", "failed", "sampled", "budget"])
     def test_unusable_levels_fall_back(self, monkeypatch, how):
         # at sqrt(2) - 1, (b) would still hold with a point listed twice
         alpha = Alpha.quadratic(-1, 1, 1, 2)
-        S, lvls, generic = _tower(alpha, [(1, 0, 0)], [_LEVEL_ONE])
-        assert _tower_k_plus_check(S, lvls, generic).method == "certified"
+        S, lvls = _tower(alpha, [(1, 0, 0)], [_LEVEL_ONE])
+        assert _tower_k_plus_check(S, lvls).method == "certified"
         # a fresh copy, since the certificate recorded the first one's verdict
-        S, lvls, generic = _tower(alpha, [(1, 0, 0)], [_LEVEL_ONE])
+        S, lvls = _tower(alpha, [(1, 0, 0)], [_LEVEL_ONE])
         if how == "relisted":
             # a level with no fresh block that lists a point of the level below
             lvls.append(ChainLevel(lvls[-1].d_ids, (), ("f1_0",), None))
-            generic.append(Check("generic_2", True))
         elif how == "listed_twice":
             lvls[1] = replace(lvls[1], f_ids=("f1_0", "f1_0"))
         elif how == "failed":
-            generic[0] = replace(generic[0], passed=False)
+            # f1_0 = d0 + e1_0 - e1_1 is off the moment curve, so (a) is not
+            # read off, though every 2-subset of the level is still a base
+            S = _perturbed(S, "f1_0", -2)
+            assert not _moment_shape(S, lvls[0].d_ids, [(lvls[1].e_ids + lvls[1].f_ids, 1, 2)])
         elif how == "sampled":
-            # no Check holds a method other than exhaustive or certified, so
-            # (a) reads `passed` alone
+            # (a) is read off the structure, never off a Check, and no Check
+            # holds a method other than exhaustive or certified
             with pytest.raises(InvariantError, match="generic_1: unknown method 'sampled'"):
-                replace(generic[0], method="sampled")
+                Check("generic_1", True, method="sampled")
             return
         else:
             def exhausted(*args, **kwargs):
                 raise SearchBudgetExceeded("exact search node budget exhausted")
 
             monkeypatch.setattr(construct, "min_relative_delta", exhausted)
-        assert _tower_k_plus_check(S, lvls, generic) == Check("ambient_k_plus", True)
+        assert _tower_k_plus_check(S, lvls) == Check("ambient_k_plus", True)
 
     def test_chain_certified_without_a_k_plus_search(self, monkeypatch):
         def no_search(*args, **kwargs):
@@ -733,136 +733,6 @@ class TestTowerKPlus:
         res = minimal_pair_chain(Alpha.quadratic(1, 1, 6, 3), 3, 32)
         assert res.checks[-1] == Check("ambient_k_plus", True, method="certified")
         assert res.structure._k_plus is True
-
-
-def _points(n, dim, seed, colored_every=2):
-    """n nonzero points p00, p01, ... with small random integer entries in
-    dimension dim, every `colored_every`-th one colored."""
-    rng = random.Random(seed)
-    elements = []
-    for i in range(n):
-        vec = ()
-        while not any(vec):
-            vec = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
-        elements.append(GroundElement(f"p{i:02d}", vec))
-    colored = frozenset(e.id for e in elements[::colored_every])
-    return ColoredStructure(Backend(LINEAR, dim), tuple(elements), colored, ALPHA_INV_SQRT2)
-
-
-def _brute_pairs(S, base, pool, sizes):
-    """(subset, (dim(C/base), colored count)) for every non-empty subset C of
-    the sorted pool with size in `sizes`, size by size and lex within a size;
-    dims are Bareiss ranks of the cleared payloads."""
-    rows = dict(zip(S.ids_sorted, _int_rows(S)))
-    ncols = S.backend.ambient_dim
-    rank = lambda ids: rank_int_matrix([rows[i] for i in ids], ncols)
-    base = sorted(base)
-    out = []
-    for j in sizes:
-        for c in itertools.combinations(sorted(pool), j):
-            if c:
-                out.append((c, (rank(base + list(c)) - rank(base), len(S.colored.intersection(c)))))
-    return out
-
-
-class TestVerifySubsets:
-    """The one subset verifier, on real structures: within its limit it
-    judges delta(C/base) read off the pool's rows reduced once against
-    span(base); past it a check is certified or raises."""
-
-    @staticmethod
-    def _recording(violates):
-        calls = []
-
-        def pred(d):
-            calls.append((d.dim_part, d.color_part))
-            return violates(d)
-
-        return calls, pred
-
-    def test_exhaustive_pass(self, rng):
-        # every subset of the allowed sizes is judged once, the empty one never
-        for _ in range(40):
-            S = random_structure(rng, ALPHA_INV_SQRT2, max_n=8)
-            ids = list(S.ids_sorted)
-            base = [i for i in ids if rng.random() < 0.3]
-            pool = [i for i in ids if i not in base]
-            lo = rng.randint(0, len(pool))
-            sizes = range(lo, rng.randint(lo, len(pool) + 1))
-            calls, pred = self._recording(lambda d: False)
-            check = _verify_subsets("x", S, base, pool, sizes, pred, math.inf)
-            assert check == Check("x", True, method="exhaustive")
-            want = _brute_pairs(S, base, pool, sizes)
-            assert sorted(calls) == sorted(v for _, v in want)
-            assert len(calls) == sum(math.comb(len(pool), j) for j in sizes if j)
-
-    def test_exhaustive_failure_names_first_violator(self, rng):
-        # the witness is the violator least by size, then lex, even when the
-        # walk meets a larger one first
-        larger_first = 0
-        for trial in range(200):
-            S = random_structure(rng, ALPHA_INV_SQRT2, max_n=8)
-            ids = list(S.ids_sorted)
-            base = [i for i in ids if rng.random() < 0.3]
-            pool = [i for i in ids if i not in base]
-            sizes = range(0, len(pool) + 1) if trial % 2 else range(1, max(1, len(pool)))
-            target = (rng.randint(0, 3), rng.randint(0, 3))
-            violates = [
-                lambda d: d.sign(S.alpha) < 0,
-                lambda d: d.dim_part < d.color_part,
-                lambda d: (d.dim_part, d.color_part) == target,
-            ][trial % 3]
-            want = _brute_pairs(S, base, pool, sizes)
-            bad = [c for c, v in want if violates(PreDimValue(*v))]
-            check = _verify_subsets("x", S, base, pool, sizes, violates, math.inf)
-            assert check.method == "exhaustive" and check.passed == (not bad)
-            assert check.witness == (list(bad[0]) if bad else None)
-            larger_first += bool(bad) and min(bad) != bad[0]
-        assert larger_first > 0
-
-    def test_empty_subset_never_passed(self):
-        S = _points(2, 2, 4)
-        calls, pred = self._recording(lambda d: True)
-        check = _verify_subsets("x", S, (), S.ids_sorted, range(0, 3), pred, math.inf)
-        assert not check.passed and check.witness
-        assert all(dim > 0 for dim, _ in calls)  # no point lies in span(())
-        calls, pred = self._recording(lambda d: True)
-        assert _verify_subsets("x", S, (), S.ids_sorted, range(0, 1), pred, math.inf).passed
-        assert calls == []
-
-    def test_certified_past_limit(self):
-        # certified before any subset is counted, within the limit and past it
-        res = rational_zero_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS))
-        S, (s, k), ids = res.structure, (res.pair.s, res.pair.k), res.copies[0]
-        certify = lambda: _moment_shape(S, ["b"], [(ids, 1, s)])
-        count = math.comb(k, s)
-        for limit, method in ((count, "certified"), (count - 1, "certified")):
-            check = _verify_subsets("x", S, ["b"], ids, range(s, s + 1), lambda d: d.dim_part != s, limit, certify)
-            assert check == Check("x", True, method=method)
-        # each subset check of an engine, past its own limit on a real result
-        assert _small_extensions_closed_check(res, ["b"], k) == Check("small_sets_closed", True, method="certified")
-        chain = minimal_pair_chain(Alpha.quadratic(0, 1, 3, 3), 3, 32)  # level 3: s = 15, k = 26
-        methods = {c.name: c.method for c in chain.checks if c.name.endswith("_3")}
-        assert methods == {"window_3": "exhaustive", "drops_increase_3": "exhaustive",
-                           "generic_3": "certified", "minimal_pair_3": "certified"}
-        patch = transcendental_patch([], ["b"], F(1, 20), _one_point(ALPHA_INV_SQRT2))  # s = 12, k = 17
-        assert Check("interior_condition", True, method="certified") in patch.checks
-
-    def test_undecided_past_limit_raises(self, monkeypatch):
-        # n = k + 1 lets a whole copy into the small sets, which the
-        # certificate's bound does not reach
-        res = rational_zero_extension([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS))
-        with pytest.raises(SearchBudgetExceeded, match="^small_sets_closed: .* no certificate applies"):
-            _small_extensions_closed_check(res, ["b"], res.pair.k + 1)
-        # three points at s = 1 break s - alpha*(k - 1) >= 0, so a minimal
-        # pair past both its limits is left undecided
-        S = plain_points(ALPHA_TWO_THIRDS, [(1,)])
-        res = rational_minimal_extension([], ["b1"], 0, S)
-        S2 = res.structure.extended([GroundElement("p1", (F(1), F(1)))])
-        new_ids = res.new_ids + ("p1",)
-        monkeypatch.setattr(construct, "BLOCK_PROFILE_LIMIT", 1)
-        with pytest.raises(SearchBudgetExceeded, match="^minimal_pair: 6 subsets exceed the limit 0;"):
-            _minimal_pair_check(S2, {"b1"}, new_ids, res.pair.s)
 
 
 def _union_min(S, prime, old_w, blocks):
@@ -1103,7 +973,8 @@ class TestFreshBlockLemma:
         """(lemma's verdicts or None, DP's or None, brute force's), with the
         lemma's gaps checked against `delta`."""
         S = S2.restrict(S2.id_set.difference(*copies))
-        gaps, lemma = _fresh_block_union(S, S2, a, b, copies, ApproximationPair(s, len(copies[0])))
+        shaped = _moment_shape(S2, S.id_set, construct._fresh_blocks(S2, copies, s))
+        gaps, lemma = _fresh_block_union(S, S2, a, b, copies, ApproximationPair(s, len(copies[0])), shaped)
         assert gaps == [delta(S2, c, b) for c in copies]
         star = set(b).union(*copies)
         t = SubsetTable(S2)
@@ -1235,30 +1106,31 @@ def _read_off(S, b_ids, new_ids, s: int, old_w: int, table):
     return generic, interior, interior and PreDimValue(rank, k).sign(alpha) < 0
 
 
-def _swept(S, b_ids, new_ids, s: int) -> list:
-    """Genericity, the interior condition and the minimal pair of a patch,
-    each by `_verify_subsets` with no limit and no certificate."""
-    alpha, k = S.alpha, len(new_ids)
-    generic = _verify_subsets(
-        "generic_position", S, b_ids, new_ids, range(s, s + 1), lambda d: d.dim_part != s, math.inf
-    )
-    interior = _verify_subsets(
-        "interior_condition", S, b_ids, new_ids, range(1, k), lambda d: d.sign(alpha) < 0, math.inf
-    )
-    below = delta(S, set(b_ids) | set(new_ids), b_ids).sign(alpha) < 0
-    minimal = replace(interior, name="minimal_pair") if below else Check("minimal_pair", False)
-    return [generic, interior, minimal]
+def _table_checks(t, b_ids, new_ids, s: int) -> tuple:
+    """(generic, interior, minimal pair) of the patch `new_ids` over B =
+    `b_ids` by the brute-force `SubsetTable` t: every s-subset is a base over
+    B; delta(C/B) >= 0 for every nonempty proper C; and that with
+    delta(D/B) < 0."""
+    over, pool = t.mask_of(b_ids), t.mask_of(new_ids)
+    subs = [m for m in submasks(pool) if m]
+    generic = all(t.delta_pair(m, over)[0] == s for m in subs if bin(m).count("1") == s)
+    interior = all(t.delta_sign(m, over) >= 0 for m in subs if m != pool)
+    return generic, interior, interior and t.delta_sign(pool, over) < 0
 
 
-def _verdict(check: Check):
-    return check.passed, check.witness
+def _certify(name, shaped, *hypotheses):
+    """`construct._certified`'s Check, or None where it raises naming `name`."""
+    try:
+        return construct._certified(name, shaped, *hypotheses)
+    except InvariantError as e:
+        assert str(e).startswith(f"{name}: ")
+        return None
 
 
 class TestPatchReadOff:
     """The block-table read-off of a patch's genericity and interior or
     minimal-pair checks (`_read_off`, lemma (i)-(iii)), kept here as an
-    oracle: against the uncertified sweeps and `_patch_checks`, which
-    certifies first and sweeps where the moment shape fails."""
+    oracle: against the brute-force sweeps of `SubsetTable`."""
 
     @staticmethod
     def _random_patch(rng, alpha):
@@ -1290,29 +1162,17 @@ class TestPatchReadOff:
         S = empty_structure(alpha, ambient=old_w + s).extended(b_elems + d_elems, new_colored=colored_ids)
         return S, b_ids, new_ids, s, old_w
 
-    @staticmethod
-    def _sweeps(S, b_ids, new_ids, s, minimal):
-        """The checks `_patch_checks` stands for, run as uncertified sweeps."""
-        generic, interior, pair = _swept(S, b_ids, new_ids, s)
-        return [generic, pair if minimal else interior]
-
     def test_read_off_matches_the_sweeps(self, rng):
         seen = set()
         for trial in range(320):
             alpha = ALL_ALPHAS[trial % 4]
             S, b_ids, new_ids, s, old_w = self._random_patch(rng, alpha)
             table = _block_profile(S, old_w, new_ids, old_w, s)
-            generic, interior, minimal = _swept(S, b_ids, new_ids, s)
-            assert _read_off(S, b_ids, new_ids, s, old_w, table) == (
-                generic.passed, interior.passed, minimal.passed
-            )
-            for flag in (False, True):
-                got = _patch_checks(S, b_ids, new_ids, s, minimal=flag)
-                assert list(map(_verdict, got)) == [_verdict(generic), _verdict(minimal if flag else interior)]
-                assert all(c.method == "exhaustive" for c in got if not c.passed)
-            assert minimal.passed == is_minimal_pair(b_ids, set(b_ids) | set(new_ids), S)
-            seen |= {("generic", generic.passed), ("interior", interior.passed)}
-            seen |= {("minimal", minimal.passed), ("k < s", len(new_ids) < s)}
+            generic, interior, minimal = _table_checks(SubsetTable(S), b_ids, new_ids, s)
+            assert _read_off(S, b_ids, new_ids, s, old_w, table) == (generic, interior, minimal)
+            assert minimal == is_minimal_pair(b_ids, set(b_ids) | set(new_ids), S)
+            seen |= {("generic", generic), ("interior", interior)}
+            seen |= {("minimal", minimal), ("k < s", len(new_ids) < s)}
         checks = ("generic", "interior", "minimal")
         assert seen >= {(name, ok) for name in checks for ok in (True, False)} | {("k < s", True)}
 
@@ -1349,7 +1209,7 @@ class TestPatchReadOff:
         assert walked.count(res.pair.k) == walks
 
     def test_thirteen_point_patch_interior_is_certified(self):
-        # the certificate passes with no sweep, and the full sweep and the
+        # the certificate passes with no sweep, and the table and the
         # read-off agree
         S = _one_point(Alpha.quadratic(0, 1, 6, 2))  # sqrt(2)/6
         res = transcendental_patch([], ["b"], F(1, 10), S)
@@ -1357,8 +1217,7 @@ class TestPatchReadOff:
         interior = next(c for c in res.checks if c.name == "interior_condition")
         assert interior == Check("interior_condition", True, method="certified")
         S2, s, new_ids = res.structure, res.pair.s, res.new_ids
-        sweep = _swept(S2, ["b"], new_ids, s)[1]
-        assert sweep == Check("interior_condition", True)
+        assert _table_checks(SubsetTable(S2), ["b"], new_ids, s)[1]
         table = _block_profile(S2, 1, new_ids, 1, s)
         assert _read_off(S2, ["b"], new_ids, s, 1, table)[1]
 
@@ -1369,25 +1228,27 @@ class TestPatchReadOff:
         S, new_ids = grow_patch(_one_point(ALPHA_TWO_THIRDS), ["b"], 1, 2, colored=True)
         S = ColoredStructure(S.backend, S.elements, S.colored - {new_ids[0]}, S.alpha)
         assert _read_off(S, ["b"], new_ids, 1, 1, _block_profile(S, 1, new_ids, 1, 1)) is None
-        for minimal in (False, True):
-            want = self._sweeps(S, ["b"], new_ids, 1, minimal)
-            got = _patch_checks(S, ["b"], new_ids, 1, minimal)
-            assert list(map(_verdict, got)) == list(map(_verdict, want))
-            assert [c.method for c in got] == ["certified", "exhaustive" if minimal else "certified"]
+        shaped = _moment_shape(S, ["b"], [(new_ids, 1, 1)])
+        tight = construct._interior(1, 2, S.alpha)
+        assert _certify("generic_position", shaped) == Check("generic_position", True, method="certified")
+        interior = _certify("interior_condition", shaped, tight)
+        assert interior == Check("interior_condition", True, method="certified")
         # with both points colored it would be a minimal pair: 1 - 2*(2/3) < 0
-        assert want[1] == Check("minimal_pair", False)
+        assert _table_checks(SubsetTable(S), ["b"], new_ids, 1) == (True, True, False)
 
     def test_base_on_the_fresh_block_runs_the_sweeps(self):
-        # b = x, so dim(x/b) = 0, while x's fresh rank alone would say 1
+        # b = x, so dim(x/b) = 0, while x's fresh rank alone would say 1;
+        # the table's sweeps find x no base, and no certificate applies
         row = (F(1), F(1))
         S = empty_structure(ALPHA_TWO_THIRDS, ambient=2).extended(
             [GroundElement("b", row), GroundElement("x", row)], new_colored=["x"]
         )
         assert _read_off(S, ["b"], ("x",), 1, 1, _block_profile(S, 1, ["x"], 1, 1)) is None
-        for minimal in (False, True):
-            want = self._sweeps(S, ["b"], ("x",), 1, minimal)
-            assert _patch_checks(S, ["b"], ("x",), 1, minimal) == want
-        assert want == [Check("generic_position", False, witness=["x"]), Check("minimal_pair", True)]
+        assert _table_checks(SubsetTable(S), ["b"], ("x",), 1) == (False, True, True)
+        shaped = _moment_shape(S, ["b"], [(("x",), 1, 1)])
+        assert not shaped
+        with pytest.raises(InvariantError, match="^generic_position: the moment shape does not hold"):
+            construct._certified("generic_position", shaped)
 
     def test_no_table_past_the_limit(self):
         # past BLOCK_PROFILE_LIMIT points no block is walked, on the moment
@@ -1398,21 +1259,24 @@ class TestPatchReadOff:
         for T in (S, _perturbed(S, new_ids[-1], -1)):
             with pytest.raises(SearchBudgetExceeded, match=f"block of {k} points"):
                 _block_profile(T, 1, new_ids, 1, 10)
-        # delta(D/B) = 10 - (2/3)*15 = 0, so no minimal pair, and no sweep
-        generic = Check("generic_position", True, method="certified")
-        assert _patch_checks(S, ["b"], new_ids, 10, True) == [generic, Check("minimal_pair", False)]
-        interior = Check("interior_condition", True, method="certified")
-        assert _patch_checks(S, ["b"], new_ids, 10, False) == [generic, interior]
+        shaped = _moment_shape(S, ["b"], [(new_ids, 1, 10)])
+        tight = construct._interior(10, k, S.alpha)
+        assert _certify("generic_position", shaped) == Check("generic_position", True, method="certified")
+        interior = _certify("interior_condition", shaped, tight)
+        assert interior == Check("interior_condition", True, method="certified")
+        # delta(D/B) = 10 - (2/3)*15 = 0, so no minimal pair
+        below = delta(S, ["b", *new_ids], ["b"]).sign(S.alpha) < 0, "delta(D/B) < 0"
+        with pytest.raises(InvariantError, match=r"^minimal_pair: delta\(D/B\) < 0 does not hold"):
+            construct._certified("minimal_pair", shaped, tight, below)
 
 
 class TestCertifiedSubsetChecks:
-    """Every subset check against the uncertified sweep (`_verify_subsets`
-    with no limit and no certificate) and a brute-force `SubsetTable`, on
-    chains of at most 14 points and on `grow_patch` patches of at most 12
+    """Every subset check's certificate against a brute-force `SubsetTable`,
+    on chains of at most 14 points and on `grow_patch` patches of at most 12
     points over bases of rank 0, 1 and 2: a check is certified exactly when
-    the moment shape and its own exact inequality hold, and its verdict and
-    witness are the sweep's either way.  Perturbed shapes fall back to the
-    sweep."""
+    the moment shape and its own exact inequality hold, and the table then
+    confirms it.  Where a perturbed shape declines, every check raises,
+    naming itself."""
 
     BASES = {
         0: lambda alpha: (plain_points(alpha, [(1,)]), []),
@@ -1430,27 +1294,25 @@ class TestCertifiedSubsetChecks:
             for sub in submasks(t.mask_of(pool))
         )
 
-    def _agree(self, t, check, b_ids, pool, sizes, violates):
-        """`check` has the sweep's verdict and witness and the table's verdict."""
-        sweep = _verify_subsets(check.name, t.S, b_ids, pool, sizes, violates, math.inf)
-        assert _verdict(check) == _verdict(sweep)
-        assert check.passed == self._table_passes(t, b_ids, pool, sizes, violates)
-
-    def _patch_checks_agree(self, t, b_ids, ids, s, shaped: bool) -> dict:
+    @staticmethod
+    def _patch_checks_agree(t, b_ids, ids, s, shaped: bool) -> dict:
         """Genericity, interior and minimal pair of the patch `ids` over B,
-        whose s fresh columns are the last; returns each check's method."""
-        S, alpha, k = t.S, t.S.alpha, len(ids)
-        tight = PreDimValue(s, k - 1).sign(alpha) >= 0
-        below = t.delta_sign(t.mask_of(ids), t.mask_of(b_ids)) < 0
-        generic = _genericity_check(S, ids, b_ids, s)
-        self._agree(t, generic, b_ids, ids, range(s, s + 1), lambda d: d.dim_part != s)
-        interior = _patch_interior_check(S, b_ids, ids, s)
-        self._agree(t, interior, b_ids, ids, range(1, k), lambda d: d.sign(alpha) < 0)
-        minimal = _minimal_pair_check(S, b_ids, ids, s)
-        assert minimal == (replace(interior, name="minimal_pair") if below else Check("minimal_pair", False))
-        assert generic.method == ("certified" if shaped else "exhaustive")
-        assert interior.method == ("certified" if shaped and tight else "exhaustive")
-        return {"generic": generic, "interior": interior, "minimal": minimal}
+        whose s fresh columns are the last: per check, (certified?, the
+        table's verdict)."""
+        S, k = t.S, len(ids)
+        assert shaped == _moment_shape(S, b_ids, construct._fresh_blocks(S, [ids], s))
+        tight = construct._interior(s, k, S.alpha)
+        below = t.delta_sign(t.mask_of(ids), t.mask_of(b_ids)) < 0, "delta(D/B) < 0"
+        got = {
+            "generic": _certify("generic_position", shaped),
+            "interior": _certify("interior_condition", shaped, tight),
+            "minimal": _certify("minimal_pair", shaped, tight, below),
+        }
+        table = dict(zip(got, _table_checks(t, b_ids, ids, s)))
+        assert all(c is None or c.method == "certified" and table[name] for name, c in got.items())
+        want = [shaped, shaped and tight[0], shaped and tight[0] and below[0]]
+        assert [c is not None for c in got.values()] == want
+        return {name: (c is not None, table[name]) for name, c in got.items()}
 
     @pytest.mark.parametrize("alpha", QUADRATIC_ALPHAS[:4], ids=lambda a: a.render())
     def test_chain_levels(self, alpha):
@@ -1459,17 +1321,15 @@ class TestCertifiedSubsetChecks:
         depth = max(d for d in range(4) if 1 + sum(p.k for p in chain_pairs(alpha, d)) <= 14)
         res = minimal_pair_chain(alpha, depth, 32)
         S, width = res.structure, 1
-        by_name = {c.name: c for c in res.checks}
         for lvl, (lo, hi) in enumerate(zip(res.levels, res.levels[1:]), start=1):
             new, s = hi.e_ids + hi.f_ids, len(hi.e_ids)
             width += s
             elements = tuple(GroundElement(i, S.element(i).vec[:width]) for i in hi.d_ids)
             level = ColoredStructure(Backend(LINEAR, width), elements, S.colored & set(hi.d_ids), alpha)
-            t = SubsetTable(level)
-            got = self._patch_checks_agree(t, lo.d_ids, new, s, shaped=True)
-            assert got["generic"] == replace(by_name[f"generic_{lvl}"], name="generic_position")
-            assert got["minimal"] == replace(by_name[f"minimal_pair_{lvl}"], name="minimal_pair")
-            assert got["minimal"] == Check("minimal_pair", True, method="certified")
+            got = self._patch_checks_agree(SubsetTable(level), lo.d_ids, new, s, shaped=True)
+            assert got == dict.fromkeys(("generic", "interior", "minimal"), (True, True))
+            for name in (f"generic_{lvl}", f"minimal_pair_{lvl}"):
+                assert Check(name, True, method="certified") in res.checks
 
     def _patch(self, rng, rank):
         """A structure with `copies` moment patches of k points over B of the
@@ -1490,27 +1350,28 @@ class TestCertifiedSubsetChecks:
             S, b_ids, s, k, copies = self._patch(rng, trial % 3)
             t = SubsetTable(S)
             got = self._patch_checks_agree(t, b_ids, copies[-1], s, shaped=True)
-            seen |= {(name, c.method, c.passed) for name, c in got.items()}
+            seen |= {(name, *verdicts) for name, verdicts in got.items()}
             if s >= k:
                 continue
-            res = construct.Construction(S, copies=copies, pair=ApproximationPair(s, k))
-            for n in range(len(res.new_ids) + 2):
-                check = _small_extensions_closed_check(res, b_ids, n)
-                pool, sizes = res.new_ids, range(min(n, len(res.new_ids) + 1))
-                self._agree(t, check, b_ids, pool, sizes, lambda d: d.sign(S.alpha) < 0)
-                tight = PreDimValue(s, k - 1).sign(S.alpha) >= 0
-                assert check.method == ("certified" if n <= k and tight else "exhaustive")
-                seen.add(("small", check.method, check.passed))
+            shaped = _moment_shape(S, b_ids, construct._fresh_blocks(S, copies, s))
+            tight = construct._interior(s, k, S.alpha)
+            new_ids = [i for copy in copies for i in copy]
+            for n in range(len(new_ids) + 2):
+                check = _certify("small_sets_closed", shaped, tight, (n <= k, "n <= k"))
+                sizes = range(min(n, len(new_ids) + 1))
+                table = self._table_passes(t, b_ids, new_ids, sizes, lambda d: d.sign(S.alpha) < 0)
+                assert check is None or table
+                assert (check is not None) == (n <= k and tight[0])
+                seen.add(("small", check is not None, table))
         assert seen >= {
-            ("generic", "certified", True), ("interior", "certified", True),
-            ("interior", "exhaustive", False), ("minimal", "certified", True),
-            ("minimal", "exhaustive", False),
-            ("small", "certified", True), ("small", "exhaustive", False),
+            ("generic", True, True), ("interior", True, True), ("interior", False, False),
+            ("minimal", True, True), ("minimal", False, False),
+            ("small", True, True), ("small", False, False),
         }
 
-    def test_perturbed_shapes_fall_back(self, rng):
+    def test_perturbed_shapes_raise(self, rng):
         # a repeated lambda, a base point on the fresh block, or one entry
-        # off the curve: where the shape declines, every check is swept
+        # off the curve: where the shape declines, every check raises
         declined = set()
         for trial in range(120):
             S, b_ids, s, k, copies = self._patch(rng, trial % 3)
@@ -1530,10 +1391,142 @@ class TestCertifiedSubsetChecks:
             shaped = _moment_shape(S, b_ids, construct._fresh_blocks(S, [ids], s))
             assert not shaped or case == "off the curve"
             got = self._patch_checks_agree(SubsetTable(S), b_ids, ids, s, shaped)
-            declined.add((case, shaped, got["generic"].passed))
+            declined.add((case, shaped, got["generic"][1]))
         assert declined >= {
             ("repeated lam", False, False), ("base on the block", False, True), ("off the curve", False, True),
         }
+
+
+_BASES = {
+    "one": lambda alpha: _one_point(alpha),
+    "colored": lambda alpha: _one_point(alpha, 2, colored=True),
+    "two": lambda alpha: plain_points(alpha, [(1, 0), (0, 1)]),
+}
+_BASE_IDS = {"one": ["b"], "colored": ["b"], "two": ["b1", "b2"]}
+_GRID = {
+    **{
+        f"chain-{alpha.render()}-{depth}": lambda alpha=alpha, depth=depth: minimal_pair_chain(alpha, depth, 64)
+        for alpha in QUADRATIC_ALPHAS[:5] for depth in (1, 2, 3)
+    },
+    **{
+        f"patch-{base}-{eps}": lambda base=base, eps=eps: transcendental_patch(
+            [], _BASE_IDS[base], eps, _BASES[base](ALPHA_INV_SQRT2)
+        )
+        for base in ("one", "colored", "two") for eps in (F(1, 4), F(1, 10))
+    },
+    **{
+        f"power-{base}-{n}": lambda base=base, n=n: free_power_patch(
+            [], _BASE_IDS[base], F(1, 2), n, _BASES[base](ALPHA_INV_SQRT2)
+        )
+        for base in ("one", "colored", "two") for n in (1, 2)
+    },
+    **{
+        f"{engine.__name__}-{base}-{alpha.render()}-{t}": (
+            lambda engine=engine, base=base, alpha=alpha, t=t: engine([], _BASE_IDS[base], t, _BASES[base](alpha))
+        )
+        for engine in (rational_minimal_extension, rational_zero_extension)
+        for base in ("one", "two")
+        for alpha in (ALPHA_TWO_THIRDS, ALPHA_HALF, Alpha.rational(3, 5), Alpha.rational(3, 4))
+        for t in (0, 1)
+    },
+    "basis": lambda: generic_basis_extension(
+        [], ["b1", "b2"], 3, plain_points(ALPHA_HALF, [(1, 0, 0), (0, 1, 0)])
+    ),
+}
+
+
+class TestEngineSubsetChecks:
+    """Every engine over a small grid (chains to depth 3; patches and power
+    patches over one plain, one colored and two plain points; both rational
+    engines at t <= 1 over one and two points; a basis extension) ends every
+    subset check `certified`, and `construct`'s walk runs only inside
+    `_block_profile`.  A build whose points repeat a lambda, or whose pair
+    breaks one of a check's own inequalities, raises InvariantError naming
+    the check and what failed."""
+
+    SUBSET_CHECK = re.compile(
+        r"generic_(position|\d+)|interior_condition|minimal_pair(_\d+)?|small_sets_closed|all_bases"
+    )
+
+    @pytest.mark.parametrize("name", sorted(_GRID))
+    def test_every_subset_check_certified(self, monkeypatch, name):
+        callers, original = [], construct.walk
+
+        def recording(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args)
+
+        monkeypatch.setattr(construct, "walk", recording)
+        res = _GRID[name]()
+        subset = [c for c in res.checks if self.SUBSET_CHECK.fullmatch(c.name)]
+        assert subset and all(c == Check(c.name, True, method="certified") for c in subset)
+        assert all(c.passed for c in res.checks)
+        assert set(callers) <= {"_block_profile"}
+
+    @pytest.mark.parametrize("build, check", [
+        (lambda: transcendental_patch([], ["b"], F(1, 3), _one_point(ALPHA_INV_SQRT2)), "generic_position"),
+        (lambda: rational_minimal_extension([], ["b"], 1, _one_point(Alpha.rational(3, 4))), "generic_position"),
+        (lambda: rational_zero_extension([], ["b"], 1, _one_point(Alpha.rational(3, 4))), "small_sets_closed"),
+        (lambda: free_power_patch([], ["b"], F(1, 2), 2, _one_point(ALPHA_INV_SQRT2)), "small_sets_closed"),
+        (lambda: minimal_pair_chain(ALPHA_INV_SQRT2, 2, 32), "generic_2"),
+        (lambda: generic_basis_extension(
+            [], ["b1", "b2"], 3, plain_points(ALPHA_HALF, [(1, 0, 0), (0, 1, 0)])
+        ), "all_bases"),
+    ], ids=["patch", "ratmin", "ratzero", "power", "chain", "basis"])
+    def test_repeated_lambda_raises(self, monkeypatch, build, check):
+        # the rational copies have 27 points each, past BLOCK_PROFILE_LIMIT,
+        # where the union's K+ search would overrun its budget: the subset
+        # check raises before any search runs
+        monkeypatch.setattr(construct, "_moment_rows", _repeating(construct._moment_rows))
+        with pytest.raises(InvariantError, match=f"^{check}: the moment shape does not hold"):
+            build()
+
+    TIGHT, SMALL, BELOW = "s - alpha*(k - 1) >= 0", "n <= k", "delta(D/B) < 0"
+    FORCED = {
+        # (engine call, the pair function it calls, the pair forced, check, failed inequality)
+        "ratmin-tight": (
+            lambda: rational_minimal_extension([], ["b"], 0, _one_point(ALPHA_TWO_THIRDS)),
+            "rational_pair", (1, 3), "minimal_pair", TIGHT,
+        ),
+        "patch-tight": (
+            lambda: transcendental_patch([], ["b"], F(1, 3), _one_point(ALPHA_INV_SQRT2)),
+            "dirichlet_window", (1, 3), "interior_condition", TIGHT,
+        ),
+        "chain-tight": (
+            lambda: minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8), "chain_pairs", (1, 3), "minimal_pair_1", TIGHT,
+        ),
+        "ratzero-tight": (
+            lambda: rational_zero_extension([], ["b"], 0, _one_point(ALPHA_TWO_THIRDS)),
+            "rational_pair", (1, 3), "small_sets_closed", TIGHT,
+        ),
+        "power-tight": (
+            lambda: free_power_patch([], ["b"], F(1, 2), 2, _one_point(ALPHA_INV_SQRT2)),
+            "dirichlet_window", (2, 4), "small_sets_closed", TIGHT,
+        ),
+        "ratzero-small": (
+            lambda: rational_zero_extension([], ["b"], 3, _one_point(ALPHA_TWO_THIRDS)),
+            "rational_pair", (1, 2), "small_sets_closed", SMALL,
+        ),
+        "power-small": (
+            lambda: free_power_patch([], ["b"], F(1, 2), 3, _one_point(ALPHA_INV_SQRT2)),
+            "dirichlet_window", (1, 2), "small_sets_closed", SMALL,
+        ),
+        "ratmin-below": (
+            lambda: rational_minimal_extension([], ["b"], 0, _one_point(ALPHA_TWO_THIRDS)),
+            "rational_pair", (2, 3), "minimal_pair", BELOW,
+        ),
+        "chain-below": (
+            lambda: minimal_pair_chain(ALPHA_INV_SQRT2, 1, 8), "chain_pairs", (3, 4), "minimal_pair_1", BELOW,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FORCED))
+    def test_broken_inequality_raises(self, monkeypatch, case):
+        build, function, (s, k), check, inequality = self.FORCED[case]
+        pair = ApproximationPair(s, k)
+        monkeypatch.setattr(construct, function, lambda *args: [pair] if function == "chain_pairs" else pair)
+        with pytest.raises(InvariantError, match=f"^{re.escape(f'{check}: {inequality} does not hold')}"):
+            build()
 
 
 def _closed_form_table(rows, length: int, old_width: int) -> dict | None:

@@ -9,7 +9,9 @@ are exhaustive or certified, never sampled), and `pregeom` holds the only
 elimination code.  No
 module but `pregeom` uses `eliminate`, so `pregeom.walk` stays the one
 depth-first subset walk, and `colored` enumerates no
-`itertools.combinations`, so every subset search there runs on the walk.
+`itertools.combinations`, so every subset search there runs on the walk;
+in `construct` only `_block_profile` walks, every subset check there being
+a certificate.
 No module imports another module's private (underscore-prefixed) names, and
 deleted names stay deleted.  Only `construct.grow_patch` computes moment-curve
 rows, so every engine shares one point layout.  No nested function calls itself: such a closure
@@ -53,9 +55,11 @@ MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "_
 # per-call closedness dict the witness memo replaced, construct's seeded
 # subset draws, which certificates replaced, the amalgam's searched left
 # check, which the amalgamation lemma replaced, the minimal-pair search
-# limit, which the certificate-first subset checks replaced, and the patch
+# limit, which the certificate-first subset checks replaced, the patch
 # blocks' closed-form table (now a test oracle) and its separate walk, which
-# the fresh-block lemma replaced and `_block_profile` absorbed.
+# the fresh-block lemma replaced and `_block_profile` absorbed, and the
+# subset sweep and the five check functions around it, which the one
+# certificate rule (`construct._certified`) replaced.
 DELETED_NAMES = {
     "strong_extension",
     "all_pass",
@@ -65,8 +69,12 @@ DELETED_NAMES = {
     "_audit.closed",
     "_strong_embeddings.closed",
     "_extend_embedding.closed",
-    "_minimal_pair_check.limit",
-    "_small_extensions_closed_check.name",
+    "_minimal_pair_check",
+    "_small_extensions_closed_check",
+    "_verify_subsets",
+    "_genericity_check",
+    "_patch_interior_check",
+    "_patch_checks",
     "_first_draws",
     "SAMPLE_COUNT",
     "SAMPLE_SEED",
@@ -246,6 +254,10 @@ def test_eliminate_used_only_by_pregeom(path):
 
 def test_only_grow_patch_places_moment_points():
     assert callers_of((SRC / "construct.py").read_text(), "_moment_rows") == ["grow_patch"]
+
+
+def test_only_block_profile_walks_in_construct():
+    assert callers_of((SRC / "construct.py").read_text(), "walk") == ["_block_profile"]
 
 
 def test_colored_enumerates_no_combinations():
