@@ -17,12 +17,15 @@ check (`_certified`) follows one rule: certified when `_moment_shape` (or,
 for a basis extension, `_on_moment_curve`) and the check's own exact
 inequality prove it on the built result, otherwise InvariantError naming
 the check and the hypothesis that failed; no subset is swept.  Every engine
-meets the hypotheses by construction.  A patch union's ambient K+
-and anchor closedness are certified by the fresh-block lemma
-(`_fresh_block_union`); where its hypotheses fail (a base of rank r with
-k - s < r) the DP over walked block tables (`_block_profile`,
-`_free_union_min`) decides them exhaustively.  A chain's K+ is certified
-level by level.
+meets the hypotheses by construction.  Every ambient K+ and
+anchor closedness verdict is a lemma's or an exact DP's, and no structure
+this module builds is searched: a patch union's are certified by the
+fresh-block lemma (`_fresh_block_union`), and where its hypotheses fail (a
+base of rank r with k - s < r) the DP over walked block tables
+(`_block_profile`, `_free_union_min`) decides them exhaustively; a chain's
+K+ is certified level by level (`_tower_k_plus_check`).  Anything else
+raises, naming the check: InvariantError for a failed hypothesis,
+SearchBudgetExceeded where the DP or condition (c)'s search cannot decide.
 """
 
 from __future__ import annotations
@@ -75,8 +78,10 @@ from .report import Check
 
 # Largest block whose subsets `_block_profile` tabulates (2^14 - 1 of them).
 BLOCK_PROFILE_LIMIT = 14
-# Node budget of this module's K+ and closedness searches; an overrun raises
-# SearchBudgetExceeded naming the check (CLI exit 2), never samples.
+# Node budget of the searches on a structure this module did not build: the
+# input S (the fresh-block lemma's S side, which yields to the DP on an
+# overrun) and a chain level's S'_l (condition (c), whose overrun raises
+# SearchBudgetExceeded naming ambient_k_plus, CLI exit 2).
 VERIFY_NODE_BUDGET = 150_000
 
 
@@ -274,6 +279,12 @@ def _on_moment_curve(S, a, bs, ids) -> bool:
     return all(lams) and (m == 1 or len(set(lams)) == len(lams))
 
 
+def _hold(name: str, holds: bool, statement: str):
+    """InvariantError naming the check `name` and `statement` unless it holds."""
+    if not holds:
+        raise InvariantError(f"{name}: {statement} does not hold on the result")
+
+
 def _certified(name: str, shaped: bool, *hypotheses) -> Check:
     """The one rule of every subset check: Check(name, True, "certified")
     when the moment shape `shaped` and each (holds, statement) of the check's
@@ -292,22 +303,13 @@ def _certified(name: str, shaped: bool, *hypotheses) -> Check:
       all_bases: `_on_moment_curve` for a basis extension.
     """
     for holds, statement in ((shaped, "the moment shape"), *hypotheses):
-        if not holds:
-            raise InvariantError(f"{name}: {statement} does not hold on the result")
+        _hold(name, holds, statement)
     return Check(name, True, method="certified")
 
 
 def _interior(s: int, k: int, alpha):
     """s - alpha*(k - 1) >= 0, the interior hypothesis of `_certified`."""
     return PreDimValue(s, k - 1).sign(alpha) >= 0, "s - alpha*(k - 1) >= 0"
-
-
-def _searched(name: str, search) -> Check:
-    """Check(name, search()); a budget overrun raises, naming the check."""
-    try:
-        return Check(name, search())
-    except SearchBudgetExceeded as e:
-        raise SearchBudgetExceeded(f"{name}: {e}") from e
 
 
 def _tower_k_plus_check(S, levels) -> Check:
@@ -341,55 +343,46 @@ def _tower_k_plus_check(S, levels) -> Check:
     delta(A) = delta_{S'_l}(A' u F'_l) - (alpha*k - s), which is at least
     delta(F'_l) + min_relative_delta(S'_l, F'_l) - (alpha*k - s) >= 0 by (c).
 
-    When the shape or one of (a)-(c) fails, or (c)'s search runs out of its
-    budget, the answer is the budgeted K+ search's.
+    A shape rule or a condition that fails raises InvariantError naming it,
+    and (c)'s search running out of its budget raises SearchBudgetExceeded;
+    both name ambient_k_plus.  S itself is never searched.
     """
-    try:
-        if _tower_in_k_plus(S, levels):
-            certify_k_plus(S)
-            return Check("ambient_k_plus", True, method="certified")
-    except SearchBudgetExceeded:
-        pass
-    return _searched("ambient_k_plus", lambda: in_k_plus(S, node_budget=VERIFY_NODE_BUDGET))
-
-
-def _zero_from(S, ids, col: int) -> bool:
-    return not any(any(S.introw(i)[col:]) for i in ids)
-
-
-def _tower_in_k_plus(S, levels) -> bool:
-    """True when `_tower_k_plus_check`'s shape and conditions (a)-(c) hold."""
+    name = "ambient_k_plus"
     d_prev = set(levels[0].d_ids)
     width = S.backend.ambient_dim - sum(len(lv.e_ids) for lv in levels[1:])
-    if d_prev & S.colored or not _zero_from(S, d_prev, width):
-        return False
-    for lv in levels[1:]:
+    _hold(name, not d_prev & S.colored, "D_0 has no colored point")
+    _hold(name, _zero_from(S, d_prev, width), "D_0 is zero from column w_1 on")
+    for lvl, lv in enumerate(levels[1:], start=1):
         new = lv.e_ids + lv.f_ids
         s, k = len(lv.e_ids), len(new)
-        if len(set(new)) != k or d_prev.intersection(new):
-            return False
-        if not S.colored.issuperset(new):
-            return False
-        for i, eid in enumerate(lv.e_ids):
-            if [j for j, x in enumerate(S.introw(eid)) if x] != [width + i]:
-                return False
-        if not _zero_from(S, lv.f_ids, width + s):
-            return False
-        if not _moment_shape(S, d_prev, [(new, width, s)]):  # (a)
-            return False
-        if PreDimValue(s, k - 1).sign(S.alpha) < 0:  # (b)
-            return False
+        _hold(name, len(set(new)) == k and not d_prev.intersection(new), f"N_{lvl} lists new points once")
+        _hold(name, S.colored.issuperset(new), f"N_{lvl} is colored")
+        _hold(name, all(
+            [j for j, x in enumerate(S.introw(eid)) if x] == [width + i] for i, eid in enumerate(lv.e_ids)
+        ), f"E_{lvl} is its block's unit vectors")
+        _hold(name, _zero_from(S, lv.f_ids, width + s), f"F_{lvl} is zero past its block")
+        _hold(name, _moment_shape(S, d_prev, [(new, width, s)]), f"(a) the moment shape of N_{lvl}")
+        _hold(name, PreDimValue(s, k - 1).sign(S.alpha) >= 0, f"(b) s - alpha*(k - 1) >= 0 at level {lvl}")
         old = [GroundElement(i, S.element(i).vec[:width]) for i in sorted(d_prev)]
         fbar = [GroundElement(f, S.element(f).vec[:width]) for f in lv.f_ids]
         fbar = [g for g in fbar if any(g.vec)]
         Sp = ColoredStructure(Backend(LINEAR, width), (*old, *fbar), S.colored & d_prev, S.alpha)
         fbar_ids = [g.id for g in fbar]
-        low, _ = min_relative_delta(Sp, fbar_ids, VERIFY_NODE_BUDGET)
-        if (delta(Sp, fbar_ids) + low + PreDimValue(s, k)).sign(S.alpha) < 0:  # (c)
-            return False
+        try:
+            low, _ = min_relative_delta(Sp, fbar_ids, VERIFY_NODE_BUDGET)
+        except SearchBudgetExceeded as e:
+            raise SearchBudgetExceeded(f"{name}: {e}") from e
+        _hold(name, (delta(Sp, fbar_ids) + low + PreDimValue(s, k)).sign(S.alpha) >= 0,
+              f"(c) delta(F'_{lvl}) + min delta(S'_{lvl}/F'_{lvl}) >= alpha*k - s")
         d_prev.update(new)
         width += s
-    return d_prev == S.id_set
+    _hold(name, d_prev == S.id_set, "the levels cover S")
+    certify_k_plus(S)
+    return Check(name, True, method="certified")
+
+
+def _zero_from(S, ids, col: int) -> bool:
+    return not any(any(S.introw(i)[col:]) for i in ids)
 
 
 def _keep_min(profile: dict, key, val: PreDimValue, alpha):
@@ -674,13 +667,15 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     checks and `_fresh_block_union`, which reads each copy's delta(copy/B)
     and, where its lemma applies, certifies ambient K+ and whether A is
     closed in D*.  Otherwise the DP `_free_union_min` over the copies'
-    walked `_block_profile` tables decides both exhaustively, and where it
-    does not fit the budgeted searches do.  The checks come in one order:
-    the engine's own, `lead(result, gap_ok, shaped)` with gap_ok whether
-    every copy has delta(copy/B) = s - alpha*k and shaped the moment shape's
-    verdict, then anchor_closed, transcendental and ambient_k_plus.  The
-    engine's own are made first, so a subset check whose certificate fails
-    raises before any table is walked or search run.
+    walked `_block_profile` tables decides both exhaustively; where it
+    cannot (a block past BLOCK_PROFILE_LIMIT, too many residue states) it
+    raises SearchBudgetExceeded naming the check and its reason.  D* itself
+    is never searched.  The checks come in one order: the engine's own,
+    `lead(result, gap_ok, shaped)` with gap_ok whether every copy has
+    delta(copy/B) = s - alpha*k and shaped the moment shape's verdict, then
+    anchor_closed, transcendental and ambient_k_plus.  The engine's own are
+    made first, so a subset check whose certificate fails raises before any
+    table is walked.
     """
     s, k = pair.s, pair.k
     old_width = S.backend.ambient_dim
@@ -694,33 +689,22 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     shaped = _moment_shape(S2, S.id_set, blocks)
     gaps, verdicts = _fresh_block_union(S, S2, a, b, copies, pair, shaped)
     own = lead(res, all(g == res.delta_gap for g in gaps), shaped)
-    try:
-        tables = None if verdicts else [_block_profile(S2, old_width, *blk) for blk in blocks]
-    except SearchBudgetExceeded:
-        tables = None
-
-    def union_check(name, T, prime, search) -> Check:
-        """The lemma's verdict, else the DP's, else the budgeted `search`'s."""
-        if verdicts is not None:
-            return Check(name, verdicts[name], method="certified")
-        if tables is not None:
+    method = "certified"
+    if verdicts is None:
+        method, verdicts, tables = "exhaustive", {}, None
+        for name, T, prime in (("ambient_k_plus", S2, ()), ("anchor_closed", S2.restrict(star), a)):
             try:
-                low = _free_union_min(T, prime, old_width, blocks, tables)
-                return Check(name, low.sign(S2.alpha) >= 0)
-            except SearchBudgetExceeded:
-                pass
-        return _searched(name, search)
-
-    kp = union_check("ambient_k_plus", S2, (), lambda: in_k_plus(S2, node_budget=VERIFY_NODE_BUDGET))
-    if kp.passed:
+                tables = tables or [_block_profile(S2, old_width, *blk) for blk in blocks]
+                verdicts[name] = _free_union_min(T, prime, old_width, blocks, tables).sign(S2.alpha) >= 0
+            except SearchBudgetExceeded as e:
+                raise SearchBudgetExceeded(f"{name}: {e}") from e
+    if verdicts["ambient_k_plus"]:
         certify_k_plus(S2)
-    sub = S2.restrict(star)
-    anchor = union_check("anchor_closed", sub, a, lambda: is_closed(a, sub, node_budget=VERIFY_NODE_BUDGET))
     res.checks = [
         *own,
-        anchor,
+        Check("anchor_closed", verdicts["anchor_closed"], method=method),
         Check("transcendental", _transcendental_over(S2, star, a)),
-        kp,
+        Check("ambient_k_plus", verdicts["ambient_k_plus"], method=method),
     ]
     _require(res.checks)
     return res
@@ -848,7 +832,12 @@ def chain_pairs(alpha: Alpha, depth: int) -> list[ApproximationPair]:
     """Pairs of levels 1..depth: level l takes the least-k pair with
     0 < k*alpha - s < min((1 - alpha)/2^l, level l-1's k*alpha - s), so the
     drops s - k*alpha strictly increase even where two windows share their
-    least-k pair."""
+    least-k pair.
+
+    A window of at least alpha (level 1 for alpha <= 1/3), which
+    `dirichlet_window` refuses, takes (1, k0) with k0 = floor(1/alpha) + 1:
+    every k < k0 has floor(k*alpha) = 0, and 0 < k0*alpha - 1 < alpha since
+    (k0 - 1)*alpha < 1 < k0*alpha."""
     if alpha.is_rational:
         raise RationalAlpha("chains need an irrational coefficient")
     pairs: list[ApproximationPair] = []
@@ -858,7 +847,10 @@ def chain_pairs(alpha: Alpha, depth: int) -> list[ApproximationPair]:
             prev_gap = -PreDimValue(pairs[-1].s, pairs[-1].k).value(alpha)
             if prev_gap < eps:
                 eps = prev_gap
-        pairs.append(dirichlet_window(alpha, eps))
+        if (eps - alpha.value()).sign() >= 0:
+            pairs.append(ApproximationPair(1, _floor_ratio(1, alpha.value()) + 1))
+        else:
+            pairs.append(dirichlet_window(alpha, eps))
     return pairs
 
 

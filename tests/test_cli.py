@@ -105,40 +105,46 @@ class TestErrorCodes:
             "over a 2-point component",
         }
 
-    @pytest.mark.parametrize(
-        "check, search", [("ambient_k_plus", "in_k_plus"), ("anchor_closed", "is_closed")],
-        ids=["ambient_k_plus", "anchor_closed"],
-    )
-    def test_forced_overrun_exits_two(self, capsys, monkeypatch, tmp_path, check, search):
+    @pytest.mark.parametrize("check", ["ambient_k_plus", "anchor_closed"])
+    def test_forced_overrun_exits_two(self, capsys, monkeypatch, tmp_path, check):
         # a power patch over two points (k - s = 1 < 2) is past the
-        # fresh-block lemma; with the free-union DP unavailable for the check
-        # (it decides ambient_k_plus first, then anchor_closed) the budgeted
-        # search decides it, and its overrun fails the construction, naming
-        # the check
+        # fresh-block lemma, so the free-union DP decides ambient_k_plus, then
+        # anchor_closed; a DP that cannot decide the check fails the
+        # construction, naming the check
         from bicolor import construct
         from bicolor.errors import SearchBudgetExceeded
 
-        def overrun(*args, **kwargs):
-            raise SearchBudgetExceeded("forced overrun")
-
-        original, dp, dp_calls = getattr(construct, search), construct._free_union_min, []
+        dp, dp_calls = construct._free_union_min, []
 
         def dp_unless_checked(*args):
             dp_calls.append(args)
             if ["ambient_k_plus", "anchor_closed"][len(dp_calls) - 1] == check:
-                overrun()
+                raise SearchBudgetExceeded("forced overrun")
             return dp(*args)
 
         monkeypatch.setattr(construct, "_free_union_min", dp_unless_checked)
-        monkeypatch.setattr(construct, search, lambda *a, node_budget=None: (
-            overrun() if node_budget else original(*a)
-        ))
         p = tmp_path / "in.json"
         save(TestConstructGoldenBytes.INPUTS["irr2"](), p)
         argv = ["power", "--base", "b1,b2", "--mu", "1/2", "-n", "2", "--structure", str(p)]
         code, obj = run(capsys, "construct", *argv)
         assert code == 2
         assert obj == {"error": "SearchBudgetExceeded", "message": f"{check}: forced overrun"}
+
+    def test_undecided_union_exits_two(self, capsys, tmp_path):
+        # at 15/16 over two points the pair is (14, 15): k - s = 1 < 2 is past
+        # the fresh-block lemma, and the copy is past the DP's block limit;
+        # the message names the check and the DP's own reason
+        from bicolor.exactnum import Alpha
+
+        p = tmp_path / "in.json"
+        save(_plain_points(Alpha.rational(15, 16), [("b1", (1, 0)), ("b2", (0, 1))]), p)
+        argv = ["ratmin", "--base", "b1,b2", "-t", "0", "--structure", str(p)]
+        code, obj = run(capsys, "construct", *argv)
+        assert code == 2
+        assert obj == {
+            "error": "SearchBudgetExceeded",
+            "message": "ambient_k_plus: free-union block of 15 points exceeds 14",
+        }
 
     def test_misshapen_build_exits_two(self, capsys, monkeypatch, tmp_path):
         # two points of the patch share a lambda, so the moment shape fails
@@ -213,6 +219,16 @@ class TestConstructAndFiles:
         )
         assert code == 0
         assert obj["levels"][1]["pair"] == {"k": 3, "s": 2}
+
+    def test_chain_at_small_alpha(self, capsys):
+        # sqrt(2)/6 <= 1/3: level 1's window is at least alpha
+        code, obj = run(
+            capsys, "construct", "chain",
+            "--alpha", '{"kind":"quadratic","a":0,"b":1,"c":6,"d":2}',
+            "--depth", "2", "--ambient-budget", "8",
+        )
+        assert code == 0
+        assert [lv["pair"] for lv in obj["levels"][1:]] == [{"k": 5, "s": 1}, {"k": 9, "s": 2}]
 
     def test_dsystem(self, capsys, tmp_path):
         from bicolor.colored import ColoredStructure

@@ -374,6 +374,26 @@ class TestMinimalPairChain:
         assert [c.name for c in res.checks if c.method != "exhaustive"] == certified
         assert res.checks[-1].method == "certified"
 
+    @pytest.mark.parametrize("alpha, depth, pairs", [
+        (Alpha.quadratic(0, 1, 6, 2), 1, [(1, 5)]),
+        (Alpha.quadratic(0, 1, 6, 2), 2, [(1, 5), (2, 9)]),
+        (Alpha.quadratic(-1, 1, 4, 2), 1, [(1, 10)]),
+    ], ids=["sqrt2/6-1", "sqrt2/6-2", "(sqrt2-1)/4-1"])
+    def test_small_alpha(self, alpha, depth, pairs):
+        # alpha <= 1/3: level 1's window (1 - alpha)/2 is at least alpha, where
+        # the least-k pair is (1, floor(1/alpha) + 1)
+        res = minimal_pair_chain(alpha, depth, 8)
+        assert [(lv.pair.s, lv.pair.k) for lv in res.levels[1:]] == pairs
+        assert all(c.passed for c in res.checks)
+        assert res.checks[-1] == Check("ambient_k_plus", True, method="certified")
+        S = res.structure
+        assert incremental_in_k_plus(S)
+        t = SubsetTable(S)
+        for lo, hi in zip(res.levels, res.levels[1:]):
+            b, new = t.mask_of(lo.d_ids), t.mask_of(hi.d_ids) ^ t.mask_of(lo.d_ids)
+            assert t.delta_sign(new, b) < 0
+            assert all(t.delta_sign(c, b) >= 0 for c in submasks(new) if c != new)
+
     def test_depth_two_minimal_pairs(self):
         res = minimal_pair_chain(ALPHA_INV_SQRT2, 2, 16)
         S = res.structure
@@ -595,7 +615,8 @@ _LEVEL_ONE = ([(0, 1, 0), (0, 0, 1)], [(1, 1, 1)])
 class TestTowerKPlus:
     """The chain's level-by-level K+ certificate, against brute-force subset
     tables.  Each hand-made tower below breaks one shape rule or one of the
-    conditions (a)-(c), and nothing else."""
+    conditions (a)-(c), and nothing else, and the certificate raises naming
+    that rule: nothing searches the tower itself."""
 
     def test_incremental_oracle_matches_subset_table(self):
         rng = random.Random(0x0AC1E)
@@ -613,6 +634,7 @@ class TestTowerKPlus:
             assert incremental_in_k_plus(res.structure)
 
     def test_random_towers_agree_with_subset_tables(self):
+        # every certified tower is in K+, and no tower outside K+ is certified
         rng = random.Random(0x70E5)
         seen = set()
         for trial in range(160):
@@ -637,10 +659,16 @@ class TestTowerKPlus:
             d0 = [pad(r) for r in d0]
             levels = [([pad(r) for r in e], [pad(r) for r in f]) for e, f in levels]
             S, lvls = _tower(alpha, d0, levels)
-            check = _tower_k_plus_check(S, lvls)
-            assert check.passed == incremental_in_k_plus(S)
-            seen.add((check.method, check.passed))
-        assert seen == {("certified", True), ("exhaustive", True), ("exhaustive", False)}
+            in_k = incremental_in_k_plus(S)
+            try:
+                check = _tower_k_plus_check(S, lvls)
+            except InvariantError as e:
+                assert str(e).startswith("ambient_k_plus: ")
+                seen.add(("raised", in_k))
+                continue
+            assert check == Check("ambient_k_plus", True, method="certified") and in_k
+            seen.add(("certified", in_k))
+        assert seen == {("certified", True), ("raised", True), ("raised", False)}
 
     NEGATIVE = {
         # {e1, e2, f2}: rank 2, three colored
@@ -648,54 +676,67 @@ class TestTowerKPlus:
             [(1, 0, 0, 0)],
             [([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [(1, 1, 1, 1), (0, 1, 1, 0)])],
             (),
+            "(a) the moment shape of N_1",
         ),
         # s = 1, k = 4: {e, f1, f2} has rank 2 and three colored points
         "b_level_too_long": (
-            [(1, 0, 0), (0, 1, 0)], [([(0, 0, 1)], [(1, 0, 1), (2, 0, 1), (0, 1, 1)])], ()
+            [(1, 0, 0), (0, 1, 0)], [([(0, 0, 1)], [(1, 0, 1), (2, 0, 1), (0, 1, 1)])], (),
+            "(b) s - alpha*(k - 1) >= 0 at level 1",
         ),
         # F'_2 spans the colored e1_0: {e1_0, e2_0, f2_0} has rank 2
         "c_colored_point_in_span_of_old_parts": (
             [(1, 0, 0, 0)],
             [([(0, 1, 0, 0), (0, 0, 1, 0)], [(1, 1, 1, 0)]), ([(0, 0, 0, 1)], [(0, 1, 0, 1)])],
             (),
+            "(c) delta(F'_2) + min delta(S'_2/F'_2) >= alpha*k - s",
         ),
         # the E point has an old part: f = 2e
-        "e_not_a_unit_vector": ([(1, 0)], [([(1, 1)], [(2, 2)])], ()),
+        "e_not_a_unit_vector": ([(1, 0)], [([(1, 1)], [(2, 2)])], (), "E_1 is its block's unit vectors"),
         # a colored point outside every level doubles e1_0
-        "point_on_no_level": ([(1, 0, 0)], [_LEVEL_ONE], [(0, 1, 0)]),
+        "point_on_no_level": ([(1, 0, 0)], [_LEVEL_ONE], [(0, 1, 0)], "the levels cover S"),
     }
 
+    @staticmethod
+    def _raises(S, lvls, rule):
+        with pytest.raises(InvariantError, match=f"^{re.escape(f'ambient_k_plus: {rule} does not hold')}"):
+            _tower_k_plus_check(S, lvls)
+
     @pytest.mark.parametrize("name", sorted(NEGATIVE))
-    def test_negative_towers_fall_back_and_fail(self, name):
-        d0, levels, extra = self.NEGATIVE[name]
+    def test_negative_towers_raise(self, name):
+        d0, levels, extra, rule = self.NEGATIVE[name]
         S, lvls = _tower(ALPHA_INV_SQRT2, d0, levels, extra)
         assert not incremental_in_k_plus(S)
-        assert _tower_k_plus_check(S, lvls) == Check("ambient_k_plus", False)
+        self._raises(S, lvls, rule)
 
-    def test_colored_d0_falls_back_and_fails(self):
+    def test_colored_d0_raises(self):
         S = ColoredStructure(
             Backend(LINEAR, 1), (ge("x", 1), ge("y", 2)), frozenset({"x", "y"}), ALPHA_INV_SQRT2
         )
         levels = [ChainLevel(("x", "y"), ("x", "y"), (), None)]
-        assert _tower_k_plus_check(S, levels) == Check("ambient_k_plus", False)
+        assert not incremental_in_k_plus(S)
+        self._raises(S, levels, "D_0 has no colored point")
 
     MISSHAPEN = {
-        "d0_reaches_a_fresh_block": ([(1, 0, 0), (0, 1, 1)], [([(0, 0, 1)], [(1, 0, 1)])], ()),
-        "f_reaches_a_later_block": (
-            [(1, 0, 0, 0)], [([(0, 0, 1, 0)], [(0, 1, 1, 1)]), ([(0, 0, 0, 1)], [])], ()
+        "d0_reaches_a_fresh_block": (
+            [(1, 0, 0), (0, 1, 1)], [([(0, 0, 1)], [(1, 0, 1)])], (), "D_0 is zero from column w_1 on"
         ),
-        "plain_f_point": ([(1, 0, 0)], [_LEVEL_ONE], ("f1_0",)),
+        "f_reaches_a_later_block": (
+            [(1, 0, 0, 0)], [([(0, 0, 1, 0)], [(0, 1, 1, 1)]), ([(0, 0, 0, 1)], [])], (),
+            "F_1 is zero past its block",
+        ),
+        "plain_f_point": ([(1, 0, 0)], [_LEVEL_ONE], ("f1_0",), "N_1 is colored"),
     }
 
     @pytest.mark.parametrize("name", sorted(MISSHAPEN))
-    def test_misshapen_towers_fall_back(self, name):
-        d0, levels, plain = self.MISSHAPEN[name]
+    def test_misshapen_towers_raise(self, name):
+        # in K+, but not of the shape the lemma reads: no verdict is searched
+        d0, levels, plain, rule = self.MISSHAPEN[name]
         S, lvls = _tower(ALPHA_INV_SQRT2, d0, levels, plain=plain)
         assert incremental_in_k_plus(S)
-        assert _tower_k_plus_check(S, lvls) == Check("ambient_k_plus", True)
+        self._raises(S, lvls, rule)
 
     @pytest.mark.parametrize("how", ["relisted", "listed_twice", "failed", "sampled", "budget"])
-    def test_unusable_levels_fall_back(self, monkeypatch, how):
+    def test_unusable_levels_raise(self, monkeypatch, how):
         # at sqrt(2) - 1, (b) would still hold with a point listed twice
         alpha = Alpha.quadratic(-1, 1, 1, 2)
         S, lvls = _tower(alpha, [(1, 0, 0)], [_LEVEL_ONE])
@@ -705,13 +746,16 @@ class TestTowerKPlus:
         if how == "relisted":
             # a level with no fresh block that lists a point of the level below
             lvls.append(ChainLevel(lvls[-1].d_ids, (), ("f1_0",), None))
+            rule = "N_2 lists new points once"
         elif how == "listed_twice":
             lvls[1] = replace(lvls[1], f_ids=("f1_0", "f1_0"))
+            rule = "N_1 lists new points once"
         elif how == "failed":
             # f1_0 = d0 + e1_0 - e1_1 is off the moment curve, so (a) is not
             # read off, though every 2-subset of the level is still a base
             S = _perturbed(S, "f1_0", -2)
             assert not _moment_shape(S, lvls[0].d_ids, [(lvls[1].e_ids + lvls[1].f_ids, 1, 2)])
+            rule = "(a) the moment shape of N_1"
         elif how == "sampled":
             # (a) is read off the structure, never off a Check, and no Check
             # holds a method other than exhaustive or certified
@@ -723,7 +767,13 @@ class TestTowerKPlus:
                 raise SearchBudgetExceeded("exact search node budget exhausted")
 
             monkeypatch.setattr(construct, "min_relative_delta", exhausted)
-        assert _tower_k_plus_check(S, lvls) == Check("ambient_k_plus", True)
+            with pytest.raises(
+                SearchBudgetExceeded, match="^ambient_k_plus: exact search node budget exhausted$"
+            ):
+                _tower_k_plus_check(S, lvls)
+            return
+        assert incremental_in_k_plus(S)
+        self._raises(S, lvls, rule)
 
     def test_chain_certified_without_a_k_plus_search(self, monkeypatch):
         def no_search(*args, **kwargs):
@@ -1463,6 +1513,64 @@ class TestEngineSubsetChecks:
         assert all(c.passed for c in res.checks)
         assert set(callers) <= {"_block_profile"}
 
+    @staticmethod
+    def _spy_searches(monkeypatch):
+        """Record the width of every structure that construct's in_k_plus,
+        is_closed and min_relative_delta are called on.  Returns a reader of
+        (those widths, the built width): the built width is the widest
+        structure `grow_patch` returned, the result's, as every patch copy
+        and chain level widens it, while the caller's input S and a chain
+        level's S'_l are narrower."""
+        searched, grown = [], [0]
+        for name in ("in_k_plus", "is_closed", "min_relative_delta"):
+            def spy(*args, _search=getattr(construct, name), **kwargs):
+                S = next(x for x in args if isinstance(x, ColoredStructure))
+                searched.append(S.backend.ambient_dim)
+                return _search(*args, **kwargs)
+
+            monkeypatch.setattr(construct, name, spy)
+        grow = construct.grow_patch
+
+        def growing(*args, **kwargs):
+            S2, ids = grow(*args, **kwargs)
+            grown[0] = max(grown[0], S2.backend.ambient_dim)
+            return S2, ids
+
+        monkeypatch.setattr(construct, "grow_patch", growing)
+        return lambda: (searched, grown[0])
+
+    @pytest.mark.parametrize("name", sorted(_GRID))
+    def test_no_search_on_the_result(self, monkeypatch, name):
+        # every K+ and closedness verdict on a built structure is a lemma's or
+        # the DP's: searches run on the input and on a level's S'_l alone
+        spied = self._spy_searches(monkeypatch)
+        res = _GRID[name]()
+        searched, built = spied()
+        assert built == res.structure.backend.ambient_dim
+        assert searched or name == "basis"
+        assert all(width < built for width in searched)
+
+    @staticmethod
+    def _overrun(*args, **kwargs):
+        raise SearchBudgetExceeded("forced overrun")
+
+    UNDECIDED = {
+        # (build past the fresh-block lemma, the DP its union check falls to)
+        "dp": ("power-two-2", "_free_union_min"),
+        # (chain, condition (c)'s search on S'_1)
+        "tower": ("chain-(0+1*sqrt(2))/2-1", "min_relative_delta"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNDECIDED))
+    def test_undecided_build_raises_without_searching_it(self, monkeypatch, case):
+        build, undecided = self.UNDECIDED[case]
+        monkeypatch.setattr(construct, undecided, self._overrun)
+        spied = self._spy_searches(monkeypatch)
+        with pytest.raises(SearchBudgetExceeded, match="^ambient_k_plus: forced overrun$"):
+            _GRID[build]()
+        searched, built = spied()
+        assert built and all(width < built for width in searched)
+
     @pytest.mark.parametrize("build, check", [
         (lambda: transcendental_patch([], ["b"], F(1, 3), _one_point(ALPHA_INV_SQRT2)), "generic_position"),
         (lambda: rational_minimal_extension([], ["b"], 1, _one_point(Alpha.rational(3, 4))), "generic_position"),
@@ -1475,8 +1583,8 @@ class TestEngineSubsetChecks:
     ], ids=["patch", "ratmin", "ratzero", "power", "chain", "basis"])
     def test_repeated_lambda_raises(self, monkeypatch, build, check):
         # the rational copies have 27 points each, past BLOCK_PROFILE_LIMIT,
-        # where the union's K+ search would overrun its budget: the subset
-        # check raises before any search runs
+        # where the union's DP would raise: the subset check raises before
+        # any table is walked
         monkeypatch.setattr(construct, "_moment_rows", _repeating(construct._moment_rows))
         with pytest.raises(InvariantError, match=f"^{check}: the moment shape does not hold"):
             build()
