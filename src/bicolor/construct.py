@@ -17,15 +17,14 @@ check (`_certified`) follows one rule: certified when `_moment_shape` (or,
 for a basis extension, `_on_moment_curve`) and the check's own exact
 inequality prove it on the built result, otherwise InvariantError naming
 the check and the hypothesis that failed; no subset is swept.  Every engine
-meets the hypotheses by construction.  Every ambient K+ and
-anchor closedness verdict is a lemma's or an exact DP's, and no structure
-this module builds is searched: a patch union's are certified by the
-fresh-block lemma (`_fresh_block_union`), and where its hypotheses fail (a
-base of rank r with k - s < r) the DP over walked block tables
-(`_block_profile`, `_free_union_min`) decides them exhaustively; a chain's
-K+ is certified level by level (`_tower_k_plus_check`).  Anything else
-raises, naming the check: InvariantError for a failed hypothesis,
-SearchBudgetExceeded where the DP or condition (c)'s search cannot decide.
+meets the hypotheses by construction.  A patch union's ambient K+ and
+anchor closedness are certified by the fresh-block lemma
+(`_fresh_block_union`); where its hypotheses fail (a base of rank r with
+k - s < r) the DP over walked block tables (`_block_profile`,
+`_free_union_min`) decides them exhaustively, and where the DP cannot, a
+budgeted search of the union (`_dp_or_searched`).  A chain's K+ is
+certified level by level (`_tower_k_plus_check`) or raises, naming the
+rule that fails; the chain itself is never searched.
 """
 
 from __future__ import annotations
@@ -78,10 +77,10 @@ from .report import Check
 
 # Largest block whose subsets `_block_profile` tabulates (2^14 - 1 of them).
 BLOCK_PROFILE_LIMIT = 14
-# Node budget of the searches on a structure this module did not build: the
-# input S (the fresh-block lemma's S side, which yields to the DP on an
-# overrun) and a chain level's S'_l (condition (c), whose overrun raises
-# SearchBudgetExceeded naming ambient_k_plus, CLI exit 2).
+# Node budget of this module's K+ and closedness searches: of the input S (an
+# overrun yields to the DP), of a chain level's S'_l (condition (c)) and of a
+# union the DP cannot decide.  Those overruns raise SearchBudgetExceeded
+# naming the check (CLI exit 2), never sample.
 VERIFY_NODE_BUDGET = 150_000
 
 
@@ -310,6 +309,20 @@ def _certified(name: str, shaped: bool, *hypotheses) -> Check:
 def _interior(s: int, k: int, alpha):
     """s - alpha*(k - 1) >= 0, the interior hypothesis of `_certified`."""
     return PreDimValue(s, k - 1).sign(alpha) >= 0, "s - alpha*(k - 1) >= 0"
+
+
+def _dp_or_searched(name: str, dp, search) -> bool:
+    """dp(), the free-union DP's verdict; where the DP cannot decide (a block
+    past BLOCK_PROFILE_LIMIT, too many residue states), the budgeted
+    search()'s, whose overrun raises SearchBudgetExceeded naming the check,
+    the DP's reason and the search's."""
+    try:
+        return dp()
+    except SearchBudgetExceeded as refused:
+        try:
+            return search()
+        except SearchBudgetExceeded as e:
+            raise SearchBudgetExceeded(f"{name}: {refused}; its search: {e}") from e
 
 
 def _tower_k_plus_check(S, levels) -> Check:
@@ -667,15 +680,13 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     checks and `_fresh_block_union`, which reads each copy's delta(copy/B)
     and, where its lemma applies, certifies ambient K+ and whether A is
     closed in D*.  Otherwise the DP `_free_union_min` over the copies'
-    walked `_block_profile` tables decides both exhaustively; where it
-    cannot (a block past BLOCK_PROFILE_LIMIT, too many residue states) it
-    raises SearchBudgetExceeded naming the check and its reason.  D* itself
-    is never searched.  The checks come in one order: the engine's own,
-    `lead(result, gap_ok, shaped)` with gap_ok whether every copy has
-    delta(copy/B) = s - alpha*k and shaped the moment shape's verdict, then
-    anchor_closed, transcendental and ambient_k_plus.  The engine's own are
-    made first, so a subset check whose certificate fails raises before any
-    table is walked.
+    walked `_block_profile` tables decides both exhaustively, and where it
+    cannot, the budgeted search of D* (`_dp_or_searched`).  The checks come
+    in one order: the engine's own, `lead(result, gap_ok, shaped)` with
+    gap_ok whether every copy has delta(copy/B) = s - alpha*k and shaped
+    the moment shape's verdict, then anchor_closed, transcendental and
+    ambient_k_plus.  The engine's own are made first, so a subset check
+    whose certificate fails raises before any table is walked.
     """
     s, k = pair.s, pair.k
     old_width = S.backend.ambient_dim
@@ -689,22 +700,27 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     shaped = _moment_shape(S2, S.id_set, blocks)
     gaps, verdicts = _fresh_block_union(S, S2, a, b, copies, pair, shaped)
     own = lead(res, all(g == res.delta_gap for g in gaps), shaped)
-    method = "certified"
-    if verdicts is None:
-        method, verdicts, tables = "exhaustive", {}, None
-        for name, T, prime in (("ambient_k_plus", S2, ()), ("anchor_closed", S2.restrict(star), a)):
-            try:
-                tables = tables or [_block_profile(S2, old_width, *blk) for blk in blocks]
-                verdicts[name] = _free_union_min(T, prime, old_width, blocks, tables).sign(S2.alpha) >= 0
-            except SearchBudgetExceeded as e:
-                raise SearchBudgetExceeded(f"{name}: {e}") from e
-    if verdicts["ambient_k_plus"]:
+    method, tables = "certified" if verdicts else "exhaustive", []
+
+    def dp(T, prime) -> bool:
+        if not tables:
+            tables.extend([_block_profile(S2, old_width, *blk) for blk in blocks])
+        return _free_union_min(T, prime, old_width, blocks, tables).sign(S2.alpha) >= 0
+
+    kp = verdicts["ambient_k_plus"] if verdicts else _dp_or_searched(
+        "ambient_k_plus", lambda: dp(S2, ()), lambda: in_k_plus(S2, node_budget=VERIFY_NODE_BUDGET)
+    )
+    if kp:
         certify_k_plus(S2)
+    sub = S2.restrict(star)  # made after the certificate, which it inherits
+    anchor = verdicts["anchor_closed"] if verdicts else _dp_or_searched(
+        "anchor_closed", lambda: dp(sub, a), lambda: is_closed(a, sub, node_budget=VERIFY_NODE_BUDGET)
+    )
     res.checks = [
         *own,
-        Check("anchor_closed", verdicts["anchor_closed"], method=method),
+        Check("anchor_closed", anchor, method=method),
         Check("transcendental", _transcendental_over(S2, star, a)),
-        Check("ambient_k_plus", verdicts["ambient_k_plus"], method=method),
+        Check("ambient_k_plus", kp, method=method),
     ]
     _require(res.checks)
     return res

@@ -105,45 +105,42 @@ class TestErrorCodes:
             "over a 2-point component",
         }
 
-    @pytest.mark.parametrize("check", ["ambient_k_plus", "anchor_closed"])
-    def test_forced_overrun_exits_two(self, capsys, monkeypatch, tmp_path, check):
+    @pytest.mark.parametrize(
+        "check, search", [("ambient_k_plus", "in_k_plus"), ("anchor_closed", "is_closed")],
+        ids=["ambient_k_plus", "anchor_closed"],
+    )
+    def test_forced_overrun_exits_two(self, capsys, monkeypatch, tmp_path, check, search):
         # a power patch over two points (k - s = 1 < 2) is past the
-        # fresh-block lemma, so the free-union DP decides ambient_k_plus, then
-        # anchor_closed; a DP that cannot decide the check fails the
-        # construction, naming the check
+        # fresh-block lemma; with the free-union DP unable to decide the check
+        # (it decides ambient_k_plus first, then anchor_closed) the budgeted
+        # search decides it, and its overrun fails the construction, naming
+        # the check and both reasons
         from bicolor import construct
         from bicolor.errors import SearchBudgetExceeded
 
-        dp, dp_calls = construct._free_union_min, []
+        def fail(message):
+            raise SearchBudgetExceeded(message)
+
+        original, dp, dp_calls = getattr(construct, search), construct._free_union_min, []
 
         def dp_unless_checked(*args):
             dp_calls.append(args)
             if ["ambient_k_plus", "anchor_closed"][len(dp_calls) - 1] == check:
-                raise SearchBudgetExceeded("forced overrun")
+                fail("forced refusal")
             return dp(*args)
 
         monkeypatch.setattr(construct, "_free_union_min", dp_unless_checked)
+        monkeypatch.setattr(construct, search, lambda *a, node_budget=None: (
+            fail("forced overrun") if node_budget else original(*a)
+        ))
         p = tmp_path / "in.json"
         save(TestConstructGoldenBytes.INPUTS["irr2"](), p)
         argv = ["power", "--base", "b1,b2", "--mu", "1/2", "-n", "2", "--structure", str(p)]
         code, obj = run(capsys, "construct", *argv)
         assert code == 2
-        assert obj == {"error": "SearchBudgetExceeded", "message": f"{check}: forced overrun"}
-
-    def test_undecided_union_exits_two(self, capsys, tmp_path):
-        # at 15/16 over two points the pair is (14, 15): k - s = 1 < 2 is past
-        # the fresh-block lemma, and the copy is past the DP's block limit;
-        # the message names the check and the DP's own reason
-        from bicolor.exactnum import Alpha
-
-        p = tmp_path / "in.json"
-        save(_plain_points(Alpha.rational(15, 16), [("b1", (1, 0)), ("b2", (0, 1))]), p)
-        argv = ["ratmin", "--base", "b1,b2", "-t", "0", "--structure", str(p)]
-        code, obj = run(capsys, "construct", *argv)
-        assert code == 2
         assert obj == {
             "error": "SearchBudgetExceeded",
-            "message": "ambient_k_plus: free-union block of 15 points exceeds 14",
+            "message": f"{check}: forced refusal; its search: forced overrun",
         }
 
     def test_misshapen_build_exits_two(self, capsys, monkeypatch, tmp_path):
@@ -219,6 +216,20 @@ class TestConstructAndFiles:
         )
         assert code == 0
         assert obj["levels"][1]["pair"] == {"k": 3, "s": 2}
+
+    def test_union_past_the_dp_is_searched(self, capsys, tmp_path):
+        # at 15/16 over two points the pair is (14, 15): k - s = 1 < 2 is past
+        # the fresh-block lemma, and the 15-point copy is past the DP's block
+        # limit, so the budgeted searches of the union decide both checks
+        from bicolor.exactnum import Alpha
+
+        p = tmp_path / "in.json"
+        save(_plain_points(Alpha.rational(15, 16), [("b1", (1, 0)), ("b2", (0, 1))]), p)
+        code, obj = run(capsys, "construct", "ratmin", "--base", "b1,b2", "-t", "0", "--structure", str(p))
+        assert code == 0
+        assert {c["name"]: (c["pass"], c["method"]) for c in obj["checks"]}.items() >= {
+            "anchor_closed": (True, "exhaustive"), "ambient_k_plus": (True, "exhaustive"),
+        }.items()
 
     def test_chain_at_small_alpha(self, capsys):
         # sqrt(2)/6 <= 1/3: level 1's window is at least alpha

@@ -1489,8 +1489,9 @@ class TestEngineSubsetChecks:
     """Every engine over a small grid (chains to depth 3; patches and power
     patches over one plain, one colored and two plain points; both rational
     engines at t <= 1 over one and two points; a basis extension) ends every
-    subset check `certified`, and `construct`'s walk runs only inside
-    `_block_profile`.  A build whose points repeat a lambda, or whose pair
+    subset check `certified`, `construct`'s walk runs only inside
+    `_block_profile`, and no search runs on a structure as wide as the
+    result.  A build whose points repeat a lambda, or whose pair
     breaks one of a check's own inequalities, raises InvariantError naming
     the check and what failed."""
 
@@ -1500,6 +1501,8 @@ class TestEngineSubsetChecks:
 
     @pytest.mark.parametrize("name", sorted(_GRID))
     def test_every_subset_check_certified(self, monkeypatch, name):
+        # a lemma or the DP decides every union and chain here, so searches
+        # run on the input and on a level's S'_l alone
         callers, original = [], construct.walk
 
         def recording(*args):
@@ -1507,11 +1510,16 @@ class TestEngineSubsetChecks:
             return original(*args)
 
         monkeypatch.setattr(construct, "walk", recording)
+        spied = self._spy_searches(monkeypatch)
         res = _GRID[name]()
         subset = [c for c in res.checks if self.SUBSET_CHECK.fullmatch(c.name)]
         assert subset and all(c == Check(c.name, True, method="certified") for c in subset)
         assert all(c.passed for c in res.checks)
         assert set(callers) <= {"_block_profile"}
+        searched, built = spied()
+        assert built == res.structure.backend.ambient_dim
+        assert searched or name == "basis"
+        assert all(width < built for width in searched)
 
     @staticmethod
     def _spy_searches(monkeypatch):
@@ -1539,35 +1547,31 @@ class TestEngineSubsetChecks:
         monkeypatch.setattr(construct, "grow_patch", growing)
         return lambda: (searched, grown[0])
 
-    @pytest.mark.parametrize("name", sorted(_GRID))
-    def test_no_search_on_the_result(self, monkeypatch, name):
-        # every K+ and closedness verdict on a built structure is a lemma's or
-        # the DP's: searches run on the input and on a level's S'_l alone
-        spied = self._spy_searches(monkeypatch)
-        res = _GRID[name]()
-        searched, built = spied()
-        assert built == res.structure.backend.ambient_dim
-        assert searched or name == "basis"
-        assert all(width < built for width in searched)
-
     @staticmethod
-    def _overrun(*args, **kwargs):
-        raise SearchBudgetExceeded("forced overrun")
+    def _refuse(*args, **kwargs):
+        raise SearchBudgetExceeded("forced refusal")
 
-    UNDECIDED = {
-        # (build past the fresh-block lemma, the DP its union check falls to)
-        "dp": ("power-two-2", "_free_union_min"),
-        # (chain, condition (c)'s search on S'_1)
-        "tower": ("chain-(0+1*sqrt(2))/2-1", "min_relative_delta"),
-    }
-
-    @pytest.mark.parametrize("case", sorted(UNDECIDED))
-    def test_undecided_build_raises_without_searching_it(self, monkeypatch, case):
-        build, undecided = self.UNDECIDED[case]
-        monkeypatch.setattr(construct, undecided, self._overrun)
+    def test_dp_refusal_falls_to_the_search(self, monkeypatch):
+        # a patch over two points at 1/4 is past the fresh-block lemma; where
+        # the DP cannot decide, the budgeted searches of the union do, once
+        # each, and agree with the DP
+        expected = _GRID["patch-two-1/4"]()
+        monkeypatch.setattr(construct, "_free_union_min", self._refuse)
         spied = self._spy_searches(monkeypatch)
-        with pytest.raises(SearchBudgetExceeded, match="^ambient_k_plus: forced overrun$"):
-            _GRID[build]()
+        res = _GRID["patch-two-1/4"]()
+        searched, built = spied()
+        assert [w for w in searched if w == built] == [built, built]
+        assert res.checks == expected.checks
+        assert [c.method for c in res.checks if c.name in ("anchor_closed", "ambient_k_plus")] == ["exhaustive"] * 2
+        assert workbench.dumps(res.structure) == workbench.dumps(expected.structure)
+
+    def test_undecided_tower_raises_without_searching_it(self, monkeypatch):
+        # condition (c)'s search on S'_1 overruns: the chain itself is never
+        # searched in its place
+        monkeypatch.setattr(construct, "min_relative_delta", self._refuse)
+        spied = self._spy_searches(monkeypatch)
+        with pytest.raises(SearchBudgetExceeded, match="^ambient_k_plus: forced refusal$"):
+            _GRID["chain-(0+1*sqrt(2))/2-1"]()
         searched, built = spied()
         assert built and all(width < built for width in searched)
 
@@ -1583,8 +1587,8 @@ class TestEngineSubsetChecks:
     ], ids=["patch", "ratmin", "ratzero", "power", "chain", "basis"])
     def test_repeated_lambda_raises(self, monkeypatch, build, check):
         # the rational copies have 27 points each, past BLOCK_PROFILE_LIMIT,
-        # where the union's DP would raise: the subset check raises before
-        # any table is walked
+        # where the union's K+ search would overrun its budget: the subset
+        # check raises before any search runs
         monkeypatch.setattr(construct, "_moment_rows", _repeating(construct._moment_rows))
         with pytest.raises(InvariantError, match=f"^{check}: the moment shape does not hold"):
             build()

@@ -59,9 +59,8 @@ MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "_
 # blocks' closed-form table (now a test oracle) and its separate walk, which
 # the fresh-block lemma replaced and `_block_profile` absorbed, and the
 # subset sweep and the five check functions around it, which the one
-# certificate rule (`construct._certified`) replaced, and the budgeted K+ and
-# closedness searches of a built structure with the tower's yes/no helper,
-# which the fresh-block lemma, the DP and the raising tower replaced.
+# certificate rule (`construct._certified`) replaced, and the chain tower's
+# yes/no helper, which the raising tower certificate replaced.
 DELETED_NAMES = {
     "strong_extension",
     "all_pass",
@@ -83,7 +82,6 @@ DELETED_NAMES = {
     "EXHAUSTIVE_MINPAIR_LIMIT",
     "_moment_table",
     "_walk_table",
-    "_searched",
     "_tower_in_k_plus",
 }
 ELIMINATION_NAMES = re.compile(r"rref|solve|kernel|bareiss|gauss|elimin|echelon|rank_int", re.I)
