@@ -86,14 +86,15 @@ def _greedy_basis(S: ColoredStructure, ids, start=None):
 
 
 def _coords(S: ColoredStructure, basis_ids, ids):
-    """Coordinates of each point of `ids` over the basis, in order."""
+    """Coordinates of each point of `ids` over the basis, in order, from
+    the integer payloads S caches."""
     co = Coordinates(S.backend.ambient_dim, len(basis_ids))
     for b in basis_ids:
-        if co.insert(S.element(b).vec) is not None:
+        if co.insert(S.payload(b)) is not None:
             raise InvariantError(f"basis element {b!r} depends on the earlier ones")
     out = []
     for eid in ids:
-        coeffs = co.coords(S.element(eid).vec)
+        coeffs = co.coords(S.payload(eid))
         if coeffs is None:
             raise InvariantError(f"element {eid!r} escaped the span of its basis")
         out.append(coeffs)

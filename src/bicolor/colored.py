@@ -72,8 +72,8 @@ from .errors import (
     UnknownElement,
 )
 from .exactnum import Alpha, PreDimValue, ZERO, pre_dim_sign
-from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer, int_row
-from .pregeom import dependency_kernel, solve, suffix_rank_bound, walk
+from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer, int_payload
+from .pregeom import dependency_kernel, payload_kernel, suffix_rank_bound, walk  # dependency_kernel: re-exported
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -94,10 +94,13 @@ class ColoredStructure:
     side's memo (`certify_free_amalgam`); restrictions and file round-trips
     start empty.
 
-    `_introws` holds each point's payload with its denominators cleared
-    (`pregeom.int_row`); restrictions and extensions carry the rows of the
-    points they keep.  `_by_vec` indexes the points by exact payload, built
-    on first use (`ids_with_vec`).
+    `_introws` holds each point's integer payload (m, row), m the least
+    positive integer clearing its denominators and row = m * vec
+    (`pregeom.int_payload`, a bijection with the payload); restrictions and
+    extensions carry the pairs of the points they keep.  `_by_vec` indexes
+    the points by the key (m, tuple(row)), built on first use
+    (`ids_with_vec`): integer tuples, whose hashes are cheap where those of
+    `Fraction`s are not.
     """
 
     backend: Backend
@@ -131,16 +134,14 @@ class ColoredStructure:
                     )
                 if not any(e.vec):
                     raise SchemaError(f"element {e.id!r} has the forbidden zero payload")
+            rows = self._introws or {}
+            self._introws = {e.id: rows[e.id] if e.id in rows else int_payload(e.vec) for e in elts}
         else:
             for e in elts:
                 if e.vec is not None:
                     raise SchemaError(f"free-backend element {e.id!r} must not carry a payload")
-        self._by_id = {e.id: e for e in elts}
-        if self.backend.kind == LINEAR:
-            rows = self._introws or {}
-            self._introws = {e.id: rows[e.id] if e.id in rows else int_row(e.vec) for e in elts}
-        else:
             self._introws = {}
+        self._by_id = {e.id: e for e in elts}
 
     # -- basic access -------------------------------------------------------
 
@@ -172,21 +173,26 @@ class ColoredStructure:
         return eid in self.colored
 
     def introw(self, eid: str) -> list[int]:
+        return self._introws[eid][1]
+
+    def payload(self, eid: str) -> tuple[int, list[int]]:
+        """The integer payload (m, row) of a point, row / m being its vector."""
         return self._introws[eid]
 
-    def ids_with_vec(self, vec) -> list[str]:
-        """Ids of the points whose payload is exactly vec, in id order."""
+    def ids_with_vec(self, key) -> list[str]:
+        """Ids of the points whose integer payload is `key` = (m,
+        tuple(row)), i.e. whose payload is exactly row / m, in id order."""
         if self._by_vec is None:
             index: dict = {}
-            for e in self.elements:
-                index.setdefault(e.vec, []).append(e.id)
+            for eid, (m, row) in self._introws.items():
+                index.setdefault((m, tuple(row)), []).append(eid)
             self._by_vec = index
-        return self._by_vec.get(vec, [])
+        return self._by_vec.get(key, [])
 
     def reducer_for(self, ids) -> SpanReducer:
         red = SpanReducer(self.backend.ambient_dim)
         for eid in sorted(ids):
-            red.add(self._introws[eid])
+            red.add(self.introw(eid))
         return red
 
     # -- derived structures -------------------------------------------------
@@ -207,7 +213,7 @@ class ColoredStructure:
     def extended(self, new_elements, new_colored=(), widen_by: int = 0) -> "ColoredStructure":
         """New structure with widened ambient (zero-padding preserves ranks).
         A kept point's integer row gains zero columns: zeros add no
-        denominator, so its multiplier stays the same."""
+        denominator, so its multiplier m stays the same."""
         if self.backend.kind == FREE:
             if widen_by:
                 raise InputError("free backend has no ambient to widen")
@@ -222,7 +228,7 @@ class ColoredStructure:
         if widen_by:
             pad = (Fraction(0),) * widen_by
             old = tuple(GroundElement(e.id, e.vec + pad) for e in old)
-            rows = {eid: row + [0] * widen_by for eid, row in rows.items()}
+            rows = {eid: (m, row + [0] * widen_by) for eid, (m, row) in rows.items()}
         backend = Backend(LINEAR, self.backend.ambient_dim + widen_by)
         return ColoredStructure(
             backend=backend,
@@ -335,7 +341,7 @@ def colored_components(S: ColoredStructure, x_ids):
     co = Coordinates(S.backend.ambient_dim, len(order))
     rank = 0
     for eid in order:
-        coeffs = co.insert(residuals[eid])
+        coeffs = co.insert((1, residuals[eid]))
         if coeffs is None:
             rank += 1
             continue
@@ -572,21 +578,23 @@ def is_lp_embedding(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -
     for a, b in f.pairs:
         if S.is_colored(a) != T.is_colored(b):
             return False
-    if S.backend.kind == FREE:
-        return True
-    order = sorted(f.domain)
-    mapping = f.mapping
-    src = [S.element(i).vec for i in order]
-    tgt = [T.element(mapping[i]).vec for i in order]
-    return dependency_kernel(src) == dependency_kernel(tgt)
+    return S.backend.kind == FREE or _same_dependencies(S, T, f.pairs)
 
 
-def _span_image(vectors, images, target):
-    coeffs = solve(vectors, target)
+def _same_dependencies(S: ColoredStructure, T: ColoredStructure, pairs) -> bool:
+    """Whether the sources of `pairs` in S and their targets in T have the
+    same dependency kernel, read off their cached integer payloads."""
+    ker = payload_kernel([S.payload(a) for a, _ in pairs], S.backend.ambient_dim)
+    return ker == payload_kernel([T.payload(b) for _, b in pairs], T.backend.ambient_dim)
+
+
+def _span_image(co, images, target):
+    """sum_j c_j * images_j for c the coordinates `co` gives the target
+    payload over its vectors; the target must lie in their span."""
+    coeffs = co.coords(target)
     if coeffs is None:
-        return None
-    d = len(images[0])
-    out = [Fraction(0)] * d
+        raise InvariantError("a point of the trace has no coordinates over its generators")
+    out = [Fraction(0)] * len(images[0])
     for c, img in zip(coeffs, images):
         if c:
             out = [x + c * y for x, y in zip(out, img)]
@@ -610,9 +618,7 @@ def is_weak_iso(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -> bo
             return False
     if S.backend.kind == FREE:
         return True
-    src = [S.element(i).vec for i in x_ids]
-    tgt = [T.element(mapping[i]).vec for i in x_ids]
-    if dependency_kernel(src) != dependency_kernel(tgt):
+    if not _same_dependencies(S, T, f.pairs):
         return False
     red_s = S.reducer_for(x_ids)
     red_t = T.reducer_for([mapping[i] for i in x_ids])
@@ -620,10 +626,9 @@ def is_weak_iso(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -> bo
     trace_t = [e for e in T.elements if red_t.contains(T.introw(e.id))]
     if len(trace_s) != len(trace_t):
         return False
-    imgs = []
-    for e in trace_s:
-        img = _span_image(src, tgt, e.vec)
-        if img is None:
-            return False
-        imgs.append(img)
+    co = Coordinates(S.backend.ambient_dim, len(x_ids))
+    for i in x_ids:
+        co.insert(S.payload(i))
+    tgt = [T.element(mapping[i]).vec for i in x_ids]
+    imgs = [_span_image(co, tgt, S.payload(e.id)) for e in trace_s]
     return sorted(imgs) == sorted(e.vec for e in trace_t)

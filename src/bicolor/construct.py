@@ -272,8 +272,8 @@ def _on_moment_curve(S, a, bs, ids) -> bool:
         return False
     co = Coordinates(S.backend.ambient_dim, m)
     for i in bs:
-        co.insert(S.element(i).vec)
-    coords = (co.coords(S.element(eid).vec) for eid in ids)
+        co.insert(S.payload(i))
+    coords = (co.coords(S.payload(eid)) for eid in ids)
     lams = [c and (_curve_node(c) if m > 1 else c[0]) for c in coords]  # None off span(bs)
     return all(lams) and (m == 1 or len(set(lams)) == len(lams))
 

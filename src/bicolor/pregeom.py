@@ -11,10 +11,14 @@ echelon form, each row primitive), a key equal for equal spans.
 `Coordinates` runs a `SpanReducer` on rows augmented by an identity block, so
 one reduction of a vector also names the combination of the inserted vectors
 it equals: exact coordinates, fundamental circuits and kernel vectors come
-from one pass over a fixed vector list, and `solve` and `dependency_kernel`
-read them.  Pivoting is first-nonzero by row then column, so every
-computation is deterministic.  The free backend is the degenerate control:
-acl(A) = A and dim(A) = |A|.
+from one pass over a fixed vector list, and `solve` and `payload_kernel`
+read them.  It takes each vector as its integer payload (m, row),
+`int_payload`'s bijection with the rational vector row / m, so a caller
+holding the cleared rows (a `ColoredStructure` caches them) hands them in
+as they are; `solve` and `dependency_kernel` clear their `Fraction` inputs
+once, at their boundary.  Pivoting is first-nonzero by row then column, so
+every computation is deterministic.  The free backend is the degenerate
+control: acl(A) = A and dim(A) = |A|.
 
 Lemma.  Let W have echelon rows with pivot set L and let v lie outside W.
 The vectors of span(W, v) vanishing on L form a line.  Proof: W projects
@@ -66,13 +70,24 @@ class GroundElement:
 
 def int_row(vec: tuple[Fraction, ...]) -> list[int]:
     """Clear denominators of one vector in integers; row scaling keeps spans."""
-    return _cleared(vec)[1]
+    return int_payload(vec)[1]
 
 
-def _cleared(vec) -> tuple[int, list[int]]:
-    """(m, m * vec) for m the least common multiple of vec's denominators."""
+def int_payload(vec) -> tuple[int, list[int]]:
+    """(m, m * vec) for m the least common multiple of vec's denominators:
+    the least positive m making m * vec integral, so the pair determines vec
+    and vec the pair."""
     mult = lcm(*(x.denominator for x in vec))
     return mult, [x.numerator * (mult // x.denominator) for x in vec]
+
+
+def payload_key(den: int, nums) -> tuple[int, tuple[int, ...]]:
+    """(m, tuple(row)) of int_payload(nums / den) for an integer den != 0,
+    in integers: with g = gcd(den, nums...) signed as den, (den / g, nums /
+    g), since the least m clearing nums / den is the lcm of the den /
+    gcd(den, n_i), which is |den| / gcd(den, nums...)."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    return den // g, tuple(x // g for x in nums)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -227,16 +242,18 @@ def span_key(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
 class Coordinates:
     """Exact coordinates over a growing list of vectors, from one reduction.
 
-    Vector j enters as the integer row (int_row(v_j) | e_j | 0) of width
-    ncols + size + 1, a target t as (int_row(t) | 0 | 1), and each is reduced
-    by the echelon rows of the vectors that grew the span.  `insert(v)` keeps
-    v's row when its head (the first ncols entries) stays nonzero, and
-    otherwise returns v's coordinates over the vectors inserted before it;
-    `coords(t)` returns t's coordinates over every inserted vector, or None.
+    Each vector v comes in as its integer payload (m, r), r = m * v for a
+    positive integer m (`int_payload` gives the least one).  Vector j
+    enters as the integer row (r_j | e_j | 0) of width ncols + size + 1, a
+    target t as (r_t | 0 | 1), and each is reduced by the echelon rows of
+    the vectors that grew the span.  `insert(p)` keeps the row of p's
+    vector when its head (the first ncols entries) stays nonzero, and
+    otherwise returns its coordinates over the vectors inserted before it;
+    `coords(p)` returns the target's coordinates over every inserted
+    vector, or None.
 
     Lemma.  Every row's head equals the integer combination its tail names:
-    sum_j tail_j * r_j + mark * r_t, where r = int_row(v) = m * v for the
-    multiplier m clearing v's denominators.  Proof: it holds for each row as
+    sum_j tail_j * r_j + mark * r_t.  Proof: it holds for each row as
     it enters (its tail is a unit vector), and reduction and `_primitive`
     form integer linear combinations and quotients of rows, which keep it.
     The stored heads are echelon rows spanning the inserted vectors, so a
@@ -252,65 +269,62 @@ class Coordinates:
     system with free unknowns zero.
 
     The answer is checked exactly in integers, sum_j tail_j * r_j + s * r =
-    0 over the vectors as inserted; a target failing it has no coordinates.
+    0 over the rows as inserted; a target failing it has no coordinates.
     """
 
-    __slots__ = ("ncols", "size", "red", "rows", "mults")
+    __slots__ = ("ncols", "size", "red", "payloads")
 
     def __init__(self, ncols: int, size: int):
         self.ncols = ncols
         self.size = size
         self.red = SpanReducer(ncols + size + 1)
-        self.rows: list[list[int]] = []
-        self.mults: list[int] = []
+        self.payloads: list[tuple[int, list[int]]] = []
 
-    def _reduce(self, vec, own: int):
-        """int_row(vec), its multiplier, and its reduced augmented row with
-        a 1 in column ncols + own."""
-        mult, row = _cleared(vec)
+    def _reduce(self, row, own: int):
+        """The reduced augmented row of `row` with a 1 in column ncols + own."""
         if len(row) != self.ncols:
             raise DimensionMismatch(f"vector length {len(row)} != ambient {self.ncols}")
         aug = row + [0] * (self.size + 1)
         aug[self.ncols + own] = 1
-        return row, mult, self.red.residual(aug)
+        return self.red.residual(aug)
 
-    def _read(self, row, mult, res, own: int) -> list[Fraction] | None:
-        """Coordinates named by the reduced row `res` of `row`, or None when
-        the integer check fails."""
+    def _read(self, payload, res, own: int) -> list[Fraction] | None:
+        """Coordinates named by the reduced row `res` of `payload`, or None
+        when the integer check fails."""
+        mult, row = payload
         n = self.ncols
         scale = res[n + own]
         acc = [scale * x for x in row]
-        for t, r in zip(res[n:], self.rows):
+        for t, (_, r) in zip(res[n:], self.payloads):
             if t:
                 acc = [a + t * y for a, y in zip(acc, r)]
         if any(acc):
             return None
         den = -scale * mult
-        return [Fraction(t * m, den) if t else _ZERO for t, m in zip(res[n:], self.mults)]
+        return [Fraction(t * m, den) if t else _ZERO for t, (m, _) in zip(res[n:], self.payloads)]
 
-    def insert(self, vec) -> list[Fraction] | None:
-        """Add vec; None when it grows the span, else its coordinates over
-        the vectors inserted before it."""
-        k = len(self.rows)
+    def insert(self, payload) -> list[Fraction] | None:
+        """Add the vector of `payload`; None when it grows the span, else its
+        coordinates over the vectors inserted before it."""
+        k = len(self.payloads)
         if k == self.size:
             raise DimensionMismatch(f"more than {self.size} vectors inserted")
-        row, mult, res = self._reduce(vec, k)
+        res = self._reduce(payload[1], k)
         coeffs = None
         if any(res[: self.ncols]):
             insort(self.red.rows, (_lead(res), res), key=lambda t: t[0])
         else:
-            coeffs = self._read(row, mult, res, k)
+            coeffs = self._read(payload, res, k)
             if coeffs is None:
                 raise InvariantError("a dependent vector failed its integer check")
-        self.rows.append(row)
-        self.mults.append(mult)
+        self.payloads.append(payload)
         return coeffs
 
-    def coords(self, target) -> list[Fraction] | None:
-        """c with sum_j c_j * v_j = target over the inserted vectors, zero
-        off the pivot vectors, or None when the target is outside their span."""
-        row, mult, res = self._reduce(target, self.size)
-        return self._read(row, mult, res, self.size)
+    def coords(self, payload) -> list[Fraction] | None:
+        """c with sum_j c_j * v_j = the target vector of `payload` over the
+        inserted vectors, zero off the pivot vectors, or None when the target
+        is outside their span."""
+        return self._read(payload, self._reduce(payload[1], self.size), self.size)
 
 
 def solve(vectors, target) -> list[Fraction] | None:
@@ -318,22 +332,26 @@ def solve(vectors, target) -> list[Fraction] | None:
     None when there is none."""
     co = Coordinates(len(target), len(vectors))
     for v in vectors:
-        co.insert(v)
-    return co.coords(target)
+        co.insert(int_payload(v))
+    return co.coords(int_payload(target))
 
 
 def dependency_kernel(vectors) -> tuple[tuple[Fraction, ...], ...]:
-    """Canonical basis of {c : sum_i c_i v_i = 0}, one vector e_i - c per
-    vector v_i = sum_j c_j v_j in the span of the earlier ones (c zero off
-    the pivot vectors); equality of kernels is equality of quantifier-free
-    linear structure."""
-    n = len(vectors)
-    if not n:
-        return ()
-    co = Coordinates(len(vectors[0]), n)
+    """`payload_kernel` of rational vectors."""
+    return payload_kernel([int_payload(v) for v in vectors], len(vectors[0]) if vectors else 0)
+
+
+def payload_kernel(payloads, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Canonical basis of {c : sum_i c_i v_i = 0} for the vectors v_i of
+    length ncols given by their integer payloads (m_i, m_i * v_i), one
+    vector e_i - c per v_i = sum_j c_j v_j in the span of the earlier ones
+    (c zero off the pivot vectors); equality of kernels is equality of
+    quantifier-free linear structure."""
+    n = len(payloads)
+    co = Coordinates(ncols, n)
     basis = []
-    for i, v in enumerate(vectors):
-        coeffs = co.insert(v)
+    for i, p in enumerate(payloads):
+        coeffs = co.insert(p)
         if coeffs is not None:
             vec = [-c for c in coeffs] + [_ZERO] * (n - i)
             vec[i] = Fraction(1)

@@ -31,6 +31,7 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .amalgam import free_amalgam, verify_free
 from .closure import closure_n, is_closed
@@ -53,7 +54,7 @@ from .errors import (
     SchemaError,
 )
 from .exactnum import Alpha, dirichlet_window, rational_pair
-from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement
+from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, payload_key
 from .report import canonical_dumps
 
 CATALOG_VERSION = "catalog-v1"
@@ -167,9 +168,9 @@ class _SearchPlan:
     """The source side of an extension search, fixed per (big, base order):
     big's points in search order (the base's sources as given, then the
     other points by id), the color of each, and each point's coordinates
-    over the points before it as (index, coefficient) pairs over the
-    nonzero coefficients, or None where it is independent of them (always,
-    on the free backend)."""
+    over the points before it as (index, numerator, denominator) triples
+    over the nonzero coefficients, or None where it is independent of them
+    (always, on the free backend)."""
 
     __slots__ = ("base", "order", "colors", "coeffs")
 
@@ -181,9 +182,9 @@ class _SearchPlan:
         if big.backend.kind == LINEAR:
             co = Coordinates(big.backend.ambient_dim, len(self.order))
             for k, eid in enumerate(self.order):
-                c = co.insert(big.element(eid).vec)
+                c = co.insert(big.payload(eid))
                 if c is not None:
-                    self.coeffs[k] = [(j, x) for j, x in enumerate(c) if x]
+                    self.coeffs[k] = [(j, x.numerator, x.denominator) for j, x in enumerate(c) if x]
 
 
 @dataclass
@@ -364,34 +365,35 @@ class AuditReport:
 
 
 def _image_of(coeffs, img, ncols: int):
-    """z = Q.c for c given by its nonzero (index, coefficient) pairs and Q
-    by the nonzero (column, entry) pairs of each image; None for c None."""
+    """The integer payload key of z = Q.c (`pregeom.payload_key`), for c
+    given by its nonzero (index, numerator, denominator) triples and Q by
+    the `_nonzero` integer payload (m_j, row_j) of each image; None for c
+    None.  With D the lcm of the d_j * m_j, z = N / D for the integer
+    vector N = sum_j n_j * (D / (d_j * m_j)) * row_j."""
     if coeffs is None:
         return None
-    z = [Fraction(0)] * ncols
-    for j, c in coeffs:
-        for col, q in img[j]:
-            z[col] += c * q
-    return tuple(z)
+    den = lcm(*(d * img[j][0] for j, _, d in coeffs))
+    z = [0] * ncols
+    for j, n, d in coeffs:
+        scale = n * (den // (d * img[j][0]))
+        for col, q in img[j][1]:
+            z[col] += scale * q
+    return payload_key(den, z)
 
 
-def _nonzero(vec):
-    """The nonzero (column, entry) pairs of a payload (none on the free backend)."""
-    return [(col, q) for col, q in enumerate(vec or ()) if q]
+def _nonzero(payload):
+    """(m, the nonzero (column, entry) pairs of row) of an integer payload (m, row)."""
+    return payload[0], [(col, q) for col, q in enumerate(payload[1]) if q]
 
 
-def _candidates(S: ColoredStructure, pool, used, colored: bool, z, red):
+def _candidates(S: ColoredStructure, pool, used, colored: bool, red):
     """The ids of `pool` that extend an embedded prefix by one point (see
-    `_extensions`), in order: unused, of the wanted color, and with payload
-    z when z is given, else outside the span tracked by `red` (None: free
-    backend)."""
+    `_extensions`), in order: unused, of the wanted color, and outside the
+    span tracked by `red` unless it is None."""
     for c in pool:
         if c in used or S.is_colored(c) != colored:
             continue
-        if z is not None:
-            if S.element(c).vec == z:
-                yield c
-        elif red is None or any(red.residual(S.introw(c))):
+        if red is None or any(red.residual(S.introw(c))):
             yield c
 
 
@@ -423,10 +425,12 @@ def _extensions(
     The source prefix at each depth is the same whatever the images, so
     each x's coordinates over P come from the plan (`_SearchPlan`; pass the
     task's to reuse it).  Where x = P.c, z = Q.c is formed once per search
-    step over the nonzero entries, and the candidates are the points with
-    payload z (`ids_with_vec`); otherwise a candidate's residual against a
-    reducer of the image prefix must be nonzero, and the reducer is cloned
-    only when a point is accepted.  Colors must match point by point.
+    step, in integers over the nonzero entries of the images' integer
+    payloads, as its integer payload key (`_image_of`), and the candidates
+    are the points with that key (`ids_with_vec`); otherwise a candidate's
+    residual against a reducer of the image prefix must be nonzero, and the
+    reducer is cloned only when a point is accepted.  Colors must match
+    point by point.
     """
     base = tuple(a for a, _ in base_pairs)
     if plan is None or plan.base != base:
@@ -438,7 +442,7 @@ def _extensions(
     images = [b for _, b in base_pairs]
     S.check_ids(images)
     red = S.reducer_for(()) if S.backend.kind == LINEAR else None
-    img = []  # per embedded point: the nonzero entries of its image
+    img = []  # per embedded point: its image's `_nonzero` payload (None: free backend)
     used: set[str] = set()
     assigned: list[str] = []
     levels = []  # per open depth: (candidate iterator, independent?, image reducer)
@@ -448,11 +452,11 @@ def _extensions(
             yield EmbeddingMap(tuple(zip(plan.order, assigned)))
         else:
             z = _image_of(plan.coeffs[k], img, S.backend.ambient_dim)
+            pool = S.ids_sorted if z is None else S.ids_with_vec(z)
             if k < len(images):
-                pool = images[k:k + 1]
-            else:
-                pool = S.ids_sorted if z is None else S.ids_with_vec(z)
-            levels.append((_candidates(S, pool, used, plan.colors[k], z, red), z is None, red))
+                pool = [b for b in images[k:k + 1] if z is None or b in pool]
+            cands = _candidates(S, pool, used, plan.colors[k], red if z is None else None)
+            levels.append((cands, z is None, red))
         while levels:
             cands, independent, red = levels[-1]
             if len(assigned) == len(levels):
@@ -464,7 +468,7 @@ def _extensions(
                 continue
             assigned.append(cand)
             used.add(cand)
-            img.append(_nonzero(S.element(cand).vec))
+            img.append(None if red is None else _nonzero(S.payload(cand)))
             if red is not None and independent:
                 red = red.clone()
                 red.add(S.introw(cand))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -481,9 +482,10 @@ class TestAmbientWidening:
 
     def test_carried_rows_are_the_cleared_payloads(self):
         """Random chains of `extended` (widening or not) and `restrict` over
-        non-integer payloads: every integer row equals int_row of its
-        payload, and a restriction or an unwidened extension hands on the
-        kept points' rows themselves."""
+        non-integer payloads: every integer payload (m, row) has m the lcm
+        of the payload's denominators and row / m the payload, a kept point
+        keeps its multiplier, and a restriction or an unwidened extension
+        hands on the kept points' rows themselves."""
         rng = random.Random(0x1E0)
         payload = lambda dim: tuple(F(rng.randint(-5, 5), rng.choice([1, 2, 3, 6, 7])) for _ in range(dim))
         widened = carried = 0
@@ -505,7 +507,12 @@ class TestAmbientWidening:
                     T = S.extended(new, new_colored=colored_ids, widen_by=widen)
                     widened += widen > 0
                 for e in T.elements:
-                    assert T.introw(e.id) == int_row(e.vec)
+                    m, row = T.payload(e.id)
+                    assert m == math.lcm(*(x.denominator for x in e.vec))
+                    assert tuple(F(x, m) for x in row) == e.vec
+                    assert T.introw(e.id) is row and row == int_row(e.vec)
+                    if e.id in S.id_set:
+                        assert m == S.payload(e.id)[0]
                     if e.id in S.id_set and T.backend == S.backend:
                         assert T.introw(e.id) is S.introw(e.id)
                         carried += 1

@@ -18,7 +18,10 @@ from bicolor.pregeom import (
     dependency_kernel,
     dim_independent,
     eliminate,
+    int_payload,
     int_row,
+    payload_key,
+    payload_kernel,
     rank,
     rel_rank,
     solve,
@@ -314,11 +317,11 @@ def test_coordinates_match_fraction_gauss_jordan(case):
     d, vectors, targets = case
     co = Coordinates(d, len(vectors))
     for i, v in enumerate(vectors):
-        assert co.insert(v) == oracle_solve(vectors[:i], v)
+        assert co.insert(int_payload(v)) == oracle_solve(vectors[:i], v)
     for t in targets:
-        assert co.coords(t) == oracle_solve(vectors, t)
+        assert co.coords(int_payload(t)) == oracle_solve(vectors, t)
     for t in targets[-2:]:  # combinations of the vectors
-        assert co.coords(t) is not None
+        assert co.coords(int_payload(t)) is not None
 
 
 @given(vector_lists())
@@ -329,18 +332,63 @@ def test_dependency_kernel_of_vector_lists(case):
 
 
 def test_coordinates_edge_cases():
+    pair = lambda *v: int_payload(tuple(F(x) for x in v))
     co = Coordinates(2, 0)
-    assert co.coords((F(0), F(0))) == []
-    assert co.coords((F(1), F(0))) is None
+    assert co.coords(pair(0, 0)) == []
+    assert co.coords(pair(1, 0)) is None
     with pytest.raises(DimensionMismatch):
-        co.insert((F(1), F(0)))
+        co.insert(pair(1, 0))
     co = Coordinates(2, 3)
     with pytest.raises(DimensionMismatch):
-        co.coords((F(1),))
-    assert co.insert((F(1, 2), F(0))) is None
-    assert co.insert((F(-3), F(0))) == [F(-6)]
-    assert co.insert((F(0), F(2, 3))) is None
-    assert co.coords((F(1), F(1))) == [F(2), F(0), F(3, 2)]
+        co.coords(pair(1))
+    assert co.insert(pair(F(1, 2), 0)) is None
+    assert co.insert(pair(-3, 0)) == [F(-6)]
+    assert co.insert(pair(0, F(2, 3))) is None
+    assert co.coords(pair(1, 1)) == [F(2), F(0), F(3, 2)]
+
+
+@given(vector_lists())
+@settings(max_examples=100)
+def test_payload_kernel_of_cleared_vectors(case):
+    d, vectors, _ = case
+    assert payload_kernel([int_payload(v) for v in vectors], d) == oracle_kernel(vectors)
+
+
+def _primes_of(m: int) -> set[int]:
+    out, p = set(), 2
+    while p * p <= m:
+        while m % p == 0:
+            out.add(p)
+            m //= p
+        p += 1
+    return out | ({m} if m > 1 else set())
+
+
+@given(st.lists(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60), max_size=6))
+@settings(max_examples=200)
+def test_int_payload_is_the_least_clearing_bijection(vec):
+    """row / m is vec, m * vec is integral, and no proper divisor m / p of m
+    clears vec: the integers clearing vec are the multiples of the least."""
+    vec = tuple(vec)
+    m, row = int_payload(vec)
+    assert m >= 1 and all(type(x) is int for x in row)
+    assert tuple(F(x, m) for x in row) == vec
+    for p in _primes_of(m):
+        assert any((x * (m // p)).denominator != 1 for x in vec)
+
+
+@given(
+    st.integers(-10**4, 10**4).filter(bool),
+    st.lists(st.integers(-10**4, 10**4) | st.just(0), max_size=6),
+)
+@settings(max_examples=300)
+def test_payload_key_matches_fraction_clearing(den, nums):
+    """The gcd-reduced key of nums / den is the least-multiplier clearing
+    of the Fraction vector, for either sign of den and zero entries."""
+    vec = [F(x, den) for x in nums]
+    m = math.lcm(*(x.denominator for x in vec))
+    assert payload_key(den, nums) == (m, tuple(int(x * m) for x in vec))
+    assert payload_key(den, [0] * len(nums)) == (1, (0,) * len(nums))
 
 
 INT_ROWS = st.integers(0, 4).flatmap(

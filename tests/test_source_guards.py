@@ -14,7 +14,10 @@ in `construct` only `_block_profile` walks, every subset check there being
 a certificate.
 No module imports another module's private (underscore-prefixed) names, and
 deleted names stay deleted.  Only `construct.grow_patch` computes moment-curve
-rows, so every engine shares one point layout.  No nested function calls itself: such a closure
+rows, so every engine shares one point layout.  The embedding search
+(`workbench._SearchPlan`, `_image_of`, `_candidates`, `_extensions`) and
+the amalgam's coordinates (`amalgam._coords`) read no `.vec` payload: they
+work on the integer payloads a ColoredStructure caches.  No nested function calls itself: such a closure
 holds a cell that refers back to it, a reference cycle that keeps the
 searched structure alive until the cyclic collector runs, so the searches
 leave no garbage for it.
@@ -214,6 +217,18 @@ def callers_of(source: str, name: str) -> list[str]:
     return found
 
 
+def attribute_reads(source: str, owners, attr: str) -> list[tuple[str, int]]:
+    """(owner, line) of each read of `.attr` inside the top-level functions
+    and classes named in `owners`."""
+    return [
+        (top.name, node.lineno)
+        for top in ast.parse(source).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in owners
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    ]
+
+
 def private_imports(source: str) -> list[str]:
     """`module.name` for each underscore-prefixed name imported, at any depth,
     from a `bicolor` module."""
@@ -260,6 +275,19 @@ def test_only_grow_patch_places_moment_points():
 
 def test_only_block_profile_walks_in_construct():
     assert callers_of((SRC / "construct.py").read_text(), "walk") == ["_block_profile"]
+
+
+@pytest.mark.parametrize(
+    "path, owners",
+    [
+        ("workbench.py", ("_SearchPlan", "_image_of", "_candidates", "_extensions")),
+        ("amalgam.py", ("_coords",)),
+    ],
+)
+def test_search_and_amalgam_coordinates_read_no_payload_vectors(path, owners):
+    source = (SRC / path).read_text()
+    assert {top.name for top in ast.parse(source).body if getattr(top, "name", None) in owners} == set(owners)
+    assert attribute_reads(source, owners, "vec") == []
 
 
 def test_colored_enumerates_no_combinations():
@@ -361,3 +389,7 @@ def test_guards_catch_violations():
     assert combination_uses("import itertools\nfor c in itertools.combinations(s, 2):\n    pass\n") == [2]
     assert combination_uses("from itertools import combinations, islice\n") == [1]
     assert combination_uses("from itertools import islice\nx = islice(s, 3)\n") == []
+    src = "class P:\n    def f(self, S):\n        return S.element(i).vec\ndef g(e):\n    return e.vec\n"
+    assert attribute_reads(src, ("P",), "vec") == [("P", 3)]
+    assert attribute_reads(src, ("P", "g"), "vec") == [("P", 3), ("g", 5)]
+    assert attribute_reads(src, ("h",), "vec") == []

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bicolor.closure import is_closed
 from bicolor.colored import ColoredStructure, EmbeddingMap, empty_structure, in_k_plus
@@ -148,6 +150,85 @@ class TestExtensionSearchCost:
                     searched += 1
                 assert calls["plan"] == (1 if embeddings[task.task_id] else 0), task.task_id
         assert searched >= 6
+
+
+def _cleared(vec):
+    """The test's own clearing of a Fraction vector: (lcm of the
+    denominators, the integer row)."""
+    m = math.lcm(*(x.denominator for x in vec))
+    return m, tuple(int(x * m) for x in vec)
+
+
+SMALL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def image_systems(draw):
+    """(ncols, image vectors, nonzero coefficients by distinct index)."""
+    ncols = draw(st.integers(1, 4))
+    vecs = draw(st.lists(st.lists(SMALL, min_size=ncols, max_size=ncols).map(tuple), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(vecs) - 1), unique=True, max_size=len(vecs)))
+    coeffs = [(j, draw(SMALL.filter(bool))) for j in picks]
+    return ncols, vecs, coeffs
+
+
+class TestIntegerPayloadKeys:
+    """The embedding search keys points by their integer payloads (m, row);
+    the test oracle is Fraction arithmetic and clearing done here."""
+
+    @given(image_systems())
+    @settings(max_examples=300)
+    def test_image_of_matches_fraction_combination(self, system):
+        ncols, vecs, coeffs = system
+        img = []
+        for v in vecs:
+            m, row = _cleared(v)
+            img.append((m, [(col, q) for col, q in enumerate(row) if q]))
+        z = [F(0)] * ncols
+        for j, c in coeffs:
+            z = [x + c * y for x, y in zip(z, vecs[j])]
+        triples = [(j, c.numerator, c.denominator) for j, c in coeffs]
+        assert workbench._image_of(triples, img, ncols) == _cleared(z)
+        assert workbench._image_of(None, img, ncols) is None
+
+    @given(
+        st.lists(st.lists(SMALL, min_size=2, max_size=2).map(tuple).filter(any), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from([F(1), F(-1), F(1, 2), F(3)])), max_size=8),
+    )
+    @settings(max_examples=200)
+    def test_key_lookup_matches_fraction_dict(self, pool, draws):
+        """Points repeat and rescale payloads of a small pool; the lookup by
+        integer key gives what a dict keyed by Fraction payloads gives."""
+        vecs = list(pool) + [tuple(c * x for x in pool[i % len(pool)]) for i, c in draws]
+        elements = tuple(GroundElement(f"p{i:02d}", v) for i, v in enumerate(vecs))
+        S = ColoredStructure(Backend(LINEAR, 2), elements, frozenset(), ALPHA_HALF)
+        expected = {}
+        for e in S.elements:
+            expected.setdefault(e.vec, []).append(e.id)
+        for vec, ids in expected.items():
+            assert S.ids_with_vec(_cleared(vec)) == ids
+            absent = tuple(7 * x for x in vec)
+            assert S.ids_with_vec(_cleared(absent)) == expected.get(absent, [])
+
+    def test_generic_round_hashes_no_fraction(self, monkeypatch):
+        """One build, audit and save/load round over a seed with
+        non-integer payloads hashes no Fraction."""
+        seed = _golden_seed(ALPHA_HALF)
+        calls = [0]
+        original = F.__hash__
+
+        def counted(self):
+            calls[0] += 1
+            return original(self)
+
+        monkeypatch.setattr(F, "__hash__", counted)
+        G = build_generic(seed, 6, 3, 7)
+        report = audit_richness(G, 3)
+        assert loads(dumps(G)) == G
+        assert calls[0] == 0
+        assert len(G) > len(seed) and report.tasks
+        hash(F(1, 3))
+        assert calls[0] == 1  # the wrapper is live
 
 
 def _golden_seed(alpha):
