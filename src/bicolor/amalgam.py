@@ -20,17 +20,29 @@ closed on both sides and the match an lp-embedding of the two base
 restrictions.  Both injections are lp-embeddings because every point is
 placed by its exact coordinates over its side's greedy basis (`Coordinates`
 checks each in integers), and the placed basis points are checked to be the
-expected unit vectors.  Freeness and the rank identity are checked on the
-result.  The lemma's three conclusions are then reported `certified`, and M
-is certified in K+ with the first side's memoized answers and both parts
-closed (`colored.certify_free_amalgam`).  Failures raise, they are never
-returned.
+expected unit vectors.  The placement stays in integers: `Coordinates`
+returns each point's coordinates as the integer payload (den, nums) of the
+coordinate vector, placing nums at the point's columns gives the payload
+of the placed point, the unit vectors are compared as payloads, and M is
+built from the payloads (`ColoredStructure.from_payloads`), which make
+each point's `Fraction` vector once.
+
+Freeness and the rank identity are checked on the result.  The identity
+reads rank(B), rank(M1) and rank(M2) off the greedy bases just built: each
+is a basis (a point joins it iff its row grows the span of those before,
+and every point of its set is tried), so its size is the exact rank.  Only
+rank(M), the rank of what was placed, can disagree, and it is computed
+afresh from M's rows.  Freeness, dim(part2 / B) = dim(part2 / part1), is
+read off one reducer of B in M and one clone of it grown by part1.  The
+lemma's three conclusions are then reported `certified`, and M is certified
+in K+ with the first side's memoized answers, the second side's memoized
+closed sets and both parts closed (`colored.certify_free_amalgam`).
+Failures raise, they are never returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .closure import is_closed
 from .colored import (
@@ -47,7 +59,7 @@ from .errors import (
     MatchInvalid,
     NotClosed,
 )
-from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement
+from .pregeom import FREE, LINEAR, Coordinates, GroundElement
 from .report import Check
 
 
@@ -65,14 +77,22 @@ def verify_strong(f: EmbeddingMap, M: ColoredStructure, N: ColoredStructure) -> 
 
 
 def verify_free(M: ColoredStructure, part1, part2, base) -> bool:
-    """part1 and part2 intersect exactly in base and are dim-independent over it."""
+    """part1 and part2 intersect exactly in base and are dim-independent over
+    it: dim(part2 / base) = dim(part2 / part1), read off one reducer of the
+    base and a clone of it grown by part1 (always, on the free backend)."""
     p1 = M.check_ids(part1)
     p2 = M.check_ids(part2)
     b = M.check_ids(base)
     if (p1 & p2) != b:
         return False
-    rk = lambda ids: len(ids) if M.backend.kind == FREE else M.reducer_for(ids).rank
-    return rk(p1) - rk(b) == rk(p1 | p2) - rk(p2)
+    if M.backend.kind == FREE:
+        return True
+    over_b = M.reducer_for(b)
+    over_p1 = over_b.clone()
+    for eid in sorted(p1 - b):
+        over_p1.add(M.introw(eid))
+    rows = [M.introw(eid) for eid in sorted(p2 - b)]
+    return sum(map(over_b.add, rows)) == sum(map(over_p1.add, rows))
 
 
 def _greedy_basis(S: ColoredStructure, ids, start=None):
@@ -86,8 +106,8 @@ def _greedy_basis(S: ColoredStructure, ids, start=None):
 
 
 def _coords(S: ColoredStructure, basis_ids, ids):
-    """Coordinates of each point of `ids` over the basis, in order, from
-    the integer payloads S caches."""
+    """Integer coordinates (den, nums) of each point of `ids` over the basis
+    (`Coordinates`), in order, from the integer payloads S caches."""
     co = Coordinates(S.backend.ambient_dim, len(basis_ids))
     for b in basis_ids:
         if co.insert(S.payload(b)) is not None:
@@ -129,7 +149,8 @@ def free_amalgam(
     backend kinds agree.  M1 keeps its ids (the second side's complement is
     renamed around them), so the left injection is the identity, and the
     amalgam inherits M1's memoized least violators, which are its answers
-    again (see the module's lemma and `colored`).
+    again, and M2's memoized closed sets under their new names, which are
+    closed in it (see the module's lemma and `colored`).
     """
     if M1.backend.kind != M2.backend.kind:
         raise BackendMismatch(f"{M1.backend.kind} vs {M2.backend.kind}")
@@ -158,12 +179,10 @@ def free_amalgam(
     names = _uncollide(M1.id_set, sorted(M2.id_set - b2))
     inv = {v: k for k, v in fwd.items()}
     right_name = {eid: (inv[eid] if eid in b2 else names[eid]) for eid in M2.id_set}
+    colored = M1.colored | {right_name[i] for i in M2.colored}
 
     if M1.backend.kind == FREE:
-        elements = [GroundElement(e.id) for e in M1.elements]
-        elements += [GroundElement(right_name[e.id]) for e in M2.elements if e.id not in b2]
-        colored = M1.colored | {right_name[i] for i in M2.colored}
-        M = ColoredStructure(Backend(FREE), tuple(elements), frozenset(colored), M1.alpha)
+        M = M1.extended([GroundElement(names[i]) for i in sorted(M2.id_set - b2)], colored)
     else:
         red0, basis0 = _greedy_basis(M1, b1)
         _, basis1 = _greedy_basis(M1, M1.id_set, start=(red0, basis0))
@@ -174,34 +193,28 @@ def free_amalgam(
                 raise MatchInvalid("matched base basis is dependent on the second side")
         _, basis2 = _greedy_basis(M2, M2.id_set, start=(red0b, basis0_img))
         r0, r1, r2 = len(basis0), len(basis1), len(basis2)
-        ambient = r1 + r2 - r0
-        zero = Fraction(0)
+        ambient = ranks = r1 + r2 - r0
 
-        def place(coeffs, offsets):
-            vec = [zero] * ambient
-            for c, off in zip(coeffs, offsets):
-                vec[off] = c
-            return tuple(vec)
+        def place(coords, offsets):
+            m, nums = coords
+            row = [0] * ambient
+            for x, off in zip(nums, offsets):
+                row[off] = x
+            return m, row
 
         off1 = list(range(r1))
         off2 = list(range(r0)) + list(range(r1, ambient))
         ids1 = M1.ids_sorted
         ids2 = [i for i in M2.ids_sorted if i not in b2]
-        elements = [
-            GroundElement(i, place(c, off1)) for i, c in zip(ids1, _coords(M1, basis1, ids1))
-        ]
-        elements += [
-            GroundElement(right_name[i], place(c, off2))
-            for i, c in zip(ids2, _coords(M2, basis2, ids2))
-        ]
-        placed = {e.id: e.vec for e in elements}
+        placed = {i: place(c, off1) for i, c in zip(ids1, _coords(M1, basis1, ids1))}
+        for i, c in zip(ids2, _coords(M2, basis2, ids2)):
+            placed[right_name[i]] = place(c, off2)
         units = [(b, off) for b, off in zip(basis1, off1)]
         units += [(right_name[b], off) for b, off in zip(basis2, off2)]
         for eid, off in units:
-            if placed[eid] != place([Fraction(1)], [off]):
+            if placed[eid] != place((1, [1]), [off]):
                 raise InvariantError(f"basis point {eid!r} is not unit vector {off}")
-        colored = M1.colored | {right_name[i] for i in M2.colored}
-        M = ColoredStructure(Backend(LINEAR, ambient), tuple(elements), frozenset(colored), M1.alpha)
+        M = ColoredStructure.from_payloads(ambient, placed, colored, M1.alpha)
 
     inj1 = EmbeddingMap.identity(M1.ids_sorted)
     inj2 = EmbeddingMap(tuple((eid, right_name[eid]) for eid in M2.id_set))
@@ -211,13 +224,11 @@ def free_amalgam(
 
     checks = [Check("parts_free_over_base", verify_free(M, part1, part2, base))]
     if M.backend.kind == LINEAR:
-        rk = lambda T, ids: T.reducer_for(ids).rank
-        identity = rk(M, M.id_set) == rk(M1, M1.id_set) + rk(M2, M2.id_set) - rk(M1, b1)
-        checks.append(Check("rank_identity", identity))
+        checks.append(Check("rank_identity", M.reducer_for(M.id_set).rank == ranks))
     bad = [c.name for c in checks if not c.passed]
     if bad:
         raise InvariantError(f"amalgam verification failed: {bad}")
-    certify_free_amalgam(M, M1, part2)
+    certify_free_amalgam(M, M1, M2.renamed(right_name))
     lemma = [
         Check(name, True, method="certified")
         for name in ("in_k_plus", "left_injection_strong", "right_injection_strong")

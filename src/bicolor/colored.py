@@ -55,6 +55,17 @@ of P agree in P and S, so the violators within P are the same in both, and
 the least one is P's.  A free amalgam meets these hypotheses for its first
 side by the amalgamation lemma (see `amalgam`), and only there S inherits
 P's answers (`certify_free_amalgam`).
+
+Lemma (carried closed sets).  Let N lie within S with the identity an
+lp-embedding of N into S, N closed in S, and X within N closed in N.  Then
+X is closed in S.  Proof: for Y within S let Y1 = Y n N and Y2 = Y - N.
+Then delta(Y / X) = delta(Y1 / X) + delta(Y2 / X u Y1) >= delta(Y1 / X) +
+delta(Y2 / N) >= 0: the middle step is submodularity (X u Y1 lies in N),
+and the last uses X closed in N (deltas of subsets of N agree in N and S)
+and N closed in S.  The amalgamation lemma makes the second side of a free
+amalgam such an N, so the amalgam takes over the sets its memo holds
+closed, under their new names; its violators need not keep their (size,
+lex) order under the renaming, and are not carried.
 """
 
 from __future__ import annotations
@@ -91,8 +102,9 @@ class ColoredStructure:
     its (size, lex)-least violator, or None when X is closed.  The answers
     are exact, so a hit ignores the node budget; a search that overran its
     budget stores nothing.  A certified free amalgam inherits its first
-    side's memo (`certify_free_amalgam`); restrictions and file round-trips
-    start empty.
+    side's memo and its second side's closed sets (`certify_free_amalgam`),
+    and `renamed` carries the closed sets; restrictions and file
+    round-trips start empty.
 
     `_introws` holds each point's integer payload (m, row), m the least
     positive integer clearing its denominators and row = m * vec
@@ -196,6 +208,37 @@ class ColoredStructure:
         return red
 
     # -- derived structures -------------------------------------------------
+
+    @classmethod
+    def from_payloads(cls, ambient: int, payloads: dict, colored, alpha: Alpha) -> "ColoredStructure":
+        """The linear structure whose points are the ids of `payloads`, each
+        mapped to its integer payload (m, row) as `int_payload` gives it: the
+        `Fraction` vector row / m is made once per point, for its
+        `GroundElement`, and the payloads become the integer rows."""
+        zero = Fraction(0)
+        elements = tuple(
+            GroundElement(eid, tuple(Fraction(x, m) if x else zero for x in row))
+            for eid, (m, row) in payloads.items()
+        )
+        return cls(Backend(LINEAR, ambient), elements, frozenset(colored), alpha, _introws=payloads)
+
+    def renamed(self, mapping: dict) -> "ColoredStructure":
+        """The structure with each id i renamed to mapping.get(i, i).  Renaming
+        changes no payload, color or delta, so the integer payloads, the K+
+        verdict and the memo's closed sets (X maps to None iff its image does)
+        are carried; violators are not, since renaming can change which one
+        is (size, lex)-least."""
+        name = lambda i: mapping.get(i, i)
+        rename = lambda ids: frozenset(map(name, ids))
+        return ColoredStructure(
+            self.backend,
+            tuple(GroundElement(name(e.id), e.vec) for e in self.elements),
+            rename(self.colored),
+            self.alpha,
+            _introws={name(i): p for i, p in self._introws.items()},
+            _k_plus=self._k_plus,
+            _witnesses={rename(x): None for x, v in self._witnesses.items() if v is None},
+        )
 
     def restrict(self, ids) -> "ColoredStructure":
         """Induced substructure; it inherits a K+ certificate (every subset of
@@ -345,7 +388,7 @@ def colored_components(S: ColoredStructure, x_ids):
         if coeffs is None:
             rank += 1
             continue
-        for b, c in zip(order, coeffs):
+        for b, c in zip(order, coeffs[1]):
             if c:
                 uf.union(eid, b)
     comps: dict[str, list[str]] = {}
@@ -497,20 +540,24 @@ def certify_k_plus(S: ColoredStructure):
     S._k_plus = True
 
 
-def certify_free_amalgam(M: ColoredStructure, first: ColoredStructure, second_image):
+def certify_free_amalgam(M: ColoredStructure, first: ColoredStructure, second: ColoredStructure):
     """Record the amalgamation lemma's conclusions for a free amalgam M of
-    `first` and a second side, proved by the exact verifier that built it
-    (`amalgam.free_amalgam`): M is in K+, `first` <= M along the identity on
-    its ids, and `second_image`, the ids of the second side in M, is closed
-    in M.  By the module's lemma on inherited witnesses, M then takes over
-    `first`'s memoized least violators, and both parts are memoized closed.
+    `first` and `second`, the second side under its names in M (`renamed`),
+    proved by the exact verifier that built it (`amalgam.free_amalgam`): M
+    is in K+ and both sides are closed in M along the identity on their
+    ids.  By the module's lemma on inherited witnesses, M then takes over
+    `first`'s memoized least violators; both parts are memoized closed, and
+    so is every set `second` has memoized closed, by the module's lemma on
+    carried closed sets.  The second side's violators are not carried.
     """
     if first.alpha != M.alpha or not first.id_set <= M.id_set:
         raise InvariantError("the first side of an amalgam must keep its ids and alpha")
     certify_k_plus(M)
     M._witnesses.update(first._witnesses)
     M._witnesses[first.id_set] = None
-    M._witnesses[M.check_ids(second_image)] = None
+    for x, v in [*second._witnesses.items(), (second.id_set, None)]:
+        if v is None:
+            M._witnesses[M.check_ids(x)] = None
 
 
 def k_plus_violation(S: ColoredStructure) -> frozenset | None:
@@ -588,17 +635,13 @@ def _same_dependencies(S: ColoredStructure, T: ColoredStructure, pairs) -> bool:
     return ker == payload_kernel([T.payload(b) for _, b in pairs], T.backend.ambient_dim)
 
 
-def _span_image(co, images, target):
-    """sum_j c_j * images_j for c the coordinates `co` gives the target
-    payload over its vectors; the target must lie in their span."""
-    coeffs = co.coords(target)
-    if coeffs is None:
-        raise InvariantError("a point of the trace has no coordinates over its generators")
-    out = [Fraction(0)] * len(images[0])
-    for c, img in zip(coeffs, images):
-        if c:
-            out = [x + c * y for x, y in zip(out, img)]
-    return tuple(out)
+def _trace_coords(S: ColoredStructure, x_ids) -> list:
+    """The sorted integer coordinates (`Coordinates`) over x_ids of each
+    point of acl_in(x_ids, S), the points with coordinates over them."""
+    co = Coordinates(S.backend.ambient_dim, len(x_ids))
+    for i in x_ids:
+        co.insert(S.payload(i))
+    return sorted(c for c in map(co.coords, S._introws.values()) if c is not None)
 
 
 def is_weak_iso(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -> bool:
@@ -606,7 +649,11 @@ def is_weak_iso(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -> bo
 
     True iff f preserves colors on X and extends to a quantifier-free
     isomorphism of the generated traces acl_in(X, S) -> acl_in(Y, T); colors
-    off X are unconstrained.
+    off X are unconstrained.  With equal dependency kernels the linear map
+    x -> f(x) on span(X) is well defined and injective, and X and Y have the
+    same pivot points in `Coordinates`, so it sends the point with
+    coordinates c over X to the point with coordinates c over Y: the traces
+    correspond iff their sorted coordinate lists are equal.
     """
     if S.backend.kind != T.backend.kind:
         raise BackendMismatch(f"{S.backend.kind} vs {T.backend.kind}")
@@ -618,17 +665,6 @@ def is_weak_iso(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -> bo
             return False
     if S.backend.kind == FREE:
         return True
-    if not _same_dependencies(S, T, f.pairs):
-        return False
-    red_s = S.reducer_for(x_ids)
-    red_t = T.reducer_for([mapping[i] for i in x_ids])
-    trace_s = [e for e in S.elements if red_s.contains(S.introw(e.id))]
-    trace_t = [e for e in T.elements if red_t.contains(T.introw(e.id))]
-    if len(trace_s) != len(trace_t):
-        return False
-    co = Coordinates(S.backend.ambient_dim, len(x_ids))
-    for i in x_ids:
-        co.insert(S.payload(i))
-    tgt = [T.element(mapping[i]).vec for i in x_ids]
-    imgs = [_span_image(co, tgt, S.payload(e.id)) for e in trace_s]
-    return sorted(imgs) == sorted(e.vec for e in trace_t)
+    return _same_dependencies(S, T, f.pairs) and _trace_coords(S, x_ids) == _trace_coords(
+        T, [mapping[i] for i in x_ids]
+    )

@@ -165,33 +165,39 @@ def _moment_rows(basis_vecs, count: int, lam_start: int = 1):
 
 def grow_patch(
     S: ColoredStructure, b_ids, s: int, k: int, colored: bool, prefix: str = "d",
-    lam_start: int = 1,
+    lam_start: int = 1, copies: int = 1,
 ):
-    """Widen by s dims and drop k moment-curve points over span(B) + fresh axes.
+    """Widen by copies*s dims and drop `copies` copies of k moment-curve
+    points each over span(B) + fresh axes.
 
     The point for lambda = lam_start, lam_start + 1, ... is sum_i
     lambda^(i-1)*v_i over a basis of span(B) picked from B in id order, then
-    the s fresh unit vectors.  Returns the grown structure and the new ids,
-    named from `prefix` and colored when `colored` is set; nothing is
-    verified.  With s = 0 the points lie in span(B) (a basis extension); a
-    chain level adds its E points on the s fresh unit vectors afterwards.
-    Distinct copies over the same base must continue the lambda sequence:
-    repeating parameters would stack identical residue lines inside span(B)
-    and break hereditary positivity once rank(B) > 1.
+    the s fresh unit vectors of its copy: copy c takes the next k lambdas
+    and the c-th block of s columns after S's.  Returns the grown structure
+    and the new ids, copy after copy, named from `prefix` and colored when
+    `colored` is set; nothing is verified.  S is extended once, so the
+    earlier points are padded once however many copies grow.  With s = 0
+    the points lie in span(B) (a basis extension); a chain level adds its E
+    points on the s fresh unit vectors afterwards.  Distinct copies over the
+    same base must continue the lambda sequence: repeating parameters would
+    stack identical residue lines inside span(B) and break hereditary
+    positivity once rank(B) > 1.
     """
     old_dim = S.backend.ambient_dim
+    width = old_dim + copies * s
     basis_red = S.reducer_for(())
     basis_ids = [i for i in sorted(b_ids) if basis_red.add(S.introw(i))]
-    new_ids = S.fresh_ids(prefix, k)
-    pad = (Fraction(0),) * s
-    basis_vecs = [S.element(i).vec + pad for i in basis_ids]
-    for t in range(s):
-        unit = [Fraction(0)] * (old_dim + s)
-        unit[old_dim + t] = Fraction(1)
-        basis_vecs.append(tuple(unit))
-    rows = _moment_rows(basis_vecs, k, lam_start)
-    new_elements = [GroundElement(eid, vec) for eid, vec in zip(new_ids, rows)]
-    S2 = S.extended(new_elements, new_colored=new_ids if colored else (), widen_by=s)
+    new_ids = S.fresh_ids(prefix, copies * k)
+    pad = (Fraction(0),) * (copies * s)
+    base_vecs = [S.element(i).vec + pad for i in basis_ids]
+    new_elements = []
+    for c in range(copies):
+        units = [[Fraction(0)] * width for _ in range(s)]
+        for t, unit in enumerate(units):
+            unit[old_dim + c * s + t] = Fraction(1)
+        rows = _moment_rows(base_vecs + units, k, lam_start + c * k)
+        new_elements += map(GroundElement, new_ids[c * k:(c + 1) * k], rows)
+    S2 = S.extended(new_elements, new_colored=new_ids if colored else (), widen_by=copies * s)
     return S2, tuple(new_ids)
 
 
@@ -273,8 +279,8 @@ def _on_moment_curve(S, a, bs, ids) -> bool:
     co = Coordinates(S.backend.ambient_dim, m)
     for i in bs:
         co.insert(S.payload(i))
-    coords = (co.coords(S.payload(eid)) for eid in ids)
-    lams = [c and (_curve_node(c) if m > 1 else c[0]) for c in coords]  # None off span(bs)
+    coords = (co.coords(S.payload(eid)) for eid in ids)  # (den > 0, nums): c = nums / den
+    lams = [c and (_curve_node(c[1]) if m > 1 else c[1][0]) for c in coords]  # None off span(bs)
     return all(lams) and (m == 1 or len(set(lams)) == len(lams))
 
 
@@ -675,11 +681,11 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     their free union D*; a single patch is the union of one copy.
 
     Copy c continues the lambda sequence from 1 + c*k in its own s fresh
-    columns, which follow S's columns.  `_moment_shape` is read once, with
-    all of S zero on the blocks; its verdict serves the engine's subset
-    checks and `_fresh_block_union`, which reads each copy's delta(copy/B)
-    and, where its lemma applies, certifies ambient K+ and whether A is
-    closed in D*.  Otherwise the DP `_free_union_min` over the copies'
+    columns, which follow S's columns; one `grow_patch` grows them all.
+    `_moment_shape` is read once, with all of S zero on the blocks; its
+    verdict serves the engine's subset checks and `_fresh_block_union`,
+    which reads each copy's delta(copy/B) and, where its lemma applies,
+    certifies ambient K+ and whether A is closed in D*.  Otherwise the DP `_free_union_min` over the copies'
     walked `_block_profile` tables decides both exhaustively, and where it
     cannot, the budgeted search of D* (`_dp_or_searched`).  The checks come
     in one order: the engine's own, `lead(result, gap_ok, shaped)` with
@@ -690,10 +696,8 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     """
     s, k = pair.s, pair.k
     old_width = S.backend.ambient_dim
-    S2, copies = S, []
-    for c in range(count):
-        S2, ids = grow_patch(S2, b, s, k, colored=True, lam_start=1 + c * k)
-        copies.append(ids)
+    S2, new_ids = grow_patch(S, b, s, k, colored=True, copies=count)
+    copies = [new_ids[c * k:(c + 1) * k] for c in range(count)]
     res = Construction(S2, copies=copies, pair=pair)
     star = b | set(res.new_ids)
     blocks = _fresh_blocks(S2, copies, s)

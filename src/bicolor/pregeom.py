@@ -15,10 +15,11 @@ from one pass over a fixed vector list, and `solve` and `payload_kernel`
 read them.  It takes each vector as its integer payload (m, row),
 `int_payload`'s bijection with the rational vector row / m, so a caller
 holding the cleared rows (a `ColoredStructure` caches them) hands them in
-as they are; `solve` and `dependency_kernel` clear their `Fraction` inputs
-once, at their boundary.  Pivoting is first-nonzero by row then column, so
-every computation is deterministic.  The free backend is the degenerate
-control: acl(A) = A and dim(A) = |A|.
+as they are, and gives coordinates back in integers over one common
+denominator; `solve`, `dependency_kernel` and `payload_kernel` convert
+between `Fraction`s and integers once, at their boundary.  Pivoting is
+first-nonzero by row then column, so every computation is deterministic.
+The free backend is the degenerate control: acl(A) = A and dim(A) = |A|.
 
 Lemma.  Let W have echelon rows with pivot set L and let v lie outside W.
 The vectors of span(W, v) vanishing on L form a line.  Proof: W projects
@@ -250,7 +251,11 @@ class Coordinates:
     vector when its head (the first ncols entries) stays nonzero, and
     otherwise returns its coordinates over the vectors inserted before it;
     `coords(p)` returns the target's coordinates over every inserted
-    vector, or None.
+    vector, or None.  Coordinates c come in integers over one common
+    denominator, as (den, nums) with c_j = nums_j / den, den > 0 and
+    gcd(den, nums...) = 1: the integer payload of the vector c
+    (`payload_key`), so a caller placing c in a wider space has its
+    payload without a `Fraction`.
 
     Lemma.  Every row's head equals the integer combination its tail names:
     sum_j tail_j * r_j + mark * r_t.  Proof: it holds for each row as
@@ -270,6 +275,8 @@ class Coordinates:
 
     The answer is checked exactly in integers, sum_j tail_j * r_j + s * r =
     0 over the rows as inserted; a target failing it has no coordinates.
+    The c_j are tail_j * m_j over the one denominator -s * m, reduced by
+    their common gcd.
     """
 
     __slots__ = ("ncols", "size", "red", "payloads")
@@ -288,7 +295,7 @@ class Coordinates:
         aug[self.ncols + own] = 1
         return self.red.residual(aug)
 
-    def _read(self, payload, res, own: int) -> list[Fraction] | None:
+    def _read(self, payload, res, own: int):
         """Coordinates named by the reduced row `res` of `payload`, or None
         when the integer check fails."""
         mult, row = payload
@@ -300,10 +307,9 @@ class Coordinates:
                 acc = [a + t * y for a, y in zip(acc, r)]
         if any(acc):
             return None
-        den = -scale * mult
-        return [Fraction(t * m, den) if t else _ZERO for t, (m, _) in zip(res[n:], self.payloads)]
+        return payload_key(-scale * mult, [t * m for t, (m, _) in zip(res[n:], self.payloads)])
 
-    def insert(self, payload) -> list[Fraction] | None:
+    def insert(self, payload):
         """Add the vector of `payload`; None when it grows the span, else its
         coordinates over the vectors inserted before it."""
         k = len(self.payloads)
@@ -320,10 +326,10 @@ class Coordinates:
         self.payloads.append(payload)
         return coeffs
 
-    def coords(self, payload) -> list[Fraction] | None:
+    def coords(self, payload):
         """c with sum_j c_j * v_j = the target vector of `payload` over the
-        inserted vectors, zero off the pivot vectors, or None when the target
-        is outside their span."""
+        inserted vectors, zero off the pivot vectors, as (den, nums), or None
+        when the target is outside their span."""
         return self._read(payload, self._reduce(payload[1], self.size), self.size)
 
 
@@ -333,7 +339,8 @@ def solve(vectors, target) -> list[Fraction] | None:
     co = Coordinates(len(target), len(vectors))
     for v in vectors:
         co.insert(int_payload(v))
-    return co.coords(int_payload(target))
+    c = co.coords(int_payload(target))
+    return c and [Fraction(x, c[0]) for x in c[1]]
 
 
 def dependency_kernel(vectors) -> tuple[tuple[Fraction, ...], ...]:
@@ -353,7 +360,7 @@ def payload_kernel(payloads, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
     for i, p in enumerate(payloads):
         coeffs = co.insert(p)
         if coeffs is not None:
-            vec = [-c for c in coeffs] + [_ZERO] * (n - i)
+            vec = [Fraction(-x, coeffs[0]) if x else _ZERO for x in coeffs[1]] + [_ZERO] * (n - i)
             vec[i] = Fraction(1)
             basis.append(tuple(vec))
     return tuple(basis)

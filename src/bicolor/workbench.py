@@ -16,15 +16,16 @@ substructure or a dependency kernel per candidate.  What a search needs of
 its source side is fixed per task (`_SearchPlan`, made once per
 `ExtensionTask`).  Closedness is asked of `is_closed` directly: the least
 violators it reads are memoized on the structure and carried across each
-amalgam (see `colored.certify_free_amalgam`), so a build and an audit of its
-result search each set once.  When the builder stops on a clean audit,
+amalgam (see `colored.certify_free_amalgam`), and the builder's renamed copy
+of a task's big side keeps its K+ verdict and closed sets
+(`ColoredStructure.renamed`), so a build and an audit of its result search
+each set once.  When the builder stops on a clean audit,
 that report is recorded for the structure it returns, and `audit_richness`
 answers the same question from it.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 import re
@@ -83,7 +84,7 @@ def structure_to_obj(S: ColoredStructure) -> dict:
     for e in S.elements:
         item: dict = {"id": e.id, "colored": e.id in S.colored}
         if S.backend.kind == LINEAR:
-            item["vec"] = [str(x) for x in e.vec]
+            item["vec"] = [str(x) if q else "0" for x, q in zip(e.vec, S.introw(e.id))]
         elements.append(item)
     return {"alpha": S.alpha.to_json(), "backend": backend, "elements": elements}
 
@@ -168,9 +169,10 @@ class _SearchPlan:
     """The source side of an extension search, fixed per (big, base order):
     big's points in search order (the base's sources as given, then the
     other points by id), the color of each, and each point's coordinates
-    over the points before it as (index, numerator, denominator) triples
-    over the nonzero coefficients, or None where it is independent of them
-    (always, on the free backend)."""
+    over the points before it as (den, [(index, numerator), ...]), integers
+    over one common denominator (`Coordinates`) listing the nonzero
+    coefficients, or None where it is independent of them (always, on the
+    free backend)."""
 
     __slots__ = ("base", "order", "colors", "coeffs")
 
@@ -184,7 +186,7 @@ class _SearchPlan:
             for k, eid in enumerate(self.order):
                 c = co.insert(big.payload(eid))
                 if c is not None:
-                    self.coeffs[k] = [(j, x.numerator, x.denominator) for j, x in enumerate(c) if x]
+                    self.coeffs[k] = c[0], [(j, x) for j, x in enumerate(c[1]) if x]
 
 
 @dataclass
@@ -354,6 +356,13 @@ class AuditReport:
     cap: int = EMBEDDING_CAP
     alpha_kind: str = "rational"
 
+    def copy(self) -> "AuditReport":
+        """A copy sharing no mutable part with this report."""
+        ext = lambda o: None if o.extension is None else dict(o.extension)
+        outcomes = lambda t: [EmbeddingOutcome(o.image, o.extended, ext(o)) for o in t.outcomes]
+        tasks = [TaskAudit(t.task_id, t.tried, outcomes(t)) for t in self.tasks]
+        return AuditReport(self.passed, tasks, self.catalog, self.cap, self.alpha_kind)
+
     def to_json(self) -> dict:
         return {
             "pass": self.passed,
@@ -366,19 +375,20 @@ class AuditReport:
 
 def _image_of(coeffs, img, ncols: int):
     """The integer payload key of z = Q.c (`pregeom.payload_key`), for c
-    given by its nonzero (index, numerator, denominator) triples and Q by
-    the `_nonzero` integer payload (m_j, row_j) of each image; None for c
-    None.  With D the lcm of the d_j * m_j, z = N / D for the integer
-    vector N = sum_j n_j * (D / (d_j * m_j)) * row_j."""
+    given as (d, its nonzero (index, numerator) pairs) and Q by the
+    `_nonzero` integer payload (m_j, row_j) of each image; None for c None.
+    With L the lcm of the m_j, z = N / (d * L) for the integer vector N =
+    sum_j n_j * (L / m_j) * row_j."""
     if coeffs is None:
         return None
-    den = lcm(*(d * img[j][0] for j, _, d in coeffs))
+    den, terms = coeffs
+    mult = lcm(*(img[j][0] for j, _ in terms))
     z = [0] * ncols
-    for j, n, d in coeffs:
-        scale = n * (den // (d * img[j][0]))
+    for j, n in terms:
+        scale = n * (mult // img[j][0])
         for col, q in img[j][1]:
             z[col] += scale * q
-    return payload_key(den, z)
+    return payload_key(den * mult, z)
 
 
 def _nonzero(payload):
@@ -516,13 +526,13 @@ def audit_richness(S: ColoredStructure, size_budget: int, cap: int = EMBEDDING_C
 
     A structure returned by `build_generic` carries the builder's clean
     report for its budget and cap, the answer to the same question on the
-    same object; it is handed out as a fresh copy.  Any other budget or cap,
-    and a reloaded structure, is audited afresh.
+    same object; it is handed out as a fresh copy (`AuditReport.copy`).  Any
+    other budget or cap, and a reloaded structure, is audited afresh.
     """
     ensure_k_plus(S)
     clean = _CLEAN_AUDITS.get(id(S), {}).get((size_budget, cap))
     if clean is not None:
-        return copy.deepcopy(clean)
+        return clean.copy()
     return _audit(S, task_catalog(S.alpha, size_budget), cap)
 
 
@@ -590,14 +600,6 @@ def audit_semi_generic(
 # -- the bounded generic builder ---------------------------------------------------
 
 
-def _rename_structure(S: ColoredStructure, mapping: dict) -> ColoredStructure:
-    elements = tuple(
-        GroundElement(mapping.get(e.id, e.id), e.vec) for e in S.elements
-    )
-    colored = frozenset(mapping.get(i, i) for i in S.colored)
-    return ColoredStructure(S.backend, elements, colored, S.alpha)
-
-
 def build_generic(
     seed: ColoredStructure,
     steps: int,
@@ -637,9 +639,7 @@ def build_generic(
         if _extend_embedding(task, f, S) is not None:
             continue  # repaired incidentally by an earlier amalgam
         complement = [i for i in task.big.ids_sorted if i not in task.small.id_set]
-        renamed = _rename_structure(
-            task.big, {i: f"s{performed}_{i}" for i in complement}
-        )
+        renamed = task.big.renamed({i: f"s{performed}_{i}" for i in complement})
         match = EmbeddingMap(tuple(zip(image, task.small.ids_sorted)))
         result = free_amalgam(S, renamed, frozenset(image), task.small.id_set, match)
         S = result.structure

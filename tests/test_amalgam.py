@@ -282,6 +282,42 @@ class TestInheritedWitnesses:
         assert P._witnesses[frozenset({"a"})] == {"b1", "b2"}
         assert M._witnesses == {**P._witnesses, P.id_set: None, frozenset({"y"}): None}
 
+    def test_second_side_closed_sets_arrive_under_amalgam_names(self):
+        """The second side's memo, every subset asked, under a renaming that
+        reverses its id order and over a base whose names change: its closed
+        sets arrive in the amalgam under the amalgam's names and hold there
+        by brute force, and its violators do not arrive."""
+        P = ColoredStructure(Backend(LINEAR, 1), (ge("p", 1),), frozenset({"p"}), ALPHA_TWO_THIRDS)
+        W = witness_structure()
+        Q = W.renamed({"a": "q3", "b1": "q2", "b2": "q1"})
+        subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(Q.ids_sorted, r)]
+        for x in subsets:
+            min_violating_witness(Q, x)
+        assert Q._witnesses[frozenset({"q3"})] == {"q1", "q2"}
+        M = free_amalgam(P, Q, ["p"], ["q2"], EmbeddingMap.of({"p": "q2"})).structure
+        name = {"q3": "q3", "q2": "p", "q1": "q1"}
+        closed = {frozenset(name[i] for i in x) for x, v in Q._witnesses.items() if v is None}
+        violated = {frozenset(name[i] for i in x) for x, v in Q._witnesses.items() if v is not None}
+        assert len(closed) >= 4 and {"q3"} in violated and {"q1", "q3"} in violated
+        assert {x for x, v in M._witnesses.items() if v is None} >= closed
+        assert not violated & set(M._witnesses)
+        t = SubsetTable(M)
+        for x in closed:
+            assert _least_violator(t, t.mask_of(x)) is None
+
+    def test_certificate_carries_no_violator_of_the_second_side(self):
+        """Handed a second side whose memo holds a violator, the certificate
+        records its closed sets only."""
+        P = ColoredStructure(Backend(LINEAR, 1), (ge("y", 1),), frozenset(), ALPHA_TWO_THIRDS)
+        Q = witness_structure()
+        min_violating_witness(Q, ["a"])
+        min_violating_witness(Q, ["b1"])
+        M = free_amalgam(P, Q, [], [], EmbeddingMap(())).structure.restrict(P.id_set | Q.id_set)
+        certify_free_amalgam(M, P, Q)
+        assert Q._witnesses[frozenset({"a"})] == {"b1", "b2"}
+        assert frozenset({"a"}) not in M._witnesses
+        assert M._witnesses[frozenset({"b1"})] is None and M._witnesses[Q.id_set] is None
+
     def test_certificate_refuses_a_first_side_it_does_not_extend(self):
         S = witness_structure()
         stranger = ColoredStructure(Backend(LINEAR, 1), (ge("z", 1),), frozenset(), S.alpha)
@@ -438,16 +474,17 @@ class TestLemmaHypotheses:
         assert M.element("y").vec == (1, 0, 1)
 
     def test_a_part_that_is_not_free_is_refused(self, monkeypatch):
-        """y moved off its side's span into the first side's column of p: the
-        parts are no longer free, and only the freeness check sees it."""
-        build = amalgam.ColoredStructure
+        """y's placed integer payload moved off its side's span into the first
+        side's column of p: the parts are no longer free, and only the
+        freeness check sees it."""
+        build = ColoredStructure.from_payloads
 
-        def skewed(backend, elements, colored, alpha):
-            moved = lambda e: GroundElement(e.id, (e.vec[0], e.vec[1] + 1, e.vec[2]))
-            elements = tuple(moved(e) if e.id == "y" else e for e in elements)
-            return build(backend, elements, colored, alpha)
+        def skewed(ambient, payloads, colored, alpha):
+            m, row = payloads["y"]
+            payloads["y"] = m, [row[0], row[1] + m, row[2]]
+            return build(ambient, payloads, colored, alpha)
 
-        monkeypatch.setattr(amalgam, "ColoredStructure", skewed)
+        monkeypatch.setattr(ColoredStructure, "from_payloads", skewed)
         M1, M2 = self._sides()
         with pytest.raises(InvariantError, match="parts_free_over_base"):
             free_amalgam(M1, M2, ["a"], ["a"], EmbeddingMap.of({"a": "a"}))
@@ -461,7 +498,8 @@ class TestLemmaHypotheses:
             out = coords(S, basis_ids, ids)
             for k, eid in enumerate(ids):
                 if len(basis_ids) > 1 and eid == basis_ids[1]:
-                    out[k] = [out[k][0] + 1, *out[k][1:]]
+                    den, nums = out[k]
+                    out[k] = den, (nums[0] + den, *nums[1:])
             return out
 
         monkeypatch.setattr(amalgam, "_coords", skewed)

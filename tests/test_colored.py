@@ -31,6 +31,7 @@ from bicolor.errors import (
 )
 from bicolor.exactnum import PreDimValue
 from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR, int_row
+from bicolor.workbench import dumps, task_catalog
 
 from conftest import (
     ALL_ALPHAS,
@@ -43,9 +44,11 @@ from conftest import (
     brute_components,
     brute_in_k_plus,
     random_dependent_structure,
+    random_k_plus_structure,
     random_structure,
     submasks,
 )
+from test_pregeom import oracle_kernel, oracle_solve
 
 
 def ge(eid, *coords):
@@ -458,6 +461,130 @@ class TestWeakIso:
         )
         T = ColoredStructure(Backend(LINEAR, 1), (ge("y", 1),), frozenset(), ALPHA_ONE)
         assert not is_weak_iso(EmbeddingMap.of({"x": "y"}), S, T)
+
+
+def _weak_iso_reference(f, S, T):
+    """Weak isomorphism by Fraction Gauss-Jordan: colors agree on the
+    domain X, X and f(X) have the same dependency kernel, and the images
+    sum_j c_j f(x_j) of S's trace points (c solved over X) are T's trace
+    points, as multisets."""
+    x = sorted(f.domain)
+    xs = [S.element(i).vec for i in x]
+    ys = [T.element(f.mapping[i]).vec for i in x]
+    if any(S.is_colored(i) != T.is_colored(f.mapping[i]) for i in x):
+        return False
+    if oracle_kernel(xs) != oracle_kernel(ys):
+        return False
+    dim = T.backend.ambient_dim
+    images = []
+    for e in S.elements:
+        c = oracle_solve(xs, e.vec)
+        if c is not None:
+            images.append(tuple(sum((cj * y[r] for cj, y in zip(c, ys)), F(0)) for r in range(dim)))
+    trace = [e.vec for e in T.elements if oracle_solve(ys, e.vec) is not None]
+    return sorted(images) == sorted(trace)
+
+
+def test_weak_iso_matches_fraction_reference():
+    """is_weak_iso on structures with repeated, scaled and combined points,
+    against a copy under an invertible linear map, renamed, sometimes with
+    one point moved, over random domains mapped to their partners or
+    shuffled ones."""
+    rng = random.Random(0x15A)
+    seen = {True: 0, False: 0}
+    for i in range(150):
+        dim = rng.randint(1, 3)
+        S = random_dependent_structure(rng, ALL_ALPHAS[i % 4], rng.randint(1, 6), dim)
+        while True:
+            A = [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)] for _ in range(dim)]
+            if dependency_kernel([tuple(r) for r in A]) == ():
+                break
+        image = lambda v: tuple(sum((a * x for a, x in zip(row, v)), F(0)) for row in A)
+        vecs = {f"t{e.id}": image(e.vec) for e in S.elements}
+        if rng.random() < 0.3:
+            vecs[rng.choice(sorted(vecs))] = tuple(F(rng.randint(1, 3)) for _ in range(dim))
+        T = ColoredStructure(
+            Backend(LINEAR, dim),
+            tuple(GroundElement(eid, v) for eid, v in vecs.items()),
+            frozenset(f"t{c}" for c in S.colored),
+            S.alpha,
+        )
+        x = rng.sample(S.ids_sorted, rng.randint(0, len(S)))
+        targets = [f"t{i}" for i in x]
+        if rng.random() < 0.3:
+            targets = rng.sample(T.ids_sorted, len(x))
+        f = EmbeddingMap(tuple(zip(x, targets)))
+        want = _weak_iso_reference(f, S, T)
+        assert is_weak_iso(f, S, T) == want
+        seen[want] += 1
+    assert seen[True] >= 40 and seen[False] >= 20, seen
+
+
+class TestRenamed:
+    """`renamed` is the old rebuild from payload vectors, plus the integer
+    payloads, the K+ verdict and the closed sets of the memo."""
+
+    @staticmethod
+    def _rebuilt(S, mapping):
+        """The structure rebuilt from renamed elements, as the builder made
+        its task copies before `renamed`: the reference for the bytes."""
+        elements = tuple(GroundElement(mapping.get(e.id, e.id), e.vec) for e in S.elements)
+        colored_ids = frozenset(mapping.get(i, i) for i in S.colored)
+        return ColoredStructure(S.backend, elements, colored_ids, S.alpha)
+
+    def test_bytes_and_payloads_match_the_rebuild(self, rng):
+        cases = [random_dependent_structure(rng, ALL_ALPHAS[i % 4], rng.randint(0, 6), 3) for i in range(30)]
+        cases += [t.big for alpha in ALL_ALPHAS for t in task_catalog(alpha, 5)]
+        cases.append(ColoredStructure(Backend(FREE), (GroundElement("x"), GroundElement("y")), {"y"}, ALPHA_HALF))
+        for S in cases:
+            ids = S.ids_sorted
+            mapping = {eid: f"r{len(ids) - j}" for j, eid in enumerate(ids) if rng.random() < 0.6}
+            R = S.renamed(mapping)
+            assert dumps(R) == dumps(self._rebuilt(S, mapping))
+            assert R == self._rebuilt(S, mapping)
+            for eid in ids:
+                assert S.backend.kind == FREE or R.payload(mapping.get(eid, eid)) is S.payload(eid)
+
+    def test_verdict_and_closed_sets_are_carried(self):
+        """Every subset of a K+ structure asked: under a renaming that
+        reverses id order, the closed answers arrive renamed, the
+        violators do not, and the carried answers hold by brute force."""
+        rng = random.Random(0xC0)
+        carried = dropped = 0
+        for i in range(12):
+            S = random_k_plus_structure(rng, ALL_ALPHAS[i % 4], max_n=7, max_dim=4, color_p=0.6)
+            while len(S) < 5:
+                S = random_k_plus_structure(rng, ALL_ALPHAS[i % 4], max_n=7, max_dim=4, color_p=0.6)
+            in_k_plus(S)
+            ids = S.ids_sorted
+            subsets = [frozenset(c) for r in range(len(ids) + 1) for c in itertools.combinations(ids, r)]
+            for x in subsets:
+                min_violating_witness(S, x)
+            rev = {eid: f"z{len(ids) - j:02d}" for j, eid in enumerate(ids)}
+            R = S.renamed(rev)
+            assert R._k_plus is True
+            rename = lambda xs: frozenset(rev[i] for i in xs)
+            assert R._witnesses == {rename(x): None for x, v in S._witnesses.items() if v is None}
+            t = SubsetTable(R)
+            for x in R._witnesses:
+                assert _least_violator(t, t.mask_of(x)) is None
+            carried += len(R._witnesses)
+            dropped += len(S._witnesses) - len(R._witnesses)
+        assert carried >= 100 and dropped >= 100, (carried, dropped)
+
+    def test_negative_verdict_is_carried(self):
+        S = ColoredStructure(
+            Backend(LINEAR, 1), (ge("x", 1), ge("y", 2)), frozenset({"x", "y"}), ALPHA_TWO_THIRDS
+        )
+        assert not in_k_plus(S)
+        R = S.renamed({"x": "w"})
+        assert R._k_plus is False and k_plus_violation(R) == {"w", "y"}
+
+    def test_a_structure_without_a_verdict_carries_none(self):
+        S = witness_structure()
+        R = S.renamed({"a": "z"})
+        assert S._k_plus is None and R._k_plus is None and R._witnesses == {}
+        assert in_k_plus(R) and min_violating_witness(R, ["z"]) == {"b1", "b2"}
 
 
 class TestDependencyKernel:

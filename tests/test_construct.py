@@ -267,6 +267,22 @@ class TestFreePowerPatch:
         assert gap.sign() > 0  # anchor empty stays closed
         assert all(c.passed for c in res.checks)
 
+    def test_union_is_extended_once(self, monkeypatch):
+        """All copies of a free union grow in one `extended`, so the earlier
+        points are padded once, however many copies there are."""
+        widths = []
+        original = ColoredStructure.extended
+
+        def counted(self, *args, **kwargs):
+            widths.append(kwargs.get("widen_by", 0))
+            return original(self, *args, **kwargs)
+
+        S = plain_points(ALPHA_INV_SQRT2, [(1, 0), (0, 1)])
+        monkeypatch.setattr(ColoredStructure, "extended", counted)
+        res = free_power_patch([], ["b1", "b2"], F(1, 2), 2, S)
+        assert len(res.copies) == 16 and widths == [16 * res.pair.s]
+        assert res.structure.backend.ambient_dim == 2 + 16 * res.pair.s
+
     def test_large_mu_trivial(self):
         S = plain_points(ALPHA_INV_SQRT2, [(1,)])
         res = free_power_patch([], ["b1"], F(10), 1, S)

@@ -309,17 +309,34 @@ def vector_lists(draw):
     return d, vectors, targets
 
 
+def _as_fractions(coords):
+    """Integer coordinates (den, nums) as Fractions, after checking their
+    form: den > 0 and no common factor, so equal vectors give equal pairs."""
+    if coords is None:
+        return None
+    den, nums = coords
+    assert den > 0 and math.gcd(den, *nums) == 1
+    return [F(x, den) for x in nums]
+
+
 @given(vector_lists())
 @settings(max_examples=300)
 def test_coordinates_match_fraction_gauss_jordan(case):
     """insert answers each vector over its prefix and coords each target over
-    all the vectors, as the Fraction Gauss-Jordan solve does."""
+    all the vectors, in integers over one denominator, as the Fraction
+    Gauss-Jordan solve does; the kernel vectors e_i - c of the dependent
+    inserts are the Fraction kernel's."""
     d, vectors, targets = case
     co = Coordinates(d, len(vectors))
+    kernel = []
     for i, v in enumerate(vectors):
-        assert co.insert(int_payload(v)) == oracle_solve(vectors[:i], v)
+        coeffs = _as_fractions(co.insert(int_payload(v)))
+        assert coeffs == oracle_solve(vectors[:i], v)
+        if coeffs is not None:
+            kernel.append(tuple([-c for c in coeffs] + [F(int(j == i)) for j in range(i, len(vectors))]))
+    assert tuple(kernel) == oracle_kernel(vectors)
     for t in targets:
-        assert co.coords(int_payload(t)) == oracle_solve(vectors, t)
+        assert _as_fractions(co.coords(int_payload(t))) == oracle_solve(vectors, t)
     for t in targets[-2:]:  # combinations of the vectors
         assert co.coords(int_payload(t)) is not None
 
@@ -334,17 +351,19 @@ def test_dependency_kernel_of_vector_lists(case):
 def test_coordinates_edge_cases():
     pair = lambda *v: int_payload(tuple(F(x) for x in v))
     co = Coordinates(2, 0)
-    assert co.coords(pair(0, 0)) == []
+    assert co.coords(pair(0, 0)) == (1, ())
     assert co.coords(pair(1, 0)) is None
     with pytest.raises(DimensionMismatch):
         co.insert(pair(1, 0))
     co = Coordinates(2, 3)
     with pytest.raises(DimensionMismatch):
         co.coords(pair(1))
-    assert co.insert(pair(F(1, 2), 0)) is None
-    assert co.insert(pair(-3, 0)) == [F(-6)]
+    assert co.insert(pair(F(1, 2), 0)) is None  # independent
+    assert co.insert(pair(-3, 0)) == (1, (-6,))  # dependent: -6 * (1/2, 0)
     assert co.insert(pair(0, F(2, 3))) is None
-    assert co.coords(pair(1, 1)) == [F(2), F(0), F(3, 2)]
+    assert co.coords(pair(1, 1)) == (2, (4, 0, 3))  # (2, 0, 3/2) over one denominator
+    assert co.coords(pair(F(-1, 3), F(1, 9))) == (6, (-4, 0, 1))
+    assert co.coords(pair(0, 0)) == (1, (0, 0, 0))
 
 
 @given(vector_lists())

@@ -187,8 +187,9 @@ class TestIntegerPayloadKeys:
         z = [F(0)] * ncols
         for j, c in coeffs:
             z = [x + c * y for x, y in zip(z, vecs[j])]
-        triples = [(j, c.numerator, c.denominator) for j, c in coeffs]
-        assert workbench._image_of(triples, img, ncols) == _cleared(z)
+        den = math.lcm(*(c.denominator for _, c in coeffs))
+        terms = [(j, int(c * den)) for j, c in coeffs]
+        assert workbench._image_of((den, terms), img, ncols) == _cleared(z)
         assert workbench._image_of(None, img, ncols) is None
 
     @given(
