@@ -212,15 +212,9 @@ class ColoredStructure:
     @classmethod
     def from_payloads(cls, ambient: int, payloads: dict, colored, alpha: Alpha) -> "ColoredStructure":
         """The linear structure whose points are the ids of `payloads`, each
-        mapped to its integer payload (m, row) as `int_payload` gives it: the
-        `Fraction` vector row / m is made once per point, for its
-        `GroundElement`, and the payloads become the integer rows."""
-        zero = Fraction(0)
-        elements = tuple(
-            GroundElement(eid, tuple(Fraction(x, m) if x else zero for x in row))
-            for eid, (m, row) in payloads.items()
-        )
-        return cls(Backend(LINEAR, ambient), elements, frozenset(colored), alpha, _introws=payloads)
+        mapped to its integer payload (m, row) as `int_payload` gives it (the
+        empty structure `extended` by them)."""
+        return empty_structure(alpha, ambient).extended(payloads=payloads, new_colored=colored)
 
     def renamed(self, mapping: dict) -> "ColoredStructure":
         """The structure with each id i renamed to mapping.get(i, i).  Renaming
@@ -253,10 +247,13 @@ class ColoredStructure:
             _k_plus=True if self._k_plus is True else None,
         )
 
-    def extended(self, new_elements, new_colored=(), widen_by: int = 0) -> "ColoredStructure":
+    def extended(self, new_elements=(), new_colored=(), widen_by: int = 0, payloads=None) -> "ColoredStructure":
         """New structure with widened ambient (zero-padding preserves ranks).
         A kept point's integer row gains zero columns: zeros add no
-        denominator, so its multiplier m stays the same."""
+        denominator, so its multiplier m stays the same.  `payloads` maps
+        further points to their integer payloads (m, row) of the widened
+        length, as `int_payload` gives them; each `Fraction` vector row / m
+        is made once, for its `GroundElement`."""
         if self.backend.kind == FREE:
             if widen_by:
                 raise InputError("free backend has no ambient to widen")
@@ -272,6 +269,13 @@ class ColoredStructure:
             pad = (Fraction(0),) * widen_by
             old = tuple(GroundElement(e.id, e.vec + pad) for e in old)
             rows = {eid: (m, row + [0] * widen_by) for eid, (m, row) in rows.items()}
+        if payloads:
+            zero = Fraction(0)
+            new_elements = (*new_elements, *(
+                GroundElement(eid, tuple(Fraction(x, m) if x else zero for x in row))
+                for eid, (m, row) in payloads.items()
+            ))
+            rows = {**rows, **payloads}
         backend = Backend(LINEAR, self.backend.ambient_dim + widen_by)
         return ColoredStructure(
             backend=backend,

@@ -12,19 +12,22 @@ is verified, never assumed.  The four patch engines share one pipeline,
 `_patch_union`: a single patch is a free union of one copy.
 
 Each check records its method, "exhaustive" (every case was tried) or
-"certified" (a proof read off the result's verified shape).  Every subset
-check (`_certified`) follows one rule: certified when `_moment_shape` (or,
-for a basis extension, `_on_moment_curve`) and the check's own exact
-inequality prove it on the built result, otherwise InvariantError naming
-the check and the hypothesis that failed; no subset is swept.  Every engine
-meets the hypotheses by construction.  A patch union's ambient K+ and
-anchor closedness are certified by the fresh-block lemma
-(`_fresh_block_union`); where its hypotheses fail (a base of rank r with
-k - s < r) the DP over walked block tables (`_block_profile`,
-`_free_union_min`) decides them exhaustively, and where the DP cannot, a
-budgeted search of the union (`_dp_or_searched`).  A chain's K+ is
-certified level by level (`_tower_k_plus_check`) or raises, naming the
-rule that fails; the chain itself is never searched.
+"certified" (a proof read off the result's verified shape).  That shape is
+read once per result by `_on_curve`: every new point, whole row, lies on
+the moment curve over B that `grow_patch` uses, checked in integers with no
+elimination, or InvariantError names the rule that fails.  Its lemma (see
+`_certified`) gives every rank the checks need in closed form, so each
+subset check, each copy's delta(N_c/B), delta(D*/A) of a union, and a
+minimal pair's delta(D/B) < 0 are certified by the check's own exact
+inequality on those ranks (`_certified`); no subset is swept and no rank is
+eliminated.  A patch union's ambient K+ and anchor closedness are certified
+by the fresh-block lemma (`_fresh_block_union`); where its hypotheses fail
+(a base of rank r with k - s < r) the DP over walked block tables
+(`_block_profile`, `_free_union_min`) decides them exhaustively, and where
+the DP cannot, a budgeted search of the union (`_dp_or_searched`).  A
+chain's K+ is certified level by level (`_tower_k_plus_check`), condition
+(c) read off the curve where the level's F points span the level below, or
+raises, naming the rule that fails; the chain itself is never searched.
 """
 
 from __future__ import annotations
@@ -138,29 +141,35 @@ def _transcendental_over(S: ColoredStructure, ids, base) -> bool:
     return all(any(red.residual(S.introw(i))) for i in sorted(set(ids) - set(base)))
 
 
-def _moment_rows(basis_vecs, count: int, lam_start: int = 1):
-    """Row for lambda is sum_i lambda^(i-1) * basis_vecs[i]; lambdas are the
-    consecutive integers lam_start, lam_start+1, ...; only each vector's
-    nonzero entries are accumulated, as integer numerators over the vectors'
-    common denominator, with one Fraction per column they reach at the end."""
-    supports = [[(j, v) for j, v in enumerate(vec) if v] for vec in basis_vecs]
-    den = math.lcm(*(v.denominator for support in supports for _, v in support))
-    supports = [[(j, v.numerator * (den // v.denominator)) for j, v in sup] for sup in supports]
-    cols = sorted({j for support in supports for j, _ in support})
-    zero = Fraction(0)
-    rows = []
+def _moment_rows(basis, width: int, count: int, lam_start: int = 1):
+    """Integer payloads (m, row) of width `width` of the points sum_i
+    lambda^(i-1)*u_i for lambda = lam_start, lam_start + 1, ...; `basis`
+    gives each u_i as (m_i, [(column, entry), ...]), the nonzero entries of
+    its integer payload.  Each row accumulates those entries over the u_i's
+    common denominator L (`_curve_point`, which `_on_curve` checks rows
+    against), and (m, row) = (L/g, acc/g) for g the gcd of L and acc: the
+    least m clearing the point's denominators, as `int_payload` gives it."""
+    den = math.lcm(*(m for m, _ in basis))
+    supports = [[(j, x * (den // m)) for j, x in support] for m, support in basis]
+    payloads = []
     for lam in range(lam_start, lam_start + count):
-        acc = dict.fromkeys(cols, 0)
-        power = 1
-        for support in supports:
-            for j, v in support:
-                acc[j] += power * v
-            power *= lam
-        row = [zero] * len(basis_vecs[0])
+        acc = _curve_point(supports, lam)
+        g = math.gcd(den, *acc.values())
+        row = [0] * width
         for j, x in acc.items():
-            row[j] = Fraction(x, den)
-        rows.append(tuple(row))
-    return rows
+            row[j] = x // g
+        payloads.append((den // g, row))
+    return payloads
+
+
+def _curve_basis(S, b_ids):
+    """v_1, ..., v_r, the basis of span(B) the moment curves over B are
+    written in: the points of B, in id order, outside the span of those
+    before them.  Returns their ids and each as (m, [(column, entry), ...]),
+    the nonzero entries of its integer payload."""
+    red = S.reducer_for(())
+    ids = [i for i in sorted(b_ids) if red.add(S.introw(i))]
+    return ids, [(m, [(j, x) for j, x in enumerate(row) if x]) for m, row in map(S.payload, ids)]
 
 
 def grow_patch(
@@ -171,33 +180,29 @@ def grow_patch(
     points each over span(B) + fresh axes.
 
     The point for lambda = lam_start, lam_start + 1, ... is sum_i
-    lambda^(i-1)*v_i over a basis of span(B) picked from B in id order, then
-    the s fresh unit vectors of its copy: copy c takes the next k lambdas
-    and the c-th block of s columns after S's.  Returns the grown structure
-    and the new ids, copy after copy, named from `prefix` and colored when
-    `colored` is set; nothing is verified.  S is extended once, so the
-    earlier points are padded once however many copies grow.  With s = 0
-    the points lie in span(B) (a basis extension); a chain level adds its E
-    points on the s fresh unit vectors afterwards.  Distinct copies over the
-    same base must continue the lambda sequence: repeating parameters would
-    stack identical residue lines inside span(B) and break hereditary
-    positivity once rank(B) > 1.
+    lambda^(i-1)*u_i, u being the basis v_1, ..., v_r of span(B) that
+    `_curve_basis` picks, then the s fresh unit vectors of its copy: copy c
+    takes the next k lambdas and the c-th block of s columns after S's.
+    Returns the grown structure and the new ids, copy after copy, named from
+    `prefix` and colored when `colored` is set; nothing is verified.  The
+    points are made as integer payloads (`_moment_rows`), and S is extended
+    once, so the earlier points are padded once however many copies grow.
+    With s = 0 the points lie in span(B) (a basis extension); a chain level
+    adds its E points on the s fresh unit vectors afterwards.  Distinct
+    copies over the same base must continue the lambda sequence: repeating
+    parameters would stack identical residue lines inside span(B) and break
+    hereditary positivity once rank(B) > 1.
     """
     old_dim = S.backend.ambient_dim
     width = old_dim + copies * s
-    basis_red = S.reducer_for(())
-    basis_ids = [i for i in sorted(b_ids) if basis_red.add(S.introw(i))]
+    basis = _curve_basis(S, b_ids)[1]
     new_ids = S.fresh_ids(prefix, copies * k)
-    pad = (Fraction(0),) * (copies * s)
-    base_vecs = [S.element(i).vec + pad for i in basis_ids]
-    new_elements = []
+    payloads = {}
     for c in range(copies):
-        units = [[Fraction(0)] * width for _ in range(s)]
-        for t, unit in enumerate(units):
-            unit[old_dim + c * s + t] = Fraction(1)
-        rows = _moment_rows(base_vecs + units, k, lam_start + c * k)
-        new_elements += map(GroundElement, new_ids[c * k:(c + 1) * k], rows)
-    S2 = S.extended(new_elements, new_colored=new_ids if colored else (), widen_by=copies * s)
+        units = [(1, [(old_dim + c * s + t, 1)]) for t in range(s)]
+        rows = _moment_rows(basis + units, width, k, lam_start + c * k)
+        payloads.update(zip(new_ids[c * k:(c + 1) * k], rows))
+    S2 = S.extended(payloads=payloads, new_colored=new_ids if colored else (), widen_by=copies * s)
     return S2, tuple(new_ids)
 
 
@@ -207,81 +212,86 @@ def _fresh_blocks(S, copies, s: int) -> list:
     return [(ids, width - (len(copies) - c) * s, s) for c, ids in enumerate(copies)]
 
 
-def _moment_shape(S, base_ids, blocks) -> bool:
-    """True when B = `base_ids` and the copies of `blocks`, (ids, start, s)
-    each, have on their integer rows the fresh-block shape that `grow_patch`
-    and the chain levels build, read in O(k*s) per copy of k points: each
-    block [start, start + s) is nonempty and within the columns; B is zero
-    on every block and each copy on the other copies' blocks; on its own
-    block each point is c*(1, lam, ..., lam^(s-1)) with c > 0, lam > 0 and
-    the copy's lams distinct, or a unit vector (one positive entry) met once
-    in the copy; for s = 1 any c > 0 serves.
+def _on_curve(name: str, S, b_ids, blocks, others=()) -> int:
+    """r = rank(B) once every copy of `blocks`, (ids, start, s) each, is
+    read to lie on its whole moment curve over B = `b_ids`; otherwise
+    InvariantError naming `name` and the first rule that fails.
 
-    Lemma.  Then dim(C/B) >= sum over copies of min(|C n copy|, s) for every
-    C within the copies, with equality when |C| <= s.
+    A copy's curve is gamma(lam) = sum_i lam^(i-1)*u_i, u being the basis
+    v_1, ..., v_r of span(B) that `_curve_basis` picks (as `grow_patch`
+    does), then the unit vectors of the copy's block [start, start + s).
+    The rules: the blocks lie within the columns and are disjoint; B and
+    the points of `others` are zero on every block; each point of a copy is
+    c*gamma(lam) with c > 0 and lam > 0, or c times a unit vector of its own
+    block with c > 0; and no lam or unit vector is met twice in a copy.  For
+    r + s = 1, gamma is u_1 alone and no lam is read.
 
-    Proof.  Each point is nonzero on its own block and zero on the others, so
-    no point is in B or in two copies.  Projecting onto the blocks kills B,
-    so dim(C/B) is at least the sum of the copies' ranks on their own blocks.
-    There m <= s points, j units on columns J and m - j moment rows, have on
-    J plus any m - j other columns a minor that is, up to nonzero factors, a
-    minor of a Vandermonde matrix with distinct positive nodes, nonzero by
-    Descartes' rule of signs; so m <= s points have rank m, more have rank s.
-    Equality for |C| <= s: dim(C/B) <= |C|.
+    lam is read off the point's part f on its block, lam = f_1/f_0, or for
+    s <= 1 off its coordinates a over the u_i (`Coordinates`), lam =
+    a_2/a_1.  The whole row is then compared with gamma(lam) in integers
+    (`_curve_point`): multiply-adds over the u_i's nonzero entries, and the
+    row's own count of nonzero entries.  Only the basis is eliminated, once,
+    and for s <= 1 each point's coordinates over the u_i.
+    `_certified` gives the lemma these rules prove.
     """
-    spans = [(start, start + s) for _, start, s in blocks]
-    if any(not 0 <= lo < hi <= S.backend.ambient_dim for lo, hi in spans):
-        return False
-    touched = lambda row: {c for c, (lo, hi) in enumerate(spans) if any(row[lo:hi])}
-    if any(touched(S.introw(i)) for i in base_ids):
-        return False
-    for c, (ids, start, s) in enumerate(blocks):
-        units, lams = set(), set()
+    width = S.backend.ambient_dim
+    spans = sorted((start, start + s) for _, start, s in blocks)
+    bounds = [0, *(x for span in spans for x in span), width]
+    _hold(name, bounds == sorted(bounds), "the fresh blocks lie within the columns, disjoint")
+    _hold(name, not any(any(S.introw(i)[lo:hi]) for i in {*b_ids, *others} for lo, hi in spans),
+          "B is zero on the fresh blocks")
+    basis_ids, basis = _curve_basis(S, b_ids)
+    r = len(basis)
+    for c, (ids, start, s) in enumerate(blocks, start=1):
+        u = basis + [(1, [(start + t, 1)]) for t in range(s)]
+        if s <= 1 < r + s:  # lam is read off the coordinates over u
+            co = Coordinates(width, r + s)
+            for payload in [*map(S.payload, basis_ids), (1, [int(j == start) for j in range(width)])][:r + s]:
+                co.insert(payload)
+        den = math.lcm(*(m for m, _ in u))
+        u = [[(j, x * (den // m)) for j, x in support] for m, support in u]
+        nodes = set()
         for eid in ids:
-            row = S.introw(eid)
-            f = row[start:start + s]
-            support = [t for t, x in enumerate(f) if x]
-            if s == 1:
-                ok = f[0] > 0
-            elif len(support) == 1:
-                t = support[0]
-                ok = f[t] > 0 and t not in units
-                units.add(t)
+            m, row = S.payload(eid)
+            f, nonzero = row[start:start + s], len(row) - row.count(0)
+            if r + s > 1 and nonzero == 1 and any(f):  # a unit: no curve point has one nonzero entry
+                t = next(t for t, x in enumerate(f) if x)
+                node, point = ("unit", t), {start + t: 1}
             else:
-                lam = _curve_node(f)
-                ok = lam is not None and lam not in lams
-                lams.add(lam)
-            if not (ok and touched(row) == {c}):
-                return False
-    return True
+                if r + s == 1:
+                    lam = Fraction(1)
+                elif s >= 2:
+                    lam = f[0] and Fraction(f[1], f[0])
+                else:  # coordinates (den, nums) = c*(1, lam, ...)*den
+                    a = co.coords((m, row))
+                    lam = a and a[1][0] and Fraction(a[1][1], a[1][0])
+                _hold(name, lam, f"each point of copy {c} is on its moment curve")
+                _hold(name, lam > 0, f"the lambdas of copy {c} are positive")
+                node, point = lam, _curve_point(u, lam)
+            j0, e0 = next(iter(point.items()))
+            x0 = row[j0]
+            _hold(name, x0 and all(row[j] * e0 == e * x0 for j, e in point.items()),
+                  f"each point of copy {c} is on its moment curve")
+            _hold(name, nonzero == len(point), f"each point of copy {c} is zero off B's columns and its block")
+            _hold(name, x0 * e0 > 0, f"c > 0 at each point of copy {c}")
+            _hold(name, r + s == 1 or node not in nodes,
+                  f"the lambdas and unit points of copy {c} are distinct")
+            nodes.add(node)
+    return r
 
 
-def _curve_node(f):
-    """lam when f = c*(1, lam, lam^2, ...) with c > 0 and lam > 0, else None."""
-    if f[0] <= 0 or f[1] <= 0 or any(x * f[0] != y * f[1] for x, y in zip(f[2:], f[1:])):
-        return None
-    return Fraction(f[1], f[0])
-
-
-def _on_moment_curve(S, a, bs, ids) -> bool:
-    """True when bs = b_1 < ... < b_m is independent over A = `a` and the
-    exact coordinates over bs of each point of `ids` are c*(1, lam, ...,
-    lam^(m-1)) with c > 0 and distinct lam > 0 (any point of span(b_1) for
-    m = 1).  Then every m-subset of bs u `ids` is a base over A: in those
-    coordinates it is j unit rows e_i, i in J, and m - j curve rows, so its
-    determinant is, up to the c's and a sign, a minor of a Vandermonde
-    matrix with distinct positive nodes on the columns outside J, nonzero by
-    Descartes' rule of signs; so it spans span(bs), of dimension m over A.
-    """
-    m = len(bs)
-    if delta(S, bs, a).dim_part != m:
-        return False
-    co = Coordinates(S.backend.ambient_dim, m)
-    for i in bs:
-        co.insert(S.payload(i))
-    coords = (co.coords(S.payload(eid)) for eid in ids)  # (den > 0, nums): c = nums / den
-    lams = [c and (_curve_node(c[1]) if m > 1 else c[1][0]) for c in coords]  # None off span(bs)
-    return all(lams) and (m == 1 or len(set(lams)) == len(lams))
+def _curve_point(u, lam) -> dict:
+    """{column: entry} of the nonzero entries of q^(n-1)*sum_i lam^(i-1)*u_i
+    for lam = p/q (an int or a Fraction) and integer supports u_1, ..., u_n,
+    [(column, entry), ...] each: entry sum_i p^(i-1)*q^(n-i)*u_i."""
+    p, q = lam.numerator, lam.denominator
+    acc: dict[int, int] = {}
+    coef = q ** (len(u) - 1)
+    for support in u:
+        for j, x in support:
+            acc[j] = acc.get(j, 0) + coef * x
+        coef = coef // q * p  # exact before the last u_i, unused after it
+    return {j: x for j, x in acc.items() if x}
 
 
 def _hold(name: str, holds: bool, statement: str):
@@ -290,24 +300,57 @@ def _hold(name: str, holds: bool, statement: str):
         raise InvariantError(f"{name}: {statement} does not hold on the result")
 
 
-def _certified(name: str, shaped: bool, *hypotheses) -> Check:
+def _certified(name: str, *hypotheses) -> Check:
     """The one rule of every subset check: Check(name, True, "certified")
-    when the moment shape `shaped` and each (holds, statement) of the check's
-    own exact `hypotheses` hold on the built result; otherwise InvariantError
-    names the check and the first hypothesis that failed.
+    when each (holds, statement) of the check's own exact `hypotheses` holds
+    on the built result, `_on_curve` having held on it first (it raises
+    otherwise); else InvariantError naming the check and the first
+    hypothesis that failed.  A value check (a delta the lemma below gives
+    exactly) is instead Check(name, verdict, "certified"): the lemma decides
+    it either way.
 
-    For a patch copy of k points over B with s fresh columns, `_moment_shape`'s
-    lemma gives dim(C/B) = |C| for |C| <= s and rank s past it, so:
-      generic_position: every s-subset is a base over B (the shape alone);
+    Lemma (whole curve).  Let `_on_curve` hold for B, of rank r, and copies
+    N_1, ..., N_p of k_1, ..., k_p points, each on its block of s columns.
+    Then
+      (a) any m <= r + s of a copy's points and its u_1, ..., u_{r+s}, no
+          two of them parallel, are independent; so rank(N_c) = min(k_c, r + s);
+      (b) dim(C/B) = sum over c of min(|C n N_c|, s) for C within the copies;
+      (c) for k_c >= s, B lies in span(N_c) iff k_c >= r + s;
+      (d) dim(B u copies / A) = dim(B/A) + sum over c of min(k_c, s) for A
+          within B.
+
+    Proof.  The u_i are independent: the v_i are, and are zero on the block.
+    In the coordinates u, a point is c*(1, lam, ..., lam^(r+s-1)) or c times
+    a unit vector, as each u_i is.  Take m <= r + s of them, j of them units
+    on the positions J; their minor on the columns J and any m - j others
+    is, up to the nonzero c's and a sign, a minor of a Vandermonde matrix
+    with distinct positive nodes, nonzero by Descartes' rule of signs: (a).
+    Projecting onto the blocks kills B and splits by copy.  On its block
+    each point of C n N_c is c*lam^r*(1, lam, ..., lam^(s-1)) or a unit
+    vector, so the part of C n N_c has rank min(|C n N_c|, s) by the same
+    minors; and C n N_c lies in span(B) plus its block: (b).  For (c),
+    dim(N_c u B) = r + s by (b) and k_c >= s, while rank(N_c) = min(k_c, r +
+    s) by (a); they agree iff k_c >= r + s.  (d) is (b) for C the copies, as
+    dim(B u C / A) = dim(B/A) + dim(C/B).
+
+    So for patch copies of k > s colored points over B, with s - alpha*(k -
+    1) >= 0 where a check asks it, the value checks read
+      delta_gap, per_copy_gap: delta(N_c/B) = min(k, s) - alpha*k = s -
+        alpha*k by (b); delta_exact adds n*s - m*k = -1 at alpha = m/n;
+      power_gap, zero_gap: delta(D*/A) = delta(B/A) + p*(s - alpha*k) by (d);
+    and the subset checks are certified by
+      generic_position: every s-subset is a base over B, by (b);
       interior_condition: delta(C/B) >= min(m, s) - alpha*m >= 0 for every C
         of m < k points, by alpha <= 1 up to s and by s - alpha*(k - 1) >= 0
         past it;
-      minimal_pair: delta(D/B) < 0 plus the interior condition;
+      minimal_pair: delta(D/B) = s - alpha*k < 0 plus the interior condition;
       small_sets_closed: a C of fewer than n <= k points within the copies
         meets each copy in m < k points, so the interior bound holds per copy;
-      all_bases: `_on_moment_curve` for a basis extension.
+      all_bases: for a basis extension (s = 0, B independent over A, so
+        u_1, ..., u_r are B's points) every r-subset of B u N spans span(B)
+        by (a), a base over A.
     """
-    for holds, statement in ((shaped, "the moment shape"), *hypotheses):
+    for holds, statement in hypotheses:
         _hold(name, holds, statement)
     return Check(name, True, method="certified")
 
@@ -340,14 +383,15 @@ def _tower_k_plus_check(S, levels) -> Check:
     being the width minus every level's s.  The shape is checked first: no
     point is listed twice and the last D_l is all of S; D_0 has no colored
     point and is zero from column w_1 on; the i-th point of E_l is nonzero at
-    column w_l + i alone; F_l is zero from column w_l + s on; all of N_l is
-    colored.  So D_{l-1} is zero outside the old columns [0, w_l).  Write F'_l
-    for the nonzero old-column parts of F_l and S'_l for D_{l-1} on the old
-    columns plus F'_l as plain points.
+    column w_l + i alone; all of N_l is colored; and (a) below.  So F_l is
+    zero from column w_l + s on, and D_{l-1} is zero outside the old
+    columns [0, w_l).  Write F'_l
+    for the old-column parts of F_l and S'_l for D_{l-1} on the old columns
+    plus F'_l as plain points.
 
     Lemma.  Let D_{l-1} be in K+, and
-      (a) `_moment_shape` holds for N_l on its block [w_l, w_l + s) over
-          D_{l-1}, so dim(C/D_{l-1}) >= min(|C|, s) for C within N_l;
+      (a) `_on_curve` holds for N_l on its block [w_l, w_l + s) over
+          D_{l-1}, so dim(C/D_{l-1}) = min(|C|, s) for C within N_l;
       (b) s - alpha*(k - 1) >= 0;
       (c) delta(F'_l) + min_relative_delta(S'_l, F'_l) >= alpha*k - s.
     Then D_l is in K+.  D_0 is, having no colored point, so S is by induction.
@@ -361,6 +405,15 @@ def _tower_k_plus_check(S, levels) -> Check:
     block where A' is zero, so dim(A' u N_l) = s + dim(A' u F'_l) and
     delta(A) = delta_{S'_l}(A' u F'_l) - (alpha*k - s), which is at least
     delta(F'_l) + min_relative_delta(S'_l, F'_l) - (alpha*k - s) >= 0 by (c).
+
+    (c) is read off the curve where it can be.  Let w = rank(D_{l-1}) and j
+    = |F_l|.  F'_l lies on the moment curve of D_{l-1}'s
+    basis, sum_{i <= w} lam^(i-1)*v_i times c > 0 at distinct lams, so
+    delta(F'_l) = min(j, w) by the curve lemma (a).  For j >= w, F'_l spans
+    span(D_{l-1}), so every colored point of S'_l lies in span(F'_l) and
+    min_relative_delta(S'_l, F'_l) = -alpha*|colored D_{l-1}|: (c) is then
+    delta(D_{l-1}) + s - alpha*k >= 0, with no search.  For j < w, S'_l is
+    searched.
 
     A shape rule or a condition that fails raises InvariantError naming it,
     and (c)'s search running out of its budget raises SearchBudgetExceeded;
@@ -379,19 +432,19 @@ def _tower_k_plus_check(S, levels) -> Check:
         _hold(name, all(
             [j for j, x in enumerate(S.introw(eid)) if x] == [width + i] for i, eid in enumerate(lv.e_ids)
         ), f"E_{lvl} is its block's unit vectors")
-        _hold(name, _zero_from(S, lv.f_ids, width + s), f"F_{lvl} is zero past its block")
-        _hold(name, _moment_shape(S, d_prev, [(new, width, s)]), f"(a) the moment shape of N_{lvl}")
+        w = _on_curve(f"{name}: (a) at level {lvl}", S, d_prev, [(new, width, s)])
         _hold(name, PreDimValue(s, k - 1).sign(S.alpha) >= 0, f"(b) s - alpha*(k - 1) >= 0 at level {lvl}")
-        old = [GroundElement(i, S.element(i).vec[:width]) for i in sorted(d_prev)]
-        fbar = [GroundElement(f, S.element(f).vec[:width]) for f in lv.f_ids]
-        fbar = [g for g in fbar if any(g.vec)]
-        Sp = ColoredStructure(Backend(LINEAR, width), (*old, *fbar), S.colored & d_prev, S.alpha)
-        fbar_ids = [g.id for g in fbar]
-        try:
-            low, _ = min_relative_delta(Sp, fbar_ids, VERIFY_NODE_BUDGET)
-        except SearchBudgetExceeded as e:
-            raise SearchBudgetExceeded(f"{name}: {e}") from e
-        _hold(name, (delta(Sp, fbar_ids) + low + PreDimValue(s, k)).sign(S.alpha) >= 0,
+        j = len(lv.f_ids)
+        if j >= w:
+            low = PreDimValue(0, len(S.colored & d_prev))
+        else:
+            cut = tuple(GroundElement(i, S.element(i).vec[:width]) for i in (*sorted(d_prev), *lv.f_ids))
+            Sp = ColoredStructure(Backend(LINEAR, width), cut, S.colored & d_prev, S.alpha)
+            try:
+                low, _ = min_relative_delta(Sp, lv.f_ids, VERIFY_NODE_BUDGET)
+            except SearchBudgetExceeded as e:
+                raise SearchBudgetExceeded(f"{name}: {e}") from e
+        _hold(name, (PreDimValue(min(j, w) + s, k) + low).sign(S.alpha) >= 0,
               f"(c) delta(F'_{lvl}) + min delta(S'_{lvl}/F'_{lvl}) >= alpha*k - s")
         d_prev.update(new)
         width += s
@@ -545,7 +598,8 @@ def generic_basis_extension(a_ids, b_ids, n: int, S: ColoredStructure) -> Constr
     if delta(S, bs, a).dim_part != m:
         raise NotIndependent("base set is not independent over the anchor")
     S2, new_ids = grow_patch(S, bs, 0, n, colored=False, prefix="g")
-    checks = [_certified("all_bases", _on_moment_curve(S2, a, bs, new_ids))]
+    _on_curve("all_bases", S2, bs, [(new_ids, S2.backend.ambient_dim, 0)])
+    checks = [_certified("all_bases", (delta(S2, bs, a).dim_part == m, "B is independent over A"))]
     return Construction(S2, checks, copies=[new_ids])
 
 
@@ -643,11 +697,11 @@ def transcendental_patch(a_ids, b_ids, epsilon, S: ColoredStructure) -> Construc
         raise GapTooSmall("need delta(B/A) > epsilon")
     pair = dirichlet_window(S.alpha, eps)
     window = PreDimValue(pair.s, pair.k).value(S.alpha)
-    return _patch_union(S, a, b, pair, 1, lambda res, gap_ok, shaped: [
+    return _patch_union(S, a, b, pair, 1, "delta_gap", lambda res, gaps: [
         Check("window", window.sign() < 0 and (window + eps).sign() > 0),
-        Check("delta_gap", gap_ok),
-        _certified("generic_position", shaped),
-        _certified("interior_condition", shaped, _interior(pair.s, pair.k, S.alpha)),
+        Check("delta_gap", all(g == res.delta_gap for g in gaps), method="certified"),
+        _certified("generic_position"),
+        _certified("interior_condition", _interior(pair.s, pair.k, S.alpha)),
     ])
 
 
@@ -667,32 +721,31 @@ def free_power_patch(a_ids, b_ids, mu, n: int, S: ColoredStructure) -> Construct
         terms.append(epsilon_bound(n, S.alpha).value(S.alpha) / n)
     pair = dirichlet_window(S.alpha, min(terms) / 2)
     count = (gap.value(S.alpha) / -PreDimValue(pair.s, pair.k).value(S.alpha)).floor()
-    return _patch_union(S, a, b, pair, count, lambda res, gap_ok, shaped: [
-        Check("per_copy_gap", gap_ok),
-        Check("power_gap", (
-            delta(res.structure, b | set(res.new_ids), a).value(S.alpha) - mu_q
-        ).sign() < 0),
-        _certified("small_sets_closed", shaped, _interior(pair.s, pair.k, S.alpha), (n <= pair.k, "n <= k")),
+    return _patch_union(S, a, b, pair, count, "per_copy_gap", lambda res, gaps: [
+        Check("per_copy_gap", all(g == res.delta_gap for g in gaps), method="certified"),
+        Check("power_gap", (sum(gaps, gap).value(S.alpha) - mu_q).sign() < 0, method="certified"),
+        _certified("small_sets_closed", _interior(pair.s, pair.k, S.alpha), (n <= pair.k, "n <= k")),
     ])
 
 
-def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construction:
+def _patch_union(S, a, b, pair: ApproximationPair, count: int, first: str, lead) -> Construction:
     """Grow `count` copies of the patch `pair` = (s, k) over B and verify
     their free union D*; a single patch is the union of one copy.
 
     Copy c continues the lambda sequence from 1 + c*k in its own s fresh
     columns, which follow S's columns; one `grow_patch` grows them all.
-    `_moment_shape` is read once, with all of S zero on the blocks; its
-    verdict serves the engine's subset checks and `_fresh_block_union`,
-    which reads each copy's delta(copy/B) and, where its lemma applies,
-    certifies ambient K+ and whether A is closed in D*.  Otherwise the DP `_free_union_min` over the copies'
-    walked `_block_profile` tables decides both exhaustively, and where it
-    cannot, the budgeted search of D* (`_dp_or_searched`).  The checks come
-    in one order: the engine's own, `lead(result, gap_ok, shaped)` with
-    gap_ok whether every copy has delta(copy/B) = s - alpha*k and shaped
-    the moment shape's verdict, then anchor_closed, transcendental and
-    ambient_k_plus.  The engine's own are made first, so a subset check
-    whose certificate fails raises before any table is walked.
+    `_on_curve` is read once, with all of S zero on the blocks, and raises
+    naming `first`, the engine's first check to read it.  Each copy's
+    delta(N_c/B) = min(k_c, s) - alpha*|colored of N_c| is read off by the
+    curve lemma (b), and so is delta(D*/A) = delta(B/A) + their sum (d).
+    `_fresh_block_union` certifies ambient K+ and whether A is closed in D*
+    where its lemma applies.  Otherwise the DP `_free_union_min` over the
+    copies' walked `_block_profile` tables decides both exhaustively, and
+    where it cannot, the budgeted search of D* (`_dp_or_searched`).  The
+    checks come in one order: the engine's own, `lead(result, gaps)` with
+    `gaps` the copies' delta(N_c/B), then anchor_closed, transcendental and
+    ambient_k_plus.  The engine's own are made first, so a check whose
+    certificate fails raises before any table is walked.
     """
     s, k = pair.s, pair.k
     old_width = S.backend.ambient_dim
@@ -701,9 +754,9 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     res = Construction(S2, copies=copies, pair=pair)
     star = b | set(res.new_ids)
     blocks = _fresh_blocks(S2, copies, s)
-    shaped = _moment_shape(S2, S.id_set, blocks)
-    gaps, verdicts = _fresh_block_union(S, S2, a, b, copies, pair, shaped)
-    own = lead(res, all(g == res.delta_gap for g in gaps), shaped)
+    rank = _on_curve(first, S2, b, blocks, others=S.id_set)
+    own = lead(res, [PreDimValue(min(len(ids), s), len(S2.colored.intersection(ids))) for ids in copies])
+    verdicts = _fresh_block_union(S, S2, a, b, copies, pair, rank)
     method, tables = "certified" if verdicts else "exhaustive", []
 
     def dp(T, prime) -> bool:
@@ -730,22 +783,20 @@ def _patch_union(S, a, b, pair: ApproximationPair, count: int, lead) -> Construc
     return res
 
 
-def _fresh_block_union(S, S2, a, b, copies, pair: ApproximationPair, shaped: bool):
-    """Each copy's delta(N_c/B), and the fresh-block lemma's verdicts
-    {"ambient_k_plus": D* in K+, "anchor_closed": A <= B u copies}, or None
-    for them where a hypothesis fails or a search on S overruns its budget.
+def _fresh_block_union(S, S2, a, b, copies, pair: ApproximationPair, rank: int):
+    """The fresh-block lemma's verdicts {"ambient_k_plus": D* in K+,
+    "anchor_closed": A <= B u copies}, or None where a hypothesis fails or a
+    search on S overruns its budget.
 
-    D* = S2 extends S by the copies N_1, ..., N_p; B = `b` lies within S, A
-    = `a` within B, and (s, k) = `pair`.  Each copy is read off one reducer:
-    B's rows are added after N_c's, none grows the span iff B lies in
-    span(N_c), and dim(N_c/B) is the rank reached minus rank(B).  The
-    hypotheses, checked here (as are S in K+ and A <= B) but for (i), whose
-    verdict the caller reads as `shaped`:
-      (i)   `_moment_shape` holds for the copies' `_fresh_blocks` with all
-            of S, not only B, zero on the blocks;
+    D* = S2 extends S by the copies N_1, ..., N_p; B = `b` lies within S and
+    has rank `rank` = r, A = `a` lies within B, and (s, k) = `pair`.  The
+    hypotheses, checked here (as are S in K+ and A <= B) but for (i), which
+    the caller has checked:
+      (i)   `_on_curve` holds for the copies' `_fresh_blocks` over B, with
+            all of S, not only B, zero on the blocks;
       (ii)  s - alpha*(k - 1) >= 0 > g = s - alpha*k;
-      (iii) each copy is k colored points, B lies in its span and
-            delta(N_c/B) = g.
+      (iii) each copy is k colored points and k >= r + s, so that B lies in
+            its span and delta(N_c/B) = g (the curve lemma (c) and (b)).
 
     Lemma.  With mu = min_relative_delta(S, B):
       D* is in K+ iff S is and delta(B) + mu + p*g >= 0;
@@ -754,7 +805,7 @@ def _fresh_block_union(S, S2, a, b, copies, pair: ApproximationPair, shaped: boo
     Proof.  Let Y lie within D*, Y_S = Y n S, F the q copies within Y and Z
     = Y_S u (their union).  Projecting onto the blocks of the copies outside
     F kills Z by (i), and there each partial Y n N_c, of m < k points, has
-    rank min(m, s) by `_moment_shape`'s lemma; so delta(Y) >= delta(Z) plus
+    rank min(m, s) by the curve lemma (b); so delta(Y) >= delta(Z) plus
     terms min(m, s) - alpha*m, each >= 0 by alpha <= 1 up to s and by (ii)
     past it.  If q = 0, Z = Y_S.  If q >= 1, B lies in span(Z) by (iii),
     and projecting onto F's blocks (rank s per full copy) gives dim(Z) >=
@@ -767,30 +818,22 @@ def _fresh_block_union(S, S2, a, b, copies, pair: ApproximationPair, shaped: boo
     B: if q = 0, delta(Y/A) >= delta(Y_S/A), and if q >= 1, delta(Y/A) >=
     delta(B/A) + p*g; B and B u copies attain both bounds.
     """
-    s, k = pair.s, pair.k
-    alpha, rank_b = S2.alpha, S2.reducer_for(b).rank
-    gaps, spanned = [], True
-    for ids in copies:
-        red = S2.reducer_for(ids)
-        spanned &= not sum(red.add(S2.introw(i)) for i in sorted(b))
-        gaps.append(PreDimValue(red.rank - rank_b, len(S2.colored.intersection(ids))))
-    gap = PreDimValue(s, k)
+    s, k, alpha = pair.s, pair.k, S2.alpha
     if not (
-        spanned
-        and all(g == gap and len(ids) == k for g, ids in zip(gaps, copies))
-        and PreDimValue(s, k - 1).sign(alpha) >= 0 > gap.sign(alpha)
+        k >= rank + s
+        and all(len(ids) == k and S2.colored.issuperset(ids) for ids in copies)
+        and PreDimValue(s, k - 1).sign(alpha) >= 0 > PreDimValue(s, k).sign(alpha)
         and S2.id_set == S.id_set.union(*copies)
-        and shaped
     ):
-        return gaps, None
+        return None
     try:
         s_ok = in_k_plus(S, VERIFY_NODE_BUDGET)
         mu, _ = min_relative_delta(S, b, VERIFY_NODE_BUDGET)
         a_ok = is_closed(a, S.restrict(b), VERIFY_NODE_BUDGET)
     except SearchBudgetExceeded:
-        return gaps, None
+        return None
     whole = PreDimValue(len(copies) * s, len(copies) * k)
-    return gaps, {
+    return {
         "ambient_k_plus": s_ok and (delta(S, b) + mu + whole).sign(alpha) >= 0,
         "anchor_closed": a_ok and (delta(S, b, a) + whole).sign(alpha) >= 0,
     }
@@ -808,12 +851,12 @@ def rational_minimal_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Con
     a, b, _ = _patch_preconditions(S, a_ids, b_ids, need_positive_gap=True)
     pair = rational_pair(S.alpha, t)
     exact = S.alpha.den * pair.s - S.alpha.num * pair.k == -1
-    return _patch_union(S, a, b, pair, 1, lambda res, gap_ok, shaped: [
-        Check("delta_exact", exact and gap_ok),
+    return _patch_union(S, a, b, pair, 1, "delta_exact", lambda res, gaps: [
+        Check("delta_exact", exact and all(g == res.delta_gap for g in gaps), method="certified"),
         Check("size_exceeds_t", pair.k > t),
-        _certified("generic_position", shaped),
-        _certified("minimal_pair", shaped, _interior(pair.s, pair.k, S.alpha), (
-            delta(res.structure, b | set(res.new_ids), b).sign(S.alpha) < 0, "delta(D/B) < 0"
+        _certified("generic_position"),
+        _certified("minimal_pair", _interior(pair.s, pair.k, S.alpha), (
+            gaps[0].sign(S.alpha) < 0, "delta(D/B) < 0"
         )),
     ])
 
@@ -833,10 +876,10 @@ def rational_zero_extension(a_ids, b_ids, t: int, S: ColoredStructure) -> Constr
     if p == 0:
         return Construction(S, [Check("zero_gap", True)])
     pair = rational_pair(S.alpha, t)
-    return _patch_union(S, a, b, pair, p, lambda res, gap_ok, shaped: [
-        Check("per_copy_gap", gap_ok),
-        Check("zero_gap", delta(res.structure, b | set(res.new_ids), a).sign(S.alpha) == 0),
-        _certified("small_sets_closed", shaped, _interior(pair.s, pair.k, S.alpha), (t <= pair.k, "n <= k")),
+    return _patch_union(S, a, b, pair, p, "per_copy_gap", lambda res, gaps: [
+        Check("per_copy_gap", all(g == res.delta_gap for g in gaps), method="certified"),
+        Check("zero_gap", sum(gaps, gap).sign(S.alpha) == 0, method="certified"),
+        _certified("small_sets_closed", _interior(pair.s, pair.k, S.alpha), (t <= pair.k, "n <= k")),
     ])
 
 
@@ -903,15 +946,13 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> Constru
         S, f_ids = grow_patch(S, d_prev, s, k - s, colored=True, prefix="f", lam_start=lam)
         width = S.backend.ambient_dim
         e_ids = tuple(S.fresh_ids("e", s))
-        units = [tuple(Fraction(int(j == width - s + i)) for j in range(width)) for i in range(s)]
-        S = S.extended(map(GroundElement, e_ids, units), new_colored=e_ids)
+        units = {e: (1, [int(j == width - s + i) for j in range(width)]) for i, e in enumerate(e_ids)}
+        S = S.extended(payloads=units, new_colored=e_ids)
         new = e_ids + f_ids
-        shaped = _moment_shape(S, d_prev, _fresh_blocks(S, [new], s))
-        below = delta(S, d_prev + new, d_prev).sign(alpha) < 0
-        checks.append(_certified(f"generic_{lvl}", shaped))
-        checks.append(_certified(
-            f"minimal_pair_{lvl}", shaped, _interior(s, k, alpha), (below, "delta(D/B) < 0")
-        ))
+        _on_curve(f"generic_{lvl}", S, d_prev, _fresh_blocks(S, [new], s))
+        below = PreDimValue(min(k, s), len(S.colored.intersection(new))).sign(alpha) < 0
+        checks.append(_certified(f"generic_{lvl}"))
+        checks.append(_certified(f"minimal_pair_{lvl}", _interior(s, k, alpha), (below, "delta(D/B) < 0")))
         levels.append(
             ChainLevel(
                 d_ids=tuple(sorted(d_prev + new)),

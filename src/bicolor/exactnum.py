@@ -14,8 +14,9 @@ rational alpha = num/den the sign is that of den*dim - num*col.  For quadratic a
 c > 0 gives u + w*sqrt(d) with u = c*dim - a*col and w = -b*col.  When u and
 w agree in sign, or one of them is zero, that is the answer; otherwise the
 term of larger magnitude decides, found by comparing u^2 with w^2*d (equality
-still yields 0).  `QuadRat.sign` applies the same rule to rational p, q and
-remains the reference the integer routine is tested against.
+still yields 0): `surd_sign`, which `dirichlet_window` also decides its scan
+by.  `QuadRat.sign` applies the same rule to rational p, q and remains the
+reference the integer routines are tested against.
 
 No floating point participates in any comparison; floats appear only as
 display approximations.
@@ -142,16 +143,11 @@ class QuadRat:
         return float(self.p) + float(self.q) * math.sqrt(self.d) if self.q != 0 else float(self.p)
 
     def floor(self) -> int:
-        """Exact floor: the value is (a + b*sqrt(d))/c over integers with c > 0,
-        so the floor is (a + floor(b*sqrt(d))) // c, the inner floor by isqrt."""
+        """Exact floor: the value is (a + b*sqrt(d))/c over integers with c > 0
+        (`floor_surd`)."""
         c = math.lcm(self.p.denominator, self.q.denominator)
-        a = self.p.numerator * (c // self.p.denominator)
-        b = self.q.numerator * (c // self.q.denominator)
-        n = b * b * self.d
-        r = math.isqrt(n)
-        if b < 0:
-            r = -r if r * r == n else -r - 1
-        return (a + r) // c
+        a, b = (x.numerator * (c // x.denominator) for x in (self.p, self.q))
+        return floor_surd(a, b, self.d, c)
 
     def render(self) -> str:
         """Canonical exact string: 'a/c' or '(a+b*sqrt(d))/c'."""
@@ -309,13 +305,26 @@ def pre_dim_sign(dim: int, col: int, alpha: Alpha) -> int:
     if alpha.is_rational:
         lhs = alpha.den * dim - alpha.num * col
         return (lhs > 0) - (lhs < 0)
-    u = alpha.c * dim - alpha.a * col
-    w = -alpha.b * col
+    return surd_sign(alpha.c * dim - alpha.a * col, -alpha.b * col, alpha.d)
+
+
+def floor_surd(a: int, b: int, d: int, c: int) -> int:
+    """floor((a + b*sqrt(d))/c) for integers with d >= 0 and c > 0: (a +
+    floor(b*sqrt(d))) // c, the inner floor by isqrt, as floor(-sqrt(n)) =
+    -1 - isqrt(n - 1) for n >= 1."""
+    root = math.isqrt(b * b * d) if b >= 0 else -1 - math.isqrt(b * b * d - 1)
+    return (a + root) // c
+
+
+def surd_sign(u: int, w: int, d: int) -> int:
+    """Exact sign of u + w*sqrt(d) for integers u, w and d >= 0: the sign of
+    u and w where they agree or one is zero, else that of the term of larger
+    magnitude, found by comparing u^2 with w^2*d (equal: 0)."""
     su = (u > 0) - (u < 0)
     sw = (w > 0) - (w < 0)
     if su * sw >= 0:
         return su or sw
-    diff = u * u - w * w * alpha.d
+    diff = u * u - w * w * d
     return su * ((diff > 0) - (diff < 0))
 
 
@@ -369,22 +378,26 @@ def dirichlet_window(alpha: Alpha, epsilon) -> ApproximationPair:
     by the density of {k*alpha mod 1} for irrational alpha.  epsilon may be an
     exact rational or any exact element of Q(alpha) (the internal callers pass
     irrational thresholds); it must satisfy 0 < epsilon < alpha.
+
+    Everything is decided in integers.  With alpha = (a + b*sqrt(d))/c and
+    epsilon = (e1 + e2*sqrt(d))/e3, c, e3 > 0, epsilon < alpha iff (a*e3 -
+    c*e1) + (b*e3 - c*e2)*sqrt(d) > 0 (`surd_sign`).  At each k, s =
+    `floor_surd`(k*a, k*b, d, c); k*alpha - s > 0, as k*alpha is
+    irrational; and k*alpha - s < epsilon iff U + W*sqrt(d) > 0 for U =
+    c*e1 - e3*(k*a - c*s) and W = c*e2 - e3*k*b.
     """
     if alpha.is_rational:
         raise RationalAlpha("dirichlet_window needs an irrational alpha")
     eps = QuadRat.of(epsilon)
-    av = alpha.value()
-    if eps.sign() <= 0 or (eps - av).sign() >= 0:
-        raise BadEpsilon("epsilon must satisfy 0 < epsilon < alpha")
-    k = 2
-    while k <= 10**6:
-        ka = av * k
-        s = ka.floor()
-        if s >= 1:
-            frac = ka - s
-            if frac.sign() > 0 and (frac - eps).sign() < 0:
-                return ApproximationPair(s=s, k=k)
-        k += 1
+    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+    e3 = math.lcm(eps.p.denominator, eps.q.denominator)
+    e1, e2 = (x.numerator * (e3 // x.denominator) for x in (eps.p, eps.q))
+    if eps.q and eps.d != d or surd_sign(e1, e2, d) <= 0 or surd_sign(a * e3 - c * e1, b * e3 - c * e2, d) <= 0:
+        raise BadEpsilon("epsilon must lie in Q(alpha) and satisfy 0 < epsilon < alpha")
+    for k in range(2, 10**6 + 1):
+        s = floor_surd(k * a, k * b, d, c)
+        if s >= 1 and surd_sign(c * e1 - e3 * (k * a - c * s), c * e2 - e3 * k * b, d) > 0:
+            return ApproximationPair(s=s, k=k)
     raise InvariantError("dirichlet scan failed to terminate within bound")
 
 

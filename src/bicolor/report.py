@@ -15,7 +15,7 @@ class Check:
     """One named verification outcome and how it was reached.
 
     `method` is "certified" (a proof read off the verified shape of the
-    result, such as the moment-shape certificate, the only way a subset
+    result, such as the whole moment-curve certificate, the only way a subset
     check passes, or a chain's level-by-level K+ certificate) or
     "exhaustive" (every case tried).  A check that neither decides raises
     instead of being reported, and a Check with any other method raises

@@ -144,8 +144,8 @@ class TestErrorCodes:
         }
 
     def test_misshapen_build_exits_two(self, capsys, monkeypatch, tmp_path):
-        # two points of the patch share a lambda, so the moment shape fails
-        # and the first subset check fails the construction, naming itself
+        # two points of the patch share a lambda, so the moment curve fails
+        # and fails the construction, naming the first check that reads it
         from bicolor import construct
         from test_construct import _repeating
 
@@ -157,7 +157,7 @@ class TestErrorCodes:
         assert code == 2
         assert obj == {
             "error": "InvariantError",
-            "message": "generic_position: the moment shape does not hold on the result",
+            "message": "delta_gap: the lambdas and unit points of copy 1 are distinct does not hold on the result",
         }
 
     def test_non_integer_alpha_json_is_one(self, capsys):
@@ -427,8 +427,11 @@ class TestConstructGoldenBytes:
     sha256 prefix.  `steps_back` lists, newest first, the checks each earlier
     change moved to certified and the stdout digest before it: putting those
     methods back to exhaustive, step by step, reproduces each earlier digest,
-    and nothing else differs.  The fresh-block lemma certifies ambient K+ and
-    anchor closedness of every patch here: over one point, over two points
+    and nothing else differs.  The newest step (GAP, POWER, EXACT, ZERO)
+    moved the value checks, each copy's delta and the union's delta, which
+    the whole-curve lemma reads off the moment curve where reducers computed
+    them.  The fresh-block lemma certifies ambient K+ and anchor closedness
+    of every patch here: over one point, over two points
     with k - s = 3 (s = 7, k = 10), and past BLOCK_PROFILE_LIMIT in the
     17-point patch at 1/sqrt(2) (s = 12), whose two checks were certified
     before it too, by the free-union DP on a closed-form table that is gone;
@@ -436,16 +439,21 @@ class TestConstructGoldenBytes:
     DP decided them exhaustively (step FRESH).  Before that, the subset
     checks (genericity, interior, minimal pair, small sets) were swept, not
     certified by the moment-shape certificate first.  A basis extension's
-    all_bases is certified by `_on_moment_curve` and was swept before.  The
-    17-point patch's stdout had `OLD_PAST_LIMIT_DIGEST` when its genericity
-    was swept and its other three certified checks were searched or sampled
+    all_bases is certified by the moment curve (`construct._on_curve`) and
+    was swept before.  The 17-point patch's stdout had
+    `OLD_PAST_LIMIT_DIGEST` when its delta_gap was computed, its genericity
+    swept and its other three certified checks searched or sampled
     (`test_past_limit_old_methods`)."""
 
     OLD_PAST_LIMIT_DIGEST = "2882e221027cc41b"
     OLD_PAST_LIMIT_METHODS = {
-        "generic_position": "exhaustive", "interior_condition": "sampled",
+        "delta_gap": "exhaustive", "generic_position": "exhaustive", "interior_condition": "sampled",
         "anchor_closed": "exhaustive", "ambient_k_plus": "exhaustive",
     }
+    GAP = ("delta_gap",)
+    POWER = ("per_copy_gap", "power_gap")
+    EXACT = ("delta_exact",)
+    ZERO = ("per_copy_gap", "zero_gap")
     FRESH = ("anchor_closed", "ambient_k_plus")
     PATCH = ("generic_position", "interior_condition")
     RATMIN = ("generic_position", "minimal_pair")
@@ -467,29 +475,29 @@ class TestConstructGoldenBytes:
         "structure, argv, stdout_digest, out_digest, steps_back",
         [
             ("irr", ["patch", "--base", "b", "--epsilon", "1/3"],
-             "07adc552299b5151", "1aae00673358b542",
-             [(FRESH, "57550cb261f35314"), (PATCH, "2a26e57eb2094543")]),
+             "0f738337156fa150", "1aae00673358b542",
+             [(GAP, "07adc552299b5151"), (FRESH, "57550cb261f35314"), (PATCH, "2a26e57eb2094543")]),
             ("irr6", ["patch", "--base", "b", "--epsilon", "1/10"],
-             "41e83a5d2f7546ad", "320bd2e7b829c4b9",
-             [(FRESH, "7f69048563b54850"), (PATCH, "010af60db2cbdd6d")]),
+             "886b795ddec6189a", "320bd2e7b829c4b9",
+             [(GAP, "41e83a5d2f7546ad"), (FRESH, "7f69048563b54850"), (PATCH, "010af60db2cbdd6d")]),
             ("irr2", ["patch", "--base", "b1,b2", "--epsilon", "1/10"],
-             "15e86a6686a49f86", "04388e70e45f38ed",
-             [(FRESH, "e02dc559bda5cdb5"), (PATCH, "f8c9712d883152ed")]),
+             "ccd922e0ce1ca135", "04388e70e45f38ed",
+             [(GAP, "15e86a6686a49f86"), (FRESH, "e02dc559bda5cdb5"), (PATCH, "f8c9712d883152ed")]),
             ("irr", ["patch", "--base", "b", "--epsilon", "1/20"],
-             "201376e9cc6bca9b", "50cee748c5e0d4a5",
-             [(("generic_position",), "02eb834b97a4be9c")]),
+             "c2ace9de00d8fdb9", "50cee748c5e0d4a5",
+             [(GAP, "201376e9cc6bca9b"), (("generic_position",), "02eb834b97a4be9c")]),
             ("irr", ["power", "--base", "b", "--mu", "1/2", "-n", "2"],
-             "9e3cec42aa89b00e", "50cd8d331634820a",
-             [(FRESH, "f7d2daae29ca0041"), (SMALL, "610ffd03c9556a0e")]),
+             "2c7065dd9b40caae", "50cd8d331634820a",
+             [(POWER, "9e3cec42aa89b00e"), (FRESH, "f7d2daae29ca0041"), (SMALL, "610ffd03c9556a0e")]),
             ("rat", ["ratmin", "--base", "b", "-t", "0"],
-             "78497156e2a9215f", "86c4bd84e76ae430",
-             [(FRESH, "87c5183e6c42dc9a"), (RATMIN, "8fc89e4434258d5e")]),
+             "21e2e33a00146205", "86c4bd84e76ae430",
+             [(EXACT, "78497156e2a9215f"), (FRESH, "87c5183e6c42dc9a"), (RATMIN, "8fc89e4434258d5e")]),
             ("rat", ["ratmin", "--base", "b", "-t", "1"],
-             "174f1cd6cdcec83a", "bce08e5479282e13",
-             [(FRESH, "9a663936e60d570b"), (RATMIN, "667315bcd54b9278")]),
+             "3ef2d9e5bccc9ed3", "bce08e5479282e13",
+             [(EXACT, "174f1cd6cdcec83a"), (FRESH, "9a663936e60d570b"), (RATMIN, "667315bcd54b9278")]),
             ("rat", ["ratzero", "--base", "b", "-t", "0"],
-             "4232239b39f2a0d1", "cea836df65cc255f",
-             [(FRESH, "99cd6d3736981d8c"), (SMALL, "1e19520c7b0237c5")]),
+             "ee85fec353d1b44f", "cea836df65cc255f",
+             [(ZERO, "4232239b39f2a0d1"), (FRESH, "99cd6d3736981d8c"), (SMALL, "1e19520c7b0237c5")]),
             (None, ["chain", "--alpha", QUAD, "--depth", "2", "--ambient-budget", "32"],
              "1a33c4d136abe46d", "f05197bccdc4049a",
              [(("generic_1", "minimal_pair_1", "generic_2", "minimal_pair_2"), "947d6dbb3d1dc971")]),

@@ -17,7 +17,7 @@ from bicolor.construct import (
     _block_profile,
     _free_union_min,
     _fresh_block_union,
-    _moment_shape,
+    _on_curve,
     _tower_k_plus_check,
     chain_pairs,
     chain_window,
@@ -65,11 +65,15 @@ from test_colored import ge
 
 
 def _repeating(moment_rows):
-    """`moment_rows` with its last row replaced by twice its first, so two
-    points of a copy share one lambda."""
-    def rows(basis_vecs, count, lam_start=1):
-        out = moment_rows(basis_vecs, count, lam_start)
-        return out[:-1] + [tuple(2 * x for x in out[0])] if count > 1 else out
+    """`moment_rows` with its last point replaced by twice its first, so two
+    points of a copy share one lambda.  The payload (m, row) of v becomes
+    that of 2v: (m/2, row) for even m, else (m, 2*row)."""
+    def rows(basis, width, count, lam_start=1):
+        out = moment_rows(basis, width, count, lam_start)
+        if count < 2:
+            return out
+        m, row = out[0]
+        return out[:-1] + [(m // 2, row) if m % 2 == 0 else (m, [2 * x for x in row])]
 
     return rows
 
@@ -132,19 +136,20 @@ class TestGenericBasisExtension:
     def test_off_the_curve_raises(self, monkeypatch):
         S = plain_points(ALPHA_HALF, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         S2, ids = grow_patch(S, ["b2", "b3"], 0, 3, colored=False, prefix="g")
-        assert construct._on_moment_curve(S2, ["b1"], ["b2", "b3"], ids)
+        copy = [(ids, 3, 0)]
+        assert _on_curve("all_bases", S2, ["b2", "b3"], copy) == 2
         # g3 = b2 + 3*b3 moved to b2 + 2*b3 = g2: {g2, g3} is no base
         broken = _perturbed(S2, "g3", -1)
-        assert not construct._on_moment_curve(broken, ["b1"], ["b2", "b3"], ids)
-        # the points lie outside span(b1, b2)
-        assert not construct._on_moment_curve(S2, [], ["b1", "b2"], ids)
-        # b2 is not independent over b2
-        assert not construct._on_moment_curve(S2, ["b2"], ["b2", "b3"], ids)
+        with pytest.raises(InvariantError, match="^all_bases: the lambdas and unit points of copy 1 are distinct"):
+            _on_curve("all_bases", broken, ["b2", "b3"], copy)
         t = SubsetTable(broken)
         assert t.delta_pair(t.mask_of(["g2", "g3"]), t.mask_of(["b1"])) == (1, 0)
+        # the points lie outside span(b1, b2)
+        with pytest.raises(InvariantError, match="^all_bases: each point of copy 1 is on its moment curve"):
+            _on_curve("all_bases", S2, ["b1", "b2"], copy)
         # an extension whose points repeat a lambda raises, naming the check
         monkeypatch.setattr(construct, "_moment_rows", _repeating(construct._moment_rows))
-        with pytest.raises(InvariantError, match="^all_bases: the moment shape does not hold"):
+        with pytest.raises(InvariantError, match="^all_bases: the lambdas and unit points of copy 1 are distinct"):
             generic_basis_extension(["b1"], ["b2", "b3"], 3, S)
 
 
@@ -467,129 +472,172 @@ class TestExactPastDeskScale:
     def test_rational_minimal_extension(self):
         res = rational_minimal_extension([], ["b"], 2, _one_point(ALPHA_TWO_THIRDS))
         assert (res.pair.s, res.pair.k) == (45, 68)
-        certified = ["generic_position", "minimal_pair", "anchor_closed", "ambient_k_plus"]
+        certified = ["delta_exact", "generic_position", "minimal_pair", "anchor_closed", "ambient_k_plus"]
         assert [c.name for c in res.checks if c.method == "certified"] == certified
         assert all(c.passed and c.method in ("exhaustive", "certified") for c in res.checks)
 
 
-class TestMomentShape:
-    """`_moment_shape` against brute-force subset ranks (conftest's Bareiss
-    rank on cleared payloads): where it accepts, every C within the copies
-    has dim(C/B) >= the sum over copies of min(|C n copy|, s), with equality
-    when |C| <= s; each broken shape makes it decline."""
+def _gamma(basis, width: int, start: int, s: int, lam) -> list:
+    """sum_i lam^(i-1)*u_i, u being the `basis` vectors and then the unit
+    vectors of the columns [start, start + s), as `Fraction`s."""
+    vec = [F(0)] * width
+    for i, v in enumerate(basis):
+        for j, x in enumerate(v):
+            vec[j] += lam**i * x
+    for t in range(s):
+        vec[start + t] += lam ** (len(basis) + t)
+    return vec
+
+
+class TestOnCurve:
+    """`_on_curve` against brute-force subset ranks (conftest's `SubsetTable`,
+    Bareiss rank on cleared payloads), on layouts of at most 13 points: a
+    base B of rank 0 to 3 with a dependent point at times, a point of S
+    outside B, and one or two copies of at most 10 points in all, with s in
+    {0, 1, 2, 3}, whose points are c*gamma(lam) at random c > 0 and distinct
+    lam > 0, or units of their block, built here from the basis B picks in
+    id order.  Where it holds, each statement of the curve lemma holds on
+    the table: (a) any r + s points of a copy are independent, (b) dim(C/B)
+    = sum of min(|C n N_c|, s), (c) B lies in span(N_c) iff k >= r + s (for
+    k >= s), (d) dim(B u copies / A) = dim(B/A) + sum of min(k_c, s).  Each
+    broken rule raises InvariantError naming it."""
 
     @staticmethod
-    def _copy(rng, s, k):
-        """Block parts of k points: distinct positive units and moment rows
-        c*(1, lam, ..., lam^(s-1)) with c > 0 and distinct lam > 0."""
-        units = rng.sample(range(s), rng.randint(0, min(s, k))) if s > 1 else []
-        lams = set()
-        while len(lams) < k - len(units):
-            lams.add(F(rng.randint(1, 7), rng.randint(1, 3)))
-        parts = [[F(rng.randint(1, 3)) * (j == t) for j in range(s)] for t in units]
-        for lam in sorted(lams, key=lambda _: rng.random()):
-            c = F(rng.randint(1, 4), rng.randint(1, 2))
-            parts.append([c * lam**j for j in range(s)])
-        rng.shuffle(parts)
-        return parts
-
-    def _layout(self, rng, s=None, ncopies=None):
-        """(old width, s, base rows, per copy its rows' (old part, block part))."""
-        s = s or rng.randint(1, 5)
-        ncopies = ncopies or rng.randint(1, 3)
-        sizes = [rng.randint(1, 10 // ncopies) for _ in range(ncopies)]
-        w = rng.randint(1, 3)
-        old = lambda: [F(rng.randint(-2, 2)) for _ in range(w)]
-        base = []
-        while len(base) < rng.randint(0, 3):
-            row = old()
-            base += [row] if any(row) else []
-        copies = [[(old(), part) for part in self._copy(rng, s, k)] for k in sizes]
-        return w, s, base, copies
-
-    @staticmethod
-    def _build(w, s, base, copies):
-        """The structure, base ids and blocks of a layout: copy c owns the
-        block [w + c*s, w + (c + 1)*s)."""
-        width = w + len(copies) * s
-        elems = [GroundElement(f"b{i}", tuple(r) + (F(0),) * (width - w)) for i, r in enumerate(base)]
-        blocks = []
-        for c, rows in enumerate(copies):
-            ids = tuple(f"c{c}_{i}" for i in range(len(rows)))
+    def _layout(rng, r, s, sizes):
+        """(S, B ids, other ids, blocks, the basis vectors, per copy its
+        (c, lam or unit position) parts)."""
+        w = max(r, 1) + rng.randint(0, 1)
+        width = w + len(sizes) * s
+        while True:
+            base = [[rng.randint(-2, 2) for _ in range(w)] for _ in range(r)]
+            if rank_int_matrix(base, w) == r:
+                break
+        if r >= 2 and rng.random() < 0.5:
+            base.insert(rng.randrange(len(base) + 1), [x + y for x, y in zip(base[0], base[1])])
+        pad = lambda row: [F(x) for x in row] + [F(0)] * (width - w)
+        b_ids = [f"b{i}" for i in range(len(base))]
+        kept = []
+        for i, row in enumerate(base):
+            if rank_int_matrix([base[j] for j in kept] + [row], w) > len(kept):
+                kept.append(i)
+        basis = [pad(base[i]) for i in kept]
+        elems = [GroundElement(i, tuple(pad(row))) for i, row in zip(b_ids, base)]
+        elems.append(GroundElement("x", tuple(pad([1] + [0] * (w - 1)))))
+        blocks, parts = [], []
+        for c, k in enumerate(sizes):
             start = w + c * s
-            for eid, (o, f) in zip(ids, rows):
-                vec = [*o, *[F(0)] * (width - w)]
-                vec[start:start + s] = f
+            units = rng.sample(range(s), rng.randint(0, min(s, k))) if s and r + s > 1 else []
+            lams = set()
+            while len(lams) < k - len(units):
+                lams.add(F(rng.randint(1, 6), rng.randint(1, 3)) if r + s > 1 else F(1))
+                if r + s == 1:
+                    break
+            nodes = [("unit", t) for t in units] + sorted(lams)
+            while len(nodes) < k:  # r + s = 1: every point is a multiple of u_1
+                nodes.append(F(1))
+            rng.shuffle(nodes)
+            ids = tuple(f"n{c}_{i}" for i in range(k))
+            copy = []
+            for eid, node in zip(ids, nodes):
+                scale = F(rng.randint(1, 4), rng.randint(1, 2))
+                if isinstance(node, tuple):
+                    vec = [F(0)] * width
+                    vec[start + node[1]] = scale
+                else:
+                    vec = [scale * x for x in _gamma(basis, width, start, s, node)]
                 elems.append(GroundElement(eid, tuple(vec)))
+                copy.append(node)
             blocks.append((ids, start, s))
-        S = empty_structure(ALPHA_INV_SQRT2, ambient=width).extended(elems)
-        return S, [e.id for e in elems[:len(base)]], blocks
+            parts.append(copy)
+        colored = [e.id for e in elems if rng.random() < 0.5]
+        S = ColoredStructure(Backend(LINEAR, width), tuple(elems), frozenset(colored), ALPHA_INV_SQRT2)
+        return S, b_ids, ["x"], blocks, basis, parts
 
-    def test_accepts_and_bounds_hold(self, rng):
+    def test_lemma_on_subset_tables(self, rng):
         seen = set()
-        for trial in range(40):
-            w, s, base, copies = self._layout(rng, s=trial % 5 + 1)
-            S, b_ids, blocks = self._build(w, s, base, copies)
-            assert _moment_shape(S, b_ids, blocks)
-            seen.add(len(blocks))
-            rows = dict(zip(S.ids_sorted, _int_rows(S)))
-            rank = lambda ids: rank_int_matrix([rows[i] for i in ids], S.backend.ambient_dim)
-            r_base = rank(b_ids)
-            points = [(i, c) for c, (ids, _, _) in enumerate(blocks) for i in ids]
-            for size in range(1, len(points) + 1):
-                for combo in itertools.combinations(points, size):
-                    dim = rank(b_ids + [i for i, _ in combo]) - r_base
-                    per_copy = [sum(d == j for _, d in combo) for j in range(len(blocks))]
-                    assert dim >= sum(min(m, s) for m in per_copy)
-                    assert size > s or dim == size
-        assert seen == {1, 2, 3}
+        for trial in range(48):
+            r, s = trial % 4, trial // 4 % 4
+            if r + s == 0:
+                continue
+            ncopies = 1 + trial % 3 // 2
+            sizes = [rng.randint(1, 10 // ncopies) for _ in range(ncopies)]
+            S, b_ids, others, blocks, basis, _ = self._layout(rng, r, s, sizes)
+            assert _on_curve("x", S, b_ids, blocks, others) == r
+            t = SubsetTable(S)
+            over = t.mask_of(b_ids)
+            masks = [t.mask_of(ids) for ids, _, _ in blocks]
+            for mask, k in zip(masks, sizes):
+                assert t.dim[mask] == min(k, r + s)
+                assert all(t.dim[sub] == bin(sub).count("1") for sub in submasks(mask)
+                           if bin(sub).count("1") <= r + s)
+                if k >= s:
+                    assert (t.dim[mask | over] == t.dim[mask]) == (k >= r + s)
+                seen |= {("k < r + s", k < r + s), ("s", min(s, 2))}
+            union = sum(masks)
+            for sub in submasks(union):
+                want = sum(min(bin(sub & mask).count("1"), s) for mask in masks)
+                assert t.delta_pair(sub, over)[0] == want
+            for a in submasks(over):
+                assert t.delta_pair(over | union, a)[0] == t.delta_pair(over, a)[0] + sum(min(k, s) for k in sizes)
+            seen.add(("copies", ncopies))
+        assert seen == {("k < r + s", True), ("k < r + s", False), ("copies", 1), ("copies", 2)} | {
+            ("s", s) for s in range(3)
+        }
 
     def _broken(self, rng, case):
-        """(S, base ids, blocks) of a random layout with one shape rule broken."""
-        two = case == "copy on another block"
-        w, s, base, copies = self._layout(rng, s=1 if "s = 1" in case else rng.randint(3, 5),
-                                          ncopies=2 if two else 1)
-        old = lambda: [F(rng.randint(-2, 2)) for _ in range(w - 1)] + [F(1)]
-        curve = lambda c, lam: (old(), [c * lam**j for j in range(s)])
-        unit = lambda t, x: (old(), [F(x) * (j == t) for j in range(s)])
-        lam, t = F(rng.randint(15, 20)), rng.randrange(s)  # lam unused: the layout's are <= 7
-        moments = [r for r in copies[0] if s == 1 or sum(map(bool, r[1])) > 1]
-        if case == "repeated lam":
-            copies[0] += [curve(F(1), lam), curve(F(2), lam)]
-        elif case == "lam < 0":  # lam = 0 is c times the unit e_0
-            copies[0].append(curve(F(1), -rng.choice([F(1), F(1, 2), F(3)])))
-        elif case.startswith("c <= 0"):
-            copies[0].append(curve(rng.choice([F(0), F(-1), F(-2), F(-1, 2)]), lam))
+        """(S, B ids, blocks, rule) of a layout with one rule broken."""
+        s = 1 if "s = 1" in case else 0 if "s = 0" in case else rng.randint(2, 3)
+        r = 3 if s == 0 else 2 if s == 1 else rng.randint(1, 2)
+        two = case == "entry on a foreign block"
+        curve = []
+        while len(curve) < 2:
+            S, b_ids, _, blocks, basis, parts = self._layout(rng, r, s, [3, 3] if two else [4])
+            ids, start, _ = blocks[0]
+            curve = [eid for eid, node in zip(ids, parts[0]) if not isinstance(node, tuple)]
+        width = S.backend.ambient_dim
+        vecs = {e.id: list(e.vec) for e in S.elements}
+        first, last = curve[0], curve[-1]
+        rule = "each point of copy 1 is on its moment curve"
+        if case.startswith("repeated lambda"):
+            vecs[last] = [2 * x for x in vecs[first]]
+            rule = "the lambdas and unit points of copy 1 are distinct"
         elif case == "repeated unit":
-            copies[0] += [unit(t, 1), unit(t, 2)]
+            vecs[first], vecs[last] = ([F(j == start) * x for j in range(width)] for x in (1, 3))
+            rule = "the lambdas and unit points of copy 1 are distinct"
+        elif case.startswith("c <= 0"):
+            vecs[last] = [-x for x in vecs[last]]
+            rule = "c > 0 at each point of copy 1"
         elif case == "negative unit":
-            copies[0] = [*moments, unit(t, -1)]
-        elif case == "perturbed":
-            copies[0].append(curve(F(1), lam))
+            vecs[last] = [F(-(j == start)) for j in range(width)]
+            rule = "c > 0 at each point of copy 1"
+        elif case == "lambda < 0":
+            vecs[last] = _gamma(basis, width, start, s, F(-rng.randint(1, 3)))
+            rule = "the lambdas of copy 1 are positive"
+        elif case.startswith("old part off the curve"):  # the coefficient of v_r moves alone
+            vecs[last] = [x + y for x, y in zip(vecs[last], basis[-1])]
+        elif case == "entry on a foreign block":
+            vecs[last][blocks[1][1]] = F(1)
+            rule = "each point of copy 1 is zero off B's columns and its block"
         elif case == "base on a block":
-            base.append(old())
-        S, b_ids, blocks = self._build(w, s, base, copies)
-        if case == "perturbed":  # one entry of the new moment row
-            S = _perturbed(S, blocks[0][0][-1], 1)
-        elif case == "base on a block":  # the last column lies in the last block
-            S = _perturbed(S, b_ids[-1], 1)
-        elif two:
-            S = _perturbed(S, blocks[0][0][0], 1)
+            vecs[b_ids[-1]][start] = F(1)
+            rule = "B is zero on the fresh blocks"
         elif case == "block past the columns":
-            blocks[-1] = (blocks[-1][0], blocks[-1][1] + 1, s)
-        elif case == "empty block":
-            blocks[0] = (blocks[0][0], blocks[0][1], 0)
-        return S, b_ids, blocks
+            blocks = [(ids, start + 1, s)]
+            rule = "the fresh blocks lie within the columns, disjoint"
+        elems = tuple(GroundElement(e.id, tuple(vecs[e.id])) for e in S.elements)
+        return ColoredStructure(S.backend, elems, S.colored, S.alpha), b_ids, blocks, rule
 
     @pytest.mark.parametrize("case", [
-        "repeated lam", "lam < 0", "c <= 0", "c <= 0, s = 1", "repeated unit", "negative unit",
-        "perturbed", "base on a block", "copy on another block", "block past the columns",
-        "empty block",
+        "repeated lambda", "repeated lambda, s = 1", "repeated lambda, s = 0", "repeated unit",
+        "c <= 0", "c <= 0, s = 1", "c <= 0, s = 0", "negative unit", "lambda < 0",
+        "old part off the curve", "old part off the curve, s = 1", "old part off the curve, s = 0",
+        "entry on a foreign block", "base on a block", "block past the columns",
     ])
-    def test_broken_shapes_decline(self, rng, case):
-        for _ in range(8):
-            S, b_ids, blocks = self._broken(rng, case)
-            assert not _moment_shape(S, b_ids, blocks)
+    def test_broken_rows_raise(self, rng, case):
+        for _ in range(6):
+            S, b_ids, blocks, rule = self._broken(rng, case)
+            with pytest.raises(InvariantError, match=f"^check: {re.escape(rule)} does not hold on the result$"):
+                _on_curve("check", S, b_ids, blocks)
 
 
 QUADRATIC_ALPHAS = [
@@ -626,6 +674,18 @@ def _tower(alpha, d0, levels, extra=(), plain=()):
 
 # Depth-1 chain level at 1/sqrt(2): pair (2, 3) over d0.
 _LEVEL_ONE = ([(0, 1, 0), (0, 0, 1)], [(1, 1, 1)])
+
+
+def _units(first: int, count: int, width: int) -> list:
+    """The unit rows of columns first, ..., first + count - 1."""
+    return [tuple(int(j == first + i) for j in range(width)) for i in range(count)]
+
+
+def _curve_rows(lams, n: int, width: int) -> list:
+    """gamma(lam) = (1, lam, ..., lam^(n-1)) padded to `width`, per lam: the
+    moment curve over unit basis vectors in column order, as a tower over
+    d0 and its levels' E points has it."""
+    return [tuple(lam**i for i in range(n)) + (0,) * (width - n) for lam in lams]
 
 
 class TestTowerKPlus:
@@ -692,17 +752,27 @@ class TestTowerKPlus:
             [(1, 0, 0, 0)],
             [([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [(1, 1, 1, 1), (0, 1, 1, 0)])],
             (),
-            "(a) the moment shape of N_1",
+            "(a) at level 1: each point of copy 1 is on its moment curve",
         ),
-        # s = 1, k = 4: {e, f1, f2} has rank 2 and three colored points
+        # s = 1, k = 4 on the curve: d0 and the three F points have rank 2
+        # and three colored points
         "b_level_too_long": (
-            [(1, 0, 0), (0, 1, 0)], [([(0, 0, 1)], [(1, 0, 1), (2, 0, 1), (0, 1, 1)])], (),
+            [(1, 0)], [([(0, 1)], _curve_rows((1, 2, 3), 2, 2))], (),
             "(b) s - alpha*(k - 1) >= 0 at level 1",
         ),
-        # F'_2 spans the colored e1_0: {e1_0, e2_0, f2_0} has rank 2
-        "c_colored_point_in_span_of_old_parts": (
-            [(1, 0, 0, 0)],
-            [([(0, 1, 0, 0), (0, 0, 1, 0)], [(1, 1, 1, 0)]), ([(0, 0, 0, 1)], [(0, 1, 0, 1)])],
+        # pairs (3, 5) twice: j = 2 < w = 4 at level 2, where the search of
+        # S'_2 finds the drop, and D_2 has delta 7 - 10*alpha < 0
+        "c_searched_at_level_2": (
+            [(1,) + (0,) * 6],
+            [(_units(1, 3, 7), _curve_rows((1, 2), 4, 7)), (_units(4, 3, 7), _curve_rows((3, 4), 7, 7))],
+            (),
+            "(c) delta(F'_2) + min delta(S'_2/F'_2) >= alpha*k - s",
+        ),
+        # pairs (1, 2) then (5, 8): j = 3 >= w = 2 at level 2, where (c) is
+        # delta(D_1) + 5 - 8*alpha = 7 - 10*alpha < 0, read off with no search
+        "c_closed_form_at_level_2": (
+            [(1,) + (0,) * 6],
+            [(_units(1, 1, 7), _curve_rows((1,), 2, 7)), (_units(2, 5, 7), _curve_rows((2, 3, 4), 7, 7))],
             (),
             "(c) delta(F'_2) + min delta(S'_2/F'_2) >= alpha*k - s",
         ),
@@ -736,9 +806,10 @@ class TestTowerKPlus:
         "d0_reaches_a_fresh_block": (
             [(1, 0, 0), (0, 1, 1)], [([(0, 0, 1)], [(1, 0, 1)])], (), "D_0 is zero from column w_1 on"
         ),
+        # f1_0 = d0 + e1_0 + e1_1, on its curve at lam = 1, plus e2_0
         "f_reaches_a_later_block": (
-            [(1, 0, 0, 0)], [([(0, 0, 1, 0)], [(0, 1, 1, 1)]), ([(0, 0, 0, 1)], [])], (),
-            "F_1 is zero past its block",
+            [(1, 0, 0, 0, 0)], [(_units(2, 2, 5), [(1, 0, 1, 1, 1)]), (_units(4, 1, 5), [])], (),
+            "(a) at level 1: each point of copy 1 is zero off B's columns and its block",
         ),
         "plain_f_point": ([(1, 0, 0)], [_LEVEL_ONE], ("f1_0",), "N_1 is colored"),
     }
@@ -767,11 +838,11 @@ class TestTowerKPlus:
             lvls[1] = replace(lvls[1], f_ids=("f1_0", "f1_0"))
             rule = "N_1 lists new points once"
         elif how == "failed":
-            # f1_0 = d0 + e1_0 - e1_1 is off the moment curve, so (a) is not
-            # read off, though every 2-subset of the level is still a base
+            # f1_0 = d0 + e1_0 - e1_1 reads lam = -1 off its block, so (a)
+            # is not read off, though every 2-subset of the level is still a
+            # base
             S = _perturbed(S, "f1_0", -2)
-            assert not _moment_shape(S, lvls[0].d_ids, [(lvls[1].e_ids + lvls[1].f_ids, 1, 2)])
-            rule = "(a) the moment shape of N_1"
+            rule = "(a) at level 1: the lambdas of copy 1 are positive"
         elif how == "sampled":
             # (a) is read off the structure, never off a Check, and no Check
             # holds a method other than exhaustive or certified
@@ -782,6 +853,10 @@ class TestTowerKPlus:
             def exhausted(*args, **kwargs):
                 raise SearchBudgetExceeded("exact search node budget exhausted")
 
+            # (c) is read off the curve at level 1 (j = 1 >= w = 1), and the
+            # search runs at a level with j < w alone
+            d0, levels, _, _ = self.NEGATIVE["c_searched_at_level_2"]
+            S, lvls = _tower(alpha, d0, levels)
             monkeypatch.setattr(construct, "min_relative_delta", exhausted)
             with pytest.raises(
                 SearchBudgetExceeded, match="^ambient_k_plus: exact search node budget exhausted$"
@@ -971,7 +1046,7 @@ class TestFreeUnionVerifier:
             S = ColoredStructure(S.backend, S.elements, S.id_set, S.alpha)
         res = free_power_patch([], ["b1", "b2"], F(1, 2), 2, S)
         assert (res.pair.s, res.pair.k, len(res.copies)) == (2, 3, 4 if colored_base else 16)
-        certified = {"small_sets_closed"}
+        certified = {"per_copy_gap", "power_gap", "small_sets_closed"}
         assert all(c.passed and c.method == ("certified" if c.name in certified else "exhaustive")
                    for c in res.checks)
         fresh = [ids for ids, _, length in calls if length]
@@ -996,7 +1071,10 @@ class TestFreshBlockLemma:
     with k - s >= r (the lemma applies) or k - s < r (it declines).  Three
     hand-built unions each break one hypothesis, and there the lemma's
     formula would give the wrong verdict: B outside the copies' span, the
-    interior condition, and a point of S - B on a copy's block."""
+    interior condition, and a point of S - B on a copy's block; off the
+    moment curve, each is refused by `_on_curve` naming the rule it breaks.
+    On the curve, a copy past the interior condition makes the lemma
+    decline."""
 
     ALPHAS = [ALPHA_HALF, ALPHA_TWO_THIRDS, ALPHA_INV_SQRT2, Alpha.rational(3, 5)]
 
@@ -1039,9 +1117,12 @@ class TestFreshBlockLemma:
         """(lemma's verdicts or None, DP's or None, brute force's), with the
         lemma's gaps checked against `delta`."""
         S = S2.restrict(S2.id_set.difference(*copies))
-        shaped = _moment_shape(S2, S.id_set, construct._fresh_blocks(S2, copies, s))
-        gaps, lemma = _fresh_block_union(S, S2, a, b, copies, ApproximationPair(s, len(copies[0])), shaped)
-        assert gaps == [delta(S2, c, b) for c in copies]
+        rank = _on_curve("union", S2, b, construct._fresh_blocks(S2, copies, s), others=S.id_set)
+        assert rank == len(b)
+        lemma = _fresh_block_union(S, S2, a, b, copies, ApproximationPair(s, len(copies[0])), rank)
+        # each copy's delta(N_c/B) as _patch_union reads it off the curve
+        read = [PreDimValue(min(len(c), s), len(S2.colored.intersection(c))) for c in copies]
+        assert read == [delta(S2, c, b) for c in copies]
         star = set(b).union(*copies)
         t = SubsetTable(S2)
         brute = {
@@ -1104,22 +1185,35 @@ class TestFreshBlockLemma:
         rows = {"b1": [1, 0], "x": [0, 1], "d1": [1, 1], "d2": [1, 2]}
         return rows, ["b1", "x", "d1", "d2"], ["b1"], [("d1", "d2")]
 
-    @pytest.mark.parametrize("case", ["B outside the span", "interior", "S - B on a block"])
-    def test_broken_hypotheses_decline(self, case):
+    BROKEN = {
+        "B outside the span": "each point of copy 1 is on its moment curve",
+        "interior": "the lambdas and unit points of copy 1 are distinct",
+        "S - B on a block": "B is zero on the fresh blocks",
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_broken_hypotheses_raise(self, case):
         rows, colored, b, copies = self._hand_built(case)
         S2 = ColoredStructure(
             Backend(LINEAR, len(rows["b1"])), tuple(ge(i, *v) for i, v in rows.items()),
             frozenset(colored), ALPHA_TWO_THIRDS,
         )
-        lemma, dp, brute = self._verdicts(S2, [], b, copies, 1)
-        assert lemma is None
-        assert dp in (None, brute)
-        # the lemma's formula, were it applied, would pass a union outside K+
         S = S2.restrict(S2.id_set.difference(*copies))
+        with pytest.raises(InvariantError, match=f"^union: {re.escape(self.BROKEN[case])} does not hold"):
+            _on_curve("union", S2, b, construct._fresh_blocks(S2, copies, 1), others=S.id_set)
+        # the lemma's formula, were it applied, would pass a union outside K+
+        t = SubsetTable(S2)
+        assert not all(t.delta_sign(m) >= 0 for m in range(1 << t.n))
         p, k = len(copies), len(copies[0])
         mu, _ = min_relative_delta(S, b)
         assert (delta(S, b) + mu + PreDimValue(p, p * k)).sign(S2.alpha) >= 0
-        assert brute["ambient_k_plus"] is False
+
+    def test_past_the_interior_condition_declines(self):
+        # one copy of 3 points with s = 1 at 2/3: 1 - (2/3)*2 < 0, so (ii) fails
+        S = _one_point(ALPHA_TWO_THIRDS)
+        S2, ids = grow_patch(S, ["b"], 1, 3, colored=True)
+        rank = _on_curve("union", S2, ["b"], construct._fresh_blocks(S2, [ids], 1), others=S.id_set)
+        assert _fresh_block_union(S, S2, [], {"b"}, [ids], ApproximationPair(1, 3), rank) is None
 
 
 def _read_off(S, b_ids, new_ids, s: int, old_w: int, table):
@@ -1184,10 +1278,10 @@ def _table_checks(t, b_ids, new_ids, s: int) -> tuple:
     return generic, interior, interior and t.delta_sign(pool, over) < 0
 
 
-def _certify(name, shaped, *hypotheses):
+def _certify(name, *hypotheses):
     """`construct._certified`'s Check, or None where it raises naming `name`."""
     try:
-        return construct._certified(name, shaped, *hypotheses)
+        return construct._certified(name, *hypotheses)
     except InvariantError as e:
         assert str(e).startswith(f"{name}: ")
         return None
@@ -1267,6 +1361,7 @@ class TestPatchReadOff:
             monkeypatch.setattr(sys.modules[f"bicolor.{module}"], "walk", counting)
         res = engine()
         certified = {"generic_position", "interior_condition", "minimal_pair", "small_sets_closed"}
+        certified |= {"delta_gap", "delta_exact", "per_copy_gap", "power_gap"}
         if not walks:
             certified |= {"anchor_closed", "ambient_k_plus"}
         assert all(c.passed and c.method == ("certified" if c.name in certified else "exhaustive")
@@ -1288,16 +1383,16 @@ class TestPatchReadOff:
         assert _read_off(S2, ["b"], new_ids, s, 1, table)[1]
 
     def test_plain_new_point_keeps_the_certificate(self):
-        # the moment-shape bound does not read colors: a plain point only
+        # the curve lemma does not read colors: a plain point only
         # raises delta(C/B), so genericity and the interior stay certified,
         # while the read-off does not apply
         S, new_ids = grow_patch(_one_point(ALPHA_TWO_THIRDS), ["b"], 1, 2, colored=True)
         S = ColoredStructure(S.backend, S.elements, S.colored - {new_ids[0]}, S.alpha)
         assert _read_off(S, ["b"], new_ids, 1, 1, _block_profile(S, 1, new_ids, 1, 1)) is None
-        shaped = _moment_shape(S, ["b"], [(new_ids, 1, 1)])
+        _on_curve("generic_position", S, ["b"], [(new_ids, 1, 1)])
         tight = construct._interior(1, 2, S.alpha)
-        assert _certify("generic_position", shaped) == Check("generic_position", True, method="certified")
-        interior = _certify("interior_condition", shaped, tight)
+        assert _certify("generic_position") == Check("generic_position", True, method="certified")
+        interior = _certify("interior_condition", tight)
         assert interior == Check("interior_condition", True, method="certified")
         # with both points colored it would be a minimal pair: 1 - 2*(2/3) < 0
         assert _table_checks(SubsetTable(S), ["b"], new_ids, 1) == (True, True, False)
@@ -1311,38 +1406,36 @@ class TestPatchReadOff:
         )
         assert _read_off(S, ["b"], ("x",), 1, 1, _block_profile(S, 1, ["x"], 1, 1)) is None
         assert _table_checks(SubsetTable(S), ["b"], ("x",), 1) == (False, True, True)
-        shaped = _moment_shape(S, ["b"], [(("x",), 1, 1)])
-        assert not shaped
-        with pytest.raises(InvariantError, match="^generic_position: the moment shape does not hold"):
-            construct._certified("generic_position", shaped)
+        with pytest.raises(InvariantError, match="^generic_position: B is zero on the fresh blocks does not hold"):
+            _on_curve("generic_position", S, ["b"], [(("x",), 1, 1)])
 
     def test_no_table_past_the_limit(self):
         # past BLOCK_PROFILE_LIMIT points no block is walked, on the moment
-        # curve or off it; the checks are certified by the moment shape at
+        # curve or off it; the checks are certified by the moment curve at
         # any size
         k = BLOCK_PROFILE_LIMIT + 1
         S, new_ids = grow_patch(_one_point(ALPHA_TWO_THIRDS), ["b"], 10, k, colored=True)
         for T in (S, _perturbed(S, new_ids[-1], -1)):
             with pytest.raises(SearchBudgetExceeded, match=f"block of {k} points"):
                 _block_profile(T, 1, new_ids, 1, 10)
-        shaped = _moment_shape(S, ["b"], [(new_ids, 1, 10)])
+        _on_curve("generic_position", S, ["b"], [(new_ids, 1, 10)])
         tight = construct._interior(10, k, S.alpha)
-        assert _certify("generic_position", shaped) == Check("generic_position", True, method="certified")
-        interior = _certify("interior_condition", shaped, tight)
+        assert _certify("generic_position") == Check("generic_position", True, method="certified")
+        interior = _certify("interior_condition", tight)
         assert interior == Check("interior_condition", True, method="certified")
         # delta(D/B) = 10 - (2/3)*15 = 0, so no minimal pair
         below = delta(S, ["b", *new_ids], ["b"]).sign(S.alpha) < 0, "delta(D/B) < 0"
         with pytest.raises(InvariantError, match=r"^minimal_pair: delta\(D/B\) < 0 does not hold"):
-            construct._certified("minimal_pair", shaped, tight, below)
+            construct._certified("minimal_pair", tight, below)
 
 
 class TestCertifiedSubsetChecks:
     """Every subset check's certificate against a brute-force `SubsetTable`,
     on chains of at most 14 points and on `grow_patch` patches of at most 12
     points over bases of rank 0, 1 and 2: a check is certified exactly when
-    the moment shape and its own exact inequality hold, and the table then
-    confirms it.  Where a perturbed shape declines, every check raises,
-    naming itself."""
+    the moment curve (`_on_curve`) and its own exact inequality hold, and
+    the table then confirms it.  Where a perturbed curve fails, `_on_curve`
+    raises, naming the first check."""
 
     BASES = {
         0: lambda alpha: (plain_points(alpha, [(1,)]), []),
@@ -1361,23 +1454,29 @@ class TestCertifiedSubsetChecks:
         )
 
     @staticmethod
-    def _patch_checks_agree(t, b_ids, ids, s, shaped: bool) -> dict:
+    def _patch_checks_agree(t, b_ids, ids, s) -> dict | None:
         """Genericity, interior and minimal pair of the patch `ids` over B,
         whose s fresh columns are the last: per check, (certified?, the
-        table's verdict)."""
+        table's verdict); None where `_on_curve` raises, naming the first
+        check.  delta(D/B) < 0 is read off the curve, as the engines read
+        it, and agrees with the table."""
         S, k = t.S, len(ids)
-        assert shaped == _moment_shape(S, b_ids, construct._fresh_blocks(S, [ids], s))
+        try:
+            _on_curve("generic_position", S, b_ids, construct._fresh_blocks(S, [ids], s))
+        except InvariantError as e:
+            assert str(e).startswith("generic_position: ")
+            return None
         tight = construct._interior(s, k, S.alpha)
-        below = t.delta_sign(t.mask_of(ids), t.mask_of(b_ids)) < 0, "delta(D/B) < 0"
+        below = PreDimValue(min(k, s), len(S.colored.intersection(ids))).sign(S.alpha) < 0
+        assert below == (t.delta_sign(t.mask_of(ids), t.mask_of(b_ids)) < 0)
         got = {
-            "generic": _certify("generic_position", shaped),
-            "interior": _certify("interior_condition", shaped, tight),
-            "minimal": _certify("minimal_pair", shaped, tight, below),
+            "generic": _certify("generic_position"),
+            "interior": _certify("interior_condition", tight),
+            "minimal": _certify("minimal_pair", tight, (below, "delta(D/B) < 0")),
         }
         table = dict(zip(got, _table_checks(t, b_ids, ids, s)))
         assert all(c is None or c.method == "certified" and table[name] for name, c in got.items())
-        want = [shaped, shaped and tight[0], shaped and tight[0] and below[0]]
-        assert [c is not None for c in got.values()] == want
+        assert [c is not None for c in got.values()] == [True, tight[0], tight[0] and below]
         return {name: (c is not None, table[name]) for name, c in got.items()}
 
     @pytest.mark.parametrize("alpha", QUADRATIC_ALPHAS[:4], ids=lambda a: a.render())
@@ -1392,7 +1491,7 @@ class TestCertifiedSubsetChecks:
             width += s
             elements = tuple(GroundElement(i, S.element(i).vec[:width]) for i in hi.d_ids)
             level = ColoredStructure(Backend(LINEAR, width), elements, S.colored & set(hi.d_ids), alpha)
-            got = self._patch_checks_agree(SubsetTable(level), lo.d_ids, new, s, shaped=True)
+            got = self._patch_checks_agree(SubsetTable(level), lo.d_ids, new, s)
             assert got == dict.fromkeys(("generic", "interior", "minimal"), (True, True))
             for name in (f"generic_{lvl}", f"minimal_pair_{lvl}"):
                 assert Check(name, True, method="certified") in res.checks
@@ -1415,15 +1514,15 @@ class TestCertifiedSubsetChecks:
         for trial in range(150):
             S, b_ids, s, k, copies = self._patch(rng, trial % 3)
             t = SubsetTable(S)
-            got = self._patch_checks_agree(t, b_ids, copies[-1], s, shaped=True)
+            got = self._patch_checks_agree(t, b_ids, copies[-1], s)
             seen |= {(name, *verdicts) for name, verdicts in got.items()}
             if s >= k:
                 continue
-            shaped = _moment_shape(S, b_ids, construct._fresh_blocks(S, copies, s))
+            _on_curve("small_sets_closed", S, b_ids, construct._fresh_blocks(S, copies, s))
             tight = construct._interior(s, k, S.alpha)
             new_ids = [i for copy in copies for i in copy]
             for n in range(len(new_ids) + 2):
-                check = _certify("small_sets_closed", shaped, tight, (n <= k, "n <= k"))
+                check = _certify("small_sets_closed", tight, (n <= k, "n <= k"))
                 sizes = range(min(n, len(new_ids) + 1))
                 table = self._table_passes(t, b_ids, new_ids, sizes, lambda d: d.sign(S.alpha) < 0)
                 assert check is None or table
@@ -1437,7 +1536,10 @@ class TestCertifiedSubsetChecks:
 
     def test_perturbed_shapes_raise(self, rng):
         # a repeated lambda, a base point on the fresh block, or one entry
-        # off the curve: where the shape declines, every check raises
+        # off the curve: `_on_curve` raises, naming the first check, except
+        # where the last entry moves a point along its curve (B of rank 0, s
+        # <= 2: c*(1, lam) to c*(1, lam + 1/c)), and there the certified
+        # checks agree with the table
         declined = set()
         for trial in range(120):
             S, b_ids, s, k, copies = self._patch(rng, trial % 3)
@@ -1454,12 +1556,12 @@ class TestCertifiedSubsetChecks:
             else:
                 case = "off the curve"
                 S = _perturbed(S, ids[-1], 1)
-            shaped = _moment_shape(S, b_ids, construct._fresh_blocks(S, [ids], s))
-            assert not shaped or case == "off the curve"
-            got = self._patch_checks_agree(SubsetTable(S), b_ids, ids, s, shaped)
-            declined.add((case, shaped, got["generic"][1]))
+            t = SubsetTable(S)
+            got = self._patch_checks_agree(t, b_ids, ids, s)
+            assert got is None or case == "off the curve" and not b_ids and s <= 2
+            declined.add((case, got is None, _table_checks(t, b_ids, ids, s)[0]))
         assert declined >= {
-            ("repeated lam", False, False), ("base on the block", False, True), ("off the curve", False, True),
+            ("repeated lam", True, False), ("base on the block", True, True), ("off the curve", True, True),
         }
 
 
@@ -1505,7 +1607,8 @@ class TestEngineSubsetChecks:
     """Every engine over a small grid (chains to depth 3; patches and power
     patches over one plain, one colored and two plain points; both rational
     engines at t <= 1 over one and two points; a basis extension) ends every
-    subset check `certified`, `construct`'s walk runs only inside
+    subset check and every value check read off the curve `certified`,
+    `construct`'s walk runs only inside
     `_block_profile`, and no search runs on a structure as wide as the
     result.  A build whose points repeat a lambda, or whose pair
     breaks one of a check's own inequalities, raises InvariantError naming
@@ -1514,6 +1617,7 @@ class TestEngineSubsetChecks:
     SUBSET_CHECK = re.compile(
         r"generic_(position|\d+)|interior_condition|minimal_pair(_\d+)?|small_sets_closed|all_bases"
     )
+    VALUE_CHECKS = {"delta_gap", "per_copy_gap", "delta_exact", "power_gap", "zero_gap"}
 
     @pytest.mark.parametrize("name", sorted(_GRID))
     def test_every_subset_check_certified(self, monkeypatch, name):
@@ -1530,11 +1634,14 @@ class TestEngineSubsetChecks:
         res = _GRID[name]()
         subset = [c for c in res.checks if self.SUBSET_CHECK.fullmatch(c.name)]
         assert subset and all(c == Check(c.name, True, method="certified") for c in subset)
+        assert all(c.method == "certified" for c in res.checks if c.name in self.VALUE_CHECKS)
         assert all(c.passed for c in res.checks)
         assert set(callers) <= {"_block_profile"}
         searched, built = spied()
         assert built == res.structure.backend.ambient_dim
-        assert searched or name == "basis"
+        # a chain whose levels' F points span the level below reads (c) off
+        # the curve and searches nothing
+        assert searched or name == "basis" or name.startswith("chain")
         assert all(width < built for width in searched)
 
     @staticmethod
@@ -1582,20 +1689,20 @@ class TestEngineSubsetChecks:
         assert workbench.dumps(res.structure) == workbench.dumps(expected.structure)
 
     def test_undecided_tower_raises_without_searching_it(self, monkeypatch):
-        # condition (c)'s search on S'_1 overruns: the chain itself is never
-        # searched in its place
+        # condition (c)'s search on S'_3 (j = 5 < w = 10) overruns: the
+        # chain itself is never searched in its place
         monkeypatch.setattr(construct, "min_relative_delta", self._refuse)
         spied = self._spy_searches(monkeypatch)
         with pytest.raises(SearchBudgetExceeded, match="^ambient_k_plus: forced refusal$"):
-            _GRID["chain-(0+1*sqrt(2))/2-1"]()
+            _GRID["chain-(0+1*sqrt(2))/2-3"]()
         searched, built = spied()
         assert built and all(width < built for width in searched)
 
     @pytest.mark.parametrize("build, check", [
-        (lambda: transcendental_patch([], ["b"], F(1, 3), _one_point(ALPHA_INV_SQRT2)), "generic_position"),
-        (lambda: rational_minimal_extension([], ["b"], 1, _one_point(Alpha.rational(3, 4))), "generic_position"),
-        (lambda: rational_zero_extension([], ["b"], 1, _one_point(Alpha.rational(3, 4))), "small_sets_closed"),
-        (lambda: free_power_patch([], ["b"], F(1, 2), 2, _one_point(ALPHA_INV_SQRT2)), "small_sets_closed"),
+        (lambda: transcendental_patch([], ["b"], F(1, 3), _one_point(ALPHA_INV_SQRT2)), "delta_gap"),
+        (lambda: rational_minimal_extension([], ["b"], 1, _one_point(Alpha.rational(3, 4))), "delta_exact"),
+        (lambda: rational_zero_extension([], ["b"], 1, _one_point(Alpha.rational(3, 4))), "per_copy_gap"),
+        (lambda: free_power_patch([], ["b"], F(1, 2), 2, _one_point(ALPHA_INV_SQRT2)), "per_copy_gap"),
         (lambda: minimal_pair_chain(ALPHA_INV_SQRT2, 2, 32), "generic_2"),
         (lambda: generic_basis_extension(
             [], ["b1", "b2"], 3, plain_points(ALPHA_HALF, [(1, 0, 0), (0, 1, 0)])
@@ -1603,10 +1710,10 @@ class TestEngineSubsetChecks:
     ], ids=["patch", "ratmin", "ratzero", "power", "chain", "basis"])
     def test_repeated_lambda_raises(self, monkeypatch, build, check):
         # the rational copies have 27 points each, past BLOCK_PROFILE_LIMIT,
-        # where the union's K+ search would overrun its budget: the subset
-        # check raises before any search runs
+        # where the union's K+ search would overrun its budget: the first
+        # check that reads the curve raises before any search runs
         monkeypatch.setattr(construct, "_moment_rows", _repeating(construct._moment_rows))
-        with pytest.raises(InvariantError, match=f"^{check}: the moment shape does not hold"):
+        with pytest.raises(InvariantError, match=f"^{check}: the lambdas and unit points of copy 1 are distinct"):
             build()
 
     TIGHT, SMALL, BELOW = "s - alpha*(k - 1) >= 0", "n <= k", "delta(D/B) < 0"
@@ -1805,6 +1912,50 @@ class TestMomentTable:
             assert _closed_form_table(rows, s, old_w) is None
 
 
+class TestGrowPatchPayloads:
+    """`grow_patch` hands each new point in as its integer payload, made by
+    `_moment_rows` in integers: it equals `int_payload` of the point's
+    `Fraction` vector, and that vector is sum_i lam^(i-1)*u_i (`_gamma`,
+    computed here in `Fraction`s over the basis B picks in id order), over
+    bases with non-integer payloads, s = 0, 1, 2 and one to three copies.
+    The task catalog's patch keeps the bytes it had when the rows were made
+    in `Fraction`s."""
+
+    def test_payloads_are_int_payloads(self, rng):
+        for trial in range(30):
+            width, s, copies = rng.randint(1, 3), trial % 3, 1 + trial // 3 % 3
+            rows = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(width)] for _ in range(rng.randint(1, 3))]
+            rows = [row for row in rows if any(row)] or [[F(1, 2)] * width]
+            S = ColoredStructure(
+                Backend(LINEAR, width), tuple(GroundElement(f"b{i}", tuple(r)) for i, r in enumerate(rows)),
+                frozenset(), ALPHA_TWO_THIRDS,
+            )
+            kept, ints = [], _int_rows(S)
+            for i in range(len(rows)):
+                if rank_int_matrix([ints[j] for j in [*kept, i]], width) > len(kept):
+                    kept.append(i)
+            k, lam0 = rng.randint(1, 4), rng.randint(1, 3)
+            S2, ids = grow_patch(S, S.id_set, s, k, colored=True, lam_start=lam0, copies=copies)
+            new_width = width + copies * s
+            basis = [list(rows[i]) + [F(0)] * (new_width - width) for i in kept]
+            for c in range(copies):
+                for i, eid in enumerate(ids[c * k:(c + 1) * k]):
+                    vec = S2.element(eid).vec
+                    assert S2.payload(eid) == pregeom.int_payload(vec)
+                    assert list(vec) == _gamma(basis, new_width, width + c * s, s, lam0 + c * k + i)
+
+    @pytest.mark.parametrize("alpha, digest", [
+        (ALPHA_TWO_THIRDS, "870627bddb5e7a89"),
+        (Alpha.rational(3, 5), "eb669d21f395ff67"),
+        (ALPHA_INV_SQRT2, "623570e03e0680fc"),
+        (Alpha.quadratic(0, 1, 3, 3), "5fbdafeb36a94e16"),
+    ], ids=["2/3", "3/5", "1/sqrt2", "1/sqrt3"])
+    def test_catalog_patch_bytes(self, alpha, digest):
+        patch = next(t for t in workbench.task_catalog(alpha, 5) if t.task_id.startswith("patch"))
+        assert hashlib.sha256(workbench.dumps(patch.big).encode()).hexdigest()[:16] == digest
+        assert all(patch.big.payload(i) == pregeom.int_payload(patch.big.element(i).vec) for i in patch.big.ids_sorted)
+
+
 class TestConstruction:
     """Every structure-building engine returns one `Construction`: its new ids
     are the grown structure's ids past the input's, and its copies, delta gap
@@ -1851,10 +2002,10 @@ class TestConstruction:
 
 
 _RATIONAL_PINS = [
-    (1, rational_zero_extension, "924e9f9aed77f682", "080bcc97c32c2f4e", "01461d890edc09a3"),
-    (1, rational_minimal_extension, "a1423c6f1acf2a95", "c643e65720b4b58b", "c599576fe6b093cb"),
-    (2, rational_zero_extension, "8964753a0505c2f8", "55992faca32b31af", "6352e59c25b5db0c"),
-    (2, rational_minimal_extension, "6f1085ad699a66e9", "35bb0352c4ea5f8f", "c249f57c301a5185"),
+    (1, rational_zero_extension, "146a789d1c05a7fd", "924e9f9aed77f682", "080bcc97c32c2f4e", "01461d890edc09a3"),
+    (1, rational_minimal_extension, "a5ed7e29050d6565", "a1423c6f1acf2a95", "c643e65720b4b58b", "c599576fe6b093cb"),
+    (2, rational_zero_extension, "a4d028a5521c2b12", "8964753a0505c2f8", "55992faca32b31af", "6352e59c25b5db0c"),
+    (2, rational_minimal_extension, "85f1f76a921f9f4f", "6f1085ad699a66e9", "35bb0352c4ea5f8f", "c249f57c301a5185"),
 ]
 
 
@@ -1862,28 +2013,32 @@ class TestRationalGoldenBytes:
     """Canonical structure and checks of the rational engines at alpha = 2/3,
     t = 1, over one plain base point b, pinned by sha256 prefix.  Each step
     back puts the methods of the checks it names back to exhaustive: before
-    the fresh-block lemma certified ambient_k_plus and anchor_closed (the
-    free-union DP decided them) the bytes hashed to `dp_digest`, and before
-    the subset checks tried the moment-shape certificate first to
-    `old_digest` (which names each case).  Nothing else differs."""
+    the whole-curve lemma read the value checks delta_exact, per_copy_gap
+    and zero_gap off the moment curve (reducers computed them) the bytes
+    hashed to `reducer_digest`, before the fresh-block lemma certified
+    ambient_k_plus and anchor_closed (the free-union DP decided them) to
+    `dp_digest`, and before the subset checks tried the moment-shape
+    certificate first to `old_digest` (which names each case).  Nothing
+    else differs."""
 
     STEPS_BACK = [
+        ("delta_exact", "per_copy_gap", "zero_gap"),
         ("anchor_closed", "ambient_k_plus"),
         ("generic_position", "interior_condition", "minimal_pair", "small_sets_closed"),
     ]
 
     @pytest.mark.parametrize(
-        "payload, engine, digest, dp_digest, old_digest",
+        "payload, engine, digest, reducer_digest, dp_digest, old_digest",
         _RATIONAL_PINS,
-        ids=[f"{p}-{engine.__name__}-{old}" for p, engine, _, _, old in _RATIONAL_PINS],
+        ids=[f"{p}-{engine.__name__}-{old}" for p, engine, *_, old in _RATIONAL_PINS],
     )
-    def test_bytes(self, payload, engine, digest, dp_digest, old_digest):
+    def test_bytes(self, payload, engine, digest, reducer_digest, dp_digest, old_digest):
         res = engine([], ["b"], 1, _one_point(ALPHA_TWO_THIRDS, payload))
         structure = workbench.dumps(res.structure)
         checks = [c.to_json() for c in res.checks]
         blob = structure + canonical_dumps(checks)
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
-        for names, want in zip(self.STEPS_BACK, (dp_digest, old_digest)):
+        for names, want in zip(self.STEPS_BACK, (reducer_digest, dp_digest, old_digest)):
             for c in checks:
                 if c["name"] in names:
                     assert c["method"] == "certified"

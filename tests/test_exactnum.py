@@ -327,6 +327,61 @@ class TestDirichletWindow:
             assert (frac - QuadRat.of(Fraction(1, 9))).sign() < 0
 
 
+def _quadrat_window(alpha, eps):
+    """The least-k pair by the linear scan in `QuadRat` arithmetic, the
+    floor of k*alpha found by `QuadRat.sign` from a float guess (not by
+    `floor_surd`, which the scan under test uses)."""
+    av, e = alpha.value(), QuadRat.of(eps)
+    k = 2
+    while True:
+        ka = av * k
+        s = int(float(ka))
+        while (ka - s).sign() < 0:
+            s -= 1
+        while (ka - (s + 1)).sign() >= 0:
+            s += 1
+        if s >= 1:
+            frac = ka - s
+            if frac.sign() > 0 and (frac - e).sign() < 0:
+                return ApproximationPair(s, k)
+        k += 1
+
+
+class TestIntegerDirichletScan:
+    """`dirichlet_window`'s integer scan against the `QuadRat` reference scan
+    above, on quadratic alphas (b > 0 and b < 0) and rational and
+    irrational epsilons in (0, alpha)."""
+
+    ALPHAS = [
+        Alpha.quadratic(1, 1, 6, 3),  # (1 + sqrt(3))/6
+        Alpha.quadratic(0, 1, 2, 2),  # 1/sqrt(2)
+        Alpha.quadratic(0, 1, 3, 3),  # 1/sqrt(3)
+        Alpha.quadratic(-1, 1, 2, 5),  # (sqrt(5) - 1)/2
+        Alpha.quadratic(3, -1, 6, 3),  # (3 - sqrt(3))/6
+    ]
+
+    @pytest.mark.parametrize("alpha", ALPHAS, ids=lambda a: a.render())
+    def test_matches_the_quadrat_scan(self, alpha):
+        av = alpha.value()
+        epsilons = [Fraction(1, q) for q in (3, 5, 10, 37, 200, 1000)]
+        epsilons += [av * Fraction(1, q) for q in (2, 7, 30, 300)]
+        epsilons += [(QuadRat.of(1) - av) / 2**lvl for lvl in range(1, 8)]
+        epsilons += [av - Fraction(1, 100)]
+        tried = 0
+        for eps in epsilons:
+            e = QuadRat.of(eps)
+            if e.sign() <= 0 or (e - av).sign() >= 0:
+                continue
+            assert dirichlet_window(alpha, eps) == _quadrat_window(alpha, eps)
+            tried += 1
+        assert tried >= 12
+
+    def test_epsilon_outside_q_alpha_rejected(self):
+        # sqrt(3)/10 is in (0, 1/sqrt(2)) but not in Q(sqrt(2))
+        with pytest.raises(BadEpsilon, match="Q\\(alpha\\)"):
+            dirichlet_window(ALPHA_INV_SQRT2, Alpha.quadratic(0, 1, 10, 3).value())
+
+
 class TestRationalPair:
     def test_examples(self):
         assert rational_pair(ALPHA_TWO_THIRDS, 1) == ApproximationPair(9, 14)

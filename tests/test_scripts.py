@@ -25,9 +25,19 @@ def _run(script, *args):
     return proc.stdout
 
 
-@pytest.mark.parametrize("script", ["build_and_audit.py", "chain_windows.py", "patch_gallery.py"])
+@pytest.mark.parametrize(
+    "script", ["build_and_audit.py", "chain_windows.py", "large_builds.py", "patch_gallery.py"]
+)
 def test_script_exits_zero(script):
     assert _run(script)
+
+
+def test_large_builds_prints_a_digest_per_small_build():
+    lines = _run("large_builds.py").splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "ratmin-2/3-t1-two-points", "chain-1/sqrt3-3-64", "power-1/sqrt3-1/2-2-two-points",
+    ]
+    assert all(re.search(r"points, [0-9.]+s, digest [0-9a-f]{16}, verdicts [0-9a-f]{16}$", line) for line in lines)
 
 
 def test_chain_windows_tallies_check_methods():

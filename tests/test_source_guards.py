@@ -62,8 +62,10 @@ MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "_
 # blocks' closed-form table (now a test oracle) and its separate walk, which
 # the fresh-block lemma replaced and `_block_profile` absorbed, and the
 # subset sweep and the five check functions around it, which the one
-# certificate rule (`construct._certified`) replaced, and the chain tower's
-# yes/no helper, which the raising tower certificate replaced.
+# certificate rule (`construct._certified`) replaced, the chain tower's
+# yes/no helper, which the raising tower certificate replaced, and the
+# fresh-block shape reads, which the whole-curve check `construct._on_curve`
+# replaced.
 DELETED_NAMES = {
     "strong_extension",
     "all_pass",
@@ -86,6 +88,9 @@ DELETED_NAMES = {
     "_moment_table",
     "_walk_table",
     "_tower_in_k_plus",
+    "_moment_shape",
+    "_on_moment_curve",
+    "_curve_node",
 }
 ELIMINATION_NAMES = re.compile(r"rref|solve|kernel|bareiss|gauss|elimin|echelon|rank_int", re.I)
 
