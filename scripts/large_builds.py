@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time large constructions and print a digest of each result.
 
-    python scripts/large_builds.py            # small builds
-    python scripts/large_builds.py --large    # the large builds
+    python scripts/large_builds.py              # small builds
+    python scripts/large_builds.py --large      # the large builds
+    python scripts/large_builds.py --reloaded   # queries on a reloaded patch
 
 Each line gives the build, its point count, its wall seconds, `digest`
 (sha256 of the structure's canonical `dumps` plus every check's name,
@@ -15,6 +16,13 @@ The large builds are `ratmin -t 1` at 15/16 over two points, the chain
 (1/sqrt(3), 5, 1024), and the free power patch over two points at 1/sqrt(3)
 with mu = 2 and n = 3 (4682 points).  The default builds are the same
 engines at small sizes.
+
+`--reloaded` saves the 25-point power patch over one plain point at
+1/sqrt(2) (mu = 1/2, n = 2) with `dumps`, loads it back, which drops its
+K+ verdict, and times two queries on it: `in_k_plus`, which searches again,
+and then `closure` of {d1}.  Each line gives the query, its wall seconds
+and `answer`, the sha256 of the answer's canonical JSON cut to 16 hex
+digits.
 """
 
 import argparse
@@ -23,14 +31,16 @@ import sys
 import time
 from fractions import Fraction
 
-from bicolor.colored import empty_structure
+from bicolor.closure import closure
+from bicolor.colored import empty_structure, in_k_plus
 from bicolor.construct import free_power_patch, minimal_pair_chain, rational_minimal_extension
 from bicolor.exactnum import Alpha
 from bicolor.pregeom import GroundElement
 from bicolor.report import canonical_dumps
-from bicolor.workbench import dumps
+from bicolor.workbench import dumps, loads
 
 INV_SQRT3 = Alpha.quadratic(0, 1, 3, 3)
+INV_SQRT2 = Alpha.quadratic(0, 1, 2, 2)
 
 
 def two_points(alpha: Alpha):
@@ -72,10 +82,26 @@ def digests(res) -> tuple[str, str]:
     return tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in (full, bare))
 
 
+def reloaded_patch_queries():
+    base = empty_structure(INV_SQRT2, ambient=1).extended([GroundElement("b", (Fraction(1),))])
+    S = loads(dumps(free_power_patch([], ["b"], Fraction(1, 2), 2, base).structure))
+    name = "reloaded-power-1/sqrt2-1/2-2"
+    for query, ask in (("in_k_plus", lambda: in_k_plus(S)), ("closure(d1)", lambda: sorted(closure(["d1"], S)))):
+        t0 = time.perf_counter()
+        answer = ask()
+        seconds = time.perf_counter() - t0
+        digest = hashlib.sha256(canonical_dumps(answer).encode()).hexdigest()[:16]
+        print(f"{name} {query}: {len(S)} points, {seconds:.2f}s, answer {digest}", flush=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--large", action="store_true", help="run the large builds instead of the small ones")
+    ap.add_argument("--reloaded", action="store_true", help="time the queries on the reloaded power patch")
     args = ap.parse_args(argv)
+    if args.reloaded:
+        reloaded_patch_queries()
+        return 0
     for name, build in (LARGE if args.large else SMALL).items():
         t0 = time.perf_counter()
         res = build()

@@ -1,9 +1,15 @@
 """Closedness, closure operators, minimal pairs, and the D-dimension.
 
 A set X is closed in S when delta(A/X) >= 0 for every A within S; the closure
-of A is the least closed superset, computed as a fixpoint that repeatedly
+of A is the least closed superset.  `closure` finds it by one search: it
+is A u L for L the least minimizer of f(C) = delta(C/A), the minimizer of
+least size (`colored` module, lemma on the least minimizer: f is
+submodular, so its minimizers are closed under intersection, and their
+intersection L is contained in every closed superset of A, while A u L is
+closed since delta(Y / A u L) = f(L u Y) - f(L) >= 0).
+`closure_with_steps` reaches the same set as a fixpoint that repeatedly
 adjoins the minimal violating witness (smallest size, ties broken
-lexicographically on sorted ids), so fixpoints are deterministic.  All
+lexicographically on sorted ids), so its step count is deterministic.  All
 notions are relative to the finite ambient structure.
 
 D(A) is the minimum of delta over supersets of A inside the ambient.  It
@@ -12,24 +18,29 @@ every call.  Proof: let C* attain D(A).  C* is closed, for a Y with
 delta(Y/C*) < 0 would give the superset C* u Y of A a smaller delta, so
 cl(A), the least closed superset of A, lies within C*.  cl(A) is closed, so
 delta(C*) - delta(cl(A)) = delta(C*/cl(A)) >= 0, and delta(cl(A)) <= D(A)
-<= delta(cl(A)).
+<= delta(cl(A)).  The assertion compares two independent computations:
+D(A) is delta(A) plus the value of `min_relative_delta`, whose walk
+keeps a strict bar and stops at the first minimizer in lex order, while
+delta(closure(A)) is a fresh reduction of the set `least_minimiser`
+returns, whose walk orders its bar by (delta, size); a search that
+returned a set other than a minimizer, or a wrong minimum, breaks it.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cache, partial
 
 from .colored import (
     DEFAULT_NODE_BUDGET,
     ColoredStructure,
     delta,
     ensure_k_plus,
-    in_k_plus,
-    k_plus_violation,
+    least_minimiser,
     min_relative_delta,
     min_violating_witness,
 )
-from .errors import InputError, InvariantError, NotInKPlus
+from .errors import InputError, InvariantError
 from .exactnum import ZERO, PreDimValue, compare, pre_dim_sign
 from .pregeom import dim_independent as _dim_indep_elements, suffix_rank_bound, walk
 
@@ -42,10 +53,7 @@ def _require_subset(small, big, what: str):
 def closed_with_witness(x_ids, S: ColoredStructure, node_budget=DEFAULT_NODE_BUDGET):
     """(closed?, minimal violating witness or None)."""
     x = S.check_ids(x_ids)
-    if not in_k_plus(S, node_budget=node_budget):
-        raise NotInKPlus(
-            f"structure has a negative subset {sorted(k_plus_violation(S))}"
-        )
+    ensure_k_plus(S, node_budget)
     w = min_violating_witness(S, x, node_budget=node_budget)
     return (w is None), w
 
@@ -55,20 +63,20 @@ def is_closed(x_ids, S: ColoredStructure, node_budget=DEFAULT_NODE_BUDGET) -> bo
 
 
 def closure_with_steps(a_ids, S: ColoredStructure):
-    """Least closed superset via the deterministic witness fixpoint."""
-    cur = frozenset(S.check_ids(a_ids))
+    """(closure(A), steps) via the deterministic witness fixpoint."""
+    cur, steps = S.check_ids(a_ids), 0
     ensure_k_plus(S)
-    steps = 0
-    while True:
-        w = min_violating_witness(S, cur)
-        if w is None:
-            return cur, steps
-        cur = cur | w
-        steps += 1
+    while (w := min_violating_witness(S, cur)) is not None:
+        cur, steps = cur | w, steps + 1
+    return cur, steps
 
 
 def closure(a_ids, S: ColoredStructure) -> frozenset:
-    return closure_with_steps(a_ids, S)[0]
+    """A u L for L the least minimiser of delta(./A) (module lemma), from
+    one `least_minimiser` search."""
+    a = S.check_ids(a_ids)
+    ensure_k_plus(S)
+    return a | least_minimiser(S, a)[1]
 
 
 def is_intrinsic(a_ids, b_ids, S: ColoredStructure) -> bool:
@@ -76,49 +84,60 @@ def is_intrinsic(a_ids, b_ids, S: ColoredStructure) -> bool:
     C = A' minus A, delta(B/A) < 0 (C empty) and delta(C/A) > delta(B/A),
     strictly, for every nonempty proper C (`_proper_subsets_hold` with the
     threshold delta(B/A), strict, pruned off the spine by the suffix-rank
-    bound)."""
-    a = S.check_ids(a_ids)
-    b = S.check_ids(b_ids)
-    _require_subset(a, b, "is_intrinsic")
-    extra = sorted(b - a)
-    if not extra:
-        return True
-    rel = delta(S, b, a)
-    return rel.sign(S.alpha) < 0 and _proper_subsets_hold(S, a, extra, rel, True)
+    bound).  True for B = A."""
+    return _proper_subsets_hold(S, a_ids, b_ids, True)
 
 
-def _proper_subsets_hold(S: ColoredStructure, a, extra, floor, strict) -> bool:
-    """True iff delta(C/A) > floor (strict) or >= floor (not strict) for
-    each nonempty proper subset C of `extra`, off one `walk` over its rows
-    reduced against span(A) that stops at a failure.
+def _proper_subsets_hold(S: ColoredStructure, a_ids, b_ids, strict) -> bool:
+    """For B - A nonempty: True iff delta(B/A) < 0 and, with floor = delta(B/A)
+    if strict and 0 if not, delta(C/A) > floor (strict) or >= floor (not
+    strict) for each nonempty proper subset C of B - A, off one `walk` over
+    the rows of extra = sorted(B - A) reduced against span(A) that stops
+    at a failure; for B = A, `strict`.
 
-    The walk folds (dim(C/A), colored count, |C|) in integers and decides
-    each node by `pre_dim_sign`: a node meets the threshold when the sign
-    of delta(C/A) - floor is at least `least_sign`, 1 if strict and 0 if
-    not.  A node on extra[:i] holding C that has skipped a row (|C| < i)
+    Lemma (plain points).  If delta(B/A) < 0 and B - A holds a plain point,
+    both verdicts are False without a walk.  Proof: the colored part K of
+    B - A has delta(K/A) = dim(K/A) - alpha * |K| <= dim(B/A) - alpha * |K|
+    = delta(B/A) < 0, so K is nonempty, and proper for missing the plain
+    point; it fails both thresholds, 0 and delta(B/A), strict.  So
+    delta(B/A) < 0 and that B - A is all colored are asked first, and the
+    walk's (dim(C/A), bitmask of C) gives the colored count |C|.
+
+    Each node is decided by `pre_dim_sign`: it meets the threshold when the
+    sign of delta(C/A) - floor is at least `least_sign`, 1 if strict and 0
+    if not.  A node on extra[:i] holding C that has skipped a row (|C| < i)
     has only proper subsets below it, and is not expanded once delta(C/A) -
     alpha * rho meets the threshold, rho = (n - i) - max(R_n - R_i, S_i -
     dim(C/A)) with R_i = dim(extra[:i] / A) and S_i = dim(extra[i:] / A)
     (`pregeom.suffix_rank_bound`): by the `colored` module's suffix-rank
-    lemma every subset below it then meets it too.  Plain points in
-    `extra` only raise delta over that bound, so the lemma holds for them
-    as well.  Callers first ask delta(extra/A) < 0, never so in the free
-    backend, so `extra` itself fails the threshold; it lies below every
-    spine node (one that has skipped no row), whose bound therefore never
-    meets it, and the walk does not test them.
+    lemma every subset below it then meets it too.  B - A itself fails
+    the threshold (delta(B/A) < 0, never so in the free backend); it
+    lies below every spine node (one that has skipped no row), whose bound
+    therefore never meets it, and the walk does not test them.
     """
-    n = len(extra)
+    a = S.check_ids(a_ids)
+    b = S.check_ids(b_ids)
+    _require_subset(a, b, "is_intrinsic" if strict else "is_minimal_pair")
+    extra = sorted(b - a)
+    if not extra:
+        return strict
+    floor = delta(S, b, a)
+    if floor.sign(S.alpha) >= 0 or not S.colored.issuperset(extra):
+        return False
+    floor = floor if strict else ZERO
+    full = (1 << len(extra)) - 1
     base = S.reducer_for(a)
     rows = [base.residual(S.introw(e)) for e in extra]
-    colors = [S.is_colored(e) for e in extra]
     _, red, null = suffix_rank_bound(rows, base.ncols)
     fd, fc, alpha = floor.dim_part, floor.color_part, S.alpha
     least_sign = 1 if strict else 0
-    meets = lambda dim, col: pre_dim_sign(dim - fd, col - fc, alpha) >= least_sign
-    take = lambda st, i, row: (st[0] + any(row), st[1] + colors[i], st[2] + 1)
-    prune = lambda i, st: st[2] < i and meets(st[0], st[1] + min(red[i], null[i] + st[0]))
-    for _, (dimc, ncol, size), new in walk(rows, (0, 0, 0), take, prune):
-        if new and 0 < size < n and not meets(dimc, ncol):
+    sign_of = cache(partial(pre_dim_sign, alpha=alpha))
+    meets = lambda dim, col: sign_of(dim - fd, col - fc) >= least_sign
+    prune = lambda i, dim, mask: mask != (1 << i) - 1 and meets(
+        dim, mask.bit_count() + min(red[i], null[i] + dim)
+    )
+    for _, dim, mask, _ in walk(rows, prune):
+        if 0 < mask < full and not meets(dim, mask.bit_count()):
             return False
     return True
 
@@ -148,14 +167,8 @@ def intrinsic_tower(a_ids, b_ids, S: ColoredStructure) -> list[frozenset]:
 def is_minimal_pair(a_ids, b_ids, S: ColoredStructure) -> bool:
     """delta(B/A) < 0 while every proper intermediate stays nonnegative:
     `_proper_subsets_hold` with the threshold 0, not strict, pruned off the
-    spine by the suffix-rank bound."""
-    a = S.check_ids(a_ids)
-    b = S.check_ids(b_ids)
-    _require_subset(a, b, "is_minimal_pair")
-    extra = sorted(b - a)
-    if not extra:
-        return False
-    return delta(S, b, a).sign(S.alpha) < 0 and _proper_subsets_hold(S, a, extra, ZERO, False)
+    spine by the suffix-rank bound.  False for B = A."""
+    return _proper_subsets_hold(S, a_ids, b_ids, False)
 
 
 def closure_n(a_ids, S: ColoredStructure, n: int):
@@ -195,13 +208,7 @@ def big_cl(a_ids, S: ColoredStructure) -> frozenset:
     """CL(A): points whose adjunction leaves D unchanged."""
     a = S.check_ids(a_ids)
     da = d_value(a, S)
-    out = set(a)
-    for eid in S.ids_sorted:
-        if eid in out:
-            continue
-        if compare(d_value(a | {eid}, S), da, S.alpha) == 0:
-            out.add(eid)
-    return frozenset(out)
+    return a | {e for e in S.ids_sorted if e not in a and compare(d_value(a | {e}, S), da, S.alpha) == 0}
 
 
 def _relative_d(a, z, S):

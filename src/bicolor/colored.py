@@ -11,8 +11,25 @@ matroid contracted by the conditioning set (computed from fundamental
 circuits of a greedy basis), delta is additive across components, and each
 component is searched exhaustively by `_component_walk`, one `pregeom.walk`
 over the residual rows `colored_components` reduced against span(X).
-`_component_min` reads the least delta off it and `min_violating_witness`
-the (size, lex)-least violator; both prune by the suffix-rank bound below.
+`_component_min` reads the least delta off it, with the first minimizer in
+lex order (`min_relative_delta`) or the least minimizer (`least_minimiser`),
+and `min_violating_witness` the (size, lex)-least violator; all prune by
+the suffix-rank bound below.
+
+Lemma (least minimizer).  f(C) = delta(C/X) on the subsets C of S - X has
+one minimizer L of least size, and it lies within every minimizer; X u L
+is the closure of X.  Proof: dim is submodular and the colored count
+modular, so f(C u D) + f(C n D) <= f(C) + f(D).  For minimizers C and D,
+f(C u D) and f(C n D) are at least the minimum m and add up to at most
+2m, so both are minimizers: the minimizers are closed under n, and their
+intersection L is one, of least size, and the only one of that size.  X
+u L is closed: delta(Y / X u L) = f(L u (Y - X)) - f(L) >= 0.  A closed Z
+containing X holds L: with D = Z - X, f(L u D) >= f(D) (Z closed), so
+f(L n D) <= f(L) + f(D) - f(L u D) <= f(L) = m, L n D is a minimizer and
+L lies within it.  Zero-residual colored points lie in every minimizer
+(each lowers f by alpha), plain points in none of least size (one
+raises f or keeps it), and f adds up over components, so L is those
+points with each component's least minimizer.
 
 Lemma (suffix-rank bound).  Let a component's points be c_0 < ... < c_{n-1},
 R_i = dim(c_0 .. c_{i-1} / X) and S_i = dim(c_i .. c_{n-1} / X).  For C
@@ -31,10 +48,25 @@ whose bound delta(C / X) - alpha * rho is no less than the best value so far
 the static red_i = (n - i) - (R_n - R_i), so the bound prunes every node
 that bound did; a pruned node's subtree holds nothing strictly better than
 the best so far, so the first minimizer in lex order and the (size,
-lex)-least violator are met as before.  `colored_components` works out
-R_i and S_i once per component (`pregeom.suffix_rank_bound`, whose R_n
-feeds its direct-sum check); the walk folds (dim(C / X), |C|, bitmask of C) in integers and decides each node
-by `pre_dim_sign`, building the witness's ids once.
+lex)-least violator are met as before.
+
+Prune rule of the least minimizer.  That search keeps a bar (v, w), the
+least pair (delta, size) met so far, pairs ordered by delta and then by
+size, and a subset beats it when its pair is less.  A node holding C is not expanded
+when its bound is above v, or equal to v with |C| >= w.  Proof: every
+subset below has delta >= the bound, so in the first case none reaches v,
+and in the second none is below v and each tie has size >= |C| >= w, so
+none beats the bar.  With v = 0 and w = 0 at the start this is the strict
+rule, and the walk meets each subset beating the final bar, L, unpruned.
+
+`colored_components` reads each component's R_i off its circuit pass
+(rank adds up over components, so a point grows the span of the points
+before it in the pass iff it grows that of its component's points before
+it) and works out the S_i by one reverse pass per component
+(`pregeom.suffix_rank_bound`), whose ranks S_0 feed its direct-sum check
+against the circuit pass; the walk folds (dim(C / X), bitmask of C) in
+integers, |C| being the mask's bit count, and each node is decided by
+`pre_dim_sign`, building the witness's ids once.
 
 The witness search also prunes by size.  The walk meets subsets of equal
 size in lex order, so the first violator of each size is that size's
@@ -72,6 +104,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 
 from .errors import (
     BackendMismatch,
@@ -340,9 +373,8 @@ class _UnionFind:
         return x
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+        ra, rb = sorted((self.find(a), self.find(b)))
+        self.parent[rb] = ra
 
 
 class _Component(list):
@@ -350,10 +382,10 @@ class _Component(list):
     their `rank`, and the `red` and `null` lists of their suffix-rank bound
     (`pregeom.suffix_rank_bound`)."""
 
-    def __init__(self, ids, rows, ncols):
+    def __init__(self, ids, rows, ncols, grew):
         super().__init__(ids)
         self.rows = rows
-        self.rank, self.red, self.null = suffix_rank_bound(rows, ncols)
+        self.rank, self.red, self.null = suffix_rank_bound(rows, ncols, grew)
 
     def ids_of(self, mask) -> tuple[str, ...]:
         return tuple(eid for j, eid in enumerate(self) if mask >> j & 1)
@@ -375,36 +407,30 @@ def colored_components(S: ColoredStructure, x_ids):
     if S.backend.kind == FREE:
         return [], [[c] for c in cands]
     base_red = S.reducer_for(x)
-    drops = []
-    residuals = {}
-    for eid in cands:
-        res = base_red.residual(S.introw(eid))
-        if any(res):
-            residuals[eid] = res
-        else:
-            drops.append(eid)
+    residuals = {eid: base_red.residual(S.introw(eid)) for eid in cands}
+    drops = [eid for eid, res in residuals.items() if not any(res)]
+    residuals = {eid: res for eid, res in residuals.items() if any(res)}
     uf = _UnionFind(residuals)
     order = list(residuals)
     co = Coordinates(S.backend.ambient_dim, len(order))
-    rank = 0
+    grew = {}
     for eid in order:
         coeffs = co.insert((1, residuals[eid]))
-        if coeffs is None:
-            rank += 1
-            continue
-        for b, c in zip(order, coeffs[1]):
+        grew[eid] = coeffs is None
+        for b, c in zip(order, coeffs[1] if coeffs else ()):
             if c:
                 uf.union(eid, b)
     comps: dict[str, list[str]] = {}
     for eid in residuals:
         comps.setdefault(uf.find(eid), []).append(eid)
     out = [
-        _Component(ids, [residuals[eid] for eid in ids], S.backend.ambient_dim)
+        _Component(ids, [residuals[eid] for eid in ids], S.backend.ambient_dim, [grew[eid] for eid in ids])
         for ids in sorted(map(sorted, comps.values()))
     ]
-    # Direct-sum sanity: component ranks must add up to the total.  The
-    # residuals are clear of span(X), so each component's rank is theirs.
-    if sum(comp.rank for comp in out) != rank:
+    # Direct-sum sanity: the components' ranks, each from its own reverse
+    # pass, must add up to the rank of the circuit pass.  The residuals are
+    # clear of span(X), so each component's rank is theirs.
+    if sum(comp.rank for comp in out) != sum(grew.values()):
         raise InvariantError("component decomposition lost rank")
     return drops, out
 
@@ -419,8 +445,8 @@ class _BudgetCounter:
         self.budget = self.left = budget
         self.where, self.size = where, 0
 
-    def spend(self):
-        self.left -= 1
+    def spend(self, nodes):
+        self.left -= nodes
         if self.left < 0:
             raise SearchBudgetExceeded(
                 f"exact search node budget of {self.budget} exhausted in {self.where} "
@@ -430,40 +456,54 @@ class _BudgetCounter:
 
 def _component_walk(comp, counter, alpha, bar):
     """One `walk` over the subsets C of comp, yielding (dim(C/X), |C|,
-    bitmask of C) for each new one whose delta(C/X) is below the bar's;
-    every node spends one from `counter`.
+    bitmask of C) for each new one that beats the bar; every node spends
+    one from `counter`, a yielded one but the root two: itself and the
+    sibling skipping its last row, which the walk does not yield.
 
-    `bar` is [dim, col, cap], the value dim - alpha * col to beat and a size
-    cap, which the caller raises as it goes.  A node on comp[:i] holding C
-    is not expanded when |C| >= cap or delta(C/X) - alpha * rho is no less
-    than the bar's value, rho = min(red[i], null[i] + dim(C/X)) being the
-    module lemma's (n - i) - max(R_n - R_i, S_i - dim(C/X)).
+    `bar` is [dim, col, cap, tie]: the value dim - alpha * col to beat, a
+    size cap and a tie size, which the caller moves as it goes.  C beats
+    the bar when delta(C/X) is below its value, or equal to it with |C| <
+    tie.  A node on comp[:i] holding C is not expanded when |C| >= cap, or
+    when its bound delta(C/X) - alpha * rho is above the bar's value, or
+    equal to it with |C| >= tie, rho = min(red[i], null[i] + dim(C/X))
+    being the module lemma's (n - i) - max(R_n - R_i, S_i - dim(C/X)).
     """
     counter.size = len(comp)
-    red, null = comp.red, comp.null
-    take = lambda st, i, row: (st[0] + any(row), st[1] + 1, st[2] | 1 << i)
-    prune = lambda i, st: st[1] >= bar[2] or pre_dim_sign(
-        st[0] - bar[0], st[1] + min(red[i], null[i] + st[0]) - bar[1], alpha
-    ) >= 0
-    for _, state, new in walk(comp.rows, (0, 0, 0), take, prune):
-        counter.spend()
-        if new and pre_dim_sign(state[0] - bar[0], state[1] - bar[1], alpha) < 0:
-            yield state
+    red, null, sign_of = comp.red, comp.null, cache(partial(pre_dim_sign, alpha=alpha))
+
+    def prune(i, dim, mask):
+        size = mask.bit_count()
+        if size >= bar[2]:
+            return True
+        sign = sign_of(dim - bar[0], size + min(red[i], null[i] + dim) - bar[1])
+        return sign > 0 or (sign == 0 and size >= bar[3])
+
+    for _, dim, mask, _ in walk(comp.rows, prune):
+        counter.spend(2 if mask else 1)
+        size = mask.bit_count()
+        sign = sign_of(dim - bar[0], size - bar[1])
+        if sign < 0 or (sign == 0 and size < bar[3]):
+            yield dim, size, mask
 
 
-def _component_min(comp, alpha, counter):
+def _component_min(comp, alpha, counter, least=False):
     """Exact min of delta(C/X) over C within one component of
-    `colored_components`, with witness: each subset met below the best so
-    far becomes the bar, and no node is expanded whose bound is no less
-    than it."""
-    bar, mask = [0, 0, len(comp) + 1], 0
+    `colored_components`, with witness: each subset met that beats the bar
+    becomes it, and no node is expanded whose bound cannot beat it.  The
+    witness is the first minimiser in lex order, or with `least`, where a
+    tie of smaller size beats the bar too, the least minimiser (module
+    lemma)."""
+    bar, mask = [0, 0, len(comp) + 1, 0], 0
     for dim, size, mask in _component_walk(comp, counter, alpha, bar):
         bar[:2] = dim, size
+        bar[3] = size if least else 0
     return PreDimValue(bar[0], bar[1]), frozenset(comp.ids_of(mask))
 
 
-def min_relative_delta(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NODE_BUDGET):
-    """Exact minimum of delta(A/X) over all A within S, with an attaining set.
+def min_relative_delta(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NODE_BUDGET, least=False):
+    """Exact minimum of delta(A/X) over all A within S, with an attaining set:
+    per component the first minimiser in lex order, or with `least` the
+    least minimiser (`least_minimiser`).
 
     The minimum is at most zero (A may be empty).  An empty X over a structure
     with a recorded K+ verdict needs no search: every delta(A) is >= 0 there.
@@ -472,14 +512,22 @@ def min_relative_delta(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NO
     if S.backend.kind == FREE or (not x and S._k_plus is True):
         return ZERO, frozenset()
     drops, comps = colored_components(S, x)
-    counter = _BudgetCounter(node_budget, "min_relative_delta")
+    counter = _BudgetCounter(node_budget, "least_minimiser" if least else "min_relative_delta")
     total = PreDimValue(0, len(drops))
     witness = set(drops)
     for comp in comps:
-        v, w = _component_min(comp, S.alpha, counter)
+        v, w = _component_min(comp, S.alpha, counter, least)
         total = total + v
         witness |= w
     return total, frozenset(witness)
+
+
+def least_minimiser(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NODE_BUDGET):
+    """(min delta(A/X) over A within S, L) for L the least minimiser, the
+    minimiser of least size (module lemma): the zero-residual colored
+    points over span(X) and each component's least minimiser, from one
+    search whose bar is ordered by (delta, size)."""
+    return min_relative_delta(S, x_ids, node_budget, least=True)
 
 
 def min_violating_witness(S: ColoredStructure, x_ids, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -517,7 +565,7 @@ def _least_violator(S, x, node_budget):
     counter = _BudgetCounter(node_budget, "min_violating_witness")
     best = (len(S) + 1, ())
     for comp in comps:
-        bar, last = [0, 0, best[0]], 0
+        bar, last = [0, 0, best[0], 0], 0
         for _, size, last in _component_walk(comp, counter, S.alpha, bar):
             bar[2] = size - 1
         if last:
@@ -569,8 +617,8 @@ def k_plus_violation(S: ColoredStructure) -> frozenset | None:
     return None if in_k_plus(S) else min_violating_witness(S, ())
 
 
-def ensure_k_plus(S: ColoredStructure):
-    if not in_k_plus(S):
+def ensure_k_plus(S: ColoredStructure, node_budget: int = DEFAULT_NODE_BUDGET):
+    if not in_k_plus(S, node_budget):
         raise NotInKPlus(f"structure has a negative subset {sorted(k_plus_violation(S))}")
 
 

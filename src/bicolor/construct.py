@@ -473,7 +473,10 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
     rank) keeps the size of its largest subset, the empty set giving
     ((), 0): 0; subsets sharing both have one rank, so the largest has the
     least delta.  `pregeom.walk` meets the subsets in row order, with the
-    echelon rows of a from-scratch elimination, in at most 2^k - 1 steps.  A
+    echelon rows of a from-scratch elimination, in at most 2^k - 1 steps;
+    each subset's old echelon rows and key are its parent's (the subset
+    without its last row, met before it), keyed by bitmask, plus the row
+    it took when that has no fresh pivot.  A
     zero-width block (start = old_width, length = 0) profiles points on the
     old coordinates alone.  Raises SearchBudgetExceeded for a point outside
     its columns or a block of more than BLOCK_PROFILE_LIMIT points.
@@ -488,18 +491,18 @@ def _block_profile(S2, old_width: int, ids, start: int, length: int) -> dict:
         )
     rows = [row[start:start + length] + row[:old_width] for row in rows]
 
-    def take(state, j, row):  # state: size, fresh rank, (lead, old part)s, key
-        size, rank_f, olds, key = state
-        if any(row[:length]):
-            rank_f += 1
-        elif any(row):
+    table, olds_of = {((), 0): 0}, {0: ((), ())}  # mask: (lead, old part)s, key
+    for i, dim, mask, pending in walk(rows):
+        if not mask:
+            continue
+        olds, key = olds_of[mask ^ 1 << (i - 1)]
+        row = pending[i - 1]
+        if any(row) and not any(row[:length]):
             lead = next(c for c, x in enumerate(row) if x)
             olds = sorted([*olds, (lead, row[length:])])
             key = canonical_rows([r for _, r in olds])
-        return size + 1, rank_f, olds, key
-
-    table = {((), 0): 0}
-    for _, (size, rank_f, _, key), _ in walk(rows, (0, 0, (), ()), take):
+        olds_of[mask] = olds, key
+        size, rank_f = mask.bit_count(), dim - len(olds)
         if size > table.get((key, rank_f), -1):
             table[key, rank_f] = size
     return table

@@ -36,6 +36,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InputError, InvariantError, SchemaError
@@ -166,49 +167,60 @@ def eliminate(pending: list[list[int]], i: int) -> list[list[int]]:
     return out
 
 
-def walk(rows, root, take, prune=None):
-    """Depth-first fold over the subsets of `rows`, each row taken before it
+def walk(rows, prune=None):
+    """Depth-first walk over the subsets of `rows`, each row taken before it
     is skipped, so new subsets come in lex order of their sorted indices.
 
-    Yields (i, state, new) per node: its subset is decided on rows[:i],
-    `state` folds take(state, j, row) from `root` over its rows j, `row`
-    being j's pending row (zero iff j adds nothing to the rows taken before
-    it), and `new` is False for a node skipping rows[i - 1], its parent's
-    subset again.  A node is expanded after it is yielded unless i =
-    len(rows) or prune(i, state).  The rows are made primitive with positive
-    leads, and a taken row that grew the span is eliminated only when its
-    node is expanded: each pending row is a `SpanReducer` residual (lemma).
+    Yields (i, dim, mask, pending) once per subset, at the node that took
+    its last row (the root for the empty set): its subset C of rows[:i] is
+    the bitmask `mask`, dim = rank(C), and pending[i - 1] the row it took,
+    rows[i - 1]'s residual against the rest of C, zero iff that row adds
+    nothing to their span.  A node skipping rows[i - 1] holds its parent's
+    subset again and is not yielded.  Every node, yielded or not, is
+    expanded (after its yield) unless i = len(rows) or prune(i, dim, mask),
+    asked of every node short of the last row.  An expanded node has two
+    children, one yielded, so a walk that yields m nodes has 2m - 1 nodes
+    in all.  The rows are made primitive with
+    positive leads, and a taken row that grew the span is eliminated only
+    when its node is expanded: each pending row is a `SpanReducer` residual
+    (lemma).
     """
-    n = len(rows)
-    stack = [(0, [_primitive(list(r)) for r in rows], None, root, True)]
-    while stack:
-        i, pending, grown, state, new = stack.pop()
-        yield i, state, new
-        if i == n or (prune is not None and prune(i, state)):
-            continue
+    n, skipped = len(rows), []
+    i, pending, grown, dim, mask = 0, [_primitive(list(r)) for r in rows], None, 0, 0
+    while True:
+        yield i, dim, mask, pending
+        while i == n or (prune is not None and prune(i, dim, mask)):
+            if not skipped:
+                return
+            i, pending, grown, dim, mask = skipped.pop()
         if grown is not None:
             pending = eliminate(pending, grown)
-        row = pending[i]
-        stack.append((i + 1, pending, None, state, False))
-        stack.append((i + 1, pending, i if any(row) else None, take(state, i, row), True))
+        skipped.append((i + 1, pending, None, dim, mask))
+        grown = i if any(pending[i]) else None
+        i, dim, mask = i + 1, dim + (grown is not None), mask | 1 << i
 
 
-def suffix_rank_bound(rows, ncols: int):
+def suffix_rank_bound(rows, ncols: int, grew=None):
     """(rank(rows), red, null) for the suffix-rank bound of the `colored`
-    module's lemma.  With R_i = rank(rows[:i]) from one forward and S_i =
-    rank(rows[i:]) from one reverse `SpanReducer` pass, red[i] = (n - i) -
-    (R_n - R_i) and null[i] = (n - i) - S_i, so a subset of rows[:i] of
-    rank d has rho = (n - i) - max(R_n - R_i, S_i - d) = min(red[i],
-    null[i] + d)."""
+    module's lemma.  With R_i = rank(rows[:i]) and S_i = rank(rows[i:]),
+    red[i] = (n - i) - (R_n - R_i) and null[i] = (n - i) - S_i, so a subset
+    of rows[:i] of rank d has rho = (n - i) - max(R_n - R_i, S_i - d) =
+    min(red[i], null[i] + d).  The S_i come from one reverse `SpanReducer`
+    pass, which also gives the rank S_0.  R_i counts the rows before i
+    that grew the span of the rows before them: `grew` lists those flags
+    when the caller has them from a pass of its own, and a forward
+    `SpanReducer` pass works them out otherwise."""
     n = len(rows)
-    fwd, bwd = SpanReducer(ncols), SpanReducer(ncols)
-    prefix, suffix = [0], [0]
-    for row, back in zip(rows, reversed(rows)):
-        prefix.append(prefix[-1] + fwd.add(row))
+    if grew is None:
+        fwd = SpanReducer(ncols)
+        grew = [fwd.add(row) for row in rows]
+    bwd = SpanReducer(ncols)
+    prefix, suffix = list(accumulate(grew, initial=0)), [0]
+    for back in reversed(rows):
         suffix.append(suffix[-1] + bwd.add(back))
     red = [(n - i) - (prefix[n] - r) for i, r in enumerate(prefix)]
     null = [(n - i) - s for i, s in enumerate(reversed(suffix))]
-    return prefix[n], red, null
+    return suffix[n], red, null
 
 
 def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:

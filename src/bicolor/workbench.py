@@ -73,7 +73,8 @@ def _parse_fraction(text, where: str) -> Fraction:
         raise SchemaError(f"{where}: rational must be a string, got {type(text).__name__}")
     if not _RATIONAL_RE.match(text):
         raise SchemaError(f"{where}: cannot parse rational {text!r}")
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 def structure_to_obj(S: ColoredStructure) -> dict:

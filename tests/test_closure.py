@@ -142,6 +142,36 @@ class TestClosure:
         assert (got, steps) == (set().union(*copies), 3)
         assert witnesses == [pair.union(*copies[3:]), copies[1], copies[2], None]
 
+    def test_one_search_matches_the_fixpoint(self):
+        """closure(X), one least-minimiser search, is the fixpoint's set and
+        the table's least closed superset on K+ structures of up to twelve
+        points with dependent payloads, at the four search alphas, with X
+        closed and not."""
+        rng = random.Random(0xC1)
+        steps = []
+        for i in range(200):
+            alpha = SEARCH_ALPHAS[i % 4]
+            S = random_dependent_structure(rng, alpha, rng.randint(3, 12), rng.randint(3, 6), 0.35)
+            if not brute_in_k_plus(S):
+                continue
+            x = rng.sample(S.ids_sorted, rng.randint(0, 3))
+            got = closure(x, S)
+            want, n = closure_with_steps(x, S)
+            assert got == want == brute_closure(S, x)
+            steps.append(n)
+        assert len(steps) >= 80 and sum(n == 0 for n in steps) >= 20 and sum(n >= 2 for n in steps) >= 5
+
+    def test_closure_asks_no_witness(self, monkeypatch):
+        base = ColoredStructure(Backend(LINEAR, 1), (ge("b", 1),), frozenset(), ALPHA_INV_SQRT2)
+        P = free_power_patch([], ["b"], F(1, 2), 2, base).structure
+        calls = []
+        search = closure_module.min_violating_witness
+        monkeypatch.setattr(closure_module, "min_violating_witness", lambda *a, **k: calls.append(a) or search(*a, **k))
+        assert closure(["d1"], P) == {f"d{i}" for i in range(1, 25)}
+        assert closure(["a"], witness_structure()) == {"a", "b1", "b2"}
+        assert calls == []
+        assert closure_with_steps(["a"], witness_structure())[1] == 1 and len(calls) == 2
+
     def test_idempotent(self):
         S = witness_structure()
         c = closure(["a"], S)
@@ -336,8 +366,8 @@ class TestMinimalPairsIntrinsic:
             assert is_minimal_pair(a, b, S) == minimal
             seen["intrinsic"] += intrinsic
             seen["minimal"] += minimal
-            # the walk runs, and must find a failing subset: B minus a plain
-            # point never has the larger delta
+            # no walk runs: the colored part of B minus A fails both, by the
+            # plain-point lemma of `_proper_subsets_hold`
             seen["plain inside"] += bool((b - a) - S.colored) and table.delta_sign(mb ^ ma, ma) < 0
         assert min(seen.values()) >= 10, seen
 
@@ -363,16 +393,21 @@ class TestMinimalPairsIntrinsic:
         alpha = Alpha.quadratic(0, 1, 5, 5)
         base = ColoredStructure(Backend(LINEAR, 1), (ge("b", 1),), frozenset(), alpha)
         S = transcendental_patch([], ["b"], F(1, 10), base).structure
-        walked, original = [], closure_module.walk
+        walked, expanded, original = [], [], closure_module.walk
 
-        def counting(*args, **kwargs):
-            for node in original(*args, **kwargs):
-                walked.append(node[2])
+        def counting(rows, prune):
+            def asked(*node):
+                expanded.append(not prune(*node))
+                return not expanded[-1]
+
+            for node in original(rows, asked):
+                walked.append(node)
                 yield node
 
         monkeypatch.setattr(closure_module, "walk", counting)
         assert len(S) == 10 and is_minimal_pair(["b"], S.id_set, S)
-        assert (sum(walked), len(walked)) == (36, 71)
+        # the walk yields only new nodes; each expanded node has two children
+        assert (len(walked), 1 + 2 * sum(expanded)) == (36, 71)
 
 
 class TestSmoothClassAxioms:

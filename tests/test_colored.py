@@ -17,6 +17,7 @@ from bicolor.colored import (
     is_lp_embedding,
     is_weak_iso,
     k_plus_violation,
+    least_minimiser,
     min_relative_delta,
     min_violating_witness,
 )
@@ -876,3 +877,75 @@ def test_suffix_rank_bound(alpha):
                 assert min(signs) >= 0
                 tight += min(signs) == 0 and rho > 0
     assert tight > 0  # the bound is attained
+
+
+def _table_minimisers(t: SubsetTable, x_mask: int):
+    """(least value as a mask, every minimiser) of f(C) = delta(C / X) over
+    the masks C outside X, by comparing every mask with the best so far."""
+    outside = [m for m in range(1 << t.n) if not m & x_mask]
+    best = 0
+    for m in outside:
+        if t._sign(*(a - b for a, b in zip(t.delta_pair(m, x_mask), t.delta_pair(best, x_mask)))) < 0:
+            best = m
+    ties = lambda m: t._sign(*(a - b for a, b in zip(t.delta_pair(m, x_mask), t.delta_pair(best, x_mask))))
+    return best, [m for m in outside if ties(m) == 0]
+
+
+class TestLeastMinimiser:
+    """`least_minimiser` against the subset table: its value is the least
+    delta(C / X), and its set the one minimiser of least size, on structures
+    of up to twelve points with dependent payloads at the four search
+    alphas, X closed and not."""
+
+    def test_matches_subset_table(self):
+        rng = random.Random(0x1EA5)
+        seen = dict.fromkeys(["closed", "open", "several minimisers", "lex-first not least"], 0)
+        for i in range(160):
+            alpha = SEARCH_ALPHAS[i % 4]
+            n = rng.randint(3, 12)
+            S = random_dependent_structure(rng, alpha, n, rng.randint(2, 6), rng.choice([0.5, 0.8]))
+            t = SubsetTable(S)
+            x = rng.sample(S.ids_sorted, rng.randint(0, min(3, n)))
+            x_mask = t.mask_of(x)
+            best, minimisers = _table_minimisers(t, x_mask)
+            least = min(minimisers, key=lambda m: m.bit_count())
+            assert [m for m in minimisers if m.bit_count() == least.bit_count()] == [least]
+            assert all(m & least == least for m in minimisers)
+            value, got = least_minimiser(S, x)
+            assert (value, got) == (PreDimValue(*t.delta_pair(least, x_mask)), t.ids_of(least))
+            lex_first = min_relative_delta(S, x)[1]
+            seen["closed" if not least else "open"] += 1
+            seen["several minimisers"] += len(minimisers) > 1
+            seen["lex-first not least"] += lex_first != got
+        lex_first_not_least = seen.pop("lex-first not least")
+        assert min(seen.values()) >= 8 and lex_first_not_least >= 1, seen
+
+    @pytest.mark.parametrize("alpha", [ALPHA_HALF, ALPHA_TWO_THIRDS])
+    def test_ties_at_rational_alpha(self, alpha):
+        """At rational alpha a minimiser ties with a larger one that sorts
+        first.  At 1/2 the parallel c1, c2, c3 give 1 - 3/2, and a, b, on
+        one line over them, add 1 - 2 alpha = 0; at 2/3 the parallel c1, c2
+        give 1 - 4/3, and a, b, d, spanning a plane over them, add 2 - 3
+        alpha = 0.  One component holds all five points; the first
+        minimiser in lex order is all of it, the least one the c's.  Below
+        the node that skipped a and b and took c1, the bound equals the
+        bar, so the prune there must let smaller ties through."""
+        if alpha == ALPHA_HALF:
+            pts = {"a": (0, 1), "b": (1, 1), "c1": (1, 0), "c2": (2, 0), "c3": (3, 0)}
+        else:
+            pts = {"a": (0, 1, 0), "b": (0, 0, 1), "c1": (1, 0, 0), "c2": (2, 0, 0), "d": (1, 1, 1)}
+        cs = frozenset(i for i in pts if i.startswith("c"))
+        S = ColoredStructure(Backend(LINEAR, len(pts["a"])), tuple(ge(i, *v) for i, v in pts.items()),
+                             frozenset(pts), alpha)
+        assert len(colored.colored_components(S, [])[1]) == 1
+        value = delta(S, cs)
+        assert value.sign(alpha) < 0 and delta(S, S.id_set, cs).sign(alpha) == 0
+        assert min_relative_delta(S, []) == (delta(S, S.id_set), S.id_set)
+        assert least_minimiser(S, []) == (value, cs)
+
+    def test_empty_over_a_k_plus_verdict_and_free(self):
+        S = witness_structure()
+        assert in_k_plus(S) and least_minimiser(S, []) == (PreDimValue(0, 0), frozenset())
+        assert least_minimiser(S, ["a"]) == (PreDimValue(1, 2), frozenset({"b1", "b2"}))
+        F_S = ColoredStructure(Backend(FREE), (GroundElement("c"),), frozenset({"c"}), ALPHA_ONE)
+        assert least_minimiser(F_S, []) == (PreDimValue(0, 0), frozenset())

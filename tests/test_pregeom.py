@@ -171,29 +171,42 @@ def test_suffix_rank_bound_matches_bareiss(rng):
 
 def test_walk_yields_each_subset_once_with_its_bareiss_rank(rng):
     """`walk` on integer rows (zero, repeated, negated and negative-lead rows
-    included): every subset is new exactly once, in include-first
-    depth-first order (lex order of the sorted indices), a repeated node
-    names its parent's subset, and each subset's folded rank is its Bareiss
-    rank; a pruned node is yielded but not expanded."""
-    take = lambda st, i, row: (st[0] + (i,), st[1] + any(row))
+    included): every subset is yielded exactly once, in include-first
+    depth-first order (lex order of the sorted indices), with its Bareiss
+    rank and the row it took last, zero iff that row adds nothing; prune is
+    asked of every node short of the last row, skipping nodes included, a
+    pruned node is not expanded, and a walk yielding m nodes has 2m - 1."""
     for trial in range(80):
         ncols = rng.randint(1, 5)
         rows = _walk_rows(rng, ncols)
         n = len(rows)
-        new_subsets = []
-        for i, (chosen, dim), new in walk(rows, ((), 0), take):
+        subsets = []
+        for i, dim, mask, pending in walk(rows):
+            chosen = tuple(j for j in range(n) if mask >> j & 1)
             assert dim == rank_int_matrix([rows[j] for j in chosen], ncols)
-            if new:
-                assert i == (chosen[-1] + 1 if chosen else 0)
-                new_subsets.append(chosen)
-            else:  # skips rows[i - 1]: its parent's subset, yielded before
-                assert i > 0 and (i - 1 not in chosen) and chosen in new_subsets
+            assert i == (chosen[-1] + 1 if chosen else 0)
+            if chosen:
+                before = rank_int_matrix([rows[j] for j in chosen[:-1]], ncols)
+                assert any(pending[i - 1]) == (dim > before)
+            subsets.append(chosen)
         all_subsets = [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
-        assert new_subsets == sorted(all_subsets)
-        cap = trial % 3
-        capped = walk(rows, ((), 0), take, lambda i, st: len(st[0]) >= cap)
-        pruned = [c for _, (c, _), new in capped if new]
-        assert pruned == sorted(c for c in all_subsets if len(c) <= cap)
+        assert subsets == sorted(all_subsets)
+        cap, asked = trial % 3, []
+
+        def prune(i, dim, mask):
+            assert dim == rank_int_matrix([rows[j] for j in range(i) if mask >> j & 1], ncols)
+            asked.append((i, mask))
+            return mask.bit_count() >= cap
+
+        capped = [mask for _, _, mask, _ in walk(rows, prune)]
+        assert capped == [m for m in map(sum, ([1 << j for j in c] for c in sorted(all_subsets)))
+                          if m.bit_count() <= cap]
+        # node (i, C) exists iff its parent (i - 1, C minus row i - 1) was
+        # expanded, i.e. holds fewer than cap rows
+        nodes = [(i, m) for i in range(n + 1) for m in range(1 << i)
+                 if i == 0 or (m & ~(1 << (i - 1))).bit_count() < cap]
+        assert sorted(asked) == [(i, m) for i, m in nodes if i < n]
+        assert len(nodes) == 2 * len(capped) - 1
 
 
 # -- the elimination kernel against Fraction Gauss-Jordan and Bareiss oracles --

@@ -40,6 +40,15 @@ def test_large_builds_prints_a_digest_per_small_build():
     assert all(re.search(r"points, [0-9.]+s, digest [0-9a-f]{16}, verdicts [0-9a-f]{16}$", line) for line in lines)
 
 
+def test_large_builds_reloaded_patch_answers():
+    # the answers are True and the 24 d's; the digests pin them
+    lines = _run("large_builds.py", "--reloaded").splitlines()
+    assert [re.sub(r", [0-9.]+s,", ", <t>s,", line) for line in lines] == [
+        "reloaded-power-1/sqrt2-1/2-2 in_k_plus: 25 points, <t>s, answer a17fcf0a2f50e2d4",
+        "reloaded-power-1/sqrt2-1/2-2 closure(d1): 25 points, <t>s, answer d5874a9b3fe8cef4",
+    ]
+
+
 def test_chain_windows_tallies_check_methods():
     out = _run("chain_windows.py", "--depth", "2", "--build", "2")
     tally = out.splitlines()[-1]

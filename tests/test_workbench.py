@@ -410,6 +410,24 @@ class TestRoundTrip:
         with pytest.raises(SchemaError):
             loads(text)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.from_regex(workbench._RATIONAL_RE),
+        st.sampled_from(["-0", "007", "2/4", "-0/3", "-12/18", "0/1", "5\n", "3/4\n", "000/1001"]),
+    ))
+    def test_regex_valid_rationals_parse_as_before(self, text):
+        # the integer parse agrees with Fraction's string parser on every
+        # string the schema's pattern admits, a trailing newline included
+        got = workbench._parse_fraction(text, "where")
+        assert got == F(text) and type(got) is F
+
+    @pytest.mark.parametrize("text", ["1.5", "1/0", "1/-2", "+1", " 1", "1 /2", "", "1e3", "/2", "1/"])
+    def test_bad_rational_messages(self, text):
+        with pytest.raises(SchemaError, match=re.escape(f"where: cannot parse rational {text!r}")):
+            workbench._parse_fraction(text, "where")
+        with pytest.raises(SchemaError, match="where: rational must be a string, got int"):
+            workbench._parse_fraction(3, "where")
+
     def test_bad_json_diagnostics(self):
         with pytest.raises(SchemaError) as e:
             loads("{nope")
