@@ -29,7 +29,6 @@ returned a set other than a minimizer, or a wrong minimum, breaks it.
 from __future__ import annotations
 
 import itertools
-from functools import cache, partial
 
 from .colored import (
     DEFAULT_NODE_BUDGET,
@@ -41,8 +40,8 @@ from .colored import (
     min_violating_witness,
 )
 from .errors import InputError, InvariantError
-from .exactnum import ZERO, PreDimValue, compare, pre_dim_sign
-from .pregeom import dim_independent as _dim_indep_elements, suffix_rank_bound, walk
+from .exactnum import ZERO, PreDimValue, compare, sign_memo
+from .pregeom import FREE, coordinate_rows, dim_independent as _dim_indep_elements, suffix_rank_bound, walk
 
 
 def _require_subset(small, big, what: str):
@@ -91,17 +90,20 @@ def is_intrinsic(a_ids, b_ids, S: ColoredStructure) -> bool:
 def _proper_subsets_hold(S: ColoredStructure, a_ids, b_ids, strict) -> bool:
     """For B - A nonempty: True iff delta(B/A) < 0 and, with floor = delta(B/A)
     if strict and 0 if not, delta(C/A) > floor (strict) or >= floor (not
-    strict) for each nonempty proper subset C of B - A, off one `walk` over
-    the rows of extra = sorted(B - A) reduced against span(A) that stops
-    at a failure; for B = A, `strict`.
+    strict) for each nonempty proper subset C of B - A, off one `walk` that
+    stops at a failure; for B = A, `strict`.  The rows of extra = sorted(B
+    - A), reduced against span(A), go through `pregeom.coordinate_rows`,
+    whose grown rows give dim(B/A), and the walk steps through their
+    coordinate rows, which keep every rank.
 
     Lemma (plain points).  If delta(B/A) < 0 and B - A holds a plain point,
     both verdicts are False without a walk.  Proof: the colored part K of
     B - A has delta(K/A) = dim(K/A) - alpha * |K| <= dim(B/A) - alpha * |K|
     = delta(B/A) < 0, so K is nonempty, and proper for missing the plain
-    point; it fails both thresholds, 0 and delta(B/A), strict.  So
-    delta(B/A) < 0 and that B - A is all colored are asked first, and the
-    walk's (dim(C/A), bitmask of C) gives the colored count |C|.
+    point; it fails both thresholds, 0 and delta(B/A), strict.  So a plain
+    point in B - A gives False before any reduction (with delta(B/A) >= 0
+    both verdicts are False anyway), and the walk's (dim(C/A), bitmask of
+    C) gives the colored count |C|.
 
     Each node is decided by `pre_dim_sign`: it meets the threshold when the
     sign of delta(C/A) - floor is at least `least_sign`, 1 if strict and 0
@@ -121,17 +123,19 @@ def _proper_subsets_hold(S: ColoredStructure, a_ids, b_ids, strict) -> bool:
     extra = sorted(b - a)
     if not extra:
         return strict
-    floor = delta(S, b, a)
-    if floor.sign(S.alpha) >= 0 or not S.colored.issuperset(extra):
+    if S.backend.kind == FREE or not S.colored.issuperset(extra):
+        return False
+    base = S.reducer_for(a)
+    grew, rows = coordinate_rows([base.residual(S.introw(e)) for e in extra])
+    floor = PreDimValue(sum(grew), len(extra))
+    if floor.sign(S.alpha) >= 0:
         return False
     floor = floor if strict else ZERO
     full = (1 << len(extra)) - 1
-    base = S.reducer_for(a)
-    rows = [base.residual(S.introw(e)) for e in extra]
-    _, red, null = suffix_rank_bound(rows, base.ncols)
+    _, red, null = suffix_rank_bound(rows, len(rows[0]), grew)
     fd, fc, alpha = floor.dim_part, floor.color_part, S.alpha
     least_sign = 1 if strict else 0
-    sign_of = cache(partial(pre_dim_sign, alpha=alpha))
+    sign_of = sign_memo(alpha)
     meets = lambda dim, col: sign_of(dim - fd, col - fc) >= least_sign
     prune = lambda i, dim, mask: mask != (1 << i) - 1 and meets(
         dim, mask.bit_count() + min(red[i], null[i] + dim)
@@ -180,11 +184,9 @@ def closure_n(a_ids, S: ColoredStructure, n: int):
     out = set(a)
     rest = sorted(S.id_set - a)
     for size in range(1, n):
-        for combo in itertools.combinations(rest, size):
-            if set(combo) <= out:
-                continue
-            if is_intrinsic(a, a | set(combo), S):
-                out |= set(combo)
+        for combo in map(set, itertools.combinations(rest, size)):
+            if not combo <= out and is_intrinsic(a, a | combo, S):
+                out |= combo
     return frozenset(out)
 
 

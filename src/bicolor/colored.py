@@ -52,19 +52,26 @@ lex)-least violator are met as before.
 
 Prune rule of the least minimizer.  That search keeps a bar (v, w), the
 least pair (delta, size) met so far, pairs ordered by delta and then by
-size, and a subset beats it when its pair is less.  A node holding C is not expanded
-when its bound is above v, or equal to v with |C| >= w.  Proof: every
-subset below has delta >= the bound, so in the first case none reaches v,
-and in the second none is below v and each tie has size >= |C| >= w, so
-none beats the bar.  With v = 0 and w = 0 at the start this is the strict
-rule, and the walk meets each subset beating the final bar, L, unpruned.
+size, and a subset beats it when its pair is less.  A node holding C is
+not expanded when its bound is above v, or equal to v with |C| >= w.
+Proof: every subset below has delta >= the bound, so in the first case
+none reaches v, and in the second none is below v and each tie has size
+>= |C| >= w, so none beats the bar.  With v = 0 and w = 0 at the start
+this is the strict rule, and the walk meets each subset beating the
+final bar, L, unpruned.
 
-`colored_components` reads each component's R_i off its circuit pass
-(rank adds up over components, so a point grows the span of the points
-before it in the pass iff it grows that of its component's points before
-it) and works out the S_i by one reverse pass per component
-(`pregeom.suffix_rank_bound`), whose ranks S_0 feed its direct-sum check
-against the circuit pass; the walk folds (dim(C / X), bitmask of C) in
+`colored_components` runs one circuit pass over the residuals,
+`pregeom.coordinate_rows`, which gives each point's coordinates over the
+points that grew the span before it: a point and the grown points of its
+fundamental circuit share a component, and each component's R_i are read
+off the pass (rank adds up over components, so a point grows the span of
+the points before it in the pass iff it grows that of its component's
+points before it).  The walks step through the component's coordinate
+rows over its own grown points, of length its rank and unit rows for the
+grown points, which keep the rank of every subset.  The S_i come from one
+reverse pass per component over its residuals
+(`pregeom.suffix_rank_bound`), whose ranks S_0 feed the direct-sum check
+against the circuit pass.  The walk folds (dim(C / X), bitmask of C) in
 integers, |C| being the mask's bit count, and each node is decided by
 `pre_dim_sign`, building the witness's ids once.
 
@@ -102,9 +109,9 @@ lex) order under the renaming, and are not carried.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
 
 from .errors import (
     BackendMismatch,
@@ -115,9 +122,9 @@ from .errors import (
     SearchBudgetExceeded,
     UnknownElement,
 )
-from .exactnum import Alpha, PreDimValue, ZERO, pre_dim_sign
+from .exactnum import Alpha, PreDimValue, ZERO, sign_memo
 from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer, int_payload
-from .pregeom import dependency_kernel, payload_kernel, suffix_rank_bound, walk  # dependency_kernel: re-exported
+from .pregeom import coordinate_rows, dependency_kernel, payload_kernel, suffix_rank_bound, walk  # dependency_kernel: re-exported
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -319,16 +326,8 @@ class ColoredStructure:
         )
 
     def fresh_ids(self, prefix: str, count: int) -> list[str]:
-        used = set(self._by_id)
-        out = []
-        i = 1
-        while len(out) < count:
-            cand = f"{prefix}{i}"
-            if cand not in used:
-                out.append(cand)
-                used.add(cand)
-            i += 1
-        return out
+        names = (f"{prefix}{i}" for i in itertools.count(1))
+        return list(itertools.islice((c for c in names if c not in self._by_id), count))
 
 
 def empty_structure(alpha: Alpha, ambient: int = 0, kind: str = LINEAR) -> ColoredStructure:
@@ -352,40 +351,23 @@ def delta(S: ColoredStructure, a_ids, x_ids=()) -> PreDimValue:
     if S.backend.kind == FREE:
         return PreDimValue(len(fresh), ncol)
     red = S.reducer_for(x)
-    grow = 0
-    for eid in sorted(fresh):
-        if red.add(S.introw(eid)):
-            grow += 1
-    return PreDimValue(grow, ncol)
+    return PreDimValue(sum(red.add(S.introw(eid)) for eid in sorted(fresh)), ncol)
 
 
 # -- colored component decomposition ---------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = sorted((self.find(a), self.find(b)))
-        self.parent[rb] = ra
-
-
 class _Component(list):
-    """A component's ids in order, with `rows`, their residuals over span(X),
-    their `rank`, and the `red` and `null` lists of their suffix-rank bound
+    """A component's ids in order, with `rows`, their integer coordinate rows
+    over its points that grew the circuit pass, which the walks step
+    through, and, from a reverse pass over their residuals over span(X),
+    their `rank` and the `red` and `null` lists of their suffix-rank bound
     (`pregeom.suffix_rank_bound`)."""
 
-    def __init__(self, ids, rows, ncols, grew):
+    def __init__(self, ids, rows, residuals, ncols, grew):
         super().__init__(ids)
         self.rows = rows
-        self.rank, self.red, self.null = suffix_rank_bound(rows, ncols, grew)
+        self.rank, self.red, self.null = suffix_rank_bound(residuals, ncols, grew)
 
     def ids_of(self, mask) -> tuple[str, ...]:
         return tuple(eid for j, eid in enumerate(self) if mask >> j & 1)
@@ -396,37 +378,35 @@ def colored_components(S: ColoredStructure, x_ids):
 
     Zero-residual colored points always lower delta; the rest decompose into
     connected components of the contracted matroid, read off the fundamental
-    circuits of the greedy basis.  delta minimization is additive across
-    components.  Each component carries its residual rows and the lists of
-    its suffix-rank bound (`_Component`) for the searches.  In the free
-    backend each candidate is a component of its own, a plain list of its
-    id: no subset lowers delta there, so the searches return before walking.
+    circuits of the greedy basis (`pregeom.coordinate_rows`).  delta
+    minimization is additive across components.  Each component carries its
+    coordinate rows and the lists of its suffix-rank bound (`_Component`)
+    for the searches.  In the free backend each candidate is a component of
+    its own, a plain list of its id: no subset lowers delta there, so the
+    searches return before walking.
     """
     x = S.check_ids(x_ids)
     cands = sorted(i for i in S.colored - x)
     if S.backend.kind == FREE:
         return [], [[c] for c in cands]
-    base_red = S.reducer_for(x)
+    base_red, ncols = S.reducer_for(x), S.backend.ambient_dim
     residuals = {eid: base_red.residual(S.introw(eid)) for eid in cands}
     drops = [eid for eid, res in residuals.items() if not any(res)]
     residuals = {eid: res for eid, res in residuals.items() if any(res)}
-    uf = _UnionFind(residuals)
-    order = list(residuals)
-    co = Coordinates(S.backend.ambient_dim, len(order))
-    grew = {}
-    for eid in order:
-        coeffs = co.insert((1, residuals[eid]))
-        grew[eid] = coeffs is None
-        for b, c in zip(order, coeffs[1] if coeffs else ()):
-            if c:
-                uf.union(eid, b)
-    comps: dict[str, list[str]] = {}
-    for eid in residuals:
-        comps.setdefault(uf.find(eid), []).append(eid)
-    out = [
-        _Component(ids, [residuals[eid] for eid in ids], S.backend.ambient_dim, [grew[eid] for eid in ids])
-        for ids in sorted(map(sorted, comps.values()))
-    ]
+    grew, coords = coordinate_rows(list(residuals.values()))
+    grew, coords = dict(zip(residuals, grew)), dict(zip(residuals, coords))
+    basis = {eid: k for k, eid in enumerate(eid for eid in residuals if grew[eid])}
+    comp_of = {eid: [eid] for eid in residuals}  # a point and a basis point of its circuit share one
+    for eid in (eid for eid in residuals if not grew[eid]):
+        for b, c in zip(basis, coords[eid]):
+            if c and comp_of[b] is not comp_of[eid]:
+                merged = comp_of[eid] + comp_of[b]
+                comp_of.update(dict.fromkeys(merged, merged))
+    out = []
+    for ids in sorted(sorted(comp) for comp in {id(comp): comp for comp in comp_of.values()}.values()):
+        cols = [basis[eid] for eid in ids if grew[eid]]
+        rows = [[coords[eid][k] for k in cols] for eid in ids]
+        out.append(_Component(ids, rows, [residuals[eid] for eid in ids], ncols, [grew[eid] for eid in ids]))
     # Direct-sum sanity: the components' ranks, each from its own reverse
     # pass, must add up to the rank of the circuit pass.  The residuals are
     # clear of span(X), so each component's rank is theirs.
@@ -469,7 +449,7 @@ def _component_walk(comp, counter, alpha, bar):
     being the module lemma's (n - i) - max(R_n - R_i, S_i - dim(C/X)).
     """
     counter.size = len(comp)
-    red, null, sign_of = comp.red, comp.null, cache(partial(pre_dim_sign, alpha=alpha))
+    red, null, sign_of = comp.red, comp.null, sign_memo(alpha)
 
     def prune(i, dim, mask):
         size = mask.bit_count()

@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache, partial
 from math import gcd
 
 from .errors import (
@@ -306,6 +307,15 @@ def pre_dim_sign(dim: int, col: int, alpha: Alpha) -> int:
         lhs = alpha.den * dim - alpha.num * col
         return (lhs > 0) - (lhs < 0)
     return surd_sign(alpha.c * dim - alpha.a * col, -alpha.b * col, alpha.d)
+
+
+@lru_cache(maxsize=64)
+def sign_memo(alpha: Alpha):
+    """`pre_dim_sign` at one alpha, memoized on (dim, col): the subset
+    searches ask a few hundred such pairs, bounded by the sizes of the
+    structures searched, tens of thousands of times.  One memo per alpha
+    serves every search, as making one costs more than a small search."""
+    return cache(partial(pre_dim_sign, alpha=alpha))
 
 
 def floor_surd(a: int, b: int, d: int, c: int) -> int:

@@ -17,7 +17,10 @@ read them.  It takes each vector as its integer payload (m, row),
 holding the cleared rows (a `ColoredStructure` caches them) hands them in
 as they are, and gives coordinates back in integers over one common
 denominator; `solve`, `dependency_kernel` and `payload_kernel` convert
-between `Fraction`s and integers once, at their boundary.  Pivoting is
+between `Fraction`s and integers once, at their boundary.
+`coordinate_rows` gives rows' coordinates over their greedy basis by one
+Gauss-Jordan pass on their transpose: rows of the same ranks, mostly unit
+rows, on which `eliminate` touches one entry per row.  Pivoting is
 first-nonzero by row then column, so every computation is deterministic.
 The free backend is the degenerate control: acl(A) = A and dim(A) = |A|.
 
@@ -94,13 +97,12 @@ def payload_key(den: int, nums) -> tuple[int, tuple[int, ...]]:
 
 def _primitive(row: list[int]) -> list[int]:
     """The row divided by its content, its lead made positive."""
-    g = lead = 0
-    for x in row:
-        if x:
-            lead, g = lead or x, gcd(g, x)
-            if g == 1:
+    g = gcd(*row)
+    if g:
+        for lead in row:
+            if lead:
                 break
-    g = -g if lead < 0 else g
+        g = -g if lead < 0 else g
     return row if g in (0, 1) else [x // g for x in row]
 
 
@@ -156,14 +158,21 @@ def _lead(row) -> int:
 
 def eliminate(pending: list[list[int]], i: int) -> list[list[int]]:
     """Pending rows once the nonzero pending[i] joins the span: each later row
-    reduced by it at its lead and made primitive, the earlier ones kept."""
-    row = pending[i]
-    lead = _lead(row)
-    scale = row[lead]
+    reduced by it at its lead and made primitive, the earlier ones kept.  A
+    reduced row is scaled by the lead and then loses piv times pending[i] on
+    that row's nonzero entries only: one entry for a unit row, as most rows
+    of `coordinate_rows` are."""
+    support = [(c, x) for c, x in enumerate(pending[i]) if x]
+    lead, scale = support[0]
     out = pending[: i + 1]
     for cur in pending[i + 1:]:
         piv = cur[lead]
-        out.append(_primitive([x * scale - y * piv for x, y in zip(cur, row)]) if piv else cur)
+        if piv:
+            cur = [x * scale for x in cur] if scale != 1 else cur[:]
+            for c, x in support:
+                cur[c] -= x * piv
+            cur = _primitive(cur)
+        out.append(cur)
     return out
 
 
@@ -180,10 +189,9 @@ def walk(rows, prune=None):
     expanded (after its yield) unless i = len(rows) or prune(i, dim, mask),
     asked of every node short of the last row.  An expanded node has two
     children, one yielded, so a walk that yields m nodes has 2m - 1 nodes
-    in all.  The rows are made primitive with
-    positive leads, and a taken row that grew the span is eliminated only
-    when its node is expanded: each pending row is a `SpanReducer` residual
-    (lemma).
+    in all.  The rows are made primitive with positive leads, and a taken
+    row that grew the span is eliminated only when its node is expanded:
+    each pending row is a `SpanReducer` residual (lemma).
     """
     n, skipped = len(rows), []
     i, pending, grown, dim, mask = 0, [_primitive(list(r)) for r in rows], None, 0, 0
@@ -343,6 +351,45 @@ class Coordinates:
         inserted vectors, zero off the pivot vectors, as (den, nums), or None
         when the target is outside their span."""
         return self._read(payload, self._reduce(payload[1], self.size), self.size)
+
+
+def coordinate_rows(rows):
+    """(grew, coords) for integer rows: grew[j] tells whether rows[j] grows
+    the span of the rows before it, and coords[j] is d > 0 times its
+    coordinate row over the rows that grew, a unit row for one of them.
+    Taking coordinates is linear and injective on the span, and scaling a
+    row keeps every span, so each subset of coords has the rank of the same
+    subset of rows, on rows of length rank(rows) whose grown rows are unit
+    vectors (an `eliminate` step by one changes one entry per row).
+
+    One fraction-free Gauss-Jordan pass over the transpose T (column j is
+    rows[j]), columns in order.  Lemma: row operations keep every linear
+    relation among the columns.  Before column j each earlier pivot column
+    j_q has one nonzero, in its own row q, so column j pivots iff it has a
+    nonzero off those rows, iff rows[j] is outside the span of the rows
+    before it; otherwise it is the sum of T[q][j] / T[q][j_q] times column
+    j_q, and d is the least common multiple of the denominators."""
+    cols, pivots, coords = [list(c) for c in zip(*rows) if any(c)], [], []
+    free = list(range(len(cols)))
+    for j in range(len(rows)):
+        p = next((p for p in free if cols[p][j]), None)
+        if p is None:
+            d = lcm(*(cols[q][jq] for q, jq in pivots if cols[q][j]))
+            coords.append([cols[q][j] * d // cols[q][jq] for q, jq in pivots])
+            continue
+        free.remove(p)
+        top, scale = cols[p], cols[p][j]
+        for r, cur in enumerate(cols):
+            piv = cur[j]
+            if piv and r != p:
+                cols[r] = _primitive([x * scale - y * piv for x, y in zip(cur, top)])
+        pivots.append((p, j))
+        coords.append(None)
+    basis = [j for _, j in pivots]
+    return [c is None for c in coords], [
+        [int(b == j) for b in basis] if c is None else c + [0] * (len(basis) - len(c))
+        for j, c in enumerate(coords)
+    ]
 
 
 def solve(vectors, target) -> list[Fraction] | None:

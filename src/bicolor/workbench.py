@@ -74,7 +74,7 @@ def _parse_fraction(text, where: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise SchemaError(f"{where}: cannot parse rational {text!r}")
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den or 1))
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def structure_to_obj(S: ColoredStructure) -> dict:

@@ -15,6 +15,7 @@ from bicolor.pregeom import (
     SpanReducer,
     acl_in,
     canonical_rows,
+    coordinate_rows,
     dependency_kernel,
     dim_independent,
     eliminate,
@@ -167,6 +168,33 @@ def test_suffix_rank_bound_matches_bareiss(rng):
             [(n - i) - (big_r[n] - big_r[i]) for i in range(n + 1)],
             [(n - i) - big_s[i] for i in range(n + 1)],
         )
+
+
+def test_coordinate_rows_keep_every_rank(rng):
+    """coordinate_rows on integer rows (zero, repeated, negated and
+    negative-lead rows included): grew is the forward pass's, a grown row
+    becomes its unit row, every other row a positive multiple of its
+    coordinates over the grown rows before it, and every subset keeps its
+    Bareiss rank."""
+    for _ in range(80):
+        ncols = rng.randint(1, 5)
+        rows = _walk_rows(rng, ncols)
+        grew, coords = coordinate_rows(rows)
+        red = SpanReducer(ncols)
+        assert grew == [red.add(row) for row in rows]
+        basis = [j for j, g in enumerate(grew) if g]
+        for j, (row, c) in enumerate(zip(rows, coords)):
+            assert len(c) == len(basis) and all(x == 0 for x, b in zip(c, basis) if b > j)
+            if grew[j]:
+                assert c == [int(b == j) for b in basis]
+                continue
+            combo = [sum(x * rows[b][col] for x, b in zip(c, basis)) for col in range(ncols)]
+            d = next((F(y, x) for x, y in zip(row, combo) if x), F(1))
+            assert d > 0 and combo == [d * x for x in row]
+        for size in range(len(rows) + 1):
+            for chosen in itertools.combinations(range(len(rows)), size):
+                want = rank_int_matrix([rows[j] for j in chosen], ncols)
+                assert rank_int_matrix([coords[j] for j in chosen], len(basis)) == want
 
 
 def test_walk_yields_each_subset_once_with_its_bareiss_rank(rng):
