@@ -8,9 +8,11 @@
 Each line gives the build, its point count, its wall seconds, `digest`
 (sha256 of the structure's canonical `dumps` plus every check's name,
 verdict and method) and `verdicts` (the same without the methods), both cut
-to 16 hex digits.  Two trees that agree on `verdicts` built the same bytes
-and reached the same verdicts; `digest` also tells whether the checks were
-decided the same way.
+to 16 hex digits, and the process's peak resident set size so far
+(`ru_maxrss`): a high-water mark that covers every earlier build of the
+run too, not the build's own memory.  Two trees that agree on `verdicts`
+built the same bytes and reached the same verdicts; `digest` also tells
+whether the checks were decided the same way.
 
 The large builds are `ratmin -t 1` at 15/16 over two points, the chain
 (1/sqrt(3), 5, 1024), and the free power patch over two points at 1/sqrt(3)
@@ -22,11 +24,12 @@ engines at small sizes.
 K+ verdict, and times two queries on it: `in_k_plus`, which searches again,
 and then `closure` of {d1}.  Each line gives the query, its wall seconds
 and `answer`, the sha256 of the answer's canonical JSON cut to 16 hex
-digits.
+digits, then the peak resident set size so far.
 """
 
 import argparse
 import hashlib
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -82,6 +85,11 @@ def digests(res) -> tuple[str, str]:
     return tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in (full, bare))
 
 
+def peak_rss() -> str:
+    """The process's peak resident set size so far, `ru_maxrss` (KiB on Linux)."""
+    return f"peak RSS so far {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024} MB"
+
+
 def reloaded_patch_queries():
     base = empty_structure(INV_SQRT2, ambient=1).extended([GroundElement("b", (Fraction(1),))])
     S = loads(dumps(free_power_patch([], ["b"], Fraction(1, 2), 2, base).structure))
@@ -91,7 +99,7 @@ def reloaded_patch_queries():
         answer = ask()
         seconds = time.perf_counter() - t0
         digest = hashlib.sha256(canonical_dumps(answer).encode()).hexdigest()[:16]
-        print(f"{name} {query}: {len(S)} points, {seconds:.2f}s, answer {digest}", flush=True)
+        print(f"{name} {query}: {len(S)} points, {seconds:.2f}s, answer {digest}, {peak_rss()}", flush=True)
 
 
 def main(argv=None) -> int:
@@ -107,8 +115,8 @@ def main(argv=None) -> int:
         res = build()
         seconds = time.perf_counter() - t0
         digest, verdicts = digests(res)
-        print(f"{name}: {len(res.structure)} points, {seconds:.2f}s, digest {digest}, verdicts {verdicts}",
-              flush=True)
+        print(f"{name}: {len(res.structure)} points, {seconds:.2f}s, digest {digest}, verdicts {verdicts}, "
+              f"{peak_rss()}", flush=True)
     return 0
 
 

@@ -111,7 +111,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     BackendMismatch,
@@ -123,7 +122,7 @@ from .errors import (
     UnknownElement,
 )
 from .exactnum import Alpha, PreDimValue, ZERO, sign_memo
-from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer, int_payload
+from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer
 from .pregeom import coordinate_rows, dependency_kernel, payload_kernel, suffix_rank_bound, walk  # dependency_kernel: re-exported
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -146,13 +145,15 @@ class ColoredStructure:
     and `renamed` carries the closed sets; restrictions and file
     round-trips start empty.
 
-    `_introws` holds each point's integer payload (m, row), m the least
-    positive integer clearing its denominators and row = m * vec
-    (`pregeom.int_payload`, a bijection with the payload); restrictions and
-    extensions carry the pairs of the points they keep.  `_by_vec` indexes
-    the points by the key (m, tuple(row)), built on first use
-    (`ids_with_vec`): integer tuples, whose hashes are cheap where those of
-    `Fraction`s are not.
+    A linear point is stored once, as its element's integer payload (m,
+    row), m the least positive integer clearing its denominators and row =
+    m * vec (`pregeom.int_payload`, a bijection with the vector):
+    `payload` and `introw` read it, restrictions, renamings and unwidened
+    extensions hand on the elements they keep, and widening pads the rows
+    with zeros; none of them makes a `Fraction`.  `_by_vec` indexes the
+    points by the key (m, tuple(row)), built on first use (`ids_with_vec`):
+    integer tuples, whose hashes are cheap where those of `Fraction`s are
+    not.
     """
 
     backend: Backend
@@ -160,7 +161,6 @@ class ColoredStructure:
     colored: frozenset[str]
     alpha: Alpha
     _by_id: dict = field(default=None, repr=False, compare=False)
-    _introws: dict = field(default=None, repr=False, compare=False)
     _k_plus: object = field(default=None, repr=False, compare=False)
     _witnesses: dict = field(default_factory=dict, repr=False, compare=False)
     _by_vec: dict = field(default=None, repr=False, compare=False)
@@ -177,22 +177,18 @@ class ColoredStructure:
             raise SchemaError(f"colored ids not in structure: {sorted(self.colored - set(ids))}")
         if self.backend.kind == LINEAR:
             for e in elts:
-                if e.vec is None:
+                if e.payload is None:
                     raise SchemaError(f"element {e.id!r} lacks a vector payload")
-                if len(e.vec) != self.backend.ambient_dim:
-                    raise SchemaError(
-                        f"element {e.id!r} payload length {len(e.vec)} != "
-                        f"ambient {self.backend.ambient_dim}"
-                    )
-                if not any(e.vec):
+                row = e.payload[1]
+                if len(row) != self.backend.ambient_dim:
+                    raise SchemaError(f"element {e.id!r} payload length {len(row)} != "
+                                      f"ambient {self.backend.ambient_dim}")
+                if not any(row):
                     raise SchemaError(f"element {e.id!r} has the forbidden zero payload")
-            rows = self._introws or {}
-            self._introws = {e.id: rows[e.id] if e.id in rows else int_payload(e.vec) for e in elts}
         else:
             for e in elts:
-                if e.vec is not None:
+                if e.payload is not None:
                     raise SchemaError(f"free-backend element {e.id!r} must not carry a payload")
-            self._introws = {}
         self._by_id = {e.id: e for e in elts}
 
     # -- basic access -------------------------------------------------------
@@ -225,19 +221,19 @@ class ColoredStructure:
         return eid in self.colored
 
     def introw(self, eid: str) -> list[int]:
-        return self._introws[eid][1]
+        return self._by_id[eid].payload[1]
 
     def payload(self, eid: str) -> tuple[int, list[int]]:
         """The integer payload (m, row) of a point, row / m being its vector."""
-        return self._introws[eid]
+        return self._by_id[eid].payload
 
     def ids_with_vec(self, key) -> list[str]:
         """Ids of the points whose integer payload is `key` = (m,
         tuple(row)), i.e. whose payload is exactly row / m, in id order."""
         if self._by_vec is None:
             index: dict = {}
-            for eid, (m, row) in self._introws.items():
-                index.setdefault((m, tuple(row)), []).append(eid)
+            for e in self.elements:
+                index.setdefault((e.payload[0], tuple(e.payload[1])), []).append(e.id)
             self._by_vec = index
         return self._by_vec.get(key, [])
 
@@ -253,7 +249,7 @@ class ColoredStructure:
     def from_payloads(cls, ambient: int, payloads: dict, colored, alpha: Alpha) -> "ColoredStructure":
         """The linear structure whose points are the ids of `payloads`, each
         mapped to its integer payload (m, row) as `int_payload` gives it (the
-        empty structure `extended` by them)."""
+        empty structure `extended` by them); no `Fraction` is made."""
         return empty_structure(alpha, ambient).extended(payloads=payloads, new_colored=colored)
 
     def renamed(self, mapping: dict) -> "ColoredStructure":
@@ -266,10 +262,9 @@ class ColoredStructure:
         rename = lambda ids: frozenset(map(name, ids))
         return ColoredStructure(
             self.backend,
-            tuple(GroundElement(name(e.id), e.vec) for e in self.elements),
+            tuple(GroundElement(name(e.id), payload=e.payload) for e in self.elements),
             rename(self.colored),
             self.alpha,
-            _introws={name(i): p for i, p in self._introws.items()},
             _k_plus=self._k_plus,
             _witnesses={rename(x): None for x, v in self._witnesses.items() if v is None},
         )
@@ -283,7 +278,6 @@ class ColoredStructure:
             elements=tuple(e for e in self.elements if e.id in keep),
             colored=self.colored & keep,
             alpha=self.alpha,
-            _introws=self._introws,
             _k_plus=True if self._k_plus is True else None,
         )
 
@@ -292,8 +286,8 @@ class ColoredStructure:
         A kept point's integer row gains zero columns: zeros add no
         denominator, so its multiplier m stays the same.  `payloads` maps
         further points to their integer payloads (m, row) of the widened
-        length, as `int_payload` gives them; each `Fraction` vector row / m
-        is made once, for its `GroundElement`."""
+        length, as `int_payload` gives them, which become their elements'
+        payloads as they are."""
         if self.backend.kind == FREE:
             if widen_by:
                 raise InputError("free backend has no ambient to widen")
@@ -303,26 +297,18 @@ class ColoredStructure:
                 colored=self.colored | frozenset(new_colored),
                 alpha=self.alpha,
             )
-        rows = self._introws
         old = self.elements
         if widen_by:
-            pad = (Fraction(0),) * widen_by
-            old = tuple(GroundElement(e.id, e.vec + pad) for e in old)
-            rows = {eid: (m, row + [0] * widen_by) for eid, (m, row) in rows.items()}
+            pad = [0] * widen_by
+            old = tuple(GroundElement(e.id, payload=(e.payload[0], e.payload[1] + pad)) for e in old)
         if payloads:
-            zero = Fraction(0)
-            new_elements = (*new_elements, *(
-                GroundElement(eid, tuple(Fraction(x, m) if x else zero for x in row))
-                for eid, (m, row) in payloads.items()
-            ))
-            rows = {**rows, **payloads}
+            new_elements = (*new_elements, *(GroundElement(i, payload=p) for i, p in payloads.items()))
         backend = Backend(LINEAR, self.backend.ambient_dim + widen_by)
         return ColoredStructure(
             backend=backend,
             elements=old + tuple(new_elements),
             colored=self.colored | frozenset(new_colored),
             alpha=self.alpha,
-            _introws=rows,
         )
 
     def fresh_ids(self, prefix: str, count: int) -> list[str]:
@@ -673,7 +659,7 @@ def _trace_coords(S: ColoredStructure, x_ids) -> list:
     co = Coordinates(S.backend.ambient_dim, len(x_ids))
     for i in x_ids:
         co.insert(S.payload(i))
-    return sorted(c for c in map(co.coords, S._introws.values()) if c is not None)
+    return sorted(c for c in (co.coords(e.payload) for e in S.elements) if c is not None)
 
 
 def is_weak_iso(f: EmbeddingMap, S: ColoredStructure, T: ColoredStructure) -> bool:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .closure import is_closed
 from .colored import (
@@ -74,7 +73,7 @@ from .exactnum import (
     epsilon_bound,
     rational_pair,
 )
-from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer
+from .pregeom import FREE, LINEAR, Backend, Coordinates, GroundElement, SpanReducer, payload_key
 from .pregeom import canonical_rows, span_key, walk
 from .report import Check
 
@@ -153,7 +152,7 @@ def _moment_rows(basis, width: int, count: int, lam_start: int = 1):
     supports = [[(j, x * (den // m)) for j, x in support] for m, support in basis]
     payloads = []
     for lam in range(lam_start, lam_start + count):
-        acc = _curve_point(supports, lam)
+        acc = _curve_point(supports, lam, 1)
         g = math.gcd(den, *acc.values())
         row = [0] * width
         for j, x in acc.items():
@@ -228,10 +227,12 @@ def _on_curve(name: str, S, b_ids, blocks, others=()) -> int:
 
     lam is read off the point's part f on its block, lam = f_1/f_0, or for
     s <= 1 off its coordinates a over the u_i (`Coordinates`), lam =
-    a_2/a_1.  The whole row is then compared with gamma(lam) in integers
-    (`_curve_point`): multiply-adds over the u_i's nonzero entries, and the
-    row's own count of nonzero entries.  Only the basis is eliminated, once,
-    and for s <= 1 each point's coordinates over the u_i.
+    a_2/a_1, as a reduced integer pair (p, q) with q > 0 (`_ratio`).  The
+    whole row is then compared with gamma(p/q) in integers (`_curve_point`):
+    multiply-adds over the u_i's nonzero entries, and the row's own count of
+    nonzero entries.  Only the basis is eliminated, once, and for s <= 1
+    each point's coordinates over the u_i.  A rule's statement is formatted
+    only when it fails (`_hold`).
     `_certified` gives the lemma these rules prove.
     """
     width = S.backend.ambient_dim
@@ -259,32 +260,38 @@ def _on_curve(name: str, S, b_ids, blocks, others=()) -> int:
                 node, point = ("unit", t), {start + t: 1}
             else:
                 if r + s == 1:
-                    lam = Fraction(1)
+                    lam = 1, 1
                 elif s >= 2:
-                    lam = f[0] and Fraction(f[1], f[0])
+                    lam = _ratio(f[1], f[0])
                 else:  # coordinates (den, nums) = c*(1, lam, ...)*den
                     a = co.coords((m, row))
-                    lam = a and a[1][0] and Fraction(a[1][1], a[1][0])
-                _hold(name, lam, f"each point of copy {c} is on its moment curve")
-                _hold(name, lam > 0, f"the lambdas of copy {c} are positive")
-                node, point = lam, _curve_point(u, lam)
+                    lam = a and _ratio(a[1][1], a[1][0])
+                _hold(name, lam, "each point of copy {} is on its moment curve", c)
+                _hold(name, lam[0] > 0, "the lambdas of copy {} are positive", c)
+                node, point = lam, _curve_point(u, *lam)
             j0, e0 = next(iter(point.items()))
             x0 = row[j0]
             _hold(name, x0 and all(row[j] * e0 == e * x0 for j, e in point.items()),
-                  f"each point of copy {c} is on its moment curve")
-            _hold(name, nonzero == len(point), f"each point of copy {c} is zero off B's columns and its block")
-            _hold(name, x0 * e0 > 0, f"c > 0 at each point of copy {c}")
+                  "each point of copy {} is on its moment curve", c)
+            _hold(name, nonzero == len(point), "each point of copy {} is zero off B's columns and its block", c)
+            _hold(name, x0 * e0 > 0, "c > 0 at each point of copy {}", c)
             _hold(name, r + s == 1 or node not in nodes,
-                  f"the lambdas and unit points of copy {c} are distinct")
+                  "the lambdas and unit points of copy {} are distinct", c)
             nodes.add(node)
     return r
 
 
-def _curve_point(u, lam) -> dict:
+def _ratio(num: int, den: int):
+    """lam = num/den as the reduced integer pair (p, q) with q > 0, or None
+    when num or den is zero (no point of a curve over positive lams)."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return (num // g, den // g) if num and den else None
+
+
+def _curve_point(u, p: int, q: int) -> dict:
     """{column: entry} of the nonzero entries of q^(n-1)*sum_i lam^(i-1)*u_i
-    for lam = p/q (an int or a Fraction) and integer supports u_1, ..., u_n,
-    [(column, entry), ...] each: entry sum_i p^(i-1)*q^(n-i)*u_i."""
-    p, q = lam.numerator, lam.denominator
+    for lam = p/q, q > 0, and integer supports u_1, ..., u_n, [(column,
+    entry), ...] each: entry sum_i p^(i-1)*q^(n-i)*u_i."""
     acc: dict[int, int] = {}
     coef = q ** (len(u) - 1)
     for support in u:
@@ -294,10 +301,12 @@ def _curve_point(u, lam) -> dict:
     return {j: x for j, x in acc.items() if x}
 
 
-def _hold(name: str, holds: bool, statement: str):
-    """InvariantError naming the check `name` and `statement` unless it holds."""
+def _hold(name: str, holds: bool, statement: str, *args):
+    """InvariantError naming the check `name` and `statement` unless it
+    holds; given `args`, the statement is a format string filled with them
+    only then."""
     if not holds:
-        raise InvariantError(f"{name}: {statement} does not hold on the result")
+        raise InvariantError(f"{name}: {statement.format(*args) if args else statement} does not hold on the result")
 
 
 def _certified(name: str, *hypotheses) -> Check:
@@ -438,8 +447,8 @@ def _tower_k_plus_check(S, levels) -> Check:
         if j >= w:
             low = PreDimValue(0, len(S.colored & d_prev))
         else:
-            cut = tuple(GroundElement(i, S.element(i).vec[:width]) for i in (*sorted(d_prev), *lv.f_ids))
-            Sp = ColoredStructure(Backend(LINEAR, width), cut, S.colored & d_prev, S.alpha)
+            Sp = ColoredStructure(Backend(LINEAR, width), _cut(S, (*sorted(d_prev), *lv.f_ids), width),
+                                  S.colored & d_prev, S.alpha)
             try:
                 low, _ = min_relative_delta(Sp, lv.f_ids, VERIFY_NODE_BUDGET)
             except SearchBudgetExceeded as e:
@@ -451,6 +460,17 @@ def _tower_k_plus_check(S, levels) -> Check:
     _hold(name, d_prev == S.id_set, "the levels cover S")
     certify_k_plus(S)
     return Check(name, True, method="certified")
+
+
+def _cut(S, ids, width: int) -> tuple:
+    """The points `ids` on the columns [0, width): each payload (m, row)
+    sliced and divided by gcd(m, slice) (`payload_key`), which gives
+    `int_payload` of the sliced vector."""
+    out = []
+    for i in ids:
+        m, row = payload_key(S.payload(i)[0], S.introw(i)[:width])
+        out.append(GroundElement(i, payload=(m, list(row))))
+    return tuple(out)
 
 
 def _zero_from(S, ids, col: int) -> bool:
@@ -932,7 +952,7 @@ def minimal_pair_chain(alpha: Alpha, depth: int, ambient_budget: int) -> Constru
     if needed > ambient_budget:
         raise BudgetExceeded(f"chain needs ambient {needed} > budget {ambient_budget}")
     S = empty_structure(alpha, ambient=1)
-    S = S.extended([GroundElement("d0", (Fraction(1),))])
+    S = S.extended(payloads={"d0": (1, [1])})
     levels = [ChainLevel(d_ids=("d0",), e_ids=("d0",), f_ids=(), pair=None)]
     checks: list[Check] = []
     prev_drop = None

@@ -196,8 +196,7 @@ class Alpha:
                 raise SchemaError("quadratic alpha needs c > 0")
             if gcd(gcd(abs(self.a), abs(self.b)), self.c) != 1:
                 raise SchemaError("quadratic alpha needs gcd(a, b, c) = 1")
-            v = QuadRat(Fraction(self.a, self.c), Fraction(self.b, self.c), self.d)
-            if v.sign() <= 0 or (v - 1).sign() > 0:
+            if surd_sign(self.a, self.b, self.d) <= 0 or surd_sign(self.a - self.c, self.b, self.d) > 0:
                 raise SchemaError("alpha must lie in (0, 1]")
         else:
             raise SchemaError(f"unknown alpha kind {self.kind!r}")

@@ -14,10 +14,13 @@ it equals: exact coordinates, fundamental circuits and kernel vectors come
 from one pass over a fixed vector list, and `solve` and `payload_kernel`
 read them.  It takes each vector as its integer payload (m, row),
 `int_payload`'s bijection with the rational vector row / m, so a caller
-holding the cleared rows (a `ColoredStructure` caches them) hands them in
-as they are, and gives coordinates back in integers over one common
-denominator; `solve`, `dependency_kernel` and `payload_kernel` convert
-between `Fraction`s and integers once, at their boundary.
+holding the cleared rows hands them in as they are, and gives coordinates
+back in integers over one common denominator; `solve`, `dependency_kernel`
+and `payload_kernel` convert between `Fraction`s and integers once, at
+their boundary.  A `GroundElement` stores its point as that payload alone:
+the `Fraction` vector is cleared once when it is given and made again only
+when `vec` is read, and `rank`, `rel_rank`, `acl_in` and `dim_independent`
+read the payloads.
 `coordinate_rows` gives rows' coordinates over their greedy basis by one
 Gauss-Jordan pass on their transpose: rows of the same ranks, mostly unit
 rows, on which `eliminate` touches one entry per row.  Pivoting is
@@ -61,16 +64,32 @@ class Backend:
             raise SchemaError("ambient dimension must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class GroundElement:
-    """A named point; the linear backend attaches an exact rational vector."""
+    """A named point.  The linear backend attaches an exact rational vector,
+    stored once as its integer payload (m, row) (`int_payload`): a vector
+    `vec` given to the constructor is cleared once, a `payload` is taken as
+    it is, and the `vec` property makes the `Fraction` vector row / m each
+    time it is read.  Equality and hashing go by (id, payload), which is
+    (id, vec) as the pair determines the vector."""
 
     id: str
-    vec: tuple[Fraction, ...] | None = None
+    payload: tuple[int, list[int]] | None
 
-    def __post_init__(self):
-        if not self.id or not self.id.isascii():
-            raise SchemaError(f"element id must be a nonempty ASCII string, got {self.id!r}")
+    def __init__(self, id: str, vec=None, *, payload=None):
+        if not id or not id.isascii():
+            raise SchemaError(f"element id must be a nonempty ASCII string, got {id!r}")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "payload", payload if vec is None else int_payload(vec))
+
+    def __hash__(self):
+        return hash((self.id, self.payload and (self.payload[0], tuple(self.payload[1]))))
+
+    @property
+    def vec(self) -> tuple[Fraction, ...] | None:
+        if self.payload is not None:
+            m, row = self.payload
+            return tuple(Fraction(x, m) if x else _ZERO for x in row)
 
 
 def int_row(vec: tuple[Fraction, ...]) -> list[int]:
@@ -428,13 +447,12 @@ def payload_kernel(payloads, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
 def _payload_rows(elements, backend: Backend) -> list[list[int]]:
     rows = []
     for e in elements:
-        if e.vec is None:
+        if e.payload is None:
             raise DimensionMismatch(f"element {e.id!r} has no vector payload")
-        if len(e.vec) != backend.ambient_dim:
-            raise DimensionMismatch(
-                f"element {e.id!r} payload length {len(e.vec)} != ambient {backend.ambient_dim}"
-            )
-        rows.append(int_row(e.vec))
+        row = e.payload[1]
+        if len(row) != backend.ambient_dim:
+            raise DimensionMismatch(f"element {e.id!r} payload length {len(row)} != ambient {backend.ambient_dim}")
+        rows.append(row)
     return rows
 
 
@@ -466,7 +484,7 @@ def acl_in(a_elements, m_elements, backend: Backend):
     red = SpanReducer(backend.ambient_dim)
     for row in _payload_rows(a_elements, backend):
         red.add(row)
-    return [e for e in m_elements if red.contains(int_row(e.vec))]
+    return [e for e in m_elements if red.contains(e.payload[1])]
 
 
 def dim_independent(y_elements, z_elements, x_elements, backend: Backend) -> bool:

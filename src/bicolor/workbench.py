@@ -32,18 +32,11 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .amalgam import free_amalgam, verify_free
 from .closure import closure_n, is_closed
-from .colored import (
-    ColoredStructure,
-    EmbeddingMap,
-    empty_structure,
-    ensure_k_plus,
-    in_k_plus,
-    is_lp_embedding,
-)
+from .colored import ColoredStructure, EmbeddingMap, ensure_k_plus, in_k_plus, is_lp_embedding
 from .construct import grow_patch
 from .errors import (
     BackendMismatch,
@@ -68,16 +61,30 @@ EMBEDDING_CAP = 200
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def _parse_fraction(text, where: str) -> Fraction:
+def _parse_rational(text, where: str) -> tuple[int, int]:
+    """(p, q) with p / q = Fraction(text), q > 0 and gcd(p, q) = 1, in
+    integers; SchemaError naming `where` for anything but a string of the
+    schema's pattern (whose denominator is nonzero)."""
     if not isinstance(text, str):
         raise SchemaError(f"{where}: rational must be a string, got {type(text).__name__}")
     if not _RATIONAL_RE.match(text):
         raise SchemaError(f"{where}: cannot parse rational {text!r}")
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    p, q = int(num), int(den or 1)
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def _entry(q: int, m: int) -> str:
+    """str(Fraction(q, m)) for integers q and m > 0, in integers."""
+    g = gcd(q, m)
+    return str(q // g) if g == m else f"{q // g}/{m // g}"
 
 
 def structure_to_obj(S: ColoredStructure) -> dict:
+    """The file object of S; each vector entry is written from the point's
+    integer payload (m, row) as `_entry`, the bytes of its `Fraction`, and
+    every zero entry is one shared "0"."""
     backend: dict = {"kind": S.backend.kind}
     if S.backend.kind == LINEAR:
         backend["ambientDim"] = S.backend.ambient_dim
@@ -85,12 +92,15 @@ def structure_to_obj(S: ColoredStructure) -> dict:
     for e in S.elements:
         item: dict = {"id": e.id, "colored": e.id in S.colored}
         if S.backend.kind == LINEAR:
-            item["vec"] = [str(x) if q else "0" for x, q in zip(e.vec, S.introw(e.id))]
+            m, row = e.payload
+            item["vec"] = [_entry(q, m) if q else "0" for q in row]
         elements.append(item)
     return {"alpha": S.alpha.to_json(), "backend": backend, "elements": elements}
 
 
 def structure_from_obj(obj) -> ColoredStructure:
+    """The structure of a file object; each point's integer payload (m, row)
+    is built from its entries' reduced pairs (`_parse_rational`)."""
     if not isinstance(obj, dict):
         raise SchemaError("structure file must be a JSON object")
     for key in ("alpha", "backend", "elements"):
@@ -125,9 +135,9 @@ def structure_from_obj(obj) -> ColoredStructure:
             vec = item.get("vec")
             if not isinstance(vec, list):
                 raise SchemaError(f"{where}.vec: required for the linear backend")
-            payload = tuple(
-                _parse_fraction(x, f"{where}.vec[{j}]") for j, x in enumerate(vec)
-            )
+            pairs = [_parse_rational(x, f"{where}.vec[{j}]") for j, x in enumerate(vec)]
+            m = lcm(*(q for _, q in pairs))
+            payload = m, [p * (m // q) for p, q in pairs]
         else:
             if "vec" in item:
                 raise SchemaError(f"{where}.vec: forbidden for the free backend")
@@ -137,7 +147,7 @@ def structure_from_obj(obj) -> ColoredStructure:
             raise SchemaError(f"{where}.colored: must be true or false, got {is_colored!r}")
         if is_colored:
             colored.add(eid)
-        elements.append(GroundElement(eid, payload))
+        elements.append(GroundElement(eid, payload=payload))
     return ColoredStructure(backend, tuple(elements), frozenset(colored), alpha)
 
 
@@ -244,20 +254,12 @@ def make_task(task_id: str, big: ColoredStructure, small_ids, catalog=CATALOG_VE
 
 
 def _point_structure(alpha: Alpha, colored: bool) -> ColoredStructure:
-    S = empty_structure(alpha, ambient=1)
-    return S.extended(
-        [GroundElement("x1", (Fraction(1),))], new_colored=("x1",) if colored else ()
-    )
+    return ColoredStructure.from_payloads(1, {"x1": (1, [1])}, ("x1",) if colored else (), alpha)
 
 
 def _parallel_structure(alpha: Alpha, colors: tuple[bool, bool], scale=2) -> ColoredStructure:
-    S = empty_structure(alpha, ambient=1)
-    names = ("x1", "x2")
-    vecs = ((Fraction(1),), (Fraction(scale),))
-    colored = tuple(n for n, c in zip(names, colors) if c)
-    return S.extended(
-        [GroundElement(n, v) for n, v in zip(names, vecs)], new_colored=colored
-    )
+    payloads = {"x1": (1, [1]), "x2": (1, [scale])}
+    return ColoredStructure.from_payloads(1, payloads, [n for n, c in zip(payloads, colors) if c], alpha)
 
 
 def task_catalog(alpha: Alpha, size_budget: int) -> list[ExtensionTask]:
@@ -305,9 +307,7 @@ def task_catalog(alpha: Alpha, size_budget: int) -> list[ExtensionTask]:
         pair = dirichlet_window(alpha, Fraction(1, 4))
         patch_name = "patch-dirichlet-q4"
     if pair is not None and 1 + pair.k <= size_budget and 1 + pair.s <= size_budget:
-        anchor = empty_structure(alpha, ambient=1).extended(
-            [GroundElement("a1", (Fraction(1),))]
-        )
+        anchor = ColoredStructure.from_payloads(1, {"a1": (1, [1])}, (), alpha)
         big, _ = grow_patch(anchor, {"a1"}, pair.s, pair.k, colored=True)
         tasks.append(make_task(patch_name, big, ()))
     return tasks

@@ -32,7 +32,7 @@ from bicolor.errors import (
 )
 from bicolor.exactnum import PreDimValue
 from bicolor.pregeom import Backend, FREE, GroundElement, LINEAR, int_row
-from bicolor.workbench import dumps, task_catalog
+from bicolor.workbench import dumps, loads, task_catalog
 
 from conftest import (
     ALL_ALPHAS,
@@ -646,6 +646,44 @@ class TestAmbientWidening:
                         carried += 1
                 S = T
         assert widened >= 20 and carried >= 100
+
+    def test_payload_paths_make_no_fractions(self, monkeypatch):
+        """`extended(payloads=...)`, widening, `renamed`, `restrict`, `dumps`
+        and `loads` over non-integer payloads make no `Fraction` (counted by
+        wrapping `Fraction.__new__`); the vectors read afterwards are the
+        exact ones, cleared and padded here in `Fraction`s."""
+        rng = random.Random(0xF4AC)
+
+        def cleared(vec):
+            m = math.lcm(*(x.denominator for x in vec))
+            return m, [int(x * m) for x in vec]
+
+        for trial in range(12):
+            dim, alpha = rng.randint(1, 3), ALL_ALPHAS[trial % 4]
+            vecs = {}
+            while len(vecs) < rng.randint(1, 5):
+                vec = tuple(F(rng.randint(-9, 9), rng.choice([1, 2, 3, 6, 7, 10])) for _ in range(dim))
+                if any(vec):
+                    vecs[f"p{len(vecs)}"] = vec
+            wider = tuple(F(rng.randint(1, 9), rng.choice([3, 4])) for _ in range(dim + 3))
+            payloads, wide_payload = {i: cleared(v) for i, v in vecs.items()}, cleared(wider)
+            others = sorted(vecs)[1:]
+            keep = ["r0", "a", *rng.sample(others, rng.randint(0, len(others)))]
+            made = []
+            new = F.__new__
+            monkeypatch.setattr(F, "__new__", lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw))
+            S = ColoredStructure.from_payloads(dim, payloads, ["p0"], alpha)
+            W = S.extended(widen_by=2).extended(payloads={"w": wide_payload}, new_colored=["w"], widen_by=1)
+            R = W.renamed({"p0": "r0", "w": "a"})
+            T = R.restrict(keep)
+            text = dumps(T)
+            L = loads(text)
+            monkeypatch.undo()
+            assert made == []
+            want = {("r0" if i == "p0" else i): v + (F(0),) * 3 for i, v in vecs.items()}
+            want["a"] = wider
+            assert L == T and {e.id: e.vec for e in L.elements} == {i: want[i] for i in T.ids_sorted}
+            assert L.colored == {"r0", "a"} and text == dumps(L)
 
     def test_free_backend_weak_iso(self):
         S = ColoredStructure(

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import re
 import sys
@@ -745,6 +746,26 @@ class TestTowerKPlus:
             assert check == Check("ambient_k_plus", True, method="certified") and in_k
             seen.add(("certified", in_k))
         assert seen == {("certified", True), ("raised", True), ("raised", False)}
+
+    def test_cut_is_the_sliced_vectors_payload(self):
+        # the payload of each sliced vector is cleared here in Fractions
+        rng = random.Random(0xC07)
+        for trial in range(60):
+            dim = rng.randint(1, 5)
+            vecs = {}
+            while len(vecs) < rng.randint(1, 6):
+                vec = tuple(F(rng.choice([0, 0, *range(-6, 7)]), rng.choice([1, 2, 4, 6, 9])) for _ in range(dim))
+                if any(vec):
+                    vecs[f"x{len(vecs)}"] = vec
+            S = ColoredStructure(Backend(LINEAR, dim), tuple(GroundElement(i, v) for i, v in vecs.items()),
+                                 frozenset(), ALL_ALPHAS[trial % 4])
+            for width in range(1, dim + 1):
+                ids = [i for i, v in vecs.items() if any(v[:width])]
+                for i, e in zip(ids, construct._cut(S, ids, width), strict=True):
+                    sliced = vecs[i][:width]
+                    m = math.lcm(*(x.denominator for x in sliced))
+                    assert e.id == i and e.payload == (m, [int(x * m) for x in sliced])
+                    assert e == GroundElement(i, sliced) and e.vec == sliced
 
     NEGATIVE = {
         # {e1, e2, f2}: rank 2, three colored

@@ -504,6 +504,28 @@ def test_int_row_matches_fraction_scaling(vec):
     assert int_row(tuple(vec)) == [int(x * mult) for x in vec]
 
 
+@given(
+    st.lists(st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6), max_size=5),
+    st.text(alphabet="abz0", min_size=1, max_size=3),
+)
+@settings(max_examples=150)
+def test_ground_element_from_vector_is_the_point_from_its_payload(vec, eid):
+    # the payload is cleared here in Fractions: m the lcm of the denominators
+    vec = tuple(vec)
+    m = math.lcm(*(x.denominator for x in vec))
+    payload = (m, [int(x * m) for x in vec])
+    given_vec, given_payload = GroundElement(eid, vec), GroundElement(eid, payload=payload)
+    assert given_vec == given_payload and hash(given_vec) == hash(given_payload)
+    assert given_vec.payload == payload
+    assert given_vec.vec == vec == given_payload.vec and all(type(x) is F for x in given_payload.vec)
+    assert GroundElement(eid + "x", vec) != given_vec
+    if any(vec):
+        doubled = tuple(2 * x for x in vec)
+        assert GroundElement(eid, doubled) != given_vec and GroundElement(eid, doubled).vec == doubled
+    assert GroundElement(eid) == GroundElement(eid, payload=None) and GroundElement(eid).vec is None
+    assert hash(GroundElement(eid)) == hash(GroundElement(eid, payload=None))
+
+
 def _random_elements(rng, n, dim):
     out = []
     for i in range(n):

@@ -37,13 +37,20 @@ def test_large_builds_prints_a_digest_per_small_build():
     assert [line.split(":")[0] for line in lines] == [
         "ratmin-2/3-t1-two-points", "chain-1/sqrt3-3-64", "power-1/sqrt3-1/2-2-two-points",
     ]
-    assert all(re.search(r"points, [0-9.]+s, digest [0-9a-f]{16}, verdicts [0-9a-f]{16}$", line) for line in lines)
+    rss = [re.search(r"points, [0-9.]+s, digest [0-9a-f]{16}, verdicts [0-9a-f]{16}, peak RSS so far ([0-9]+) MB$", line)
+           for line in lines]
+    assert all(rss)
+    # a high-water mark: it never falls from one line to the next
+    peaks = [int(m.group(1)) for m in rss]
+    assert 0 < peaks[0] and peaks == sorted(peaks)
 
 
 def test_large_builds_reloaded_patch_answers():
     # the answers are True and the 24 d's; the digests pin them
     lines = _run("large_builds.py", "--reloaded").splitlines()
-    assert [re.sub(r", [0-9.]+s,", ", <t>s,", line) for line in lines] == [
+    fields = [re.fullmatch(r"(.*), [0-9.]+s, (answer [0-9a-f]{16}), peak RSS so far [1-9][0-9]* MB", line)
+              for line in lines]
+    assert [f"{m[1]}, <t>s, {m[2]}" for m in fields] == [
         "reloaded-power-1/sqrt2-1/2-2 in_k_plus: 25 points, <t>s, answer a17fcf0a2f50e2d4",
         "reloaded-power-1/sqrt2-1/2-2 closure(d1): 25 points, <t>s, answer d5874a9b3fe8cef4",
     ]

@@ -295,6 +295,15 @@ def test_search_and_amalgam_coordinates_read_no_payload_vectors(path, owners):
     assert attribute_reads(source, owners, "vec") == []
 
 
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_library_reads_no_payload_vectors(path):
+    # points are stored as integer payloads; `GroundElement.vec` makes the
+    # Fraction vector for callers outside the library only
+    source = (SRC / path).read_text()
+    owners = [top.name for top in ast.parse(source).body if isinstance(top, (ast.FunctionDef, ast.ClassDef))]
+    assert attribute_reads(source, owners, "vec") == []
+
+
 def test_colored_enumerates_no_combinations():
     assert combination_uses((SRC / "colored.py").read_text()) == []
 

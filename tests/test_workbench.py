@@ -417,16 +417,27 @@ class TestRoundTrip:
     ))
     def test_regex_valid_rationals_parse_as_before(self, text):
         # the integer parse agrees with Fraction's string parser on every
-        # string the schema's pattern admits, a trailing newline included
-        got = workbench._parse_fraction(text, "where")
-        assert got == F(text) and type(got) is F
+        # string the schema's pattern admits, a trailing newline included:
+        # the reduced pair (p, q) with q > 0
+        got = workbench._parse_rational(text, "where")
+        assert got == (F(text).numerator, F(text).denominator)
+        assert all(type(x) is int for x in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(), st.integers(min_value=-10**60, max_value=10**60)),
+        st.one_of(st.just(1), st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=10**30)),
+    )
+    def test_entry_writer_matches_fraction_str(self, q, m):
+        assert workbench._entry(q, m) == str(F(q, m))
+        assert workbench._entry(q * m, m) == str(F(q))
 
     @pytest.mark.parametrize("text", ["1.5", "1/0", "1/-2", "+1", " 1", "1 /2", "", "1e3", "/2", "1/"])
     def test_bad_rational_messages(self, text):
         with pytest.raises(SchemaError, match=re.escape(f"where: cannot parse rational {text!r}")):
-            workbench._parse_fraction(text, "where")
+            workbench._parse_rational(text, "where")
         with pytest.raises(SchemaError, match="where: rational must be a string, got int"):
-            workbench._parse_fraction(3, "where")
+            workbench._parse_rational(3, "where")
 
     def test_bad_json_diagnostics(self):
         with pytest.raises(SchemaError) as e:
